@@ -79,7 +79,7 @@ type Baseline struct {
 
 	engine *classify.Engine // Paragon assignment
 	state  map[string]*resState
-	queue  []*core.Task
+	queue  core.WaitQueue
 	name   string
 }
 
@@ -251,8 +251,8 @@ func (b *Baseline) paragonQuality(t *core.Task, st *resState, s *cluster.Server)
 // OnSubmit implements core.Manager.
 func (b *Baseline) OnSubmit(t *core.Task) {
 	if t.W.BestEffort {
-		if !b.placeBestEffort(t) {
-			b.queue = append(b.queue, t)
+		if placed, _ := b.placeBestEffort(t); !placed {
+			b.queue.Push(t)
 		}
 		return
 	}
@@ -270,7 +270,7 @@ func (b *Baseline) OnSubmit(t *core.Task) {
 	}
 	b.state[t.W.ID] = st
 	if !b.tryPlace(t, st) {
-		b.queue = append(b.queue, t)
+		b.queue.Push(t)
 	}
 }
 
@@ -308,8 +308,9 @@ func (b *Baseline) tryPlace(t *core.Task, st *resState) bool {
 	return placed > 0
 }
 
-// placeBestEffort gives filler tasks a small least-loaded slice.
-func (b *Baseline) placeBestEffort(t *core.Task) bool {
+// placeBestEffort gives filler tasks a small least-loaded slice. noFit
+// reports that no server has room for any filler.
+func (b *Baseline) placeBestEffort(t *core.Task) (placed, noFit bool) {
 	var best *cluster.Server
 	for _, s := range b.rt.Cl.Servers {
 		if s.Schedulable() && s.FreeCores() >= 1 && s.FreeMemGB() >= 1 {
@@ -319,38 +320,29 @@ func (b *Baseline) placeBestEffort(t *core.Task) bool {
 		}
 	}
 	if best == nil {
-		return false
+		return false, true
 	}
 	alloc := cluster.Alloc{Cores: minInt(4, best.FreeCores()), MemoryGB: math.Min(6, best.FreeMemGB())}
-	return b.rt.Place(t, best, alloc) == nil
+	return b.rt.Place(t, best, alloc) == nil, false
 }
 
 // OnComplete implements core.Manager.
 func (b *Baseline) OnComplete(t *core.Task) {
 	delete(b.state, t.W.ID)
-	b.drainQueue()
+	b.queue.Drain(b.rt.Cl, b.retry)
 }
 
 // OnEvicted implements core.Manager.
-func (b *Baseline) OnEvicted(t *core.Task) { b.queue = append(b.queue, t) }
+func (b *Baseline) OnEvicted(t *core.Task) { b.queue.Push(t) }
 
-func (b *Baseline) drainQueue() {
-	var still []*core.Task
-	for _, t := range b.queue {
-		if t.Status == core.StatusCompleted {
-			continue
-		}
-		ok := false
-		if t.W.BestEffort {
-			ok = b.placeBestEffort(t)
-		} else if st, has := b.state[t.W.ID]; has {
-			ok = b.tryPlace(t, st)
-		}
-		if !ok {
-			still = append(still, t)
-		}
+// retry is one queued task's placement attempt (core.WaitQueue.Drain's
+// callback).
+func (b *Baseline) retry(t *core.Task) (placed, noFit bool) {
+	if t.W.BestEffort {
+		return b.placeBestEffort(t)
 	}
-	b.queue = still
+	st, has := b.state[t.W.ID]
+	return has && b.tryPlace(t, st), false
 }
 
 // OnTick implements core.Manager: only the auto-scaler reacts to load; the
@@ -369,7 +361,7 @@ func (b *Baseline) OnTick(now float64) {
 			b.autoscale(t, st, now)
 		}
 	}
-	b.drainQueue()
+	b.queue.Drain(b.rt.Cl, b.retry)
 }
 
 // autoscale adds an instance when observed utilization exceeds the trigger
@@ -400,7 +392,7 @@ func (b *Baseline) autoscale(t *core.Task, st *resState, now float64) {
 }
 
 // QueueLen reports the wait-queue length.
-func (b *Baseline) QueueLen() int { return len(b.queue) }
+func (b *Baseline) QueueLen() int { return b.queue.Len() }
 
 func minInt(a, b int) int {
 	if a < b {

@@ -421,7 +421,15 @@ type Cluster struct {
 
 	byPlatform map[string][]*Server
 	index      *FreeIndex
+	gen        uint64
 }
+
+// Gen returns the cluster's mutation generation: a counter that advances on
+// every change to any server's placements, allocations, pressure, isolation
+// or fault/detector state. Two reads returning the same value bracket an
+// interval in which no server changed, so a scan over the servers would
+// repeat its answer.
+func (c *Cluster) Gen() uint64 { return c.gen }
 
 // New builds a cluster with count[i] servers of platforms[i].
 func New(platforms []Platform, counts []int) (*Cluster, error) {

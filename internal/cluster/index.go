@@ -140,10 +140,15 @@ func (ix *FreeIndex) NumOccupiable(pidx int) int {
 	return n
 }
 
-// reindex pushes this server's state change into the owning cluster's index.
-// Standalone servers have no cluster and skip silently.
+// reindex is the one choke point every server mutator ends in: it advances
+// the owning cluster's mutation generation and pushes the state change into
+// its index. Standalone servers have no cluster and skip silently.
 func (s *Server) reindex() {
-	if s.cl != nil && s.cl.index != nil {
+	if s.cl == nil {
+		return
+	}
+	s.cl.gen++
+	if s.cl.index != nil {
 		s.cl.index.update(s)
 	}
 }

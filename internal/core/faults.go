@@ -127,7 +127,8 @@ func (rt *Runtime) heartbeat(now float64) {
 // guarantees the old instance is gone before a replacement starts. Tasks
 // that lost their last node drop back to StatusQueued.
 func (rt *Runtime) fence(s *cluster.Server, reason string) []*Task {
-	pls := s.Placements()
+	// A copy: every removal below shifts the server's live resident list.
+	pls := append([]*cluster.Placement(nil), s.Placements()...)
 	displaced := make([]*Task, 0, len(pls))
 	for _, pl := range pls {
 		t := rt.tasks[pl.WorkloadID]

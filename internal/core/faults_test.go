@@ -53,6 +53,37 @@ func TestDetectorDeclaresDeadAndFences(t *testing.T) {
 	rt.Stop()
 }
 
+// TestFenceDisplacesEveryResidentOnce: fencing used to range over the
+// server's live resident list while removing from it, so with three or more
+// residents every other one stayed on the dead server and the last was
+// reported displaced twice (and re-queued twice by the recovery policy).
+func TestFenceDisplacesEveryResidentOnce(t *testing.T) {
+	rt, u := newTestRuntime(t)
+	srv := rt.Cl.Servers[36]
+	var residents []*Task
+	for i := 0; i < 4; i++ {
+		task := rt.Submit(u.New(workload.Spec{Type: workload.SingleNode, Family: -1}), 1e9, nil)
+		if err := rt.Place(task, srv, cluster.Alloc{Cores: 1, MemoryGB: 1}); err != nil {
+			t.Fatal(err)
+		}
+		residents = append(residents, task)
+	}
+	displaced := rt.fence(srv, "test")
+	if srv.NumPlacements() != 0 {
+		t.Errorf("fenced server still holds %d placements", srv.NumPlacements())
+	}
+	times := map[*Task]int{}
+	for _, task := range displaced {
+		times[task]++
+	}
+	for i, task := range residents {
+		if times[task] != 1 || task.NumNodes() != 0 || task.Status != StatusQueued {
+			t.Errorf("resident %d: displaced %d times, %d nodes, %v; want once, 0, queued",
+				i, times[task], task.NumNodes(), task.Status)
+		}
+	}
+}
+
 func TestTransientBlipGoesUndetected(t *testing.T) {
 	rt, task, srv := detectorFixture(t)
 	rt.Run(4)

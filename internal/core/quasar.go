@@ -93,7 +93,7 @@ type Quasar struct {
 	tracer *obs.Tracer
 
 	state map[string]*taskState
-	queue []*Task // admission-control wait queue (and evicted best-effort)
+	queue WaitQueue // admission-control wait queue (and evicted best-effort)
 
 	// PhaseChangesDetected counts reclassifications triggered by
 	// monitoring. PhaseEvents records each with its trigger source.
@@ -144,7 +144,7 @@ func (q *Quasar) SetTracer(tr *obs.Tracer) {
 	q.engine.SetTracer(tr)
 	if reg := tr.Registry(); reg != nil {
 		reg.Gauge("quasar_queue_len", "admission-control queue length",
-			func() float64 { return float64(len(q.queue)) })
+			func() float64 { return float64(q.queue.Len()) })
 		reg.Gauge("quasar_phase_changes", "phase changes detected",
 			func() float64 { return float64(q.PhaseChangesDetected) })
 	}
@@ -206,8 +206,8 @@ func profilingDelay(w *workload.Instance) float64 {
 // assign.
 func (q *Quasar) OnSubmit(t *Task) {
 	if t.W.BestEffort {
-		if !q.placeBestEffort(t) {
-			q.queue = append(q.queue, t)
+		if placed, _ := q.placeBestEffort(t); !placed {
+			q.queue.Push(t)
 		}
 		return
 	}
@@ -242,7 +242,7 @@ func (q *Quasar) admit(t *Task) {
 	}
 	if !q.tryPlace(t, st) {
 		t.Status = StatusQueued
-		q.queue = append(q.queue, t)
+		q.queue.Push(t)
 	}
 }
 
@@ -370,7 +370,9 @@ func (q *Quasar) beSafeOn(s *cluster.Server) bool {
 
 // placeBestEffort gives a best-effort task a small slice on the server with
 // the most free cores among servers where it will not disturb primaries.
-func (q *Quasar) placeBestEffort(t *Task) bool {
+// noFit reports that no server is eligible — an answer that holds for every
+// best-effort task until the cluster or the residents' estimates change.
+func (q *Quasar) placeBestEffort(t *Task) (placed, noFit bool) {
 	var best *cluster.Server
 	for _, s := range q.rt.Cl.Servers {
 		if s.Schedulable() && s.FreeCores() >= 1 && s.FreeMemGB() >= 1 && q.beSafeOn(s) {
@@ -380,13 +382,13 @@ func (q *Quasar) placeBestEffort(t *Task) bool {
 		}
 	}
 	if best == nil {
-		return false
+		return false, true
 	}
 	alloc := cluster.Alloc{
 		Cores:    minInt(4, best.FreeCores()),
 		MemoryGB: math.Min(6, best.FreeMemGB()),
 	}
-	return q.rt.Place(t, best, alloc) == nil
+	return q.rt.Place(t, best, alloc) == nil, false
 }
 
 // OnComplete implements Manager.
@@ -397,30 +399,25 @@ func (q *Quasar) OnComplete(t *Task) {
 
 // OnEvicted implements Manager: evicted best-effort tasks rejoin the queue.
 func (q *Quasar) OnEvicted(t *Task) {
-	q.queue = append(q.queue, t)
+	q.queue.Push(t)
 }
 
 // drainQueue retries queued tasks in order.
-func (q *Quasar) drainQueue() {
-	var still []*Task
-	for _, t := range q.queue {
-		if t.Status == StatusCompleted {
-			continue
-		}
-		ok := false
-		if t.W.BestEffort {
-			ok = q.placeBestEffort(t)
-		} else if st, has := q.state[t.W.ID]; has {
-			ok = q.tryPlace(t, st)
-			if ok && st.displaced {
-				q.finishReadmit(t, st, "queue-drain")
-			}
-		}
-		if !ok {
-			still = append(still, t)
-		}
+func (q *Quasar) drainQueue() { q.queue.Drain(q.rt.Cl, q.retry) }
+
+// retry is one queued task's placement attempt (WaitQueue.Drain's callback).
+func (q *Quasar) retry(t *Task) (placed, noFit bool) {
+	if t.W.BestEffort {
+		return q.placeBestEffort(t)
 	}
-	q.queue = still
+	st, has := q.state[t.W.ID]
+	if !has || !q.tryPlace(t, st) {
+		return false, false
+	}
+	if st.displaced {
+		q.finishReadmit(t, st, "queue-drain")
+	}
+	return true, false
 }
 
 // OnTick implements Manager: monitor every running workload and adjust
@@ -574,12 +571,18 @@ func (q *Quasar) scaleUpOrOut(t *Task, st *taskState, need, measured float64) (p
 		pl := t.placements[id]
 		srv := pl.Server
 		freeC, freeM := srv.FreeCores(), srv.FreeMemGB()
-		// Evict best-effort residents if that frees capacity.
+		// Evict best-effort residents if that frees capacity. The IDs are
+		// snapshotted first: each eviction shifts the live resident list the
+		// range would otherwise be walking.
 		if freeC == 0 {
+			var fillers []string
 			for _, other := range srv.Placements() {
 				if other.BestEffort {
-					_ = q.rt.Evict(other.WorkloadID)
+					fillers = append(fillers, other.WorkloadID)
 				}
+			}
+			for _, id := range fillers {
+				_ = q.rt.Evict(id)
 			}
 			freeC, freeM = srv.FreeCores(), srv.FreeMemGB()
 		}
@@ -733,7 +736,7 @@ func (q *Quasar) reschedule(t *Task, st *taskState, measured float64) {
 	}
 	if !restored {
 		t.Status = StatusQueued
-		q.queue = append(q.queue, t)
+		q.queue.Push(t)
 	}
 }
 
@@ -882,7 +885,7 @@ func (q *Quasar) proactiveProbe(now float64) {
 }
 
 // QueueLen reports the admission-control queue length.
-func (q *Quasar) QueueLen() int { return len(q.queue) }
+func (q *Quasar) QueueLen() int { return q.queue.Len() }
 
 // UpdateTarget replaces a workload's performance target at runtime — the
 // live re-negotiation a long-running manager needs (raise a service's QPS

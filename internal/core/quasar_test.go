@@ -12,11 +12,16 @@ import (
 // classification library.
 func quasarFixture(t testing.TB, seed int64) (*Runtime, *Quasar, *workload.Universe) {
 	t.Helper()
-	platforms := cluster.LocalPlatforms()
-	cl, err := cluster.New(platforms, []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4})
+	cl, err := cluster.New(cluster.LocalPlatforms(), []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return quasarFixtureOn(cl, seed)
+}
+
+// quasarFixtureOn is quasarFixture over a caller-built cluster.
+func quasarFixtureOn(cl *cluster.Cluster, seed int64) (*Runtime, *Quasar, *workload.Universe) {
+	platforms := cl.Platforms
 	rt := NewRuntime(cl, Options{TickSecs: 5, SampleSecs: 60, Seed: seed})
 	u := workload.NewUniverse(platforms, seed+1, 3)
 	opts := DefaultQuasarOptions()

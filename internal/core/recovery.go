@@ -90,7 +90,7 @@ func (q *Quasar) OnServerDead(s *cluster.Server, displaced []*Task) {
 		if t.W.BestEffort {
 			// Fillers have no targets to restore; back to the queue.
 			if t.NumNodes() == 0 {
-				q.queue = append(q.queue, t)
+				q.queue.Push(t)
 			}
 			continue
 		}
@@ -139,7 +139,7 @@ func (q *Quasar) readmit(t *Task, st *taskState) {
 		return
 	}
 	t.Status = StatusQueued
-	q.queue = append(q.queue, t)
+	q.queue.Push(t)
 	if q.tracer.Enabled() {
 		q.tracer.Instant(workloadTrack(t.W.ID), "recover", "readmit-defer",
 			obs.Arg{Key: "live_free_cores", Val: q.rt.Cl.LiveFreeCores()},

@@ -418,7 +418,9 @@ func (rt *Runtime) Release(t *Task) {
 }
 
 // Evict displaces a best-effort task back to the queue and informs the
-// manager.
+// manager. Evicting a task that holds no placement — already queued, or
+// completed — is an idempotent no-op: there is nothing to displace, and
+// re-queueing it would duplicate its queue entry or resurrect finished work.
 func (rt *Runtime) Evict(id string) error {
 	t, ok := rt.tasks[id]
 	if !ok {
@@ -426,6 +428,9 @@ func (rt *Runtime) Evict(id string) error {
 	}
 	if !t.W.BestEffort {
 		return fmt.Errorf("core: refusing to evict non-best-effort task %s", id)
+	}
+	if t.NumNodes() == 0 {
+		return nil
 	}
 	rt.Release(t)
 	t.Status = StatusQueued

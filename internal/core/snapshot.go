@@ -54,7 +54,7 @@ func (q *Quasar) Snapshot() *QuasarSnapshot {
 		}
 		snap.Tasks = append(snap.Tasks, ts)
 	}
-	for _, t := range q.queue {
+	for _, t := range q.queue.Tasks() {
 		snap.Queue = append(snap.Queue, t.W.ID)
 	}
 	snap.Recovery = q.Recovery()
@@ -89,10 +89,10 @@ func (q *Quasar) Restore(snap *QuasarSnapshot) error {
 		}
 		q.state[ts.ID] = st
 	}
-	q.queue = nil
+	q.queue = WaitQueue{}
 	for _, id := range snap.Queue {
 		if t := q.rt.Task(id); t != nil {
-			q.queue = append(q.queue, t)
+			q.queue.Push(t)
 		}
 	}
 	q.recovery = snap.Recovery

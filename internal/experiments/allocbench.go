@@ -99,6 +99,11 @@ var allocBudgets = map[string]float64{
 	// string and the pending-batch entry are the admission itself; the JSON
 	// encoding reuses the encoder's buffer (measured 2.0).
 	"serve_admit": 6,
+	// One admission-queue drain on a saturated cluster with over a thousand
+	// best-effort tasks waiting and nothing that fits: one placement scan,
+	// then every entry is kept through the no-fit memo into the reused
+	// survivor buffer (measured 0.0).
+	"queue_drain": 1,
 }
 
 // simStepProbe builds a self-rescheduling event loop and measures one Step.
@@ -232,6 +237,30 @@ func tickProbe(cfg AllocBenchConfig, withSLO bool) (float64, error) {
 	}), nil
 }
 
+// queueDrainProbe measures one drain of Quasar's admission queue at the
+// state the drain is hot in: every server full of long-running best-effort
+// fillers and more than a thousand further fillers waiting. Nothing fits, so
+// repeated drains see identical state. OnServerRestored is the manager's
+// bare drain.
+func queueDrainProbe(cfg AllocBenchConfig) (float64, error) {
+	s, err := NewScenario(ScenarioConfig{
+		Cluster: Local40, Manager: KindQuasar, Seed: cfg.Seed, MaxNodes: 4, SeedLib: 3,
+	})
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < 1500; i++ {
+		w := s.U.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
+		w.Genome.Work = 1e15
+		s.RT.Submit(w, float64(i)*0.01, nil)
+	}
+	s.RT.Run(30) // all arrived; a few ticks size the drain's two buffers
+	if n := s.Q.QueueLen(); n < 1000 {
+		return 0, fmt.Errorf("allocbench: queue_drain probe has %d tasks queued, want >= 1000", n)
+	}
+	return testing.AllocsPerRun(cfg.Runs, func() { s.Q.OnServerRestored(nil) }), nil
+}
+
 // AllocBench runs every probe. Fan-outs run sequentially (one worker) so the
 // counts do not depend on GOMAXPROCS or goroutine scheduling.
 func AllocBench(cfg AllocBenchConfig) (*AllocBenchResult, error) {
@@ -279,6 +308,12 @@ func AllocBench(cfg AllocBenchConfig) (*AllocBenchResult, error) {
 		return nil, err
 	}
 	add("serve_admit", "quasar/internal/serve.(*Journal).Admit", allocs)
+
+	allocs, err = queueDrainProbe(cfg)
+	if err != nil {
+		return nil, err
+	}
+	add("queue_drain", "quasar/internal/core.(*WaitQueue).Drain", allocs)
 
 	return res, nil
 }

@@ -78,7 +78,7 @@ type SLODetectConfig struct {
 func DefaultSLODetectConfig() SLODetectConfig {
 	return SLODetectConfig{
 		Services: 6, SingleNode: 30, Batch: 4, BestEffort: 0,
-		HorizonSecs: 10000, Seed: 7,
+		HorizonSecs: 10000, Seed: 8,
 		Crashes: 4, SpareCrashes: 2, FirstCrashAt: 3600, CrashEverySecs: 1200, OutageSecs: 420,
 		GraceSecs: 240, MinSustainedSecs: 35,
 		Detector: core.DefaultDetectorOptions(),

@@ -162,9 +162,11 @@ func buildWorld(cfg Config, extra ...obs.Sink) (*world, error) {
 
 // apply executes one journal entry at the current simulation time (an epoch
 // boundary — the pacer and Replay both schedule entries there). Entries that
-// fail against current state — evicting a finished workload, retargeting an
+// fail against current state — evicting a primary workload, retargeting an
 // unknown one — are deterministic no-ops recorded as apply-error instants:
 // the failure depends only on sim state, so live run and replay agree on it.
+// (Evicting a workload that holds no placement is not a failure; it succeeds
+// and changes nothing.)
 // A submit whose constructed ID diverges from the journaled promise is a
 // determinism violation and a fatal error.
 func (w *world) apply(e *Entry) error {
