@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-hotpath bench bench-alloc bench-parallel bench-obs bench-chaos bench-slo bench-scale bench-obs-scale bench-obs-scale-quick bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff trace-diff-chaos trace-diff-slo trace-diff-scale trace-diff-stream fmt-check ci
+.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-parallel bench-obs bench-chaos bench-slo bench-scale bench-obs-scale bench-obs-scale-quick bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff trace-diff-chaos trace-diff-slo trace-diff-scale trace-diff-stream fmt-check ci
 
 all: build
 
@@ -27,9 +27,17 @@ lint: fmt-check
 lint-hotpath:
 	$(GO) run ./cmd/quasar-lint -json ./...
 
-## bench: run the repository benchmarks
+## bench: run the repository benchmarks — one iteration of every paper
+## artifact, then the classifier's two inner loops (BenchmarkTrain must stay
+## flat in the number of rows; BenchmarkNodePerf is paid per node per tick)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) test -bench='^Benchmark(Train|NodePerf)$$' -run=^$$ ./internal/cf ./internal/classify
+
+## ledger: the performance ledger — every bench/ workload untraced x3 and
+## traced once, with the per-layer split (see bench/README.md)
+ledger:
+	bash bench/run.sh -ledger -repeats 3
 
 ## bench-alloc: measure allocs/op on the hot roots, refresh BENCH_alloc.json,
 ## and fail on any count over its committed budget

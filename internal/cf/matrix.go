@@ -7,7 +7,7 @@ package cf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Dense is a row-major dense matrix.
@@ -121,22 +121,39 @@ func (s *Sparse) AppendRow(obs map[int]float64) int {
 
 // Mean returns the mean of all observed entries (the µ term of the paper's
 // latent-factor model), or 0 for an empty matrix. Entries are summed in
-// deterministic (row, column) order so results are bit-reproducible.
-func (s *Sparse) Mean() float64 {
-	if s.n == 0 {
+// deterministic (row, column) order so results are bit-reproducible. It
+// builds the ordered cell list to do so — O(nnz) memory per call; Train
+// takes µ from the list it already holds and does not call it.
+func (s *Sparse) Mean() float64 { return meanOf(s.ordered()) }
+
+// cell is one observed entry.
+type cell struct {
+	u, i int32
+	v    float64
+}
+
+// ordered lists the observed entries in (row, column) order — the order
+// every float accumulation over a Sparse uses, so no result depends on map
+// iteration. Each row's cells are sorted in place: no global sort.
+func (s *Sparse) ordered() []cell {
+	out := make([]cell, 0, s.n)
+	for u, row := range s.entries {
+		lo := len(out)
+		for i, v := range row {
+			out = append(out, cell{int32(u), int32(i), v})
+		}
+		slices.SortFunc(out[lo:], func(a, b cell) int { return int(a.i - b.i) })
+	}
+	return out
+}
+
+func meanOf(cells []cell) float64 {
+	if len(cells) == 0 {
 		return 0
 	}
 	sum := 0.0
-	cols := make([]int, 0, 16)
-	for _, row := range s.entries {
-		cols = cols[:0]
-		for j := range row {
-			cols = append(cols, j)
-		}
-		sort.Ints(cols)
-		for _, j := range cols {
-			sum += row[j]
-		}
+	for _, c := range cells {
+		sum += c.v
 	}
-	return sum / float64(s.n)
+	return sum / float64(len(cells))
 }

@@ -43,110 +43,84 @@ func Train(s *Sparse, opts Options) *Model {
 	if k <= 0 {
 		k = DefaultOptions().K
 	}
-	if k > s.Cols {
-		k = s.Cols
-	}
-	if k > s.Rows {
-		k = s.Rows
-	}
-	if k < 1 {
-		k = 1
-	}
+	k = max(1, min(k, s.Rows, s.Cols))
+	cells := s.ordered()
 	m := &Model{
 		K:      k,
-		Mu:     s.Mean(),
+		Mu:     meanOf(cells),
 		BU:     make([]float64, s.Rows),
 		BI:     make([]float64, s.Cols),
 		P:      NewDense(s.Rows, k),
 		Q:      NewDense(s.Cols, k),
 		Lambda: opts.Lambda,
 	}
-	m.initFromSVD(s)
+	m.initFromSVD(cells)
+	m.sgd(cells, opts)
+	return m
+}
 
-	var entries []obsEntry
-	for u := 0; u < s.Rows; u++ {
-		for i, v := range s.Row(u) {
-			entries = append(entries, obsEntry{u, i, v})
-		}
+// sgd refines the model over the observed entries, reshuffled (in place)
+// every epoch starting from their (row, column) order, until the RMSE
+// improvement becomes marginal. The classifier's innermost loop: nnz × epochs
+// steps per retrain, over the factor matrices as flat slices.
+func (m *Model) sgd(cells []cell, opts Options) {
+	if len(cells) == 0 {
+		return
 	}
-	if len(entries) == 0 {
-		return m
-	}
-	// Deterministic entry order before shuffling.
-	sortObs(entries)
 	rng := rand.New(rand.NewSource(opts.Seed))
-
+	swap := func(a, b int) { cells[a], cells[b] = cells[b], cells[a] }
+	k, p, q, bu, bi := m.K, m.P.Data, m.Q.Data, m.BU, m.BI
+	mu, eta, lambda := m.Mu, opts.Eta, opts.Lambda
 	prevRMSE := math.Inf(1)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		rng.Shuffle(len(entries), func(a, b int) { entries[a], entries[b] = entries[b], entries[a] })
+		rng.Shuffle(len(cells), swap)
 		sse := 0.0
-		for _, e := range entries {
-			pred := m.Predict(e.u, e.i)
+		for _, e := range cells {
+			pu := p[int(e.u)*k : int(e.u)*k+k]
+			qi := q[int(e.i)*k : int(e.i)*k+k]
+			pred := mu + bu[e.u] + bi[e.i]
+			for f, pf := range pu {
+				pred += pf * qi[f]
+			}
 			err := e.v - pred
 			sse += err * err
-			m.BU[e.u] += opts.Eta * (err - opts.Lambda*m.BU[e.u])
+			bu[e.u] += eta * (err - lambda*bu[e.u])
 			if opts.ItemBia {
-				m.BI[e.i] += opts.Eta * (err - opts.Lambda*m.BI[e.i])
+				bi[e.i] += eta * (err - lambda*bi[e.i])
 			}
-			for f := 0; f < k; f++ {
-				pu := m.P.At(e.u, f)
-				qi := m.Q.At(e.i, f)
-				m.P.Set(e.u, f, pu+opts.Eta*(err*qi-opts.Lambda*pu))
-				m.Q.Set(e.i, f, qi+opts.Eta*(err*pu-opts.Lambda*qi))
+			for f, pf := range pu {
+				qf := qi[f]
+				pu[f] = pf + eta*(err*qf-lambda*pf)
+				qi[f] = qf + eta*(err*pf-lambda*qf)
 			}
 		}
-		rmse := math.Sqrt(sse / float64(len(entries)))
+		rmse := math.Sqrt(sse / float64(len(cells)))
 		if prevRMSE-rmse < opts.Tol*prevRMSE {
 			break
 		}
 		prevRMSE = rmse
 	}
-	return m
 }
 
-type obsEntry struct {
-	u, i int
-	v    float64
-}
-
-// sortObs orders entries deterministically (row-major) so training is
-// reproducible regardless of map iteration order.
-func sortObs(entries []obsEntry) {
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].u != entries[b].u {
-			return entries[a].u < entries[b].u
-		}
-		return entries[a].i < entries[b].i
-	})
-}
-
-// initFromSVD seeds P and Q from the SVD of the mean-imputed dense matrix,
-// per the paper: missing entries are filled with µ (+biases), SVD is
-// computed, and Q ← U·sqrt(Σ), Pᵀ ← sqrt(Σ)·Vᵀ so that Q·Pᵀ reproduces the
-// imputed matrix's low-rank structure. (The paper assigns Q ← U, Pᵀ ← ΣVᵀ;
-// splitting Σ symmetrically conditions SGD better and is equivalent up to a
-// diagonal rescaling.)
-func (m *Model) initFromSVD(s *Sparse) {
-	if s.Rows == 0 || s.Cols == 0 {
+// initFromSVD seeds P and Q from the leading singular triplets of the
+// mean-imputed matrix, per the paper: missing entries are filled with µ,
+// the SVD is computed, and Q ← U·sqrt(Σ), Pᵀ ← sqrt(Σ)·Vᵀ so that Q·Pᵀ
+// reproduces the imputed matrix's low-rank structure. (The paper assigns
+// Q ← U, Pᵀ ← ΣVᵀ; splitting Σ symmetrically conditions SGD better and is
+// equivalent up to a diagonal rescaling.)
+func (m *Model) initFromSVD(cells []cell) {
+	rows, cols := m.P.R, m.Q.R
+	if rows == 0 || cols == 0 {
 		return
 	}
-	dense := NewDense(s.Rows, s.Cols)
-	for u := 0; u < s.Rows; u++ {
-		for i := 0; i < s.Cols; i++ {
-			if v, ok := s.Get(u, i); ok {
-				dense.Set(u, i, v-m.Mu)
-			}
+	svd := topK(cells, rows, cols, m.Mu, m.K)
+	for f, sigma := range svd.S {
+		root := math.Sqrt(sigma)
+		for u := 0; u < rows; u++ {
+			m.P.Set(u, f, svd.U.At(u, f)*root)
 		}
-	}
-	svd := ComputeSVD(dense).Truncate(m.K)
-	for u := 0; u < s.Rows; u++ {
-		for f := 0; f < m.K && f < len(svd.S); f++ {
-			m.P.Set(u, f, svd.U.At(u, f)*math.Sqrt(svd.S[f]))
-		}
-	}
-	for i := 0; i < s.Cols; i++ {
-		for f := 0; f < m.K && f < len(svd.S); f++ {
-			m.Q.Set(i, f, svd.V.At(i, f)*math.Sqrt(svd.S[f]))
+		for i := 0; i < cols; i++ {
+			m.Q.Set(i, f, svd.V.At(i, f)*root)
 		}
 	}
 }
@@ -288,11 +262,4 @@ func solve(a [][]float64, b []float64) []float64 {
 		}
 	}
 	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,13 +25,20 @@ func ComputeSVD(a *Dense) *SVD {
 	// Column-major working copies for cache-friendly column ops.
 	w := make([][]float64, n) // w[j] is column j of A
 	v := make([][]float64, n) // v[j] is column j of V
+	wbuf, vbuf := make([]float64, n*m), make([]float64, n*n)
 	for j := 0; j < n; j++ {
-		w[j] = make([]float64, m)
+		w[j] = wbuf[j*m : (j+1)*m : (j+1)*m]
 		for i := 0; i < m; i++ {
 			w[j][i] = a.At(i, j)
 		}
-		v[j] = make([]float64, n)
+		v[j] = vbuf[j*n : (j+1)*n : (j+1)*n]
 		v[j][j] = 1
+	}
+	// sq[j] is the squared norm of column j, recomputed when a rotation
+	// touches it: a pair that needs none costs one inner product, not three.
+	sq := make([]float64, n)
+	for j := range sq {
+		sq[j] = dot(w[j], w[j])
 	}
 
 	const (
@@ -42,15 +49,11 @@ func ComputeSVD(a *Dense) *SVD {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				alpha, beta, gamma := 0.0, 0.0, 0.0
-				for i := 0; i < m; i++ {
-					alpha += w[p][i] * w[p][i]
-					beta += w[q][i] * w[q][i]
-					gamma += w[p][i] * w[q][i]
-				}
+				alpha, beta := sq[p], sq[q]
 				if alpha == 0 || beta == 0 { //lint:allow(floatcmp) exactly-zero column norms: rotation undefined
 					continue
 				}
+				gamma := dot(w[p], w[q])
 				if math.Abs(gamma) <= tol*math.Sqrt(alpha*beta) {
 					continue
 				}
@@ -60,16 +63,9 @@ func ComputeSVD(a *Dense) *SVD {
 				t := sign(zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					wp := w[p][i]
-					w[p][i] = c*wp - s*w[q][i]
-					w[q][i] = s*wp + c*w[q][i]
-				}
-				for i := 0; i < n; i++ {
-					vp := v[p][i]
-					v[p][i] = c*vp - s*v[q][i]
-					v[q][i] = s*vp + c*v[q][i]
-				}
+				rotate(w[p], w[q], c, s)
+				rotate(v[p], v[q], c, s)
+				sq[p], sq[q] = dot(w[p], w[p]), dot(w[q], w[q])
 			}
 		}
 		if off < tol {
@@ -84,11 +80,7 @@ func ComputeSVD(a *Dense) *SVD {
 	}
 	cols := make([]col, n)
 	for j := 0; j < n; j++ {
-		s := 0.0
-		for i := 0; i < m; i++ {
-			s += w[j][i] * w[j][i]
-		}
-		cols[j] = col{math.Sqrt(s), j}
+		cols[j] = col{math.Sqrt(sq[j]), j}
 	}
 	sort.Slice(cols, func(i, j int) bool { return cols[i].sigma > cols[j].sigma })
 
@@ -106,6 +98,26 @@ func ComputeSVD(a *Dense) *SVD {
 		}
 	}
 	return out
+}
+
+// dot returns Σ x[i]·y[i], accumulated in index order.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	s := 0.0
+	for i, xi := range x {
+		s += xi * y[i]
+	}
+	return s
+}
+
+// rotate applies the plane rotation (c, s) to the column pair (x, y).
+func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
+	}
 }
 
 // Truncate keeps only the top-k singular triplets.
@@ -164,4 +176,75 @@ func sign(x float64) float64 {
 		return -1
 	}
 	return 1
+}
+
+// noiseFloor is the singular value, relative to the largest, below which
+// topK drops a triplet: a Gram matrix squares the condition number, so its
+// eigenvalues carry absolute error ~ε·λ₁ and a σ under ~√ε·σ₁ is noise.
+const noiseFloor = 1e-6
+
+// topK returns the k leading singular triplets of the rows×cols matrix A
+// holding v−mu at every cell (given in (row, column) order) and zero
+// elsewhere, without materialising A: it eigen-decomposes the Gram matrix of
+// the smaller side — AᵀA, or AAᵀ via the transpose — with ComputeSVD (the
+// SVD of a symmetric PSD matrix is its eigendecomposition), takes σ = √λ and
+// recovers the other side as A·v/σ. Cost O(Σ nnz_row² + min(rows,cols)³),
+// independent of the larger dimension. Triplets under noiseFloor are zeros;
+// k must not exceed min(rows, cols).
+func topK(cells []cell, rows, cols int, mu float64, k int) *SVD {
+	if rows < cols {
+		t := topK(transposed(cells, cols), cols, rows, mu, k)
+		return &SVD{U: t.V, S: t.S, V: t.U}
+	}
+	// Each row of A adds the outer product of its cells; both triangles get
+	// the same products in the same order, so g is exactly symmetric.
+	g := NewDense(cols, cols)
+	for lo, hi := 0, 0; lo < len(cells); lo = hi {
+		for hi = lo + 1; hi < len(cells) && cells[hi].u == cells[lo].u; hi++ {
+		}
+		for _, a := range cells[lo:hi] {
+			ga := g.Data[int(a.i)*cols:]
+			for _, b := range cells[lo:hi] {
+				ga[b.i] += (a.v - mu) * (b.v - mu)
+			}
+		}
+	}
+	eig := ComputeSVD(g)
+
+	out := &SVD{U: NewDense(rows, k), S: make([]float64, k), V: NewDense(cols, k)}
+	for f := 0; f < k && eig.S[f] > noiseFloor*noiseFloor*eig.S[0]; f++ {
+		out.S[f] = math.Sqrt(eig.S[f])
+		for i := 0; i < cols; i++ {
+			out.V.Data[i*k+f] = eig.V.At(i, f)
+		}
+	}
+	// U = A·V·Σ⁻¹ in one pass over the cells; a dropped triplet's V column
+	// is zero, so its U column stays zero.
+	for _, c := range cells {
+		u, v := out.U.Data[int(c.u)*k:int(c.u)*k+k], out.V.Data[int(c.i)*k:int(c.i)*k+k]
+		for f := range u {
+			if out.S[f] > 0 {
+				u[f] += (c.v - mu) * v[f] / out.S[f]
+			}
+		}
+	}
+	return out
+}
+
+// transposed returns the transpose's cells in its (row, column) order: a
+// stable counting sort by column.
+func transposed(cells []cell, cols int) []cell {
+	start := make([]int, cols+1)
+	for _, c := range cells {
+		start[c.i+1]++
+	}
+	for i := 0; i < cols; i++ {
+		start[i+1] += start[i]
+	}
+	out := make([]cell, len(cells))
+	for _, c := range cells {
+		out[start[c.i]] = cell{c.i, c.u, c.v}
+		start[c.i]++
+	}
+	return out
 }

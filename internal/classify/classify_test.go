@@ -43,7 +43,7 @@ func TestScaleUpColumnsQuantized(t *testing.T) {
 		}
 	}
 	// Whole-node column must exist.
-	j := NearestScaleUpCol(cols, cluster.Alloc{Cores: 24, MemoryGB: 48})
+	j := newScaleUpGrid(&p).nearest(cluster.Alloc{Cores: 24, MemoryGB: 48})
 	if cols[j].Cores != 24 || cols[j].MemoryGB != 48 {
 		t.Fatalf("whole-node column missing, nearest %+v", cols[j])
 	}
@@ -52,9 +52,79 @@ func TestScaleUpColumnsQuantized(t *testing.T) {
 func TestNearestScaleUpCol(t *testing.T) {
 	p := cluster.LocalPlatforms()[9]
 	cols := ScaleUpColumns(&p)
-	j := NearestScaleUpCol(cols, cluster.Alloc{Cores: 5, MemoryGB: 10})
+	j := newScaleUpGrid(&p).nearest(cluster.Alloc{Cores: 5, MemoryGB: 10})
 	if cols[j].Cores < 4 || cols[j].Cores > 6 {
 		t.Fatalf("nearest to 5 cores is %+v", cols[j])
+	}
+}
+
+// scanNearestScaleUpCol is the lookup scaleUpGrid.nearest replaced, kept as
+// its oracle: two logs per column over the whole grid.
+func scanNearestScaleUpCol(cols []ScaleUpCol, alloc cluster.Alloc) int {
+	best, bestD := 0, math.Inf(1)
+	for i, c := range cols {
+		d := math.Abs(math.Log(float64(c.Cores)/float64(alloc.Cores))) +
+			math.Abs(math.Log(c.MemoryGB/alloc.MemoryGB))
+		if d < bestD {
+			best, bestD = i, d
+		}
+	}
+	return best
+}
+
+// TestScaleUpGridMatchesScan: on every platform of both shipped platform
+// sets taken as the profiling platform, the table lookup returns the scan's
+// index for every allocation a caller can produce and for the degenerate
+// ones it must not choke on — inside and beyond the core table, on-grid,
+// halfway between rungs (the log-distance ties), off-grid, whole nodes.
+func TestScaleUpGridMatchesScan(t *testing.T) {
+	for _, set := range [][]cluster.Platform{cluster.LocalPlatforms(), cluster.EC2Platforms()} {
+		mems := []float64{0, -1, 0.3, 0.75, 3, 5.5, 7.9, 10, 13.37, 20, 40, 56, 100, 1e6, math.NaN(), math.Inf(1)}
+		for i, m := range memGrid {
+			mems = append(mems, m, m/2, m*1.5)
+			if i > 0 {
+				mems = append(mems, math.Sqrt(m*memGrid[i-1]))
+			}
+		}
+		for i := range set {
+			mems = append(mems, set[i].MemoryGB)
+		}
+		for i := range set {
+			p := &set[i]
+			cols := ScaleUpColumns(p)
+			g := newScaleUpGrid(p)
+			if len(g.cores)*len(g.mems) != len(cols) {
+				t.Fatalf("%s: grid %dx%d does not cover %d columns", p.Name, len(g.cores), len(g.mems), len(cols))
+			}
+			for cores := -1; cores <= 65; cores++ {
+				for _, mem := range mems {
+					a := cluster.Alloc{Cores: cores, MemoryGB: mem}
+					if got, want := g.nearest(a), scanNearestScaleUpCol(cols, a); got != want {
+						t.Fatalf("%s: nearest(%+v) = %d, scan says %d", p.Name, a, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEngineDerivedColumns: what NewEngine precomputes equals what the
+// estimate path used to derive on every call.
+func TestEngineDerivedColumns(t *testing.T) {
+	for _, set := range [][]cluster.Platform{cluster.LocalPlatforms(), cluster.EC2Platforms()} {
+		e := NewEngine(set, DefaultOptions(), sim.NewRNG(1))
+		if want := scanNearestScaleUpCol(e.SUCols, e.refAlloc()); e.refCol != want {
+			t.Fatalf("refCol %d, want %d", e.refCol, want)
+		}
+		for i, p := range set {
+			whole := cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}
+			if want := scanNearestScaleUpCol(e.SUCols, whole); e.wholeCol[i] != want {
+				t.Fatalf("%s: wholeCol %d, want %d", p.Name, e.wholeCol[i], want)
+			}
+		}
+		if e.secondary == e.HighEnd || len(e.informative) == 0 {
+			t.Fatalf("secondary %d (high end %d), %d informative columns", e.secondary, e.HighEnd, len(e.informative))
+		}
 	}
 }
 

@@ -27,8 +27,8 @@ type ScaleUpCol struct {
 	MemoryGB float64
 }
 
-var coreGrid = []int{1, 2, 4, 6, 8, 12, 16, 20, 24, 32}
-var memGrid = []float64{1, 2, 4, 8, 12, 16, 24, 32, 48, 64}
+var coreGrid = [...]int{1, 2, 4, 6, 8, 12, 16, 20, 24, 32}
+var memGrid = [...]float64{1, 2, 4, 8, 12, 16, 24, 32, 48, 64}
 
 // ScaleUpColumns returns the quantized scale-up grid for the given
 // profiling platform ("we quantize the vectors to integer multiples of
@@ -49,15 +49,66 @@ func ScaleUpColumns(p *cluster.Platform) []ScaleUpCol {
 	return out
 }
 
-// NearestScaleUpCol returns the index of the column closest to the given
-// allocation (log-distance in both dimensions).
-func NearestScaleUpCol(cols []ScaleUpCol, alloc cluster.Alloc) int {
+// scaleUpGrid finds the scale-up column nearest to an allocation
+// (log-distance in both dimensions). The columns are the product
+// cores × mems, core-major, so the distance to column (ci, mi) is a per-core
+// term plus a per-memory term: one |log| per distinct value, not two per
+// column, and the core terms — a function of an integer — are tabulated.
+// Same expressions, same order of addition, same strict < as a scan over
+// the columns: the index is bit-for-bit the scan's.
+type scaleUpGrid struct {
+	cores, mems []float64
+	coreDist    [][]float64 // [a][ci] = |log(cores[ci]/a)|, 1 <= a < len
+}
+
+// newScaleUpGrid builds the lookup for ScaleUpColumns(p), tabulating
+// allocations of up to p.Cores cores (the profiling platform has the most).
+func newScaleUpGrid(p *cluster.Platform) *scaleUpGrid {
+	g := &scaleUpGrid{}
+	for _, c := range coreGrid {
+		if c <= p.Cores {
+			g.cores = append(g.cores, float64(c))
+		}
+	}
+	for _, m := range memGrid {
+		if m <= p.MemoryGB {
+			g.mems = append(g.mems, m)
+		}
+	}
+	g.coreDist = make([][]float64, p.Cores+1)
+	for a := 1; a <= p.Cores; a++ {
+		g.coreDist[a] = make([]float64, len(g.cores))
+		logDists(g.coreDist[a], g.cores, float64(a))
+	}
+	return g
+}
+
+// logDists fills dst[i] = |log(grid[i] / x)|.
+func logDists(dst, grid []float64, x float64) {
+	for i, v := range grid {
+		dst[i] = math.Abs(math.Log(v / x))
+	}
+}
+
+// nearest returns the index into ScaleUpColumns of the column closest to
+// alloc; the first one on ties.
+func (g *scaleUpGrid) nearest(alloc cluster.Alloc) int {
+	var coreBuf [len(coreGrid)]float64
+	var memBuf [len(memGrid)]float64
+	dc := coreBuf[:len(g.cores)]
+	if alloc.Cores >= 1 && alloc.Cores < len(g.coreDist) {
+		dc = g.coreDist[alloc.Cores]
+	} else {
+		logDists(dc, g.cores, float64(alloc.Cores))
+	}
+	dm := memBuf[:len(g.mems)]
+	logDists(dm, g.mems, alloc.MemoryGB)
 	best, bestD := 0, math.Inf(1)
-	for i, c := range cols {
-		d := math.Abs(math.Log(float64(c.Cores)/float64(alloc.Cores))) +
-			math.Abs(math.Log(c.MemoryGB/alloc.MemoryGB))
-		if d < bestD {
-			best, bestD = i, d
+	for ci, c := range dc {
+		for mi, m := range dm {
+			if d := c + m; d < bestD {
+				best, bestD = ci*len(dm)+mi, d
+			}
 		}
 	}
 	return best

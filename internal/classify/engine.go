@@ -181,6 +181,13 @@ type Engine struct {
 	SUCols    []ScaleUpCol
 	SOCounts  []int
 
+	// Derived from the platform set once, in NewEngine.
+	suGrid      *scaleUpGrid
+	refCol      int   // scale-up column of the reference allocation
+	wholeCol    []int // per platform: scale-up column of its whole-node allocation
+	secondary   int   // fixed second profiling platform
+	informative []int // scale-up columns an arrival's extra probes draw from
+
 	opts    Options
 	workers int
 	axes    [numAxes]*axis
@@ -194,8 +201,9 @@ type Engine struct {
 // in input order, so emission stays deterministic across worker counts.
 func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
-// SetProfiler installs the self-profiler; Classify and EnsureTrained (the
-// sequential, sim-goroutine entry points) attribute to prof.SubClassify.
+// SetProfiler installs the self-profiler; Classify, Reclassify, Feedback and
+// EnsureTrained (the sequential, sim-goroutine entry points, i.e. every way
+// a retrain is reached during a run) attribute to prof.SubClassify.
 // ClassifyDetached runs on pool workers and stays uninstrumented — the
 // profiler is single-goroutine by design.
 func (e *Engine) SetProfiler(p *prof.Profiler) { e.prof = p }
@@ -220,11 +228,19 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 		HighEnd:   he,
 		SUCols:    ScaleUpColumns(&platforms[he]),
 		SOCounts:  ScaleOutCounts(opts.MaxNodes),
+		suGrid:    newScaleUpGrid(&platforms[he]),
+		secondary: secondaryPlatform(platforms, he),
 		opts:      opts,
 		workers:   opts.Workers,
 		rowOf:     make(map[string]int),
 		rng:       rng,
 	}
+	e.refCol = e.suGrid.nearest(e.refAlloc())
+	e.wholeCol = make([]int, len(platforms))
+	for i := range platforms {
+		e.wholeCol[i] = e.suGrid.nearest(cluster.Alloc{Cores: platforms[i].Cores, MemoryGB: platforms[i].MemoryGB})
+	}
+	e.informative = informativeCols(e.SUCols, e.refAlloc(), e.refCol)
 	e.axes[AxisScaleUp] = newAxis("scale-up", len(e.SUCols), opts.CF, opts.RetrainEvery)
 	e.axes[AxisScaleOut] = newAxis("scale-out", len(e.SOCounts), opts.CF, opts.RetrainEvery)
 	e.axes[AxisHetero] = newAxis("heterogeneity", len(platforms), opts.CF, opts.RetrainEvery)
@@ -287,23 +303,42 @@ func (e *Engine) refAlloc() cluster.Alloc {
 	return cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}
 }
 
-// refCol returns the scale-up column index of the reference allocation.
-func (e *Engine) refCol() int { return NearestScaleUpCol(e.SUCols, e.refAlloc()) }
-
 // secondaryPlatform returns the fixed second profiling platform: the
 // lowest-end one (fewest total compute), most divergent from the reference.
-func (e *Engine) secondaryPlatform() int {
+func secondaryPlatform(platforms []cluster.Platform, highEnd int) int {
 	best, bestScore := 0, math.Inf(1)
-	for j := range e.Platforms {
-		if j == e.HighEnd {
+	for j := range platforms {
+		if j == highEnd {
 			continue
 		}
-		score := float64(e.Platforms[j].Cores) * e.Platforms[j].CorePerf
+		score := float64(platforms[j].Cores) * platforms[j].CorePerf
 		if score < bestScore {
 			best, bestScore = j, score
 		}
 	}
 	return best
+}
+
+// informativeCols returns the scale-up columns an arrival's non-reference
+// probes are drawn from: genuinely different core/memory points ("two
+// different core/thread counts and memory allocations", §3.2) — probing near
+// the reference says nothing about the curve's shape. With no such column
+// every column but the reference qualifies.
+func informativeCols(cols []ScaleUpCol, ref cluster.Alloc, refCol int) []int {
+	out := make([]int, 0, len(cols))
+	for j, col := range cols {
+		if col.Cores*3 <= ref.Cores && col.MemoryGB*2 <= ref.MemoryGB && col.Cores >= ref.Cores/8 {
+			out = append(out, j)
+		}
+	}
+	if len(out) == 0 {
+		for j := range cols {
+			if j != refCol {
+				out = append(out, j)
+			}
+		}
+	}
+	return out
 }
 
 // ProbeObs holds the sparse observations one profiling pass produced — one
@@ -460,28 +495,11 @@ func (e *Engine) probeArrival(w *workload.Instance, p Prober, rng *sim.RNG) *Pro
 	refPerf := p.ScaleUp(e.refAlloc())
 	refLog := safeLog(refPerf)
 
-	// Scale-up: the reference plus Entries-1 allocations at genuinely
-	// different core/memory points ("two different core/thread counts and
-	// memory allocations", §3.2) — probing near the reference carries no
-	// information about the curve's shape.
+	// Scale-up: the reference plus Entries-1 of the informative columns.
 	su := make(map[int]float64, entries)
-	su[e.refCol()] = 0
-	ref := e.refAlloc()
-	informative := make([]int, 0, len(e.SUCols))
-	for j, col := range e.SUCols {
-		if col.Cores*3 <= ref.Cores && col.MemoryGB*2 <= ref.MemoryGB && col.Cores >= ref.Cores/8 {
-			informative = append(informative, j)
-		}
-	}
-	if len(informative) == 0 {
-		for j := range e.SUCols {
-			if j != e.refCol() {
-				informative = append(informative, j)
-			}
-		}
-	}
-	for _, oi := range pickDistinct(rng, len(informative), entries-1) {
-		j := informative[oi]
+	su[e.refCol] = 0
+	for _, oi := range pickDistinct(rng, len(e.informative), entries-1) {
+		j := e.informative[oi]
 		col := e.SUCols[j]
 		su[j] = safeLog(p.ScaleUp(cluster.Alloc{Cores: col.Cores, MemoryGB: col.MemoryGB})) - refLog
 	}
@@ -513,7 +531,7 @@ func (e *Engine) probeArrival(w *workload.Instance, p Prober, rng *sim.RNG) *Pro
 	// other platforms.
 	het := make(map[int]float64, entries)
 	het[e.HighEnd] = 0
-	second := e.secondaryPlatform()
+	second := e.secondary
 	if entries >= 2 {
 		het[second] = safeLog(p.Heterogeneity(second)) - refLog
 	}
@@ -589,6 +607,8 @@ func (e *Engine) estimatesFromProbe(w *workload.Instance, row int, po *ProbeObs)
 // misclassification, §4.1) and returns fresh estimates. The workload's
 // existing matrix row is overwritten with the new observations.
 func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
+	t0 := e.prof.Begin()
+	defer e.prof.End(prof.SubClassify, t0)
 	row, ok := e.rowOf[w.ID]
 	if !ok {
 		return e.Classify(w, p)
@@ -604,8 +624,8 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 	refPerf := p.ScaleUp(e.refAlloc())
 	refLog := safeLog(refPerf)
 	su := make(map[int]float64, entries)
-	su[e.refCol()] = 0
-	e.axes[AxisScaleUp].feedback(row, e.refCol(), 1) // safeLog(1)=0 via feedback transform
+	su[e.refCol] = 0
+	e.axes[AxisScaleUp].feedback(row, e.refCol, 1) // safeLog(1)=0 via feedback transform
 	for _, j := range pickDistinct(rng, len(e.SUCols), entries) {
 		col := e.SUCols[j]
 		v := safeLog(p.ScaleUp(cluster.Alloc{Cores: col.Cores, MemoryGB: col.MemoryGB})) - refLog
@@ -642,6 +662,8 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 // paper's feedback loop that corrects misclassifications and extends the
 // matrices past profiling scale, §3.2).
 func (e *Engine) Feedback(id string, axis Axis, col int, value float64) {
+	t0 := e.prof.Begin()
+	defer e.prof.End(prof.SubClassify, t0)
 	row, ok := e.rowOf[id]
 	if !ok || axis < 0 || axis >= numAxes {
 		return

@@ -97,24 +97,17 @@ func (es *Estimates) EstCausedPressure(platformIdx int, alloc cluster.Alloc) clu
 	return out
 }
 
-// scaleUpRatio estimates rate(alloc)/rate(ref) using the scale-up row at
-// the nearest quantized columns.
-func (es *Estimates) scaleUpRatio(alloc, ref cluster.Alloc) float64 {
-	cols := es.Engine.SUCols
-	ja := NearestScaleUpCol(cols, alloc)
-	jr := NearestScaleUpCol(cols, ref)
-	return math.Exp(es.SULog[ja] - es.SULog[jr])
-}
-
 // NodePerf estimates the workload's performance on one server of the given
 // platform with the given allocation, under the given interference
 // pressure. Composition: whole-node heterogeneity estimate × scale-up
-// fraction × interference penalty.
+// fraction × interference penalty. The scale-up fraction is
+// rate(alloc)/rate(whole node), read off the scale-up row at the nearest
+// quantized columns.
 func (es *Estimates) NodePerf(platformIdx int, alloc cluster.Alloc, pressure cluster.ResVec) float64 {
-	p := &es.Engine.Platforms[platformIdx]
+	e := es.Engine
 	whole := es.RefPerf * math.Exp(es.HetLog[platformIdx])
-	ref := cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}
-	perf := whole * es.scaleUpRatio(alloc, ref)
+	ja, jr := e.suGrid.nearest(alloc), e.wholeCol[platformIdx]
+	perf := whole * math.Exp(es.SULog[ja]-es.SULog[jr])
 	perf *= perfmodel.InterferencePenalty(es.EstSensitivity(), pressure)
 	return perf
 }
@@ -169,12 +162,13 @@ func (es *Estimates) CorrectWith(measured float64, nodes []NodeChoice) float64 {
 		return 1 // within noise; leave the estimates alone
 	}
 	adj := math.Log(c)
-	seen := map[int]bool{}
-	for _, n := range nodes {
-		if seen[n.PlatformIdx] {
-			continue
+nodes:
+	for k, n := range nodes {
+		for _, prev := range nodes[:k] {
+			if prev.PlatformIdx == n.PlatformIdx {
+				continue nodes // each platform is corrected once
+			}
 		}
-		seen[n.PlatformIdx] = true
 		es.HetLog[n.PlatformIdx] += adj
 		// Propagate to the engine's matrix so future workloads benefit.
 		es.Engine.Feedback(es.ID, AxisHetero, n.PlatformIdx, math.Exp(es.HetLog[n.PlatformIdx]))

@@ -56,7 +56,10 @@ func NewExhaustive(platforms []cluster.Platform, maxNodes int, cfOpts cf.Options
 // NumColumns returns the size of the joint column space.
 func (x *Exhaustive) NumColumns() int { return len(x.Cols) }
 
-// Seed adds a densely profiled workload.
+// Seed adds a densely profiled library workload without training: a library
+// is characterised offline, before any arrival needs a model, so it is
+// fitted once — by Retrain, or by the first Classify/EnsureTrained — and not
+// every few rows on the way in.
 func (x *Exhaustive) Seed(w *workload.Instance, p JointProber) {
 	obs := make(map[int]float64, len(x.Cols))
 	for j, col := range x.Cols {
@@ -65,7 +68,7 @@ func (x *Exhaustive) Seed(w *workload.Instance, p JointProber) {
 		}
 		obs[j] = safeLog(p.JointPerf(col.PlatformIdx, col.Nodes, col.Alloc(x.Platforms)))
 	}
-	x.append(w.ID, obs)
+	x.rowOf[w.ID] = x.mat.AppendRow(obs)
 }
 
 func (x *Exhaustive) append(id string, obs map[int]float64) int {

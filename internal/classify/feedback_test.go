@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"quasar/internal/cluster"
+	"quasar/internal/obs/prof"
 	"quasar/internal/sim"
 	"quasar/internal/workload"
 )
@@ -102,5 +103,45 @@ func TestBetaWeightsObservedPoints(t *testing.T) {
 	es := e.Classify(w, NewGroundTruthProber(w, e.Platforms, nil)) // noise-free probes
 	if es.Beta() < 1.0 {
 		t.Fatalf("beta estimate %.2f for a beta=1.15 workload", es.Beta())
+	}
+}
+
+// TestFeedbackRetrainProfiledAsClassify: the monitor's feedback loop reaches
+// retraining through CorrectWith → Engine.Feedback from inside a runtime
+// tick. With a real profiler, that retrain must be booked to the classify
+// subsystem and not to the tick section it is nested in.
+func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
+	e, u := testSetup(t, 2)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+	es := e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(5)))
+	nodes := []NodeChoice{{PlatformIdx: 7, Alloc: cluster.Alloc{Cores: 12, MemoryGB: 24}}}
+
+	p := prof.New()
+	e.SetProfiler(p)
+	het := e.axes[AxisHetero]
+	before, feedbacks := het.model, 0
+	tick := p.Begin()
+	for het.model == before {
+		if feedbacks++; feedbacks > 10*het.retrainThreshold() {
+			t.Fatal("feedback never triggered a retrain")
+		}
+		es.CorrectWith(es.JobPerf(nodes)*0.5, nodes)
+	}
+	p.End(prof.SubRuntime, tick)
+
+	var classify, runtime prof.SubsystemStat
+	for _, row := range p.Snapshot().Subsystems {
+		switch row.Name {
+		case prof.SubClassify.String():
+			classify = row
+		case prof.SubRuntime.String():
+			runtime = row
+		}
+	}
+	if classify.Calls != int64(feedbacks) {
+		t.Fatalf("classify sections = %d, want one per feedback (%d)", classify.Calls, feedbacks)
+	}
+	if classify.Seconds <= runtime.Seconds {
+		t.Fatalf("retrain booked to the tick: classify %.6fs, runtime_tick %.6fs", classify.Seconds, runtime.Seconds)
 	}
 }

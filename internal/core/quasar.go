@@ -92,8 +92,9 @@ type Quasar struct {
 	rng    *sim.RNG
 	tracer *obs.Tracer
 
-	state map[string]*taskState
-	queue WaitQueue // admission-control wait queue (and evicted best-effort)
+	state   map[string]*taskState
+	queue   WaitQueue             // admission-control wait queue (and evicted best-effort)
+	choices []classify.NodeChoice // nodeChoices' reused result buffer
 
 	// PhaseChangesDetected counts reclassifications triggered by
 	// monitoring. PhaseEvents records each with its trigger source.
@@ -679,11 +680,13 @@ func (q *Quasar) retuneConfig(t *Task, st *taskState, alloc cluster.Alloc) {
 	t.W.Config = &cfg
 }
 
-// nodeChoices captures the task's live assignment in the scheduler's terms.
+// nodeChoices captures the task's live assignment in the scheduler's terms,
+// in ascending server order. The monitor asks once per running task per
+// tick, so the result lives in a buffer the manager owns: it is valid until
+// the next call.
 func (q *Quasar) nodeChoices(t *Task) []classify.NodeChoice {
-	ids := t.Servers()
-	out := make([]classify.NodeChoice, 0, len(ids))
-	for _, id := range ids {
+	out := q.choices[:0]
+	for _, id := range t.serverIDs {
 		pl := t.placements[id]
 		out = append(out, classify.NodeChoice{
 			PlatformIdx: q.rt.Cl.PlatformIndex(pl.Server.Platform.Name),
@@ -691,6 +694,7 @@ func (q *Quasar) nodeChoices(t *Task) []classify.NodeChoice {
 			Pressure:    pl.Server.PressureOn(t.W.ID),
 		})
 	}
+	q.choices = out
 	return out
 }
 

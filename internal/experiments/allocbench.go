@@ -82,11 +82,11 @@ var allocBudgets = map[string]float64{
 	// One runtime tick over nine steady services: progress accounting and
 	// load lookups are allocation-free; the residue is per-service
 	// monitoring state and sampling history (retained by design), about
-	// seven allocations per service per tick (measured 66.0).
+	// four allocations per service per tick (measured 36.0).
 	"runtime_tick": 85,
 	// One runtime tick with the SLO engine attached, sequential fan-out:
 	// adds window pushes and health scoring on reused scratch
-	// (measured 68.0).
+	// (measured 38.0).
 	"slo_tick": 90,
 	// One event through the full trace pipeline — controls, sequencing, and
 	// fan-out to a streaming JSONL sink plus a ring flight recorder. The
@@ -104,6 +104,10 @@ var allocBudgets = map[string]float64{
 	// then every entry is kept through the no-fit memo into the reused
 	// survivor buffer (measured 0.0).
 	"queue_drain": 1,
+	// One estimate evaluation (the monitor's per-node, the scheduler's
+	// per-candidate step): two table lookups and three exponentials on the
+	// stack (measured 0.0).
+	"estimates_nodeperf": 1,
 }
 
 // simStepProbe builds a self-rescheduling event loop and measures one Step.
@@ -261,6 +265,27 @@ func queueDrainProbe(cfg AllocBenchConfig) (float64, error) {
 	return testing.AllocsPerRun(cfg.Runs, func() { s.Q.OnServerRestored(nil) }), nil
 }
 
+// nodePerfProbe measures one Estimates.NodePerf on a classified workload,
+// cycling platforms and allocations on and off the scale-up grid.
+func nodePerfProbe(runs int, seed int64) float64 {
+	platforms := cluster.LocalPlatforms()
+	u := workload.NewUniverse(platforms, seed, 3)
+	ceng := classify.NewEngine(platforms, classify.DefaultOptions(), sim.NewRNG(seed+1))
+	for i := 0; i < 3; i++ {
+		w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+		ceng.SeedOffline(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+int64(i))))
+	}
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+	es := ceng.Classify(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+7)))
+	pressure := cluster.ResVec{0.2, 0.1, 0.3}
+	i, sum := 0, 0.0
+	return testing.AllocsPerRun(runs, func() {
+		i++
+		p := &platforms[i%len(platforms)]
+		sum += es.NodePerf(i%len(platforms), cluster.Alloc{Cores: 1 + i%p.Cores, MemoryGB: p.MemoryGB / float64(1+i%3)}, pressure)
+	})
+}
+
 // AllocBench runs every probe. Fan-outs run sequentially (one worker) so the
 // counts do not depend on GOMAXPROCS or goroutine scheduling.
 func AllocBench(cfg AllocBenchConfig) (*AllocBenchResult, error) {
@@ -314,6 +339,8 @@ func AllocBench(cfg AllocBenchConfig) (*AllocBenchResult, error) {
 		return nil, err
 	}
 	add("queue_drain", "quasar/internal/core.(*WaitQueue).Drain", allocs)
+
+	add("estimates_nodeperf", "quasar/internal/classify.(*Estimates).NodePerf", nodePerfProbe(cfg.Runs, cfg.Seed))
 
 	return res, nil
 }
@@ -369,13 +396,13 @@ func joinLines(lines []string) string {
 func (r *AllocBenchResult) Print(w io.Writer) {
 	fprintf(w, "== Hot-path allocation benchmark (%d runs/probe, %d warm ticks) ==\n",
 		r.Runs, r.WarmTicks)
-	fprintf(w, "%-16s %14s %8s  %s\n", "probe", "allocs/op", "budget", "hot root")
+	fprintf(w, "%-18s %14s %8s  %s\n", "probe", "allocs/op", "budget", "hot root")
 	for _, p := range r.Probes {
 		status := ""
 		if p.AllocsPerOp > p.Budget {
 			status = "  REGRESSION"
 		}
-		fprintf(w, "%-16s %14.1f %8.0f  %s%s\n", p.Name, p.AllocsPerOp, p.Budget, p.HotRoot, status)
+		fprintf(w, "%-18s %14.1f %8.0f  %s%s\n", p.Name, p.AllocsPerOp, p.Budget, p.HotRoot, status)
 	}
 }
 

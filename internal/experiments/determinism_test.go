@@ -93,7 +93,9 @@ func TestFig3DeterministicAcrossWorkers(t *testing.T) {
 		cfg.SeedLibPerType = 2
 		cfg.Workers = workers
 		cfg.PointClock = fakeClock
-		out, err := json.Marshal(Fig3(cfg))
+		// A six-row decision library: determinism, not the cost regime, is
+		// under test.
+		out, err := json.Marshal(fig3(cfg, clusterPlatformsLocal(), 6))
 		if err != nil {
 			t.Fatal(err)
 		}

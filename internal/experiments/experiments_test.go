@@ -124,9 +124,18 @@ func TestFig3Shape(t *testing.T) {
 	if byEntries[8] > byEntries[1] {
 		t.Fatalf("error did not fall with density: 1->%.2f 8->%.2f", byEntries[1], byEntries[8])
 	}
-	// The exhaustive classification must be much slower to decide.
-	if r.ExhaustiveDecisionSecs < 2*r.FourParallelDecisionSecs {
-		t.Fatalf("exhaustive not slower: %.4fs vs %.4fs",
+	// The exhaustive classification must be much slower to decide. With
+	// more library rows than columns on both sides, a model rebuild costs
+	// the cube of the column count: (joint/scale-up)³ ≈ 100× for the
+	// decomposition, diluted by the SGD passes that scale with nnz only.
+	// The regime is asserted exactly; the wall-clock ratio (~60× on an idle
+	// host, two arrivals a side) only loosely, so a loaded runner passes.
+	if r.DecisionRows <= r.ExhaustiveCols || r.ExhaustiveCols <= 4*r.ScaleUpCols {
+		t.Fatalf("decision-time comparison outside its regime: %d rows, %d joint vs %d scale-up columns",
+			r.DecisionRows, r.ExhaustiveCols, r.ScaleUpCols)
+	}
+	if r.ExhaustiveDecisionSecs < 4*r.FourParallelDecisionSecs {
+		t.Fatalf("exhaustive not several times slower: %.4fs vs %.4fs",
 			r.ExhaustiveDecisionSecs, r.FourParallelDecisionSecs)
 	}
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"quasar/internal/obs"
@@ -102,9 +106,47 @@ func TestTraceExporterGoldens(t *testing.T) {
 			t.Fatalf("missing golden %s (run with -update-obs): %v", path, err)
 		}
 		if !bytes.Equal(want, g.got) {
-			t.Errorf("%s drifted from golden (regenerate with -update-obs if intended)", g.file)
+			t.Errorf("%s drifted from golden: %s (regenerate with -update-obs if intended)",
+				g.file, describeDrift(want, g.got))
 		}
 	}
+}
+
+var numberRE = regexp.MustCompile(`-?\d+(\.\d+)?([eE][-+]?\d+)?`)
+
+// describeDrift says what kind of drift separates two renderings, so the
+// decision to regenerate a golden is an informed one: either the text
+// between the numeric literals differs (events, their order, names, IDs —
+// a behaviour change), or only numbers moved, and then by how much at most.
+// Digits inside strings count as numbers too, which only makes it stricter.
+func describeDrift(want, got []byte) string {
+	wText, gText := numberRE.Split(string(want), -1), numberRE.Split(string(got), -1)
+	wNum, gNum := numberRE.FindAllString(string(want), -1), numberRE.FindAllString(string(got), -1)
+	for i := range wText {
+		if i >= len(gText) || wText[i] != gText[i] {
+			return fmt.Sprintf("structure differs at the text after numeric literal %d (%q in the golden)", i, wText[i])
+		}
+	}
+	if len(gText) != len(wText) {
+		return "structure differs: the new rendering is longer"
+	}
+	moved, worst := 0, 0.0
+	for i := range wNum {
+		a, errA := strconv.ParseFloat(wNum[i], 64)
+		b, errB := strconv.ParseFloat(gNum[i], 64)
+		if errA != nil || errB != nil {
+			return fmt.Sprintf("unparsable numeric literal %d: %q vs %q", i, wNum[i], gNum[i])
+		}
+		if wNum[i] == gNum[i] {
+			continue
+		}
+		moved++
+		if rel := math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b)); rel > worst {
+			worst = rel
+		}
+	}
+	return fmt.Sprintf("same events in the same order; %d of %d numeric literals differ, by at most %.3g relative",
+		moved, len(wNum), worst)
 }
 
 // TestTraceAnswersPlacement closes the explainability loop: from the JSONL
