@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-parallel bench-obs bench-chaos bench-slo bench-scale bench-obs-scale bench-obs-scale-quick bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff trace-diff-chaos trace-diff-slo trace-diff-scale trace-diff-stream fmt-check ci
+.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-parallel bench-obs bench-chaos bench-slo bench-scale bench-obs-scale bench-obs-scale-quick bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff fmt-check ci
 
 all: build
 
@@ -100,45 +100,36 @@ bench-serve:
 bench-serve-quick:
 	$(GO) run ./cmd/quasar-load -bench -quick -inprocess
 
-## trace-diff: assert the trace is byte-identical across worker counts
-trace-diff:
-	$(GO) run ./cmd/quasar-sim -horizon 4000 -workers 1 -trace /tmp/quasar-trace-w1.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim -horizon 4000 -workers 4 -trace /tmp/quasar-trace-w4.jsonl >/dev/null
-	cmp /tmp/quasar-trace-w1.jsonl /tmp/quasar-trace-w4.jsonl
-	$(GO) run ./cmd/quasar-trace /tmp/quasar-trace-w1.jsonl
+## trace-diff: the trace byte-identity contract, one table row per scenario
+## (all rows by default; `make trace-diff ROWS=slo` or `make trace-diff-slo`
+## runs one). A row runs quasar-sim three times — streamed at -workers 1,
+## streamed at -workers 4, buffered (-trace-buffer) at -workers 1 — `cmp`s the
+## three files, and has quasar-trace read the result back. The rows:
+##   base   the default mix
+##   chaos  under the injected fault storm
+##   slo    SLO monitoring and burn-rate alerting on, under the same storm
+##   scale  1k servers, 10k workloads
+TRACE_DIFF_base  := -horizon 6000
+TRACE_DIFF_chaos := -horizon 6000 -faults internal/chaos/testdata/storm.json
+TRACE_DIFF_slo   := -horizon 6000 -slo -faults internal/chaos/testdata/storm.json
+TRACE_DIFF_scale := -servers 1000 -gap 0.02 -horizon 260 -hadoop 0 -spark 0 -storm 0 \
+	-services 20 -single 480 -besteffort 9500
+# Reader flags per row (the slo row replays the alert timeline).
+TRACE_DIFF_READ_slo := -alerts
+ROWS ?= base chaos slo scale
+# Where a row leaves its three trace files.
+TRACE_DIFF_DIR ?= /tmp
 
-## trace-diff-chaos: same contract under an injected fault storm
-trace-diff-chaos:
-	$(GO) run ./cmd/quasar-sim -horizon 6000 -workers 1 -faults internal/chaos/testdata/storm.json -trace /tmp/quasar-chaos-w1.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim -horizon 6000 -workers 4 -faults internal/chaos/testdata/storm.json -trace /tmp/quasar-chaos-w4.jsonl >/dev/null
-	cmp /tmp/quasar-chaos-w1.jsonl /tmp/quasar-chaos-w4.jsonl
-	$(GO) run ./cmd/quasar-trace /tmp/quasar-chaos-w1.jsonl
+trace-diff: $(addprefix trace-diff-,$(ROWS))
 
-## trace-diff-slo: same contract with SLO monitoring and burn-rate alerting on
-trace-diff-slo:
-	$(GO) run ./cmd/quasar-sim -horizon 6000 -workers 1 -slo -faults internal/chaos/testdata/storm.json -trace /tmp/quasar-slo-w1.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim -horizon 6000 -workers 4 -slo -faults internal/chaos/testdata/storm.json -trace /tmp/quasar-slo-w4.jsonl >/dev/null
-	cmp /tmp/quasar-slo-w1.jsonl /tmp/quasar-slo-w4.jsonl
-	$(GO) run ./cmd/quasar-trace -alerts /tmp/quasar-slo-w1.jsonl
-
-## trace-diff-scale: same contract at scale (1k servers, 10k workloads)
-trace-diff-scale:
-	$(GO) run ./cmd/quasar-sim -servers 1000 -gap 0.02 -horizon 260 -hadoop 0 -spark 0 -storm 0 \
-		-services 20 -single 480 -besteffort 9500 -workers 1 -trace /tmp/quasar-scale-w1.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim -servers 1000 -gap 0.02 -horizon 260 -hadoop 0 -spark 0 -storm 0 \
-		-services 20 -single 480 -besteffort 9500 -workers 4 -trace /tmp/quasar-scale-w4.jsonl >/dev/null
-	cmp /tmp/quasar-scale-w1.jsonl /tmp/quasar-scale-w4.jsonl
-	$(GO) run ./cmd/quasar-trace /tmp/quasar-scale-w1.jsonl
-
-## trace-diff-stream: assert the streaming sink's file is byte-identical to
-## the buffered exporter's, and worker-invariant, on the same scenario
-trace-diff-stream:
-	$(GO) run ./cmd/quasar-sim -horizon 6000 -workers 1 -trace /tmp/quasar-stream-w1.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim -horizon 6000 -workers 1 -trace-buffer -trace /tmp/quasar-stream-buf.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim -horizon 6000 -workers 4 -trace /tmp/quasar-stream-w4.jsonl >/dev/null
-	cmp /tmp/quasar-stream-w1.jsonl /tmp/quasar-stream-buf.jsonl
-	cmp /tmp/quasar-stream-w1.jsonl /tmp/quasar-stream-w4.jsonl
-	$(GO) run ./cmd/quasar-trace /tmp/quasar-stream-w1.jsonl
+trace-diff-%:
+	$(if $(TRACE_DIFF_$*),,$(error unknown trace-diff row '$*' (rows: base chaos slo scale)))
+	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -workers 1 -trace $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl >/dev/null
+	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -workers 4 -trace $(TRACE_DIFF_DIR)/quasar-$*-w4.jsonl >/dev/null
+	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -workers 1 -trace-buffer -trace $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl >/dev/null
+	cmp $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl $(TRACE_DIFF_DIR)/quasar-$*-w4.jsonl
+	cmp $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl
+	$(GO) run ./cmd/quasar-trace $(TRACE_DIFF_READ_$*) $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl
 
 ## fmt-check: fail if any file needs gofmt
 fmt-check:

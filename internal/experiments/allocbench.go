@@ -90,11 +90,12 @@ var allocBudgets = map[string]float64{
 	"slo_tick": 90,
 	// One event through the full trace pipeline — controls, sequencing, and
 	// fan-out to a streaming JSONL sink plus a ring flight recorder. The
-	// caller's variadic args slice and its boxed values are three of these;
-	// the rest is argsObject.MarshalJSON's per-arg json.Marshal buffers —
-	// kept, despite the count, because hand-rolled escaping would put the
-	// byte-identity contract at risk (measured 15.0).
-	"tracer_emit": 20,
+	// caller's variadic args slice (the ring retains it) and its boxed values
+	// are all of it: the streaming sink appends the line into a buffer it reuses,
+	// with no reflection and no per-arg scratch (measured 2.0; the sink
+	// itself encodes even a full 184-candidate decision with 0, pinned by
+	// obs.TestStreamSinkEmitDecisionZeroAlloc).
+	"tracer_emit": 5,
 	// One journaled admission against a discarding writer: the predicted-ID
 	// string and the pending-batch entry are the admission itself; the JSON
 	// encoding reuses the encoder's buffer (measured 2.0).
@@ -183,8 +184,8 @@ func schedScheduleProbe(runs int, seed int64) (float64, error) {
 // steady state: controls active (an off-category filter that the probe's own
 // category passes, so the keep path runs), sequence assignment, and fan-out
 // to a streaming JSONL sink (real encoding, discarded bytes) plus a ring
-// flight recorder. The warm loop fills the ring and the encoder's pooled
-// scratch first.
+// flight recorder. The warm loop fills the ring and grows the sink's line
+// buffer first.
 func tracerEmitProbe(runs int) float64 {
 	now := 0.0
 	tr := obs.NewWithSinks(func() float64 { return now },

@@ -109,8 +109,7 @@ func eventLevel(phase byte, args []Arg) Level {
 	}
 	for i := range args {
 		switch args[i].Val.(type) {
-		case ScheduleDecision, AdmitDecision, AdjustDecision,
-			*ScheduleDecision, *AdmitDecision, *AdjustDecision:
+		case ScheduleDecision, AdmitDecision, AdjustDecision:
 			return LevelDecision
 		}
 	}

@@ -158,6 +158,69 @@ func TestControlsTopKTruncation(t *testing.T) {
 	}
 }
 
+// TestDecisionPayloadIsOneType: each decision payload is recognised in its
+// value form by every stage that looks inside payloads — level, sampling,
+// truncation, size estimate, typed encoding — and its pointer form by none of
+// them, so a payload can never be a decision to one stage and opaque to the
+// next.
+func TestDecisionPayloadIsOneType(t *testing.T) {
+	sd := ScheduleDecision{Workload: "w-sched", Outcome: OutcomePlaced}
+	for i := 0; i < 6; i++ {
+		sd.Candidates = append(sd.Candidates, Candidate{Server: i, Platform: "p"})
+	}
+	ad := AdmitDecision{Workload: "w-admit", Class: "service", Tol: []float64{1}}
+	jd := AdjustDecision{Workload: "w-adjust", Actions: []string{"none"}}
+	ctl := Controls{TopK: 2}
+	buf := make([]byte, 0, 4096)
+
+	for _, tc := range []struct {
+		val, ptr any
+		workload string
+	}{
+		{sd, &sd, "w-sched"}, {ad, &ad, "w-admit"}, {jd, &jd, "w-adjust"},
+	} {
+		args := []Arg{{Key: "decision", Val: tc.val}}
+		if l := eventLevel(PhaseInstant, args); l != LevelDecision {
+			t.Errorf("%T levelled %v, want decision", tc.val, l)
+		}
+		if w := eventWorkload(PhaseInstant, "", "manager", args); w != tc.workload {
+			t.Errorf("%T sampled under workload %q, want %q", tc.val, w, tc.workload)
+		}
+		if n := argSize(tc.val); n <= 16 {
+			t.Errorf("%T sized %d, want a payload-shaped estimate", tc.val, n)
+		}
+		// The typed appenders write into the caller's buffer; the
+		// encoding/json fallback cannot encode without allocating.
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = appendValue(buf, tc.val) }); allocs != 0 { //lint:allow(floatcmp) an exact count
+			t.Errorf("%T encodes with %v allocs: not on its typed appender", tc.val, allocs)
+		}
+
+		args = []Arg{{Key: "decision", Val: tc.ptr}}
+		if l := eventLevel(PhaseInstant, args); l != LevelLifecycle {
+			t.Errorf("%T levelled %v, want lifecycle", tc.ptr, l)
+		}
+		if w := eventWorkload(PhaseInstant, "", "manager", args); w != "" {
+			t.Errorf("%T sampled under workload %q, want none", tc.ptr, w)
+		}
+		if n := argSize(tc.ptr); n != 16 {
+			t.Errorf("%T sized %d, want the opaque 16", tc.ptr, n)
+		}
+		if out := ctl.truncate(args); out[0].Val != tc.ptr {
+			t.Errorf("%T was rewritten by truncate", tc.ptr)
+		}
+		// Still the same JSON, through the fallback.
+		want, _ := appendValue(nil, tc.val)
+		if got, err := appendValue(nil, tc.ptr); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%T encodes as %s (%v), want %s", tc.ptr, got, err, want)
+		}
+	}
+
+	out := ctl.truncate([]Arg{{Key: "decision", Val: sd}})
+	if got := out[0].Val.(ScheduleDecision); len(got.Candidates) != 2 || got.CandidatesDropped != 4 {
+		t.Errorf("value-form ScheduleDecision not truncated: %d candidates, %d dropped", len(got.Candidates), got.CandidatesDropped)
+	}
+}
+
 func TestHeaderRecordsControls(t *testing.T) {
 	tr := New(nil)
 	tr.SetControls(Controls{

@@ -5,6 +5,11 @@ package obs
 // trace events as Args. They are plain structs with json tags (struct fields
 // marshal in declaration order, which keeps the exporters byte-stable) and
 // are decoded back by cmd/quasar-trace when reconstructing a run.
+//
+// Emit them by value. The level filter, workload sampling, top-K truncation,
+// the size estimate and the event-line encoder all recognise the value types
+// and nothing else; a pointer to one is an ordinary opaque payload to every
+// one of them.
 
 // Candidate is one ranked server considered by a scheduling decision, with
 // the ranking inputs the greedy scheduler composed: platform affinity and

@@ -23,8 +23,15 @@ type chromeEvent struct {
 	Pid  int        `json:"pid"`
 	Tid  int        `json:"tid"`
 	ID   string     `json:"id,omitempty"`
-	Args argsObject `json:"args,omitempty"`
+	Args chromeArgs `json:"args,omitempty"`
 }
+
+// chromeArgs renders an ordered Arg slice through the JSONL encoder's
+// appendArgs, so a payload reads the same in both exports.
+type chromeArgs []Arg
+
+// MarshalJSON implements json.Marshaler.
+func (a chromeArgs) MarshalJSON() ([]byte, error) { return appendArgs(nil, a) }
 
 // trackOrder sorts tracks into stable display order: the manager and cluster
 // singletons first, then servers by ID, then workloads, then the rest —
@@ -83,18 +90,18 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 
 	const pid = 1
 	if err := write(chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
-		Args: argsObject{{Key: "name", Val: "quasar"}}}); err != nil {
+		Args: chromeArgs{{Key: "name", Val: "quasar"}}}); err != nil {
 		return err
 	}
 	tids := make(map[string]int)
 	for i, tr := range trackOrder(t.Tracks()) {
 		tids[tr] = i
 		if err := write(chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: i,
-			Args: argsObject{{Key: "name", Val: tr}}}); err != nil {
+			Args: chromeArgs{{Key: "name", Val: tr}}}); err != nil {
 			return err
 		}
 		if err := write(chromeEvent{Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: i,
-			Args: argsObject{{Key: "sort_index", Val: i}}}); err != nil {
+			Args: chromeArgs{{Key: "sort_index", Val: i}}}); err != nil {
 			return err
 		}
 	}
@@ -103,7 +110,7 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 		if err := write(chromeEvent{
 			Name: ev.Name, Cat: ev.Cat, Ph: string(ev.Phase),
 			Ts: ev.Time * 1e6, Pid: pid, Tid: tids[ev.Track],
-			ID: ev.ID, Args: argsObject(ev.Args),
+			ID: ev.ID, Args: chromeArgs(ev.Args),
 		}); err != nil {
 			return err
 		}

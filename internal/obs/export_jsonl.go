@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 )
 
 // The JSONL export is the canonical machine-readable log: one JSON object per
@@ -15,56 +14,10 @@ import (
 // declaration order and Args marshal as an object in emission order, so the
 // file is byte-identical across runs and worker counts. The buffered
 // WriteJSONL and the incremental StreamSink share the per-line encoders
-// below, which is what makes a streamed file byte-identical to a buffered
-// export of the same run. cmd/quasar-trace reconstructs runs from this format
-// alone.
-
-// argsObject marshals an ordered Arg slice as a JSON object, preserving the
-// emission-site key order.
-type argsObject []Arg
-
-// MarshalJSON implements json.Marshaler.
-func (a argsObject) MarshalJSON() ([]byte, error) {
-	if len(a) == 0 {
-		return []byte("{}"), nil
-	}
-	out := []byte{'{'}
-	for i, kv := range a {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		k, err := json.Marshal(kv.Key)
-		if err != nil {
-			return nil, err
-		}
-		val := kv.Val
-		// JSON has no literal for non-finite floats; a crashed server's
-		// infinite p99 still has to export, so render them as strings.
-		if f, ok := val.(float64); ok && (math.IsInf(f, 0) || math.IsNaN(f)) {
-			val = fmt.Sprintf("%g", f)
-		}
-		v, err := json.Marshal(val)
-		if err != nil {
-			return nil, fmt.Errorf("obs: arg %q: %w", kv.Key, err)
-		}
-		out = append(out, k...)
-		out = append(out, ':')
-		out = append(out, v...)
-	}
-	return append(out, '}'), nil
-}
-
-// jsonlEvent is the wire shape of one event line.
-type jsonlEvent struct {
-	Seq   uint64     `json:"seq"`
-	T     float64    `json:"t"`
-	Ph    string     `json:"ph"`
-	ID    string     `json:"id,omitempty"`
-	Cat   string     `json:"cat"`
-	Name  string     `json:"name"`
-	Track string     `json:"track"`
-	Args  argsObject `json:"args"`
-}
+// (appendEventLine in encode.go for events, writeRegistryLines below for the
+// metric tail), which is what makes a streamed file byte-identical to a
+// buffered export of the same run. cmd/quasar-trace reconstructs runs from
+// this format alone.
 
 // jsonlMetric is the wire shape of one trailing metric line.
 type jsonlMetric struct {
@@ -72,15 +25,6 @@ type jsonlMetric struct {
 	Kind   string `json:"kind"`
 	Help   string `json:"help,omitempty"`
 	Value  any    `json:"value"`
-}
-
-// encodeEventLine writes one event line; the single encoder both WriteJSONL
-// and StreamSink use, so their bytes cannot diverge.
-func encodeEventLine(enc *json.Encoder, ev *Event) error {
-	return enc.Encode(jsonlEvent{
-		Seq: ev.Seq, T: ev.Time, Ph: string(ev.Phase), ID: ev.ID,
-		Cat: ev.Cat, Name: ev.Name, Track: ev.Track, Args: argsObject(ev.Args),
-	})
 }
 
 // writeRegistryLines appends the registry's metric lines in registration
@@ -125,11 +69,8 @@ func WriteJSONL(w io.Writer, t *Tracer) error {
 	if err := enc.Encode(&h); err != nil {
 		return err
 	}
-	events := t.Events()
-	for i := range events {
-		if err := encodeEventLine(enc, &events[i]); err != nil {
-			return err
-		}
+	if err := writeEventLines(bw, t.Events()); err != nil {
+		return err
 	}
 	if err := writeRegistryLines(enc, t.Registry()); err != nil {
 		return err
@@ -145,18 +86,31 @@ func WriteJSONL(w io.Writer, t *Tracer) error {
 // carries.
 func WriteEventsJSONL(w io.Writer, h *Header, events []Event) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	if h != nil {
-		if err := enc.Encode(h); err != nil {
+		if err := json.NewEncoder(bw).Encode(h); err != nil {
 			return err
 		}
 	}
-	for i := range events {
-		if err := encodeEventLine(enc, &events[i]); err != nil {
-			return err
-		}
+	if err := writeEventLines(bw, events); err != nil {
+		return err
 	}
 	return bw.Flush()
+}
+
+// writeEventLines encodes events one line at a time through a single reused
+// line buffer, stopping at the first event that fails to encode.
+func writeEventLines(bw *bufio.Writer, events []Event) error {
+	var line []byte
+	for i := range events {
+		var err error
+		if line, err = appendEventLine(line[:0], &events[i]); err != nil {
+			return err
+		}
+		if _, err := bw.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RawEvent is the decoded form of one JSONL event line, with the payload left

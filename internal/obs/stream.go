@@ -12,12 +12,13 @@ import (
 )
 
 // StreamSink encodes each accepted event to JSONL as it is emitted and spills
-// it to an io.Writer, so trace memory stays bounded by one bufio buffer no
-// matter how many events the run produces. File-backed sinks write to a
-// temporary file in the destination directory and finalize with an atomic
-// rename at Close, so a trace survives a failed or crashed scenario: whatever
-// was emitted before the failure is on disk the moment the deferred Close
-// runs, and readers never observe a half-written destination path.
+// it to an io.Writer, so trace memory stays bounded by one bufio buffer plus
+// one line of scratch (the largest single event) no matter how many events
+// the run produces. File-backed sinks write to a temporary file in the
+// destination directory and finalize with an atomic rename at Close, so a
+// trace survives a failed or crashed scenario: whatever was emitted before
+// the failure is on disk the moment the deferred Close runs, and readers
+// never observe a half-written destination path.
 //
 // The encoding is the same code path the buffered exporter uses, line for
 // line — header, events in sequence order, then the registry's metric lines —
@@ -29,8 +30,9 @@ type StreamSink struct {
 	Prof *prof.Profiler
 
 	w       *bufio.Writer
-	enc     *json.Encoder
-	file    *os.File // nil for writer-backed sinks
+	enc     *json.Encoder // header and metric lines only
+	line    []byte        // reused event-line scratch
+	file    *os.File      // nil for writer-backed sinks
 	tmpPath string
 	dstPath string
 	started bool
@@ -98,7 +100,10 @@ func (s *StreamSink) Start(h *Header) error {
 // Emit implements Sink.
 func (s *StreamSink) Emit(ev *Event, _ int) error {
 	t0 := s.Prof.Begin()
-	err := encodeEventLine(s.enc, ev)
+	var err error
+	if s.line, err = appendEventLine(s.line[:0], ev); err == nil {
+		_, err = s.w.Write(s.line)
+	}
 	s.Prof.End(prof.SubTrace, t0)
 	return err
 }

@@ -36,8 +36,7 @@ type TeeSink struct {
 	mu      sync.Mutex
 	header  []byte
 	buf     bytes.Buffer // encoded lines since the last Publish
-	enc     *json.Encoder
-	pending int // events currently encoded in buf
+	pending int          // events currently encoded in buf
 	subs    map[int]*teeSub
 	nextID  int
 	closed  bool
@@ -61,9 +60,7 @@ type teeSub struct {
 
 // NewTeeSink returns an empty tee with no subscribers.
 func NewTeeSink() *TeeSink {
-	t := &TeeSink{subs: make(map[int]*teeSub)}
-	t.enc = json.NewEncoder(&t.buf)
-	return t
+	return &TeeSink{subs: make(map[int]*teeSub)}
 }
 
 // Start implements Sink: the header line is retained so every subscriber's
@@ -91,9 +88,11 @@ func (t *TeeSink) Emit(ev *Event, _ int) error {
 	if t.closed {
 		return nil
 	}
-	if err := encodeEventLine(t.enc, ev); err != nil {
+	line, err := appendEventLine(t.buf.AvailableBuffer(), ev)
+	if err != nil {
 		return err
 	}
+	_, _ = t.buf.Write(line) // a bytes.Buffer write cannot fail
 	t.pending++
 	if t.buf.Len() > t.high {
 		t.high = t.buf.Len()
@@ -177,7 +176,7 @@ func (t *TeeSink) Close(reg *Registry) error {
 	}
 	if len(t.subs) > 0 {
 		before := t.buf.Len()
-		if err := writeRegistryLines(t.enc, reg); err != nil {
+		if err := writeRegistryLines(json.NewEncoder(&t.buf), reg); err != nil {
 			return err
 		}
 		if t.buf.Len() > t.high {

@@ -428,16 +428,10 @@ func argSize(v any) int {
 		return n
 	case ScheduleDecision:
 		return schedDecisionSize(&x)
-	case *ScheduleDecision:
-		return schedDecisionSize(x)
 	case AdmitDecision:
 		return admitDecisionSize(&x)
-	case *AdmitDecision:
-		return admitDecisionSize(x)
 	case AdjustDecision:
 		return adjustDecisionSize(&x)
-	case *AdjustDecision:
-		return adjustDecisionSize(x)
 	default:
 		return 16
 	}

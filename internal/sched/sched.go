@@ -470,16 +470,25 @@ func (s *Scheduler) emitDecision(req *Request, want float64, cands []candidate, 
 		MaxNodes: req.MaxNodes, AcceptPartial: req.AcceptPartial,
 		MaxCost: req.MaxCostPerHour, Outcome: outcome,
 	}
-	picked := map[int]bool{}
 	if asn != nil {
 		d.EstPerf, d.CostPerHour, d.Evictions = asn.EstPerf, asn.CostPerHour, asn.Evictions
+		d.Picks = make([]obs.NodePick, 0, len(asn.Nodes))
 		for _, na := range asn.Nodes {
-			picked[na.Server.ID] = true
 			d.Picks = append(d.Picks, obs.NodePick{
 				Server: na.Server.ID, Cores: na.Alloc.Cores,
 				MemGB: na.Alloc.MemoryGB,
 			})
 		}
+	}
+	// An assignment holds at most MaxNodes nodes, so membership is a short
+	// scan, not a map built per decision.
+	picked := func(id int) bool {
+		for i := range d.Picks {
+			if d.Picks[i].Server == id {
+				return true
+			}
+		}
+		return false
 	}
 	// Full rankings scale with cluster size — O(servers) per decision on an
 	// unpacked cluster — so when the tracer's controls cap candidates, build
@@ -490,19 +499,24 @@ func (s *Scheduler) emitDecision(req *Request, want float64, cands []candidate, 
 	if k := s.Tracer.Controls().TopK; k > 0 && len(cands) > k {
 		kept := cands[:k:k]
 		for _, c := range cands[k:] {
-			if picked[c.server.ID] {
+			if picked(c.server.ID) {
 				kept = append(kept, c)
 			}
 		}
 		d.CandidatesDropped = len(cands) - len(kept)
 		cands = kept
 	}
+	// No ranking (bad request, empty cluster) stays a nil slice: the trace
+	// records it as null, not [].
+	if len(cands) > 0 {
+		d.Candidates = make([]obs.Candidate, 0, len(cands))
+	}
 	for _, c := range cands {
 		d.Candidates = append(d.Candidates, obs.Candidate{
 			Server: c.server.ID, Platform: c.server.Platform.Name,
 			Quality: c.quality, FreeCores: c.freeCores, FreeMemGB: c.freeMem,
 			Evictable: len(c.evictable), Compatible: c.compat,
-			Pressure: c.pressure, Picked: picked[c.server.ID],
+			Pressure: c.pressure, Picked: picked(c.server.ID),
 		})
 	}
 	s.Tracer.Instant("manager", "sched", "decision", obs.Arg{Key: "decision", Val: d})

@@ -190,3 +190,52 @@ func TestOpenJournalHeader(t *testing.T) {
 		t.Fatalf("header config lost defaults: %+v", got)
 	}
 }
+
+// TestReplaySinksShareOneEncoding replays one journal on a 200-server world —
+// every schedule decision carries a full 200-candidate ranking — into a
+// streaming file sink, a buffer sink and a tee subscriber at once. The three
+// reach the bytes by different routes (line scratch + bufio, a retained event
+// re-encoded by WriteEventsJSONL, the tee's pending batch); all go through the
+// one event-line encoder, so the file must begin with the buffered export and
+// the subscriber must receive the file.
+func TestReplaySinksShareOneEncoding(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.journal")
+	if _, err := BuildJournal(journal, Config{Servers: 200, Seed: 13, SLO: true}, 120, scriptFixture()); err != nil {
+		t.Fatal(err)
+	}
+	tracePath := filepath.Join(dir, "out.jsonl")
+	stream, err := obs.NewStreamSink(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffer, tee := obs.NewBufferSink(), obs.NewTeeSink()
+	_, _, ch := tee.Subscribe(1)
+	if _, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{stream, buffer, tee}}); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var buffered bytes.Buffer
+	header, err := obs.ReadHeader(bytes.NewReader(file))
+	if err != nil || header == nil {
+		t.Fatalf("trace header: %v (%v)", header, err)
+	}
+	if err := obs.WriteEventsJSONL(&buffered, header, buffer.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if buffered.Len() < 100_000 || !bytes.HasPrefix(file, buffered.Bytes()) {
+		t.Errorf("streamed file (%d bytes) does not begin with the buffered export (%d bytes)", len(file), buffered.Len())
+	}
+
+	// Nothing published mid-replay, so the tee hands over one batch at Close:
+	// every event line plus the metric tail — the file minus its header line.
+	batch := <-ch
+	headerLine := file[:bytes.IndexByte(file, '\n')+1]
+	if !bytes.Equal(batch.Data, file[len(headerLine):]) {
+		t.Errorf("tee subscriber received %d bytes, file holds %d after the header", len(batch.Data), len(file)-len(headerLine))
+	}
+}
