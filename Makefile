@@ -28,11 +28,12 @@ lint-hotpath:
 	$(GO) run ./cmd/quasar-lint -json ./...
 
 ## bench: run the repository benchmarks — one iteration of every paper
-## artifact, then the classifier's two inner loops (BenchmarkTrain must stay
-## flat in the number of rows; BenchmarkNodePerf is paid per node per tick)
+## artifact, then the classifier's inner loops (BenchmarkTrain must stay flat
+## in the number of rows and BenchmarkSymEig is its cubic term;
+## BenchmarkNodePerf is paid per node per tick)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='^Benchmark(Train|NodePerf)$$' -run=^$$ ./internal/cf ./internal/classify
+	$(GO) test -bench='^Benchmark(Train|SymEig|NodePerf)$$' -run=^$$ ./internal/cf ./internal/classify
 
 ## ledger: the performance ledger — every bench/ workload untraced x3 and
 ## traced once, with the per-layer split (see bench/README.md)

@@ -75,12 +75,12 @@ var Determinism = &Analyzer{
 // inject a clock or use virtual time.
 var wallClockAllowlist = map[string]bool{
 	"quasar/internal/experiments.wallClock": true,
-	// The self-profiler is the sanctioned wall-clock boundary: wallNow is
+	// The self-profiler is the sanctioned wall-clock boundary: Now is
 	// its single read point and base anchors it at process start. See the
 	// package doc of internal/obs/prof for why it sits outside the
 	// determinism contract.
-	"quasar/internal/obs/prof.wallNow": true,
-	"quasar/internal/obs/prof.base":    true,
+	"quasar/internal/obs/prof.Now":  true,
+	"quasar/internal/obs/prof.base": true,
 }
 
 // globalRandFuncs are the math/rand package-level functions that draw

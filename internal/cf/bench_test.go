@@ -26,11 +26,12 @@ var trainSink *Model
 // BenchmarkTrain: one retrain at the shapes the engine hits. 231x81 is the
 // scale-up matrix at the end of a simulated day, 538x81 the same matrix
 // after more than twice the arrivals (the cost must stay flat in rows),
-// 12x81 a small library (short-fat: fewer rows than columns), 30x560 the
-// exhaustive joint classifier's library.
+// 12x81 a small library (short-fat: fewer rows than columns), 26x81 the
+// sim_scale_churn library with every row dense, 30x560 the exhaustive joint
+// classifier's library.
 func BenchmarkTrain(b *testing.B) {
 	for _, sh := range []struct{ rows, cols, dense int }{
-		{12, 81, 12}, {231, 81, 21}, {538, 81, 21}, {30, 560, 30},
+		{12, 81, 12}, {26, 81, 26}, {231, 81, 21}, {538, 81, 21}, {30, 560, 30},
 	} {
 		s := libraryShaped(sh.rows, sh.cols, sh.dense, 7)
 		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(b *testing.B) {

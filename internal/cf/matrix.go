@@ -124,7 +124,7 @@ func (s *Sparse) AppendRow(obs map[int]float64) int {
 // deterministic (row, column) order so results are bit-reproducible. It
 // builds the ordered cell list to do so — O(nnz) memory per call; Train
 // takes µ from the list it already holds and does not call it.
-func (s *Sparse) Mean() float64 { return meanOf(s.ordered()) }
+func (s *Sparse) Mean() float64 { return meanOf(s.Freeze(nil).cells) }
 
 // cell is one observed entry.
 type cell struct {
@@ -132,19 +132,33 @@ type cell struct {
 	v    float64
 }
 
-// ordered lists the observed entries in (row, column) order — the order
-// every float accumulation over a Sparse uses, so no result depends on map
-// iteration. Each row's cells are sorted in place: no global sort.
-func (s *Sparse) ordered() []cell {
-	out := make([]cell, 0, s.n)
-	for u, row := range s.entries {
-		lo := len(out)
-		for i, v := range row {
-			out = append(out, cell{int32(u), int32(i), v})
-		}
-		slices.SortFunc(out[lo:], func(a, b cell) int { return int(a.i - b.i) })
+// Frozen is a Sparse as it stood at one moment: its shape and its observed
+// entries in (row, column) order — everything TrainFrozen reads, and nothing
+// a later Set or AppendRow on the source can reach.
+type Frozen struct {
+	Rows, Cols int
+	cells      []cell
+}
+
+// Freeze captures the matrix into the given Frozen, reusing its cell buffer
+// (nil allocates one), and returns it. The cells land in (row, column) order
+// — the order every float accumulation over a Sparse uses, so no result
+// depends on map iteration. Each row's cells are sorted in place: no global
+// sort.
+func (s *Sparse) Freeze(into *Frozen) *Frozen {
+	if into == nil {
+		into = new(Frozen) //lint:allow(hotalloc) first freeze only: callers on the hot path pass the Frozen they keep
 	}
-	return out
+	cells := slices.Grow(into.cells[:0], s.n)
+	for u, row := range s.entries {
+		lo := len(cells)
+		for i, v := range row { //lint:allow(hotalloc) a row is stored as a map; the per-row sort below removes the iteration order, and a freeze runs once per retrain point, not per write
+			cells = append(cells, cell{int32(u), int32(i), v}) //lint:allow(hotalloc) within the capacity slices.Grow reserved above
+		}
+		slices.SortFunc(cells[lo:], func(a, b cell) int { return int(a.i - b.i) })
+	}
+	into.Rows, into.Cols, into.cells = s.Rows, s.Cols, cells
+	return into
 }
 
 func meanOf(cells []cell) float64 {

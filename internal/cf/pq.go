@@ -38,24 +38,30 @@ type Model struct {
 }
 
 // Train fits a latent-factor model to the observed entries of s.
-func Train(s *Sparse, opts Options) *Model {
+func Train(s *Sparse, opts Options) *Model { return TrainFrozen(s.Freeze(nil), opts) }
+
+// TrainFrozen fits a latent-factor model to a frozen matrix. The model is a
+// pure function of (the frozen cells, rows, cols, opts): the shuffle re-seeds
+// from opts.Seed on every call, so fitting a capture later gives exactly the
+// model fitting it on the spot would have. It consumes f — SGD shuffles the
+// cell list in place — so Freeze into f again before training from it again.
+func TrainFrozen(f *Frozen, opts Options) *Model {
 	k := opts.K
 	if k <= 0 {
 		k = DefaultOptions().K
 	}
-	k = max(1, min(k, s.Rows, s.Cols))
-	cells := s.ordered()
+	k = max(1, min(k, f.Rows, f.Cols))
 	m := &Model{
 		K:      k,
-		Mu:     meanOf(cells),
-		BU:     make([]float64, s.Rows),
-		BI:     make([]float64, s.Cols),
-		P:      NewDense(s.Rows, k),
-		Q:      NewDense(s.Cols, k),
+		Mu:     meanOf(f.cells),
+		BU:     make([]float64, f.Rows),
+		BI:     make([]float64, f.Cols),
+		P:      NewDense(f.Rows, k),
+		Q:      NewDense(f.Cols, k),
 		Lambda: opts.Lambda,
 	}
-	m.initFromSVD(cells)
-	m.sgd(cells, opts)
+	m.initFromSVD(f.cells)
+	m.sgd(f.cells, opts)
 	return m
 }
 

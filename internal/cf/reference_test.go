@@ -174,7 +174,7 @@ func TestSGDLoopBitIdenticalToReference(t *testing.T) {
 			got := &Model{K: want.K, Mu: s.Mean(), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
 				P: NewDense(s.Rows, want.K), Q: NewDense(s.Cols, want.K), Lambda: opts.Lambda}
 			referenceInit(got, s)
-			got.sgd(s.ordered(), opts)
+			got.sgd(s.Freeze(nil).cells, opts)
 			if !modelsBitEqual(got, want) {
 				t.Errorf("%s itemBias=%v: flat SGD loop diverged from the reference loop", name, itemBias)
 			}

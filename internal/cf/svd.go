@@ -17,9 +17,10 @@ type SVD struct {
 // rotations. The method orthogonalizes the columns of a working copy of A;
 // at convergence the column norms are the singular values, the normalized
 // columns form U, and the accumulated rotations form V. It is exact (up to
-// tolerance), numerically robust, and well suited to the small dense
-// matrices of the classification engine (hundreds of rows, tens to ~100
-// columns).
+// tolerance) and numerically robust, at a dozen or more sweeps of O(m·n²).
+// Training no longer calls it (topK eigen-solves with symEig): it is the
+// dense oracle the cf tests hold topK and symEig to, and what the
+// performance ledger times as cf.svd_ms.
 func ComputeSVD(a *Dense) *SVD {
 	m, n := a.R, a.C
 	// Column-major working copies for cache-friendly column ops.
@@ -186,11 +187,10 @@ const noiseFloor = 1e-6
 // topK returns the k leading singular triplets of the rows×cols matrix A
 // holding v−mu at every cell (given in (row, column) order) and zero
 // elsewhere, without materialising A: it eigen-decomposes the Gram matrix of
-// the smaller side — AᵀA, or AAᵀ via the transpose — with ComputeSVD (the
-// SVD of a symmetric PSD matrix is its eigendecomposition), takes σ = √λ and
-// recovers the other side as A·v/σ. Cost O(Σ nnz_row² + min(rows,cols)³),
-// independent of the larger dimension. Triplets under noiseFloor are zeros;
-// k must not exceed min(rows, cols).
+// the smaller side — AᵀA, or AAᵀ via the transpose — with symEig, takes
+// σ = √λ and recovers the other side as A·v/σ. Cost
+// O(Σ nnz_row² + min(rows,cols)³), independent of the larger dimension.
+// Triplets under noiseFloor are zeros; k must not exceed min(rows, cols).
 func topK(cells []cell, rows, cols int, mu float64, k int) *SVD {
 	if rows < cols {
 		t := topK(transposed(cells, cols), cols, rows, mu, k)
@@ -209,13 +209,13 @@ func topK(cells []cell, rows, cols int, mu float64, k int) *SVD {
 			}
 		}
 	}
-	eig := ComputeSVD(g)
+	lambda, vecs := symEig(g)
 
 	out := &SVD{U: NewDense(rows, k), S: make([]float64, k), V: NewDense(cols, k)}
-	for f := 0; f < k && eig.S[f] > noiseFloor*noiseFloor*eig.S[0]; f++ {
-		out.S[f] = math.Sqrt(eig.S[f])
-		for i := 0; i < cols; i++ {
-			out.V.Data[i*k+f] = eig.V.At(i, f)
+	for f := 0; f < k && lambda[f] > noiseFloor*noiseFloor*lambda[0]; f++ {
+		out.S[f] = math.Sqrt(lambda[f])
+		for i, v := range vecs.Data[f*cols : (f+1)*cols] {
+			out.V.Data[i*k+f] = v
 		}
 	}
 	// U = A·V·Σ⁻¹ in one pass over the cells; a dropped triplet's V column

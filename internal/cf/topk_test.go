@@ -38,7 +38,7 @@ func rankOne(d *SVD, f int) *Dense {
 // noise floor.
 func checkTopK(t *testing.T, name string, s *Sparse, mu float64, ks ...int) {
 	t.Helper()
-	cells := s.ordered()
+	cells := s.Freeze(nil).cells
 	dense := NewDense(s.Rows, s.Cols)
 	for _, c := range cells {
 		dense.Set(int(c.u), int(c.i), c.v-mu)
@@ -161,7 +161,7 @@ func TestTopKDegenerateShapes(t *testing.T) {
 	checkTopK(t, "all-equal-raw", equal, 0, 4)
 	checkTopK(t, "empty", NewSparse(4, 3), 0, 4)
 
-	got := topK(equal.ordered(), 6, 5, equal.Mean(), 4)
+	got := topK(equal.Freeze(nil).cells, 6, 5, equal.Mean(), 4)
 	for _, m := range [][]float64{got.S, got.U.Data, got.V.Data} {
 		for _, v := range m {
 			if v != 0 {
@@ -173,7 +173,7 @@ func TestTopKDegenerateShapes(t *testing.T) {
 
 func TestTransposedOrder(t *testing.T) {
 	s := sparseOf(randomDense(7, 4, 5), 0.5, 6)
-	tr := transposed(s.ordered(), 4)
+	tr := transposed(s.Freeze(nil).cells, 4)
 	if len(tr) != s.NNZ() {
 		t.Fatalf("%d cells, want %d", len(tr), s.NNZ())
 	}

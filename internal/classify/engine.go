@@ -75,13 +75,38 @@ func safeLog(v float64) float64 {
 	return math.Log(v)
 }
 
+// axis is one classification: its matrix, the model reads fold in against,
+// and the retraining state between the two.
+//
+// Retraining is split in two. A retrain point (train) is reached on the write
+// side — every retrainThreshold()-th appended row or feedback entry — and
+// only freezes the matrix as it stands: an O(nnz) copy into a buffer the axis
+// re-uses. The fit that turns the freeze into a model runs on the read side,
+// in the first estimateRow / EnsureTrained / RetrainAll / LoadSnapshot after
+// it; a retrain point reached before anyone read the previous one overwrites
+// its freeze, so a model nobody consults is never built. cf.TrainFrozen is a
+// pure function of the frozen cells and the options (it seeds its own shuffle
+// and draws nothing from the engine RNG), so every read sees exactly the model
+// an on-the-spot fit would have produced.
 type axis struct {
 	name       string
 	mat        *cf.Sparse
 	model      *cf.Model
+	frozen     *cf.Frozen // the matrix at the latest retrain point
+	pending    bool       // frozen has not been fitted into model yet
 	sinceTrain int
 	cfOpts     cf.Options
 	retrain    int
+	stats      AxisTrainStats
+}
+
+// AxisTrainStats counts one axis's retraining work since the engine was
+// built. Points − Fits is what deferral saved: retrain points overwritten by
+// the next one before any read (less the one that may still be pending).
+type AxisTrainStats struct {
+	Points     int     // retrain points reached
+	Fits       int     // models fitted
+	FitSeconds float64 // wall time spent fitting
 }
 
 func newAxis(name string, cols int, cfOpts cf.Options, retrain int) *axis {
@@ -101,15 +126,35 @@ func (a *axis) retrainThreshold() int {
 func (a *axis) appendRow(obs map[int]float64) int {
 	idx := a.mat.AppendRow(obs)
 	a.sinceTrain++
-	if a.model == nil || a.sinceTrain >= a.retrainThreshold() {
+	if !a.trained() || a.sinceTrain >= a.retrainThreshold() {
 		a.train()
 	}
 	return idx
 }
 
+// trained reports whether the axis has a model or the freeze to fit one from.
+func (a *axis) trained() bool { return a.model != nil || a.pending }
+
+// train marks a retrain point: the matrix is frozen for the next reader to
+// fit, replacing a freeze nobody read.
 func (a *axis) train() {
-	a.model = cf.Train(a.mat, a.cfOpts)
+	a.frozen = a.mat.Freeze(a.frozen)
+	a.pending = true
 	a.sinceTrain = 0
+	a.stats.Points++
+}
+
+// fit resolves a pending retrain point into the model. It is the only place
+// the engine trains, and a no-op when nothing is pending.
+func (a *axis) fit() {
+	if !a.pending {
+		return
+	}
+	t0 := prof.Now()
+	a.model = cf.TrainFrozen(a.frozen, a.cfOpts)
+	a.pending = false
+	a.stats.Fits++
+	a.stats.FitSeconds += float64(prof.Now()-t0) / 1e9
 }
 
 // estimateRow reconstructs a full row via fold-in from the union of the
@@ -117,9 +162,10 @@ func (a *axis) train() {
 // feedback) and the fresh observations, preferring fresh values where both
 // exist. rowIdx < 0 skips the history merge.
 func (a *axis) estimateRow(rowIdx int, obs map[int]float64) []float64 {
-	if a.model == nil {
+	if !a.trained() {
 		a.train()
 	}
+	a.fit()
 	merged := make(map[int]float64, len(obs)+4)
 	if rowIdx >= 0 && rowIdx < a.mat.Rows {
 		for j, v := range a.mat.Row(rowIdx) {
@@ -139,8 +185,10 @@ func (a *axis) estimateRow(rowIdx int, obs map[int]float64) []float64 {
 }
 
 // estimateRowFrozen is estimateRow for detached classification: strictly
-// read-only (no lazy training, no history merge), so concurrent calls
-// against the same axis are safe. With no model yet (empty library) the
+// read-only (no training, no fit of a pending retrain point, no history
+// merge), so concurrent calls against the same axis are safe. It folds in
+// against the model as last fitted — stale if a retrain point is pending,
+// which is why callers run EnsureTrained first. With no model at all the
 // observations themselves are the best available row.
 func (a *axis) estimateRowFrozen(obs map[int]float64) []float64 {
 	if a.model == nil {
@@ -203,9 +251,12 @@ func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
 // SetProfiler installs the self-profiler; Classify, Reclassify, Feedback and
 // EnsureTrained (the sequential, sim-goroutine entry points, i.e. every way
-// a retrain is reached during a run) attribute to prof.SubClassify.
-// ClassifyDetached runs on pool workers and stays uninstrumented — the
-// profiler is single-goroutine by design.
+// a retrain point or a fit is reached during a run) attribute to
+// prof.SubClassify: a Feedback that crosses the threshold books only the
+// freeze, and the fit is booked inside the next Classify, Reclassify or
+// EnsureTrained — never to the tick that encloses them. ClassifyDetached
+// runs on pool workers and stays uninstrumented — the profiler is
+// single-goroutine by design.
 func (e *Engine) SetProfiler(p *prof.Profiler) { e.prof = p }
 
 // NewEngine builds an engine for the platform set.
@@ -249,29 +300,43 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 	return e
 }
 
-// RetrainAll retrains every axis model from its matrix. This is the cost a
-// from-scratch reconstruction pays at an arrival (the paper's SVD +
-// PQ-reconstruction per submission); the engine otherwise amortizes it via
-// fold-in plus periodic retraining. The five retrains run on the axis fan-out
-// pool; each touches only its own axis, so results match the sequential loop.
+// RetrainAll refits every axis model from its matrix as it stands, here and
+// now. This is the cost a from-scratch reconstruction pays at an arrival (the
+// paper's SVD + PQ-reconstruction per submission); the engine otherwise
+// amortizes it via fold-in plus periodic retraining. The five retrains run on
+// the axis fan-out pool; each touches only its own axis, so results match the
+// sequential loop.
 func (e *Engine) RetrainAll() {
 	par.ParFor(e.workers, int(numAxes), func(i int) {
 		e.axes[i].train()
+		e.axes[i].fit()
 	})
 }
 
-// EnsureTrained trains any axis that has rows but no model yet. Callers must
-// invoke it before a detached (concurrent, read-only) classification pass so
-// the fan-out folds in against frozen models instead of racing to train.
+// EnsureTrained brings every axis model up to its latest retrain point: it
+// fits whatever is pending, and trains any axis that has rows but was never
+// trained. Callers must invoke it before a detached (concurrent, read-only)
+// classification pass so the fan-out folds in against settled models instead
+// of racing to fit.
 func (e *Engine) EnsureTrained() {
 	t0 := e.prof.Begin()
 	defer e.prof.End(prof.SubClassify, t0)
 	par.ParFor(e.workers, int(numAxes), func(i int) {
 		a := e.axes[i]
-		if a.model == nil && a.mat.Rows > 0 {
+		if !a.trained() && a.mat.Rows > 0 {
 			a.train()
 		}
+		a.fit()
 	})
+}
+
+// TrainStats returns each axis's retraining counters, indexed by Axis.
+func (e *Engine) TrainStats() []AxisTrainStats {
+	out := make([]AxisTrainStats, numAxes)
+	for i, a := range e.axes {
+		out[i] = a.stats
+	}
+	return out
 }
 
 // Rows returns the number of workloads in the matrices.
@@ -458,13 +523,15 @@ func (e *Engine) Classify(w *workload.Instance, p Prober) *Estimates {
 	return e.estimatesFromProbe(w, row, po)
 }
 
-// ClassifyDetached classifies w against the engine's frozen models without
+// ClassifyDetached classifies w against the engine's settled models without
 // touching engine state: probes come through the supplied RNG (derive it
 // from the engine stream in input order before fanning out), and the row
-// estimate folds in against the current models. It is the concurrent half of
-// a batch classification — call EnsureTrained first, run ClassifyDetached
-// across workloads on the pool, then Append each returned ProbeObs in input
-// order so the matrices grow exactly as a sequential pass would.
+// estimate folds in against the models as last fitted. It is the concurrent
+// half of a batch classification — call EnsureTrained first (it fits any
+// retrain point still pending; without it the fold-in is against the model
+// before that point), run ClassifyDetached across workloads on the pool, then
+// Append each returned ProbeObs in input order so the matrices grow exactly
+// as a sequential pass would.
 //
 // Detached estimates differ from Classify's in one way: they do not see the
 // other workloads of the same batch (fold-in is against the models as of the

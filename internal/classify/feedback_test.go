@@ -107,9 +107,11 @@ func TestBetaWeightsObservedPoints(t *testing.T) {
 }
 
 // TestFeedbackRetrainProfiledAsClassify: the monitor's feedback loop reaches
-// retraining through CorrectWith → Engine.Feedback from inside a runtime
-// tick. With a real profiler, that retrain must be booked to the classify
-// subsystem and not to the tick section it is nested in.
+// a retrain point through CorrectWith → Engine.Feedback from inside a runtime
+// tick. That books one cheap classify section per feedback and fits nothing;
+// the fit is paid by the next reader — Reclassify, Classify or EnsureTrained —
+// and, with a real profiler, booked to the classify subsystem there and not
+// to the tick section it is nested in.
 func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 	e, u := testSetup(t, 2)
 	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
@@ -118,30 +120,57 @@ func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 
 	p := prof.New()
 	e.SetProfiler(p)
+	stat := func(sub prof.Subsystem) (st prof.SubsystemStat) {
+		for _, row := range p.Snapshot().Subsystems {
+			if row.Name == sub.String() {
+				st = row
+			}
+		}
+		return st
+	}
 	het := e.axes[AxisHetero]
-	before, feedbacks := het.model, 0
+	before, start, feedbacks := het.model, het.stats, 0
+
 	tick := p.Begin()
-	for het.model == before {
+	for het.stats.Points == start.Points {
 		if feedbacks++; feedbacks > 10*het.retrainThreshold() {
-			t.Fatal("feedback never triggered a retrain")
+			t.Fatal("feedback never reached a retrain point")
 		}
 		es.CorrectWith(es.JobPerf(nodes)*0.5, nodes)
 	}
 	p.End(prof.SubRuntime, tick)
+	if het.model != before || het.stats.Fits != start.Fits || !het.pending {
+		t.Fatalf("feedback past the threshold fitted a model: stats %+v → %+v, pending %v", start, het.stats, het.pending)
+	}
+	if got := stat(prof.SubClassify).Calls; got != int64(feedbacks) {
+		t.Fatalf("classify sections = %d, want one per feedback (%d)", got, feedbacks)
+	}
 
-	var classify, runtime prof.SubsystemStat
-	for _, row := range p.Snapshot().Subsystems {
-		switch row.Name {
-		case prof.SubClassify.String():
-			classify = row
-		case prof.SubRuntime.String():
-			runtime = row
+	w2 := u.New(workload.Spec{Type: workload.Spark, Family: -1, MaxNodes: 4})
+	reprobe, probe2 := NewGroundTruthProber(w, e.Platforms, sim.NewRNG(6)), NewGroundTruthProber(w2, e.Platforms, sim.NewRNG(7))
+	for _, reader := range []struct {
+		name string
+		read func()
+	}{
+		{"Reclassify", func() { e.Reclassify(w, reprobe) }},
+		{"EnsureTrained", e.EnsureTrained},
+		{"Classify", func() { e.Classify(w2, probe2) }},
+	} {
+		name, read := reader.name, reader.read
+		if !het.pending {
+			het.train() // the previous reader resolved it
 		}
-	}
-	if classify.Calls != int64(feedbacks) {
-		t.Fatalf("classify sections = %d, want one per feedback (%d)", classify.Calls, feedbacks)
-	}
-	if classify.Seconds <= runtime.Seconds {
-		t.Fatalf("retrain booked to the tick: classify %.6fs, runtime_tick %.6fs", classify.Seconds, runtime.Seconds)
+		classify0, runtime0, fit0 := stat(prof.SubClassify), stat(prof.SubRuntime), het.stats
+		tick = p.Begin()
+		read()
+		p.End(prof.SubRuntime, tick)
+		fit := het.stats.FitSeconds - fit0.FitSeconds
+		if het.pending || het.stats.Fits != fit0.Fits+1 || fit <= 0 {
+			t.Fatalf("%s did not fit the pending retrain point: stats %+v → %+v", name, fit0, het.stats)
+		}
+		classify, runtime := stat(prof.SubClassify).Seconds-classify0.Seconds, stat(prof.SubRuntime).Seconds-runtime0.Seconds
+		if classify < fit || runtime >= classify {
+			t.Fatalf("%s: fit of %.6fs booked to the tick: classify +%.6fs, runtime_tick +%.6fs", name, fit, classify, runtime)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package classify
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"quasar/internal/cf"
 	"quasar/internal/cluster"
@@ -40,20 +41,58 @@ func (e *Engine) MarshalSnapshot() ([]byte, error) {
 }
 
 // LoadSnapshot replaces the engine's matrices with the snapshot's and
-// retrains every axis model. Column layouts must match the engine's
-// configuration (same platforms and grids).
+// refits every axis model. Column layouts must match the engine's
+// configuration (same platforms and grids). The whole snapshot is validated
+// before anything is replaced: on error the engine is as it was.
 func (e *Engine) LoadSnapshot(snap *EngineSnapshot) error {
-	if len(snap.Axes) != int(numAxes) {
-		return fmt.Errorf("classify: snapshot has %d axes, engine %d", len(snap.Axes), int(numAxes))
+	if err := e.validateSnapshot(snap); err != nil {
+		return err
 	}
 	for i, rows := range snap.Axes {
 		a := e.axes[i]
 		a.mat = cf.NewSparseFrom(a.mat.Cols, rows)
 		a.train()
+		a.fit()
 	}
 	e.rowOf = make(map[string]int, len(snap.RowOf))
 	for id, row := range snap.RowOf {
 		e.rowOf[id] = row
+	}
+	return nil
+}
+
+// validateSnapshot rejects a snapshot this engine cannot hold: a snapshot
+// file is outside input, and a bad one must fail the restore, not panic the
+// standby or poison the next fit.
+func (e *Engine) validateSnapshot(snap *EngineSnapshot) error {
+	if snap == nil {
+		return fmt.Errorf("classify: snapshot carries no engine state")
+	}
+	if len(snap.Axes) != int(numAxes) {
+		return fmt.Errorf("classify: snapshot has %d axes, engine %d", len(snap.Axes), int(numAxes))
+	}
+	rows := len(snap.Axes[0])
+	for i, axisRows := range snap.Axes {
+		a := e.axes[i]
+		if len(axisRows) != rows {
+			return fmt.Errorf("classify: snapshot axis %s has %d rows, axis %s has %d",
+				a.name, len(axisRows), e.axes[0].name, rows)
+		}
+		for r, row := range axisRows {
+			for col, v := range row {
+				if col < 0 || col >= a.mat.Cols {
+					return fmt.Errorf("classify: snapshot axis %s row %d: column %d outside [0,%d)", a.name, r, col, a.mat.Cols)
+				}
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("classify: snapshot axis %s row %d column %d: non-finite value %v", a.name, r, col, v)
+				}
+			}
+		}
+	}
+	for id, row := range snap.RowOf {
+		if row < 0 || row >= rows {
+			return fmt.Errorf("classify: snapshot maps workload %s to row %d, matrices have %d rows", id, row, rows)
+		}
 	}
 	return nil
 }

@@ -9,7 +9,7 @@
 // analyzer enforces it). Profiling is the one legitimate consumer of real
 // time, and it must never leak back in: a Profiler only accumulates durations
 // into its own state and reports them through its own Snapshot/WriteReport
-// paths, which no simulation output embeds. wallNow below is the package's
+// paths, which no simulation output embeds. Now below is the package's
 // single wall-clock read and is allowlisted by name in the analyzer; adding a
 // second time.Now call anywhere under internal/obs fails lint.
 //
@@ -26,10 +26,12 @@ import (
 	"time"
 )
 
-// wallNow is the profiler's only wall-clock read (monotonic nanoseconds).
-// It is allowlisted in the determinism analyzer; route every time measurement
-// through it.
-func wallNow() int64 { return time.Since(base).Nanoseconds() }
+// Now is the profiler's only wall-clock read (monotonic nanoseconds). It is
+// allowlisted in the determinism analyzer; route every time measurement
+// through it. Exported for the few callers that keep a plain duration counter
+// of their own beside a Profiler (classify.TrainStats); the same rule binds
+// them: the reading may only ever feed a report, never a simulation output.
+func Now() int64 { return time.Since(base).Nanoseconds() }
 
 // base anchors the monotonic clock; time.Since uses the monotonic reading,
 // immune to wall-clock steps from NTP.
@@ -75,7 +77,7 @@ func (s Subsystem) String() string {
 
 // frame is one open section on the attribution stack.
 type frame struct {
-	t0    int64 // wallNow at Begin
+	t0    int64 // Now at Begin
 	child int64 // nanoseconds consumed by nested sections
 }
 
@@ -93,7 +95,7 @@ type Profiler struct {
 }
 
 // New returns a running profiler.
-func New() *Profiler { return &Profiler{start: wallNow(), stack: make([]frame, 0, 16)} }
+func New() *Profiler { return &Profiler{start: Now(), stack: make([]frame, 0, 16)} }
 
 // Enabled reports whether the profiler records (false for nil).
 func (p *Profiler) Enabled() bool { return p != nil }
@@ -105,7 +107,7 @@ func (p *Profiler) Begin() int64 {
 	if p == nil {
 		return 0
 	}
-	t0 := wallNow()
+	t0 := Now()
 	p.stack = append(p.stack, frame{t0: t0})
 	return t0
 }
@@ -122,7 +124,7 @@ func (p *Profiler) End(s Subsystem, t0 int64) {
 	if top.t0 != t0 { // mismatched Begin/End pair: drop rather than corrupt
 		return
 	}
-	elapsed := wallNow() - t0
+	elapsed := Now() - t0
 	p.nanos[s] += elapsed - top.child
 	p.calls[s]++
 	if n := len(p.stack); n > 0 {
@@ -155,7 +157,7 @@ func (p *Profiler) Snapshot() Snapshot {
 	if p == nil {
 		return Snapshot{}
 	}
-	wall := float64(wallNow()-p.start) / 1e9
+	wall := float64(Now()-p.start) / 1e9
 	snap := Snapshot{WallSeconds: wall}
 	var attributed float64
 	for s := Subsystem(0); s < numSubsystems; s++ {

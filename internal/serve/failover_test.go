@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"quasar/internal/obs"
@@ -109,5 +111,83 @@ func TestSnapshotVerifyCatchesDivergence(t *testing.T) {
 	}
 	if _, err := Replay(journalB, ReplayOptions{Snapshot: snap}); err == nil {
 		t.Fatal("replay of journal B verified journal A's snapshot")
+	}
+}
+
+// TestCorruptSnapshotFailsTheRestore: a snapshot file that decodes but whose
+// classification state is corrupt — no engine section, a missing axis, a
+// column outside the grid, ragged matrices, a row index past the last row —
+// is reported as an error by snapshot verification, by the failover replay
+// and by the restore itself (the standby's take-over move, which used to
+// panic on it); nothing crashes.
+func TestCorruptSnapshotFailsTheRestore(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.journal")
+	snapPath := filepath.Join(dir, "run.snapshot.json")
+	cfg := Config{Servers: 16, Seed: 31}
+	script := []ScriptEntry{
+		{At: 1, Submit: &SubmitRequest{Type: "single-node", Family: -1, BestEffort: true}},
+		{At: 2, Submit: &SubmitRequest{Type: "webserver", Family: -1, QPS: 5000, LatencyUS: 800, MaxNodes: 2}},
+	}
+	if _, err := BuildJournal(journal, cfg, 40, script); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(journal, ReplayOptions{SnapshotPath: snapPath, SnapshotEverySecs: 20}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := LoadSnapshot(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type object = map[string]any
+	axes := func(mgr object) []any { return mgr["engine"].(object)["axes"].([]any) }
+	for name, corrupt := range map[string]func(mgr object){
+		"no engine section":   func(mgr object) { mgr["engine"] = nil },
+		"missing axis":        func(mgr object) { mgr["engine"].(object)["axes"] = axes(mgr)[:4] },
+		"column off the grid": func(mgr object) { axes(mgr)[2].([]any)[0].(object)["99"] = 1.0 },
+		"ragged matrices":     func(mgr object) { mgr["engine"].(object)["axes"].([]any)[4] = axes(mgr)[4].([]any)[:3] },
+		"row past the end":    func(mgr object) { mgr["engine"].(object)["row_of"].(object)["ghost-0001"] = 1 << 20 },
+	} {
+		var mgr object
+		if err := json.Unmarshal(good.Manager, &mgr); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(mgr)
+		bad := *good
+		if bad.Manager, err = json.Marshal(mgr); err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "corrupt.snapshot.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The file-level checks cannot see inside the manager state.
+		snap, err := LoadSnapshot(path)
+		if err != nil {
+			t.Fatalf("%s: LoadSnapshot: %v", name, err)
+		}
+		if _, err := Replay(journal, ReplayOptions{Snapshot: snap}); err == nil {
+			t.Errorf("%s: -verify-snapshot passed a corrupt snapshot", name)
+		}
+		if _, err := Replay(journal, ReplayOptions{Snapshot: snap, Failover: true}); err == nil {
+			t.Errorf("%s: failover replay took over from a corrupt snapshot", name)
+		}
+		w, err := buildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := w.q
+		if err := failover(w, snap); err == nil || !strings.Contains(err.Error(), "restoring manager snapshot") {
+			t.Errorf("%s: restore returned %v, want a restore error", name, err)
+		}
+		if w.q != before {
+			t.Errorf("%s: a failed restore installed its manager", name)
+		}
+		_ = w.tracer.Close()
 	}
 }
