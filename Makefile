@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-parallel bench-obs bench-chaos bench-slo bench-scale bench-obs-scale bench-obs-scale-quick bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff fmt-check ci
+.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-parallel bench-obs bench-chaos bench-slo bench-obs-scale bench-obs-scale-quick bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff fmt-check ci
 
 all: build
 
@@ -60,12 +60,6 @@ bench-chaos:
 ## bench-slo: time a scenario with the SLO engine off vs on, refresh BENCH_slo.json
 bench-slo:
 	$(GO) run ./cmd/quasar-bench -slobench-out BENCH_slo.json slobench
-
-## bench-scale: sweep cluster sizes (100 -> 10k servers), time indexed vs
-## full-scan scheduling and calendar vs heap event cores, refresh
-## BENCH_scale.json, and fail below the scaling contract
-bench-scale:
-	$(GO) run ./cmd/quasar-bench -scalebench-out BENCH_scale.json scalebench
 
 ## bench-obs-scale: time the at-scale scenario untraced vs streaming-traced
 ## (1k and 10k servers), refresh BENCH_obs_scale.json, and fail over the 10%

@@ -30,12 +30,6 @@
 // writes the record to -allocbench-out (default BENCH_alloc.json); counts
 // over the committed budgets exit non-zero.
 //
-// The "scalebench" artifact (not in the default suite) sweeps cluster sizes
-// (100 → 10k servers), timing indexed vs full-scan scheduling and the
-// calendar-queue vs heap event cores, and writes the record to
-// -scalebench-out (default BENCH_scale.json); speedups below the scaling
-// contract exit non-zero.
-//
 // The "obsscale" artifact (not in the default suite) times the at-scale
 // scenario untraced vs traced through the streaming sink at 1k and 10k
 // servers and writes events/sec, overhead fraction, and the tracer's
@@ -71,7 +65,6 @@ func main() {
 	chaosbenchOut := flag.String("chaosbench-out", "BENCH_chaos.json", "output path for the chaosbench artifact")
 	slobenchOut := flag.String("slobench-out", "BENCH_slo.json", "output path for the slobench artifact")
 	allocbenchOut := flag.String("allocbench-out", "BENCH_alloc.json", "output path for the allocbench artifact")
-	scalebenchOut := flag.String("scalebench-out", "BENCH_scale.json", "output path for the scalebench artifact")
 	obsscaleOut := flag.String("obsscale-out", "BENCH_obs_scale.json", "output path for the obsscale artifact")
 	flag.Parse()
 	par.SetDefaultWorkers(*workers)
@@ -283,16 +276,6 @@ func main() {
 			die(err)
 			res.Print(os.Stdout)
 			die(res.WriteJSON(*allocbenchOut))
-			die(res.Check())
-		case "scalebench":
-			cfg := experiments.DefaultScaleBenchConfig()
-			if *quick {
-				cfg = experiments.QuickScaleBenchConfig()
-			}
-			res, err := experiments.ScaleBench(cfg)
-			die(err)
-			res.Print(os.Stdout)
-			die(res.WriteJSON(*scalebenchOut))
 			die(res.Check())
 		case "obsscale":
 			cfg := experiments.DefaultObsScaleConfig()

@@ -8,7 +8,7 @@ import "fmt"
 // index is maintained incrementally — every mutation that can change a
 // server's schedulability or free capacity (place, remove, resize, fault
 // state, probe/degrade/isolation changes) reclassifies just that server —
-// so the scheduler's ranking fast path never scans the full server list.
+// so the scheduler's ranking never scans the full server list.
 //
 // Pristine servers (no placements, no injected pressure of any kind) are
 // special because their ranking inputs are bit-identical across a platform:
@@ -156,8 +156,7 @@ func (s *Server) reindex() {
 // recomputeEv refreshes the cached free-after-eviction capacity and the
 // evictable (best-effort) placement list. The accumulation order — free
 // memory first, then best-effort allocations in workload-ID order — is
-// exactly the scheduler's full-scan expression, so the cached float is
-// bit-identical to an on-demand recomputation.
+// fixed, so the cached float is bit-identical to an on-demand recomputation.
 func (s *Server) recomputeEv() {
 	cores, mem := s.FreeCores(), s.FreeMemGB()
 	be := s.beList[:0]

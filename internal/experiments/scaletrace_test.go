@@ -9,9 +9,12 @@ import (
 
 // TestScaleTraceDeterministicAcrossWorkers pins the determinism contract at
 // scale: a 1k-server / 10k-workload scenario (shortened horizon) must emit a
-// byte-identical trace for every worker count. This is the test that would
-// catch an index- or calendar-queue-induced ordering change that the 40- and
-// 200-server trace-diff lanes are too small to surface.
+// byte-identical trace for every worker count, at a size where the parallel
+// fan-out and the free-resource index carry thousands of entries that the
+// 40- and 200-server scenarios never reach. It sees only divergence that
+// depends on the worker count; a deterministic change to ranking or event
+// order shows as a byte change against the previous commit's trace from the
+// scale row of `make trace-diff`.
 func TestScaleTraceDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the at-scale scenario once per worker count")

@@ -90,12 +90,6 @@ type Options struct {
 	// knob).
 	IgnoreHeterogeneity bool
 
-	// FullScan forces ranking to sweep every server instead of consulting
-	// the cluster's free-resource index. The two paths produce identical
-	// candidate orderings (the oracletest package holds them to it); the
-	// full scan is kept as the oracle and as an escape hatch.
-	FullScan bool
-
 	// SpreadZones makes multi-node assignments prefer servers in fault
 	// zones the workload does not occupy yet (§4.4 fault-zone extension):
 	// among near-equal candidates, a new zone wins.
@@ -160,21 +154,6 @@ type candidate struct {
 	evictable []*cluster.Placement // best-effort residents
 }
 
-// freeAfterEviction returns the capacity available counting best-effort
-// residents as removable.
-func freeAfterEviction(s *cluster.Server) (cores int, mem float64, evictable []*cluster.Placement) {
-	cores, mem = s.FreeCores(), s.FreeMemGB()
-	for _, pl := range s.Placements() {
-		if pl.BestEffort {
-			cores += pl.Alloc.Cores
-			mem += pl.Alloc.MemoryGB
-			//lint:allow(hotalloc) nil in the common case: only allocates when best-effort residents are present
-			evictable = append(evictable, pl)
-		}
-	}
-	return cores, mem, evictable
-}
-
 // candSorter sorts ranked candidates by decreasing quality. It lives as a
 // field on the Scheduler so sort.Sort receives an interior pointer and the
 // interface conversion never allocates (sort.Slice's closure would).
@@ -199,9 +178,7 @@ func (cs *candSorter) Less(i, j int) bool {
 }
 
 // appraise builds the ranked candidate for one server given its
-// free-after-eviction capacity. It is the single quality computation shared
-// by the full-scan and indexed ranking paths: both feed it identical inputs,
-// so the resulting candidates are bit-identical.
+// free-after-eviction capacity: the one quality computation of the ranking.
 func (s *Scheduler) appraise(req *Request, srv *cluster.Server, pidx, cores int, mem float64, evictable []*cluster.Placement) candidate {
 	var quality float64
 	switch {
@@ -232,55 +209,27 @@ func (s *Scheduler) appraise(req *Request, srv *cluster.Server, pidx, cores int,
 	}
 }
 
-// rank orders servers by decreasing quality for this request, through the
-// index fast path unless the FullScan option (or an index-less cluster)
-// forces the sweep. Both paths produce the same ordering: the candidate set
-// is identical by construction and the comparator is a total order (quality,
-// then whole-node capacity, then server ID), so sorting erases any
-// difference in traversal order. The returned slice aliases the scheduler's
-// scratch buffer and is valid until the next Schedule call.
+// rank orders servers by decreasing quality for this request. The
+// comparator is a total order (quality, then whole-node capacity, then
+// server ID), so the ordering does not depend on the index's traversal
+// order. The returned slice aliases the scheduler's scratch buffer and is
+// valid until the next Schedule call.
 func (s *Scheduler) rank(req *Request) []candidate {
-	var cands []candidate
-	if s.Opts.FullScan || s.Cluster.Idx() == nil {
-		cands = s.rankScan(req, s.candBuf[:0])
-	} else {
-		cands = s.rankIndexed(req, s.candBuf[:0])
-	}
+	cands := s.rankIndexed(req, s.candBuf[:0])
 	s.candBuf = cands
 	s.sorter.cands = cands
 	sort.Sort(&s.sorter)
 	return cands
 }
 
-// rankScan is the original full sweep over every server, kept as the oracle
-// for the indexed path and as the fallback for index-less clusters.
-func (s *Scheduler) rankScan(req *Request, cands []candidate) []candidate {
-	for _, srv := range s.Cluster.Servers {
-		if !srv.Schedulable() {
-			// Never place on a down, partitioned, or detector-suspect
-			// server: a suspect either dies (placement lost) or clears
-			// within a beat, and waiting is far cheaper than displacing.
-			continue
-		}
-		cores, mem, evictable := freeAfterEviction(srv)
-		if cores < 1 || mem <= 0 {
-			continue
-		}
-		pidx := s.Cluster.PlatformIndex(srv.Platform.Name)
-		//lint:allow(hotalloc) append into receiver-owned scratch: grows to cluster size once, then steady-state reuses capacity
-		cands = append(cands, s.appraise(req, srv, pidx, cores, mem, evictable))
-	}
-	return cands
-}
-
-// rankIndexed consults the cluster's free-resource index instead of sweeping:
-// full and unschedulable servers are never visited, and pristine servers —
-// whose ranking inputs are bit-identical within a platform — are appraised
-// once per platform and stamped. The per-candidate values match rankScan's
-// exactly: capacity comes from the index cache (maintained with the same
-// accumulation order as freeAfterEviction), and pristine servers have
-// exactly-zero pressure by construction, so the shared appraisal of a
-// representative equals the appraisal of each member.
+// rankIndexed appends one candidate per schedulable server with free
+// capacity, read from the cluster's free-resource index: full and
+// unschedulable servers (down, partitioned, or detector-suspect) are never
+// visited, and pristine servers — whose ranking inputs are bit-identical
+// within a platform — are appraised once per platform and stamped. Stamping
+// is exact because pristine servers have exactly-zero pressure by
+// construction, so the shared appraisal of a representative equals the
+// appraisal of each member.
 func (s *Scheduler) rankIndexed(req *Request, cands []candidate) []candidate {
 	ix := s.Cluster.Idx()
 	for pidx := range s.Cluster.Platforms {
@@ -307,9 +256,7 @@ func (s *Scheduler) rankIndexed(req *Request, cands []candidate) []candidate {
 	return cands
 }
 
-// RankedCandidate is an externally visible snapshot of one ranked server,
-// exposed so differential tests can compare the indexed and full-scan
-// ranking paths field by field.
+// RankedCandidate is an externally visible snapshot of one ranked server.
 type RankedCandidate struct {
 	ServerID   int
 	Platform   string
@@ -322,8 +269,8 @@ type RankedCandidate struct {
 }
 
 // RankCandidates ranks the cluster for the request and returns a snapshot
-// of the ordering. It does not mutate the cluster. Intended for tests and
-// diagnostics; Schedule uses the internal ranking directly.
+// of the ordering. It does not mutate the cluster. Intended for diagnostics
+// and probes; Schedule uses the internal ranking directly.
 func (s *Scheduler) RankCandidates(req *Request) []RankedCandidate {
 	cands := s.rank(req)
 	out := make([]RankedCandidate, len(cands))
@@ -388,7 +335,6 @@ type sizeOption struct {
 // least memory within 95% of the best for that count (freeing memory the
 // workload does not need).
 func (s *Scheduler) rightSizeAlloc(req *Request, cand candidate, want float64) (cluster.Alloc, float64) {
-	_, freeMem, _ := freeAfterEviction(cand.server)
 	pressure := cand.server.PressureOn(req.W.ID)
 	if s.Opts.IgnoreInterference {
 		pressure = cluster.ResVec{}
@@ -403,7 +349,7 @@ func (s *Scheduler) rightSizeAlloc(req *Request, cand candidate, want float64) (
 			continue
 		}
 		// Most memory we could give at this core count.
-		maxMem := math.Min(freeMem, cand.server.Platform.MemoryGB)
+		maxMem := math.Min(cand.freeMem, cand.server.Platform.MemoryGB)
 		if maxMem <= 0 {
 			continue
 		}
@@ -590,10 +536,9 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		var perf float64
 		if s.Opts.ScaleOutFirst {
 			// Ablation: spread minimal slices across many servers.
-			_, freeMem, _ := freeAfterEviction(cand.server)
 			alloc = cluster.Alloc{
 				Cores:    minInt(2, cand.freeCores),
-				MemoryGB: math.Min(freeMem, 4),
+				MemoryGB: math.Min(cand.freeMem, 4),
 			}
 			if !alloc.Valid() {
 				continue

@@ -3,13 +3,8 @@
 // The engine maintains a virtual clock in seconds and a pending-event queue.
 // Events are closures scheduled at absolute virtual times; ties are broken by
 // scheduling order so runs are fully deterministic. Recurring activities
-// (progress integration, monitoring) are expressed as periodic ticks.
-//
-// Two queue implementations exist behind one contract: the default calendar
-// queue (a bucketed timing wheel with O(1) amortized schedule/pop) and the
-// original binary heap, kept as the reference oracle. Fire order — and
-// therefore every trace byte — is identical between them; the differential
-// tests in oracletest and FuzzCalendarVsHeap enforce it.
+// (progress integration, monitoring) are expressed as periodic ticks. The
+// pending events live in a binary heap ordered by (time, scheduling order).
 package sim
 
 import (
@@ -27,27 +22,14 @@ type event struct {
 	seq   uint64
 	id    EventID
 	fn    func()
-	index int   // queue position hint, -1 when popped or cancelled
-	epoch int64 // calendar home window (floor(at/width)); owned by calendarQueue
+	index int // heap position, -1 when popped or cancelled
 }
-
-// QueueKind selects the engine's pending-event queue implementation.
-type QueueKind int
-
-const (
-	// QueueCalendar is the default: a bucketed timing wheel with O(1)
-	// amortized schedule/pop.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the original container/heap core, kept as the reference
-	// oracle for the differential and fuzz tests.
-	QueueHeap
-)
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
 	now     float64
-	q       eventQueue
+	q       eventHeap
 	nextSeq uint64
 	nextID  EventID
 	live    map[EventID]*event
@@ -64,24 +46,9 @@ type Engine struct {
 	Prof *prof.Profiler
 }
 
-// NewEngine returns an engine with the clock at zero and no pending events,
-// on the default calendar queue.
+// NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return NewEngineWithQueue(QueueCalendar)
-}
-
-// NewEngineWithQueue returns an engine on the chosen queue implementation.
-// Results are byte-identical across kinds; QueueHeap exists as the oracle
-// for the differential tests and as an escape hatch.
-func NewEngineWithQueue(kind QueueKind) *Engine {
-	var q eventQueue
-	switch kind {
-	case QueueHeap:
-		q = &heapQueue{}
-	default:
-		q = newCalendarQueue()
-	}
-	return &Engine{q: q, live: make(map[EventID]*event)}
+	return &Engine{live: make(map[EventID]*event)}
 }
 
 // Now returns the current virtual time in seconds.
@@ -153,7 +120,7 @@ func (e *Engine) Cancel(id EventID) bool {
 }
 
 // Pending reports the number of events waiting to fire.
-func (e *Engine) Pending() int { return e.q.len() }
+func (e *Engine) Pending() int { return len(e.q) }
 
 // NextAt reports the virtual time of the earliest pending event, and whether
 // one exists. It never fires or removes anything — a status probe for live

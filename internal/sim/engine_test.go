@@ -236,3 +236,126 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestHeapDrainSorted pushes a scrambled time series with deliberate exact
+// ties straight into the event heap and requires pops in exact (at, seq)
+// order.
+func TestHeapDrainSorted(t *testing.T) {
+	var q eventHeap
+	rng := NewRNG(41)
+	const n = 5000
+	evs := make([]*event, n)
+	for i := 0; i < n; i++ {
+		at := rng.Uniform(0, 1000)
+		if i%17 == 0 {
+			at = float64(i % 97) // deliberate exact ties
+		}
+		evs[i] = &event{at: at, seq: uint64(i)}
+		q.push(evs[i])
+	}
+	want := append([]*event(nil), evs...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	for i, w := range want {
+		got := q.pop()
+		if got == nil {
+			t.Fatalf("pop %d: queue empty early", i)
+		}
+		if got != w {
+			t.Fatalf("pop %d: got (at=%v seq=%d), want (at=%v seq=%d)",
+				i, got.at, got.seq, w.at, w.seq)
+		}
+	}
+	if q.pop() != nil {
+		t.Fatal("queue should be empty")
+	}
+}
+
+// TestCancelAfterFire is the regression test for the recycled-record hazard:
+// cancelling an event that already fired — after its record has been
+// recycled into a NEW event — must be a no-op and must not destroy the new
+// event. This and the two cancel tests below run in a subtest named for the
+// engine's event queue, the binary heap.
+func TestCancelAfterFire(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
+		fired := map[string]int{}
+		stale := e.After(1, func() { fired["a"]++ })
+		if !e.Step() {
+			t.Fatal("step failed")
+		}
+		// The freelist now holds a's record; this Schedule reuses it.
+		e.After(1, func() { fired["b"]++ })
+		if e.Cancel(stale) {
+			t.Error("cancel of an already-fired event reported success")
+		}
+		if got := e.Pending(); got != 1 {
+			t.Fatalf("stale cancel corrupted the queue: %d pending, want 1", got)
+		}
+		e.RunAll()
+		if fired["a"] != 1 || fired["b"] != 1 {
+			t.Fatalf("fired = %v, want a:1 b:1", fired)
+		}
+	})
+}
+
+// TestDoubleCancel cancels the same event twice: the first must succeed, the
+// second must be a no-op even after the record has been reissued to a new
+// event.
+func TestDoubleCancel(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
+		fired := 0
+		id := e.After(5, func() { fired++ })
+		if !e.Cancel(id) {
+			t.Fatal("first cancel should succeed")
+		}
+		if e.Cancel(id) {
+			t.Error("second cancel reported success")
+		}
+		// Reissue the recycled record, then double-cancel again: the stale id
+		// must not reach the new event through the freelist.
+		e.After(1, func() { fired += 10 })
+		if e.Cancel(id) {
+			t.Error("stale cancel after reissue reported success")
+		}
+		if got := e.Pending(); got != 1 {
+			t.Fatalf("%d pending, want 1", got)
+		}
+		e.RunAll()
+		if fired != 10 {
+			t.Fatalf("fired = %d, want 10 (survivor only)", fired)
+		}
+	})
+}
+
+// TestCancelInsideCallback cancels the currently-firing event and a sibling
+// from inside a callback: self-cancel is a no-op, sibling-cancel works, and
+// the queue stays consistent.
+func TestCancelInsideCallback(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		e := NewEngine()
+		var self, sibling EventID
+		siblingFired := false
+		self = e.After(1, func() {
+			if e.Cancel(self) {
+				t.Error("self-cancel of the firing event reported success")
+			}
+			if !e.Cancel(sibling) {
+				t.Error("sibling cancel should succeed")
+			}
+		})
+		sibling = e.After(2, func() { siblingFired = true })
+		e.RunAll()
+		if siblingFired {
+			t.Error("cancelled sibling fired")
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("%d pending, want 0", e.Pending())
+		}
+	})
+}

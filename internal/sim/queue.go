@@ -1,36 +1,10 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "container/heap"
 
-// eventQueue is the engine's pending-event store. Two implementations exist:
-// the original binary heap (the reference/oracle) and the calendar queue
-// (the default). Both pop events in strictly increasing (at, seq) order —
-// the engine's determinism contract — and the differential tests in
-// oracletest plus FuzzCalendarVsHeap hold them byte-identical.
-type eventQueue interface {
-	// push inserts a pending event. ev.index is owned by the queue while
-	// the event is inside it and is < 0 once popped or removed.
-	push(ev *event)
-	// pop removes and returns the minimum event by (at, seq), or nil when
-	// the queue is empty.
-	pop() *event
-	// peekAt returns the minimum pending event time without removing it.
-	peekAt() (float64, bool)
-	// remove deletes a specific pending event. It reports false — and
-	// leaves the queue untouched — when the event is not currently queued
-	// (already fired, already removed, or recycled), so a stale handle can
-	// never corrupt the structure.
-	remove(ev *event) bool
-	// len reports the number of pending events.
-	len() int
-}
-
-// ---------------------------------------------------------------------------
-// Binary-heap implementation (the original engine core, kept as the oracle).
-
+// eventHeap is the engine's pending-event store: a binary min-heap ordered by
+// (at, seq), the engine's determinism contract. ev.index is owned by the heap
+// while the event is inside it and is < 0 once popped or removed.
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -66,302 +40,32 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-// heapQueue adapts eventHeap to the eventQueue interface.
-type heapQueue struct{ h eventHeap }
+func (h *eventHeap) push(ev *event) { heap.Push(h, ev) }
 
-func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
+// pop removes and returns the minimum event by (at, seq), or nil when the
+// heap is empty.
+func (h *eventHeap) pop() *event {
+	if len(*h) == 0 {
 		return nil
 	}
-	return heap.Pop(&q.h).(*event)
+	return heap.Pop(h).(*event)
 }
 
-func (q *heapQueue) peekAt() (float64, bool) {
-	if len(q.h) == 0 {
+// peekAt returns the minimum pending event time without removing it.
+func (h eventHeap) peekAt() (float64, bool) {
+	if len(h) == 0 {
 		return 0, false
 	}
-	return q.h[0].at, true
+	return h[0].at, true
 }
 
-func (q *heapQueue) remove(ev *event) bool {
-	if ev.index < 0 || ev.index >= len(q.h) || q.h[ev.index] != ev {
+// remove deletes a specific pending event. It reports false — and leaves the
+// heap untouched — when the event is not currently queued (already fired,
+// already removed, or recycled), so a stale handle can never corrupt it.
+func (h *eventHeap) remove(ev *event) bool {
+	if ev.index < 0 || ev.index >= len(*h) || (*h)[ev.index] != ev {
 		return false
 	}
-	heap.Remove(&q.h, ev.index)
+	heap.Remove(h, ev.index)
 	return true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-// ---------------------------------------------------------------------------
-// Calendar-queue implementation (Brown 1988: a bucketed timing wheel).
-//
-// Events hash into nbuck buckets by floor(at/width) mod nbuck; each bucket is
-// kept sorted by (at, seq). A pop scans forward from the current "epoch" (the
-// bucket-width window containing the last popped time) and harvests the first
-// bucket head that falls inside the scanned window; one full rotation without
-// a harvest falls back to a direct min search over all bucket heads, so
-// far-future or boundary-misrounded events are found regardless of window
-// arithmetic. The bucket count doubles/halves with the population (keeping
-// 0.5 <= n/nbuck <= 2) and the width is re-derived from the live event span
-// at each resize, so schedule and pop stay O(1) amortized.
-//
-// Determinism: every operation is a pure function of the operation sequence
-// — there is no randomization and no reliance on map order — and two events
-// share a bucket iff they can tie on time (equal at hashes identically), so
-// the (at, seq) tie-break inside a bucket is the global tie-break.
-
-// calMinBuckets is the floor bucket count; tiny queues stay a 2-bucket wheel.
-const calMinBuckets = 2
-
-// calMaxSafeEpoch bounds window arithmetic to the range where float64 still
-// resolves individual widths; beyond it the queue serves pops by direct
-// search only (order stays correct, speed degrades, precision was already
-// gone at that magnitude).
-const calMaxSafeEpoch = int64(1) << 52
-
-type calendarQueue struct {
-	buckets [][]*event
-	width   float64
-	nbuck   int // power of two
-	mask    int
-	n       int
-	// epoch is the window index (floor(lastAt/width)) pops resume scanning
-	// from; lastAt is the time of the last popped event. Events are only
-	// ever scheduled at or after the engine clock, which pops keep equal to
-	// lastAt, so no pending event can hash below the epoch window.
-	epoch  int64
-	lastAt float64
-	// spill is resize scratch, reused so redistributions stop allocating
-	// once the queue has seen its peak population.
-	spill []*event
-	// Width-staleness tracking. The width is only re-derived from the live
-	// event span at resize time; a population that stabilizes (no more
-	// doubling/halving) would otherwise keep an early, unrepresentative
-	// width forever — the classic calendar-queue degradation. Pops count
-	// their window-scan effort; when the average effort is high, the wheel
-	// rebuilds at the same size to refresh the width. sinceResize gates the
-	// heuristics so a degenerate distribution (e.g. all events at one time,
-	// where no width helps) cannot trigger rebuild loops: rebuild cost stays
-	// O(1) amortized per operation.
-	scanAcc     int64
-	popAcc      int64
-	sinceResize int
-}
-
-func newCalendarQueue() *calendarQueue {
-	q := &calendarQueue{width: 1, nbuck: calMinBuckets, mask: calMinBuckets - 1}
-	q.buckets = make([][]*event, calMinBuckets)
-	return q
-}
-
-// less orders events by (at, seq) — the engine's global fire order.
-func (q *calendarQueue) less(a, b *event) bool {
-	if a.at != b.at { //lint:allow(floatcmp) equal times must fall through to the seq tie-break
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// epochOf maps a time to its window index, saturating at calMaxSafeEpoch so
-// conversion of enormous quotients never overflows int64.
-func (q *calendarQueue) epochOf(at float64) int64 {
-	t := at / q.width
-	if t >= float64(calMaxSafeEpoch) {
-		return calMaxSafeEpoch
-	}
-	if t < 0 {
-		return 0
-	}
-	return int64(t)
-}
-
-func (q *calendarQueue) push(ev *event) {
-	// The home window is computed once and stored: harvest decisions compare
-	// stored epochs, never re-derived float quotients, so boundary rounding
-	// cannot strand an event in a window that refuses to admit it. Order
-	// stays exact because floor(at/width) is monotone in at — an event of a
-	// higher epoch can never be earlier than one of a lower epoch.
-	ev.epoch = q.epochOf(ev.at)
-	bi := int(ev.epoch) & q.mask
-	b := q.buckets[bi]
-	// Binary search for the insertion point; appends at the tail in the
-	// common case (seq grows monotonically, times mostly do too).
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q.less(b[mid], ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	b = append(b, nil)
-	copy(b[lo+1:], b[lo:])
-	b[lo] = ev
-	q.buckets[bi] = b
-	ev.index = bi
-	q.n++
-	q.sinceResize++
-	switch {
-	case q.n > 2*q.nbuck:
-		q.resize(q.nbuck * 2)
-	case len(b) >= 32 && len(b) > 8*(q.n/q.nbuck+1) && q.sinceResize > q.n:
-		// One bucket is absorbing far more than its share: the width no
-		// longer matches the event distribution. Rebuild at the same size
-		// to re-derive it.
-		q.resize(q.nbuck)
-	}
-}
-
-// search locates the next event to fire: the bucket holding it, the epoch at
-// which the scan found it, and the scan effort (windows visited). It does
-// not mutate the queue, so peeks are free of side effects; pop commits the
-// returned epoch and accounts the effort.
-func (q *calendarQueue) search() (bi int, ep int64, effort int, ok bool) {
-	if q.n == 0 {
-		return 0, 0, 0, false
-	}
-	ep = q.epoch
-	if ep < calMaxSafeEpoch {
-		for i := 0; i < q.nbuck; i++ {
-			bi = int(ep) & q.mask
-			b := q.buckets[bi]
-			// Harvest when the head's stored home window is the scanned
-			// one. Heads of earlier windows cannot exist (pending events
-			// never precede the last pop), and a head of a later window
-			// shadows nothing: events sharing its bucket all belong to
-			// later rotations.
-			if len(b) > 0 && b[0].epoch == ep {
-				return bi, ep, i + 1, true
-			}
-			ep++
-		}
-	}
-	// Direct search: one full rotation found nothing in its own window —
-	// everything pending is at least a rotation ahead. The global min is
-	// the smallest bucket head; distinct buckets cannot tie on time (equal
-	// times share an epoch, hence a bucket), but compare (at, seq) anyway
-	// so the invariant never rests on hashing.
-	var best *event
-	bi = -1
-	for i := range q.buckets {
-		b := q.buckets[i]
-		if len(b) == 0 {
-			continue
-		}
-		if best == nil || q.less(b[0], best) {
-			best = b[0]
-			bi = i
-		}
-	}
-	return bi, best.epoch, 2 * q.nbuck, true
-}
-
-func (q *calendarQueue) pop() *event {
-	bi, ep, effort, ok := q.search()
-	if !ok {
-		return nil
-	}
-	b := q.buckets[bi]
-	ev := b[0]
-	copy(b, b[1:])
-	b[len(b)-1] = nil
-	q.buckets[bi] = b[:len(b)-1]
-	ev.index = -1
-	q.n--
-	q.epoch = ep
-	q.lastAt = ev.at
-	q.sinceResize++
-	q.scanAcc += int64(effort)
-	q.popAcc++
-	switch {
-	case q.n < q.nbuck/2 && q.nbuck > calMinBuckets:
-		q.resize(q.nbuck / 2)
-	case q.popAcc >= 256 && q.scanAcc > 8*q.popAcc && q.sinceResize > q.n:
-		// Pops are wading through empty windows: the width is too small for
-		// the live distribution. Rebuild at the same size to refresh it.
-		q.resize(q.nbuck)
-	}
-	return ev
-}
-
-func (q *calendarQueue) peekAt() (float64, bool) {
-	bi, _, _, ok := q.search()
-	if !ok {
-		return 0, false
-	}
-	return q.buckets[bi][0].at, true
-}
-
-func (q *calendarQueue) remove(ev *event) bool {
-	bi := ev.index
-	if bi < 0 || bi >= len(q.buckets) {
-		return false
-	}
-	b := q.buckets[bi]
-	for i, e := range b {
-		if e == ev {
-			copy(b[i:], b[i+1:])
-			b[len(b)-1] = nil
-			q.buckets[bi] = b[:len(b)-1]
-			ev.index = -1
-			q.n--
-			if q.n < q.nbuck/2 && q.nbuck > calMinBuckets {
-				q.resize(q.nbuck / 2)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-func (q *calendarQueue) len() int { return q.n }
-
-// resize rebuilds the wheel with nbuck buckets and a width re-derived from
-// the live event span, redistributing every pending event. Cost is O(n) per
-// resize; doubling/halving thresholds make it O(1) amortized per operation.
-func (q *calendarQueue) resize(nbuck int) {
-	spill := q.spill[:0]
-	minAt, maxAt := math.Inf(1), math.Inf(-1)
-	for i := range q.buckets {
-		for _, ev := range q.buckets[i] {
-			//lint:allow(hotalloc) resize spill: grows to peak population once, then reused
-			spill = append(spill, ev)
-			if ev.at < minAt {
-				minAt = ev.at
-			}
-			if ev.at > maxAt {
-				maxAt = ev.at
-			}
-		}
-		q.buckets[i] = q.buckets[i][:0]
-	}
-	if nbuck > len(q.buckets) {
-		//lint:allow(hotalloc) wheel growth: amortized away once the queue reaches its peak population
-		q.buckets = append(q.buckets, make([][]*event, nbuck-len(q.buckets))...)
-	}
-	q.nbuck = nbuck
-	q.mask = nbuck - 1
-	// Width: three mean inter-event gaps, so a window holds a handful of
-	// events; degenerate spans (empty, single time) keep the previous width.
-	if len(spill) > 1 && maxAt > minAt {
-		w := 3 * (maxAt - minAt) / float64(len(spill))
-		if w > 1e-12 && !math.IsInf(w, 0) {
-			q.width = w
-		}
-	}
-	q.epoch = q.epochOf(q.lastAt)
-	q.scanAcc, q.popAcc, q.sinceResize = 0, 0, 0
-	q.n = 0 // push re-counts each reinserted event
-	for i, ev := range spill {
-		q.push(ev)
-		spill[i] = nil // don't pin fired closures through the scratch buffer
-	}
-	q.spill = spill[:0]
-	// Redistribution runs through push, which bumps the op counters; reset
-	// so the cooldown starts from this rebuild.
-	q.scanAcc, q.popAcc, q.sinceResize = 0, 0, 0
 }
