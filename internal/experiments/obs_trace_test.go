@@ -24,11 +24,11 @@ var updateObsGolden = flag.Bool("update-obs", false, "rewrite the obs exporter g
 // and best-effort fillers (evictions).
 func tinyTracedScenario(t *testing.T) *obs.Tracer {
 	t.Helper()
-	cfg := ObsBenchConfig{
+	cfg := mixConfig{
 		Hadoop: 1, Spark: 1, Storm: 0, Services: 2, SingleNode: 4, BestEffort: 6,
 		HorizonSecs: 3000, Seed: 7,
 	}
-	s, err := obsBenchRun(cfg, true, false)
+	s, err := runMix(cfg, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 
 	"quasar/internal/loadgen"
 	"quasar/internal/obs"
@@ -24,11 +23,6 @@ type ScaleTraceConfig struct {
 	SubmitGap   float64 // simulated seconds between submissions
 	HorizonSecs float64 // simulated seconds to run
 	Seed        int64
-	// TraceTopK, when > 0, runs the traced variants under the top-K
-	// candidate-truncation control (recorded in the trace header). Full
-	// decision payloads are O(servers) per decision, so the 10k-server
-	// observability point caps them; 0 keeps full fidelity.
-	TraceTopK int
 }
 
 // DefaultScaleTraceConfig returns the committed contract point: 1k servers,
@@ -45,21 +39,14 @@ func DefaultScaleTraceConfig() ScaleTraceConfig {
 	}
 }
 
-// Workloads returns the total submission count of the config.
-func (c ScaleTraceConfig) Workloads() int { return c.Services + c.Single + c.BestEffort }
-
-// runScaleScenario builds the scenario (traced through the given sinks, or
-// with the default buffer when sinks is nil and traced is set), submits the
-// mix, and runs the horizon. All ScaleTrace variants and the obsscale
-// benchmark share this path so they measure and compare the same run.
-func runScaleScenario(cfg ScaleTraceConfig, traced bool, sinks []obs.Sink) (*Scenario, error) {
-	var ctl *obs.Controls
-	if cfg.TraceTopK > 0 {
-		ctl = &obs.Controls{TopK: cfg.TraceTopK}
-	}
+// runScaleScenario builds the traced scenario (through the given sinks, or
+// the default buffer when sinks is nil), submits the mix, and runs the
+// horizon. ScaleTrace and the streamed-trace test share this path so they
+// compare the same run.
+func runScaleScenario(cfg ScaleTraceConfig, sinks []obs.Sink) (*Scenario, error) {
 	s, err := NewScenario(ScenarioConfig{
 		Servers: cfg.Servers, Manager: KindQuasar, Seed: cfg.Seed,
-		MaxNodes: 4, SeedLib: 3, Trace: traced, TraceSinks: sinks, TraceControls: ctl,
+		MaxNodes: 4, SeedLib: 3, Trace: true, TraceSinks: sinks,
 	})
 	if err != nil {
 		return nil, err
@@ -90,7 +77,7 @@ func runScaleScenario(cfg ScaleTraceConfig, traced bool, sinks []obs.Sink) (*Sce
 // ScaleTrace builds the scenario, submits the mix, runs the horizon, and
 // returns the JSONL trace bytes from the buffered exporter.
 func ScaleTrace(cfg ScaleTraceConfig) ([]byte, error) {
-	s, err := runScaleScenario(cfg, true, nil)
+	s, err := runScaleScenario(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -99,21 +86,4 @@ func ScaleTrace(cfg ScaleTraceConfig) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// ScaleTraceStreamed runs the same scenario with the trace streaming
-// incrementally to w through a StreamSink — bounded memory regardless of
-// trace size — and returns the bytes written. The output must be
-// byte-identical to ScaleTrace's for the same config, which the worker-matrix
-// identity test and the trace-diff-stream lane assert.
-func ScaleTraceStreamed(cfg ScaleTraceConfig, w io.Writer) (int64, error) {
-	sink := obs.NewStreamSinkWriter(w)
-	s, err := runScaleScenario(cfg, true, []obs.Sink{sink})
-	if err != nil {
-		return 0, err
-	}
-	if err := s.Tracer.Close(); err != nil {
-		return 0, err
-	}
-	return sink.BytesWritten(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"quasar/internal/obs"
 	"quasar/internal/par"
 )
 
@@ -33,11 +34,57 @@ func TestScaleTraceDeterministicAcrossWorkers(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("at-scale run emitted an empty trace")
 	}
-	t.Logf("trace: %d bytes for %d workloads on %d servers", len(want), cfg.Workloads(), cfg.Servers)
+	t.Logf("trace: %d bytes for %d workloads on %d servers",
+		len(want), cfg.Services+cfg.Single+cfg.BestEffort, cfg.Servers)
 	for _, w := range workerMatrix() {
 		if got := run(w); !bytes.Equal(want, got) {
 			t.Fatalf("workers=%d diverged from sequential at byte %d of %d",
 				w, diffAt(want, got), len(want))
+		}
+	}
+}
+
+// TestStreamedTraceMatchesBufferedAcrossWorkers is the streaming pipeline's
+// half of the determinism contract at scale: at the 1k-server point, the
+// JSONL a StreamSink writes incrementally must be byte-identical to the
+// buffered WriteJSONL export, for every worker count, while the tracer's
+// retained memory stays below the bytes it streamed. A divergence here means
+// the sink pipeline — not the event stream — broke determinism.
+func TestStreamedTraceMatchesBufferedAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the at-scale scenario once buffered plus once per worker count")
+	}
+	cfg := DefaultScaleTraceConfig()
+	want, err := ScaleTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("buffered at-scale run emitted an empty trace")
+	}
+	for _, w := range workerMatrix() {
+		par.SetDefaultWorkers(w)
+		var buf bytes.Buffer
+		sink := obs.NewStreamSinkWriter(&buf)
+		s, err := runScaleScenario(cfg, []obs.Sink{sink})
+		par.SetDefaultWorkers(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Tracer.Close(); err != nil {
+			t.Fatal(err)
+		}
+		n := sink.BytesWritten()
+		if n != int64(buf.Len()) {
+			t.Fatalf("workers=%d: BytesWritten %d != buffer length %d", w, n, buf.Len())
+		}
+		if !bytes.Equal(want, buf.Bytes()) {
+			t.Fatalf("workers=%d: streamed trace diverged from buffered at byte %d of %d",
+				w, diffAt(want, buf.Bytes()), len(want))
+		}
+		if _, high := s.Tracer.RetainedBytes(); int64(high) >= n {
+			t.Fatalf("workers=%d: tracer high water %d bytes not bounded below the %d bytes streamed",
+				w, high, n)
 		}
 	}
 }
