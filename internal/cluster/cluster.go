@@ -95,6 +95,10 @@ type Server struct {
 	degrade     ResVec
 	det         DetectorState
 
+	// stamp is the mutation generation of this server's last change (see
+	// Stamp).
+	stamp uint64
+
 	// Free-resource index state (see index.go). cl/pidx tie the server to
 	// its owning cluster's index; standalone servers leave cl nil. The ev*
 	// fields cache free-after-eviction capacity, recomputed on every
@@ -197,6 +201,14 @@ func (s *Server) Degraded() bool {
 	}
 	return false
 }
+
+// Stamp returns the generation of the server's last mutation: for a server
+// of a cluster, the Cluster.Gen value that mutation produced; for a
+// standalone server, the count of its mutations. Anything PressureOn, Up or a
+// resident's Alloc can report changes only through a mutation, so a reader
+// that computed from this server at cluster generation g may reuse its answer
+// while Stamp() <= g.
+func (s *Server) Stamp() uint64 { return s.stamp }
 
 // Det returns the failure detector's belief about this server.
 func (s *Server) Det() DetectorState { return s.det }

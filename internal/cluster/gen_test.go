@@ -52,22 +52,48 @@ func TestGenAdvancesOnEveryMutation(t *testing.T) {
 		{"Resize past capacity", func() { _ = s.Resize("a", Alloc{Cores: 999, MemoryGB: 1}, press) }, false},
 	}
 	for _, st := range steps {
-		before := c.Gen()
+		before, stamp := c.Gen(), s.Stamp()
 		st.do()
 		switch after := c.Gen(); {
 		case st.bump && after <= before:
 			t.Errorf("%s: generation stayed at %d", st.name, before)
+		case st.bump && s.Stamp() != after:
+			t.Errorf("%s: server stamped %d, generation is %d", st.name, s.Stamp(), after)
 		case !st.bump && after != before:
 			t.Errorf("%s: generation moved %d -> %d without a state change", st.name, before, after)
+		case !st.bump && s.Stamp() != stamp:
+			t.Errorf("%s: stamp moved %d -> %d without a state change", st.name, stamp, s.Stamp())
 		}
 	}
 
-	// A mutation on any server moves the one cluster-wide counter.
-	before := c.Gen()
+	// A mutation on any server moves the one cluster-wide counter, and only
+	// that server's stamp.
+	before, stamp := c.Gen(), s.Stamp()
 	if _, err := c.Servers[0].Place("c", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, true); err != nil {
 		t.Fatal(err)
 	}
 	if c.Gen() == before {
 		t.Error("a placement on another server did not advance the generation")
+	}
+	if c.Servers[0].Stamp() != c.Gen() || s.Stamp() != stamp {
+		t.Errorf("stamps after a placement on server 0: server 0 %d (gen %d), server 9 %d -> %d",
+			c.Servers[0].Stamp(), c.Gen(), stamp, s.Stamp())
+	}
+
+	// A standalone server has no generation to take, but its stamp still
+	// advances on every mutation.
+	p := LocalPlatforms()[0]
+	solo := NewServer(0, &p)
+	prev := solo.Stamp()
+	for _, do := range []func(){
+		func() { _, err := solo.Place("a", Alloc{Cores: 1, MemoryGB: 1}, press, false); mustOK(err) },
+		func() { solo.SetProbe(press) },
+		func() { solo.SetDown() },
+	} {
+		do()
+		if solo.Stamp() <= prev {
+			t.Errorf("standalone stamp stayed at %d after a mutation", prev)
+		}
+		prev = solo.Stamp()
 	}
 }

@@ -141,13 +141,16 @@ func (ix *FreeIndex) NumOccupiable(pidx int) int {
 }
 
 // reindex is the one choke point every server mutator ends in: it advances
-// the owning cluster's mutation generation and pushes the state change into
-// its index. Standalone servers have no cluster and skip silently.
+// the owning cluster's mutation generation, stamps the server with it, and
+// pushes the state change into its index. Standalone servers have no cluster
+// and no index; their stamp counts their own mutations.
 func (s *Server) reindex() {
 	if s.cl == nil {
+		s.stamp++
 		return
 	}
 	s.cl.gen++
+	s.stamp = s.cl.gen
 	if s.cl.index != nil {
 		s.cl.index.update(s)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"quasar/internal/cluster"
 	"quasar/internal/loadgen"
+	"quasar/internal/perfmodel"
 	"quasar/internal/workload"
 )
 
@@ -41,10 +42,12 @@ func TestPhaseChangeTriggersReclassification(t *testing.T) {
 	rt, q, u := quasarFixture(t, 103)
 	w := u.New(workload.Spec{Type: workload.SingleNode, Family: -1, TargetSlack: 1.2})
 	w.Genome.Work = 1e9
-	rt.Submit(w, 0, nil)
+	task := rt.Submit(w, 0, nil)
 	rt.Run(600)
 	before := len(q.PhaseEvents)
-	rt.Eng.Schedule(700, func() { w.Genome.BaseRate *= 0.4 })
+	rt.Eng.Schedule(700, func() {
+		rt.ShiftPhase(task, func(g *perfmodel.Genome) { g.BaseRate *= 0.4 })
+	})
 	rt.Run(2400)
 	rt.Stop()
 	found := false

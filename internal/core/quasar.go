@@ -536,7 +536,7 @@ func (q *Quasar) monitor(t *Task, st *taskState) {
 // allocCostPerHour prices the task's current allocation.
 func (q *Quasar) allocCostPerHour(t *Task) float64 {
 	cost := 0.0
-	for _, id := range t.Servers() {
+	for _, id := range t.serverIDs {
 		pl := t.placements[id]
 		cost += float64(pl.Alloc.Cores) * sched.CostPerCoreHour(pl.Server.Platform)
 	}

@@ -59,7 +59,8 @@ type Task struct {
 	// Progress is completed work units (batch workloads).
 	Progress float64
 
-	// Load is the offered-load pattern for latency services.
+	// Load is the offered-load pattern for latency services, fixed at
+	// Submit.
 	Load loadgen.Pattern
 
 	// Service statistics, updated every tick while running.
@@ -86,6 +87,21 @@ type Task struct {
 	// without sorting or map iteration.
 	serverIDs []int
 	qosState  int8 // 0 unknown, 1 meeting QoS, -1 missing (trace edge detection)
+
+	// truth memoises the task's ground-truth rate (see Runtime.truthValid);
+	// offered memoises Load at the sim instant offeredAt (NaN before the
+	// first reading).
+	truth              truthMemo
+	offered, offeredAt float64
+}
+
+// truthMemo is a task's memoised JobRate(nodesOf(t)) together with what it
+// was computed from.
+type truthMemo struct {
+	rate float64
+	gen  uint64                    // Cluster.Gen() when rate was computed
+	cfg  *workload.FrameworkConfig // W.Config when rate was computed
+	ok   bool                      // false until computed and after Place, RemoveNode or ShiftPhase
 }
 
 // Servers returns the IDs of servers currently hosting the task, ascending.
@@ -183,9 +199,8 @@ type Runtime struct {
 	manager Manager
 
 	tasks map[string]*Task
-	order []string
-	// ordered mirrors order as resolved *Task pointers so the per-tick
-	// sweeps and Tasks() iterate without rebuilding a slice.
+	// ordered holds the tasks in submission order, append-only, so the
+	// per-tick sweeps and Tasks() iterate without rebuilding a slice.
 	ordered []*Task
 
 	// CPUHeat, MemHeat, DiskHeat sample per-server utilization over time
@@ -250,11 +265,11 @@ func (rt *Runtime) SetTracer(tr *obs.Tracer) {
 		reg.Heatmap("server_disk_util", "per-server disk utilization", rt.DiskHeat)
 		reg.Gauge("sim_events_fired", "discrete events fired by the engine",
 			func() float64 { return float64(rt.Eng.Fired()) })
-		reg.Gauge("tasks_total", "tasks submitted", func() float64 { return float64(len(rt.order)) })
+		reg.Gauge("tasks_total", "tasks submitted", func() float64 { return float64(len(rt.ordered)) })
 		reg.Gauge("tasks_running", "tasks currently running", func() float64 {
 			n := 0
-			for _, id := range rt.order {
-				if rt.tasks[id].Status == StatusRunning {
+			for _, t := range rt.ordered {
+				if t.Status == StatusRunning {
 					n++
 				}
 			}
@@ -320,9 +335,9 @@ func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern
 		LatencyDist:   metrics.NewHistogram(0.01),
 		UsedPlatforms: make(map[string]bool),
 		placements:    make(map[int]*cluster.Placement),
+		offeredAt:     math.NaN(),
 	}
 	rt.tasks[w.ID] = t
-	rt.order = append(rt.order, w.ID)
 	rt.ordered = append(rt.ordered, t)
 	rt.Eng.Schedule(at, func() {
 		if rt.Trace.Enabled() {
@@ -340,7 +355,8 @@ func (rt *Runtime) Task(id string) *Task { return rt.tasks[id] }
 
 // Tasks returns all tasks in submission order. The slice is the runtime's
 // live ordering — callers iterate it every tick and must not mutate it; it
-// is valid until the next Submit.
+// is valid until the next Submit, which only appends, so a task keeps its
+// position for the whole run.
 func (rt *Runtime) Tasks() []*Task { return rt.ordered }
 
 // Place establishes the task's placements. Any existing placements are kept
@@ -353,6 +369,7 @@ func (rt *Runtime) Place(t *Task, server *cluster.Server, alloc cluster.Alloc) e
 	}
 	t.placements[server.ID] = pl
 	t.serverIDs = insertID(t.serverIDs, server.ID)
+	t.truth = truthMemo{}
 	t.UsedPlatforms[server.Platform.Name] = true
 	if tc := t.TotalCores(); tc > t.PeakCores {
 		t.PeakCores = tc
@@ -398,6 +415,7 @@ func (rt *Runtime) RemoveNode(t *Task, serverID int) error {
 	}
 	delete(t.placements, serverID)
 	t.serverIDs = removeID(t.serverIDs, serverID)
+	t.truth = truthMemo{}
 	if rt.Trace.Enabled() {
 		rt.Trace.EndAsync(spanID(t.W.ID, serverID), serverTrack(serverID), "placement", t.W.ID)
 	}
@@ -446,7 +464,7 @@ func (rt *Runtime) Evict(id string) error {
 // It allocates per call by design: the SLO engine's fan-out workers call
 // TrueRate concurrently, so a runtime-owned scratch buffer would race.
 func (rt *Runtime) nodesOf(t *Task) []perfmodel.NodeAlloc {
-	//lint:allow(hotalloc) per-call by design: concurrent SLO fan-out callers rule out shared scratch
+	//lint:allow(hotalloc) runs only on a truth-memo miss, i.e. after the task or one of its servers changed; per-call because concurrent TrueRate callers rule out shared scratch
 	nodes := make([]perfmodel.NodeAlloc, 0, len(t.serverIDs))
 	for _, id := range t.serverIDs {
 		pl := t.placements[id]
@@ -465,15 +483,57 @@ func (rt *Runtime) nodesOf(t *Task) []perfmodel.NodeAlloc {
 	return nodes
 }
 
+// truthValid reports whether the task's memoised rate still equals
+// JobRate(nodesOf(t)). It does while the placement set is the one it was
+// computed on (Place, RemoveNode and ShiftPhase drop the memo), W.Config is
+// the same pointer, and no server of the task has mutated since: every
+// per-server input — residents' pressure, probe, degrade, isolation, up/down
+// and the task's own Alloc — changes only through a Server mutator, which
+// stamps the server past the memo's generation.
+func (rt *Runtime) truthValid(t *Task) bool {
+	m := &t.truth
+	if !m.ok || m.cfg != t.W.Config {
+		return false
+	}
+	for _, id := range t.serverIDs {
+		if rt.Cl.Servers[id].Stamp() > m.gen {
+			return false
+		}
+	}
+	return true
+}
+
+// trueRate is TrueRate for the sim goroutine (the tick sweep and
+// MeasuredPerf): a miss stores the recomputed rate for later readers.
+func (rt *Runtime) trueRate(t *Task) float64 {
+	if !rt.truthValid(t) {
+		t.truth = truthMemo{rate: t.W.JobRate(rt.nodesOf(t)), gen: rt.Cl.Gen(), cfg: t.W.Config, ok: true}
+	}
+	return t.truth.rate
+}
+
 // TrueRate returns the task's current true work rate (batch) given live
-// interference.
+// interference. It only reads — the SLO engine's fan-out workers call it
+// concurrently — so a stale memo is recomputed, never stored.
 func (rt *Runtime) TrueRate(t *Task) float64 {
+	if rt.truthValid(t) {
+		return t.truth.rate
+	}
 	return t.W.JobRate(rt.nodesOf(t))
 }
 
-// TrueCapacityQPS returns a service's current true capacity.
+// TrueCapacityQPS returns a service's current true capacity, with
+// workload.CapacityQPS's arithmetic over TrueRate.
 func (rt *Runtime) TrueCapacityQPS(t *Task) float64 {
-	return t.W.CapacityQPS(rt.nodesOf(t))
+	return rt.TrueRate(t) * t.W.Genome.QPSPerUnit
+}
+
+// ShiftPhase applies edit to the task's hidden genome — a mid-run phase
+// change — and drops the memoised rate the genome feeds. Every edit of a
+// submitted workload's genome goes through here.
+func (rt *Runtime) ShiftPhase(t *Task, edit func(*perfmodel.Genome)) {
+	edit(t.W.Genome)
+	t.truth = truthMemo{}
 }
 
 // MeasuredPerf returns a noisy observation of current performance in the
@@ -482,14 +542,14 @@ func (rt *Runtime) TrueCapacityQPS(t *Task) float64 {
 func (rt *Runtime) MeasuredPerf(t *Task) float64 {
 	var v float64
 	if t.W.Type.Class() == perfmodel.LatencyCritical {
-		capQPS := rt.TrueCapacityQPS(t)
+		capQPS := rt.trueRate(t) * t.W.Genome.QPSPerUnit
 		bound := t.W.Target.LatencyUS
 		if bound <= 0 {
 			bound = t.W.Genome.ServiceUS * 4
 		}
 		v = t.W.Genome.QPSAtQoS(capQPS, bound)
 	} else {
-		v = rt.TrueRate(t)
+		v = rt.trueRate(t)
 	}
 	return rt.measureRNG.Jitter(v, t.W.Genome.NoiseCV)
 }
@@ -507,12 +567,18 @@ func (rt *Runtime) ProgressFraction(t *Task) float64 {
 	return f
 }
 
-// OfferedLoad returns the service's current offered QPS.
+// OfferedLoad returns the service's current offered QPS. The tick sweep and
+// the manager's monitor both ask at the same instant, and Pattern.Load is a
+// pure function of time, so the first reading at an instant is reused.
+// Like the tick sweep, it runs on the sim goroutine only.
 func (rt *Runtime) OfferedLoad(t *Task) float64 {
 	if t.Load == nil {
 		return 0
 	}
-	return t.Load.Load(rt.Eng.Now())
+	if now := rt.Eng.Now(); now != t.offeredAt { //lint:allow(floatcmp) identity of sim-clock readings, not a computed value: equal means the same instant
+		t.offered, t.offeredAt = t.Load.Load(now), now
+	}
+	return t.offered
 }
 
 // tick advances every running task by one interval.
@@ -550,7 +616,7 @@ func (rt *Runtime) AddTickListener(fn func(now float64)) {
 }
 
 func (rt *Runtime) tickBatch(t *Task, now, dt float64) {
-	rate := rt.TrueRate(t)
+	rate := rt.trueRate(t)
 	t.Progress += rate * dt
 	t.RateSeries.Add(now, rate)
 	for _, id := range t.serverIDs {
@@ -577,7 +643,7 @@ func (rt *Runtime) tickBatch(t *Task, now, dt float64) {
 
 func (rt *Runtime) tickService(t *Task, now float64) {
 	lambda := rt.OfferedLoad(t)
-	capQPS := rt.TrueCapacityQPS(t)
+	capQPS := rt.trueRate(t) * t.W.Genome.QPSPerUnit
 	achieved := t.W.Genome.AchievedQPS(lambda, capQPS)
 	_, p99 := t.W.Genome.Latency(lambda, capQPS)
 

@@ -80,14 +80,15 @@ var allocBudgets = map[string]float64{
 	// (measured 5.0).
 	"sched_schedule": 10,
 	// One runtime tick over nine steady services: progress accounting and
-	// load lookups are allocation-free; the residue is per-service
-	// monitoring state and sampling history (retained by design), about
-	// four allocations per service per tick (measured 36.0).
-	"runtime_tick": 85,
+	// load lookups are allocation-free, and ground truth is rebuilt (one
+	// nodesOf slice) only for a service whose servers changed; the residue
+	// is monitoring history (retained by design) and the manager's
+	// occasional adjustments and reclassifications (measured 13.0).
+	"runtime_tick": 28,
 	// One runtime tick with the SLO engine attached, sequential fan-out:
-	// adds window pushes and health scoring on reused scratch
-	// (measured 38.0).
-	"slo_tick": 90,
+	// adds window pushes and health scoring on reused scratch, with
+	// per-workload state found by position (measured 15.0).
+	"slo_tick": 32,
 	// One event through the full trace pipeline — controls, sequencing, and
 	// fan-out to a streaming JSONL sink plus a ring flight recorder. The
 	// caller's variadic args slice (the ring retains it) and its boxed values

@@ -6,6 +6,7 @@ import (
 
 	"quasar/internal/core"
 	"quasar/internal/par"
+	"quasar/internal/perfmodel"
 	"quasar/internal/sim"
 	"quasar/internal/workload"
 )
@@ -127,15 +128,16 @@ func Phases(injections int, seed int64) (*PhaseResult, error) {
 		task := t
 		if i%2 == 0 {
 			s.RT.Eng.Schedule(at, func() {
-				task.W.Genome.BaseRate *= 0.5
+				s.RT.ShiftPhase(task, func(g *perfmodel.Genome) { g.BaseRate *= 0.5 })
 			})
 		} else {
 			silent[t.W.ID] = true
 			s.RT.Eng.Schedule(at, func() {
-				g := task.W.Genome
-				for r := range g.Sens {
-					g.Sens[r] = 1 - (1-g.Sens[r])*rng.Uniform(0.3, 0.6)
-				}
+				s.RT.ShiftPhase(task, func(g *perfmodel.Genome) {
+					for r := range g.Sens {
+						g.Sens[r] = 1 - (1-g.Sens[r])*rng.Uniform(0.3, 0.6)
+					}
+				})
 			})
 		}
 	}

@@ -10,7 +10,10 @@ import (
 	"quasar/internal/sim"
 )
 
-// Pattern maps virtual time (seconds) to offered load (QPS).
+// Pattern maps virtual time (seconds) to offered load (QPS). Load must be a
+// pure function of t: the same t always yields the same value, with no state
+// advanced by the call. The runtime relies on it to read a service's load
+// once per sim instant and hand that reading to every asker at the instant.
 type Pattern interface {
 	Load(t float64) float64
 }

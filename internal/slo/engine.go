@@ -1,6 +1,8 @@
 package slo
 
 import (
+	"slices"
+
 	"quasar/internal/core"
 	"quasar/internal/metrics"
 	"quasar/internal/obs"
@@ -84,8 +86,12 @@ type Engine struct {
 	opts Options
 	tick float64
 
-	states map[string]*wstate
-	order  []string // tracked workload IDs in first-seen (submission) order
+	// byPos[i] is the state of the task at position i of rt.Tasks() (nil
+	// until first sight). Tasks() only appends, so a position names one task
+	// for the whole run and the per-tick sweep needs no lookup by ID.
+	byPos  []*wstate
+	states map[string]*wstate // by workload ID, for the health score's residents
+	order  []*wstate          // tracked workloads in first-seen (submission) order
 
 	episodes []Episode
 
@@ -207,18 +213,25 @@ func (e *Engine) onTick(now float64) {
 	defer e.Prof.End(prof.SubSLO, t0)
 	// Build this tick's evaluation list in submission order. Best-effort
 	// workloads carry no guarantee, so they carry no SLO.
+	tasks := e.rt.Tasks()
+	if grow := len(tasks) - len(e.byPos); grow > 0 {
+		// Entries past len(byPos) were never written, so the new slots are
+		// nil: no state yet.
+		e.byPos = slices.Grow(e.byPos, grow)[:len(tasks)]
+	}
 	eval := e.evalBuf[:0]
-	for _, t := range e.rt.Tasks() {
+	for i, t := range tasks {
 		if t.W.BestEffort {
 			continue
 		}
-		ws := e.states[t.W.ID]
+		ws := e.byPos[i]
 		if ws == nil {
 			if t.Status != core.StatusCompleted && started(t) {
 				ws = e.newState(t)
+				e.byPos[i] = ws
 				e.states[t.W.ID] = ws
 				//lint:allow(hotalloc) once per workload lifetime, at first sight
-				e.order = append(e.order, t.W.ID)
+				e.order = append(e.order, ws)
 			} else {
 				continue
 			}
@@ -425,9 +438,9 @@ func (e *Engine) Episodes() []Episode {
 // ActiveAlerts counts currently firing alerts across all workloads.
 func (e *Engine) ActiveAlerts() int {
 	n := 0
-	for _, id := range e.order {
-		for ri := range e.states[id].rules {
-			if e.states[id].rules[ri].active {
+	for _, ws := range e.order {
+		for ri := range ws.rules {
+			if ws.rules[ri].active {
 				n++
 			}
 		}
@@ -463,8 +476,7 @@ func (e *Engine) Health() (float64, bool) {
 // Budgets returns per-workload budget status in submission order.
 func (e *Engine) Budgets() []BudgetStatus {
 	out := make([]BudgetStatus, 0, len(e.order))
-	for _, id := range e.order {
-		ws := e.states[id]
+	for _, ws := range e.order {
 		consumed := 0.0
 		if ws.ticksTotal > 0 {
 			consumed = float64(ws.badTotal) / float64(ws.ticksTotal) / ws.budget

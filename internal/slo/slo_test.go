@@ -372,6 +372,67 @@ func TestAlertStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFanOutReadsTruthConcurrently runs the per-tick sweep on four workers
+// with every tick fanned out, over batch, single-node and service workloads,
+// so badTick's TrueRate reads the runtime's memoised ground truth from
+// several goroutines at once. A listener ahead of the engine re-probes half
+// of the pinned servers every tick, so on every tick some of those reads
+// meet a stale memo and recompute side by side while others reuse it. Under
+// -race this is the proof that the concurrent read path shares nothing it
+// writes; the budgets must also match a sequential run.
+func TestFanOutReadsTruthConcurrently(t *testing.T) {
+	run := func(workers int) []BudgetStatus {
+		rt, u, m := testWorld(t, 17)
+		rt.SetManager(m)
+		tick := 0
+		rt.AddTickListener(func(float64) {
+			tick++
+			var p cluster.ResVec
+			p[cluster.ResLLC] = 0.05 * float64(tick%4)
+			for i, id := range m.servers {
+				if (i+tick)%2 == 0 {
+					rt.Cl.Servers[id].SetProbe(p)
+				}
+			}
+		})
+		eng := Attach(rt, nil, Options{Workers: workers, ParThreshold: 1})
+
+		at := 0.0
+		for i := 0; i < 12; i++ {
+			var w *workload.Instance
+			var load loadgen.Pattern
+			switch i % 3 {
+			case 0:
+				w = u.New(workload.Spec{Type: workload.Memcached, Family: -1, MaxNodes: 4})
+				load = loadgen.Flat{QPS: safeLoad(w, rt.Cl.Servers[m.servers[i]].Platform, m.alloc)}
+			case 1:
+				w = u.New(workload.Spec{Type: workload.SingleNode, Family: -1})
+				w.Target.IPS *= 1 + float64(i%2) // some miss, some meet
+			default:
+				w = u.New(workload.Spec{Type: workload.Hadoop, Family: 0, MaxNodes: 1, TargetSlack: 1.2,
+					Dataset: workload.Dataset{Name: "d", SizeGB: 10, WorkMult: 1, MemMult: 1}})
+			}
+			w.Genome.Work = 1e12
+			rt.Submit(w, at, load)
+			at += 5
+		}
+		rt.Run(1500)
+		rt.Stop()
+		return eng.Budgets()
+	}
+
+	want := run(1)
+	if len(want) != 12 {
+		t.Fatalf("tracked %d workloads, want 12", len(want))
+	}
+	got := run(4)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("workers=4: budget %+v, sequential %+v", got[i], want[i])
+		}
+	}
+}
+
 // TestBatchDeadlineSLI pins the analytics SLI: a batch job far behind its
 // deadline accumulates bad ticks and alerts; completing clears it.
 func TestBatchDeadlineSLI(t *testing.T) {
