@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-hotpath bench ledger bench-alloc bench-serve bench-serve-quick serve-smoke telemetry-smoke trace-diff fmt-check ci
+.PHONY: all build test race lint lint-hotpath bench ledger trace-diff fmt-check ci
 
 all: build
 
@@ -39,35 +39,6 @@ bench:
 ## traced once, with the per-layer split (see bench/README.md)
 ledger:
 	bash bench/run.sh -ledger -repeats 3
-
-## bench-alloc: measure allocs/op on the hot roots, refresh BENCH_alloc.json,
-## and fail on any count over its committed budget
-bench-alloc:
-	$(GO) run ./cmd/quasar-bench -allocbench-out BENCH_alloc.json allocbench
-
-## serve-smoke: end-to-end serve-mode self-test — live daemon + warm standby
-## tailing its journal, scripted HTTP client with wall-clock jitter, graceful
-## shutdown, then byte-identity and snapshot-verification checks
-serve-smoke:
-	$(GO) run ./cmd/quasar-serve -selftest
-
-## telemetry-smoke: serve-mode telemetry end to end — live daemon, /metrics
-## scrape (RED series + operational gauges), live /v1/trace/stream tail, and
-## request-ID correlation between the admission API, /debug/requests, and the
-## streamed serve.apply events
-telemetry-smoke:
-	$(GO) run ./cmd/quasar-serve -telemetry-smoke
-
-## bench-serve: drive a live daemon with closed-loop clients, measure the warm
-## failover gap, refresh BENCH_serve.json, and fail below the 10k req/s floor
-## (in-process transport: the committed baseline isolates admission cost from
-## kernel TCP on the 1-CPU baseline host)
-bench-serve:
-	$(GO) run ./cmd/quasar-load -bench -inprocess -out BENCH_serve.json
-
-## bench-serve-quick: the CI smoke variant (short phases, rate gate waived)
-bench-serve-quick:
-	$(GO) run ./cmd/quasar-load -bench -quick -inprocess
 
 ## trace-diff: the trace byte-identity contract, one table row per scenario
 ## (all rows by default; `make trace-diff ROWS=slo` or `make trace-diff-slo`

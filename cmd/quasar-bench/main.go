@@ -8,12 +8,8 @@
 // The "availability" artifact runs the canned fault storm and reports
 // QoS-met %, MTTR, and the displaced-work half-life. The "slodetect"
 // artifact scores the burn-rate alert stream against a scripted crash storm
-// (precision, recall, detection latency vs the heartbeat detector).
-//
-// The "allocbench" artifact (not in the default suite) measures heap
-// allocations per operation on the hot roots declared in hotpath.json and
-// writes the record to -allocbench-out (default BENCH_alloc.json); counts
-// over the committed budgets exit non-zero. An unknown artifact name exits 2.
+// (precision, recall, detection latency vs the heartbeat detector). An
+// unknown artifact name exits 2.
 //
 // The -quick flag shrinks every scenario (fewer workloads, shorter
 // horizons) for a fast smoke pass. -cpuprofile and -memprofile capture
@@ -39,7 +35,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for parallel fan-outs (0 = GOMAXPROCS); never changes results")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	allocbenchOut := flag.String("allocbench-out", "BENCH_alloc.json", "output path for the allocbench artifact")
 	flag.Parse()
 	par.SetDefaultWorkers(*workers)
 
@@ -205,17 +200,6 @@ func main() {
 			res, err := experiments.SLODetect(cfg)
 			die(err)
 			res.Print(os.Stdout)
-		case "allocbench":
-			cfg := experiments.DefaultAllocBenchConfig()
-			if *quick {
-				cfg.Runs = 50
-				cfg.WarmTicks = 100
-			}
-			res, err := experiments.AllocBench(cfg)
-			die(err)
-			res.Print(os.Stdout)
-			die(res.WriteJSON(*allocbenchOut))
-			die(res.Check())
 		default:
 			_, _ = fmt.Fprintf(os.Stderr, "unknown artifact %q\n", name)
 			os.Exit(2)

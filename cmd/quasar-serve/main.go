@@ -66,8 +66,6 @@ func run() error {
 		maxNodes     = flag.Int("maxnodes", 4, "default per-job node cap")
 		seedLib      = flag.Int("seedlib", 1, "classification library seeds per workload type")
 		workers      = flag.Int("workers", 0, "worker goroutines for parallel fan-outs (0 = GOMAXPROCS); never changes results")
-		selftest     = flag.Bool("selftest", false, "run the end-to-end serve self-test and exit")
-		telSmoke     = flag.Bool("telemetry-smoke", false, "run the telemetry smoke check (metrics scrape, live stream tail, request correlation) and exit")
 		replayPath   = flag.String("replay", "", "replay this journal instead of serving")
 		follow       = flag.Bool("follow", false, "with -replay: tail a journal that is still being written (warm standby)")
 		verifySnap   = flag.String("verify-snapshot", "", "with -replay: verify this snapshot file against the replayed state")
@@ -75,13 +73,6 @@ func run() error {
 	)
 	flag.Parse()
 	par.SetDefaultWorkers(*workers)
-
-	if *selftest {
-		return serve.SelfTest(os.Stdout)
-	}
-	if *telSmoke {
-		return serve.TelemetrySmoke(os.Stdout)
-	}
 
 	cfg := serve.Config{
 		Servers: *servers, Seed: *seed,
@@ -102,7 +93,7 @@ func run() error {
 	}
 
 	if *journal == "" {
-		return fmt.Errorf("daemon mode requires -journal (or use -selftest / -replay)")
+		return fmt.Errorf("daemon mode requires -journal (or use -replay)")
 	}
 	srv, err := serve.New(serve.Options{
 		Addr: *addr, Config: cfg,

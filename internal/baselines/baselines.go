@@ -211,7 +211,7 @@ func (b *Baseline) rankServers(t *core.Task, st *resState, alloc cluster.Alloc) 
 			continue
 		}
 		fit := cluster.Alloc{
-			Cores:    minInt(alloc.Cores, s.Platform.Cores),
+			Cores:    min(alloc.Cores, s.Platform.Cores),
 			MemoryGB: math.Min(alloc.MemoryGB, s.Platform.MemoryGB),
 		}
 		if !s.Fits(fit) {
@@ -288,7 +288,7 @@ func (b *Baseline) tryPlace(t *core.Task, st *resState) bool {
 			break
 		}
 		alloc := cluster.Alloc{
-			Cores:    minInt(st.alloc.Cores, s.FreeCores()),
+			Cores:    min(st.alloc.Cores, s.FreeCores()),
 			MemoryGB: math.Min(st.alloc.MemoryGB, s.FreeMemGB()),
 		}
 		if wholeNode {
@@ -322,7 +322,7 @@ func (b *Baseline) placeBestEffort(t *core.Task) (placed, noFit bool) {
 	if best == nil {
 		return false, true
 	}
-	alloc := cluster.Alloc{Cores: minInt(4, best.FreeCores()), MemoryGB: math.Min(6, best.FreeMemGB())}
+	alloc := cluster.Alloc{Cores: min(4, best.FreeCores()), MemoryGB: math.Min(6, best.FreeMemGB())}
 	return b.rt.Place(t, best, alloc) == nil, false
 }
 
@@ -393,12 +393,5 @@ func (b *Baseline) autoscale(t *core.Task, st *resState, now float64) {
 
 // QueueLen reports the wait-queue length.
 func (b *Baseline) QueueLen() int { return b.queue.Len() }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 var _ core.Manager = (*Baseline)(nil)

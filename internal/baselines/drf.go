@@ -58,7 +58,7 @@ func (d *DRF) demandOf(t *core.Task) (cluster.Alloc, int) {
 	w := t.W
 	ps := d.rt.Cl.Platforms
 	med := ps[len(ps)/2]
-	perNode := cluster.Alloc{Cores: minInt(med.Cores, 8), MemoryGB: math.Min(med.MemoryGB, 16)}
+	perNode := cluster.Alloc{Cores: min(med.Cores, 8), MemoryGB: math.Min(med.MemoryGB, 16)}
 	nodes := 1
 	if w.Type.Distributed() {
 		switch w.Type.Class() {
@@ -151,7 +151,7 @@ func (d *DRF) allocateRound() {
 		st := d.state[bestID]
 		if srv := d.leastLoadedFitting(st); srv != nil {
 			alloc := cluster.Alloc{
-				Cores:    minInt(st.demand.Cores, srv.FreeCores()),
+				Cores:    min(st.demand.Cores, srv.FreeCores()),
 				MemoryGB: math.Min(st.demand.MemoryGB, srv.FreeMemGB()),
 			}
 			if d.rt.Place(st.task, srv, alloc) == nil {

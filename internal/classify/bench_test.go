@@ -23,8 +23,8 @@ func BenchmarkNodePerf(b *testing.B) {
 	for _, p := range e.Platforms {
 		allocs = append(allocs,
 			cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB},
-			cluster.Alloc{Cores: maxInt(1, p.Cores/2), MemoryGB: 8},
-			cluster.Alloc{Cores: maxInt(1, p.Cores/4), MemoryGB: p.MemoryGB - 5.5},
+			cluster.Alloc{Cores: max(1, p.Cores/2), MemoryGB: 8},
+			cluster.Alloc{Cores: max(1, p.Cores/4), MemoryGB: p.MemoryGB - 5.5},
 			cluster.Alloc{Cores: 3, MemoryGB: 6})
 	}
 	pressure := cluster.ResVec{0.2, 0.1, 0.3}

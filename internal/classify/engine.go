@@ -501,7 +501,7 @@ func (e *Engine) appendObs(id string, po *ProbeObs) int {
 // half the profiling platform.
 func (e *Engine) profilingAlloc() cluster.Alloc {
 	p := &e.Platforms[e.HighEnd]
-	return cluster.Alloc{Cores: maxInt(1, p.Cores/2), MemoryGB: p.MemoryGB / 2}
+	return cluster.Alloc{Cores: max(1, p.Cores/2), MemoryGB: p.MemoryGB / 2}
 }
 
 // Classify profiles an arriving workload with Entries samples per axis (the

@@ -152,7 +152,7 @@ func (p *GroundTruthProber) Heterogeneity(platformIdx int) float64 {
 // profiling platform.
 func (p *GroundTruthProber) ToleratedIntensity(r cluster.Resource) float64 {
 	plat := &p.Platforms[p.ProfilingPlatform]
-	alloc := cluster.Alloc{Cores: maxInt(1, plat.Cores/2), MemoryGB: plat.MemoryGB / 2}
+	alloc := cluster.Alloc{Cores: max(1, plat.Cores/2), MemoryGB: plat.MemoryGB / 2}
 	measure := func(extra cluster.ResVec) float64 {
 		return p.perfAt(p.ProfilingPlatform, 1, alloc, extra)
 	}
@@ -164,13 +164,6 @@ func (p *GroundTruthProber) ToleratedIntensity(r cluster.Resource) float64 {
 // in resource r at a half-node allocation on the profiling platform.
 func (p *GroundTruthProber) CausedIntensity(r cluster.Resource) float64 {
 	plat := &p.Platforms[p.ProfilingPlatform]
-	alloc := cluster.Alloc{Cores: maxInt(1, plat.Cores/2), MemoryGB: plat.MemoryGB / 2}
+	alloc := cluster.Alloc{Cores: max(1, plat.Cores/2), MemoryGB: plat.MemoryGB / 2}
 	return p.noise(p.W.CausedPressure(plat, alloc)[r])
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

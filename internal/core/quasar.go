@@ -386,7 +386,7 @@ func (q *Quasar) placeBestEffort(t *Task) (placed, noFit bool) {
 		return false, true
 	}
 	alloc := cluster.Alloc{
-		Cores:    minInt(4, best.FreeCores()),
+		Cores:    min(4, best.FreeCores()),
 		MemoryGB: math.Min(6, best.FreeMemGB()),
 	}
 	return q.rt.Place(t, best, alloc) == nil, false
@@ -589,7 +589,7 @@ func (q *Quasar) scaleUpOrOut(t *Task, st *taskState, need, measured float64) (p
 		}
 		if freeC > 0 || freeM > 1 {
 			grow := cluster.Alloc{
-				Cores:    pl.Alloc.Cores + minInt(freeC, pl.Alloc.Cores),
+				Cores:    pl.Alloc.Cores + min(freeC, pl.Alloc.Cores),
 				MemoryGB: pl.Alloc.MemoryGB + math.Min(freeM, pl.Alloc.MemoryGB),
 			}
 			if grow.Cores > srv.Platform.Cores {
@@ -783,7 +783,7 @@ func (q *Quasar) reclaim(t *Task, st *taskState, need, measured float64) {
 	pl := t.placements[ids[0]]
 	if pl.Alloc.Cores > 1 {
 		shrunk := cluster.Alloc{
-			Cores:    maxInt(1, pl.Alloc.Cores/2),
+			Cores:    max(1, pl.Alloc.Cores/2),
 			MemoryGB: math.Max(1, pl.Alloc.MemoryGB/2),
 		}
 		pidx := q.rt.Cl.PlatformIndex(pl.Server.Platform.Name)
@@ -923,18 +923,4 @@ func (q *Quasar) UpdateTarget(id string, target workload.Target) error {
 			obs.Arg{Key: "ips", Val: target.IPS})
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

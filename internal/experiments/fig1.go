@@ -26,7 +26,7 @@ func (r *Fig1Result) Print(w io.Writer) {
 	fprintf(w, "-- (a) aggregate CPU used vs reserved (%% capacity, daily means) --\n")
 	fprintf(w, "%-6s %10s %10s\n", "day", "used%", "reserved%")
 	for d := 0; d*24 < len(tr.Hours); d++ {
-		lo, hi := d*24, minInt((d+1)*24, len(tr.Hours))
+		lo, hi := d*24, min((d+1)*24, len(tr.Hours))
 		fprintf(w, "%-6d %10.1f %10.1f\n", d, meanOf(tr.CPUUsedPct[lo:hi]), meanOf(tr.CPUResvPct[lo:hi]))
 	}
 	fprintf(w, "-- (b) aggregate memory used vs reserved (%% capacity, trace means) --\n")
@@ -80,11 +80,4 @@ func meanOf(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -91,7 +91,7 @@ func fig6Run(kind ManagerKind, cfg Fig6Config) (map[string]float64, map[string]f
 	// Best-effort single-node fillers stream in over the active phase of
 	// the scenario (the paper submits them at 1 s inter-arrival and keeps
 	// them coming; they soak up any capacity the analytics jobs leave).
-	beGap := cfg.HorizonSecs * 0.8 / float64(maxInt(cfg.BestEffort, 1))
+	beGap := cfg.HorizonSecs * 0.8 / float64(max(cfg.BestEffort, 1))
 	for i := 0; i < cfg.BestEffort; i++ {
 		be := s.U.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
 		s.RT.Submit(be, float64(i)*beGap, nil)

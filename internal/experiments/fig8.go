@@ -93,7 +93,7 @@ func fig8Run(kind ManagerKind, patName string, cfg Fig8Config) (*Fig8Series, err
 	task := s.RT.Submit(w, 0, pattern)
 
 	// Best-effort fillers stream over the run.
-	beGap := cfg.HorizonSecs * 0.8 / float64(maxInt(cfg.BestEffort, 1))
+	beGap := cfg.HorizonSecs * 0.8 / float64(max(cfg.BestEffort, 1))
 	var beTasks []*core.Task
 	for i := 0; i < cfg.BestEffort; i++ {
 		be := s.U.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
@@ -170,7 +170,7 @@ func (r *Fig8Result) Print(w io.Writer) {
 		}
 		fprintf(w, "-- (c) cores over time (fluctuating, quasar) --\n")
 		fprintf(w, "%-8s %10s %10s %12s\n", "t(min)", "offered", "svc cores", "b-e cores")
-		for i := 0; i < len(s.Times); i += maxInt(1, len(s.Times)/16) {
+		for i := 0; i < len(s.Times); i += max(1, len(s.Times)/16) {
 			fprintf(w, "%-8.0f %10.0f %10.0f %12.0f\n",
 				s.Times[i]/60, s.TargetQPS[i], s.ServiceCores[i], s.BestEffortCores[i])
 		}

@@ -117,7 +117,7 @@ func fig9Run(kind ManagerKind, cfg Fig9Config) ([]Fig9Service, []Fig10Window, er
 	mcTask := s.RT.Submit(mc, 0, mcLoad)
 	csTask := s.RT.Submit(cs, 10, csLoad)
 
-	beGap := cfg.HorizonSecs * 0.9 / float64(maxInt(cfg.BestEffort, 1))
+	beGap := cfg.HorizonSecs * 0.9 / float64(max(cfg.BestEffort, 1))
 	for i := 0; i < cfg.BestEffort; i++ {
 		be := s.U.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
 		s.RT.Submit(be, float64(i)*beGap, nil)

@@ -175,7 +175,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	case KindQuasar:
 		opts := core.DefaultQuasarOptions()
 		opts.MaxNodesPerJob = cfg.MaxNodes
-		opts.Classify.MaxNodes = maxInt(32, cfg.MaxNodes)
+		opts.Classify.MaxNodes = max(32, cfg.MaxNodes)
 		opts.Classify.Entries = 3
 		q := core.NewQuasar(rt, opts)
 		if s.Tracer != nil {
@@ -304,13 +304,6 @@ func clampNorm(x float64) float64 {
 		x = 2
 	}
 	return x
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fprintf writes formatted output, ignoring errors (report rendering).

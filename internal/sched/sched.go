@@ -537,7 +537,7 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		if s.Opts.ScaleOutFirst {
 			// Ablation: spread minimal slices across many servers.
 			alloc = cluster.Alloc{
-				Cores:    minInt(2, cand.freeCores),
+				Cores:    min(2, cand.freeCores),
 				MemoryGB: math.Min(cand.freeMem, 4),
 			}
 			if !alloc.Valid() {
@@ -599,11 +599,4 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		s.emitDecision(req, want, cands, asn, obs.OutcomePlaced)
 	}
 	return asn, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -90,23 +91,63 @@ func driveScriptedMix(t *testing.T, base string) string {
 }
 
 // TestLiveVsReplayAcrossWorkers is the serve determinism contract: a live run
-// with wall-clock arrival jitter, replayed from its journal at several worker
-// counts, must reproduce the trace byte for byte every time.
+// with wall-clock arrival jitter and SLO monitoring on, stopped through its
+// own shutdown endpoint, is reproduced byte for byte by a warm standby that
+// tailed the journal while it was written, and by offline replays of that
+// journal at several worker counts.
 func TestLiveVsReplayAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "run.journal")
 	traceA := filepath.Join(dir, "live.jsonl")
+	traceStandby := filepath.Join(dir, "standby.jsonl")
 	s, done := startServer(t, Options{
-		Config:      Config{Servers: 20, Seed: 7},
+		Config:      Config{Servers: 20, Seed: 7, SLO: true},
 		JournalPath: journal, TracePath: traceA, Warp: 400,
 	})
-	driveScriptedMix(t, "http://"+s.Addr())
+	standbySink, err := obs.NewStreamSink(traceStandby)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standbyDone := make(chan error, 1)
+	go func() {
+		_, err := Replay(journal, ReplayOptions{
+			Sinks: []obs.Sink{standbySink}, Follow: true,
+			PollInterval: 2 * time.Millisecond, WaitTimeout: 60 * time.Second,
+		})
+		standbyDone <- err
+	}()
+
+	base := "http://" + s.Addr()
+	svcID := driveScriptedMix(t, base)
+	resp, err := http.Get(base + "/v1/workloads/" + svcID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/workloads/%s: %s", svcID, resp.Status)
+	}
 	time.Sleep(60 * time.Millisecond) // a few quiet epochs after the last admission
-	stopServer(t, s, done)
+	postJSON(t, base, "/v1/shutdown", struct{}{})
+	http.DefaultClient.CloseIdleConnections()
+	if err := <-done; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if err := <-standbyDone; err != nil {
+		t.Fatalf("standby: %v", err)
+	}
 
 	want, err := os.ReadFile(traceA)
 	if err != nil {
 		t.Fatal(err)
+	}
+	standby, err := os.ReadFile(traceStandby)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, standby) {
+		t.Fatalf("standby trace diverged from live (%d vs %d bytes)", len(want), len(standby))
 	}
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
 		par.SetDefaultWorkers(workers)
@@ -184,6 +225,36 @@ func TestGracefulShutdownArtifacts(t *testing.T) {
 	}
 	if !res.SnapshotVerified {
 		t.Fatalf("final snapshot at t=%g never verified (replay ended at t=%g)", snap.SimTime, res.EndAt)
+	}
+}
+
+// TestNewOnBusyAddrKeepsJournal is the second-daemon guard: a daemon that
+// cannot bind its address fails without touching the journal path, which may
+// be the system of record of the daemon already holding that address.
+func TestNewOnBusyAddrKeepsJournal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	journal := filepath.Join(t.TempDir(), "run.journal")
+	want := []byte("the running daemon's journal\n")
+	if err := os.WriteFile(journal, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Options{
+		Addr:        ln.Addr().String(),
+		Config:      Config{Servers: 8, Seed: 5},
+		JournalPath: journal,
+	}); err == nil {
+		t.Fatal("New bound an address that is already in use")
+	}
+	got, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("failed New rewrote the journal: %q, want %q", got, want)
 	}
 }
 

@@ -79,7 +79,7 @@ type Server struct {
 	applyStartNS int64
 }
 
-// New builds the world, creates the journal, and binds the listener. The
+// New builds the world, binds the listener, and creates the journal. The
 // engine does not advance until Serve.
 func New(opts Options) (*Server, error) {
 	if opts.JournalPath == "" {
@@ -110,12 +110,16 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return fail(err)
 	}
-	j, err := CreateJournal(opts.JournalPath, cfg, w.u.Counter()+1)
+	// Bind before creating the journal: creation truncates the file, and a
+	// daemon that cannot get its address must not wipe the journal of the
+	// one already running there.
+	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		return fail(err)
 	}
-	ln, err := net.Listen("tcp", opts.Addr)
+	j, err := CreateJournal(opts.JournalPath, cfg, w.u.Counter()+1)
 	if err != nil {
+		_ = ln.Close()
 		return fail(err)
 	}
 	s := &Server{

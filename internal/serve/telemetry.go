@@ -314,21 +314,6 @@ func (t *Telemetry) Span(req string) (RequestSpan, bool) {
 	return *sp, true
 }
 
-// endpointPercentiles reads the handler-latency percentiles for one endpoint
-// — the server-side cross-check the serve benchmark gates on.
-func (t *Telemetry) endpointPercentiles(endpoint string, qs ...float64) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := t.httpLat[endpoint]
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if h != nil && h.N() > 0 {
-			out[i] = h.Percentile(q)
-		}
-	}
-	return out
-}
-
 // WriteProm renders the telemetry registry in the Prometheus exposition
 // format under the telemetry lock (the histograms mutate concurrently with
 // scrapes; the gauges read atomics and take no lock).

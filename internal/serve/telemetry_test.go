@@ -80,9 +80,10 @@ func TestLiveTraceStreamMatchesFile(t *testing.T) {
 func TestRequestSpansEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s, done := startServer(t, Options{
-		Config:      Config{Servers: 10, Seed: 3},
-		JournalPath: filepath.Join(dir, "run.journal"),
-		Warp:        400,
+		Config:       Config{Servers: 10, Seed: 3},
+		JournalPath:  filepath.Join(dir, "run.journal"),
+		SnapshotPath: filepath.Join(dir, "run.snapshot.json"), SnapshotEverySecs: 5,
+		Warp: 400,
 	})
 	base := "http://" + s.Addr()
 
@@ -160,7 +161,8 @@ func TestRequestSpansEndToEnd(t *testing.T) {
 		t.Fatalf("unknown request ID got %d, want 404", resp.StatusCode)
 	}
 
-	// The RED plane must have counted the submits and rendered quantiles.
+	// The RED plane must have counted the submits and rendered quantiles,
+	// beside the pacer histograms and the operational gauges.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +175,13 @@ func TestRequestSpansEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		`serve_http_requests_total{endpoint="submit"}`,
 		`serve_http_request_us{endpoint="submit",quantile="0.50"}`,
+		`serve_http_request_us{endpoint="submit",quantile="0.99"}`,
 		"serve_journal_flush_us",
+		"serve_epoch_batch_size",
+		"serve_pacer_lag_us",
 		"journal_bytes",
 		"applied_seq",
+		"snapshot_age_seconds",
 		"serve_trace_subscribers",
 	} {
 		if !strings.Contains(string(prom), want) {

@@ -102,7 +102,7 @@ type world struct {
 func quasarOptions(cfg Config) core.QuasarOptions {
 	opts := core.DefaultQuasarOptions()
 	opts.MaxNodesPerJob = cfg.MaxNodes
-	opts.Classify.MaxNodes = maxInt(32, cfg.MaxNodes)
+	opts.Classify.MaxNodes = max(32, cfg.MaxNodes)
 	opts.Classify.Entries = 3
 	return opts
 }
@@ -269,11 +269,4 @@ func (w *world) applied(e *Entry, applyErr string) {
 		args = append(args, obs.Arg{Key: "error", Val: applyErr})
 	}
 	w.tracer.Instant("serve", "serve", name, args...)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
