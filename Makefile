@@ -30,10 +30,12 @@ lint-hotpath:
 ## bench: run the repository benchmarks — one iteration of every paper
 ## artifact, then the classifier's inner loops (BenchmarkTrain must stay flat
 ## in the number of rows and BenchmarkSymEig is its cubic term;
-## BenchmarkNodePerf is paid per node per tick)
+## BenchmarkNodePerf is paid per node per tick), then the cost of minting a
+## random stream (BenchmarkNewRNG, BenchmarkStream: paid per workload)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='^Benchmark(Train|SymEig|NodePerf)$$' -run=^$$ ./internal/cf ./internal/classify
+	$(GO) test -bench='^Benchmark(NewRNG|Stream)$$' -benchmem -run=^$$ ./internal/sim
 
 ## ledger: the performance ledger — every bench/ workload untraced x3 and
 ## traced once, with the per-layer split (see bench/README.md)

@@ -84,9 +84,9 @@ var wallClockAllowlist = map[string]bool{
 }
 
 // globalRandFuncs are the math/rand package-level functions that draw
-// from (or mutate) the shared global source. Constructors like rand.New
-// and rand.NewSource are deliberately absent: they are how seeded
-// generators are built.
+// from (or mutate) the shared global source. The constructors New and
+// NewSource are deliberately absent: they are how seeded generators are
+// built.
 var globalRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
 	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
@@ -244,7 +244,7 @@ func checkConcurrentCapture(pass *Pass, fl *ast.FuncLit, context string) {
 }
 
 // isRNGType reports whether t is (a pointer to) a random-number generator:
-// sim.RNG or math/rand's Rand.
+// sim.RNG, sim.Source or math/rand's Rand.
 func isRNGType(t types.Type) bool {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
@@ -255,7 +255,7 @@ func isRNGType(t types.Type) bool {
 	}
 	path, name := named.Obj().Pkg().Path(), named.Obj().Name()
 	switch {
-	case strings.HasSuffix(path, "internal/sim") && name == "RNG":
+	case strings.HasSuffix(path, "internal/sim") && (name == "RNG" || name == "Source"):
 		return true
 	case (path == "math/rand" || path == "math/rand/v2") && name == "Rand":
 		return true

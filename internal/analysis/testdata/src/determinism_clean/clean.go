@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"quasar/internal/sim"
 )
 
 // SeededDraw uses an explicitly seeded generator.
 func SeededDraw(seed int64) int {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewSource(seed))
 	return rng.Intn(10)
 }
 

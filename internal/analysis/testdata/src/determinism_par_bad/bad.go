@@ -42,12 +42,21 @@ func SharedStreamDerivation(seed int64) {
 // SharedStdRand shares a seeded *math/rand.Rand across tasks — seeded, but
 // still one mutable source under concurrent draws.
 func SharedStdRand(seed int64) []float64 {
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(sim.NewSource(seed))
 	sums := make([]float64, 4)
 	par.ParFor(0, 4, func(i int) {
 		sums[i] = r.NormFloat64()
 	})
 	return sums
+}
+
+// SharedSource captures one raw source in a fan-out task: a *sim.Source is
+// as much a shared generator as the RNG built on it.
+func SharedSource(seed int64) []uint64 {
+	src := sim.NewSource(seed)
+	return par.ParMap(0, 8, func(i int) uint64 {
+		return src.Uint64()
+	})
 }
 
 // worker reaches its generator through a captured receiver.

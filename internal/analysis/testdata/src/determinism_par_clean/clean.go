@@ -26,6 +26,17 @@ func TaskLocal(seed int64) []float64 {
 	})
 }
 
+// SourcePerTask seeds a raw source inside each task; each shuffle draws
+// only from its own.
+func SourcePerTask(seed int64) [][]int {
+	return par.ParMap(0, 8, func(i int) []int {
+		src := sim.NewSource(seed + int64(i))
+		xs := []int{0, 1, 2, 3}
+		sim.Shuffle(src, xs)
+		return xs
+	})
+}
+
 // GoroutineLocal mints the generator inside the goroutine that uses it.
 func GoroutineLocal(seed int64) float64 {
 	out := make(chan float64)

@@ -2,8 +2,9 @@ package cf
 
 import (
 	"math"
-	"math/rand"
 	"sort"
+
+	"quasar/internal/sim"
 )
 
 // Options configures PQ-reconstruction. The defaults follow the paper: a
@@ -73,13 +74,12 @@ func (m *Model) sgd(cells []cell, opts Options) {
 	if len(cells) == 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	swap := func(a, b int) { cells[a], cells[b] = cells[b], cells[a] }
+	rng := sim.NewSource(opts.Seed)
 	k, p, q, bu, bi := m.K, m.P.Data, m.Q.Data, m.BU, m.BI
 	mu, eta, lambda := m.Mu, opts.Eta, opts.Lambda
 	prevRMSE := math.Inf(1)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		rng.Shuffle(len(cells), swap)
+		sim.Shuffle(rng, cells)
 		sse := 0.0
 		for _, e := range cells {
 			pu := p[int(e.u)*k : int(e.u)*k+k]

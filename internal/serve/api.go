@@ -201,7 +201,8 @@ type workloadList struct {
 	Tasks []workloadInfo `json:"tasks"`
 }
 
-// listWorkloads snapshots up to limit tasks under the engine lock.
+// listWorkloads snapshots up to limit tasks (all of them when limit is 0)
+// under the engine lock.
 func (s *Server) listWorkloads(limit int) workloadList {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
@@ -221,15 +222,25 @@ func (s *Server) listWorkloads(limit int) workloadList {
 	return out
 }
 
+// queryCount reads the count parameter key (def when absent, 0 meaning
+// "all"). A malformed or negative value answers 400 and returns false.
+func queryCount(w http.ResponseWriter, r *http.Request, key string, def int) (int, bool) {
+	q := r.URL.Query().Get(key)
+	if q == "" {
+		return def, true
+	}
+	v, err := strconv.Atoi(q)
+	if err != nil || v < 0 {
+		httpError(w, http.StatusBadRequest, "bad %s %q", key, q)
+		return 0, false
+	}
+	return v, true
+}
+
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	limit := 100
-	if q := r.URL.Query().Get("limit"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad limit %q", q)
-			return
-		}
-		limit = v
+	limit, ok := queryCount(w, r, "limit", 100)
+	if !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, s.listWorkloads(limit))
 }
@@ -365,14 +376,9 @@ type requestsResponse struct {
 }
 
 func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
-	limit := 100
-	if q := r.URL.Query().Get("limit"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad limit %q", q)
-			return
-		}
-		limit = v
+	limit, ok := queryCount(w, r, "limit", 100)
+	if !ok {
+		return
 	}
 	spans := s.tel.Recent(limit)
 	if spans == nil {
@@ -401,14 +407,9 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 // complete before that epoch runs (raced admissions), so the final events
 // and the registry metric tail are the trace file's, not the live stream's.
 func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			httpError(w, http.StatusBadRequest, "bad n %q", q)
-			return
-		}
-		limit = v
+	limit, ok := queryCount(w, r, "n", 0)
+	if !ok {
+		return
 	}
 	id, header, ch := s.tee.Subscribe(16)
 	defer s.tee.Unsubscribe(id)

@@ -372,6 +372,42 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestCountParamsRejectNegative pins the listing endpoints' count
+// parameters: 0 means "all", a negative or malformed count is a 400 rather
+// than a silent full listing.
+func TestCountParamsRejectNegative(t *testing.T) {
+	s, done := startServer(t, Options{
+		Config:      Config{Servers: 8, Seed: 5},
+		JournalPath: filepath.Join(t.TempDir(), "run.journal"),
+	})
+	defer stopServer(t, s, done)
+	base := "http://" + s.Addr()
+	cases := []struct {
+		path string
+		want int
+	}{
+		{"/v1/workloads?limit=-5", 400},
+		{"/v1/workloads?limit=x", 400},
+		{"/v1/workloads?limit=0", 200},
+		{"/v1/workloads?limit=5", 200},
+		{"/debug/requests?limit=-5", 400},
+		{"/debug/requests?limit=1.5", 400},
+		{"/debug/requests?limit=0", 200},
+		{"/v1/trace/stream?n=-5", 400},
+	}
+	for _, tc := range cases {
+		resp, err := http.Get(base + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s got %d, want %d", tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestFlightRecorderDump checks /debug/flightrecorder returns a parseable
 // NDJSON window of recent events.
 func TestFlightRecorderDump(t *testing.T) {

@@ -13,9 +13,10 @@ type RNG struct {
 	r *rand.Rand
 }
 
-// NewRNG returns a generator seeded with seed.
+// NewRNG returns a generator seeded with seed. Its draws are those of a
+// rand.Rand over math/rand's own source; Source only seeds faster.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{r: rand.New(NewSource(seed))}
 }
 
 // Stream derives an independent generator for the named component. The
@@ -117,7 +118,7 @@ func splitmix64(state uint64) uint64 {
 // via splitmix64 and Box-Muller. The same seed always yields the same value,
 // so call sites that need "the same noise for the same bucket" (loadgen's
 // per-bucket noise) get determinism without constructing a generator per
-// query — building a math/rand state is a multi-kilobyte allocation.
+// query — building a Source is a multi-kilobyte allocation.
 func HashNormal(seed int64) float64 {
 	h1 := splitmix64(uint64(seed))
 	h2 := splitmix64(uint64(seed) + 0x632be59bd9b4e019)
