@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-hotpath bench ledger trace-diff fmt-check ci
+.PHONY: all build test race lint bench ledger trace-diff fmt-check ci
 
 all: build
 
@@ -22,10 +22,6 @@ race:
 lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/quasar-lint ./...
-
-## lint-hotpath: the hot-path static-analysis suite alone, machine-readable
-lint-hotpath:
-	$(GO) run ./cmd/quasar-lint -json ./...
 
 ## bench: run the repository benchmarks — one iteration of every paper
 ## artifact, then the classifier's inner loops (BenchmarkTrain must stay flat

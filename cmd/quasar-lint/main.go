@@ -1,12 +1,11 @@
 // Command quasar-lint runs the repository's static-analysis suite
 // (internal/analysis): project-specific determinism, float-comparison,
-// snapshot-drift, error-discard, hot-path allocation, lock-hygiene, and
-// concurrent-capture checks built purely on the standard library's go/ast
-// and go/types.
+// snapshot-drift, error-discard, lock-hygiene, and concurrent-capture
+// checks built purely on the standard library's go/ast and go/types.
 //
 // Usage:
 //
-//	quasar-lint [-json] [-list] [-analyzers a,b] [-hotroots file] [-hotpath] [patterns ...]
+//	quasar-lint [-list] [-analyzers a,b] [patterns ...]
 //
 // Patterns default to "./...". Relative patterns resolve against the
 // working directory, as with the go tool. A pattern ending in /... walks
@@ -16,18 +15,11 @@
 // explicitly and runs every analyzer on it regardless of scope — which is
 // how the known-bad fixtures are exercised.
 //
-// The hot-path analyzers read their roots from hotpath.json at the module
-// root (override with -hotroots; pass -hotroots "" to run without declared
-// roots). -hotpath prints the reachability report — every hot function
-// with its finding count — instead of plain diagnostics.
-//
-// Diagnostics print as "file:line:col: [analyzer] message", or as a JSON
-// array with -json. The exit status is 1 when any diagnostic is reported,
-// 2 on usage or load errors.
+// Diagnostics print as "file:line:col: [analyzer] message". The exit
+// status is 1 when any diagnostic is reported, 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,11 +30,8 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics (or the -hotpath report) as JSON")
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
 	analyzerNames := flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
-	hotroots := flag.String("hotroots", "hotpath.json", "hot-root declaration file, relative to the module root; \"\" disables declared roots")
-	hotpathReport := flag.Bool("hotpath", false, "print the hot-path reachability report instead of diagnostics")
 	flag.Parse()
 
 	if *list {
@@ -83,21 +72,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg *analysis.Config
-	if *hotroots != "" {
-		path := *hotroots
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(root, path)
-		}
-		cfg, err = analysis.LoadHotPathConfig(path)
-		if err != nil {
-			// The default hotpath.json is best-effort: a module without one
-			// simply runs rootless. An explicitly named file must exist.
-			if !os.IsNotExist(err) || !isDefaultFlag("hotroots") {
-				fatal(err)
-			}
-		}
-	}
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		fatal(err)
@@ -106,30 +80,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags, hot, err := analysis.RunConfigured(loader.Fset, pkgs, analyzers, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	for _, key := range hot.Unresolved {
-		_, _ = fmt.Fprintf(os.Stderr,
-			"quasar-lint: warning: hot-path key %q resolves to nothing in the loaded packages (stale entry, or a partial pattern?)\n", key)
-	}
-
-	if *hotpathReport {
-		printHotPathReport(root, hot, diags, *jsonOut)
-		if len(diags) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut {
-		printJSONDiags(root, diags)
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s:%d:%d: [%s] %s\n",
-				relPath(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-		}
+	diags := analysis.Run(loader.Fset, pkgs, analyzers)
+	for _, d := range diags {
+		fmt.Printf("%s:%d:%d: [%s] %s\n",
+			relPath(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)
@@ -162,94 +116,6 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("quasar-lint: -analyzers selected nothing")
 	}
 	return out, nil
-}
-
-// isDefaultFlag reports whether the named flag was left at its default.
-func isDefaultFlag(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return !set
-}
-
-// jsonDiag is the -json wire form of one diagnostic.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func printJSONDiags(root string, diags []analysis.Diagnostic) {
-	out := []jsonDiag{}
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File: relPath(root, d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column,
-			Analyzer: d.Analyzer, Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
-// printHotPathReport lists every hot-reachable function with its file span
-// and the number of diagnostics landing inside it.
-func printHotPathReport(root string, hot *analysis.HotSet, diags []analysis.Diagnostic, asJSON bool) {
-	funcs := hot.Funcs()
-	type reportEntry struct {
-		Key      string `json:"key"`
-		Root     bool   `json:"root,omitempty"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Findings int    `json:"findings"`
-	}
-	entries := make([]reportEntry, 0, len(funcs))
-	total := 0
-	for _, hf := range funcs {
-		n := 0
-		for _, d := range diags {
-			if d.Pos.Filename == hf.Pos.Filename && d.Pos.Line >= hf.Pos.Line && d.Pos.Line <= hf.End.Line {
-				n++
-			}
-		}
-		total += n
-		entries = append(entries, reportEntry{
-			Key:  hf.Key,
-			Root: hf.Root,
-			File: relPath(root, hf.Pos.Filename), Line: hf.Pos.Line,
-			Findings: n,
-		})
-	}
-	if asJSON {
-		report := struct {
-			HotFunctions []reportEntry `json:"hot_functions"`
-			Total        int           `json:"total_findings"`
-		}{entries, len(diags)}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Printf("hot-path reachability: %d functions\n", len(entries))
-	for _, e := range entries {
-		marker := " "
-		if e.Root {
-			marker = "*"
-		}
-		fmt.Printf("%s %-72s %s:%d findings=%d\n", marker, e.Key, e.File, e.Line, e.Findings)
-	}
-	if len(diags) != total {
-		fmt.Printf("(%d further findings outside hot functions)\n", len(diags)-total)
-	}
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -2,7 +2,8 @@
 // standard library's go/ast, go/parser, go/token, and go/types. It exists
 // to enforce the repository's correctness invariants — deterministic
 // seeded simulation, float-comparison hygiene, snapshot-format stability,
-// and no silently dropped errors — which ordinary `go vet` does not cover.
+// no silently dropped errors, mutex hygiene, and race-free writes from
+// concurrent task bodies — which ordinary `go vet` does not cover.
 //
 // An Analyzer inspects one type-checked package at a time and reports
 // Diagnostics. The driver (cmd/quasar-lint) loads the module with Loader,
@@ -72,7 +73,7 @@ func (a *Analyzer) appliesTo(pkgPath string) bool {
 
 // All returns the repository's analyzer suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, FloatCmp, SnapshotDrift, ErrDiscard, HotAlloc, LockCheck, ParCapture}
+	return []*Analyzer{Determinism, FloatCmp, SnapshotDrift, ErrDiscard, LockCheck, ParCapture}
 }
 
 // Pass carries one analyzer's view of one package.
@@ -80,10 +81,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Hot is the hot-path reachability set computed for this run (see
-	// callgraph.go); nil when reachability could not be established.
-	// Hot-path analyzers gate their findings on it.
-	Hot *HotSet
 
 	diags []Diagnostic
 }
@@ -97,62 +94,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Config parameterizes a run. The zero value (or a nil *Config) runs with
-// no declared hot roots; //quasar:hot markers still seed the hot set, which
-// is how fixture packages exercise the hot-path analyzers.
-type Config struct {
-	// HotRoots are canonical function keys (see FuncKey) declared as
-	// hot-path entry points, normally read from hotpath.json.
-	HotRoots []string
-	// HotStops are canonical function keys fencing the reachability
-	// traversal: the named function and everything only it reaches stay
-	// cold. Each stop in hotpath.json carries a justification.
-	HotStops []string
-}
-
 // Run applies analyzers to pkgs, honoring analyzer scopes and
 // //lint:allow suppressions, and returns diagnostics sorted by position
 // then analyzer name.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _, err := RunConfigured(fset, pkgs, analyzers, nil)
-	if err != nil {
-		// Without a config there are no root keys to mismatch; the only
-		// error source is unreachable here.
-		panic(err)
-	}
-	return diags
-}
-
-// RunConfigured is Run with hot-path configuration. It returns the
-// diagnostics and the computed hot set (for the -hotpath report).
-// Configured root/stop keys that resolve to no function in the loaded
-// packages are dropped from the traversal and recorded in
-// HotSet.Unresolved: a partial package pattern legitimately excludes roots
-// living elsewhere in the module, but on a full-module run every entry is
-// a stale hotpath.json key and callers should surface it.
-func RunConfigured(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, *HotSet, error) {
-	graph := BuildCallGraph(fset, pkgs)
-	var roots, stops, unresolved []string
-	if cfg != nil {
-		keep := func(keys []string) []string {
-			var have []string
-			for _, k := range keys {
-				if graph.KnownKey(k) {
-					have = append(have, k)
-				} else {
-					unresolved = append(unresolved, k)
-				}
-			}
-			return have
-		}
-		roots, stops = keep(cfg.HotRoots), keep(cfg.HotStops)
-	}
-	hot, err := graph.Reachable(roots, stops)
-	if err != nil {
-		return nil, nil, err
-	}
-	hot.Unresolved = unresolved
-	out := append([]Diagnostic(nil), graph.diags...)
+	var out []Diagnostic
 	for _, pkg := range pkgs {
 		sup := collectSuppressions(fset, pkg)
 		var ran []*Analyzer
@@ -161,7 +107,7 @@ func RunConfigured(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, 
 				continue
 			}
 			ran = append(ran, a)
-			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg, Hot: hot}
+			pass := &Pass{Analyzer: a, Fset: fset, Pkg: pkg}
 			a.Run(pass)
 			for _, d := range pass.diags {
 				if !sup.allows(d) {
@@ -187,7 +133,7 @@ func RunConfigured(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, 
 		}
 		return a.Message < b.Message
 	})
-	return out, hot, nil
+	return out
 }
 
 // directive is one //lint:allow(...) comment with per-name usage tracking:

@@ -103,16 +103,12 @@ func TestLoaderWalksModule(t *testing.T) {
 
 // TestSuiteCleanOnRepository is the self-hosting check: the analyzer
 // suite must report nothing on the repository itself. It mirrors the
-// quasar-lint CLI exactly — same hotpath.json, same analyzer set — so
-// the checked-in hot-root declarations are exercised too (with a nil
-// config the hot-path analyzers see no roots and their suppressions
-// would be flagged as unused).
+// quasar-lint CLI exactly — same ./... load, same analyzer set.
 func TestSuiteCleanOnRepository(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root := moduleRoot(t)
-	loader, err := NewLoader(root)
+	loader, err := NewLoader(moduleRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,21 +116,7 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := LoadHotPathConfig(filepath.Join(root, "hotpath.json"))
-	if err != nil {
-		t.Fatalf("loading hotpath.json: %v", err)
-	}
-	diags, hot, err := RunConfigured(loader.Fset, pkgs, All(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range hot.Unresolved {
-		t.Errorf("hot-path key %q resolves to nothing in the module", key)
-	}
-	if hot.Len() == 0 {
-		t.Error("hotpath.json roots reached no functions")
-	}
-	for _, d := range diags {
+	for _, d := range Run(loader.Fset, pkgs, All()) {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }

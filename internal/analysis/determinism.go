@@ -8,8 +8,8 @@ import (
 )
 
 // Determinism enforces the seeded-simulation contract: identical seeds
-// must produce identical results. It flags four nondeterminism sources
-// in the simulation, classification, scheduling, and experiment packages:
+// must produce identical results. It flags eight nondeterminism sources
+// in the nine packages of its scope:
 //
 //  1. draws from math/rand's unseeded global source (use a seeded
 //     *rand.Rand, e.g. sim.NewRNG);

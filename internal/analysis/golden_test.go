@@ -36,8 +36,6 @@ var goldenCases = []struct {
 	{SnapshotDrift, "snapshotdrift_clean", false},
 	{ErrDiscard, "errdiscard_bad", true},
 	{ErrDiscard, "errdiscard_clean", false},
-	{HotAlloc, "hotalloc_bad", true},
-	{HotAlloc, "hotalloc_clean", false},
 	{LockCheck, "lockcheck_bad", true},
 	{LockCheck, "lockcheck_clean", false},
 	{ParCapture, "parcapture_bad", true},

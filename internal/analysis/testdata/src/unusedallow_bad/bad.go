@@ -18,7 +18,7 @@ func Stale(a, b int) bool {
 // OtherAnalyzer names an analyzer that is not part of this run; absence of
 // findings proves nothing, so it is not reported.
 func OtherAnalyzer(a, b int) bool {
-	return a == b //lint:allow(hotalloc) fixture: analyzer not in this run
+	return a == b //lint:allow(errdiscard) fixture: analyzer not in this run
 }
 
 // Wildcard suppresses everything and catches nothing.

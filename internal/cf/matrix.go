@@ -147,13 +147,13 @@ type Frozen struct {
 // sort.
 func (s *Sparse) Freeze(into *Frozen) *Frozen {
 	if into == nil {
-		into = new(Frozen) //lint:allow(hotalloc) first freeze only: callers on the hot path pass the Frozen they keep
+		into = new(Frozen)
 	}
 	cells := slices.Grow(into.cells[:0], s.n)
 	for u, row := range s.entries {
 		lo := len(cells)
-		for i, v := range row { //lint:allow(hotalloc) a row is stored as a map; the per-row sort below removes the iteration order, and a freeze runs once per retrain point, not per write
-			cells = append(cells, cell{int32(u), int32(i), v}) //lint:allow(hotalloc) within the capacity slices.Grow reserved above
+		for i, v := range row {
+			cells = append(cells, cell{int32(u), int32(i), v})
 		}
 		slices.SortFunc(cells[lo:], func(a, b cell) int { return int(a.i - b.i) })
 	}

@@ -264,13 +264,11 @@ func (s *Server) Place(workloadID string, alloc Alloc, caused ResVec, bestEffort
 func (s *Server) Remove(workloadID string) error {
 	pl, ok := s.placements[workloadID]
 	if !ok {
-		//lint:allow(hotalloc) error path: removal of a workload that is not resident
 		return fmt.Errorf("cluster: %s not placed on server %d", workloadID, s.ID)
 	}
 	delete(s.placements, workloadID)
 	for i, p := range s.order {
 		if p == pl {
-			//lint:allow(hotalloc) in-place shift: the append reslices the existing backing array and never grows it
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			break
 		}

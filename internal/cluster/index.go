@@ -122,7 +122,6 @@ func (ix *FreeIndex) AppendPristine(pidx int, dst []*Server) []*Server {
 func (ix *FreeIndex) AppendOccupiable(pidx int, dst []*Server) []*Server {
 	b := ix.plats[pidx].buckets
 	for band := len(b) - 1; band >= 1; band-- {
-		//lint:allow(hotalloc) appends into the caller's reusable scratch slice; capacity is retained across Schedule calls
 		dst = append(dst, b[band]...)
 	}
 	return dst
@@ -167,7 +166,6 @@ func (s *Server) recomputeEv() {
 		if pl.BestEffort {
 			cores += pl.Alloc.Cores
 			mem += pl.Alloc.MemoryGB
-			//lint:allow(hotalloc) evictable cache growth: reaches the server's best-effort peak once, then reused
 			be = append(be, pl)
 		}
 	}

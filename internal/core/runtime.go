@@ -125,7 +125,6 @@ func insertID(ids []int, id int) []int {
 func removeID(ids []int, id int) []int {
 	for i, v := range ids {
 		if v == id {
-			//lint:allow(hotalloc) in-place shift: the append reslices the existing backing array and never grows it
 			return append(ids[:i], ids[i+1:]...)
 		}
 	}
@@ -290,13 +289,10 @@ func (rt *Runtime) SetProfiler(p *prof.Profiler) {
 // spanID names the placement span of a workload on a server; placements on
 // one server track overlap across workloads, so they are async spans keyed by
 // this ID.
-//
-//quasar:cold tracing-only: every call site sits inside a Trace.Enabled() guard
 func spanID(workloadID string, serverID int) string {
 	return fmt.Sprintf("%s@%d", workloadID, serverID)
 }
 
-//quasar:cold tracing-only: every call site sits inside a Trace.Enabled() guard
 func serverTrack(serverID int) string { return fmt.Sprintf("server/%d", serverID) }
 
 func workloadTrack(workloadID string) string { return "workload/" + workloadID }
@@ -407,7 +403,6 @@ func (rt *Runtime) Resize(t *Task, server *cluster.Server, alloc cluster.Alloc) 
 func (rt *Runtime) RemoveNode(t *Task, serverID int) error {
 	pl, ok := t.placements[serverID]
 	if !ok {
-		//lint:allow(hotalloc) error path: scale-in of a server the task is not on
 		return fmt.Errorf("core: %s not on server %d", t.W.ID, serverID)
 	}
 	if err := pl.Server.Remove(t.W.ID); err != nil {
@@ -461,10 +456,10 @@ func (rt *Runtime) Evict(id string) error {
 }
 
 // nodesOf assembles the perfmodel view of the task's current allocation.
-// It allocates per call by design: the SLO engine's fan-out workers call
-// TrueRate concurrently, so a runtime-owned scratch buffer would race.
+// It runs only on a truth-memo miss and allocates per call by design: the
+// SLO engine's fan-out workers call TrueRate concurrently, so a
+// runtime-owned scratch buffer would race.
 func (rt *Runtime) nodesOf(t *Task) []perfmodel.NodeAlloc {
-	//lint:allow(hotalloc) runs only on a truth-memo miss, i.e. after the task or one of its servers changed; per-call because concurrent TrueRate callers rule out shared scratch
 	nodes := make([]perfmodel.NodeAlloc, 0, len(t.serverIDs))
 	for _, id := range t.serverIDs {
 		pl := t.placements[id]
@@ -473,7 +468,6 @@ func (rt *Runtime) nodesOf(t *Task) []perfmodel.NodeAlloc {
 			// books, but the machine does no work.
 			continue
 		}
-		//lint:allow(hotalloc) append within capacity preallocated to the allocation width
 		nodes = append(nodes, perfmodel.NodeAlloc{
 			Platform: pl.Server.Platform,
 			Alloc:    pl.Alloc,
@@ -705,9 +699,9 @@ func (rt *Runtime) sample(now float64) {
 	t0 := rt.Prof.Begin()
 	defer rt.Prof.End(prof.SubRuntime, t0)
 	if n := len(rt.Cl.Servers); cap(rt.cpuBuf) < n {
-		rt.cpuBuf = make([]float64, n) //lint:allow(hotalloc) grow-once scratch: steady-state sweeps reuse it
-		rt.memBuf = make([]float64, n) //lint:allow(hotalloc) grow-once scratch: steady-state sweeps reuse it
-		rt.dskBuf = make([]float64, n) //lint:allow(hotalloc) grow-once scratch: steady-state sweeps reuse it
+		rt.cpuBuf = make([]float64, n)
+		rt.memBuf = make([]float64, n)
+		rt.dskBuf = make([]float64, n)
 	}
 	n := len(rt.Cl.Servers)
 	cpu, mem, dsk := rt.cpuBuf[:n], rt.memBuf[:n], rt.dskBuf[:n]

@@ -46,7 +46,6 @@ func (wq *WaitQueue) Drain(cl *cluster.Cluster, try func(t *Task) (placed, noFit
 			continue
 		}
 		if t.W.BestEffort && memo && cl.Gen() == memoGen {
-			//lint:allow(hotalloc) survivors go into the buffer the previous drain emptied: it grows to the queue's peak once, then is reused
 			wq.tasks = append(wq.tasks, t)
 			continue
 		}
@@ -55,7 +54,6 @@ func (wq *WaitQueue) Drain(cl *cluster.Cluster, try func(t *Task) (placed, noFit
 			memo, memoGen = true, cl.Gen()
 		}
 		if !placed {
-			//lint:allow(hotalloc) same reused survivor buffer as above
 			wq.tasks = append(wq.tasks, t)
 		}
 	}

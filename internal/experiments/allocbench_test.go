@@ -15,13 +15,13 @@ import (
 	"quasar/internal/workload"
 )
 
-// The allocation probes are the dynamic half of the hot-path allocation gate.
-// The static half (quasar-lint's hotalloc analyzer) proves every allocation
-// site reachable from the hot roots in hotpath.json is annotated; these
-// probes measure what those roots actually allocate per operation at steady
-// state, with testing.AllocsPerRun, against the budgets below. A probe over
-// its budget is an allocation regression: some change re-introduced
-// per-operation garbage on a path the static gate only sees as "annotated".
+// The allocation probes are the repository's allocation gate. Each measures
+// what one hot function allocates per operation at steady state, with
+// testing.AllocsPerRun, against the budget in its row below. A probe over its
+// budget is an allocation regression: some change re-introduced per-operation
+// garbage on a path the engine runs per event, tick, decision or admission.
+// The performance ledger (bench/) gates the end-to-end cost in
+// alloc_kb_per_op; these rows say which function moved.
 //
 // Budgets are ceilings with headroom, not exact counts — the retained-by-design
 // allocations (trace events, heatmap history, returned assignments) legitimately
@@ -36,19 +36,19 @@ const (
 	allocSeed      = 11
 )
 
-// allocProbes is the gate's table: one row per hot root, keyed by a stable
-// probe name.
+// allocProbes is the gate's table: one row per hot function, keyed by a
+// stable probe name.
 var allocProbes = []struct {
-	name    string
-	hotRoot string // the hotpath.json key the probe exercises
-	budget  float64
-	probe   func(t *testing.T) float64
+	name     string
+	measures string // the function the probe measures
+	budget   float64
+	probe    func(t *testing.T) float64
 }{
 	// One event pop + self-reschedule through the engine freelist: zero
 	// steady-state allocations (measured 0.0).
 	{"sim_step", "quasar/internal/sim.(*Engine).Step", 1, simStepProbe},
 	// One scheduling decision: the returned Assignment, its node list, and
-	// the tuned framework config are the decision itself (annotated as such);
+	// the tuned framework config are the decision itself;
 	// candidate ranking and sizing reuse scheduler-owned scratch
 	// (measured 5.0).
 	{"sched_schedule", "quasar/internal/sched.(*Scheduler).Schedule", 10, schedScheduleProbe},
@@ -88,10 +88,9 @@ var allocProbes = []struct {
 	{"estimates_nodeperf", "quasar/internal/classify.(*Estimates).NodePerf", 1, nodePerfProbe},
 }
 
-// TestAllocBudgets is the dynamic allocation gate: every hot-root probe must
-// stay within its budget. A failure here means a change added per-operation
-// heap allocations on a path the static lint gate (quasar-lint) can only
-// prove is annotated, not cheap. Fan-outs run sequentially (one worker) so
+// TestAllocBudgets is the allocation gate: every probe must stay within its
+// budget. A failure here means a change added per-operation heap allocations
+// to the function the row names. Fan-outs run sequentially (one worker) so
 // the counts do not depend on GOMAXPROCS or goroutine scheduling.
 func TestAllocBudgets(t *testing.T) {
 	if testing.Short() {
@@ -103,7 +102,7 @@ func TestAllocBudgets(t *testing.T) {
 	for _, p := range allocProbes {
 		t.Run(p.name, func(t *testing.T) {
 			allocs := p.probe(t)
-			t.Logf("%8.1f allocs/op (budget %.0f) on %s", allocs, p.budget, p.hotRoot)
+			t.Logf("%8.1f allocs/op (budget %.0f) on %s", allocs, p.budget, p.measures)
 			if allocs > p.budget {
 				t.Errorf("%.1f allocs/op exceeds budget %.0f", allocs, p.budget)
 			}

@@ -185,7 +185,7 @@ func (h *Heatmap) Sample(t float64, vals []float64) {
 		panic(fmt.Sprintf("metrics: heatmap sample with %d rows, want %d", len(vals), h.Rows))
 	}
 	h.Times = append(h.Times, t)
-	col := make([]float64, h.Rows) //lint:allow(hotalloc) the column is retained heatmap history by design; copying frees the caller's buffer for reuse
+	col := make([]float64, h.Rows) // retained history: the copy frees the caller's buffer for reuse
 	copy(col, vals)
 	h.Cells = append(h.Cells, col)
 }

@@ -183,8 +183,6 @@ func (c *Controls) keep(phase byte, id, track, cat string, args []Arg) bool {
 // truncate applies TopK candidate truncation, returning args unchanged when
 // nothing applies. Picked candidates beyond the cut survive so placement
 // explanations still resolve every chosen server.
-//
-//quasar:cold runs only for decision-level events when TopK is configured
 func (c *Controls) truncate(args []Arg) []Arg {
 	if c.TopK <= 0 {
 		return args

@@ -60,10 +60,9 @@ func appendArgs(dst []byte, args []Arg) ([]byte, error) {
 	for i := range args {
 		dst = appendSep(dst, i)
 		dst = appendString(dst, args[i].Key)
-		dst = append(dst, ':') //lint:allow(hotalloc) line-buffer growth: dst is the sink's reused buffer, at capacity once the largest event has passed
+		dst = append(dst, ':')
 		var err error
 		if dst, err = appendValue(dst, args[i].Val); err != nil {
-			//lint:allow(hotalloc) error path: the event is dropped and reported through Tracer.Err
 			return dst, fmt.Errorf("obs: arg %q: %w", args[i].Key, err)
 		}
 	}
@@ -163,8 +162,8 @@ func plainByte(c byte) bool {
 func appendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !plainByte(s[i]) {
-			b, _ := json.Marshal(s)  // marshalling a string cannot fail
-			return append(dst, b...) //lint:allow(hotalloc) not a loop append: returns on the first byte that needs escaping
+			b, _ := json.Marshal(s) // marshalling a string cannot fail
+			return append(dst, b...)
 		}
 	}
 	dst = append(dst, '"')

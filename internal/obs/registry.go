@@ -103,7 +103,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if i, ok := r.byName[name]; ok && r.entries[i].kind == kindCounter {
 		return r.entries[i].counter
 	}
-	c := &Counter{} //lint:allow(hotalloc) first registration of a name only; steady-state lookups return the cached counter above
+	c := &Counter{}
 	r.add(entry{name: name, help: help, kind: kindCounter, counter: c})
 	return c
 }

@@ -18,13 +18,13 @@ type Shard struct {
 // returns n nil shards, whose methods are no-ops, so fan-out code needs no
 // enabled-check of its own.
 func (t *Tracer) Shards(n int) []*Shard {
-	shards := make([]*Shard, n) //lint:allow(hotalloc) one slice per fan-out, amortized over its n tasks
+	shards := make([]*Shard, n)
 	if t == nil {
 		return shards
 	}
 	tm := t.now()
 	for i := range shards {
-		shards[i] = &Shard{time: tm} //lint:allow(hotalloc) per-fan-out task buffer; shards are handed to concurrent tasks, so pooling would race
+		shards[i] = &Shard{time: tm} // one per fan-out: shards go to concurrent tasks, so pooling would race
 	}
 	return shards
 }

@@ -85,10 +85,8 @@ func ParFor(workers, n int, fn func(i int)) {
 	)
 	wg.Add(w)
 	for k := 0; k < w; k++ {
-		//lint:allow(hotalloc) one worker closure per fan-out, amortized over the n tasks it drains
 		go func() {
 			defer wg.Done()
-			//lint:allow(hotalloc) one recover handler per worker per fan-out, amortized as above
 			defer func() {
 				if r := recover(); r != nil {
 					panicMu.Lock()

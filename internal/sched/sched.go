@@ -241,14 +241,12 @@ func (s *Scheduler) rankIndexed(req *Request, cands []candidate) []candidate {
 			for _, srv := range prs {
 				c := proto
 				c.server = srv
-				//lint:allow(hotalloc) append into receiver-owned scratch: grows to cluster size once, then steady-state reuses capacity
 				cands = append(cands, c)
 			}
 		}
 		occ := ix.AppendOccupiable(pidx, prs[:0])
 		for _, srv := range occ {
 			cores, mem, evictable := srv.FreeAfterEviction()
-			//lint:allow(hotalloc) append into receiver-owned scratch: grows to cluster size once, then steady-state reuses capacity
 			cands = append(cands, s.appraise(req, srv, pidx, cores, mem, evictable))
 		}
 		s.srvScratch = occ[:0]
@@ -378,7 +376,6 @@ func (s *Scheduler) rightSizeAlloc(req *Request, cand candidate, want float64) (
 				break
 			}
 		}
-		//lint:allow(hotalloc) append into a stack array sized to the grid: capacity is never exceeded
 		opts = append(opts, sizeOption{alloc, perf})
 		if perf >= want {
 			return alloc, perf
@@ -408,8 +405,6 @@ func (s *Scheduler) rightSizeAlloc(req *Request, cand candidate, want float64) (
 // emitDecision records the full Schedule outcome — every ranked candidate's
 // inputs plus the picks — on the tracer. It is only called when the tracer is
 // enabled, so callers on the hot path pay a single nil check.
-//
-//quasar:cold tracing-only: every call site guards with s.Tracer.Enabled()
 func (s *Scheduler) emitDecision(req *Request, want float64, cands []candidate, asn *Assignment, outcome string) {
 	d := obs.ScheduleDecision{
 		Workload: req.W.ID, NeedPerf: req.NeedPerf, Want: want,
@@ -482,7 +477,6 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		if s.Tracer.Enabled() {
 			s.emitDecision(req, 0, nil, nil, obs.OutcomeBadRequest)
 		}
-		//lint:allow(hotalloc) bad-request error path: never taken by a well-formed caller
 		return nil, fmt.Errorf("sched: request for %s with NeedPerf %v", req.W.ID, req.NeedPerf)
 	}
 	maxNodes := req.MaxNodes
@@ -498,11 +492,10 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		return nil, ErrNoCapacity
 	}
 
-	//lint:allow(hotalloc) the assignment is the returned decision: one allocation per Schedule call by contract
 	asn := &Assignment{}
 	sumPerf := 0.0
 	if s.zoneScratch == nil {
-		s.zoneScratch = make(map[int]bool) //lint:allow(hotalloc) lazy init for zero-value schedulers: runs once
+		s.zoneScratch = make(map[int]bool)
 	}
 	clear(s.zoneScratch)
 	usedZones := s.zoneScratch
@@ -555,7 +548,6 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		if req.MaxCostPerHour > 0 && asn.CostPerHour+cost > req.MaxCostPerHour {
 			continue
 		}
-		//lint:allow(hotalloc) building the returned assignment: bounded by MaxNodes
 		asn.Nodes = append(asn.Nodes, NodeAssign{Server: cand.server, Alloc: alloc})
 		usedZones[cand.server.Zone] = true
 		asn.CostPerHour += cost
@@ -563,7 +555,6 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		for _, ev := range cand.evictable {
 			// Only evict what the allocation actually needs.
 			if alloc.Cores > cand.server.FreeCores() || alloc.MemoryGB > cand.server.FreeMemGB() {
-				//lint:allow(hotalloc) building the returned eviction list: bounded by displaced residents
 				asn.Evictions = append(asn.Evictions, ev.WorkloadID)
 			}
 		}

@@ -175,7 +175,7 @@ type Entry struct {
 // instance — the same format string workload.Universe.New uses, which is the
 // contract letting admission promise IDs before the apply point runs.
 func predictID(tp workload.Type, ordinal int) string {
-	return fmt.Sprintf("%s-%04d", tp, ordinal) //lint:allow(hotalloc) one ID string per admission is the product
+	return fmt.Sprintf("%s-%04d", tp, ordinal)
 }
 
 // Journal is the admission log writer. Admit appends entries stamped with

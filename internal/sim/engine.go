@@ -72,7 +72,7 @@ func (e *Engine) Schedule(at float64, fn func()) EventID {
 		e.free = e.free[:n-1]
 		ev.at, ev.seq, ev.id, ev.fn = at, e.nextSeq, e.nextID, fn
 	} else {
-		ev = &event{at: at, seq: e.nextSeq, id: e.nextID, fn: fn} //lint:allow(hotalloc) freelist refill: amortized away once the event population peaks
+		ev = &event{at: at, seq: e.nextSeq, id: e.nextID, fn: fn}
 	}
 	e.q.push(ev)
 	e.live[ev.id] = ev

@@ -161,8 +161,6 @@ func (e *Engine) windowTicks(secs float64) int {
 }
 
 // newState starts monitoring a workload on first sight.
-//
-//quasar:cold first-sight initialization: runs once per workload lifetime, not per tick
 func (e *Engine) newState(t *core.Task) *wstate {
 	class := t.W.Type.Class()
 	goal := e.opts.GoalBatch
@@ -230,7 +228,6 @@ func (e *Engine) onTick(now float64) {
 				ws = e.newState(t)
 				e.byPos[i] = ws
 				e.states[t.W.ID] = ws
-				//lint:allow(hotalloc) once per workload lifetime, at first sight
 				e.order = append(e.order, ws)
 			} else {
 				continue
@@ -239,7 +236,6 @@ func (e *Engine) onTick(now float64) {
 		if ws.done {
 			continue
 		}
-		//lint:allow(hotalloc) append into receiver-owned scratch: grows to the tracked-workload count once
 		eval = append(eval, evalItem{ws: ws, t: t})
 	}
 	e.evalBuf = eval
@@ -255,10 +251,9 @@ func (e *Engine) onTick(now float64) {
 		// depend on the worker count.
 		shards := e.tr.Shards(n)
 		if cap(e.resultsBuf) < n {
-			e.resultsBuf = make([]tickResult, n) //lint:allow(hotalloc) grow-once scratch: steady-state ticks reuse it
+			e.resultsBuf = make([]tickResult, n)
 		}
 		results := e.resultsBuf[:n]
-		//lint:allow(hotalloc) one closure per fan-out, amortized over every task in the sweep
 		par.ParFor(workers, n, func(i int) {
 			results[i] = e.evalOne(eval[i].ws, eval[i].t, now, shards[i])
 		})
@@ -274,7 +269,6 @@ func (e *Engine) onTick(now float64) {
 				} else {
 					e.ticketsFired.Inc()
 				}
-				//lint:allow(hotalloc) alert fires are rare events and the episode log is retained by design
 				e.episodes = append(e.episodes, Episode{
 					Workload: ws.id, Rule: rule.Name, FireAt: now, ResolveAt: -1,
 				})
@@ -320,7 +314,6 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) t
 					obs.Arg{Key: "peak_burn", Val: r.peakBurn},
 					obs.Arg{Key: "reason", Val: "completed"})
 			}
-			//lint:allow(hotalloc) completion-time resolve: runs once per workload lifetime, bounded by len(Rules)
 			res.resolved = append(res.resolved, ri)
 		}
 		res.finalize = true
@@ -359,7 +352,6 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) t
 						obs.Arg{Key: "bad_secs_long", Val: float64(r.long.bad) * e.tick},
 						obs.Arg{Key: "bad_secs_short", Val: float64(r.short.bad) * e.tick})
 				}
-				//lint:allow(hotalloc) alert fires are rare: nil in the steady state, bounded by len(Rules)
 				res.fired = append(res.fired, ri)
 			}
 			continue
@@ -382,7 +374,6 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) t
 						obs.Arg{Key: "peak_burn", Val: r.peakBurn},
 						obs.Arg{Key: "burn_short", Val: burnS})
 				}
-				//lint:allow(hotalloc) alert resolves are rare: nil in the steady state, bounded by len(Rules)
 				res.resolved = append(res.resolved, ri)
 			}
 		} else {

@@ -83,7 +83,7 @@ func (e *Engine) serverScore(s *cluster.Server) float64 {
 func (e *Engine) healthSweep(now float64) {
 	n := len(e.rt.Cl.Servers)
 	if cap(e.scoreBuf) < n {
-		e.scoreBuf = make([]float64, n) //lint:allow(hotalloc) grow-once scratch: Heatmap.Sample copies, so sweeps reuse it
+		e.scoreBuf = make([]float64, n) // Heatmap.Sample copies, so sweeps reuse it
 	}
 	scores := e.scoreBuf[:n]
 	sum := 0.0
