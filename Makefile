@@ -26,12 +26,16 @@ lint: fmt-check
 ## bench: run the repository benchmarks — one iteration of every paper
 ## artifact, then the classifier's inner loops (BenchmarkTrain must stay flat
 ## in the number of rows and BenchmarkSymEig is its cubic term;
-## BenchmarkNodePerf is paid per node per tick), then the cost of minting a
-## random stream (BenchmarkNewRNG, BenchmarkStream: paid per workload)
+## BenchmarkNodePerf is paid per node per tick) and the oracle target sweep
+## (BenchmarkOracleBestCompletion: paid per targeted batch arrival), then the
+## random streams: minting one builds no register (BenchmarkNewRNG,
+## BenchmarkStream), a typical stream is minted and drawn 19 times
+## (BenchmarkStreamDraws: paid per workload), and SGD's shuffle runs on a
+## built register (BenchmarkShuffle)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='^Benchmark(Train|SymEig|NodePerf)$$' -run=^$$ ./internal/cf ./internal/classify
-	$(GO) test -bench='^Benchmark(NewRNG|Stream)$$' -benchmem -run=^$$ ./internal/sim
+	$(GO) test -bench='^Benchmark(Train|SymEig|NodePerf|OracleBestCompletion)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
+	$(GO) test -bench='^Benchmark(NewRNG|Stream|StreamDraws|Shuffle)$$' -benchmem -run=^$$ ./internal/sim
 
 ## ledger: the performance ledger — every bench/ workload untraced x3 and
 ## traced once, with the per-layer split (see bench/README.md)

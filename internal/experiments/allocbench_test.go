@@ -25,8 +25,9 @@ import (
 //
 // Budgets are ceilings with headroom, not exact counts — the retained-by-design
 // allocations (trace events, heatmap history, returned assignments) legitimately
-// vary with scenario phase. Exceeding one means a structural regression (a new
-// per-op allocation), not noise.
+// vary with scenario phase. A row whose count cannot vary has its measured
+// count as budget, so the first new allocation fails it. Exceeding one means a
+// structural regression (a new per-op allocation), not noise.
 const (
 	// allocRuns is the sample count handed to testing.AllocsPerRun per probe.
 	allocRuns = 50
@@ -46,7 +47,7 @@ var allocProbes = []struct {
 }{
 	// One event pop + self-reschedule through the engine freelist: zero
 	// steady-state allocations (measured 0.0).
-	{"sim_step", "quasar/internal/sim.(*Engine).Step", 1, simStepProbe},
+	{"sim_step", "quasar/internal/sim.(*Engine).Step", 0, simStepProbe},
 	// One scheduling decision: the returned Assignment, its node list, and
 	// the tuned framework config are the decision itself;
 	// candidate ranking and sizing reuse scheduler-owned scratch
@@ -81,11 +82,16 @@ var allocProbes = []struct {
 	// best-effort tasks waiting and nothing that fits: one placement scan,
 	// then every entry is kept through the no-fit memo into the reused
 	// survivor buffer (measured 0.0).
-	{"queue_drain", "quasar/internal/core.(*WaitQueue).Drain", 1, queueDrainProbe},
+	{"queue_drain", "quasar/internal/core.(*WaitQueue).Drain", 0, queueDrainProbe},
 	// One estimate evaluation (the monitor's per-node, the scheduler's
 	// per-candidate step): two table lookups and three exponentials on the
 	// stack (measured 0.0).
-	{"estimates_nodeperf", "quasar/internal/classify.(*Estimates).NodePerf", 1, nodePerfProbe},
+	{"estimates_nodeperf", "quasar/internal/classify.(*Estimates).NodePerf", 0, nodePerfProbe},
+	// One oracle target sweep for a configured Hadoop job, paid by every
+	// targeted batch arrival in Universe.New: each platform's whole-server
+	// allocation and configuration candidates refill two buffers reused
+	// across the sweep (measured 2.0).
+	{"oracle_sweep", "quasar/internal/workload.OracleBestCompletion", 2, oracleSweepProbe},
 }
 
 // TestAllocBudgets is the allocation gate: every probe must stay within its
@@ -272,6 +278,18 @@ func queueDrainProbe(t *testing.T) float64 {
 		t.Fatalf("%d tasks queued, want >= 1000", n)
 	}
 	return testing.AllocsPerRun(allocRuns, func() { s.Q.OnServerRestored(nil) })
+}
+
+// oracleSweepProbe measures one OracleBestCompletion over the local
+// platforms for a configured Hadoop job allowed eight nodes, the sweep
+// deriveTarget runs for it.
+func oracleSweepProbe(*testing.T) float64 {
+	platforms := cluster.LocalPlatforms()
+	u := workload.NewUniverse(platforms, allocSeed, 3)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 8})
+	return testing.AllocsPerRun(allocRuns, func() {
+		_, _ = workload.OracleBestCompletion(w, platforms, 8)
+	})
 }
 
 // nodePerfProbe measures one Estimates.NodePerf on a classified workload,

@@ -14,7 +14,8 @@ type RNG struct {
 }
 
 // NewRNG returns a generator seeded with seed. Its draws are those of a
-// rand.Rand over math/rand's own source; Source only seeds faster.
+// rand.Rand over math/rand's own source; Source only defers building the
+// register until a draw needs it.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(NewSource(seed))}
 }
@@ -118,7 +119,8 @@ func splitmix64(state uint64) uint64 {
 // via splitmix64 and Box-Muller. The same seed always yields the same value,
 // so call sites that need "the same noise for the same bucket" (loadgen's
 // per-bucket noise) get determinism without constructing a generator per
-// query — building a Source is a multi-kilobyte allocation.
+// query — a generator per query would cost three allocations and a hash of
+// the bucket into a seed anyway.
 func HashNormal(seed int64) float64 {
 	h1 := splitmix64(uint64(seed))
 	h2 := splitmix64(uint64(seed) + 0x632be59bd9b4e019)
