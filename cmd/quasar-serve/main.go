@@ -52,7 +52,7 @@ func run() error {
 		seed         = flag.Int64("seed", 1, "deterministic seed")
 		tick         = flag.Float64("tick", 5, "runtime tick interval, sim seconds")
 		sample       = flag.Float64("sample", 60, "utilization sampling interval, sim seconds")
-		epoch        = flag.Float64("epoch", 1, "admission epoch, sim seconds (must be binary-exact, e.g. 1, 0.5, 0.25)")
+		epoch        = flag.Float64("epoch", 1, "admission epoch, sim seconds (a positive multiple of 1/1024, e.g. 1, 0.5, 0.25)")
 		warp         = flag.Float64("warp", 0, "sim seconds per wall second (0 free-runs as fast as possible)")
 		horizon      = flag.Float64("horizon", 0, "stop at this sim time (0 runs until shutdown)")
 		journal      = flag.String("journal", "", "admission journal path (required for daemon mode)")

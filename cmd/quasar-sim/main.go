@@ -166,7 +166,7 @@ func run() error {
 	submit := func(spec workload.Spec, load loadgen.Pattern) {
 		w := s.U.New(spec)
 		if load == nil && w.Type.Class() == perfmodel.LatencyCritical {
-			load = loadgen.Fluctuating{Min: 0.4 * w.Target.QPS, Max: 0.9 * w.Target.QPS, Period: 6000}
+			load = experiments.ServiceLoad(w)
 		}
 		tasks = append(tasks, s.RT.Submit(w, at, load))
 		at += *gap

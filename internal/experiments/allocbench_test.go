@@ -1,4 +1,4 @@
-package experiments
+package experiments_test
 
 import (
 	"io"
@@ -6,6 +6,7 @@ import (
 
 	"quasar/internal/classify"
 	"quasar/internal/cluster"
+	"quasar/internal/experiments"
 	"quasar/internal/loadgen"
 	"quasar/internal/obs"
 	"quasar/internal/par"
@@ -217,8 +218,8 @@ func tracerEmitProbe(*testing.T) float64 {
 // fluctuating load), so per-tick allocation behavior is stationary for the
 // probe's duration.
 func tickProbe(t *testing.T, withSLO bool) float64 {
-	s, err := NewScenario(ScenarioConfig{
-		Cluster: Local40, Manager: KindQuasar, Seed: allocSeed,
+	s, err := experiments.NewScenario(experiments.ScenarioConfig{
+		Cluster: experiments.Local40, Manager: experiments.KindQuasar, Seed: allocSeed,
 		MaxNodes: 4, SeedLib: 3, SLO: withSLO,
 	})
 	if err != nil {
@@ -262,8 +263,8 @@ func serveAdmitProbe(t *testing.T) float64 {
 // repeated drains see identical state. OnServerRestored is the manager's
 // bare drain.
 func queueDrainProbe(t *testing.T) float64 {
-	s, err := NewScenario(ScenarioConfig{
-		Cluster: Local40, Manager: KindQuasar, Seed: allocSeed, MaxNodes: 4, SeedLib: 3,
+	s, err := experiments.NewScenario(experiments.ScenarioConfig{
+		Cluster: experiments.Local40, Manager: experiments.KindQuasar, Seed: allocSeed, MaxNodes: 4, SeedLib: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

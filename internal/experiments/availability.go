@@ -110,7 +110,7 @@ func submitAvailabilityMix(s *Scenario, cfg AvailabilityConfig) {
 		w := s.U.New(spec)
 		var load loadgen.Pattern
 		if w.Type.Class() == perfmodel.LatencyCritical {
-			load = loadgen.Fluctuating{Min: 0.4 * w.Target.QPS, Max: 0.9 * w.Target.QPS, Period: 6000}
+			load = ServiceLoad(w)
 		}
 		s.RT.Submit(w, at, load)
 		at += 5

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"quasar/internal/cluster"
 	"quasar/internal/par"
 )
 
@@ -95,7 +96,7 @@ func TestFig3DeterministicAcrossWorkers(t *testing.T) {
 		cfg.PointClock = fakeClock
 		// A six-row decision library: determinism, not the cost regime, is
 		// under test.
-		out, err := json.Marshal(fig3(cfg, clusterPlatformsLocal(), 6))
+		out, err := json.Marshal(fig3(cfg, cluster.LocalPlatforms(), 6))
 		if err != nil {
 			t.Fatal(err)
 		}

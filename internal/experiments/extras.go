@@ -310,10 +310,7 @@ func runAblation(seed int64, jobs int, horizon float64, mod func(*core.QuasarOpt
 		return 0, err
 	}
 	// Rebuild the manager with modified options.
-	opts := core.DefaultQuasarOptions()
-	opts.MaxNodesPerJob = 4
-	opts.Classify.MaxNodes = 32
-	opts.Classify.Entries = 3
+	opts := QuasarOptions(4)
 	mod(&opts)
 	q := core.NewQuasar(s.RT, opts)
 	q.SeedLibrary(libraryFor(s.U, 3))

@@ -75,7 +75,7 @@ const fig3MaxNodes = 32
 // been running for a while, and the one in which the cost of rebuilding a
 // model is set by its column count (see Fig3Result).
 func Fig3(cfg Fig3Config) *Fig3Result {
-	platforms := clusterPlatformsLocal()
+	platforms := cluster.LocalPlatforms()
 	return fig3(cfg, platforms, len(classify.JointColumns(platforms, fig3MaxNodes))*9/8)
 }
 

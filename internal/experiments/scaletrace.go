@@ -59,8 +59,7 @@ func runScaleScenario(cfg ScaleTraceConfig, sinks []obs.Sink) (*Scenario, error)
 	svcTypes := []workload.Type{workload.Webserver, workload.Memcached, workload.Cassandra}
 	for i := 0; i < cfg.Services; i++ {
 		w := s.U.New(workload.Spec{Type: svcTypes[i%3], Family: -1, MaxNodes: 3})
-		s.RT.Submit(w, at, loadgen.Fluctuating{
-			Min: 0.4 * w.Target.QPS, Max: 0.9 * w.Target.QPS, Period: 6000})
+		s.RT.Submit(w, at, ServiceLoad(w))
 		at += cfg.SubmitGap
 	}
 	for i := 0; i < cfg.Single; i++ {

@@ -14,6 +14,7 @@ import (
 	"quasar/internal/classify"
 	"quasar/internal/cluster"
 	"quasar/internal/core"
+	"quasar/internal/loadgen"
 	"quasar/internal/obs"
 	"quasar/internal/perfmodel"
 	"quasar/internal/sim"
@@ -75,9 +76,6 @@ const (
 	EC2x200
 )
 
-// clusterPlatformsLocal returns the local testbed's platform list.
-func clusterPlatformsLocal() []cluster.Platform { return cluster.LocalPlatforms() }
-
 // buildCluster constructs the testbed.
 func buildCluster(kind ClusterKind) (*cluster.Cluster, error) {
 	switch kind {
@@ -132,6 +130,28 @@ type ScenarioConfig struct {
 	TraceControls *obs.Controls
 }
 
+// UniverseFamilies is the genome-family pool size per workload archetype of
+// every scenario's universe — fixed so serve's submit validation can bound
+// the family index statelessly.
+const UniverseFamilies = 3
+
+// QuasarOptions is the manager configuration of every KindQuasar scenario
+// for a per-job scale-out bound. A manager rebuilt over a scenario's runtime
+// (an ablation variant, a failover restore) starts from the same options.
+func QuasarOptions(maxNodes int) core.QuasarOptions {
+	opts := core.DefaultQuasarOptions()
+	opts.MaxNodesPerJob = maxNodes
+	opts.Classify.MaxNodes = max(32, maxNodes)
+	opts.Classify.Entries = 3
+	return opts
+}
+
+// ServiceLoad is the default load offered to a latency-critical service:
+// fluctuating between 40 % and 90 % of its target QPS over a 6000 s period.
+func ServiceLoad(w *workload.Instance) loadgen.Fluctuating {
+	return loadgen.Fluctuating{Min: 0.4 * w.Target.QPS, Max: 0.9 * w.Target.QPS, Period: 6000}
+}
+
 // NewScenario builds the world.
 func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	var cl *cluster.Cluster
@@ -157,7 +177,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		cfg.MaxNodes = 16
 	}
 	rt := core.NewRuntime(cl, core.Options{TickSecs: cfg.TickSecs, SampleSecs: cfg.Sample, Seed: cfg.Seed})
-	u := workload.NewUniverse(cl.Platforms, cfg.Seed+1000, 3)
+	u := workload.NewUniverse(cl.Platforms, cfg.Seed+1000, UniverseFamilies)
 
 	s := &Scenario{RT: rt, U: u}
 	if cfg.Trace {
@@ -173,11 +193,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	lib := libraryFor(u, cfg.SeedLib)
 	switch cfg.Manager {
 	case KindQuasar:
-		opts := core.DefaultQuasarOptions()
-		opts.MaxNodesPerJob = cfg.MaxNodes
-		opts.Classify.MaxNodes = max(32, cfg.MaxNodes)
-		opts.Classify.Entries = 3
-		q := core.NewQuasar(rt, opts)
+		q := core.NewQuasar(rt, QuasarOptions(cfg.MaxNodes))
 		if s.Tracer != nil {
 			q.SetTracer(s.Tracer)
 		}

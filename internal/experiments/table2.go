@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"quasar/internal/classify"
+	"quasar/internal/cluster"
 	"quasar/internal/sim"
 	"quasar/internal/workload"
 )
@@ -51,7 +52,7 @@ type Table2Result struct {
 // by the single exhaustive classification (8 entries/row), and both are
 // compared against exhaustive noise-free characterization.
 func Table2(cfg Table2Config) *Table2Result {
-	platforms := clusterPlatformsLocal()
+	platforms := cluster.LocalPlatforms()
 	u := workload.NewUniverse(platforms, cfg.Seed, 3)
 	opts := classify.DefaultOptions()
 	opts.MaxNodes = 32

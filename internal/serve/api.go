@@ -206,7 +206,7 @@ type workloadList struct {
 func (s *Server) listWorkloads(limit int) workloadList {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	tasks := s.w.rt.Tasks()
+	tasks := s.w.RT.Tasks()
 	out := workloadList{Total: len(tasks)}
 	n := len(tasks)
 	if limit > 0 && limit < n {
@@ -259,7 +259,7 @@ type workloadDetail struct {
 func (s *Server) getWorkload(id string) (workloadDetail, bool) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	t := s.w.rt.Task(id)
+	t := s.w.RT.Task(id)
 	if t == nil {
 		return workloadDetail{}, false
 	}
@@ -294,10 +294,10 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 func (s *Server) healthState() (score float64, swept, enabled bool) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	if s.w.slo == nil {
+	if s.w.SLO == nil {
 		return 0, false, false
 	}
-	score, swept = s.w.slo.Health()
+	score, swept = s.w.SLO.Health()
 	return score, swept, true
 }
 
@@ -333,7 +333,7 @@ func (s *Server) promSnapshot() ([]byte, error) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
 	var buf bytes.Buffer
-	if err := obs.WritePromSnapshot(&buf, s.w.tracer); err != nil {
+	if err := obs.WritePromSnapshot(&buf, s.w.Tracer); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -361,7 +361,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) flightWindow() (obs.Header, []obs.Event) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	return s.w.tracer.Header(), s.w.ring.Events()
+	return s.w.Tracer.Header(), s.w.ring.Events()
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {
@@ -486,18 +486,18 @@ func (s *Server) status() statusz {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
 	st := statusz{
-		SimTime:      s.w.rt.Eng.Now(),
+		SimTime:      s.w.RT.Eng.Now(),
 		NextBoundary: s.nextB,
-		EpochSecs:    s.cfg.EpochSecs,
-		Applied:      s.appliedN,
-		AppliedSeq:   s.appliedSeq,
-		Pending:      s.w.rt.Eng.Pending(),
-		Fired:        s.w.rt.Eng.Fired(),
-		Tasks:        len(s.w.rt.Tasks()),
-		QueueLen:     s.w.q.QueueLen(),
-		TraceEvents:  s.w.tracer.Len(),
+		EpochSecs:    s.w.cfg.EpochSecs,
+		Applied:      s.w.appliedN,
+		AppliedSeq:   s.w.appliedSeq,
+		Pending:      s.w.RT.Eng.Pending(),
+		Fired:        s.w.RT.Eng.Fired(),
+		Tasks:        len(s.w.RT.Tasks()),
+		QueueLen:     s.w.Q.QueueLen(),
+		TraceEvents:  s.w.Tracer.Len(),
 	}
-	if at, ok := s.w.rt.Eng.NextAt(); ok {
+	if at, ok := s.w.RT.Eng.NextAt(); ok {
 		st.NextEventAt = at
 	}
 	st.JournalSeq, st.OpenBoundary = s.j.State()

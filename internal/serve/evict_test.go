@@ -19,12 +19,12 @@ func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit := func(work float64) *core.Task {
-		inst := w.u.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
+		inst := w.U.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
 		inst.Genome.Work = work
-		return w.rt.Submit(inst, w.rt.Eng.Now(), nil)
+		return w.RT.Submit(inst, w.RT.Eng.Now(), nil)
 	}
 	short := submit(1)
-	w.rt.Run(30)
+	w.RT.Run(30)
 	if short.Status != core.StatusCompleted {
 		t.Fatalf("short filler is %v after 30s, want completed", short.Status)
 	}
@@ -33,10 +33,10 @@ func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		queued = submit(1e12)
 	}
-	w.rt.Run(40)
-	if queued.Status != core.StatusQueued || queued.NumNodes() != 0 || w.q.QueueLen() == 0 {
+	w.RT.Run(40)
+	if queued.Status != core.StatusQueued || queued.NumNodes() != 0 || w.Q.QueueLen() == 0 {
 		t.Fatalf("last filler is %v on %d nodes with %d queued, want it waiting in the queue",
-			queued.Status, queued.NumNodes(), w.q.QueueLen())
+			queued.Status, queued.NumNodes(), w.Q.QueueLen())
 	}
 
 	var outcomes []string
@@ -45,14 +45,14 @@ func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
 		name string
 		task *core.Task
 	}{{"completed", short}, {"queued", queued}} {
-		status, qlen, evicts := tc.task.Status, w.q.QueueLen(), countEvents(w, "evict")
+		status, qlen, evicts := tc.task.Status, w.Q.QueueLen(), countEvents(w, "evict")
 		if err := w.apply(&Entry{Seq: 1, Kind: KindEvict, Workload: tc.task.W.ID}); err != nil {
 			t.Fatalf("%s: apply: %v", tc.name, err)
 		}
 		if tc.task.Status != status {
 			t.Errorf("%s: status %v after evict, was %v", tc.name, tc.task.Status, status)
 		}
-		if got := w.q.QueueLen(); got != qlen {
+		if got := w.Q.QueueLen(); got != qlen {
 			t.Errorf("%s: queue length %d after evict, was %d", tc.name, got, qlen)
 		}
 		if got := countEvents(w, "evict"); got != evicts {
@@ -66,7 +66,7 @@ func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
 		t.Errorf("%d serve.apply events in the trace, want 2", got)
 	}
 	// The completed filler must not run again.
-	w.rt.Run(120)
+	w.RT.Run(120)
 	if short.Status != core.StatusCompleted || short.NumNodes() != 0 {
 		t.Errorf("completed filler is %v on %d nodes after the evict", short.Status, short.NumNodes())
 	}

@@ -181,13 +181,13 @@ func TestCorruptSnapshotFailsTheRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := w.q
+		before := w.Q
 		if err := failover(w, snap); err == nil || !strings.Contains(err.Error(), "restoring manager snapshot") {
 			t.Errorf("%s: restore returned %v, want a restore error", name, err)
 		}
-		if w.q != before {
+		if w.Q != before {
 			t.Errorf("%s: a failed restore installed its manager", name)
 		}
-		_ = w.tracer.Close()
+		_ = w.Tracer.Close()
 	}
 }

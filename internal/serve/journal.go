@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"quasar/internal/experiments"
 	"quasar/internal/loadgen"
 	"quasar/internal/workload"
 )
@@ -120,8 +121,8 @@ func (s *SubmitRequest) validate() error {
 	if _, ok := typeByName[s.Type]; !ok {
 		return fmt.Errorf("serve: unknown workload type %q", s.Type)
 	}
-	if s.Family < -1 || s.Family >= universeFamilies {
-		return fmt.Errorf("serve: family must be -1 (auto) or a pool index below %d, got %d", universeFamilies, s.Family)
+	if s.Family < -1 || s.Family >= experiments.UniverseFamilies {
+		return fmt.Errorf("serve: family must be -1 (auto) or a pool index below %d, got %d", experiments.UniverseFamilies, s.Family)
 	}
 	if s.TargetSlack < 0 || s.QPS < 0 || s.LatencyUS < 0 || s.MaxNodes < 0 || s.MaxCostPerHour < 0 {
 		return fmt.Errorf("serve: negative sizing field in submit request")
@@ -389,6 +390,10 @@ func OpenJournal(path string) (*JournalReader, error) {
 	if err := json.Unmarshal(line, &h); err != nil || h.Journal != journalMagic {
 		_ = f.Close()
 		return nil, fmt.Errorf("serve: %s is not a serve journal", path)
+	}
+	if err := h.Config.validate(); err != nil {
+		_ = f.Close()
+		return nil, fmt.Errorf("serve: journal %s: %w", path, err)
 	}
 	r.cfg = h.Config.withDefaults()
 	return r, nil

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"quasar/internal/core"
+	"quasar/internal/experiments"
 	"quasar/internal/obs"
 )
 
@@ -61,9 +62,9 @@ type ReplayResult struct {
 }
 
 // Replay rebuilds a serve run from its journal: the identical world is
-// constructed from the header, and every epoch boundary repeats the live
-// pacer's seal/schedule/run sequence, so the replayed trace is byte-identical
-// to the live one for any worker count. With Follow it tails a live journal
+// constructed from the header, and every epoch boundary's batch goes through
+// the same world step the live pacer runs after each seal, so the replayed
+// trace is byte-identical to the live one for any worker count. With Follow it tails a live journal
 // as a warm standby; with Snapshot (+Failover) it verifies or restores the
 // primary's warm-failover state mid-run.
 func Replay(journalPath string, opts ReplayOptions) (*ReplayResult, error) {
@@ -86,11 +87,12 @@ func Replay(journalPath string, opts ReplayOptions) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	w.snapPath, w.snapEvery, w.snapDue = opts.SnapshotPath, opts.SnapshotEverySecs, opts.SnapshotEverySecs
 	res := &ReplayResult{Config: cfg}
 	closed := false
 	defer func() {
 		if !closed {
-			_ = w.tracer.Close()
+			_ = w.Tracer.Close()
 		}
 	}()
 
@@ -124,10 +126,8 @@ func Replay(journalPath string, opts ReplayOptions) (*ReplayResult, error) {
 	// exact, never approximate.
 	epoch := cfg.EpochSecs
 	nextB := epoch
-	snapDue := opts.SnapshotEverySecs
 	var pending *Entry
 	ended, endAt := false, 0.0
-	var applyErr error
 	for {
 		var batch []Entry
 		for !ended {
@@ -159,34 +159,11 @@ func Replay(journalPath string, opts ReplayOptions) (*ReplayResult, error) {
 			}
 			batch = append(batch, *e)
 		}
-		for i := range batch {
-			e := batch[i]
-			w.rt.Eng.Schedule(nextB, func() {
-				if err := w.apply(&e); err != nil && applyErr == nil {
-					applyErr = err
-				}
-			})
-		}
-		w.rt.Eng.Run(nextB)
-		if applyErr != nil {
-			return nil, applyErr
-		}
-		if n := len(batch); n > 0 {
-			res.AppliedSeq = batch[n-1].Seq
-			res.Applied += n
-		}
-		if opts.SnapshotPath != "" && opts.SnapshotEverySecs > 0 && nextB+1e-9 >= snapDue {
-			data, err := marshalSnapshot(w, res.AppliedSeq)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeSnapshotFile(opts.SnapshotPath, data); err != nil {
-				return nil, err
-			}
-			snapDue += opts.SnapshotEverySecs
+		if _, err := w.step(nextB, batch); err != nil {
+			return nil, err
 		}
 		if opts.Snapshot != nil && nextB == opts.Snapshot.SimTime { //lint:allow(floatcmp) snapshot pins an exact boundary
-			if err := verifySnapshot(w, opts.Snapshot, res.AppliedSeq); err != nil {
+			if err := verifySnapshot(w, opts.Snapshot); err != nil {
 				return nil, err
 			}
 			res.SnapshotVerified = true
@@ -202,15 +179,15 @@ func Replay(journalPath string, opts ReplayOptions) (*ReplayResult, error) {
 		}
 		nextB += epoch
 	}
-	res.EndAt = endAt
-	w.rt.Stop()
-	mgr, err := w.q.MarshalSnapshot()
+	res.EndAt, res.Applied, res.AppliedSeq = endAt, w.appliedN, w.appliedSeq
+	w.RT.Stop()
+	mgr, err := w.Q.MarshalSnapshot()
 	if err != nil {
 		return nil, err
 	}
 	res.ManagerState = mgr
 	closed = true
-	if err := w.tracer.Close(); err != nil {
+	if err := w.Tracer.Close(); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -219,14 +196,14 @@ func Replay(journalPath string, opts ReplayOptions) (*ReplayResult, error) {
 // verifySnapshot checks that the replay-built world at the snapshot's
 // boundary byte-matches the state the primary snapshotted — the proof that
 // journal replay and live execution converged.
-func verifySnapshot(w *world, snap *ServeSnapshot, appliedSeq int) error {
-	if snap.AppliedSeq != appliedSeq {
-		return fmt.Errorf("serve: snapshot at t=%g applied seq %d, replay applied %d", snap.SimTime, snap.AppliedSeq, appliedSeq)
+func verifySnapshot(w *world, snap *ServeSnapshot) error {
+	if snap.AppliedSeq != w.appliedSeq {
+		return fmt.Errorf("serve: snapshot at t=%g applied seq %d, replay applied %d", snap.SimTime, snap.AppliedSeq, w.appliedSeq)
 	}
-	if snap.NextCounter != w.u.Counter() {
-		return fmt.Errorf("serve: snapshot at t=%g universe counter %d, replay counter %d", snap.SimTime, snap.NextCounter, w.u.Counter())
+	if snap.NextCounter != w.U.Counter() {
+		return fmt.Errorf("serve: snapshot at t=%g universe counter %d, replay counter %d", snap.SimTime, snap.NextCounter, w.U.Counter())
 	}
-	mgr, err := w.q.MarshalSnapshot()
+	mgr, err := w.Q.MarshalSnapshot()
 	if err != nil {
 		return err
 	}
@@ -242,13 +219,13 @@ func verifySnapshot(w *world, snap *ServeSnapshot, appliedSeq int) error {
 // another identical failover continuation, not against the uninterrupted
 // primary; the failover tests run the take-over twice and byte-compare.
 func failover(w *world, snap *ServeSnapshot) error {
-	q := core.NewQuasar(w.rt, quasarOptions(w.cfg))
-	q.SetTracer(w.tracer)
+	q := core.NewQuasar(w.RT, experiments.QuasarOptions(w.cfg.MaxNodes))
+	q.SetTracer(w.Tracer)
 	if err := q.UnmarshalSnapshot(snap.Manager); err != nil {
 		return fmt.Errorf("serve: restoring manager snapshot: %w", err)
 	}
-	w.rt.SetManager(q)
-	w.q = q
+	w.RT.SetManager(q)
+	w.Q, w.Mgr = q, q
 	return nil
 }
 
@@ -270,6 +247,9 @@ type ScriptEntry struct {
 // promised workload ID per submit, in script order. The script must be
 // sorted by At. Tests use this to drive Replay without a live daemon.
 func BuildJournal(path string, cfg Config, endAt float64, script []ScriptEntry) ([]string, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	f, err := os.Create(path)
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -237,5 +238,61 @@ func TestReplaySinksShareOneEncoding(t *testing.T) {
 	headerLine := file[:bytes.IndexByte(file, '\n')+1]
 	if !bytes.Equal(batch.Data, file[len(headerLine):]) {
 		t.Errorf("tee subscriber received %d bytes, file holds %d after the header", len(batch.Data), len(file)-len(headerLine))
+	}
+}
+
+// TestConfigValidate: a world needs a non-negative server count and an
+// epoch that is a positive multiple of 2⁻¹⁰, so the boundary BuildJournal
+// rounds an entry up to is the one the pacer and Replay reach by summing
+// epochs. An accepted epoch journals an entry at 0.8 that Replay applies; a
+// rejected config is refused by BuildJournal, New and — in a journal header,
+// which is outside input — OpenJournal.
+func TestConfigValidate(t *testing.T) {
+	script := []ScriptEntry{{At: 0.8, Submit: &SubmitRequest{Type: "single-node", Family: -1, BestEffort: true}}}
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Servers: 4, EpochSecs: 0.1}, false},
+		{Config{Servers: -1}, false},
+		{Config{Servers: 4, EpochSecs: -1}, false},
+		{Config{Servers: 4, EpochSecs: 0.25}, true},
+		{Config{Servers: 4, EpochSecs: 0.5}, true},
+		{Config{Servers: 4, EpochSecs: 1}, true},
+		{Config{Servers: 4, EpochSecs: 4}, true},
+	} {
+		name := fmt.Sprintf("servers=%d,epoch=%g", tc.cfg.Servers, tc.cfg.EpochSecs)
+		dir := t.TempDir()
+		journal := filepath.Join(dir, "run.journal")
+		_, err := BuildJournal(journal, tc.cfg, 2, script)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: BuildJournal accepted an invalid config", name)
+			}
+			if _, err := New(Options{Addr: "127.0.0.1:0", JournalPath: journal, Config: tc.cfg}); err == nil {
+				t.Errorf("%s: New accepted an invalid config", name)
+			}
+			header, err := json.Marshal(&journalHeader{Journal: journalMagic, Config: tc.cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(journal, append(header, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenJournal(journal); err == nil {
+				t.Errorf("%s: OpenJournal accepted an invalid header", name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		res, err := Replay(journal, ReplayOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Applied != 1 {
+			t.Errorf("%s: applied %d entries, want 1", name, res.Applied)
+		}
 	}
 }

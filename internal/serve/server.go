@@ -51,12 +51,10 @@ type Options struct {
 // holding the engine). Handlers take at most one path through that order.
 type Server struct {
 	opts Options
-	cfg  Config
 
 	engineMu sync.Mutex
 	w        *world
 	j        *Journal
-	stream   *obs.StreamSink
 	tee      *obs.TeeSink
 	tel      *Telemetry
 
@@ -66,17 +64,10 @@ type Server struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 
-	// Pacer state, engineMu-held.
-	nextB      float64
-	snapDue    float64
-	appliedSeq int
-	appliedN   int
-	applyErr   error
-	started    time.Time
-	// applyStartNS is the telemetry-clock reading just before the current
-	// entry's apply closure runs; same-boundary closures execute sequentially
-	// under engineMu, so a plain field suffices.
-	applyStartNS int64
+	// Pacer state, engineMu-held (the world holds the applied cursor and
+	// the snapshot cadence).
+	nextB   float64
+	started time.Time
 }
 
 // New builds the world, binds the listener, and creates the journal. The
@@ -84,6 +75,9 @@ type Server struct {
 func New(opts Options) (*Server, error) {
 	if opts.JournalPath == "" {
 		return nil, fmt.Errorf("serve: JournalPath is required")
+	}
+	if err := opts.Config.validate(); err != nil {
+		return nil, err
 	}
 	cfg := opts.Config.withDefaults()
 	var stream *obs.StreamSink
@@ -117,23 +111,24 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return fail(err)
 	}
-	j, err := CreateJournal(opts.JournalPath, cfg, w.u.Counter()+1)
+	j, err := CreateJournal(opts.JournalPath, cfg, w.U.Counter()+1)
 	if err != nil {
 		_ = ln.Close()
 		return fail(err)
 	}
 	s := &Server{
-		opts: opts, cfg: cfg, w: w, j: j, stream: stream, tee: tee, ln: ln,
+		opts: opts, w: w, j: j, tee: tee, ln: ln,
 		stop:  make(chan struct{}),
-		nextB: cfg.EpochSecs, snapDue: opts.SnapshotEverySecs,
+		nextB: cfg.EpochSecs,
 	}
+	w.snapPath, w.snapEvery, w.snapDue = opts.SnapshotPath, opts.SnapshotEverySecs, opts.SnapshotEverySecs
 	if opts.RequestLog <= 0 {
 		opts.RequestLog = 1024
 	}
 	s.tel = newTelemetry(opts.RequestLog, &j.bytesOut, tee.Subscribers, tee.DroppedTotal)
 	j.tel = s.tel
 	w.onApplied = func(e *Entry, applyErr string) {
-		s.tel.applied(e, telNow()-s.applyStartNS, applyErr)
+		s.tel.applied(e, telNow()-w.applyStartNS, applyErr)
 	}
 	s.httpSrv = &http.Server{Handler: s.routes(), ReadHeaderTimeout: 5 * time.Second}
 	return s, nil
@@ -230,58 +225,26 @@ func (s *Server) advance() (boundary float64, batch int, err error) {
 	if err != nil {
 		return boundary, batch, err
 	}
-	s.nextB += s.cfg.EpochSecs
+	s.nextB += s.w.cfg.EpochSecs
 	return boundary, batch, nil
 }
 
-// epochStep is the deterministic heart of serve mode (engineMu held): seal
-// the journal at boundary B — everything admitted since the last boundary,
-// now flushed for the standby — schedule the sealed batch at B in sequence
-// order, run the engine to B, then handle the snapshot cadence. Replay
-// performs the identical schedule/run sequence per boundary, which is the
-// whole byte-identity argument.
+// epochStep is the live half of an epoch (engineMu held): seal the journal
+// at boundary B — everything admitted since the last boundary, now flushed
+// for the standby — then run the world's shared step on the sealed batch and
+// publish the epoch's events to stream subscribers.
 func (s *Server) epochStep(boundary float64) (int, error) {
-	batch, flushNS, err := s.j.seal(boundary + s.cfg.EpochSecs)
+	batch, flushNS, err := s.j.seal(boundary + s.w.cfg.EpochSecs)
 	if err != nil {
 		return 0, err
 	}
 	s.tel.sealed(batch, telNow(), flushNS)
-	for i := range batch {
-		e := batch[i]
-		s.w.rt.Eng.Schedule(boundary, func() {
-			s.applyStartNS = telNow()
-			if err := s.w.apply(&e); err != nil && s.applyErr == nil {
-				s.applyErr = err
-			}
-		})
-	}
-	s.w.rt.Eng.Run(boundary)
+	snapped, err := s.w.step(boundary, batch)
 	s.tee.Publish()
-	if s.applyErr != nil {
-		return len(batch), s.applyErr
-	}
-	if n := len(batch); n > 0 {
-		s.appliedSeq = batch[n-1].Seq
-		s.appliedN += n
-	}
-	if s.opts.SnapshotPath != "" && s.opts.SnapshotEverySecs > 0 && boundary+1e-9 >= s.snapDue {
-		if err := s.writeSnapshot(); err != nil {
-			return len(batch), err
-		}
-		s.snapDue += s.opts.SnapshotEverySecs
+	if snapped {
 		s.tel.snapshotLanded()
 	}
-	return len(batch), nil
-}
-
-// writeSnapshot captures and atomically lands the failover snapshot
-// (engineMu held).
-func (s *Server) writeSnapshot() error {
-	data, err := marshalSnapshot(s.w, s.appliedSeq)
-	if err != nil {
-		return err
-	}
-	return writeSnapshotFile(s.opts.SnapshotPath, data)
+	return len(batch), err
 }
 
 // finalize is the graceful-shutdown path: stop accepting HTTP (draining
@@ -301,13 +264,13 @@ func (s *Server) finalize() error {
 	endErr := s.j.end(boundary)
 	var snapErr error
 	if s.opts.SnapshotPath != "" {
-		snapErr = s.writeSnapshot()
+		snapErr = s.w.writeSnapshot()
 		if snapErr == nil {
 			s.tel.snapshotLanded()
 		}
 	}
-	s.w.rt.Stop()
-	cerr := s.w.tracer.Close()
+	s.w.RT.Stop()
+	cerr := s.w.Tracer.Close()
 	for _, err := range []error{stepErr, endErr, snapErr, cerr, herr} {
 		if err != nil {
 			return err
@@ -328,5 +291,5 @@ func (s *Server) EndBoundary() float64 {
 func (s *Server) Applied() int {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	return s.appliedN
+	return s.w.appliedN
 }

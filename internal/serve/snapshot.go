@@ -32,27 +32,27 @@ type ServeSnapshot struct {
 	Manager json.RawMessage `json:"manager"`
 }
 
-// marshalSnapshot captures the world's failover state at the current epoch
-// boundary. Deterministic: the same world state always serializes to the
-// same bytes, which is what lets a standby verify its journal-rebuilt
-// manager against the primary's snapshot with a byte compare.
-func marshalSnapshot(w *world, appliedSeq int) ([]byte, error) {
-	mgr, err := w.q.MarshalSnapshot()
+// writeSnapshot captures the world's failover state at the current epoch
+// boundary and lands it atomically at snapPath. The bytes are deterministic:
+// the same world state always serializes identically, which is what lets a
+// standby verify its journal-rebuilt manager against the primary's snapshot
+// with a byte compare.
+func (w *world) writeSnapshot() error {
+	mgr, err := w.Q.MarshalSnapshot()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	snap := ServeSnapshot{
+	data, err := json.Marshal(&ServeSnapshot{
 		Version:     snapshotVersion,
-		SimTime:     w.rt.Eng.Now(),
-		AppliedSeq:  appliedSeq,
-		NextCounter: w.u.Counter(),
+		SimTime:     w.RT.Eng.Now(),
+		AppliedSeq:  w.appliedSeq,
+		NextCounter: w.U.Counter(),
 		Manager:     mgr,
-	}
-	data, err := json.Marshal(&snap)
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return append(data, '\n'), nil
+	return writeSnapshotFile(w.snapPath, append(data, '\n'))
 }
 
 // LoadSnapshot reads and validates a snapshot file.

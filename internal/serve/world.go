@@ -2,20 +2,16 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"quasar/internal/chaos"
-	"quasar/internal/cluster"
 	"quasar/internal/core"
+	"quasar/internal/experiments"
 	"quasar/internal/loadgen"
 	"quasar/internal/obs"
 	"quasar/internal/perfmodel"
-	"quasar/internal/slo"
 	"quasar/internal/workload"
 )
-
-// universeFamilies is the genome-family pool size per workload archetype —
-// fixed so submit validation can bound the family index statelessly.
-const universeFamilies = 3
 
 // Config is the deterministic identity of a serve world. It is written into
 // the journal header, so a journal file alone reconstructs the run: same
@@ -30,9 +26,9 @@ type Config struct {
 	TickSecs   float64 `json:"tick_secs"`
 	SampleSecs float64 `json:"sample_secs"`
 	// EpochSecs is the admission epoch: journal entries apply at multiples
-	// of this boundary (default 1). Must be exactly representable in binary
-	// floating point (integers, halves, quarters...) so accumulated
-	// boundaries match between live run and replay.
+	// of this boundary (default 1). It must be a positive multiple of 2⁻¹⁰
+	// (integers, halves, quarters...) so accumulated boundaries match
+	// between live run and replay; validate rejects any other value.
 	EpochSecs float64 `json:"epoch_secs"`
 	// MaxNodes bounds per-job scale-out (default 4).
 	MaxNodes int `json:"max_nodes"`
@@ -77,87 +73,106 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// world is a fully assembled simulation: cluster, runtime, universe, Quasar
-// manager, tracer (ring flight recorder + optional extra sinks), optional
-// SLO engine and fault injector. Both the live server and Replay build
-// worlds through the same function, which is what makes them byte-identical.
+// validate rejects a configuration whose world or epoch grid is undefined.
+// Epoch boundaries are summed one EpochSecs at a time by the pacer and by
+// Replay, but BuildJournal computes them as Ceil(at/E)·E; the two agree bit
+// for bit only when every multiple of E is exact, so EpochSecs must be a
+// positive multiple of 2⁻¹⁰ (0 selects the default). Zero fields are
+// defaults, so validate runs before withDefaults.
+func (c Config) validate() error {
+	if c.Servers < 0 {
+		return fmt.Errorf("serve: servers must be 0 (the 40-server testbed) or positive, got %d", c.Servers)
+	}
+	if e := c.EpochSecs * 1024; !(e >= 0) || math.IsInf(e, 0) || e != math.Trunc(e) { //lint:allow(floatcmp) exactness is the check
+		return fmt.Errorf("serve: epoch_secs must be a positive multiple of 1/1024, got %g", c.EpochSecs)
+	}
+	return nil
+}
+
+// world is a serve run's simulation: the scenario every world is assembled
+// as, the flight-recorder ring at the head of its sink list, and the epoch
+// state the live pacer and Replay both advance through step.
 type world struct {
-	cfg    Config
-	rt     *core.Runtime
-	u      *workload.Universe
-	q      *core.Quasar
-	slo    *slo.Engine
-	tracer *obs.Tracer
-	ring   *obs.RingSink
-	inj    *chaos.Injector
+	*experiments.Scenario
+	cfg  Config
+	ring *obs.RingSink
 	// onApplied, when set, observes every applied entry's outcome. The live
-	// server uses it to close wall-clock request spans; Replay leaves it nil,
-	// and it feeds nothing back into the deterministic stream.
-	onApplied func(e *Entry, applyErr string)
+	// server uses it to close wall-clock request spans, timed from
+	// applyStartNS (the telemetry clock just before the entry's apply ran);
+	// Replay leaves it nil, and it feeds nothing back into the
+	// deterministic stream.
+	onApplied    func(e *Entry, applyErr string)
+	applyStartNS int64
+
+	// Epoch state: the last applied journal sequence number and the applied
+	// count, the first fatal apply error, and the snapshot cadence (no
+	// snapshots when snapPath is empty or snapEvery is not positive).
+	appliedSeq, appliedN int
+	applyErr             error
+	snapPath             string
+	snapEvery, snapDue   float64
 }
 
-// quasarOptions is the manager configuration shared by world construction
-// and failover restore — a restored standby must configure its fresh manager
-// identically to the primary's.
-func quasarOptions(cfg Config) core.QuasarOptions {
-	opts := core.DefaultQuasarOptions()
-	opts.MaxNodesPerJob = cfg.MaxNodes
-	opts.Classify.MaxNodes = max(32, cfg.MaxNodes)
-	opts.Classify.Entries = 3
-	return opts
-}
-
-// buildWorld assembles the world for cfg. Extra sinks (a trace StreamSink)
-// are appended after the always-on flight-recorder ring. Everything that
-// derives RNG streams happens here, in a fixed order, before any admission —
-// the deterministic prologue every replay repeats exactly.
+// buildWorld assembles the world for cfg with experiments.NewScenario. Extra
+// sinks (a trace StreamSink) are appended after the always-on
+// flight-recorder ring. Everything that derives RNG streams happens here, in
+// a fixed order, before any admission — the deterministic prologue every
+// replay repeats exactly.
 func buildWorld(cfg Config, extra ...obs.Sink) (*world, error) {
 	cfg = cfg.withDefaults()
-	var cl *cluster.Cluster
-	var err error
-	if cfg.Servers > 0 {
-		cl, err = cluster.NewUniform(cluster.LocalPlatforms(), cfg.Servers)
-	} else {
-		cl, err = cluster.New(cluster.LocalPlatforms(), []int{4, 4, 4, 4, 4, 4, 4, 4, 4, 4})
-	}
+	ring := obs.NewRingSink(cfg.FlightRecorder)
+	s, err := experiments.NewScenario(experiments.ScenarioConfig{
+		Servers: cfg.Servers, Manager: experiments.KindQuasar, Seed: cfg.Seed,
+		TickSecs: cfg.TickSecs, Sample: cfg.SampleSecs, SeedLib: cfg.SeedLib, MaxNodes: cfg.MaxNodes,
+		Trace: true, TraceSinks: append([]obs.Sink{ring}, extra...), SLO: cfg.SLO,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rt := core.NewRuntime(cl, core.Options{TickSecs: cfg.TickSecs, SampleSecs: cfg.SampleSecs, Seed: cfg.Seed})
-	u := workload.NewUniverse(cl.Platforms, cfg.Seed+1000, universeFamilies)
-
-	w := &world{cfg: cfg, rt: rt, u: u}
-	w.ring = obs.NewRingSink(cfg.FlightRecorder)
-	sinks := append([]obs.Sink{w.ring}, extra...)
-	w.tracer = obs.NewWithSinks(rt.Eng.Now, sinks...)
-
-	var lib []*workload.Instance
-	for _, tp := range []workload.Type{workload.Hadoop, workload.Spark, workload.Storm,
-		workload.Memcached, workload.Cassandra, workload.Webserver, workload.SingleNode} {
-		for i := 0; i < cfg.SeedLib; i++ {
-			lib = append(lib, u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4}))
-		}
-	}
-	q := core.NewQuasar(rt, quasarOptions(cfg))
-	q.SetTracer(w.tracer)
-	q.SeedLibrary(lib)
-	w.q = q
-	rt.SetManager(q)
-	if cfg.SLO {
-		w.slo = slo.Attach(rt, w.tracer, slo.DefaultOptions())
-	}
-	if cfg.Detector || cfg.Faults != nil {
-		rt.EnableFailureDetector(core.DefaultDetectorOptions())
-	}
 	if cfg.Faults != nil {
-		inj, err := chaos.NewInjector(rt.Eng, rt, cfg.Faults, rt.RNG.Stream("chaos"))
-		if err != nil {
+		if _, err := s.AttachFaults(cfg.Faults, core.DefaultDetectorOptions()); err != nil {
 			return nil, err
 		}
-		inj.Start()
-		w.inj = inj
+	} else if cfg.Detector {
+		s.RT.EnableFailureDetector(core.DefaultDetectorOptions())
 	}
-	return w, nil
+	return &world{Scenario: s, cfg: cfg, ring: ring}, nil
+}
+
+// step runs the epoch at boundary b (the simulation is at or before b): the
+// batch is scheduled at b in sequence order and the engine runs to b; then,
+// unless an apply failed, the applied cursor advances and the snapshot
+// cadence is served. It reports whether a snapshot landed. The live pacer
+// and Replay both advance the world only through step, which is what makes
+// their traces byte-identical.
+func (w *world) step(b float64, batch []Entry) (snapped bool, err error) {
+	for i := range batch {
+		e := batch[i]
+		w.RT.Eng.Schedule(b, func() {
+			if w.onApplied != nil {
+				w.applyStartNS = telNow()
+			}
+			if err := w.apply(&e); err != nil && w.applyErr == nil {
+				w.applyErr = err
+			}
+		})
+	}
+	w.RT.Eng.Run(b)
+	if w.applyErr != nil {
+		return false, w.applyErr
+	}
+	if n := len(batch); n > 0 {
+		w.appliedSeq = batch[n-1].Seq
+		w.appliedN += n
+	}
+	if w.snapPath == "" || w.snapEvery <= 0 || b+1e-9 < w.snapDue {
+		return false, nil
+	}
+	if err := w.writeSnapshot(); err != nil {
+		return false, err
+	}
+	w.snapDue += w.snapEvery
+	return true, nil
 }
 
 // apply executes one journal entry at the current simulation time (an epoch
@@ -185,7 +200,7 @@ func (w *world) apply(e *Entry) error {
 		if e.Submit.Dataset != nil {
 			spec.Dataset = *e.Submit.Dataset
 		}
-		inst := w.u.New(spec)
+		inst := w.U.New(spec)
 		if inst.ID != e.Workload {
 			return fmt.Errorf("serve: journal seq %d promised workload %s but universe minted %s (journal and world out of sync)",
 				e.Seq, e.Workload, inst.ID)
@@ -200,12 +215,12 @@ func (w *world) apply(e *Entry) error {
 				return fmt.Errorf("serve: journal seq %d: %w", e.Seq, err)
 			}
 		} else if inst.Type.Class() == perfmodel.LatencyCritical && !inst.BestEffort {
-			load = loadgen.Fluctuating{Min: 0.4 * inst.Target.QPS, Max: 0.9 * inst.Target.QPS, Period: 6000}
+			load = experiments.ServiceLoad(inst)
 		}
-		w.rt.Submit(inst, w.rt.Eng.Now(), load)
+		w.RT.Submit(inst, w.RT.Eng.Now(), load)
 		w.applied(e, "")
 	case KindTarget:
-		t := w.rt.Task(e.Workload)
+		t := w.RT.Task(e.Workload)
 		if t == nil {
 			w.applied(e, "unknown workload")
 			return nil
@@ -223,13 +238,13 @@ func (w *world) apply(e *Entry) error {
 		if e.Target.IPS > 0 {
 			target.IPS = e.Target.IPS
 		}
-		if err := w.q.UpdateTarget(e.Workload, target); err != nil {
+		if err := w.Q.UpdateTarget(e.Workload, target); err != nil {
 			w.applied(e, err.Error())
 			return nil
 		}
 		w.applied(e, "")
 	case KindEvict:
-		if err := w.rt.Evict(e.Workload); err != nil {
+		if err := w.RT.Evict(e.Workload); err != nil {
 			w.applied(e, err.Error())
 			return nil
 		}
@@ -252,7 +267,7 @@ func (w *world) applied(e *Entry, applyErr string) {
 	if w.onApplied != nil {
 		w.onApplied(e, applyErr)
 	}
-	if !w.tracer.Enabled() {
+	if !w.Tracer.Enabled() {
 		return
 	}
 	args := []obs.Arg{
@@ -268,5 +283,5 @@ func (w *world) applied(e *Entry, applyErr string) {
 		name = "serve.apply-error"
 		args = append(args, obs.Arg{Key: "error", Val: applyErr})
 	}
-	w.tracer.Instant("serve", "serve", name, args...)
+	w.Tracer.Instant("serve", "serve", name, args...)
 }
