@@ -44,9 +44,9 @@ ledger:
 
 ## trace-diff: the trace byte-identity contract, one table row per scenario
 ## (all rows by default; `make trace-diff ROWS=slo` or `make trace-diff-slo`
-## runs one). A row runs quasar-sim three times — streamed at -workers 1,
-## streamed at -workers 4, buffered (-trace-buffer) at -workers 1 — `cmp`s the
-## three files, and has quasar-trace read the result back. The rows:
+## runs one). A row runs quasar-sim twice — streamed, and buffered
+## (-trace-buffer) — `cmp`s the two files, and has quasar-trace read the
+## result back. The rows:
 ##   base   the default mix
 ##   chaos  under the injected fault storm
 ##   slo    SLO monitoring and burn-rate alerting on, under the same storm
@@ -59,19 +59,17 @@ TRACE_DIFF_scale := -servers 1000 -gap 0.02 -horizon 260 -hadoop 0 -spark 0 -sto
 # Reader flags per row (the slo row replays the alert timeline).
 TRACE_DIFF_READ_slo := -alerts
 ROWS ?= base chaos slo scale
-# Where a row leaves its three trace files.
+# Where a row leaves its two trace files.
 TRACE_DIFF_DIR ?= /tmp
 
 trace-diff: $(addprefix trace-diff-,$(ROWS))
 
 trace-diff-%:
 	$(if $(TRACE_DIFF_$*),,$(error unknown trace-diff row '$*' (rows: base chaos slo scale)))
-	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -workers 1 -trace $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -workers 4 -trace $(TRACE_DIFF_DIR)/quasar-$*-w4.jsonl >/dev/null
-	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -workers 1 -trace-buffer -trace $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl >/dev/null
-	cmp $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl $(TRACE_DIFF_DIR)/quasar-$*-w4.jsonl
-	cmp $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl
-	$(GO) run ./cmd/quasar-trace $(TRACE_DIFF_READ_$*) $(TRACE_DIFF_DIR)/quasar-$*-w1.jsonl
+	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -trace $(TRACE_DIFF_DIR)/quasar-$*.jsonl >/dev/null
+	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -trace-buffer -trace $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl >/dev/null
+	cmp $(TRACE_DIFF_DIR)/quasar-$*.jsonl $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl
+	$(GO) run ./cmd/quasar-trace $(TRACE_DIFF_READ_$*) $(TRACE_DIFF_DIR)/quasar-$*.jsonl
 
 ## fmt-check: fail if any file needs gofmt
 fmt-check:

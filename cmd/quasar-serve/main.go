@@ -34,7 +34,6 @@ import (
 
 	"quasar/internal/chaos"
 	"quasar/internal/obs"
-	"quasar/internal/par"
 	"quasar/internal/serve"
 )
 
@@ -65,14 +64,12 @@ func run() error {
 		flight       = flag.Int("flight", 4096, "flight recorder capacity (events retained for /debug/flightrecorder)")
 		maxNodes     = flag.Int("maxnodes", 4, "default per-job node cap")
 		seedLib      = flag.Int("seedlib", 1, "classification library seeds per workload type")
-		workers      = flag.Int("workers", 0, "worker goroutines for parallel fan-outs (0 = GOMAXPROCS); never changes results")
 		replayPath   = flag.String("replay", "", "replay this journal instead of serving")
 		follow       = flag.Bool("follow", false, "with -replay: tail a journal that is still being written (warm standby)")
 		verifySnap   = flag.String("verify-snapshot", "", "with -replay: verify this snapshot file against the replayed state")
 		replayEvents = flag.Bool("replay-stats", true, "with -replay: print the replay summary")
 	)
 	flag.Parse()
-	par.SetDefaultWorkers(*workers)
 
 	cfg := serve.Config{
 		Servers: *servers, Seed: *seed,

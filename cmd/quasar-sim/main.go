@@ -35,7 +35,6 @@ import (
 	"quasar/internal/loadgen"
 	"quasar/internal/obs"
 	"quasar/internal/obs/prof"
-	"quasar/internal/par"
 	"quasar/internal/perfmodel"
 	"quasar/internal/workload"
 )
@@ -61,7 +60,6 @@ func run() error {
 		bestEffort  = flag.Int("besteffort", 40, "best-effort fillers")
 		horizon     = flag.Float64("horizon", 20000, "simulated seconds to run")
 		seed        = flag.Int64("seed", 1, "deterministic seed")
-		workers     = flag.Int("workers", 0, "worker goroutines for parallel fan-outs (0 = GOMAXPROCS); never changes results")
 		verbose     = flag.Bool("v", false, "per-workload detail")
 		tracePath   = flag.String("trace", "", "write a deterministic trace of the run to this file")
 		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl | chrome | prom")
@@ -75,7 +73,6 @@ func run() error {
 		sloFlag     = flag.Bool("slo", false, "monitor every non-best-effort workload against its SLO and report error budgets, burn-rate alerts, and cluster health")
 	)
 	flag.Parse()
-	par.SetDefaultWorkers(*workers)
 
 	kind := map[string]experiments.ManagerKind{
 		"quasar":              experiments.KindQuasar,

@@ -28,14 +28,13 @@ import (
 //     substreams (RNG.Substreams) before the fan-out instead. Receivers
 //     selected through an index expression (subs[i].Float64()) are the
 //     sanctioned per-task pattern and are not flagged;
-//  5. tracer emission (obs.Tracer / obs.Shard methods that append to the
-//     event stream) inside a map-range loop — the events land in Go's
+//  5. tracer emission (obs.Tracer methods that append to the event
+//     stream) inside a map-range loop — the events land in Go's
 //     randomized map order, breaking the byte-identical-trace contract;
 //     iterate sorted keys instead;
-//  6. tracer emission on a tracer or shard captured inside a concurrent
-//     function literal — emissions interleave by schedule; derive
-//     per-task shards (Tracer.Shards) before the fan-out, as with RNG
-//     substreams. shards[i].Instant(...) passes;
+//  6. tracer emission on a tracer captured inside a concurrent function
+//     literal — emissions interleave by schedule; return the task's
+//     results and emit after the fan-out, in input order;
 //  7. sim.Engine scheduling (Schedule/After/Ticker) or RNG draws inside a
 //     map-range body — fault plans and other schedules armed in Go's
 //     randomized map order produce a different event sequence (and
@@ -201,12 +200,11 @@ func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {
 // literal whose receiver is shared mutable simulation state captured from
 // the enclosing scope: an RNG (concurrent draws interleave by goroutine
 // schedule, breaking the identical-seeds-identical-results contract and
-// racing, for sim.RNG) or a tracer/shard emission (concurrent appends
+// racing, for sim.RNG) or a tracer emission (concurrent appends
 // interleave the same way, breaking the byte-identical-trace contract).
-// Receivers reached through an index expression — subs[i].Float64() or
-// shards[i].Instant(...) on a pre-derived per-task slice — are the
-// sanctioned pattern and pass. Values declared inside the literal are
-// task-local and also pass.
+// Receivers reached through an index expression — subs[i].Float64() on a
+// pre-derived per-task slice — are the sanctioned pattern and pass. Values
+// declared inside the literal are task-local and also pass.
 func checkConcurrentCapture(pass *Pass, fl *ast.FuncLit, context string) {
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -236,7 +234,7 @@ func checkConcurrentCapture(pass *Pass, fl *ast.FuncLit, context string) {
 				root.Name(), context)
 		} else {
 			pass.Reportf(call.Pos(),
-				"tracer %s is shared across concurrent tasks in this %s: emissions interleave by schedule; derive per-task shards (Tracer.Shards) before the fan-out",
+				"tracer %s is shared across concurrent tasks in this %s: emissions interleave by schedule; emit after the fan-out, in input order",
 				root.Name(), context)
 		}
 		return true
@@ -263,16 +261,16 @@ func isRNGType(t types.Type) bool {
 	return false
 }
 
-// tracerEmitMethods are the obs.Tracer and obs.Shard methods that append
-// to the event stream. Read-only accessors (Enabled, Len, Events, Tracks)
-// are deliberately absent: they are safe anywhere.
+// tracerEmitMethods are the obs.Tracer methods that append to the event
+// stream. Read-only accessors (Enabled, Len, Events, Tracks) are
+// deliberately absent: they are safe anywhere.
 var tracerEmitMethods = map[string]bool{
 	"Instant": true, "InstantAt": true, "Begin": true, "End": true,
-	"BeginAsync": true, "EndAsync": true, "Counter": true, "Merge": true,
+	"BeginAsync": true, "EndAsync": true, "Counter": true,
 }
 
-// isTracerType reports whether t is (a pointer to) an event emitter of the
-// observability subsystem: obs.Tracer or obs.Shard.
+// isTracerType reports whether t is (a pointer to) the observability
+// subsystem's event emitter, obs.Tracer.
 func isTracerType(t types.Type) bool {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
@@ -282,7 +280,7 @@ func isTracerType(t types.Type) bool {
 		return false
 	}
 	path, name := named.Obj().Pkg().Path(), named.Obj().Name()
-	return strings.HasSuffix(path, "internal/obs") && (name == "Tracer" || name == "Shard")
+	return strings.HasSuffix(path, "internal/obs") && name == "Tracer"
 }
 
 // capturedRoot walks a receiver expression (ident, selector chain, parens)

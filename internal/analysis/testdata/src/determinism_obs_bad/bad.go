@@ -33,11 +33,10 @@ func SharedTracerFanOut(tr *obs.Tracer) {
 	})
 }
 
-// SharedShard hands the same shard to every task instead of one each.
-func SharedShard(tr *obs.Tracer) {
-	s := tr.Shards(1)[0]
+// TracerInStruct reaches the shared tracer through a captured struct, which
+// interleaves emissions just the same.
+func TracerInStruct(e *struct{ tr *obs.Tracer }) {
 	par.ParFor(0, 4, func(i int) {
-		s.Instant("classify", "classify", "probe")
+		e.tr.Instant("classify", "classify", "probe", obs.Arg{Key: "i", Val: i})
 	})
-	tr.Merge([]*obs.Shard{s})
 }

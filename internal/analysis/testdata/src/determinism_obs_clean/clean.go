@@ -28,14 +28,15 @@ func SimClockStamp(clock func() float64, tr *obs.Tracer) {
 	tr.InstantAt(clock(), "manager", "runtime", "tick")
 }
 
-// ShardedFanOut derives one shard per task before the fan-out and merges
-// them in input order afterwards — the shard discipline.
-func ShardedFanOut(tr *obs.Tracer) {
-	shards := tr.Shards(8)
-	par.ParFor(0, 8, func(i int) {
-		shards[i].Instant("classify", "classify", "probe")
+// EmitAfterFanOut returns each task's result and emits after the fan-out,
+// in input order.
+func EmitAfterFanOut(tr *obs.Tracer, refs []float64) {
+	perf := par.ParMap(0, len(refs), func(i int) float64 {
+		return 2 * refs[i]
 	})
-	tr.Merge(shards)
+	for i, p := range perf {
+		tr.Instant("classify", "classify", "probe", obs.Arg{Key: "i", Val: i}, obs.Arg{Key: "perf", Val: p})
+	}
 }
 
 // ReadOnlyInTask checks the tracer's state inside a task without emitting,

@@ -7,8 +7,7 @@
 // arrival time) is drawn from a per-fault sim.RNG substream derived
 // sequentially in plan order, and every injection fires on the single
 // simulation goroutine. A plan therefore produces a byte-identical fault
-// schedule for any -workers count, matching the discipline of
-// internal/par and internal/obs.
+// schedule on every run.
 //
 // The package depends only on internal/sim; the cluster side is reached
 // through the World interface, which internal/core's Runtime implements.

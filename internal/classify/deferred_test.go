@@ -192,7 +192,7 @@ func TestAxisMatchesEagerReference(t *testing.T) {
 // the ops, their arguments and the probers' noise depend on the seed only —
 // calling afterOp when each op returns. It returns every Estimates an op
 // handed back, flattened, and the engine.
-func randomOpsRun(t *testing.T, seed int64, workers, nOps int, afterOp func(*Engine)) ([][]float64, *Engine) {
+func randomOpsRun(t *testing.T, seed int64, nOps int, afterOp func(*Engine)) ([][]float64, *Engine) {
 	t.Helper()
 	platforms := cluster.LocalPlatforms()
 	u := workload.NewUniverse(platforms, seed, 3)
@@ -201,7 +201,6 @@ func randomOpsRun(t *testing.T, seed int64, workers, nOps int, afterOp func(*Eng
 	opts.Entries = 3
 	opts.RetrainEvery = 3 // many retrain points, several of them between two reads
 	opts.CF.Epochs = 30
-	opts.Workers = workers
 	e := NewEngine(platforms, opts, sim.NewRNG(seed+1))
 	rng := rand.New(rand.NewSource(seed + 2))
 
@@ -258,7 +257,7 @@ func randomOpsRun(t *testing.T, seed int64, workers, nOps int, afterOp func(*Eng
 				es *Estimates
 				po *ProbeObs
 			}
-			res := par.ParMap(workers, n, func(i int) detached {
+			res := par.ParMap(0, n, func(i int) detached {
 				es, po := e.ClassifyDetached(ws[i], ps[i], rngs[i])
 				return detached{es, po}
 			})
@@ -285,8 +284,8 @@ func randomOpsRun(t *testing.T, seed int64, workers, nOps int, afterOp func(*Eng
 
 // TestDeferredFitMatchesEagerOnRandomOps: over a random op sequence touching
 // every entry point, the engine that fits on read returns bit-for-bit the
-// Estimates of the engine forced to fit at every retrain point, at one worker
-// and at four, and ends with the same five models.
+// Estimates of the engine forced to fit at every retrain point, and ends with
+// the same five models.
 func TestDeferredFitMatchesEagerOnRandomOps(t *testing.T) {
 	t.Parallel()
 	seeds, nOps := []int64{1, 2}, 400
@@ -294,20 +293,10 @@ func TestDeferredFitMatchesEagerOnRandomOps(t *testing.T) {
 		seeds, nOps = seeds[:1], 200
 	}
 	for _, seed := range seeds {
-		wantOut, eager := randomOpsRun(t, seed, 1, nOps, forceFits)
+		wantOut, eager := randomOpsRun(t, seed, nOps, forceFits)
 		eager.EnsureTrained()
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("seed %d workers %d", seed, workers)
-			gotOut, deferred := randomOpsRun(t, seed, workers, nOps, func(*Engine) {})
-			compareRuns(t, name, gotOut, wantOut, deferred, eager)
-		}
-		_, eager4 := randomOpsRun(t, seed, 4, nOps, forceFits)
-		eager4.EnsureTrained()
-		for i := range eager.axes {
-			if !modelsBitEqual(eager4.axes[i].model, eager.axes[i].model) {
-				t.Errorf("seed %d: eager oracle's %s model depends on the worker count", seed, Axis(i))
-			}
-		}
+		gotOut, deferred := randomOpsRun(t, seed, nOps, func(*Engine) {})
+		compareRuns(t, fmt.Sprintf("seed %d", seed), gotOut, wantOut, deferred, eager)
 	}
 }
 

@@ -54,11 +54,6 @@ type Options struct {
 	// RetrainEvery triggers a full model retrain after this many appended
 	// rows per axis.
 	RetrainEvery int
-	// Workers bounds the goroutines used for the per-axis fan-out (the
-	// paper's four parallel classifications). Zero means the process
-	// default (par.Resolve). The count never changes results — each axis
-	// is confined to one task and merged by axis index.
-	Workers int
 }
 
 // DefaultOptions returns the paper's settings.
@@ -236,17 +231,15 @@ type Engine struct {
 	secondary   int   // fixed second profiling platform
 	informative []int // scale-up columns an arrival's extra probes draw from
 
-	opts    Options
-	workers int
-	axes    [numAxes]*axis
-	rowOf   map[string]int
-	rng     *sim.RNG
-	tracer  *obs.Tracer
-	prof    *prof.Profiler
+	opts   Options
+	axes   [numAxes]*axis
+	rowOf  map[string]int
+	rng    *sim.RNG
+	tracer *obs.Tracer
+	prof   *prof.Profiler
 }
 
-// SetTracer installs the tracer. Probe fan-outs trace through shards merged
-// in input order, so emission stays deterministic across worker counts.
+// SetTracer installs the tracer.
 func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
 // SetProfiler installs the self-profiler; Classify, Reclassify, Feedback and
@@ -282,7 +275,6 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 		suGrid:    newScaleUpGrid(&platforms[he]),
 		secondary: secondaryPlatform(platforms, he),
 		opts:      opts,
-		workers:   opts.Workers,
 		rowOf:     make(map[string]int),
 		rng:       rng,
 	}
@@ -303,11 +295,12 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 // RetrainAll refits every axis model from its matrix as it stands, here and
 // now. This is the cost a from-scratch reconstruction pays at an arrival (the
 // paper's SVD + PQ-reconstruction per submission); the engine otherwise
-// amortizes it via fold-in plus periodic retraining. The five retrains run on
-// the axis fan-out pool; each touches only its own axis, so results match the
-// sequential loop.
+// amortizes it via fold-in plus periodic retraining. It is the engine's one
+// fan-out: each of the five multi-millisecond fits touches only its own axis,
+// so results match the sequential loop. Fig. 3 times it as the paper's four
+// parallel classifications.
 func (e *Engine) RetrainAll() {
-	par.ParFor(e.workers, int(numAxes), func(i int) {
+	par.ParFor(0, int(numAxes), func(i int) {
 		e.axes[i].train()
 		e.axes[i].fit()
 	})
@@ -321,13 +314,12 @@ func (e *Engine) RetrainAll() {
 func (e *Engine) EnsureTrained() {
 	t0 := e.prof.Begin()
 	defer e.prof.End(prof.SubClassify, t0)
-	par.ParFor(e.workers, int(numAxes), func(i int) {
-		a := e.axes[i]
+	for _, a := range e.axes {
 		if !a.trained() && a.mat.Rows > 0 {
 			a.train()
 		}
 		a.fit()
-	})
+	}
 }
 
 // TrainStats returns each axis's retraining counters, indexed by Axis.
@@ -423,30 +415,22 @@ func (e *Engine) SeedOffline(w *workload.Instance, p Prober) {
 	e.appendObs(w.ID, e.probeSeed(w, p))
 }
 
-// SeedOfflineMany seeds ws[i] with probers[i] concurrently. The dense probe
-// stage fans out (each task touches only its own workload and prober); the
-// appends then land sequentially in input order, so the matrices are
-// byte-identical to seeding the workloads one at a time.
+// SeedOfflineMany seeds ws[i] with probers[i], in input order, and traces a
+// seed-probe event per workload.
 func (e *Engine) SeedOfflineMany(ws []*workload.Instance, probers []Prober) {
-	shards := e.tracer.Shards(len(ws))
-	all := par.ParMap(e.workers, len(ws), func(i int) *ProbeObs {
-		po := e.probeSeed(ws[i], probers[i])
-		if sh := shards[i]; sh.Enabled() {
-			sh.Instant("classify", "classify", "seed-probe",
-				obs.Arg{Key: "workload", Val: ws[i].ID},
+	for i, w := range ws {
+		po := e.probeSeed(w, probers[i])
+		if e.tracer.Enabled() {
+			e.tracer.Instant("classify", "classify", "seed-probe",
+				obs.Arg{Key: "workload", Val: w.ID},
 				obs.Arg{Key: "ref_perf", Val: po.RefPerf})
 		}
-		return po
-	})
-	e.tracer.Merge(shards)
-	for i, po := range all {
-		e.appendObs(ws[i].ID, po)
+		e.appendObs(w.ID, po)
 	}
 }
 
 // probeSeed runs the dense offline characterization. It only reads engine
-// state (column grids, platforms) and draws nothing from the engine RNG, so
-// it is safe to run concurrently across workloads.
+// state (column grids, platforms) and draws nothing from the engine RNG.
 func (e *Engine) probeSeed(w *workload.Instance, p Prober) *ProbeObs {
 	ref := p.ScaleUp(e.refAlloc())
 	su := make(map[int]float64, len(e.SUCols))
@@ -484,14 +468,11 @@ func (e *Engine) probeSeed(w *workload.Instance, p Prober) *ProbeObs {
 	return po
 }
 
-// appendObs appends one workload's observations to all five matrices, each
-// axis on its own task (the paper's parallel classifications). Per-axis
-// training state is confined to its task, so the matrices and models come
-// out identical to a sequential append.
+// appendObs appends one workload's observations to all five matrices.
 func (e *Engine) appendObs(id string, po *ProbeObs) int {
-	par.ParFor(e.workers, int(numAxes), func(i int) {
-		e.axes[i].appendRow(po.obs[i])
-	})
+	for i, a := range e.axes {
+		a.appendRow(po.obs[i])
+	}
 	row := e.axes[AxisScaleUp].mat.Rows - 1
 	e.rowOf[id] = row
 	return row
@@ -635,10 +616,9 @@ func (e *Engine) probeArrival(w *workload.Instance, p Prober, rng *sim.RNG) *Pro
 	return po
 }
 
-// estimatesFromProbe reconstructs full rows from one arrival's observations.
-// The five axis estimates run on the fan-out pool and merge by axis index.
-// row < 0 is the detached mode: no history merge and strictly read-only
-// fold-in against the frozen models.
+// estimatesFromProbe reconstructs full rows from one arrival's observations,
+// one axis after the other. row < 0 is the detached mode: no history merge
+// and strictly read-only fold-in against the frozen models.
 func (e *Engine) estimatesFromProbe(w *workload.Instance, row int, po *ProbeObs) *Estimates {
 	es := &Estimates{
 		Engine:  e,
@@ -648,17 +628,16 @@ func (e *Engine) estimatesFromProbe(w *workload.Instance, row int, po *ProbeObs)
 		RefPerf: po.RefPerf,
 	}
 	var rows [numAxes][]float64
-	par.ParFor(e.workers, int(numAxes), func(i int) {
-		if Axis(i) == AxisScaleOut && !w.Type.Distributed() {
+	for i, a := range e.axes {
+		switch {
+		case Axis(i) == AxisScaleOut && !w.Type.Distributed():
 			rows[i] = make([]float64, len(e.SOCounts)) // flat: no scale-out
-			return
+		case row < 0:
+			rows[i] = a.estimateRowFrozen(po.obs[i])
+		default:
+			rows[i] = a.estimateRow(row, po.obs[i])
 		}
-		if row < 0 {
-			rows[i] = e.axes[i].estimateRowFrozen(po.obs[i])
-			return
-		}
-		rows[i] = e.axes[i].estimateRow(row, po.obs[i])
-	})
+	}
 	es.SULog = rows[AxisScaleUp]
 	es.SOLog = rows[AxisScaleOut]
 	es.HetLog = rows[AxisHetero]

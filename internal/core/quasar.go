@@ -170,10 +170,8 @@ func resVecSlice(v cluster.ResVec) []float64 {
 // Name implements Manager.
 func (q *Quasar) Name() string { return "quasar" }
 
-// SeedLibrary adds offline-profiled workloads to the classification engine.
-// Prober streams derive sequentially in library order; the dense profiling
-// then fans out and the appends land in the same order, so the matrices are
-// identical to one-at-a-time seeding.
+// SeedLibrary adds offline-profiled workloads to the classification engine,
+// in library order, each with its own prober stream.
 func (q *Quasar) SeedLibrary(ws []*workload.Instance) {
 	probers := make([]classify.Prober, len(ws))
 	for i, w := range ws {

@@ -456,9 +456,8 @@ func (rt *Runtime) Evict(id string) error {
 }
 
 // nodesOf assembles the perfmodel view of the task's current allocation.
-// It runs only on a truth-memo miss and allocates per call by design: the
-// SLO engine's fan-out workers call TrueRate concurrently, so a
-// runtime-owned scratch buffer would race.
+// It runs only on a truth-memo miss, so it allocates per call rather than
+// keeping a scratch buffer.
 func (rt *Runtime) nodesOf(t *Task) []perfmodel.NodeAlloc {
 	nodes := make([]perfmodel.NodeAlloc, 0, len(t.serverIDs))
 	for _, id := range t.serverIDs {
@@ -497,23 +496,14 @@ func (rt *Runtime) truthValid(t *Task) bool {
 	return true
 }
 
-// trueRate is TrueRate for the sim goroutine (the tick sweep and
-// MeasuredPerf): a miss stores the recomputed rate for later readers.
-func (rt *Runtime) trueRate(t *Task) float64 {
+// TrueRate returns the task's current true work rate (batch) given live
+// interference. A stale memo is recomputed and stored for later readers;
+// like every runtime method it runs on the sim goroutine.
+func (rt *Runtime) TrueRate(t *Task) float64 {
 	if !rt.truthValid(t) {
 		t.truth = truthMemo{rate: t.W.JobRate(rt.nodesOf(t)), gen: rt.Cl.Gen(), cfg: t.W.Config, ok: true}
 	}
 	return t.truth.rate
-}
-
-// TrueRate returns the task's current true work rate (batch) given live
-// interference. It only reads — the SLO engine's fan-out workers call it
-// concurrently — so a stale memo is recomputed, never stored.
-func (rt *Runtime) TrueRate(t *Task) float64 {
-	if rt.truthValid(t) {
-		return t.truth.rate
-	}
-	return t.W.JobRate(rt.nodesOf(t))
 }
 
 // TrueCapacityQPS returns a service's current true capacity, with
@@ -536,14 +526,14 @@ func (rt *Runtime) ShiftPhase(t *Task, edit func(*perfmodel.Genome)) {
 func (rt *Runtime) MeasuredPerf(t *Task) float64 {
 	var v float64
 	if t.W.Type.Class() == perfmodel.LatencyCritical {
-		capQPS := rt.trueRate(t) * t.W.Genome.QPSPerUnit
+		capQPS := rt.TrueRate(t) * t.W.Genome.QPSPerUnit
 		bound := t.W.Target.LatencyUS
 		if bound <= 0 {
 			bound = t.W.Genome.ServiceUS * 4
 		}
 		v = t.W.Genome.QPSAtQoS(capQPS, bound)
 	} else {
-		v = rt.trueRate(t)
+		v = rt.TrueRate(t)
 	}
 	return rt.measureRNG.Jitter(v, t.W.Genome.NoiseCV)
 }
@@ -610,7 +600,7 @@ func (rt *Runtime) AddTickListener(fn func(now float64)) {
 }
 
 func (rt *Runtime) tickBatch(t *Task, now, dt float64) {
-	rate := rt.trueRate(t)
+	rate := rt.TrueRate(t)
 	t.Progress += rate * dt
 	t.RateSeries.Add(now, rate)
 	for _, id := range t.serverIDs {
@@ -637,7 +627,7 @@ func (rt *Runtime) tickBatch(t *Task, now, dt float64) {
 
 func (rt *Runtime) tickService(t *Task, now float64) {
 	lambda := rt.OfferedLoad(t)
-	capQPS := rt.trueRate(t) * t.W.Genome.QPSPerUnit
+	capQPS := rt.TrueRate(t) * t.W.Genome.QPSPerUnit
 	achieved := t.W.Genome.AchievedQPS(lambda, capQPS)
 	_, p99 := t.W.Genome.Latency(lambda, capQPS)
 

@@ -17,8 +17,8 @@ import (
 // evictions, injected pressure, slowdowns, isolation, crashes and restarts
 // under the failure detector's fence, framework re-tuning, phase shifts and
 // plain time — and after each one requires every task's memoised rate, as
-// TrueRate, TrueCapacityQPS and the sim goroutine's storing path read it, to
-// equal a from-scratch JobRate(nodesOf(t)) bit for bit.
+// TrueRate and TrueCapacityQPS read it, to equal a from-scratch
+// JobRate(nodesOf(t)) bit for bit.
 func TestTruthMemoMatchesRecompute(t *testing.T) {
 	rt, u := newTestRuntime(t)
 	rt.SetManager(&nullManager{rt: rt}) // places nothing: the test drives every change
@@ -120,16 +120,13 @@ func TestTruthMemoMatchesRecompute(t *testing.T) {
 			}
 			want := tk.W.JobRate(rt.nodesOf(tk))
 			wantCap := tk.W.CapacityQPS(rt.nodesOf(tk))
+			// TrueRate stores on a miss, so the next op meets a fresh memo
+			// it must invalidate.
 			if got := rt.TrueRate(tk); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("step %d (%s): %s TrueRate %v, recompute %v", step, op.name, tk.W.ID, got, want)
 			}
 			if got := rt.TrueCapacityQPS(tk); math.Float64bits(got) != math.Float64bits(wantCap) {
 				t.Fatalf("step %d (%s): %s TrueCapacityQPS %v, recompute %v", step, op.name, tk.W.ID, got, wantCap)
-			}
-			// Store through the sim goroutine's path, so the next op meets a
-			// fresh memo it must invalidate.
-			if got := rt.trueRate(tk); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("step %d (%s): %s stored rate %v, recompute %v", step, op.name, tk.W.ID, got, want)
 			}
 		}
 	}

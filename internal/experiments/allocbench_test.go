@@ -9,7 +9,6 @@ import (
 	"quasar/internal/experiments"
 	"quasar/internal/loadgen"
 	"quasar/internal/obs"
-	"quasar/internal/par"
 	"quasar/internal/sched"
 	"quasar/internal/serve"
 	"quasar/internal/sim"
@@ -97,15 +96,11 @@ var allocProbes = []struct {
 
 // TestAllocBudgets is the allocation gate: every probe must stay within its
 // budget. A failure here means a change added per-operation heap allocations
-// to the function the row names. Fan-outs run sequentially (one worker) so
-// the counts do not depend on GOMAXPROCS or goroutine scheduling.
+// to the function the row names.
 func TestAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation probes need steady-state warmup")
 	}
-	prev := par.Resolve(0)
-	par.SetDefaultWorkers(1)
-	defer par.SetDefaultWorkers(prev)
 	for _, p := range allocProbes {
 		t.Run(p.name, func(t *testing.T) {
 			allocs := p.probe(t)

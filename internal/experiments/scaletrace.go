@@ -8,13 +8,8 @@ import (
 	"quasar/internal/workload"
 )
 
-// ScaleTrace runs one traced Quasar scenario on a uniform at-scale cluster
-// and returns the serialized event log. The trace is the determinism
-// contract's witness at scale: the bytes must not depend on the worker count,
-// which the determinism tests and the trace-diff-scale lane assert across
-// {1, 4, NumCPU} workers.
-
-// ScaleTraceConfig sizes the at-scale determinism run.
+// ScaleTraceConfig sizes the at-scale traced run: a uniform cluster at the
+// size of the scale row of make trace-diff.
 type ScaleTraceConfig struct {
 	Servers     int     // uniform spread of the local platforms
 	Services    int     // latency-critical services under fluctuating load

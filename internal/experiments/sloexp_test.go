@@ -3,8 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
-
-	"quasar/internal/par"
 )
 
 // TestSLODetectAccuracy runs the canned crash storm and holds the PR's
@@ -37,17 +35,14 @@ func TestSLODetectAccuracy(t *testing.T) {
 	}
 }
 
-// TestSLODetectDeterministicAcrossWorkers re-runs the full storm under
-// different evaluation fan-outs and requires the entire scored result —
-// outage ground truth, page attribution, and latency numbers — to be
-// byte-identical.
-func TestSLODetectDeterministicAcrossWorkers(t *testing.T) {
+// TestSLODetectDeterministic re-runs the full storm and requires the entire
+// scored result — outage ground truth, page attribution, and latency
+// numbers — to be byte-identical.
+func TestSLODetectDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the crash-storm scenario per worker count")
+		t.Skip("runs the crash-storm scenario twice")
 	}
-	marshal := func(workers int) string {
-		par.SetDefaultWorkers(workers)
-		defer par.SetDefaultWorkers(0)
+	marshal := func() string {
 		r, err := SLODetect(DefaultSLODetectConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -58,10 +53,7 @@ func TestSLODetectDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return string(out)
 	}
-	want := marshal(1)
-	for _, workers := range []int{2, 4} {
-		if got := marshal(workers); got != want {
-			t.Errorf("workers=%d result differs\n got %s\nwant %s", workers, got, want)
-		}
+	if want, got := marshal(), marshal(); got != want {
+		t.Errorf("rerun result differs\n got %s\nwant %s", got, want)
 	}
 }

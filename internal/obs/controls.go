@@ -6,8 +6,8 @@ import (
 
 // Trace controls are the deterministic volume knobs of the pipeline: what a
 // run records is a pure function of the event fields and the configured
-// controls, never of wall-clock time, RNG draws, or worker count. A filtered
-// run therefore still satisfies the byte-identity contract — any two runs of
+// controls, never of wall-clock time or RNG draws. A filtered run therefore
+// still satisfies the byte-identity contract — any two runs of
 // the same scenario with the same controls produce the same bytes — and the
 // controls themselves are recorded in the trace header so a reader knows
 // exactly what was dropped and why.
@@ -66,9 +66,9 @@ type Controls struct {
 	Category map[string]Level
 	// SampleWorkloads keeps this fraction of workloads; 0 or >= 1 keeps all.
 	// Selection is by FNV-1a hash of the workload ID — RNG-free, so the kept
-	// subset is identical for every run, seed, and worker count. Events that
-	// carry no workload identity (cluster counters, server fault events) are
-	// always kept.
+	// subset is identical for every run and seed. Events that carry no
+	// workload identity (cluster counters, server fault events) are always
+	// kept.
 	SampleWorkloads float64
 	// TopK truncates ScheduleDecision candidate rankings to the K best
 	// (picked servers are always retained); 0 keeps the full ranking. The

@@ -12,7 +12,7 @@ import (
 // run recorded under), then events in sequence order, then one line per
 // registered metrics container. Field order is fixed by DTO struct
 // declaration order and Args marshal as an object in emission order, so the
-// file is byte-identical across runs and worker counts. The buffered
+// file is byte-identical across runs. The buffered
 // WriteJSONL and the incremental StreamSink share the per-line encoders
 // (appendEventLine in encode.go for events, writeRegistryLines below for the
 // metric tail), which is what makes a streamed file byte-identical to a

@@ -23,7 +23,8 @@ import (
 // The encoding is the same code path the buffered exporter uses, line for
 // line — header, events in sequence order, then the registry's metric lines —
 // so the streamed file is byte-identical to WriteJSONL output for the same
-// run. The worker-matrix identity tests pin that equality at 1k servers.
+// run. TestStreamedTraceMatchesBuffered and make trace-diff pin that
+// equality.
 type StreamSink struct {
 	// Prof, when non-nil, attributes encode+write time to the trace-export
 	// subsystem. Set it before the first event.

@@ -6,16 +6,13 @@
 //
 // Determinism contract. Events are timestamped on the simulation clock (an
 // injected func() float64, normally sim.Engine.Now) and carry a sequence
-// number assigned at emission. All emission happens either on the simulation
+// number assigned at emission. All emission happens on the simulation
 // goroutine — the discrete-event engine fires events one at a time, so calls
-// arrive in a fixed order — or through Shards, the fan-out discipline that
-// buffers per-task events and merges them in input order (mirroring
-// internal/par and sim.RNG.Substreams). Trace controls (level filters,
-// hash-based workload sampling, top-K truncation) are pure functions of the
-// event fields and run before sequence assignment, so a filtered stream still
-// has contiguous seqs. Under those rules the event stream, and therefore
-// every sink's and exporter's output, is byte-identical for any -workers
-// count.
+// arrive in a fixed order. Trace controls (level filters, hash-based workload
+// sampling, top-K truncation) are pure functions of the event fields and run
+// before sequence assignment, so a filtered stream still has contiguous seqs.
+// Under those rules the event stream, and therefore every sink's and
+// exporter's output, is byte-identical from run to run.
 //
 // Cost contract. A nil *Tracer is the off state: every method is nil-safe and
 // returns immediately, so instrumented code pays one pointer test per site and
@@ -109,8 +106,8 @@ func NewWithSinks(clock func() float64, sinks ...Sink) *Tracer {
 	}
 	// The tracer meters itself: accepted events and their deterministic size
 	// estimate are pure functions of the event stream, so these lines are
-	// byte-identical across sinks and worker counts, unlike per-sink retained
-	// memory (see Sink.RetainedBytes, which feeds the benchmarks instead).
+	// byte-identical across sinks, unlike per-sink retained memory (see
+	// Sink.RetainedBytes, which feeds the benchmarks instead).
 	t.reg.Gauge("tracer_events", "Events accepted into the trace stream.", func() float64 { return float64(t.accepted) })
 	t.reg.Gauge("tracer_bytes", "Deterministic size estimate of all accepted trace events, bytes.", func() float64 { return float64(t.bytesEst) })
 	t.dropped = t.reg.Counter("tracer_events_dropped_total", "Events dropped by trace controls (level filters, workload sampling).")
@@ -263,7 +260,7 @@ func (t *Tracer) RetainedBytes() (cur, high int) {
 // BytesEstimate returns the deterministic cumulative size estimate of all
 // accepted events — the same number the tracer_bytes gauge exposes. Unlike
 // RetainedBytes it is a function of the event stream alone, so it is stable
-// across sinks and worker counts.
+// across sinks.
 func (t *Tracer) BytesEstimate() int64 {
 	if t == nil {
 		return 0
@@ -403,8 +400,8 @@ func (t *Tracer) EventCountsByName() (names []string, counts []int) {
 
 // eventSize is the deterministic per-event size estimate: a pure function of
 // the event fields (string lengths, payload shapes), never of allocator or
-// encoder state, so cumulative totals are byte-identical across runs, worker
-// counts, and sink configurations. It approximates in-memory retained cost;
+// encoder state, so cumulative totals are byte-identical across runs and
+// sink configurations. It approximates in-memory retained cost;
 // encoded JSONL is the same order of magnitude.
 func eventSize(ev *Event) int {
 	n := 64 + len(ev.ID) + len(ev.Cat) + len(ev.Name) + len(ev.Track)

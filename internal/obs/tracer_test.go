@@ -2,11 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"runtime"
-	"strconv"
 	"testing"
-
-	"quasar/internal/par"
 )
 
 func TestNilTracerIsSafeAndFree(t *testing.T) {
@@ -21,7 +17,6 @@ func TestNilTracerIsSafeAndFree(t *testing.T) {
 	tr.EndAsync("id", "a", "b", "c")
 	tr.Counter("a", "b", "c")
 	tr.InstantAt(5, "a", "b", "c")
-	tr.Merge(tr.Shards(4))
 	if tr.Len() != 0 || tr.Events() != nil || tr.Tracks() != nil {
 		t.Fatal("nil tracer accumulated state")
 	}
@@ -64,36 +59,6 @@ func TestSequenceAndClock(t *testing.T) {
 	}
 	if got := tr.Tracks(); len(got) != 1 || got[0] != "manager" {
 		t.Fatalf("tracks %v", got)
-	}
-}
-
-// TestShardMergeDeterministic runs a fan-out that traces through shards for
-// several worker counts and requires byte-identical JSONL output.
-func TestShardMergeDeterministic(t *testing.T) {
-	run := func(workers int) []byte {
-		tr := New(nil)
-		const n = 40
-		shards := tr.Shards(n)
-		par.ParFor(workers, n, func(i int) {
-			sh := shards[i]
-			sh.Instant("workload/w"+strconv.Itoa(i), "test", "probe",
-				Arg{Key: "i", Val: i})
-			if i%3 == 0 {
-				sh.Instant("workload/w"+strconv.Itoa(i), "test", "extra")
-			}
-		})
-		tr.Merge(shards)
-		var buf bytes.Buffer
-		if err := WriteJSONL(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := run(1)
-	for _, w := range []int{2, 4, runtime.NumCPU()} {
-		if got := run(w); !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d diverged:\n%.400s\nvs\n%.400s", w, want, got)
-		}
 	}
 }
 

@@ -29,10 +29,10 @@ import (
 )
 
 // defaultWorkers holds the process-wide worker count used when a caller
-// passes workers <= 0; zero means runtime.GOMAXPROCS(0). It exists so the
-// CLIs can expose a single -workers flag without threading a parameter
-// through every experiment config. It must never affect results — only how
-// fast they arrive.
+// passes workers <= 0; zero means runtime.GOMAXPROCS(0). It exists so
+// quasar-bench can expose a single -workers flag without threading a
+// parameter through every experiment config. It must never affect results —
+// only how fast they arrive.
 var defaultWorkers atomic.Int64
 
 // SetDefaultWorkers sets the process-wide default worker count. n <= 0

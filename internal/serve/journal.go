@@ -11,8 +11,8 @@
 // engine to B. Because the engine's event sequencing depends only on the
 // order of Schedule calls, a replay that performs the identical per-boundary
 // schedules reproduces the run byte for byte: same journal + same seed ⇒
-// byte-identical trace, regardless of wall-clock arrival jitter, worker
-// count, or whether the run was live or offline.
+// byte-identical trace, regardless of wall-clock arrival jitter or whether
+// the run was live or offline.
 //
 // Failover rides the same journal: a standby tails it (Replay with Follow),
 // rebuilding the identical world, and can restore the manager from the
@@ -220,9 +220,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // CreateJournal creates the journal file at path, writes and flushes the
 // header, and opens the first epoch boundary. nextOrdinal is the universe's
 // Counter()+1 after world construction (library seeding consumes ordinals
-// before any admission can).
+// before any admission can). A file already at path is refused, never
+// truncated: it is the record of an earlier run, which -replay recovers.
 func CreateJournal(path string, cfg Config, nextOrdinal int) (*Journal, error) {
-	f, err := os.Create(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+	if errors.Is(err, os.ErrExist) {
+		return nil, fmt.Errorf("serve: journal %s: %w; -replay it or remove it", path, os.ErrExist)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: creating journal: %w", err)
 	}

@@ -64,7 +64,7 @@ type ReplayResult struct {
 // Replay rebuilds a serve run from its journal: the identical world is
 // constructed from the header, and every epoch boundary's batch goes through
 // the same world step the live pacer runs after each seal, so the replayed
-// trace is byte-identical to the live one for any worker count. With Follow it tails a live journal
+// trace is byte-identical to the live one. With Follow it tails a live journal
 // as a warm standby; with Snapshot (+Failover) it verifies or restores the
 // primary's warm-failover state mid-run.
 func Replay(journalPath string, opts ReplayOptions) (*ReplayResult, error) {

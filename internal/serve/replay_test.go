@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"quasar/internal/obs"
-	"quasar/internal/par"
 )
 
 // scriptFixture is the standard replay-test script: a service, a best-effort
@@ -41,47 +39,6 @@ func TestBuildJournalPredictsIDs(t *testing.T) {
 	for i := range want {
 		if ids[i] != want[i] {
 			t.Errorf("promised ID %d = %q, want %q", i, ids[i], want[i])
-		}
-	}
-}
-
-// TestReplayDeterministicAcrossWorkers replays the same journal at several
-// worker counts: traces and final manager state must be byte-identical.
-func TestReplayDeterministicAcrossWorkers(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.journal")
-	if _, err := BuildJournal(journal, Config{Servers: 24, Seed: 13, SLO: true}, 300, scriptFixture()); err != nil {
-		t.Fatal(err)
-	}
-	run := func(workers int) ([]byte, []byte) {
-		par.SetDefaultWorkers(workers)
-		defer par.SetDefaultWorkers(0)
-		tracePath := filepath.Join(dir, fmt.Sprintf("w%d.jsonl", workers))
-		sink, err := obs.NewStreamSink(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{sink}})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Applied != 5 || res.Truncated {
-			t.Fatalf("workers=%d: applied %d (truncated=%v), want 5 complete", workers, res.Applied, res.Truncated)
-		}
-		trace, err := os.ReadFile(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return trace, res.ManagerState
-	}
-	wantTrace, wantState := run(1)
-	for _, workers := range []int{4, runtime.NumCPU()} {
-		trace, state := run(workers)
-		if !bytes.Equal(wantTrace, trace) {
-			t.Errorf("workers=%d: trace diverged (%d vs %d bytes)", workers, len(wantTrace), len(trace))
-		}
-		if !bytes.Equal(wantState, state) {
-			t.Errorf("workers=%d: manager state diverged", workers)
 		}
 	}
 }

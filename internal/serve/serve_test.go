@@ -3,20 +3,18 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"quasar/internal/obs"
-	"quasar/internal/par"
 )
 
 // startServer boots a daemon on a free port and returns it with the channel
@@ -90,12 +88,12 @@ func driveScriptedMix(t *testing.T, base string) string {
 	return svcID
 }
 
-// TestLiveVsReplayAcrossWorkers is the serve determinism contract: a live run
-// with wall-clock arrival jitter and SLO monitoring on, stopped through its
-// own shutdown endpoint, is reproduced byte for byte by a warm standby that
-// tailed the journal while it was written, and by offline replays of that
-// journal at several worker counts.
-func TestLiveVsReplayAcrossWorkers(t *testing.T) {
+// TestLiveVsReplay is the serve determinism contract: a live run with
+// wall-clock arrival jitter and SLO monitoring on, stopped through its own
+// shutdown endpoint, is reproduced byte for byte by a warm standby that
+// tailed the journal while it was written, and by an offline replay of that
+// journal.
+func TestLiveVsReplay(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "run.journal")
 	traceA := filepath.Join(dir, "live.jsonl")
@@ -149,29 +147,24 @@ func TestLiveVsReplayAcrossWorkers(t *testing.T) {
 	if !bytes.Equal(want, standby) {
 		t.Fatalf("standby trace diverged from live (%d vs %d bytes)", len(want), len(standby))
 	}
-	for _, workers := range []int{1, 4, runtime.NumCPU()} {
-		par.SetDefaultWorkers(workers)
-		tracePath := filepath.Join(dir, fmt.Sprintf("replay-%d.jsonl", workers))
-		sink, err := obs.NewStreamSink(tracePath)
-		if err != nil {
-			par.SetDefaultWorkers(0)
-			t.Fatal(err)
-		}
-		res, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{sink}})
-		par.SetDefaultWorkers(0)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Truncated {
-			t.Fatalf("workers=%d: graceful shutdown left a truncated journal", workers)
-		}
-		got, err := os.ReadFile(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d: replay trace diverged from live (%d vs %d bytes)", workers, len(want), len(got))
-		}
+	tracePath := filepath.Join(dir, "replay.jsonl")
+	sink, err := obs.NewStreamSink(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{sink}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated {
+		t.Fatal("graceful shutdown left a truncated journal")
+	}
+	got, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("replay trace diverged from live (%d vs %d bytes)", len(want), len(got))
 	}
 }
 
@@ -237,17 +230,36 @@ func TestNewOnBusyAddrKeepsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = ln.Close() }()
+	newFailsKeepingJournal(t, ln.Addr().String())
+}
+
+// TestNewOnExistingJournalKeepsIt is the restart guard: a daemon started on
+// the journal path of an earlier run — say, after a crash — refuses to start
+// rather than truncate the file one would replay, and says so.
+func TestNewOnExistingJournalKeepsIt(t *testing.T) {
+	journal, err := newFailsKeepingJournal(t, "127.0.0.1:0")
+	if !errors.Is(err, os.ErrExist) || !strings.Contains(err.Error(), journal) || !strings.Contains(err.Error(), "-replay") {
+		t.Fatalf("error %q should be ErrExist, name the journal and point at -replay", err)
+	}
+}
+
+// newFailsKeepingJournal requires New on addr to fail when its journal path
+// already holds a file, and to leave that file byte-identical. It returns
+// the journal path and New's error.
+func newFailsKeepingJournal(t *testing.T, addr string) (string, error) {
+	t.Helper()
 	journal := filepath.Join(t.TempDir(), "run.journal")
-	want := []byte("the running daemon's journal\n")
+	want := []byte("an earlier daemon's journal\n")
 	if err := os.WriteFile(journal, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{
-		Addr:        ln.Addr().String(),
+	_, newErr := New(Options{
+		Addr:        addr,
 		Config:      Config{Servers: 8, Seed: 5},
 		JournalPath: journal,
-	}); err == nil {
-		t.Fatal("New bound an address that is already in use")
+	})
+	if newErr == nil {
+		t.Fatal("New succeeded over an existing journal")
 	}
 	got, err := os.ReadFile(journal)
 	if err != nil {
@@ -256,6 +268,7 @@ func TestNewOnBusyAddrKeepsJournal(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("failed New rewrote the journal: %q, want %q", got, want)
 	}
+	return journal, newErr
 }
 
 // TestMetricsExporterConcurrentWithPacer hammers every read endpoint from

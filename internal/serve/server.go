@@ -104,9 +104,8 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return fail(err)
 	}
-	// Bind before creating the journal: creation truncates the file, and a
-	// daemon that cannot get its address must not wipe the journal of the
-	// one already running there.
+	// Bind before creating the journal: a daemon that cannot get its
+	// address must leave the journal path as it found it.
 	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		return fail(err)

@@ -7,7 +7,6 @@ import (
 	"quasar/internal/metrics"
 	"quasar/internal/obs"
 	"quasar/internal/obs/prof"
-	"quasar/internal/par"
 	"quasar/internal/perfmodel"
 )
 
@@ -31,8 +30,7 @@ type ruleState struct {
 }
 
 // wstate is the per-workload monitoring state: the SLI ring buffer plus one
-// state machine per rule. It is touched only by its own fan-out task during
-// a tick, then read sequentially afterwards.
+// state machine per rule.
 type wstate struct {
 	id     string
 	class  perfmodel.Class
@@ -62,21 +60,6 @@ func (ws *wstate) push(b uint8) {
 	ws.head = (ws.head + 1) % n
 }
 
-// tickResult is what one fan-out task reports back for sequential
-// application: indices into Options.Rules of alerts that fired or resolved
-// this tick, and whether the workload finished.
-type tickResult struct {
-	fired    []int
-	resolved []int
-	finalize bool
-}
-
-// evalItem pairs a workload's monitor state with its task for one sweep.
-type evalItem struct {
-	ws *wstate
-	t  *core.Task
-}
-
 // Engine monitors every non-best-effort workload of a runtime against its
 // SLO and scores server and cluster health. Create it with Attach; it then
 // runs itself from the runtime's tick.
@@ -102,13 +85,7 @@ type Engine struct {
 	ClusterHealth metrics.Series
 
 	nextHealth float64
-
-	// evalBuf and resultsBuf are reused across ticks so the sweep does not
-	// reallocate its evaluation list and result table every tick. onTick
-	// runs on the single simulation goroutine.
-	evalBuf    []evalItem
-	resultsBuf []tickResult
-	scoreBuf   []float64
+	scoreBuf   []float64 // one health sweep's per-server scores, reused
 
 	pagesFired     *obs.Counter
 	ticketsFired   *obs.Counter
@@ -209,15 +186,14 @@ func started(t *core.Task) bool {
 func (e *Engine) onTick(now float64) {
 	t0 := e.Prof.Begin()
 	defer e.Prof.End(prof.SubSLO, t0)
-	// Build this tick's evaluation list in submission order. Best-effort
-	// workloads carry no guarantee, so they carry no SLO.
+	// Evaluate in submission order. Best-effort workloads carry no
+	// guarantee, so they carry no SLO.
 	tasks := e.rt.Tasks()
 	if grow := len(tasks) - len(e.byPos); grow > 0 {
 		// Entries past len(byPos) were never written, so the new slots are
 		// nil: no state yet.
 		e.byPos = slices.Grow(e.byPos, grow)[:len(tasks)]
 	}
-	eval := e.evalBuf[:0]
 	for i, t := range tasks {
 		if t.W.BestEffort {
 			continue
@@ -233,58 +209,8 @@ func (e *Engine) onTick(now float64) {
 				continue
 			}
 		}
-		if ws.done {
-			continue
-		}
-		eval = append(eval, evalItem{ws: ws, t: t})
-	}
-	e.evalBuf = eval
-
-	n := len(eval)
-	if n > 0 {
-		workers := 1
-		if n >= e.opts.ParThreshold {
-			workers = e.opts.Workers
-		}
-		// Same emission path for both the sequential and parallel case:
-		// per-task shards merged in input order, so the trace does not
-		// depend on the worker count.
-		shards := e.tr.Shards(n)
-		if cap(e.resultsBuf) < n {
-			e.resultsBuf = make([]tickResult, n)
-		}
-		results := e.resultsBuf[:n]
-		par.ParFor(workers, n, func(i int) {
-			results[i] = e.evalOne(eval[i].ws, eval[i].t, now, shards[i])
-		})
-		e.tr.Merge(shards)
-		// Counters and the episode log mutate shared state: apply the
-		// per-task results sequentially, in input order.
-		for i := range results {
-			ws := eval[i].ws
-			for _, ri := range results[i].fired {
-				rule := e.opts.Rules[ri]
-				if rule.Name == "page" {
-					e.pagesFired.Inc()
-				} else {
-					e.ticketsFired.Inc()
-				}
-				e.episodes = append(e.episodes, Episode{
-					Workload: ws.id, Rule: rule.Name, FireAt: now, ResolveAt: -1,
-				})
-				ws.rules[ri].epIdx = len(e.episodes) - 1
-			}
-			for _, ri := range results[i].resolved {
-				e.alertsResolved.Inc()
-				if idx := ws.rules[ri].epIdx; idx >= 0 {
-					e.episodes[idx].ResolveAt = now
-					e.episodes[idx].PeakBurn = ws.rules[ri].peakBurn
-					ws.rules[ri].epIdx = -1
-				}
-			}
-			if results[i].finalize {
-				ws.done = true
-			}
+		if !ws.done {
+			e.evalOne(ws, t, now)
 		}
 	}
 
@@ -295,10 +221,8 @@ func (e *Engine) onTick(now float64) {
 }
 
 // evalOne advances one workload's SLI window and alert state machines by
-// one tick. It touches only ws and emits only into sh, so ticks fan out
-// across workers; the returned result is applied sequentially afterwards.
-func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) tickResult {
-	var res tickResult
+// one tick, tracing and recording every alert that fires or resolves.
+func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 	if t.Status == core.StatusCompleted || t.Status == core.StatusRejected {
 		// The workload is gone; close any open alert.
 		for ri := range ws.rules {
@@ -307,17 +231,17 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) t
 				continue
 			}
 			r.active = false
-			if sh.Enabled() {
-				sh.Instant(workloadTrack(ws.id), "slo", "alert_resolve",
+			if e.tr.Enabled() {
+				e.tr.InstantAt(now, workloadTrack(ws.id), "slo", "alert_resolve",
 					obs.Arg{Key: "rule", Val: e.opts.Rules[ri].Name},
 					obs.Arg{Key: "duration_secs", Val: now - r.firedAt},
 					obs.Arg{Key: "peak_burn", Val: r.peakBurn},
 					obs.Arg{Key: "reason", Val: "completed"})
 			}
-			res.resolved = append(res.resolved, ri)
+			e.resolve(r, now)
 		}
-		res.finalize = true
-		return res
+		ws.done = true
+		return
 	}
 
 	bad := uint8(0)
@@ -339,8 +263,8 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) t
 				r.firedAt = now
 				r.peakBurn = burnL
 				r.belowSince = -1
-				if sh.Enabled() {
-					sh.Instant(workloadTrack(ws.id), "slo", "alert_fire",
+				if e.tr.Enabled() {
+					e.tr.InstantAt(now, workloadTrack(ws.id), "slo", "alert_fire",
 						obs.Arg{Key: "rule", Val: rule.Name},
 						obs.Arg{Key: "goal", Val: ws.goal},
 						obs.Arg{Key: "budget", Val: ws.budget},
@@ -352,7 +276,15 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) t
 						obs.Arg{Key: "bad_secs_long", Val: float64(r.long.bad) * e.tick},
 						obs.Arg{Key: "bad_secs_short", Val: float64(r.short.bad) * e.tick})
 				}
-				res.fired = append(res.fired, ri)
+				if rule.Name == "page" {
+					e.pagesFired.Inc()
+				} else {
+					e.ticketsFired.Inc()
+				}
+				e.episodes = append(e.episodes, Episode{
+					Workload: ws.id, Rule: rule.Name, FireAt: now, ResolveAt: -1,
+				})
+				r.epIdx = len(e.episodes) - 1
 			}
 			continue
 		}
@@ -367,25 +299,34 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64, sh *obs.Shard) t
 			}
 			if now-r.belowSince >= e.opts.ResolveHoldSecs {
 				r.active = false
-				if sh.Enabled() {
-					sh.Instant(workloadTrack(ws.id), "slo", "alert_resolve",
+				if e.tr.Enabled() {
+					e.tr.InstantAt(now, workloadTrack(ws.id), "slo", "alert_resolve",
 						obs.Arg{Key: "rule", Val: rule.Name},
 						obs.Arg{Key: "duration_secs", Val: now - r.firedAt},
 						obs.Arg{Key: "peak_burn", Val: r.peakBurn},
 						obs.Arg{Key: "burn_short", Val: burnS})
 				}
-				res.resolved = append(res.resolved, ri)
+				e.resolve(r, now)
 			}
 		} else {
 			r.belowSince = -1
 		}
 	}
-	return res
+}
+
+// resolve counts a resolved alert and closes its episode.
+func (e *Engine) resolve(r *ruleState, now float64) {
+	e.alertsResolved.Inc()
+	if r.epIdx >= 0 {
+		e.episodes[r.epIdx].ResolveAt = now
+		e.episodes[r.epIdx].PeakBurn = r.peakBurn
+		r.epIdx = -1
+	}
 }
 
 // badTick is the per-class SLI: does this tick violate the workload's
 // declared target? It reads runtime state that the tick sweep has already
-// updated and mutates nothing, so it is safe inside the fan-out.
+// updated.
 func (e *Engine) badTick(t *core.Task, now float64) bool {
 	switch t.W.Type.Class() {
 	case perfmodel.LatencyCritical:

@@ -21,12 +21,10 @@
 //     mass of active alerts on resident workloads into one [0,1] number.
 //
 // Determinism contract. The engine runs entirely on the simulation clock,
-// driven by a runtime tick listener. Per-workload evaluation is fanned out
-// with par.ParFor over obs.Shards and merged in input (submission) order;
-// counters, the episode log, and health sweeps are applied sequentially
-// after the merge. No RNG is consumed: alerting is a pure function of the
-// observed stream, so the alert stream and health scores are byte-identical
-// for any -workers count.
+// driven by a runtime tick listener on the simulation goroutine. Each tick
+// evaluates the tracked workloads in submission order, emitting and
+// recording alerts as it goes, then runs the health sweep when due. No RNG
+// is consumed: alerting is a pure function of the observed stream.
 package slo
 
 // BurnRule is one multi-window burn-rate alerting rule. The burn rate over
@@ -85,14 +83,6 @@ type Options struct {
 
 	// HealthEverySecs is the health-score sweep period (default 60s).
 	HealthEverySecs float64
-
-	// Workers bounds the per-tick evaluation fan-out (0 = par default).
-	Workers int
-	// ParThreshold is the minimum number of tracked workloads before the
-	// engine fans out; below it evaluation runs on one worker (default 8).
-	// The emission path is identical either way, so traces do not depend
-	// on it.
-	ParThreshold int
 }
 
 // QoSMetFraction is the met-fraction below which a latency-critical tick
@@ -110,7 +100,6 @@ func DefaultOptions() Options {
 		ResolveFrac:     0.5,
 		ResolveHoldSecs: 60,
 		HealthEverySecs: 60,
-		ParThreshold:    8,
 	}
 }
 
@@ -139,9 +128,6 @@ func (o Options) normalized() Options {
 	}
 	if o.HealthEverySecs <= 0 {
 		o.HealthEverySecs = d.HealthEverySecs
-	}
-	if o.ParThreshold <= 0 {
-		o.ParThreshold = d.ParThreshold
 	}
 	return o
 }

@@ -2,15 +2,12 @@ package slo
 
 import (
 	"bytes"
-	"math"
-	"runtime"
 	"testing"
 
 	"quasar/internal/cluster"
 	"quasar/internal/core"
 	"quasar/internal/loadgen"
 	"quasar/internal/obs"
-	"quasar/internal/par"
 	"quasar/internal/perfmodel"
 	"quasar/internal/workload"
 )
@@ -279,157 +276,6 @@ func TestHealthScoresReflectAlertsAndDetector(t *testing.T) {
 	first, lastC := eng.ClusterHealth.Vals[0], eng.ClusterHealth.Vals[n-1]
 	if !(lastC < first) {
 		t.Fatalf("cluster health should degrade over the run: first %.3f, last %.3f", first, lastC)
-	}
-}
-
-// sloStream renders everything the determinism contract covers: the full
-// event stream plus the health containers.
-func sloStream(t *testing.T, tr *obs.Tracer, eng *Engine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range eng.Episodes() {
-		buf.WriteString(ep.Workload)
-		buf.WriteString(ep.Rule)
-		buf.WriteString(formatF(ep.FireAt))
-		buf.WriteString(formatF(ep.ResolveAt))
-		buf.WriteString(formatF(ep.PeakBurn))
-	}
-	for i, row := range eng.HealthHeat.Cells {
-		buf.WriteString(formatF(eng.HealthHeat.Times[i]))
-		for _, v := range row {
-			buf.WriteString(formatF(v))
-		}
-	}
-	for i := range eng.ClusterHealth.Vals {
-		buf.WriteString(formatF(eng.ClusterHealth.Vals[i]))
-	}
-	return buf.Bytes()
-}
-
-// formatF renders a float's exact bit pattern, so byte-comparing the
-// stream catches even last-bit drift.
-func formatF(v float64) string {
-	bits := math.Float64bits(v)
-	const hex = "0123456789abcdef"
-	out := make([]byte, 16)
-	for i := 0; i < 16; i++ {
-		out[15-i] = hex[bits&0xf]
-		bits >>= 4
-	}
-	return string(out)
-}
-
-// TestAlertStreamDeterministicAcrossWorkers runs a mixed scenario with
-// enough workloads to cross the fan-out threshold and requires the alert
-// stream, episodes, and health scores to be byte-identical for every worker
-// count of the determinism contract.
-func TestAlertStreamDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []byte {
-		par.SetDefaultWorkers(workers)
-		defer par.SetDefaultWorkers(0)
-		rt, u, m := testWorld(t, 11)
-		tr := obs.New(rt.Eng.Now)
-		rt.SetTracer(tr)
-		rt.SetManager(m)
-		rt.EnableFailureDetector(core.DefaultDetectorOptions())
-		// Low threshold so the fan-out path actually runs in this test.
-		eng := Attach(rt, tr, Options{ParThreshold: 2})
-
-		at := 0.0
-		for i := 0; i < 6; i++ {
-			w := u.New(workload.Spec{Type: workload.Memcached, Family: -1, MaxNodes: 4})
-			srv := rt.Cl.Servers[m.servers[i%len(m.servers)]]
-			rt.Submit(w, at, loadgen.Flat{QPS: safeLoad(w, srv.Platform, m.alloc)})
-			at += 5
-		}
-		for i := 0; i < 6; i++ {
-			w := u.New(workload.Spec{Type: workload.SingleNode, Family: -1})
-			if i%2 == 0 {
-				w.Target.IPS *= 100 // half the fleet misses its target
-			}
-			w.Genome.Work = 1e9
-			rt.Submit(w, at, nil)
-			at += 5
-		}
-		rt.Eng.Schedule(1200, func() { rt.CrashServer(36) })
-		rt.Eng.Schedule(1600, func() { rt.RestartServer(36) })
-		rt.Run(3000)
-		rt.Stop()
-		return sloStream(t, tr, eng)
-	}
-
-	want := run(1)
-	if !bytes.Contains(want, []byte("alert_fire")) {
-		t.Fatal("scenario fired no alerts; the determinism check would be vacuous")
-	}
-	for _, w := range []int{4, runtime.NumCPU()} {
-		if got := run(w); !bytes.Equal(want, got) {
-			t.Fatalf("workers=%d: alert stream / health scores diverged from sequential", w)
-		}
-	}
-}
-
-// TestFanOutReadsTruthConcurrently runs the per-tick sweep on four workers
-// with every tick fanned out, over batch, single-node and service workloads,
-// so badTick's TrueRate reads the runtime's memoised ground truth from
-// several goroutines at once. A listener ahead of the engine re-probes half
-// of the pinned servers every tick, so on every tick some of those reads
-// meet a stale memo and recompute side by side while others reuse it. Under
-// -race this is the proof that the concurrent read path shares nothing it
-// writes; the budgets must also match a sequential run.
-func TestFanOutReadsTruthConcurrently(t *testing.T) {
-	run := func(workers int) []BudgetStatus {
-		rt, u, m := testWorld(t, 17)
-		rt.SetManager(m)
-		tick := 0
-		rt.AddTickListener(func(float64) {
-			tick++
-			var p cluster.ResVec
-			p[cluster.ResLLC] = 0.05 * float64(tick%4)
-			for i, id := range m.servers {
-				if (i+tick)%2 == 0 {
-					rt.Cl.Servers[id].SetProbe(p)
-				}
-			}
-		})
-		eng := Attach(rt, nil, Options{Workers: workers, ParThreshold: 1})
-
-		at := 0.0
-		for i := 0; i < 12; i++ {
-			var w *workload.Instance
-			var load loadgen.Pattern
-			switch i % 3 {
-			case 0:
-				w = u.New(workload.Spec{Type: workload.Memcached, Family: -1, MaxNodes: 4})
-				load = loadgen.Flat{QPS: safeLoad(w, rt.Cl.Servers[m.servers[i]].Platform, m.alloc)}
-			case 1:
-				w = u.New(workload.Spec{Type: workload.SingleNode, Family: -1})
-				w.Target.IPS *= 1 + float64(i%2) // some miss, some meet
-			default:
-				w = u.New(workload.Spec{Type: workload.Hadoop, Family: 0, MaxNodes: 1, TargetSlack: 1.2,
-					Dataset: workload.Dataset{Name: "d", SizeGB: 10, WorkMult: 1, MemMult: 1}})
-			}
-			w.Genome.Work = 1e12
-			rt.Submit(w, at, load)
-			at += 5
-		}
-		rt.Run(1500)
-		rt.Stop()
-		return eng.Budgets()
-	}
-
-	want := run(1)
-	if len(want) != 12 {
-		t.Fatalf("tracked %d workloads, want 12", len(want))
-	}
-	got := run(4)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("workers=4: budget %+v, sequential %+v", got[i], want[i])
-		}
 	}
 }
 
