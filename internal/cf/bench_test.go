@@ -23,21 +23,42 @@ func libraryShaped(rows, cols, dense int, seed int64) *Sparse {
 
 var trainSink *Model
 
-// BenchmarkTrain: one retrain at the shapes the engine hits. 231x81 is the
-// scale-up matrix at the end of a simulated day, 538x81 the same matrix
-// after more than twice the arrivals (the cost must stay flat in rows),
-// 12x81 a small library (short-fat: fewer rows than columns), 26x81 the
-// sim_scale_churn library with every row dense, 30x560 the exhaustive joint
-// classifier's library.
+// trainShapes are the shapes BenchmarkTrain fits, as (rows, cols, dense
+// rows) of libraryShaped. 231x81 is the scale-up matrix at the end of a
+// simulated day, 538x81 the same matrix after more than twice the arrivals
+// (the cost must stay flat in rows), 12x81 a small library (short-fat: fewer
+// rows than columns), 26x81 the sim_scale_churn library with every row
+// dense, 110x10 the heterogeneity matrix of a simulated day (a row per
+// workload, a column per platform; fitted about ten times as often as the
+// scale-up matrix), 30x560 the exhaustive joint classifier's library.
+var trainShapes = []struct{ rows, cols, dense int }{
+	{12, 81, 12}, {26, 81, 26}, {110, 10, 110}, {231, 81, 21}, {538, 81, 21}, {30, 560, 30},
+}
+
+// BenchmarkTrain: one retrain at the shapes the engine hits.
 func BenchmarkTrain(b *testing.B) {
-	for _, sh := range []struct{ rows, cols, dense int }{
-		{12, 81, 12}, {26, 81, 26}, {231, 81, 21}, {538, 81, 21}, {30, 560, 30},
-	} {
+	for _, sh := range trainShapes {
 		s := libraryShaped(sh.rows, sh.cols, sh.dense, 7)
 		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				trainSink = Train(s, DefaultOptions())
+			}
+		})
+	}
+}
+
+// BenchmarkFreeze: one retrain point — the matrix captured into the axis's
+// reused buffer — at the heterogeneity shape, whose axis reaches one several
+// hundred times a simulated day, and at the end-of-day scale-up shape.
+func BenchmarkFreeze(b *testing.B) {
+	for _, sh := range []struct{ rows, cols, dense int }{{110, 10, 110}, {231, 81, 21}} {
+		s := libraryShaped(sh.rows, sh.cols, sh.dense, 7)
+		f := s.Freeze(nil)
+		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f = s.Freeze(f)
 			}
 		})
 	}

@@ -47,11 +47,11 @@ func TestFreezeReusesConsumedBuffer(t *testing.T) {
 		if !slices.Equal(f.cells, s.Freeze(nil).cells) {
 			t.Fatalf("round %d: freeze into a consumed buffer differs from a fresh freeze", round)
 		}
-		if !slices.IsSortedFunc(f.cells, func(a, b cell) int {
-			if a.u != b.u {
-				return int(a.u - b.u)
+		if !slices.IsSortedFunc(f.cells, func(a, b Cell) int {
+			if a.Row != b.Row {
+				return int(a.Row - b.Row)
 			}
-			return int(a.i - b.i)
+			return int(a.Col - b.Col)
 		}) {
 			t.Fatalf("round %d: frozen cells not in (row, column) order", round)
 		}

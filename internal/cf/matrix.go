@@ -57,18 +57,26 @@ func MatMulT(q, p *Dense) *Dense {
 // PQ-reconstruction. Rows are workloads, columns configurations.
 type Sparse struct {
 	Rows, Cols int
-	// entries[i] maps column -> value for row i.
-	entries []map[int]float64
-	n       int
+	// rows[i] holds row i's observed entries sorted by column — already in
+	// the order Freeze hands them to training, so a freeze is a copy.
+	rows [][]Cell
+	n    int
+}
+
+// Cell is one observed entry.
+type Cell struct {
+	Row, Col int32
+	V        float64
 }
 
 // NewSparse returns an empty rows-by-cols sparse matrix.
 func NewSparse(rows, cols int) *Sparse {
-	e := make([]map[int]float64, rows)
-	for i := range e {
-		e[i] = make(map[int]float64)
-	}
-	return &Sparse{Rows: rows, Cols: cols, entries: e}
+	return &Sparse{Rows: rows, Cols: cols, rows: make([][]Cell, rows)}
+}
+
+// find returns where column j is or would be in row i, and whether it is.
+func (s *Sparse) find(i, j int) (int, bool) {
+	return slices.BinarySearchFunc(s.rows[i], int32(j), func(c Cell, j int32) int { return int(c.Col - j) })
 }
 
 // Set records an observation; re-setting a cell overwrites it.
@@ -76,21 +84,26 @@ func (s *Sparse) Set(i, j int, v float64) {
 	if i < 0 || i >= s.Rows || j < 0 || j >= s.Cols {
 		panic(fmt.Sprintf("cf: Set(%d,%d) outside %dx%d", i, j, s.Rows, s.Cols))
 	}
-	if _, ok := s.entries[i][j]; !ok {
-		s.n++
+	at, ok := s.find(i, j)
+	if ok {
+		s.rows[i][at].V = v
+		return
 	}
-	s.entries[i][j] = v
+	s.rows[i] = slices.Insert(s.rows[i], at, Cell{int32(i), int32(j), v})
+	s.n++
 }
 
 // Get returns the observation at (i,j), if any.
 func (s *Sparse) Get(i, j int) (float64, bool) {
-	v, ok := s.entries[i][j]
-	return v, ok
+	if at, ok := s.find(i, j); ok {
+		return s.rows[i][at].V, true
+	}
+	return 0, false
 }
 
-// Row returns the observed entries of row i (the live map; callers must not
-// mutate it).
-func (s *Sparse) Row(i int) map[int]float64 { return s.entries[i] }
+// Row returns the observed entries of row i in column order (the live
+// slice; callers must not mutate it).
+func (s *Sparse) Row(i int) []Cell { return s.rows[i] }
 
 // NNZ returns the number of observed entries.
 func (s *Sparse) NNZ() int { return s.n }
@@ -104,17 +117,19 @@ func (s *Sparse) Density() float64 {
 }
 
 // AppendRow grows the matrix by one row containing the given observations
-// and returns its index.
+// and returns its index. The row is sorted once, here.
 func (s *Sparse) AppendRow(obs map[int]float64) int {
-	row := make(map[int]float64, len(obs))
+	u := int32(s.Rows)
+	row := make([]Cell, 0, len(obs))
 	for j, v := range obs {
 		if j < 0 || j >= s.Cols {
 			panic(fmt.Sprintf("cf: AppendRow col %d outside %d", j, s.Cols))
 		}
-		row[j] = v
-		s.n++
+		row = append(row, Cell{u, int32(j), v})
 	}
-	s.entries = append(s.entries, row)
+	slices.SortFunc(row, func(a, b Cell) int { return int(a.Col - b.Col) })
+	s.rows = append(s.rows, row)
+	s.n += len(row)
 	s.Rows++
 	return s.Rows - 1
 }
@@ -126,48 +141,37 @@ func (s *Sparse) AppendRow(obs map[int]float64) int {
 // takes µ from the list it already holds and does not call it.
 func (s *Sparse) Mean() float64 { return meanOf(s.Freeze(nil).cells) }
 
-// cell is one observed entry.
-type cell struct {
-	u, i int32
-	v    float64
-}
-
 // Frozen is a Sparse as it stood at one moment: its shape and its observed
 // entries in (row, column) order — everything TrainFrozen reads, and nothing
 // a later Set or AppendRow on the source can reach.
 type Frozen struct {
 	Rows, Cols int
-	cells      []cell
+	cells      []Cell
 }
 
 // Freeze captures the matrix into the given Frozen, reusing its cell buffer
-// (nil allocates one), and returns it. The cells land in (row, column) order
-// — the order every float accumulation over a Sparse uses, so no result
-// depends on map iteration. Each row's cells are sorted in place: no global
-// sort.
+// (nil allocates one), and returns it. The rows are kept sorted, so the
+// capture is a copy of each row in turn and lands in (row, column) order —
+// the order every float accumulation over a Sparse uses.
 func (s *Sparse) Freeze(into *Frozen) *Frozen {
 	if into == nil {
 		into = new(Frozen)
 	}
 	cells := slices.Grow(into.cells[:0], s.n)
-	for u, row := range s.entries {
-		lo := len(cells)
-		for i, v := range row {
-			cells = append(cells, cell{int32(u), int32(i), v})
-		}
-		slices.SortFunc(cells[lo:], func(a, b cell) int { return int(a.i - b.i) })
+	for _, row := range s.rows {
+		cells = append(cells, row...)
 	}
 	into.Rows, into.Cols, into.cells = s.Rows, s.Cols, cells
 	return into
 }
 
-func meanOf(cells []cell) float64 {
+func meanOf(cells []Cell) float64 {
 	if len(cells) == 0 {
 		return 0
 	}
 	sum := 0.0
 	for _, c := range cells {
-		sum += c.v
+		sum += c.V
 	}
 	return sum / float64(len(cells))
 }

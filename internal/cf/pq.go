@@ -69,9 +69,15 @@ func TrainFrozen(f *Frozen, opts Options) *Model {
 // sgd refines the model over the observed entries, reshuffled (in place)
 // every epoch starting from their (row, column) order, until the RMSE
 // improvement becomes marginal. The classifier's innermost loop: nnz × epochs
-// steps per retrain, over the factor matrices as flat slices.
-func (m *Model) sgd(cells []cell, opts Options) {
+// steps per retrain, over the factor matrices as flat slices. Every fit the
+// engine runs has K = 4 and item biases, and takes sgd4; any other shape
+// takes the general loop, which does the same arithmetic in the same order.
+func (m *Model) sgd(cells []Cell, opts Options) {
 	if len(cells) == 0 {
+		return
+	}
+	if m.K == 4 && opts.ItemBia {
+		m.sgd4(cells, opts)
 		return
 	}
 	rng := sim.NewSource(opts.Seed)
@@ -82,17 +88,18 @@ func (m *Model) sgd(cells []cell, opts Options) {
 		sim.Shuffle(rng, cells)
 		sse := 0.0
 		for _, e := range cells {
-			pu := p[int(e.u)*k : int(e.u)*k+k]
-			qi := q[int(e.i)*k : int(e.i)*k+k]
-			pred := mu + bu[e.u] + bi[e.i]
+			pu := p[int(e.Row)*k : int(e.Row)*k+k]
+			qi := q[int(e.Col)*k : int(e.Col)*k+k]
+			qi = qi[:len(pu)]
+			pred := mu + bu[e.Row] + bi[e.Col]
 			for f, pf := range pu {
 				pred += pf * qi[f]
 			}
-			err := e.v - pred
+			err := e.V - pred
 			sse += err * err
-			bu[e.u] += eta * (err - lambda*bu[e.u])
+			bu[e.Row] += eta * (err - lambda*bu[e.Row])
 			if opts.ItemBia {
-				bi[e.i] += eta * (err - lambda*bi[e.i])
+				bi[e.Col] += eta * (err - lambda*bi[e.Col])
 			}
 			for f, pf := range pu {
 				qf := qi[f]
@@ -108,13 +115,58 @@ func (m *Model) sgd(cells []cell, opts Options) {
 	}
 }
 
+// sgd4 is sgd for K = 4 with item biases: the factor rows are fixed-size
+// arrays, so the dot product and the updates are written out — each one
+// the general loop's expression, in its order — with no bounds checks in
+// them and no per-entry branch.
+func (m *Model) sgd4(cells []Cell, opts Options) {
+	rng := sim.NewSource(opts.Seed)
+	p, q, bu, bi := m.P.Data, m.Q.Data, m.BU, m.BI
+	mu, eta, lambda := m.Mu, opts.Eta, opts.Lambda
+	prevRMSE := math.Inf(1)
+	for epoch := 0; epoch < opts.Epochs; epoch++ {
+		sim.Shuffle(rng, cells)
+		sse := 0.0
+		for _, e := range cells {
+			pu := (*[4]float64)(p[int(e.Row)*4:])
+			qi := (*[4]float64)(q[int(e.Col)*4:])
+			pred := mu + bu[e.Row] + bi[e.Col]
+			pred += pu[0] * qi[0]
+			pred += pu[1] * qi[1]
+			pred += pu[2] * qi[2]
+			pred += pu[3] * qi[3]
+			err := e.V - pred
+			sse += err * err
+			bu[e.Row] += eta * (err - lambda*bu[e.Row])
+			bi[e.Col] += eta * (err - lambda*bi[e.Col])
+			p0, q0 := pu[0], qi[0]
+			pu[0] = p0 + eta*(err*q0-lambda*p0)
+			qi[0] = q0 + eta*(err*p0-lambda*q0)
+			p1, q1 := pu[1], qi[1]
+			pu[1] = p1 + eta*(err*q1-lambda*p1)
+			qi[1] = q1 + eta*(err*p1-lambda*q1)
+			p2, q2 := pu[2], qi[2]
+			pu[2] = p2 + eta*(err*q2-lambda*p2)
+			qi[2] = q2 + eta*(err*p2-lambda*q2)
+			p3, q3 := pu[3], qi[3]
+			pu[3] = p3 + eta*(err*q3-lambda*p3)
+			qi[3] = q3 + eta*(err*p3-lambda*q3)
+		}
+		rmse := math.Sqrt(sse / float64(len(cells)))
+		if prevRMSE-rmse < opts.Tol*prevRMSE {
+			break
+		}
+		prevRMSE = rmse
+	}
+}
+
 // initFromSVD seeds P and Q from the leading singular triplets of the
 // mean-imputed matrix, per the paper: missing entries are filled with µ,
 // the SVD is computed, and Q ← U·sqrt(Σ), Pᵀ ← sqrt(Σ)·Vᵀ so that Q·Pᵀ
 // reproduces the imputed matrix's low-rank structure. (The paper assigns
 // Q ← U, Pᵀ ← ΣVᵀ; splitting Σ symmetrically conditions SGD better and is
 // equivalent up to a diagonal rescaling.)
-func (m *Model) initFromSVD(cells []cell) {
+func (m *Model) initFromSVD(cells []Cell) {
 	rows, cols := m.P.R, m.Q.R
 	if rows == 0 || cols == 0 {
 		return
@@ -149,12 +201,13 @@ func (m *Model) PredictRow(u int) []float64 {
 	return out
 }
 
-// RMSE returns the root-mean-square error over the observed entries of s.
+// RMSE returns the root-mean-square error over the observed entries of s,
+// summed in (row, column) order so that it is bit-reproducible.
 func (m *Model) RMSE(s *Sparse) float64 {
 	sse, n := 0.0, 0
 	for u := 0; u < s.Rows && u < m.P.R; u++ {
-		for i, v := range s.Row(u) {
-			d := v - m.Predict(u, i)
+		for _, c := range s.Row(u) {
+			d := c.V - m.Predict(u, int(c.Col))
 			sse += d * d
 			n++
 		}

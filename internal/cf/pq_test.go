@@ -113,8 +113,8 @@ func TestFoldInRecoversRow(t *testing.T) {
 	s, truth := makeLowRankSparse(40, 25, 3, 0.6, 19)
 	train := NewSparse(39, 25)
 	for i := 0; i < 39; i++ {
-		for j, v := range s.Row(i) {
-			train.Set(i, j, v)
+		for _, c := range s.Row(i) {
+			train.Set(i, int(c.Col), c.V)
 		}
 	}
 	m := Train(train, DefaultOptions())
@@ -222,10 +222,11 @@ func TestFoldInConsistentWithTraining(t *testing.T) {
 	m := Train(s, DefaultOptions())
 	f := func(rowRaw uint8) bool {
 		u := int(rowRaw) % 30
-		pred := m.FoldIn(s.Row(u))
+		obs := s.Export()[u]
+		pred := m.FoldIn(obs)
 		// Compare on observed columns: both should be near the observed
 		// values.
-		for j, v := range s.Row(u) {
+		for j, v := range obs {
 			if math.Abs(pred[j]-v) > 1.0 {
 				return false
 			}

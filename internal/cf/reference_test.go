@@ -1,6 +1,10 @@
 package cf
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -70,8 +74,8 @@ func referenceSGD(m *Model, s *Sparse, opts Options) {
 	}
 	var entries []obsEntry
 	for u := 0; u < s.Rows; u++ {
-		for i, v := range s.Row(u) {
-			entries = append(entries, obsEntry{u, i, v})
+		for _, c := range s.Row(u) {
+			entries = append(entries, obsEntry{u, int(c.Col), c.V})
 		}
 	}
 	if len(entries) == 0 {
@@ -129,9 +133,9 @@ func trainFixtures() map[string]*Sparse {
 	tall, _ := makeLowRankSparse(231, 81, 3, 1.0, 43)
 	lib := NewSparse(231, 81)
 	for u := 0; u < 231; u++ {
-		for i, v := range tall.Row(u) {
-			if u < 21 || i == 80 || i == (u*7)%80 {
-				lib.Set(u, i, v)
+		for _, c := range tall.Row(u) {
+			if i := int(c.Col); u < 21 || i == 80 || i == (u*7)%80 {
+				lib.Set(u, i, c.V)
 			}
 		}
 	}
@@ -164,19 +168,99 @@ func modelsBitEqual(a, b *Model) bool {
 // TestSGDLoopBitIdenticalToReference: from the same seed factors, the flat
 // SGD loop over the row-ordered entry list lands on exactly the reference
 // loop's model — same entry order, same shuffle draws, same arithmetic.
+// K = 4 with item biases takes the unrolled kernel, every other (K, item
+// bias) pair the general loop; both are held to the reference.
 func TestSGDLoopBitIdenticalToReference(t *testing.T) {
 	for name, s := range trainFixtures() {
-		for _, itemBias := range []bool{true, false} {
-			opts := DefaultOptions()
-			opts.ItemBia = itemBias
-			want := trainReference(s, opts)
+		for k := 1; k <= 5; k++ {
+			for _, itemBias := range []bool{true, false} {
+				opts := DefaultOptions()
+				opts.K, opts.ItemBia = k, itemBias
+				want := trainReference(s, opts)
 
-			got := &Model{K: want.K, Mu: s.Mean(), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
-				P: NewDense(s.Rows, want.K), Q: NewDense(s.Cols, want.K), Lambda: opts.Lambda}
-			referenceInit(got, s)
-			got.sgd(s.Freeze(nil).cells, opts)
-			if !modelsBitEqual(got, want) {
-				t.Errorf("%s itemBias=%v: flat SGD loop diverged from the reference loop", name, itemBias)
+				got := &Model{K: want.K, Mu: s.Mean(), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
+					P: NewDense(s.Rows, want.K), Q: NewDense(s.Cols, want.K), Lambda: opts.Lambda}
+				referenceInit(got, s)
+				got.sgd(s.Freeze(nil).cells, opts)
+				if !modelsBitEqual(got, want) {
+					t.Errorf("%s K=%d itemBias=%v: flat SGD loop diverged from the reference loop", name, k, itemBias)
+				}
+			}
+		}
+	}
+}
+
+// modelDigest is the SHA-256 of the model's float bits: µ, then BU, BI, P
+// and Q in storage order, each as 8 little-endian bytes.
+func modelDigest(m *Model) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, xs := range [][]float64{{m.Mu}, m.BU, m.BI, m.P.Data, m.Q.Data} {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTrainPinnedDigests pins Train — the entry order a freeze hands to
+// training, the Gram-side seed (topK, symEig) and the SGD loop — to the bit
+// on every fixture and every BenchmarkTrain shape. The digests were taken
+// from the implementation before rows were stored sorted: a change to any
+// of the three that moves one bit of one fitted model fails here.
+func TestTrainPinnedDigests(t *testing.T) {
+	want := map[string]string{
+		"10x7":           "62ab5c12a4071e8d9f0dcd04acc4a84aab0ddd024d118692e89ec8dc52c5d0ad",
+		"12x81":          "1999b13b436b9c085190df4344058d94c46f12989a2dbeb22919d0091fa3d5ba",
+		"15x10":          "689c04286e9eaab58a6ffcf15b1e57657f012b3631ca980d83f022533f76e0dd",
+		"231x81-library": "4c704c110eac244987178df73ea790d74401986ad82112fa1fa16d6c4a64d2f6",
+		"30x15":          "b75ed3a0178dba7d1b3be7b479abdb074b82ea68b6ac494571c905463a77a995",
+		"30x20":          "cfcbb1408444b1429533c601b684dbc5340bdf78f3ba7584baf8e906069ecb8e",
+		"40x25":          "53ba1ac5902853d61f150cfb3c58fa6b0f4a7a131d7191bfcffef3f47ba29f23",
+		"5x1":            "8d0f85f4a1c58ea049d35f301c8f6146a5396f1cd574cdad9986ddd64ede8412",
+		"empty":          "c76903cde8580d1c809ac5352aab33af5a310ad05126294d66e06db880c463ed",
+		"bench/12x81":    "876e7af2cce53f1026da4fc759c344699a0deab04ce016c263ef775d9e87c5e1",
+		"bench/26x81":    "022743c6cd199ae286b6d1d48e27aeddde94a20228aa3e5f216402c8ecbdf0fe",
+		"bench/110x10":   "d8ee5e308e2c8e41c616abdee4310aee305552deef3af2210a18063a37207e60",
+		"bench/231x81":   "668e5ef7727bb4b127337ad9399fc002f8287de12c1770c0260f61e5e4ea483c",
+		"bench/538x81":   "8c7b51a0e9a04b39e0bf8f8990a3015936b85902e4248d31264221f47f3a61cb",
+		"bench/30x560":   "f4c8dea3d375c6f1af52d1aafeaef0cf83391ef5185285cc0d2ebb425f68a4d0",
+	}
+	got := map[string]*Sparse{}
+	for name, s := range trainFixtures() {
+		got[name] = s
+	}
+	for _, sh := range trainShapes {
+		got[fmt.Sprintf("bench/%dx%d", sh.rows, sh.cols)] = libraryShaped(sh.rows, sh.cols, sh.dense, 7)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d matrices, %d pinned digests", len(got), len(want))
+	}
+	for name, s := range got {
+		if d := modelDigest(Train(s, DefaultOptions())); d != want[name] {
+			t.Errorf("%s: model digest %s, pinned %s", name, d, want[name])
+		}
+	}
+}
+
+// TestRMSEIsFreezeOrderSum: RMSE sums the squared errors in (row, column)
+// order — the order of a freeze — so it is one fixed float, call after call.
+func TestRMSEIsFreezeOrderSum(t *testing.T) {
+	for name, s := range trainFixtures() {
+		m := Train(s, DefaultOptions())
+		sse, cells := 0.0, s.Freeze(nil).cells
+		for _, c := range cells {
+			d := c.V - m.Predict(int(c.Row), int(c.Col))
+			sse += d * d
+		}
+		want := 0.0
+		if len(cells) > 0 {
+			want = math.Sqrt(sse / float64(len(cells)))
+		}
+		for call := 0; call < 20; call++ {
+			if got := m.RMSE(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s call %d: RMSE %v, freeze-order sum %v", name, call, got, want)
 			}
 		}
 	}

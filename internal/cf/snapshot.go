@@ -7,10 +7,10 @@ package cf
 // Export returns the observed entries row by row. The maps are copies.
 func (s *Sparse) Export() []map[int]float64 {
 	out := make([]map[int]float64, s.Rows)
-	for i, row := range s.entries {
+	for i, row := range s.rows {
 		cp := make(map[int]float64, len(row))
-		for j, v := range row {
-			cp[j] = v
+		for _, c := range row {
+			cp[int(c.Col)] = c.V
 		}
 		out[i] = cp
 	}

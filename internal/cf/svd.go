@@ -191,7 +191,7 @@ const noiseFloor = 1e-6
 // σ = √λ and recovers the other side as A·v/σ. Cost
 // O(Σ nnz_row² + min(rows,cols)³), independent of the larger dimension.
 // Triplets under noiseFloor are zeros; k must not exceed min(rows, cols).
-func topK(cells []cell, rows, cols int, mu float64, k int) *SVD {
+func topK(cells []Cell, rows, cols int, mu float64, k int) *SVD {
 	if rows < cols {
 		t := topK(transposed(cells, cols), cols, rows, mu, k)
 		return &SVD{U: t.V, S: t.S, V: t.U}
@@ -200,12 +200,12 @@ func topK(cells []cell, rows, cols int, mu float64, k int) *SVD {
 	// the same products in the same order, so g is exactly symmetric.
 	g := NewDense(cols, cols)
 	for lo, hi := 0, 0; lo < len(cells); lo = hi {
-		for hi = lo + 1; hi < len(cells) && cells[hi].u == cells[lo].u; hi++ {
+		for hi = lo + 1; hi < len(cells) && cells[hi].Row == cells[lo].Row; hi++ {
 		}
 		for _, a := range cells[lo:hi] {
-			ga := g.Data[int(a.i)*cols:]
+			ga := g.Data[int(a.Col)*cols:]
 			for _, b := range cells[lo:hi] {
-				ga[b.i] += (a.v - mu) * (b.v - mu)
+				ga[b.Col] += (a.V - mu) * (b.V - mu)
 			}
 		}
 	}
@@ -221,10 +221,10 @@ func topK(cells []cell, rows, cols int, mu float64, k int) *SVD {
 	// U = A·V·Σ⁻¹ in one pass over the cells; a dropped triplet's V column
 	// is zero, so its U column stays zero.
 	for _, c := range cells {
-		u, v := out.U.Data[int(c.u)*k:int(c.u)*k+k], out.V.Data[int(c.i)*k:int(c.i)*k+k]
+		u, v := out.U.Data[int(c.Row)*k:int(c.Row)*k+k], out.V.Data[int(c.Col)*k:int(c.Col)*k+k]
 		for f := range u {
 			if out.S[f] > 0 {
-				u[f] += (c.v - mu) * v[f] / out.S[f]
+				u[f] += (c.V - mu) * v[f] / out.S[f]
 			}
 		}
 	}
@@ -233,18 +233,18 @@ func topK(cells []cell, rows, cols int, mu float64, k int) *SVD {
 
 // transposed returns the transpose's cells in its (row, column) order: a
 // stable counting sort by column.
-func transposed(cells []cell, cols int) []cell {
+func transposed(cells []Cell, cols int) []Cell {
 	start := make([]int, cols+1)
 	for _, c := range cells {
-		start[c.i+1]++
+		start[c.Col+1]++
 	}
 	for i := 0; i < cols; i++ {
 		start[i+1] += start[i]
 	}
-	out := make([]cell, len(cells))
+	out := make([]Cell, len(cells))
 	for _, c := range cells {
-		out[start[c.i]] = cell{c.i, c.u, c.v}
-		start[c.i]++
+		out[start[c.Col]] = Cell{c.Col, c.Row, c.V}
+		start[c.Col]++
 	}
 	return out
 }

@@ -145,11 +145,11 @@ func TestSymEigOnLibraryGrams(t *testing.T) {
 		mu := meanOf(cells)
 		g := NewDense(n, n)
 		for lo, hi := 0, 0; lo < len(cells); lo = hi {
-			for hi = lo + 1; hi < len(cells) && cells[hi].u == cells[lo].u; hi++ {
+			for hi = lo + 1; hi < len(cells) && cells[hi].Row == cells[lo].Row; hi++ {
 			}
 			for _, a := range cells[lo:hi] {
 				for _, b := range cells[lo:hi] {
-					g.Data[int(a.i)*n+int(b.i)] += (a.v - mu) * (b.v - mu)
+					g.Data[int(a.Col)*n+int(b.Col)] += (a.V - mu) * (b.V - mu)
 				}
 			}
 		}

@@ -41,7 +41,7 @@ func checkTopK(t *testing.T, name string, s *Sparse, mu float64, ks ...int) {
 	cells := s.Freeze(nil).cells
 	dense := NewDense(s.Rows, s.Cols)
 	for _, c := range cells {
-		dense.Set(int(c.u), int(c.i), c.v-mu)
+		dense.Set(int(c.Row), int(c.Col), c.V-mu)
 	}
 	full := oracleSVD(dense)
 	for _, k := range ks {
@@ -178,10 +178,10 @@ func TestTransposedOrder(t *testing.T) {
 		t.Fatalf("%d cells, want %d", len(tr), s.NNZ())
 	}
 	for n, c := range tr {
-		if v, ok := s.Get(int(c.i), int(c.u)); !ok || v != c.v {
+		if v, ok := s.Get(int(c.Col), int(c.Row)); !ok || v != c.V {
 			t.Fatalf("cell %+v is not an observation of the source", c)
 		}
-		if n > 0 && (tr[n-1].u > c.u || (tr[n-1].u == c.u && tr[n-1].i >= c.i)) {
+		if n > 0 && (tr[n-1].Row > c.Row || (tr[n-1].Row == c.Row && tr[n-1].Col >= c.Col)) {
 			t.Fatalf("cells %+v, %+v out of (row, column) order", tr[n-1], c)
 		}
 	}

@@ -43,7 +43,7 @@ func TestScaleUpColumnsQuantized(t *testing.T) {
 		}
 	}
 	// Whole-node column must exist.
-	j := newScaleUpGrid(&p).nearest(cluster.Alloc{Cores: 24, MemoryGB: 48})
+	j := newScaleUpGrid([]cluster.Platform{p}, 0).nearest(cluster.Alloc{Cores: 24, MemoryGB: 48})
 	if cols[j].Cores != 24 || cols[j].MemoryGB != 48 {
 		t.Fatalf("whole-node column missing, nearest %+v", cols[j])
 	}
@@ -52,7 +52,7 @@ func TestScaleUpColumnsQuantized(t *testing.T) {
 func TestNearestScaleUpCol(t *testing.T) {
 	p := cluster.LocalPlatforms()[9]
 	cols := ScaleUpColumns(&p)
-	j := newScaleUpGrid(&p).nearest(cluster.Alloc{Cores: 5, MemoryGB: 10})
+	j := newScaleUpGrid([]cluster.Platform{p}, 0).nearest(cluster.Alloc{Cores: 5, MemoryGB: 10})
 	if cols[j].Cores < 4 || cols[j].Cores > 6 {
 		t.Fatalf("nearest to 5 cores is %+v", cols[j])
 	}
@@ -77,24 +77,33 @@ func scanNearestScaleUpCol(cols []ScaleUpCol, alloc cluster.Alloc) int {
 // index for every allocation a caller can produce and for the degenerate
 // ones it must not choke on — inside and beyond the core table, on-grid,
 // halfway between rungs (the log-distance ties), off-grid, whole nodes.
+// Every rung and whole-node memory is in the grid's memory table, so those
+// lookups go through it; −0 and NaN are no key's bits and are computed.
 func TestScaleUpGridMatchesScan(t *testing.T) {
 	for _, set := range [][]cluster.Platform{cluster.LocalPlatforms(), cluster.EC2Platforms()} {
-		mems := []float64{0, -1, 0.3, 0.75, 3, 5.5, 7.9, 10, 13.37, 20, 40, 56, 100, 1e6, math.NaN(), math.Inf(1)}
+		mems := []float64{0, math.Copysign(0, -1), -1, 0.3, 0.75, 3, 5.5, 7.9, 10, 13.37, 20, 40, 56, 100, 1e6, math.NaN(), math.Inf(1)}
 		for i, m := range memGrid {
 			mems = append(mems, m, m/2, m*1.5)
 			if i > 0 {
 				mems = append(mems, math.Sqrt(m*memGrid[i-1]))
 			}
 		}
+		tabulated := append([]float64(nil), memGrid[:]...)
 		for i := range set {
 			mems = append(mems, set[i].MemoryGB)
+			tabulated = append(tabulated, set[i].MemoryGB)
 		}
 		for i := range set {
 			p := &set[i]
 			cols := ScaleUpColumns(p)
-			g := newScaleUpGrid(p)
+			g := newScaleUpGrid(set, i)
 			if len(g.cores)*len(g.mems) != len(cols) {
 				t.Fatalf("%s: grid %dx%d does not cover %d columns", p.Name, len(g.cores), len(g.mems), len(cols))
+			}
+			for _, m := range tabulated {
+				if _, ok := g.memDist[math.Float64bits(m)]; !ok {
+					t.Fatalf("%s: memory %v not tabulated", p.Name, m)
+				}
 			}
 			for cores := -1; cores <= 65; cores++ {
 				for _, mem := range mems {

@@ -53,17 +53,23 @@ func ScaleUpColumns(p *cluster.Platform) []ScaleUpCol {
 // (log-distance in both dimensions). The columns are the product
 // cores × mems, core-major, so the distance to column (ci, mi) is a per-core
 // term plus a per-memory term: one |log| per distinct value, not two per
-// column, and the core terms — a function of an integer — are tabulated.
-// Same expressions, same order of addition, same strict < as a scan over
-// the columns: the index is bit-for-bit the scan's.
+// column. The core terms — a function of an integer — are tabulated, and so
+// are the memory terms of the values callers ask about most: every memGrid
+// rung (the scheduler's right-sizing steps) and every platform's whole-node
+// memory. Both tables are built once and never change, so concurrent
+// lookups are safe. Same expressions, same order of addition, same strict <
+// as a scan over the columns: the index is bit-for-bit the scan's.
 type scaleUpGrid struct {
 	cores, mems []float64
-	coreDist    [][]float64 // [a][ci] = |log(cores[ci]/a)|, 1 <= a < len
+	coreDist    [][]float64          // [a][ci] = |log(cores[ci]/a)|, 1 <= a < len
+	memDist     map[uint64][]float64 // [Float64bits(x)][mi] = |log(mems[mi]/x)|
 }
 
-// newScaleUpGrid builds the lookup for ScaleUpColumns(p), tabulating
-// allocations of up to p.Cores cores (the profiling platform has the most).
-func newScaleUpGrid(p *cluster.Platform) *scaleUpGrid {
+// newScaleUpGrid builds the lookup for ScaleUpColumns(&platforms[he]),
+// tabulating allocations of up to its cores (the profiling platform has the
+// most) and the memory sizes of the platform set.
+func newScaleUpGrid(platforms []cluster.Platform, he int) *scaleUpGrid {
+	p := &platforms[he]
 	g := &scaleUpGrid{}
 	for _, c := range coreGrid {
 		if c <= p.Cores {
@@ -80,6 +86,18 @@ func newScaleUpGrid(p *cluster.Platform) *scaleUpGrid {
 		g.coreDist[a] = make([]float64, len(g.cores))
 		logDists(g.coreDist[a], g.cores, float64(a))
 	}
+	g.memDist = make(map[uint64][]float64, len(memGrid)+len(platforms))
+	tabulate := func(x float64) {
+		d := make([]float64, len(g.mems))
+		logDists(d, g.mems, x)
+		g.memDist[math.Float64bits(x)] = d
+	}
+	for _, m := range memGrid {
+		tabulate(m)
+	}
+	for i := range platforms {
+		tabulate(platforms[i].MemoryGB)
+	}
 	return g
 }
 
@@ -91,7 +109,9 @@ func logDists(dst, grid []float64, x float64) {
 }
 
 // nearest returns the index into ScaleUpColumns of the column closest to
-// alloc; the first one on ties.
+// alloc; the first one on ties. A memory size is found in the table by its
+// bits, so −0 and NaN never match a tabulated value; anything untabulated is
+// computed as the table would have been.
 func (g *scaleUpGrid) nearest(alloc cluster.Alloc) int {
 	var coreBuf [len(coreGrid)]float64
 	var memBuf [len(memGrid)]float64
@@ -101,8 +121,11 @@ func (g *scaleUpGrid) nearest(alloc cluster.Alloc) int {
 	} else {
 		logDists(dc, g.cores, float64(alloc.Cores))
 	}
-	dm := memBuf[:len(g.mems)]
-	logDists(dm, g.mems, alloc.MemoryGB)
+	dm, ok := g.memDist[math.Float64bits(alloc.MemoryGB)]
+	if !ok {
+		dm = memBuf[:len(g.mems)]
+		logDists(dm, g.mems, alloc.MemoryGB)
+	}
 	best, bestD := 0, math.Inf(1)
 	for ci, c := range dc {
 		for mi, m := range dm {

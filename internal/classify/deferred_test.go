@@ -67,8 +67,8 @@ func (a *referenceAxis) estimateRow(rowIdx int, obs map[int]float64) []float64 {
 	}
 	merged := make(map[int]float64, len(obs)+4)
 	if rowIdx >= 0 && rowIdx < a.mat.Rows {
-		for j, v := range a.mat.Row(rowIdx) {
-			merged[j] = v
+		for _, c := range a.mat.Row(rowIdx) {
+			merged[int(c.Col)] = c.V
 		}
 	}
 	for j, v := range obs {

@@ -163,8 +163,8 @@ func (a *axis) estimateRow(rowIdx int, obs map[int]float64) []float64 {
 	a.fit()
 	merged := make(map[int]float64, len(obs)+4)
 	if rowIdx >= 0 && rowIdx < a.mat.Rows {
-		for j, v := range a.mat.Row(rowIdx) {
-			merged[j] = v
+		for _, c := range a.mat.Row(rowIdx) {
+			merged[int(c.Col)] = c.V
 		}
 	}
 	for j, v := range obs {
@@ -272,7 +272,7 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 		HighEnd:   he,
 		SUCols:    ScaleUpColumns(&platforms[he]),
 		SOCounts:  ScaleOutCounts(opts.MaxNodes),
-		suGrid:    newScaleUpGrid(&platforms[he]),
+		suGrid:    newScaleUpGrid(platforms, he),
 		secondary: secondaryPlatform(platforms, he),
 		opts:      opts,
 		rowOf:     make(map[string]int),
