@@ -33,11 +33,15 @@ lint: fmt-check
 ## random streams: minting one builds no register (BenchmarkNewRNG,
 ## BenchmarkStream), a typical stream is minted and drawn 19 times
 ## (BenchmarkStreamDraws: paid per workload), and SGD's shuffle runs on a
-## built register (BenchmarkShuffle)
+## built register (BenchmarkShuffle), then the scheduler: a full, settled
+## ranking of a packed cluster through the index and the scan oracle
+## (BenchmarkRank) and one decision in sim_scale_churn's shape, which reads
+## only the top of its ranking (BenchmarkSchedule)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='^Benchmark(Train|Freeze|SymEig|NodePerf|OracleBestCompletion)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
 	$(GO) test -bench='^Benchmark(NewRNG|Stream|StreamDraws|Shuffle)$$' -benchmem -run=^$$ ./internal/sim
+	$(GO) test -bench='^Benchmark(Rank|Schedule)$$' -benchmem -run=^$$ ./internal/sched
 
 ## ledger: the performance ledger — every bench/ workload untraced x3 and
 ## traced once, with the per-layer split (see bench/README.md)

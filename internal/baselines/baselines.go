@@ -243,7 +243,7 @@ func (b *Baseline) rankServers(t *core.Task, st *resState, alloc cluster.Alloc) 
 // paragonQuality scores a server with heterogeneity + interference
 // estimates, like Paragon's greedy server selection.
 func (b *Baseline) paragonQuality(t *core.Task, st *resState, s *cluster.Server) float64 {
-	pidx := b.rt.Cl.PlatformIndex(s.Platform.Name)
+	pidx := s.PlatformIdx()
 	whole := cluster.Alloc{Cores: s.Platform.Cores, MemoryGB: s.Platform.MemoryGB}
 	return st.est.NodePerf(pidx, whole, s.PressureOn(t.W.ID))
 }

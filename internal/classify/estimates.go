@@ -99,17 +99,23 @@ func (es *Estimates) EstCausedPressure(platformIdx int, alloc cluster.Alloc) clu
 
 // NodePerf estimates the workload's performance on one server of the given
 // platform with the given allocation, under the given interference
-// pressure. Composition: whole-node heterogeneity estimate × scale-up
-// fraction × interference penalty. The scale-up fraction is
-// rate(alloc)/rate(whole node), read off the scale-up row at the nearest
-// quantized columns.
+// pressure: NodeBase × interference penalty.
 func (es *Estimates) NodePerf(platformIdx int, alloc cluster.Alloc, pressure cluster.ResVec) float64 {
+	perf := es.NodeBase(platformIdx, alloc)
+	perf *= perfmodel.InterferencePenalty(es.EstSensitivity(), pressure)
+	return perf
+}
+
+// NodeBase is NodePerf without interference: whole-node heterogeneity
+// estimate × scale-up fraction. The scale-up fraction is
+// rate(alloc)/rate(whole node), read off the scale-up row at the nearest
+// quantized columns. Callers that appraise many servers of one platform
+// compute it once and apply the penalty per server, in NodePerf's order.
+func (es *Estimates) NodeBase(platformIdx int, alloc cluster.Alloc) float64 {
 	e := es.Engine
 	whole := es.RefPerf * math.Exp(es.HetLog[platformIdx])
 	ja, jr := e.suGrid.nearest(alloc), e.wholeCol[platformIdx]
-	perf := whole * math.Exp(es.SULog[ja]-es.SULog[jr])
-	perf *= perfmodel.InterferencePenalty(es.EstSensitivity(), pressure)
-	return perf
+	return whole * math.Exp(es.SULog[ja]-es.SULog[jr])
 }
 
 // ScaleOutEff returns the estimated efficiency multiplier for n nodes:

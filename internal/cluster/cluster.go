@@ -116,8 +116,14 @@ type Server struct {
 
 // NewServer returns an empty server of the given platform.
 func NewServer(id int, p *Platform) *Server {
-	return &Server{ID: id, Platform: p, placements: make(map[string]*Placement)}
+	return &Server{ID: id, Platform: p, placements: make(map[string]*Placement), pidx: -1}
 }
+
+// PlatformIdx returns the position of the server's platform in its
+// cluster's Platforms, fixed when New builds the cluster (-1 for a server
+// built alone by NewServer). Platform names are unique within a cluster, so
+// it equals Cluster.PlatformIndex(s.Platform.Name) without the name scan.
+func (s *Server) PlatformIdx() int { return s.pidx }
 
 // FreeCores returns the number of unallocated cores.
 func (s *Server) FreeCores() int { return s.Platform.Cores - s.usedCores }
@@ -441,7 +447,8 @@ type Cluster struct {
 // repeat its answer.
 func (c *Cluster) Gen() uint64 { return c.gen }
 
-// New builds a cluster with count[i] servers of platforms[i].
+// New builds a cluster with count[i] servers of platforms[i]. Platform
+// names must be unique: callers index estimates by a server's PlatformIdx.
 func New(platforms []Platform, counts []int) (*Cluster, error) {
 	if len(platforms) != len(counts) {
 		return nil, fmt.Errorf("cluster: %d platforms but %d counts", len(platforms), len(counts))
@@ -451,6 +458,9 @@ func New(platforms []Platform, counts []int) (*Cluster, error) {
 	for i := range platforms {
 		if err := platforms[i].Validate(); err != nil {
 			return nil, err
+		}
+		if c.PlatformIndex(platforms[i].Name) != i {
+			return nil, fmt.Errorf("cluster: duplicate platform name %s", platforms[i].Name)
 		}
 		for j := 0; j < counts[i]; j++ {
 			s := NewServer(id, &c.Platforms[i])

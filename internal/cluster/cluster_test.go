@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -243,12 +244,32 @@ func TestNewCluster(t *testing.T) {
 	if c.PlatformIndex("nope") != -1 {
 		t.Fatal("PlatformIndex of unknown platform != -1")
 	}
+	for _, s := range c.Servers {
+		if i := s.PlatformIdx(); i != c.PlatformIndex(s.Platform.Name) || &c.Platforms[i] != s.Platform {
+			t.Fatalf("server %d: PlatformIdx %d, platform %s", s.ID, i, s.Platform.Name)
+		}
+	}
+	if i := NewServer(0, &ps[0]).PlatformIdx(); i != -1 {
+		t.Fatalf("standalone server PlatformIdx = %d, want -1", i)
+	}
 	wantCores := 4 * (2 + 4 + 8 + 8 + 8 + 8 + 12 + 12 + 16 + 24)
 	if c.TotalCores() != wantCores {
 		t.Fatalf("total cores %d, want %d", c.TotalCores(), wantCores)
 	}
 	if _, err := New(ps, []int{1}); err == nil {
 		t.Fatal("mismatched counts accepted")
+	}
+}
+
+// TestNewRejectsDuplicatePlatformNames: a server's PlatformIdx and the name
+// lookup PlatformIndex agree only when names are unique, so New refuses a
+// repeated name even on a platform with no servers.
+func TestNewRejectsDuplicatePlatformNames(t *testing.T) {
+	ps := LocalPlatforms()
+	dup := append(ps[:3:3], ps[1])
+	dup[3].Cores *= 2
+	if _, err := New(dup, []int{1, 1, 1, 0}); err == nil || !strings.Contains(err.Error(), "duplicate platform name B") {
+		t.Fatalf("duplicate platform accepted or wrong error: %v", err)
 	}
 }
 

@@ -602,7 +602,7 @@ func (q *Quasar) scaleUpOrOut(t *Task, st *taskState, need, measured float64) (p
 			}
 			// Only grow when the estimates expect a real benefit: doubling
 			// cores a workload cannot exploit just strands them.
-			pidx := q.rt.Cl.PlatformIndex(srv.Platform.Name)
+			pidx := srv.PlatformIdx()
 			press := srv.PressureOn(t.W.ID)
 			cur := st.est.NodePerf(pidx, pl.Alloc, press)
 			grown := st.est.NodePerf(pidx, grow, press)
@@ -687,7 +687,7 @@ func (q *Quasar) nodeChoices(t *Task) []classify.NodeChoice {
 	for _, id := range t.serverIDs {
 		pl := t.placements[id]
 		out = append(out, classify.NodeChoice{
-			PlatformIdx: q.rt.Cl.PlatformIndex(pl.Server.Platform.Name),
+			PlatformIdx: pl.Server.PlatformIdx(),
 			Alloc:       pl.Alloc,
 			Pressure:    pl.Server.PressureOn(t.W.ID),
 		})
@@ -784,7 +784,7 @@ func (q *Quasar) reclaim(t *Task, st *taskState, need, measured float64) {
 			Cores:    max(1, pl.Alloc.Cores/2),
 			MemoryGB: math.Max(1, pl.Alloc.MemoryGB/2),
 		}
-		pidx := q.rt.Cl.PlatformIndex(pl.Server.Platform.Name)
+		pidx := pl.Server.PlatformIdx()
 		if st.est.NodePerf(pidx, shrunk, pl.Server.PressureOn(t.W.ID)) < 1.2*need {
 			return
 		}

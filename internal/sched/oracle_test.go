@@ -35,7 +35,7 @@ func freeAfterEviction(s *cluster.Server) (cores int, mem float64, evictable []*
 }
 
 // rankScan appraises every schedulable server with free capacity on its own,
-// in cluster order, and returns the candidates sorted like rank's.
+// in cluster order, and returns the candidates fully sorted by scanOrder.
 func (s *Scheduler) rankScan(req *Request, cands []candidate) []candidate {
 	for _, srv := range s.Cluster.Servers {
 		if !srv.Schedulable() {
@@ -45,11 +45,79 @@ func (s *Scheduler) rankScan(req *Request, cands []candidate) []candidate {
 		if cores < 1 || mem <= 0 {
 			continue
 		}
-		pidx := s.Cluster.PlatformIndex(srv.Platform.Name)
-		cands = append(cands, s.appraise(req, srv, pidx, cores, mem, evictable))
+		cands = append(cands, s.appraiseScan(req, srv, cores, mem, evictable))
 	}
-	sort.Sort(&candSorter{cands: cands})
+	sort.Sort(scanOrder(cands))
 	return cands
+}
+
+// appraiseScan appraises one server from scratch, sharing nothing with
+// rank's per-platform terms: the platform is looked up by name, and the
+// quality is NodePerf at the whole node under the server's pressure, with
+// the caused pressure recomputed for the compatibility check.
+func (s *Scheduler) appraiseScan(req *Request, srv *cluster.Server, cores int, mem float64, evictable []*cluster.Placement) candidate {
+	pidx := s.Cluster.PlatformIndex(srv.Platform.Name)
+	var quality float64
+	switch {
+	case s.Opts.IgnoreHeterogeneity && s.Opts.IgnoreInterference:
+		quality = float64(cores)
+	case s.Opts.IgnoreHeterogeneity:
+		pen := 1 - srv.PressureOn(req.W.ID).Max()
+		quality = float64(cores) * pen
+	default:
+		pressure := srv.PressureOn(req.W.ID)
+		if s.Opts.IgnoreInterference {
+			pressure = cluster.ResVec{}
+		}
+		whole := cluster.Alloc{Cores: srv.Platform.Cores, MemoryGB: srv.Platform.MemoryGB}
+		quality = req.Est.NodePerf(pidx, whole, pressure)
+	}
+	compat := true
+	if !s.Opts.IgnoreInterference && req.EstOf != nil {
+		caused := req.Est.EstCausedPressure(pidx,
+			cluster.Alloc{Cores: srv.Platform.Cores / 2, MemoryGB: srv.Platform.MemoryGB / 2})
+		for _, pl := range srv.Placements() {
+			res := req.EstOf(pl.WorkloadID)
+			if pl.BestEffort || res == nil {
+				continue
+			}
+			existing := srv.PressureOn(pl.WorkloadID)
+			for r := range existing {
+				if existing[r]+caused[r] > res.Tol[r]+0.05 {
+					compat = false
+				}
+			}
+		}
+	}
+	if !compat {
+		quality *= 0.05
+	}
+	return candidate{
+		server: srv, pidx: pidx, quality: quality,
+		freeCores: cores, freeMem: mem,
+		pressure: srv.PressureOn(req.W.ID).Max(), compat: compat,
+		evictable: evictable,
+	}
+}
+
+// scanOrder sorts candidates by the ranking's documented order, written out
+// independently of the production comparator: decreasing quality, then
+// decreasing whole-node capacity, then increasing server ID.
+type scanOrder []candidate
+
+func (o scanOrder) Len() int      { return len(o) }
+func (o scanOrder) Swap(i, j int) { o[i], o[j] = o[j], o[i] }
+func (o scanOrder) Less(i, j int) bool {
+	a, b := o[i], o[j]
+	if a.quality != b.quality { //lint:allow(floatcmp) ordering by value
+		return a.quality > b.quality
+	}
+	ca := float64(a.server.Platform.Cores) * a.server.Platform.CorePerf
+	cb := float64(b.server.Platform.Cores) * b.server.Platform.CorePerf
+	if ca != cb { //lint:allow(floatcmp) ordering by value
+		return ca > cb
+	}
+	return a.server.ID < b.server.ID
 }
 
 // describeCandidate serializes every candidate field, floats at full bit
@@ -95,24 +163,37 @@ func (f *churnFixture) newRequest(rng *sim.RNG) *Request {
 	}
 }
 
-// compare ranks the request through the index and through the oracle and
-// fails on the first divergence.
-func (f *churnFixture) compare(t testing.TB, step int, req *Request) {
+// sameCandidates fails on the first candidate of got that differs from
+// want's at the same position, every float bit compared.
+func sameCandidates(t testing.TB, what string, got, want []candidate) {
 	t.Helper()
-	got := f.s.rank(req)
-	want := f.s.rankScan(req, nil)
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(got), len(want)); i++ {
 		if g, w := describeCandidate(got[i]), describeCandidate(want[i]); g != w {
-			t.Fatalf("step %d: rank diverges at %d:\n  indexed: %s\n  oracle:  %s", step, i, g, w)
+			t.Fatalf("%s diverges at %d:\n  got:    %s\n  oracle: %s", what, i, g, w)
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("step %d: rank lengths diverge: indexed %d vs oracle %d", step, len(got), len(want))
+		t.Fatalf("%s length %d vs oracle %d", what, len(got), len(want))
 	}
+}
+
+// schedule holds the ranking of the request to the oracle twice: settled in
+// full, then as the prefix Schedule settles by popping on its own call.
+// Under SpreadZones a scan-ahead may swap settled candidates, so that prefix
+// is compared as a set, in oracle order.
+func (f *churnFixture) schedule(t testing.TB, step int, req *Request) (*Assignment, error) {
+	t.Helper()
+	want := f.s.rankScan(req, nil)
+	rk := f.s.rank(req)
+	rk.settle()
+	sameCandidates(t, fmt.Sprintf("step %d: settled rank", step), rk.cands, want)
+	asn, err := f.s.Schedule(req)
+	popped := append([]candidate(nil), rk.cands[:rk.done]...)
+	if f.s.Opts.SpreadZones {
+		sort.Sort(scanOrder(popped))
+	}
+	sameCandidates(t, fmt.Sprintf("step %d: Schedule's popped prefix", step), popped, want[:min(len(popped), len(want))])
+	return asn, err
 }
 
 // apply realizes an assignment on the cluster (evictions first).
@@ -216,8 +297,7 @@ func runChurn(t *testing.T, opts Options, rng *sim.RNG, steps int) {
 	for step := 0; step < steps; step++ {
 		f.churn(t, rng)
 		req := f.newRequest(rng)
-		f.compare(t, step, req)
-		asn, err := f.s.Schedule(req)
+		asn, err := f.schedule(t, step, req)
 		if err == nil && rng.Bool(0.7) {
 			f.apply(t, req, asn)
 		}
@@ -345,8 +425,8 @@ func packedRequests(platforms []cluster.Platform) []*Request {
 	return reqs
 }
 
-// BenchmarkRank times one ranking of a packed cluster through the
-// free-resource index and through the scan oracle. The index's advantage
+// BenchmarkRank times one full, settled ranking of a packed cluster through
+// the free-resource index and through the scan oracle. The index's advantage
 // grows with cluster size: it visits only the spare and occupiable servers.
 func BenchmarkRank(b *testing.B) {
 	reqs := packedRequests(cluster.LocalPlatforms())
@@ -362,7 +442,7 @@ func BenchmarkRank(b *testing.B) {
 				var buf []candidate
 				rank := func(req *Request) {
 					if path == "indexed" {
-						s.rank(req)
+						s.rank(req).settle()
 					} else {
 						buf = s.rankScan(req, buf[:0])
 					}

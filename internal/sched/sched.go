@@ -16,6 +16,7 @@ import (
 	"quasar/internal/cluster"
 	"quasar/internal/obs"
 	"quasar/internal/obs/prof"
+	"quasar/internal/perfmodel"
 	"quasar/internal/workload"
 )
 
@@ -114,13 +115,11 @@ type Scheduler struct {
 	// Outside the determinism boundary; see internal/obs/prof.
 	Prof *prof.Profiler
 
-	// candBuf, srvScratch, and zoneScratch are reused across Schedule calls
-	// so ranking does not reallocate per decision. The scheduler is driven
-	// from the single-goroutine simulation loop, so unsynchronized reuse is
-	// safe.
-	candBuf     []candidate
+	// rk, srvScratch, and zoneScratch are reused across Schedule calls so
+	// ranking does not reallocate per decision. The scheduler is driven from
+	// the single-goroutine simulation loop, so unsynchronized reuse is safe.
+	rk          ranking
 	srvScratch  []*cluster.Server
-	sorter      candSorter
 	zoneScratch map[int]bool
 }
 
@@ -154,48 +153,131 @@ type candidate struct {
 	evictable []*cluster.Placement // best-effort residents
 }
 
-// candSorter sorts ranked candidates by decreasing quality. It lives as a
-// field on the Scheduler so sort.Sort receives an interior pointer and the
+// better reports whether candidate a ranks ahead of b: higher quality, then
+// the bigger machine (fewer nodes for the same estimated quality), then the
+// lower server ID. Server IDs are unique, so this is a strict total order:
+// the ranking depends neither on the index's traversal order nor on whether
+// it was settled by sorting or by popping the heap.
+func better(a, b *candidate) bool {
+	if a.quality != b.quality { //lint:allow(floatcmp) ordering by value; ties fall through to the next key
+		return a.quality > b.quality
+	}
+	ca := float64(a.server.Platform.Cores) * a.server.Platform.CorePerf
+	cb := float64(b.server.Platform.Cores) * b.server.Platform.CorePerf
+	if ca != cb { //lint:allow(floatcmp) ordering by value; ties fall through to the next key
+		return ca > cb
+	}
+	return a.server.ID < b.server.ID
+}
+
+// candSorter sorts candidates best first. It lives as a field of the
+// Scheduler's ranking so sort.Sort receives an interior pointer and the
 // interface conversion never allocates (sort.Slice's closure would).
 type candSorter struct{ cands []candidate }
 
-func (cs *candSorter) Len() int      { return len(cs.cands) }
-func (cs *candSorter) Swap(i, j int) { cs.cands[i], cs.cands[j] = cs.cands[j], cs.cands[i] }
+func (cs *candSorter) Len() int           { return len(cs.cands) }
+func (cs *candSorter) Swap(i, j int)      { cs.cands[i], cs.cands[j] = cs.cands[j], cs.cands[i] }
+func (cs *candSorter) Less(i, j int) bool { return better(&cs.cands[i], &cs.cands[j]) }
 
-func (cs *candSorter) Less(i, j int) bool {
-	cands := cs.cands
-	if cands[i].quality != cands[j].quality { //lint:allow(floatcmp) sort tie-break: any consistent order is fine
-		return cands[i].quality > cands[j].quality
-	}
-	// Tie-break toward bigger machines (fewer nodes for the same
-	// estimated quality), then by ID for determinism.
-	ci := float64(cands[i].server.Platform.Cores) * cands[i].server.Platform.CorePerf
-	cj := float64(cands[j].server.Platform.Cores) * cands[j].server.Platform.CorePerf
-	if ci != cj { //lint:allow(floatcmp) sort tie-break: any consistent order is fine
-		return ci > cj
-	}
-	return cands[i].server.ID < cands[j].server.ID
+// ranking is one request's candidates, ordered only as far as they are read.
+// cands[:done] holds the best candidates in their final order. Once at has
+// been called, cands[done:] is a heap under better, laid out backwards: heap
+// index k lives in slot len(cands)-1-k, so the root is the last slot and the
+// heap's last index is slot done. Because better is a total order, every
+// settled prefix is the one a full sort gives.
+type ranking struct {
+	cands  []candidate
+	done   int
+	heaped bool
+	sorter candSorter
 }
 
-// appraise builds the ranked candidate for one server given its
-// free-after-eviction capacity: the one quality computation of the ranking.
-func (s *Scheduler) appraise(req *Request, srv *cluster.Server, pidx, cores int, mem float64, evictable []*cluster.Placement) candidate {
+// reset takes cands as the new ranking, nothing settled.
+func (r *ranking) reset(cands []candidate) {
+	r.cands, r.done, r.heaped = cands, 0, false
+}
+
+// down sifts heap index k down a heap of m entries.
+func (r *ranking) down(k, m int) {
+	c, last := r.cands, len(r.cands)-1
+	for {
+		child := 2*k + 1
+		if child >= m {
+			return
+		}
+		if right := child + 1; right < m && better(&c[last-right], &c[last-child]) {
+			child = right
+		}
+		if !better(&c[last-child], &c[last-k]) {
+			return
+		}
+		c[last-k], c[last-child] = c[last-child], c[last-k]
+		k = child
+	}
+}
+
+// at returns the candidate ranked i-th, settling positions up to i by
+// popping the heap: each pop swaps the root, the best unsettled candidate,
+// into slot done, which is the heap's last index, and sifts the new root
+// down the one-smaller heap. The first call heapifies the unsettled tail.
+func (r *ranking) at(i int) *candidate {
+	if !r.heaped {
+		r.heaped = true
+		m := len(r.cands) - r.done
+		for k := m/2 - 1; k >= 0; k-- {
+			r.down(k, m)
+		}
+	}
+	last := len(r.cands) - 1
+	for r.done <= i {
+		r.cands[r.done], r.cands[last] = r.cands[last], r.cands[r.done]
+		r.done++
+		r.down(0, len(r.cands)-r.done)
+	}
+	return &r.cands[i]
+}
+
+// settle orders the whole ranking: the unsettled tail holds exactly the
+// candidates that rank after the settled prefix, so sorting it completes
+// the full sort. Settling before any at sorts everything and builds no heap.
+func (r *ranking) settle() {
+	if r.done < len(r.cands) {
+		r.sorter.cands = r.cands[r.done:]
+		sort.Sort(&r.sorter)
+		r.done = len(r.cands)
+	}
+}
+
+// terms are the parts of one request's appraisal that do not depend on the
+// server beyond its platform, so rankIndexed computes them once per platform
+// rather than once per server.
+type terms struct {
+	sens   cluster.ResVec // the request's estimated sensitivity
+	base   float64        // NodeBase at the whole node
+	caused cluster.ResVec // pressure the request would cause on half the node
+}
+
+// appraise builds the ranked candidate for one server of the platform t
+// was computed for, given its free-after-eviction capacity: the one quality
+// computation of the ranking. The default quality is NodePerf at the whole
+// node, in NodePerf's order of operations.
+func (s *Scheduler) appraise(req *Request, t *terms, srv *cluster.Server, pidx, cores int, mem float64, evictable []*cluster.Placement) candidate {
+	pressure := srv.PressureOn(req.W.ID)
 	var quality float64
 	switch {
 	case s.Opts.IgnoreHeterogeneity && s.Opts.IgnoreInterference:
 		quality = float64(cores)
 	case s.Opts.IgnoreHeterogeneity:
-		pen := 1 - srv.PressureOn(req.W.ID).Max()
-		quality = float64(cores) * pen
+		quality = float64(cores) * (1 - pressure.Max())
 	default:
-		pressure := srv.PressureOn(req.W.ID)
+		seen := pressure
 		if s.Opts.IgnoreInterference {
-			pressure = cluster.ResVec{}
+			seen = cluster.ResVec{}
 		}
-		whole := cluster.Alloc{Cores: srv.Platform.Cores, MemoryGB: srv.Platform.MemoryGB}
-		quality = req.Est.NodePerf(pidx, whole, pressure)
+		quality = t.base
+		quality *= perfmodel.InterferencePenalty(t.sens, seen)
 	}
-	compat := s.compatible(req, srv)
+	compat := s.compatible(req, t, srv)
 	if !compat {
 		// Penalize rather than exclude: a colocation that would hurt
 		// residents is a last resort.
@@ -204,22 +286,17 @@ func (s *Scheduler) appraise(req *Request, srv *cluster.Server, pidx, cores int,
 	return candidate{
 		server: srv, pidx: pidx, quality: quality,
 		freeCores: cores, freeMem: mem,
-		pressure: srv.PressureOn(req.W.ID).Max(), compat: compat,
+		pressure: pressure.Max(), compat: compat,
 		evictable: evictable,
 	}
 }
 
-// rank orders servers by decreasing quality for this request. The
-// comparator is a total order (quality, then whole-node capacity, then
-// server ID), so the ordering does not depend on the index's traversal
-// order. The returned slice aliases the scheduler's scratch buffer and is
-// valid until the next Schedule call.
-func (s *Scheduler) rank(req *Request) []candidate {
-	cands := s.rankIndexed(req, s.candBuf[:0])
-	s.candBuf = cands
-	s.sorter.cands = cands
-	sort.Sort(&s.sorter)
-	return cands
+// rank collects the candidates for this request, unordered; the ranking's
+// at and settle order them as far as they are read. The ranking aliases the
+// scheduler's scratch buffer and is valid until the next Schedule call.
+func (s *Scheduler) rank(req *Request) *ranking {
+	s.rk.reset(s.rankIndexed(req, s.rk.cands[:0]))
+	return &s.rk
 }
 
 // rankIndexed appends one candidate per schedulable server with free
@@ -229,27 +306,39 @@ func (s *Scheduler) rank(req *Request) []candidate {
 // within a platform — are appraised once per platform and stamped. Stamping
 // is exact because pristine servers have exactly-zero pressure by
 // construction, so the shared appraisal of a representative equals the
-// appraisal of each member.
+// appraisal of each member. The request's terms are computed only for
+// platforms that have a candidate.
 func (s *Scheduler) rankIndexed(req *Request, cands []candidate) []candidate {
 	ix := s.Cluster.Idx()
+	sens := req.Est.EstSensitivity()
 	for pidx := range s.Cluster.Platforms {
-		prs := ix.AppendPristine(pidx, s.srvScratch[:0])
-		if len(prs) > 0 {
-			srv0 := prs[0]
+		srvs := ix.AppendPristine(pidx, s.srvScratch[:0])
+		npr := len(srvs)
+		srvs = ix.AppendOccupiable(pidx, srvs)
+		s.srvScratch = srvs[:0]
+		if len(srvs) == 0 {
+			continue
+		}
+		p := &s.Cluster.Platforms[pidx]
+		t := terms{
+			sens:   sens,
+			base:   req.Est.NodeBase(pidx, cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}),
+			caused: req.Est.EstCausedPressure(pidx, cluster.Alloc{Cores: p.Cores / 2, MemoryGB: p.MemoryGB / 2}),
+		}
+		if npr > 0 {
+			srv0 := srvs[0]
 			cores, mem, _ := srv0.FreeAfterEviction()
-			proto := s.appraise(req, srv0, pidx, cores, mem, nil)
-			for _, srv := range prs {
+			proto := s.appraise(req, &t, srv0, pidx, cores, mem, nil)
+			for _, srv := range srvs[:npr] {
 				c := proto
 				c.server = srv
 				cands = append(cands, c)
 			}
 		}
-		occ := ix.AppendOccupiable(pidx, prs[:0])
-		for _, srv := range occ {
+		for _, srv := range srvs[npr:] {
 			cores, mem, evictable := srv.FreeAfterEviction()
-			cands = append(cands, s.appraise(req, srv, pidx, cores, mem, evictable))
+			cands = append(cands, s.appraise(req, &t, srv, pidx, cores, mem, evictable))
 		}
-		s.srvScratch = occ[:0]
 	}
 	return cands
 }
@@ -270,7 +359,9 @@ type RankedCandidate struct {
 // of the ordering. It does not mutate the cluster. Intended for diagnostics
 // and probes; Schedule uses the internal ranking directly.
 func (s *Scheduler) RankCandidates(req *Request) []RankedCandidate {
-	cands := s.rank(req)
+	rk := s.rank(req)
+	rk.settle()
+	cands := rk.cands
 	out := make([]RankedCandidate, len(cands))
 	for i, c := range cands {
 		rc := RankedCandidate{
@@ -288,14 +379,12 @@ func (s *Scheduler) RankCandidates(req *Request) []RankedCandidate {
 
 // compatible reports whether placing the request's workload on the server
 // would keep every non-best-effort resident within its interference
-// tolerance ("colocate workloads that do not interfere with each other").
-func (s *Scheduler) compatible(req *Request, srv *cluster.Server) bool {
+// tolerance ("colocate workloads that do not interfere with each other"),
+// given the pressure t.caused the workload would add.
+func (s *Scheduler) compatible(req *Request, t *terms, srv *cluster.Server) bool {
 	if s.Opts.IgnoreInterference || req.EstOf == nil {
 		return true
 	}
-	caused := req.Est.EstCausedPressure(
-		s.Cluster.PlatformIndex(srv.Platform.Name),
-		cluster.Alloc{Cores: srv.Platform.Cores / 2, MemoryGB: srv.Platform.MemoryGB / 2})
 	for _, pl := range srv.Placements() {
 		if pl.BestEffort {
 			continue
@@ -306,7 +395,7 @@ func (s *Scheduler) compatible(req *Request, srv *cluster.Server) bool {
 		}
 		existing := srv.PressureOn(pl.WorkloadID)
 		for r := 0; r < int(cluster.NumResources); r++ {
-			if existing[r]+caused[r] > res.Tol[r]+0.05 {
+			if existing[r]+t.caused[r] > res.Tol[r]+0.05 {
 				return false
 			}
 		}
@@ -332,7 +421,7 @@ type sizeOption struct {
 // quantized scale-up grid: cores ascending, and for each core count the
 // least memory within 95% of the best for that count (freeing memory the
 // workload does not need).
-func (s *Scheduler) rightSizeAlloc(req *Request, cand candidate, want float64) (cluster.Alloc, float64) {
+func (s *Scheduler) rightSizeAlloc(req *Request, cand *candidate, want float64) (cluster.Alloc, float64) {
 	pressure := cand.server.PressureOn(req.W.ID)
 	if s.Opts.IgnoreInterference {
 		pressure = cluster.ResVec{}
@@ -484,12 +573,16 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		maxNodes = 1
 	}
 	want := req.NeedPerf * s.Opts.PerfMargin
-	cands := s.rank(req)
-	if len(cands) == 0 {
+	rk := s.rank(req)
+	if len(rk.cands) == 0 {
 		if s.Tracer.Enabled() {
 			s.emitDecision(req, want, nil, nil, obs.OutcomeNoCapacity)
 		}
 		return nil, ErrNoCapacity
+	}
+	if s.Tracer.Enabled() {
+		// The decision event records the full ranking.
+		rk.settle()
 	}
 
 	asn := &Assignment{}
@@ -500,21 +593,20 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 	clear(s.zoneScratch)
 	usedZones := s.zoneScratch
 
-	for ci := 0; ci < len(cands); ci++ {
-		cand := cands[ci]
-		if len(asn.Nodes) >= maxNodes {
-			break
-		}
+	// Only the candidates read here are settled; cand points into the
+	// ranking, so a scan-ahead swap replaces it in place.
+	for ci := 0; ci < len(rk.cands) && len(asn.Nodes) < maxNodes; ci++ {
+		cand := rk.at(ci)
 		if s.Opts.SpreadZones && usedZones[cand.server.Zone] {
 			// Prefer a near-equal candidate in a fresh fault zone: scan
 			// ahead within 10% quality for one.
-			for cj := ci + 1; cj < len(cands); cj++ {
-				if cands[cj].quality < 0.9*cand.quality {
+			for cj := ci + 1; cj < len(rk.cands); cj++ {
+				next := rk.at(cj)
+				if next.quality < 0.9*cand.quality {
 					break
 				}
-				if !usedZones[cands[cj].server.Zone] {
-					cands[ci], cands[cj] = cands[cj], cands[ci]
-					cand = cands[ci]
+				if !usedZones[next.server.Zone] {
+					*cand, *next = *next, *cand
 					break
 				}
 			}
@@ -565,14 +657,14 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 
 	if len(asn.Nodes) == 0 {
 		if s.Tracer.Enabled() {
-			s.emitDecision(req, want, cands, nil, obs.OutcomeNoCapacity)
+			s.emitDecision(req, want, rk.cands, nil, obs.OutcomeNoCapacity)
 		}
 		return nil, ErrNoCapacity
 	}
 	asn.EstPerf = sumPerf * req.Est.ScaleOutEff(len(asn.Nodes))
 	if !req.AcceptPartial && asn.EstPerf < req.NeedPerf*s.Opts.MinFill {
 		if s.Tracer.Enabled() {
-			s.emitDecision(req, want, cands, asn, obs.OutcomeBelowMinFill)
+			s.emitDecision(req, want, rk.cands, asn, obs.OutcomeBelowMinFill)
 		}
 		return nil, ErrNoCapacity
 	}
@@ -587,7 +679,7 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		asn.Config = &cfg
 	}
 	if s.Tracer.Enabled() {
-		s.emitDecision(req, want, cands, asn, obs.OutcomePlaced)
+		s.emitDecision(req, want, rk.cands, asn, obs.OutcomePlaced)
 	}
 	return asn, nil
 }
