@@ -36,12 +36,15 @@ lint: fmt-check
 ## built register (BenchmarkShuffle), then the scheduler: a full, settled
 ## ranking of a packed cluster through the index and the scan oracle
 ## (BenchmarkRank) and one decision in sim_scale_churn's shape, which reads
-## only the top of its ranking (BenchmarkSchedule)
+## only the top of its ranking (BenchmarkSchedule), then one replayed journal
+## entry of serve_replay's mix through JournalReader.Next next to the
+## encoding/json decode it falls back to (BenchmarkJournalNext)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 	$(GO) test -bench='^Benchmark(Train|Freeze|SymEig|NodePerf|OracleBestCompletion)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
 	$(GO) test -bench='^Benchmark(NewRNG|Stream|StreamDraws|Shuffle)$$' -benchmem -run=^$$ ./internal/sim
 	$(GO) test -bench='^Benchmark(Rank|Schedule)$$' -benchmem -run=^$$ ./internal/sched
+	$(GO) test -bench='^BenchmarkJournalNext$$' -benchmem -run=^$$ ./internal/serve
 
 ## ledger: the performance ledger — every bench/ workload untraced x3 and
 ## traced once, with the per-layer split (see bench/README.md)

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -145,11 +147,24 @@ func (s *Server) admit(w http.ResponseWriter, t0 int64, e Entry) {
 	s.tel.received(ent.Seq, t0, telNow())
 }
 
+// decodeOne decodes the one JSON value an admission body holds. Anything but
+// whitespace after it is an error: a second, concatenated request would
+// otherwise be dropped without a word while the first was admitted.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	t0 := telNow()
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOne(dec, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad submit body: %v", err)
 		return
 	}
@@ -166,7 +181,7 @@ func (s *Server) handleTarget(w http.ResponseWriter, r *http.Request) {
 	var req TargetUpdate
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeOne(dec, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad target body: %v", err)
 		return
 	}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -371,7 +372,9 @@ func (j *Journal) State() (seq int, open float64) {
 type JournalReader struct {
 	f   *os.File
 	cfg Config
+	// buf[off:] is read from the file and not yet returned as a line.
 	buf []byte
+	off int
 }
 
 // OpenJournal opens a journal and parses its header line, which must already
@@ -410,21 +413,29 @@ func (r *JournalReader) Config() Config { return r.cfg }
 func (r *JournalReader) Close() error { return r.f.Close() }
 
 // nextLine returns the next complete newline-terminated line, or ok=false
-// when none is available yet (clean EOF — the file may still grow).
+// when none is available yet (clean EOF — the file may still grow). The line
+// aliases the reader's buffer and is valid until the next call.
 func (r *JournalReader) nextLine() ([]byte, bool, error) {
 	for {
-		if i := bytes.IndexByte(r.buf, '\n'); i >= 0 {
-			line := r.buf[:i]
-			r.buf = r.buf[i+1:]
+		if i := bytes.IndexByte(r.buf[r.off:], '\n'); i >= 0 {
+			line := r.buf[r.off : r.off+i]
+			r.off += i + 1
 			if len(bytes.TrimSpace(line)) == 0 {
 				continue
 			}
 			return line, true, nil
 		}
-		chunk := make([]byte, 64<<10)
-		n, err := r.f.Read(chunk)
-		if n > 0 {
-			r.buf = append(r.buf, chunk[:n]...)
+		// No complete line is buffered: move the partial tail to the front
+		// and read into the spare capacity behind it, growing only when a
+		// single line fills the whole buffer.
+		n := copy(r.buf, r.buf[r.off:])
+		r.buf, r.off = r.buf[:n], 0
+		if n == cap(r.buf) {
+			r.buf = slices.Grow(r.buf, max(n, 64<<10))
+		}
+		m, err := r.f.Read(r.buf[n:cap(r.buf)])
+		if m > 0 {
+			r.buf = r.buf[:n+m]
 			continue
 		}
 		if err == nil || err == io.EOF {
@@ -436,11 +447,16 @@ func (r *JournalReader) nextLine() ([]byte, bool, error) {
 
 // Next returns the next journal entry. ok=false with a nil error means the
 // end of the file was reached without a complete entry — poll again when
-// tailing a live journal, or treat as truncation for a finished one.
+// tailing a live journal, or treat as truncation for a finished one. A line
+// in the form Journal writes is read by decodeEntry; any other line, and
+// every error, is encoding/json's.
 func (r *JournalReader) Next() (*Entry, bool, error) {
 	line, ok, err := r.nextLine()
 	if err != nil || !ok {
 		return nil, false, err
+	}
+	if e, ok := decodeEntry(line); ok {
+		return e, true, nil
 	}
 	var e Entry
 	if err := json.Unmarshal(line, &e); err != nil {

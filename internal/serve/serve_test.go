@@ -367,7 +367,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad family", "/v1/submit", `{"type":"hadoop","family":99}`, 400},
 		{"empty target", "/v1/target/x-0001", `{}`, 400},
 		{"negative target", "/v1/target/x-0001", `{"qps":-1}`, 400},
+		{"two submit bodies", "/v1/submit", `{"type":"single-node","best_effort":true}{"type":"hadoop"}`, 400},
+		{"trailing target bytes", "/v1/target/x-0001", `{"qps":5} x`, 400},
 		{"good submit", "/v1/submit", `{"type":"single-node","best_effort":true}`, 202},
+		{"trailing whitespace", "/v1/submit", "{\"type\":\"single-node\",\"best_effort\":true} \r\n", 202},
 	}
 	for _, tc := range cases {
 		if got := post(tc.path, tc.body); got != tc.want {
