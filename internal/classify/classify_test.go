@@ -396,6 +396,78 @@ func TestReclassifyKeepsRow(t *testing.T) {
 	}
 }
 
+// fixedProber is a noise-free prober whose scale-up measurement depends
+// only on the allocation; it records every scale-up allocation it is asked
+// about, in call order.
+type fixedProber struct {
+	asked []cluster.Alloc
+}
+
+func (p *fixedProber) ScaleUp(a cluster.Alloc) float64 {
+	p.asked = append(p.asked, a)
+	return 0.3*float64(a.Cores) + 0.05*a.MemoryGB
+}
+func (p *fixedProber) ScaleOut(n int, _ cluster.Alloc) float64 { return 0.8 * float64(n) }
+func (p *fixedProber) Heterogeneity(j int) float64             { return 1 + 0.1*float64(j) }
+func (p *fixedProber) ToleratedIntensity(r cluster.Resource) float64 {
+	return 0.1 * float64(r)
+}
+func (p *fixedProber) CausedIntensity(r cluster.Resource) float64 {
+	return 1.5 - 0.1*float64(r)
+}
+
+// TestReclassifyWritesLogRatios holds a reclassified row to the form
+// Classify stores: every scale-up cell is safeLog(ScaleUp(col)) −
+// safeLog(ref), bit for bit, and the reference heterogeneity cell is 0.
+func TestReclassifyWritesLogRatios(t *testing.T) {
+	e, u := testSetup(t, 2)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+	e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(5)))
+	row, _ := e.RowOf(w.ID)
+
+	p := &fixedProber{}
+	e.Reclassify(w, p)
+	asked := p.asked
+	if len(asked) < 2 {
+		t.Fatalf("reclassify probed %d scale-up allocations, want the reference and at least one column", len(asked))
+	}
+	refLog := safeLog(p.ScaleUp(asked[0]))
+	su := e.axes[AxisScaleUp].mat
+	check := func(col int, want float64) {
+		t.Helper()
+		got, ok := su.Get(row, col)
+		if !ok {
+			t.Fatalf("scale-up column %d not written", col)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("scale-up column %d holds %v, want log ratio %v", col, got, want)
+		}
+	}
+	check(e.refCol, 0)
+	for _, a := range asked[1:] {
+		col := -1
+		for j, c := range e.SUCols {
+			if c.Cores == a.Cores && c.MemoryGB == a.MemoryGB {
+				col = j
+			}
+		}
+		if col < 0 {
+			t.Fatalf("probed allocation %+v is not a scale-up column", a)
+		}
+		check(col, safeLog(p.ScaleUp(a))-refLog)
+	}
+	if v, ok := e.axes[AxisHetero].mat.Get(row, e.HighEnd); !ok || math.Float64bits(v) != 0 {
+		t.Fatalf("het[HighEnd] = %v (written %v), want 0", v, ok)
+	}
+	for _, ax := range []Axis{AxisTolerated, AxisCaused} {
+		for _, c := range e.axes[ax].mat.Row(row) {
+			if c.V < 0 || c.V > 1 {
+				t.Fatalf("%s column %d holds %v, outside [0, 1]", ax, c.Col, c.V)
+			}
+		}
+	}
+}
+
 func TestExhaustiveClassify(t *testing.T) {
 	platforms := cluster.LocalPlatforms()
 	u := workload.NewUniverse(platforms, 13, 3)

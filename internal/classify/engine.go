@@ -651,7 +651,9 @@ func (e *Engine) estimatesFromProbe(w *workload.Instance, row int, po *ProbeObs)
 
 // Reclassify re-profiles a workload in place (phase change or detected
 // misclassification, §4.1) and returns fresh estimates. The workload's
-// existing matrix row is overwritten with the new observations.
+// existing matrix row is overwritten with the new observations, in the form
+// appendObs stores them: log ratios on the scale-up and heterogeneity axes,
+// intensities in [0, 1] on the interference axes.
 func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 	t0 := e.prof.Begin()
 	defer e.prof.End(prof.SubClassify, t0)
@@ -671,12 +673,12 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 	refLog := safeLog(refPerf)
 	su := make(map[int]float64, entries)
 	su[e.refCol] = 0
-	e.axes[AxisScaleUp].feedback(row, e.refCol, 1) // safeLog(1)=0 via feedback transform
+	e.axes[AxisScaleUp].feedback(row, e.refCol, 0)
 	for _, j := range pickDistinct(rng, len(e.SUCols), entries) {
 		col := e.SUCols[j]
 		v := safeLog(p.ScaleUp(cluster.Alloc{Cores: col.Cores, MemoryGB: col.MemoryGB})) - refLog
 		su[j] = v
-		e.axes[AxisScaleUp].feedback(row, j, math.Exp(v))
+		e.axes[AxisScaleUp].feedback(row, j, v)
 	}
 	so := map[int]float64{}
 	if w.Type.Distributed() {
@@ -684,7 +686,7 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 	}
 	het := map[int]float64{}
 	het[e.HighEnd] = 0
-	e.axes[AxisHetero].feedback(row, e.HighEnd, 1)
+	e.axes[AxisHetero].feedback(row, e.HighEnd, 0)
 	tol := make(map[int]float64, entries)
 	for _, r := range pickDistinct(rng, int(cluster.NumResources), entries) {
 		tol[r] = clamp01(p.ToleratedIntensity(cluster.Resource(r)))

@@ -66,12 +66,15 @@ func (q *Quasar) MarshalSnapshot() ([]byte, error) { return json.Marshal(q.Snaps
 
 // Restore loads a snapshot into this manager. The manager must be attached
 // to the runtime whose tasks the snapshot references (the standby mirrors
-// the same cluster).
+// the same cluster). The whole snapshot is checked before anything is
+// replaced — every task known to the runtime, every estimate on the
+// engine's grids, the engine state loadable — so on error the manager is
+// as it was.
 func (q *Quasar) Restore(snap *QuasarSnapshot) error {
-	if err := q.engine.LoadSnapshot(snap.Engine); err != nil {
-		return err
+	if snap == nil {
+		return fmt.Errorf("core: nil snapshot")
 	}
-	q.state = make(map[string]*taskState, len(snap.Tasks))
+	state := make(map[string]*taskState, len(snap.Tasks))
 	for _, ts := range snap.Tasks {
 		if q.rt.Task(ts.ID) == nil {
 			return fmt.Errorf("core: snapshot references unknown task %s", ts.ID)
@@ -87,8 +90,14 @@ func (q *Quasar) Restore(snap *QuasarSnapshot) error {
 			}
 			st.est = est
 		}
-		q.state[ts.ID] = st
+		state[ts.ID] = st
 	}
+	// LoadSnapshot validates in full before it replaces the matrices, and it
+	// is the last step that can fail.
+	if err := q.engine.LoadSnapshot(snap.Engine); err != nil {
+		return err
+	}
+	q.state = state
 	q.queue = WaitQueue{}
 	for _, id := range snap.Queue {
 		if t := q.rt.Task(id); t != nil {

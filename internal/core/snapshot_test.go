@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"quasar/internal/loadgen"
@@ -127,4 +128,64 @@ func buildCleanQuasar(t *testing.T) (*Quasar, error) {
 	rt, q, _ := quasarFixture(t, 229)
 	_ = rt
 	return q, nil
+}
+
+// midRunQuasar is a manager mid-run: a batch job and a service placed and
+// running, with the runtime stopped between ticks.
+func midRunQuasar(t testing.TB) *Quasar {
+	t.Helper()
+	rt, q, u := quasarFixture(t, 211)
+	job := u.New(workload.Spec{Type: workload.Hadoop, Family: 0, MaxNodes: 4, TargetSlack: 1.2,
+		Dataset: workload.Dataset{Name: "ft", SizeGB: 20, WorkMult: 3, MemMult: 1}})
+	rt.Submit(job, 0, nil)
+	svc := u.New(workload.Spec{Type: workload.Webserver, Family: 0, MaxNodes: 4})
+	rt.Submit(svc, 10, loadgen.Flat{QPS: 0.7 * svc.Target.QPS})
+	rt.Run(600)
+	rt.Stop()
+	return q
+}
+
+// TestRejectedRestoreLeavesStateUntouched: a snapshot that fails any check
+// — an unknown task, an estimate off the engine's grids, an engine state
+// the engine cannot hold — is rejected without changing a byte of the
+// manager's own snapshot.
+func TestRejectedRestoreLeavesStateUntouched(t *testing.T) {
+	q := midRunQuasar(t)
+	before, err := q.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(q.Snapshot().Tasks); n < 2 {
+		t.Fatalf("fixture has %d tasks, want at least 2", n)
+	}
+	for _, tc := range []struct {
+		name   string
+		tamper func(*QuasarSnapshot)
+	}{
+		{"unknown task", func(s *QuasarSnapshot) { s.Tasks[len(s.Tasks)-1].ID = "ghost-0001" }},
+		{"estimate off grid", func(s *QuasarSnapshot) {
+			for i := range s.Tasks {
+				if s.Tasks[i].Est != nil {
+					s.Tasks[i].Est.SULog = s.Tasks[i].Est.SULog[:1]
+				}
+			}
+		}},
+		{"engine axes", func(s *QuasarSnapshot) { s.Engine.Axes = s.Engine.Axes[:2] }},
+	} {
+		snap := q.Snapshot()
+		tc.tamper(snap)
+		if err := q.Restore(snap); err == nil {
+			t.Fatalf("%s: tampered snapshot accepted", tc.name)
+		}
+		after, err := q.MarshalSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: rejected restore changed the manager's snapshot (%d -> %d bytes)", tc.name, len(before), len(after))
+		}
+	}
+	if err := q.Restore(nil); err == nil {
+		t.Fatal("nil snapshot accepted")
+	}
 }
