@@ -36,6 +36,12 @@ type Model struct {
 	P      *Dense    // row factors, Rows×K
 	Q      *Dense    // column factors, Cols×K
 	Lambda float64
+
+	// Epochs is how many SGD epochs the fit ran. Rose says the fit stopped
+	// because an epoch's RMSE rose, not because it improved by less than
+	// Tol or reached the epoch cap.
+	Epochs int
+	Rose   bool
 }
 
 // Train fits a latent-factor model to the observed entries of s.
@@ -108,7 +114,9 @@ func (m *Model) sgd(cells []Cell, opts Options) {
 			}
 		}
 		rmse := math.Sqrt(sse / float64(len(cells)))
+		m.Epochs = epoch + 1
 		if prevRMSE-rmse < opts.Tol*prevRMSE {
+			m.Rose = rmse > prevRMSE
 			break
 		}
 		prevRMSE = rmse
@@ -153,7 +161,9 @@ func (m *Model) sgd4(cells []Cell, opts Options) {
 			qi[3] = q3 + eta*(err*p3-lambda*q3)
 		}
 		rmse := math.Sqrt(sse / float64(len(cells)))
+		m.Epochs = epoch + 1
 		if prevRMSE-rmse < opts.Tol*prevRMSE {
+			m.Rose = rmse > prevRMSE
 			break
 		}
 		prevRMSE = rmse

@@ -13,7 +13,9 @@ import (
 
 // trainReference is the implementation Train replaced, kept verbatim as the
 // oracle: a full dense SVD of the mean-imputed matrix for the seed, a global
-// sort of the entries, and an SGD loop through Dense.At/Set.
+// sort of the entries, and an SGD loop through Dense.At/Set. The SGD loop
+// also records where it stopped (Model.Epochs, Model.Rose), which changes no
+// arithmetic.
 func trainReference(s *Sparse, opts Options) *Model {
 	k := opts.K
 	if k <= 0 {
@@ -109,7 +111,9 @@ func referenceSGD(m *Model, s *Sparse, opts Options) {
 			}
 		}
 		rmse := math.Sqrt(sse / float64(len(entries)))
+		m.Epochs = epoch + 1
 		if prevRMSE-rmse < opts.Tol*prevRMSE {
+			m.Rose = rmse > prevRMSE
 			break
 		}
 		prevRMSE = rmse
@@ -169,21 +173,28 @@ func modelsBitEqual(a, b *Model) bool {
 // SGD loop over the row-ordered entry list lands on exactly the reference
 // loop's model — same entry order, same shuffle draws, same arithmetic.
 // K = 4 with item biases takes the unrolled kernel, every other (K, item
-// bias) pair the general loop; both are held to the reference.
+// bias) pair the general loop; both are held to the reference, and so is
+// where each stops: at the default cap and at a 3-epoch cap that binds.
 func TestSGDLoopBitIdenticalToReference(t *testing.T) {
 	for name, s := range trainFixtures() {
 		for k := 1; k <= 5; k++ {
 			for _, itemBias := range []bool{true, false} {
-				opts := DefaultOptions()
-				opts.K, opts.ItemBia = k, itemBias
-				want := trainReference(s, opts)
+				for _, epochs := range []int{DefaultOptions().Epochs, 3} {
+					opts := DefaultOptions()
+					opts.K, opts.ItemBia, opts.Epochs = k, itemBias, epochs
+					want := trainReference(s, opts)
 
-				got := &Model{K: want.K, Mu: s.Mean(), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
-					P: NewDense(s.Rows, want.K), Q: NewDense(s.Cols, want.K), Lambda: opts.Lambda}
-				referenceInit(got, s)
-				got.sgd(s.Freeze(nil).cells, opts)
-				if !modelsBitEqual(got, want) {
-					t.Errorf("%s K=%d itemBias=%v: flat SGD loop diverged from the reference loop", name, k, itemBias)
+					got := &Model{K: want.K, Mu: s.Mean(), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
+						P: NewDense(s.Rows, want.K), Q: NewDense(s.Cols, want.K), Lambda: opts.Lambda}
+					referenceInit(got, s)
+					got.sgd(s.Freeze(nil).cells, opts)
+					if !modelsBitEqual(got, want) {
+						t.Errorf("%s K=%d itemBias=%v cap=%d: flat SGD loop diverged from the reference loop", name, k, itemBias, epochs)
+					}
+					if got.Epochs != want.Epochs || got.Rose != want.Rose {
+						t.Errorf("%s K=%d itemBias=%v cap=%d: stopped after %d epochs (rose %v), reference after %d (rose %v)",
+							name, k, itemBias, epochs, got.Epochs, got.Rose, want.Epochs, want.Rose)
+					}
 				}
 			}
 		}

@@ -102,6 +102,8 @@ type AxisTrainStats struct {
 	Points     int     // retrain points reached
 	Fits       int     // models fitted
 	FitSeconds float64 // wall time spent fitting
+	Epochs     int     // SGD epochs run over all fits
+	Rises      int     // fits that stopped because an epoch's RMSE rose
 }
 
 func newAxis(name string, cols int, cfOpts cf.Options, retrain int) *axis {
@@ -149,6 +151,10 @@ func (a *axis) fit() {
 	a.model = cf.TrainFrozen(a.frozen, a.cfOpts)
 	a.pending = false
 	a.stats.Fits++
+	a.stats.Epochs += a.model.Epochs
+	if a.model.Rose {
+		a.stats.Rises++
+	}
 	a.stats.FitSeconds += float64(prof.Now()-t0) / 1e9
 }
 
@@ -708,12 +714,15 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 
 // Feedback updates one matrix entry with a runtime-observed value (the
 // paper's feedback loop that corrects misclassifications and extends the
-// matrices past profiling scale, §3.2).
+// matrices past profiling scale, §3.2). An unknown workload or axis, a
+// column outside the axis, and a value that is not finite are ignored: one
+// NaN cell would make every value of the axis's next fit NaN.
 func (e *Engine) Feedback(id string, axis Axis, col int, value float64) {
 	t0 := e.prof.Begin()
 	defer e.prof.End(prof.SubClassify, t0)
 	row, ok := e.rowOf[id]
-	if !ok || axis < 0 || axis >= numAxes {
+	if !ok || axis < 0 || axis >= numAxes || col < 0 || col >= e.axes[axis].mat.Cols ||
+		math.IsNaN(value) || math.IsInf(value, 0) {
 		return
 	}
 	if axis == AxisScaleUp || axis == AxisScaleOut || axis == AxisHetero {

@@ -30,6 +30,12 @@ type Estimates struct {
 	Caused  cluster.ResVec
 
 	beta float64 // scale-out exponent fitted to SOLog
+
+	// memoNodes and memoPerf are CorrectWith's one-entry memo: JobPerf over
+	// memoNodes, the last assignment it evaluated, copied into a buffer the
+	// Estimates owns. Empty means no memo.
+	memoNodes []NodeChoice
+	memoPerf  float64
 }
 
 // deriveBeta fits log(scaling) = beta * log(n) over the scale-out row by
@@ -148,12 +154,24 @@ func (es *Estimates) JobPerf(nodes []NodeChoice) float64 {
 // measured performance of a live allocation deviates from the estimate, the
 // deviation is folded back into the estimates (and, via Engine.Feedback,
 // into the matrices), so the scheduler stops trusting — and re-picking —
-// misestimated platforms. It returns the correction factor applied.
+// misestimated platforms. It returns the correction factor applied. A
+// measurement that is not a positive finite number carries no information
+// and is ignored.
+//
+// The monitor calls it on every running workload every tick, mostly with
+// the placement of the tick before, so the estimate is memoized: JobPerf is
+// re-evaluated only when nodes differ bit for bit from the last call's or
+// the last call corrected the estimates. Every other field an estimate
+// depends on is read-only after construction.
 func (es *Estimates) CorrectWith(measured float64, nodes []NodeChoice) float64 {
-	if measured <= 0 || len(nodes) == 0 {
+	if !(measured > 0) || math.IsInf(measured, 1) || len(nodes) == 0 {
 		return 1
 	}
-	est := es.JobPerf(nodes)
+	if !sameNodes(es.memoNodes, nodes) {
+		es.memoPerf = es.JobPerf(nodes)
+		es.memoNodes = append(es.memoNodes[:0], nodes...)
+	}
+	est := es.memoPerf
 	if est <= 0 {
 		return 1
 	}
@@ -168,6 +186,7 @@ func (es *Estimates) CorrectWith(measured float64, nodes []NodeChoice) float64 {
 		return 1 // within noise; leave the estimates alone
 	}
 	adj := math.Log(c)
+	es.memoNodes = es.memoNodes[:0] // HetLog changes below
 nodes:
 	for k, n := range nodes {
 		for _, prev := range nodes[:k] {
@@ -180,4 +199,25 @@ nodes:
 		es.Engine.Feedback(es.ID, AxisHetero, n.PlatformIdx, math.Exp(es.HetLog[n.PlatformIdx]))
 	}
 	return c
+}
+
+// sameNodes reports whether two assignments are bit-identical: the same
+// platforms, allocations and pressures, in the same order.
+func sameNodes(a, b []NodeChoice) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.PlatformIdx != y.PlatformIdx || x.Alloc.Cores != y.Alloc.Cores ||
+			math.Float64bits(x.Alloc.MemoryGB) != math.Float64bits(y.Alloc.MemoryGB) {
+			return false
+		}
+		for r := range x.Pressure {
+			if math.Float64bits(x.Pressure[r]) != math.Float64bits(y.Pressure[r]) {
+				return false
+			}
+		}
+	}
+	return true
 }

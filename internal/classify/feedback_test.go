@@ -2,6 +2,7 @@ package classify
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"quasar/internal/cluster"
@@ -171,6 +172,159 @@ func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 		classify, runtime := stat(prof.SubClassify).Seconds-classify0.Seconds, stat(prof.SubRuntime).Seconds-runtime0.Seconds
 		if classify < fit || runtime >= classify {
 			t.Fatalf("%s: fit of %.6fs booked to the tick: classify +%.6fs, runtime_tick +%.6fs", name, fit, classify, runtime)
+		}
+	}
+}
+
+// correctWithReference is CorrectWith without the memo, on the estimates'
+// own HetLog: the estimate is JobPerf over nodes on every call.
+func correctWithReference(es *Estimates, measured float64, nodes []NodeChoice) float64 {
+	if !(measured > 0) || math.IsInf(measured, 1) || len(nodes) == 0 {
+		return 1
+	}
+	est := es.JobPerf(nodes)
+	if est <= 0 {
+		return 1
+	}
+	c := math.Min(math.Max(measured/est, 0.25), 4)
+	if c > 0.9 && c < 1.1 {
+		return 1
+	}
+	seen := map[int]bool{}
+	for _, n := range nodes {
+		if !seen[n.PlatformIdx] {
+			seen[n.PlatformIdx] = true
+			es.HetLog[n.PlatformIdx] += math.Log(c)
+		}
+	}
+	return c
+}
+
+// TestCorrectWithMemoMatchesRecompute drives CorrectWith and the memo-free
+// reference through random sequences of the monitor's calls, on one node
+// buffer rewritten in place as nodeChoices rewrites its own: the placement
+// kept or changed, one pressure component nudged by an ulp, the measurement
+// inside or outside the noise band, and JobPerf on sub-slices in between
+// (the reclaim check's call). Every return value and every HetLog bit must
+// match. A memo that aliased the caller's buffer, or survived a correction,
+// would hand back a stale estimate and diverge.
+func TestCorrectWithMemoMatchesRecompute(t *testing.T) {
+	e, u := testSetup(t, 2)
+	rng := rand.New(rand.NewSource(42))
+	nplat := len(e.Platforms)
+	for seq := 0; seq < 20; seq++ {
+		w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+		es := e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(int64(seq))))
+		ref := &Estimates{Engine: e, RefPerf: es.RefPerf, SULog: es.SULog, SOLog: es.SOLog,
+			HetLog: append([]float64(nil), es.HetLog...), Tol: es.Tol, Caused: es.Caused, beta: es.beta}
+
+		buf := make([]NodeChoice, 0, 4)
+		place := func() {
+			buf = buf[:0]
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				p := rng.Intn(nplat)
+				var pr cluster.ResVec
+				for r := range pr {
+					pr[r] = 0.5 * rng.Float64()
+				}
+				buf = append(buf, NodeChoice{PlatformIdx: p, Pressure: pr,
+					Alloc: cluster.Alloc{Cores: 1 + rng.Intn(e.Platforms[p].Cores), MemoryGB: float64(1 + rng.Intn(32))}})
+			}
+		}
+		place()
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 2:
+				place()
+			case op < 4:
+				n := &buf[rng.Intn(len(buf))]
+				r := rng.Intn(int(cluster.NumResources))
+				n.Pressure[r] = math.Nextafter(n.Pressure[r], 1)
+			case op < 5:
+				k := rng.Intn(len(buf) + 1)
+				if got, want := es.JobPerf(buf[:k]), ref.JobPerf(buf[:k]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seq %d step %d: JobPerf(nodes[:%d]) = %v, reference %v", seq, step, k, got, want)
+				}
+			}
+			measured := ref.JobPerf(buf)
+			if rng.Intn(2) == 0 {
+				measured *= 0.92 + 0.16*rng.Float64() // inside the noise band
+			} else {
+				measured *= []float64{0.2, 0.5, 0.8, 1.2, 2, 5}[rng.Intn(6)]
+			}
+			got, want := es.CorrectWith(measured, buf), correctWithReference(ref, measured, buf)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seq %d step %d: CorrectWith = %v, reference %v", seq, step, got, want)
+			}
+			for p := range es.HetLog {
+				if math.Float64bits(es.HetLog[p]) != math.Float64bits(ref.HetLog[p]) {
+					t.Fatalf("seq %d step %d: HetLog[%d] = %v, reference %v", seq, step, p, es.HetLog[p], ref.HetLog[p])
+				}
+			}
+		}
+	}
+}
+
+// TestCorrectWithIgnoresNonFiniteMeasurements: a measurement that is NaN or
+// infinite says nothing about the estimate. It must leave the estimates and
+// the heterogeneity matrix as they were, as a zero or negative one does.
+func TestCorrectWithIgnoresNonFiniteMeasurements(t *testing.T) {
+	e, u := testSetup(t, 2)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+	es := e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(5)))
+	nodes := []NodeChoice{{PlatformIdx: 7, Alloc: cluster.Alloc{Cores: 12, MemoryGB: 24}}}
+	row, _ := e.RowOf(w.ID)
+	for _, m := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		het := append([]float64(nil), es.HetLog...)
+		cell, had := e.axes[AxisHetero].mat.Get(row, 7)
+		if c := es.CorrectWith(m, nodes); c != 1 {
+			t.Errorf("measurement %v: correction %v, want 1", m, c)
+		}
+		for p := range het {
+			if math.Float64bits(es.HetLog[p]) != math.Float64bits(het[p]) {
+				t.Errorf("measurement %v: HetLog[%d] %v → %v", m, p, het[p], es.HetLog[p])
+			}
+		}
+		if v, ok := e.axes[AxisHetero].mat.Get(row, 7); ok != had || math.Float64bits(v) != math.Float64bits(cell) {
+			t.Errorf("measurement %v: matrix cell %v → %v", m, cell, v)
+		}
+	}
+}
+
+// TestFeedbackIgnoresNonFiniteAndOutOfRange: Engine.Feedback drops a value
+// that is not finite — one NaN cell would make the axis's next fit NaN
+// everywhere — and a column outside the axis, as it drops an unknown
+// workload, rather than panicking in the matrix.
+func TestFeedbackIgnoresNonFiniteAndOutOfRange(t *testing.T) {
+	e, u := testSetup(t, 2)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+	e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(5)))
+	before, err := e.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var since [numAxes]int
+	for axis := Axis(0); axis < numAxes; axis++ {
+		since[axis] = e.axes[axis].sinceTrain
+		cols := e.axes[axis].mat.Cols
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			e.Feedback(w.ID, axis, 0, v)
+		}
+		for _, col := range []int{-1, cols, cols + 5} {
+			e.Feedback(w.ID, axis, col, 0.5)
+		}
+	}
+	e.Feedback("no-such-workload", AxisHetero, 0, 0.5)
+	after, err := e.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Fatal("ignored feedback changed the matrices")
+	}
+	for axis, a := range e.axes {
+		if a.sinceTrain != since[axis] {
+			t.Errorf("%s: ignored feedback counted toward a retrain point", Axis(axis))
 		}
 	}
 }

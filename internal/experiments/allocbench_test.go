@@ -87,6 +87,10 @@ var allocProbes = []struct {
 	// per-candidate step): two table lookups and three exponentials on the
 	// stack (measured 0.0).
 	{"estimates_nodeperf", "quasar/internal/classify.(*Estimates).NodePerf", 0, nodePerfProbe},
+	// The monitor's per-task feedback step at steady state: an in-band
+	// measurement on an unchanged placement reads the memoized estimate,
+	// whose key buffer the estimates already own (measured 0.0).
+	{"estimates_correctwith", "quasar/internal/classify.(*Estimates).CorrectWith", 0, correctWithProbe},
 	// One oracle target sweep for a configured Hadoop job, paid by every
 	// targeted batch arrival in Universe.New: each platform's whole-server
 	// allocation and configuration candidates refill two buffers reused
@@ -288,9 +292,9 @@ func oracleSweepProbe(*testing.T) float64 {
 	})
 }
 
-// nodePerfProbe measures one Estimates.NodePerf on a classified workload,
-// cycling platforms and allocations on and off the scale-up grid.
-func nodePerfProbe(*testing.T) float64 {
+// classifiedHadoop classifies one Hadoop job against a three-row library
+// on the local platforms.
+func classifiedHadoop() (*classify.Estimates, []cluster.Platform) {
 	const seed = allocSeed
 	platforms := cluster.LocalPlatforms()
 	u := workload.NewUniverse(platforms, seed, 3)
@@ -300,7 +304,13 @@ func nodePerfProbe(*testing.T) float64 {
 		ceng.SeedOffline(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+int64(i))))
 	}
 	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
-	es := ceng.Classify(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+7)))
+	return ceng.Classify(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+7))), platforms
+}
+
+// nodePerfProbe measures one Estimates.NodePerf on a classified workload,
+// cycling platforms and allocations on and off the scale-up grid.
+func nodePerfProbe(*testing.T) float64 {
+	es, platforms := classifiedHadoop()
 	pressure := cluster.ResVec{0.2, 0.1, 0.3}
 	i, sum := 0, 0.0
 	return testing.AllocsPerRun(allocRuns, func() {
@@ -308,4 +318,20 @@ func nodePerfProbe(*testing.T) float64 {
 		p := &platforms[i%len(platforms)]
 		sum += es.NodePerf(i%len(platforms), cluster.Alloc{Cores: 1 + i%p.Cores, MemoryGB: p.MemoryGB / float64(1+i%3)}, pressure)
 	})
+}
+
+// correctWithProbe measures one Estimates.CorrectWith as the monitor makes it
+// on a task whose placement did not change since the last tick: the same
+// two-node assignment, measured inside the noise band.
+func correctWithProbe(t *testing.T) float64 {
+	es, _ := classifiedHadoop()
+	nodes := []classify.NodeChoice{
+		{PlatformIdx: 7, Alloc: cluster.Alloc{Cores: 12, MemoryGB: 24}, Pressure: cluster.ResVec{0.2, 0.1, 0.3}},
+		{PlatformIdx: 9, Alloc: cluster.Alloc{Cores: 8, MemoryGB: 16}, Pressure: cluster.ResVec{0.1, 0.4}},
+	}
+	measured := 1.02 * es.JobPerf(nodes)
+	if c := es.CorrectWith(measured, nodes); c != 1 {
+		t.Fatalf("in-band measurement applied a correction of %v", c)
+	}
+	return testing.AllocsPerRun(allocRuns, func() { es.CorrectWith(measured, nodes) })
 }

@@ -62,7 +62,8 @@ func simulatedDay(t *testing.T, afterEvent func(*classify.Engine)) (*Scenario, [
 // TestTrainStatsOnSimulatedDay reads the saving off Engine.TrainStats after
 // the simulated day: no axis fits more often than it reaches a retrain point,
 // and the heterogeneity axis — fed by the monitor every tick, read only when
-// something is classified — never fits most of its points.
+// something is classified — never fits most of its points. Each fit runs
+// between one SGD epoch and the cap, and at most every fit stops on a rise.
 func TestTrainStatsOnSimulatedDay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full simulated day")
@@ -72,15 +73,22 @@ func TestTrainStatsOnSimulatedDay(t *testing.T) {
 	e := s.Q.Engine()
 	e.EnsureTrained() // nothing left pending: points − fits were never fitted
 	stats := e.TrainStats()
+	epochCap := classify.DefaultOptions().CF.Epochs
 	for axis, st := range stats {
 		if st.Points == 0 || st.Fits == 0 || st.Fits > st.Points || st.FitSeconds <= 0 {
 			t.Errorf("%s: %+v: want 0 < fits ≤ retrain points and the fitting time booked", classify.Axis(axis), st)
+		}
+		if st.Rises > st.Fits || st.Epochs < st.Fits || st.Epochs > st.Fits*epochCap {
+			t.Errorf("%s: %+v: want rises ≤ fits ≤ epochs ≤ fits × %d", classify.Axis(axis), st, epochCap)
 		}
 	}
 	if het := stats[classify.AxisHetero]; het.Points < 100 || 2*het.Fits > het.Points {
 		t.Errorf("heterogeneity axis %+v: want at least half of the day's retrain points never fitted", het)
 	}
-	t.Logf("retrain points / fits / fit seconds per axis: %+v", stats)
+	for axis, st := range stats {
+		t.Logf("%-12s points %4d  fits %4d  fit %.3fs  epochs %6d (%.1f per fit)  stopped on a rise %d of %d",
+			classify.Axis(axis), st.Points, st.Fits, st.FitSeconds, st.Epochs, float64(st.Epochs)/float64(st.Fits), st.Rises, st.Fits)
+	}
 }
 
 // TestSimulatedDayUnchangedByEarlyFits is the deferral's identity claim on a

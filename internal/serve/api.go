@@ -162,17 +162,25 @@ func decodeOne(dec *json.Decoder, v any) error {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	t0 := telNow()
-	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := decodeOne(dec, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad submit body: %v", err)
-		return
-	}
-	if err := req.validate(); err != nil {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.admit(w, t0, Entry{Kind: KindSubmit, Submit: &req})
+	s.admit(w, t0, Entry{Kind: KindSubmit, Submit: req})
+}
+
+// decodeSubmit reads and validates a submit body: exactly one JSON request
+// with known fields only, describing a workload the engine can build.
+func decodeSubmit(body io.Reader) (*SubmitRequest, error) {
+	var req SubmitRequest
+	if err := decodeOne(json.NewDecoder(body), &req); err != nil {
+		return nil, fmt.Errorf("bad submit body: %w", err)
+	}
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	return &req, nil
 }
 
 func (s *Server) handleTarget(w http.ResponseWriter, r *http.Request) {
