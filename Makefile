@@ -25,10 +25,10 @@ lint: fmt-check
 
 ## bench: run the repository benchmarks — one iteration of every paper
 ## artifact, then the classifier's inner loops (BenchmarkTrain must stay flat
-## in the number of rows, and its 110x10 heterogeneity shape is the fit a
-## simulated day pays most often; BenchmarkFreeze is one retrain point;
-## BenchmarkSymEig is the fit's cubic term; BenchmarkNodePerf is paid per
-## node per tick) and the oracle target sweep
+## in the number of rows; BenchmarkFreeze is one retrain point; BenchmarkTopK
+## is the fit's SVD seed at the end-of-day scale-up shape, and BenchmarkSymEig
+## its cubic term; BenchmarkNodePerf is paid per node per tick) and the
+## oracle target sweep
 ## (BenchmarkOracleBestCompletion: paid per targeted batch arrival), then the
 ## random streams: minting one builds no register (BenchmarkNewRNG,
 ## BenchmarkStream), a typical stream is minted and drawn 19 times
@@ -41,7 +41,7 @@ lint: fmt-check
 ## encoding/json decode it falls back to (BenchmarkJournalNext)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='^Benchmark(Train|Freeze|SymEig|NodePerf|OracleBestCompletion)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
+	$(GO) test -bench='^Benchmark(Train|Freeze|TopK|SymEig|NodePerf|OracleBestCompletion)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
 	$(GO) test -bench='^Benchmark(NewRNG|Stream|StreamDraws|Shuffle)$$' -benchmem -run=^$$ ./internal/sim
 	$(GO) test -bench='^Benchmark(Rank|Schedule)$$' -benchmem -run=^$$ ./internal/sched
 	$(GO) test -bench='^BenchmarkJournalNext$$' -benchmem -run=^$$ ./internal/serve

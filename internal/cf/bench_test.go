@@ -29,8 +29,8 @@ var trainSink *Model
 // (the cost must stay flat in rows), 12x81 a small library (short-fat: fewer
 // rows than columns), 26x81 the sim_scale_churn library with every row
 // dense, 110x10 the heterogeneity matrix of a simulated day (a row per
-// workload, a column per platform; fitted about ten times as often as the
-// scale-up matrix), 30x560 the exhaustive joint classifier's library.
+// workload, a column per platform), 30x560 the exhaustive joint classifier's
+// library.
 var trainShapes = []struct{ rows, cols, dense int }{
 	{12, 81, 12}, {26, 81, 26}, {110, 10, 110}, {231, 81, 21}, {538, 81, 21}, {30, 560, 30},
 }
@@ -49,8 +49,8 @@ func BenchmarkTrain(b *testing.B) {
 }
 
 // BenchmarkFreeze: one retrain point — the matrix captured into the axis's
-// reused buffer — at the heterogeneity shape, whose axis reaches one several
-// hundred times a simulated day, and at the end-of-day scale-up shape.
+// reused buffer — at the heterogeneity shape and at the end-of-day scale-up
+// shape.
 func BenchmarkFreeze(b *testing.B) {
 	for _, sh := range []struct{ rows, cols, dense int }{{110, 10, 110}, {231, 81, 21}} {
 		s := libraryShaped(sh.rows, sh.cols, sh.dense, 7)
@@ -61,5 +61,18 @@ func BenchmarkFreeze(b *testing.B) {
 				f = s.Freeze(f)
 			}
 		})
+	}
+}
+
+var topKSink *SVD
+
+// BenchmarkTopK: the fit's seed alone — Gram build, eigen-solve and the U
+// pass — at the end-of-day scale-up shape.
+func BenchmarkTopK(b *testing.B) {
+	f := libraryShaped(231, 81, 21, 7).Freeze(nil)
+	mu, k := meanOf(f.cells), DefaultOptions().K
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		topKSink = topK(f.cells, f.Rows, f.Cols, mu, k)
 	}
 }

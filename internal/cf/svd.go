@@ -196,15 +196,16 @@ func topK(cells []Cell, rows, cols int, mu float64, k int) *SVD {
 		t := topK(transposed(cells, cols), cols, rows, mu, k)
 		return &SVD{U: t.V, S: t.S, V: t.U}
 	}
-	// Each row of A adds the outer product of its cells; both triangles get
-	// the same products in the same order, so g is exactly symmetric.
+	// Each row of A adds the outer product of its cells. symEig reads only
+	// the upper triangle (row ≤ column), and a row's cells are sorted by
+	// column, so each cell pairs with itself and the cells after it.
 	g := NewDense(cols, cols)
 	for lo, hi := 0, 0; lo < len(cells); lo = hi {
 		for hi = lo + 1; hi < len(cells) && cells[hi].Row == cells[lo].Row; hi++ {
 		}
-		for _, a := range cells[lo:hi] {
+		for x, a := range cells[lo:hi] {
 			ga := g.Data[int(a.Col)*cols:]
-			for _, b := range cells[lo:hi] {
+			for _, b := range cells[lo+x : hi] {
 				ga[b.Col] += (a.V - mu) * (b.V - mu)
 			}
 		}

@@ -313,6 +313,33 @@ func FuzzSymEigMatchesJacobi(f *testing.F) {
 	})
 }
 
+// TestSymEigReadsUpperTriangle: topK builds only the Gram matrix's upper
+// triangle, so symEig must not read below the diagonal. A lower triangle of
+// NaNs must leave every output bit as the symmetric matrix gives it.
+func TestSymEigReadsUpperTriangle(t *testing.T) {
+	for _, n := range []int{1, 2, 10, 81} {
+		g := gramOf(n, n, 5)
+		upper := g.Clone()
+		for i := 0; i < n; i++ {
+			for j := 0; j < i; j++ {
+				upper.Data[i*n+j] = math.NaN()
+			}
+		}
+		wantVals, wantVecs := symEig(g)
+		gotVals, gotVecs := symEig(upper)
+		for i := range wantVals {
+			if math.Float64bits(gotVals[i]) != math.Float64bits(wantVals[i]) {
+				t.Fatalf("order %d: eigenvalue %d is %v from the upper triangle, %v from the full matrix", n, i, gotVals[i], wantVals[i])
+			}
+		}
+		for i := range wantVecs.Data {
+			if math.Float64bits(gotVecs.Data[i]) != math.Float64bits(wantVecs.Data[i]) {
+				t.Fatalf("order %d: eigenvector entry %d is %v from the upper triangle, %v from the full matrix", n, i, gotVecs.Data[i], wantVecs.Data[i])
+			}
+		}
+	}
+}
+
 var eigSink []float64
 
 // BenchmarkSymEig: the eigen-solve alone at the hetero (10), scale-up (81)

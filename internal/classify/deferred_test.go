@@ -16,9 +16,12 @@ import (
 // The deferred fit must change nothing a caller can observe. Two oracles
 // say so.
 //
-// referenceAxis is the axis as it was before fits were deferred, kept
-// verbatim: every retrain point trains on the spot, from the live matrix.
-// It is compared with axis over arbitrary interleavings of writes and reads.
+// referenceAxis is the axis as it was before fits were deferred: every
+// retrain point trains on the spot, from the live matrix. It counts runtime
+// feedback once per row per retrain interval with a set of the rows counted
+// since the last retrain point, emptied there — the rule axis keeps with a
+// per-row interval stamp. It is compared with axis over arbitrary
+// interleavings of writes and reads.
 //
 // forceFits turns a whole Engine into that eager engine from outside: called
 // after every engine op, it fits whatever retrain point the op left pending.
@@ -35,6 +38,7 @@ type referenceAxis struct {
 	mat        *cf.Sparse
 	model      *cf.Model
 	sinceTrain int
+	fed        map[int]bool // rows whose feedback was counted since the last retrain point
 	cfOpts     cf.Options
 	retrain    int
 }
@@ -59,6 +63,7 @@ func (a *referenceAxis) appendRow(obs map[int]float64) int {
 func (a *referenceAxis) train() {
 	a.model = cf.Train(a.mat, a.cfOpts)
 	a.sinceTrain = 0
+	a.fed = nil
 }
 
 func (a *referenceAxis) estimateRow(rowIdx int, obs map[int]float64) []float64 {
@@ -83,11 +88,20 @@ func (a *referenceAxis) estimateRow(rowIdx int, obs map[int]float64) []float64 {
 	return row
 }
 
-func (a *referenceAxis) feedback(row, col int, v float64) {
+func (a *referenceAxis) feedback(row, col int, v float64, oncePerRow bool) {
 	if row < 0 || row >= a.mat.Rows {
 		return
 	}
 	a.mat.Set(row, col, v)
+	if oncePerRow {
+		if a.fed[row] {
+			return
+		}
+		if a.fed == nil {
+			a.fed = map[int]bool{}
+		}
+		a.fed[row] = true
+	}
 	a.sinceTrain++
 	if a.sinceTrain >= a.retrainThreshold() {
 		a.train()
@@ -160,10 +174,13 @@ func TestAxisMatchesEagerReference(t *testing.T) {
 					if g, w := got.appendRow(obs), want.appendRow(obs); g != w {
 						t.Fatalf("%s: appended row %d, reference %d", name, g, w)
 					}
-				case k < 8:
-					row, col, v := rng.Intn(got.mat.Rows+2)-1, rng.Intn(cols), rng.NormFloat64()
-					got.feedback(row, col, v)
-					want.feedback(row, col, v)
+				case k < 8: // a burst on one row, counted per cell or once per row
+					row, oncePerRow := rng.Intn(got.mat.Rows+2)-1, rng.Intn(2) == 0
+					for n := 1 + rng.Intn(4); n > 0; n-- {
+						col, v := rng.Intn(cols), rng.NormFloat64()
+						got.feedback(row, col, v, oncePerRow)
+						want.feedback(row, col, v, oncePerRow)
+					}
 				default:
 					row, obs := rng.Intn(got.mat.Rows+2)-1, randObs(rng.Intn(3))
 					if g, w := got.estimateRow(row, obs), want.estimateRow(row, obs); !bitsEqual(g, w) {
@@ -226,17 +243,19 @@ func randomOpsRun(t *testing.T, seed int64, nOps int, afterOp func(*Engine)) ([]
 			w, p := fresh()
 			out = append(out, estimateFloats(e.Classify(w, p)))
 			known = append(known, w)
-		case k < 74: // feedback on every axis, plus the ids and axes it must ignore
+		case k < 74: // bursts of feedback on one row, on every axis, plus the ids and axes it must ignore
 			id := "no-such-workload"
 			if rng.Intn(20) > 0 {
 				id = known[rng.Intn(len(known))].ID
 			}
-			axis := Axis(rng.Intn(int(numAxes)+2) - 1)
-			col := 0
-			if axis >= 0 && axis < numAxes {
-				col = rng.Intn(e.axes[axis].mat.Cols)
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				axis := Axis(rng.Intn(int(numAxes)+2) - 1)
+				col := 0
+				if axis >= 0 && axis < numAxes {
+					col = rng.Intn(e.axes[axis].mat.Cols)
+				}
+				e.Feedback(id, axis, col, math.Exp(rng.NormFloat64()))
 			}
-			e.Feedback(id, axis, col, math.Exp(rng.NormFloat64()))
 		case k < 82: // a known workload, or an unknown one (which classifies)
 			w := known[rng.Intn(len(known))]
 			if rng.Intn(8) == 0 {
@@ -337,15 +356,14 @@ func compareRuns(t *testing.T, name string, gotOut, wantOut [][]float64, deferre
 // EnsureTrained then resolves the pending point.
 func TestDetachedReadNeverFits(t *testing.T) {
 	e, u := testSetup(t, 2)
-	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
-	e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(5)))
 	het := e.axes[AxisHetero]
+	_, fed := classifyFresh(e, u, het.retrainThreshold())
 	settled, fits := het.model, het.stats.Fits
 	for i := 0; !het.pending; i++ {
-		if i > 10*het.retrainThreshold() {
-			t.Fatal("feedback never reached a retrain point")
+		if i == len(fed) {
+			t.Fatalf("feedback to %d distinct rows never reached a retrain point", len(fed))
 		}
-		e.Feedback(w.ID, AxisHetero, 3, 0.5+float64(i))
+		e.Feedback(fed[i].ID, AxisHetero, 3, 0.5+float64(i))
 	}
 
 	w2 := u.New(workload.Spec{Type: workload.Spark, Family: -1, MaxNodes: 4})

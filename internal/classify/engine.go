@@ -51,8 +51,9 @@ type Options struct {
 	Entries int
 	// CF configures the latent-factor models.
 	CF cf.Options
-	// RetrainEvery triggers a full model retrain after this many appended
-	// rows per axis.
+	// RetrainEvery triggers a full model retrain after this many changed
+	// rows per axis: appended, re-profiled (one per written cell) or fed
+	// back at runtime (once per retrain interval).
 	RetrainEvery int
 }
 
@@ -74,12 +75,13 @@ func safeLog(v float64) float64 {
 // and the retraining state between the two.
 //
 // Retraining is split in two. A retrain point (train) is reached on the write
-// side — every retrainThreshold()-th appended row or feedback entry — and
-// only freezes the matrix as it stands: an O(nnz) copy into a buffer the axis
-// re-uses. The fit that turns the freeze into a model runs on the read side,
-// in the first estimateRow / EnsureTrained / RetrainAll / LoadSnapshot after
-// it; a retrain point reached before anyone read the previous one overwrites
-// its freeze, so a model nobody consults is never built. cf.TrainFrozen is a
+// side — once retrainThreshold() changed rows have been counted since the last
+// one (appendRow and feedback say what counts) — and only freezes the matrix
+// as it stands: an O(nnz) copy into a buffer the axis re-uses. The fit that
+// turns the freeze into a model runs on the read side, in the first
+// estimateRow / EnsureTrained / RetrainAll / LoadSnapshot after it; a retrain
+// point reached before anyone read the previous one overwrites its freeze, so
+// a model nobody consults is never built. cf.TrainFrozen is a
 // pure function of the frozen cells and the options (it seeds its own shuffle
 // and draws nothing from the engine RNG), so every read sees exactly the model
 // an on-the-spot fit would have produced.
@@ -89,7 +91,9 @@ type axis struct {
 	model      *cf.Model
 	frozen     *cf.Frozen // the matrix at the latest retrain point
 	pending    bool       // frozen has not been fitted into model yet
-	sinceTrain int
+	sinceTrain int        // changes counted toward the next retrain point
+	interval   int        // numbers the current retrain interval from 1; train bumps it
+	fedIn      []int      // per row: the interval its runtime feedback was last counted in
 	cfOpts     cf.Options
 	retrain    int
 	stats      AxisTrainStats
@@ -107,7 +111,7 @@ type AxisTrainStats struct {
 }
 
 func newAxis(name string, cols int, cfOpts cf.Options, retrain int) *axis {
-	return &axis{name: name, mat: cf.NewSparse(0, cols), cfOpts: cfOpts, retrain: retrain}
+	return &axis{name: name, mat: cf.NewSparse(0, cols), cfOpts: cfOpts, retrain: retrain, interval: 1}
 }
 
 // retrainThreshold grows with the matrix so training cost stays amortized:
@@ -138,6 +142,7 @@ func (a *axis) train() {
 	a.frozen = a.mat.Freeze(a.frozen)
 	a.pending = true
 	a.sinceTrain = 0
+	a.interval++
 	a.stats.Points++
 }
 
@@ -210,11 +215,32 @@ func (a *axis) estimateRowFrozen(obs map[int]float64) []float64 {
 	return row
 }
 
-func (a *axis) feedback(row, col int, v float64) {
+// How a write to an existing row counts toward the next retrain point.
+const (
+	perCell = false // every cell written is one change (Reclassify's re-profile)
+	perRow  = true  // a row is one change per retrain interval (runtime feedback)
+)
+
+// feedback writes one cell of an existing row. The write always lands; what
+// it adds toward the next retrain point depends on who writes. A re-profile
+// counts every cell. Runtime feedback rewrites the same few cells of the same
+// running workloads tick after tick, so it counts a row only the first time
+// it is fed back since the last retrain point: "what changed" is rows, as for
+// appends, not cell writes.
+func (a *axis) feedback(row, col int, v float64, oncePerRow bool) {
 	if row < 0 || row >= a.mat.Rows {
 		return
 	}
 	a.mat.Set(row, col, v)
+	if oncePerRow {
+		if row >= len(a.fedIn) {
+			a.fedIn = append(a.fedIn, make([]int, a.mat.Rows-len(a.fedIn))...)
+		}
+		if a.fedIn[row] == a.interval {
+			return
+		}
+		a.fedIn[row] = a.interval
+	}
 	a.sinceTrain++
 	if a.sinceTrain >= a.retrainThreshold() {
 		a.train()
@@ -679,12 +705,12 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 	refLog := safeLog(refPerf)
 	su := make(map[int]float64, entries)
 	su[e.refCol] = 0
-	e.axes[AxisScaleUp].feedback(row, e.refCol, 0)
+	e.axes[AxisScaleUp].feedback(row, e.refCol, 0, perCell)
 	for _, j := range pickDistinct(rng, len(e.SUCols), entries) {
 		col := e.SUCols[j]
 		v := safeLog(p.ScaleUp(cluster.Alloc{Cores: col.Cores, MemoryGB: col.MemoryGB})) - refLog
 		su[j] = v
-		e.axes[AxisScaleUp].feedback(row, j, v)
+		e.axes[AxisScaleUp].feedback(row, j, v, perCell)
 	}
 	so := map[int]float64{}
 	if w.Type.Distributed() {
@@ -692,16 +718,16 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 	}
 	het := map[int]float64{}
 	het[e.HighEnd] = 0
-	e.axes[AxisHetero].feedback(row, e.HighEnd, 0)
+	e.axes[AxisHetero].feedback(row, e.HighEnd, 0, perCell)
 	tol := make(map[int]float64, entries)
 	for _, r := range pickDistinct(rng, int(cluster.NumResources), entries) {
 		tol[r] = clamp01(p.ToleratedIntensity(cluster.Resource(r)))
-		e.axes[AxisTolerated].feedback(row, r, tol[r])
+		e.axes[AxisTolerated].feedback(row, r, tol[r], perCell)
 	}
 	caused := make(map[int]float64, entries)
 	for _, r := range pickDistinct(rng, int(cluster.NumResources), entries) {
 		caused[r] = clamp01(p.CausedIntensity(cluster.Resource(r)))
-		e.axes[AxisCaused].feedback(row, r, caused[r])
+		e.axes[AxisCaused].feedback(row, r, caused[r], perCell)
 	}
 	po := &ProbeObs{RefPerf: refPerf}
 	po.obs[AxisScaleUp] = su
@@ -714,7 +740,9 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 
 // Feedback updates one matrix entry with a runtime-observed value (the
 // paper's feedback loop that corrects misclassifications and extends the
-// matrices past profiling scale, §3.2). An unknown workload or axis, a
+// matrices past profiling scale, §3.2). The entry is written every time, but
+// it counts toward the axis's next retrain point only the first time its row
+// is fed back since the last one. An unknown workload or axis, a
 // column outside the axis, and a value that is not finite are ignored: one
 // NaN cell would make every value of the axis's next fit NaN.
 func (e *Engine) Feedback(id string, axis Axis, col int, value float64) {
@@ -730,7 +758,7 @@ func (e *Engine) Feedback(id string, axis Axis, col int, value float64) {
 	} else {
 		value = clamp01(value)
 	}
-	e.axes[axis].feedback(row, col, value)
+	e.axes[axis].feedback(row, col, value, perRow)
 }
 
 func clamp01(x float64) float64 {

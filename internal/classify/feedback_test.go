@@ -115,8 +115,8 @@ func TestBetaWeightsObservedPoints(t *testing.T) {
 // to the tick section it is nested in.
 func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 	e, u := testSetup(t, 2)
-	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
-	es := e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(5)))
+	ws, fed := classifyFresh(e, u, e.axes[AxisHetero].retrainThreshold())
+	w := ws[0]
 	nodes := []NodeChoice{{PlatformIdx: 7, Alloc: cluster.Alloc{Cores: 12, MemoryGB: 24}}}
 
 	p := prof.New()
@@ -134,10 +134,12 @@ func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 
 	tick := p.Begin()
 	for het.stats.Points == start.Points {
-		if feedbacks++; feedbacks > 10*het.retrainThreshold() {
-			t.Fatal("feedback never reached a retrain point")
+		if feedbacks == len(fed) {
+			t.Fatalf("feedback on %d distinct workloads never reached a retrain point", len(fed))
 		}
+		es := fed[feedbacks]
 		es.CorrectWith(es.JobPerf(nodes)*0.5, nodes)
+		feedbacks++
 	}
 	p.End(prof.SubRuntime, tick)
 	if het.model != before || het.stats.Fits != start.Fits || !het.pending {
@@ -173,6 +175,68 @@ func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 		if classify < fit || runtime >= classify {
 			t.Fatalf("%s: fit of %.6fs booked to the tick: classify +%.6fs, runtime_tick +%.6fs", name, fit, classify, runtime)
 		}
+	}
+}
+
+// classifyFresh classifies n new workloads and returns them with their
+// estimates, each workload its own matrix row.
+func classifyFresh(e *Engine, u *workload.Universe, n int) ([]*workload.Instance, []*Estimates) {
+	ws, ests := make([]*workload.Instance, n), make([]*Estimates, n)
+	for i := range ws {
+		ws[i] = u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+		ests[i] = e.Classify(ws[i], NewGroundTruthProber(ws[i], e.Platforms, sim.NewRNG(int64(5+i))))
+	}
+	return ws, ests
+}
+
+// TestFeedbackCountsRowOncePerInterval: runtime feedback rewrites the same
+// cells of the same running workloads tick after tick. However often one row
+// is fed back, it is one change toward the next retrain point until that
+// point is reached; threshold-many distinct rows reach it. Every write still
+// lands in the matrix, and a re-profile still counts each cell it writes.
+func TestFeedbackCountsRowOncePerInterval(t *testing.T) {
+	e, u := testSetup(t, 2)
+	het := e.axes[AxisHetero]
+	ws, fed := classifyFresh(e, u, het.retrainThreshold())
+	row, _ := e.RowOf(fed[0].ID)
+
+	since, points := het.sinceTrain, het.stats.Points
+	for i := 0; i < 3*het.retrainThreshold(); i++ {
+		v := 0.5 + 0.01*float64(i)
+		e.Feedback(fed[0].ID, AxisHetero, i%len(e.Platforms), v)
+		if got, ok := het.mat.Get(row, i%len(e.Platforms)); !ok || math.Float64bits(got) != math.Float64bits(safeLog(v)) {
+			t.Fatalf("feedback %d: matrix cell %v, want %v", i, got, safeLog(v))
+		}
+	}
+	if het.sinceTrain != since+1 || het.stats.Points != points {
+		t.Fatalf("%d feedbacks to one row: sinceTrain %d → %d, points %d → %d; want one change and no retrain point",
+			3*het.retrainThreshold(), since, het.sinceTrain, points, het.stats.Points)
+	}
+
+	for i := 1; het.stats.Points == points; i++ {
+		if i == len(fed) {
+			t.Fatalf("feedback to %d distinct rows never reached a retrain point (sinceTrain %d, threshold %d)",
+				len(fed), het.sinceTrain, het.retrainThreshold())
+		}
+		e.Feedback(fed[i].ID, AxisHetero, 3, 0.5)
+	}
+	if het.sinceTrain != 0 {
+		t.Fatalf("sinceTrain %d after a retrain point, want 0", het.sinceTrain)
+	}
+	// A new retrain interval: the first row counts again, once.
+	e.Feedback(fed[0].ID, AxisHetero, 3, 0.7)
+	e.Feedback(fed[0].ID, AxisHetero, 4, 0.7)
+	if het.sinceTrain != 1 {
+		t.Fatalf("sinceTrain %d after feeding one row back twice in a new interval, want 1", het.sinceTrain)
+	}
+
+	// Reclassify's re-profile counts every cell it writes: on the scale-up
+	// axis the reference column plus Entries picked ones.
+	su := e.axes[AxisScaleUp]
+	su.train()
+	e.Reclassify(ws[0], NewGroundTruthProber(ws[0], e.Platforms, sim.NewRNG(9)))
+	if want := 1 + e.opts.Entries; su.sinceTrain != want {
+		t.Fatalf("re-profile counted %d scale-up changes, want %d (one per written cell)", su.sinceTrain, want)
 	}
 }
 

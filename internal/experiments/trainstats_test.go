@@ -59,11 +59,15 @@ func simulatedDay(t *testing.T, afterEvent func(*classify.Engine)) (*Scenario, [
 	return s, trace.Bytes()
 }
 
-// TestTrainStatsOnSimulatedDay reads the saving off Engine.TrainStats after
-// the simulated day: no axis fits more often than it reaches a retrain point,
-// and the heterogeneity axis — fed by the monitor every tick, read only when
-// something is classified — never fits most of its points. Each fit runs
-// between one SGD epoch and the cap, and at most every fit stops on a rise.
+// TestTrainStatsOnSimulatedDay reads Engine.TrainStats after the simulated
+// day: no axis fits more often than it reaches a retrain point, and each fit
+// runs between one SGD epoch and the cap, and at most every fit stops on a
+// rise. It also guards against a retrain storm. The monitor feeds the
+// heterogeneity cells of every running workload back on every tick. If each
+// of those writes counted toward RetrainEvery, that axis would reach more than
+// ten times the retrain points of the interference axes, which change only by
+// appends and re-profiles. Counted once per row per retrain interval, it
+// reaches about as many.
 func TestTrainStatsOnSimulatedDay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full simulated day")
@@ -82,8 +86,9 @@ func TestTrainStatsOnSimulatedDay(t *testing.T) {
 			t.Errorf("%s: %+v: want rises ≤ fits ≤ epochs ≤ fits × %d", classify.Axis(axis), st, epochCap)
 		}
 	}
-	if het := stats[classify.AxisHetero]; het.Points < 100 || 2*het.Fits > het.Points {
-		t.Errorf("heterogeneity axis %+v: want at least half of the day's retrain points never fitted", het)
+	if het, tol := stats[classify.AxisHetero], stats[classify.AxisTolerated]; het.Points > 2*tol.Points {
+		t.Errorf("heterogeneity axis reached %d retrain points, interference-tolerated %d: want at most twice as many",
+			het.Points, tol.Points)
 	}
 	for axis, st := range stats {
 		t.Logf("%-12s points %4d  fits %4d  fit %.3fs  epochs %6d (%.1f per fit)  stopped on a rise %d of %d",
@@ -97,7 +102,8 @@ func TestTrainStatsOnSimulatedDay(t *testing.T) {
 // resolves every pending retrain point as soon as the event that reached it
 // returns, instead of leaving it to the next reader, and must end with the
 // same trace — every classification's estimates, every decision, byte for
-// byte — and the same classifier matrices.
+// byte — the same classifier matrices and the same retrain points on every
+// axis, none of them fitted more often than the early run fits it.
 func TestSimulatedDayUnchangedByEarlyFits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full simulated day twice")
@@ -119,8 +125,11 @@ func TestSimulatedDayUnchangedByEarlyFits(t *testing.T) {
 	if !bytes.Equal(lazySnap, earlySnap) {
 		t.Error("fitting early changed the classifier matrices the day ends with")
 	}
-	lazyHet, earlyHet := lazy.Q.Engine().TrainStats()[classify.AxisHetero], early.Q.Engine().TrainStats()[classify.AxisHetero]
-	if lazyHet.Points != earlyHet.Points || lazyHet.Fits >= earlyHet.Fits {
-		t.Errorf("heterogeneity axis: deferred %+v, early %+v: want the same retrain points and fewer fits when deferred", lazyHet, earlyHet)
+	earlyStats := early.Q.Engine().TrainStats()
+	for axis, st := range lazy.Q.Engine().TrainStats() {
+		if est := earlyStats[axis]; st.Points != est.Points || st.Fits > est.Fits {
+			t.Errorf("%s: deferred %+v, early %+v: want the same retrain points and no more fits when deferred",
+				classify.Axis(axis), st, est)
+		}
 	}
 }

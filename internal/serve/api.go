@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"quasar/internal/classify"
 	"quasar/internal/obs"
 )
 
@@ -349,9 +350,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, resp)
 }
 
-// promSnapshot renders the Prometheus text snapshot under the engine lock,
-// into a buffer so the (unlocked) response write never blocks the pacer on
-// a slow scraper.
+// promSnapshot renders the Prometheus text snapshot and the classifier's
+// retraining counters under the engine lock, into a buffer so the (unlocked)
+// response write never blocks the pacer on a slow scraper.
 func (s *Server) promSnapshot() ([]byte, error) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
@@ -359,7 +360,32 @@ func (s *Server) promSnapshot() ([]byte, error) {
 	if err := obs.WritePromSnapshot(&buf, s.w.Tracer); err != nil {
 		return nil, err
 	}
+	if err := writeTrainStats(&buf, s.w.Q.Engine().TrainStats()); err != nil {
+		return nil, err
+	}
 	return buf.Bytes(), nil
+}
+
+// writeTrainStats renders Engine.TrainStats as per-axis counters. Fit seconds
+// are wall time, so the counters are rendered from a registry built per
+// scrape, never registered on the tracer's deterministic one.
+func writeTrainStats(w io.Writer, stats []classify.AxisTrainStats) error {
+	reg := obs.NewRegistry()
+	for _, m := range []struct {
+		name, help string
+		value      func(classify.AxisTrainStats) float64
+	}{
+		{"classify_retrain_points_total", "retrain points reached (matrix freezes)",
+			func(st classify.AxisTrainStats) float64 { return float64(st.Points) }},
+		{"classify_fits_total", "models fitted", func(st classify.AxisTrainStats) float64 { return float64(st.Fits) }},
+		{"classify_fit_seconds_total", "wall time spent fitting", func(st classify.AxisTrainStats) float64 { return st.FitSeconds }},
+		{"classify_fit_epochs_total", "SGD epochs run over all fits", func(st classify.AxisTrainStats) float64 { return float64(st.Epochs) }},
+	} {
+		for axis, st := range stats {
+			reg.LabeledCounter(m.name, `axis="`+classify.Axis(axis).String()+`"`, m.help).Add(m.value(st))
+		}
+	}
+	return obs.WritePromRegistry(w, reg)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -10,11 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"quasar/internal/classify"
 	"quasar/internal/obs"
 )
 
@@ -189,6 +191,78 @@ func TestRequestSpansEndToEnd(t *testing.T) {
 		}
 	}
 	stopServer(t, s, done)
+}
+
+// TestMetricsExportTrainStats scrapes the classifier's retraining counters
+// off /metrics: every axis carries retrain points, fits, fit seconds and
+// epochs, in one sample group per counter, with fits ≤ points and fits ≤
+// epochs. A classified submit shows up as a heterogeneity fit, and no
+// scraped counter is ahead of the engine's own TrainStats.
+func TestMetricsExportTrainStats(t *testing.T) {
+	dir := t.TempDir()
+	s, done := startServer(t, Options{
+		Config:      Config{Servers: 10, Seed: 3},
+		JournalPath: filepath.Join(dir, "run.journal"),
+		Warp:        400,
+	})
+	base := "http://" + s.Addr()
+	scrape := func() []byte {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		prom, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prom
+	}
+	scraped := func(prom []byte, name string, axis classify.Axis) float64 {
+		t.Helper()
+		m := regexp.MustCompile(`(?m)^` + name + `\{axis="` + axis.String() + `"\} (\S+)$`).FindSubmatch(prom)
+		if m == nil {
+			t.Fatalf("/metrics has no %s for axis %s", name, axis)
+		}
+		v, err := strconv.ParseFloat(string(m[1]), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	prom := scrape()
+	if fits := scraped(prom, "classify_fits_total", classify.AxisHetero); fits != 0 {
+		t.Fatalf("heterogeneity axis: %v fits before any submit, want 0 (seeding only freezes)", fits)
+	}
+	postJSON(t, base, "/v1/submit", SubmitRequest{Type: "hadoop", Family: -1})
+	for deadline := time.Now().Add(10 * time.Second); scraped(prom, "classify_fits_total", classify.AxisHetero) < 1; prom = scrape() {
+		if time.Now().After(deadline) {
+			t.Fatal("a submitted workload was never classified: no heterogeneity fit on /metrics")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.engineMu.Lock()
+	stats := s.w.Q.Engine().TrainStats()
+	s.engineMu.Unlock()
+	stopServer(t, s, done)
+
+	for i, st := range stats {
+		axis := classify.Axis(i)
+		points, fits := scraped(prom, "classify_retrain_points_total", axis), scraped(prom, "classify_fits_total", axis)
+		seconds, epochs := scraped(prom, "classify_fit_seconds_total", axis), scraped(prom, "classify_fit_epochs_total", axis)
+		if points < 1 || fits > points || epochs < fits || seconds < 0 {
+			t.Errorf("%s: scraped points %v, fits %v, seconds %v, epochs %v: want 1 ≤ points, fits ≤ points, fits ≤ epochs",
+				axis, points, fits, seconds, epochs)
+		}
+		if points > float64(st.Points) || fits > float64(st.Fits) || epochs > float64(st.Epochs) || seconds > st.FitSeconds {
+			t.Errorf("%s: scraped %v/%v/%v/%v, ahead of the engine's %+v", axis, points, fits, seconds, epochs, st)
+		}
+	}
+	if n := strings.Count(string(prom), "# TYPE classify_fits_total counter"); n != 1 {
+		t.Errorf("classify_fits_total has %d TYPE headers, want one sample group", n)
+	}
 }
 
 // TestFlightRecorderConcurrentWithAdmissions is the race lane for the flight
