@@ -25,7 +25,8 @@ lint: fmt-check
 
 ## bench: run the repository benchmarks — one iteration of every paper
 ## artifact, then the classifier's inner loops (BenchmarkTrain must stay flat
-## in the number of rows; BenchmarkFreeze is one retrain point; BenchmarkTopK
+## in the number of rows; a retrain point is a freeze plus a fit, and
+## BenchmarkFreeze times only the freeze's copy; BenchmarkTopK
 ## is the fit's SVD seed at the end-of-day scale-up shape, and BenchmarkSymEig
 ## its cubic term; BenchmarkNodePerf is paid per node per tick) and the
 ## oracle target sweep

@@ -48,9 +48,9 @@ func BenchmarkTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkFreeze: one retrain point — the matrix captured into the axis's
-// reused buffer — at the heterogeneity shape and at the end-of-day scale-up
-// shape.
+// BenchmarkFreeze: the copy half of a retrain point (the other half is the
+// fit, BenchmarkTrain) — the matrix captured into the axis's reused buffer —
+// at the heterogeneity shape and at the end-of-day scale-up shape.
 func BenchmarkFreeze(b *testing.B) {
 	for _, sh := range []struct{ rows, cols, dense int }{{110, 10, 110}, {231, 81, 21}} {
 		s := libraryShaped(sh.rows, sh.cols, sh.dense, 7)

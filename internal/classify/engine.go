@@ -74,23 +74,17 @@ func safeLog(v float64) float64 {
 // axis is one classification: its matrix, the model reads fold in against,
 // and the retraining state between the two.
 //
-// Retraining is split in two. A retrain point (train) is reached on the write
-// side — once retrainThreshold() changed rows have been counted since the last
-// one (appendRow and feedback say what counts) — and only freezes the matrix
-// as it stands: an O(nnz) copy into a buffer the axis re-uses. The fit that
-// turns the freeze into a model runs on the read side, in the first
-// estimateRow / EnsureTrained / RetrainAll / LoadSnapshot after it; a retrain
-// point reached before anyone read the previous one overwrites its freeze, so
-// a model nobody consults is never built. cf.TrainFrozen is a
-// pure function of the frozen cells and the options (it seeds its own shuffle
-// and draws nothing from the engine RNG), so every read sees exactly the model
-// an on-the-spot fit would have produced.
+// A retrain point (train) is reached on the write side — once
+// retrainThreshold() changed rows have been counted since the last one
+// (appendRow and feedback say what counts) — and refits the model there: the
+// matrix is frozen into a buffer the axis re-uses, an O(nnz) copy, and
+// cf.TrainFrozen fits the freeze. Reads (estimateRow) only fold in, so they
+// never write the axis and may run concurrently.
 type axis struct {
 	name       string
 	mat        *cf.Sparse
 	model      *cf.Model
-	frozen     *cf.Frozen // the matrix at the latest retrain point
-	pending    bool       // frozen has not been fitted into model yet
+	frozen     *cf.Frozen // freeze buffer, re-used at every retrain point
 	sinceTrain int        // changes counted toward the next retrain point
 	interval   int        // numbers the current retrain interval from 1; train bumps it
 	fedIn      []int      // per row: the interval its runtime feedback was last counted in
@@ -100,10 +94,8 @@ type axis struct {
 }
 
 // AxisTrainStats counts one axis's retraining work since the engine was
-// built. Points − Fits is what deferral saved: retrain points overwritten by
-// the next one before any read (less the one that may still be pending).
+// built; every retrain point is one fit.
 type AxisTrainStats struct {
-	Points     int     // retrain points reached
 	Fits       int     // models fitted
 	FitSeconds float64 // wall time spent fitting
 	Epochs     int     // SGD epochs run over all fits
@@ -127,34 +119,20 @@ func (a *axis) retrainThreshold() int {
 func (a *axis) appendRow(obs map[int]float64) int {
 	idx := a.mat.AppendRow(obs)
 	a.sinceTrain++
-	if !a.trained() || a.sinceTrain >= a.retrainThreshold() {
+	if a.model == nil || a.sinceTrain >= a.retrainThreshold() {
 		a.train()
 	}
 	return idx
 }
 
-// trained reports whether the axis has a model or the freeze to fit one from.
-func (a *axis) trained() bool { return a.model != nil || a.pending }
-
-// train marks a retrain point: the matrix is frozen for the next reader to
-// fit, replacing a freeze nobody read.
+// train is a retrain point: it freezes the matrix as it stands and fits the
+// model from the freeze.
 func (a *axis) train() {
 	a.frozen = a.mat.Freeze(a.frozen)
-	a.pending = true
-	a.sinceTrain = 0
-	a.interval++
-	a.stats.Points++
-}
-
-// fit resolves a pending retrain point into the model. It is the only place
-// the engine trains, and a no-op when nothing is pending.
-func (a *axis) fit() {
-	if !a.pending {
-		return
-	}
 	t0 := prof.Now()
 	a.model = cf.TrainFrozen(a.frozen, a.cfOpts)
-	a.pending = false
+	a.sinceTrain = 0
+	a.interval++
 	a.stats.Fits++
 	a.stats.Epochs += a.model.Epochs
 	if a.model.Rose {
@@ -166,48 +144,26 @@ func (a *axis) fit() {
 // estimateRow reconstructs a full row via fold-in from the union of the
 // workload's accumulated matrix entries (profiling history plus runtime
 // feedback) and the fresh observations, preferring fresh values where both
-// exist. rowIdx < 0 skips the history merge.
+// exist. rowIdx < 0 skips the history merge. It only reads the axis; with no
+// model yet (no rows) the observations themselves are the row.
 func (a *axis) estimateRow(rowIdx int, obs map[int]float64) []float64 {
-	if !a.trained() {
-		a.train()
-	}
-	a.fit()
-	merged := make(map[int]float64, len(obs)+4)
+	merged := obs
 	if rowIdx >= 0 && rowIdx < a.mat.Rows {
+		merged = make(map[int]float64, len(obs)+4)
 		for _, c := range a.mat.Row(rowIdx) {
 			merged[int(c.Col)] = c.V
 		}
-	}
-	for j, v := range obs {
-		merged[j] = v
-	}
-	row := a.model.FoldIn(merged)
-	for j, v := range merged {
-		if j >= 0 && j < len(row) {
-			row[j] = v
-		}
-	}
-	return row
-}
-
-// estimateRowFrozen is estimateRow for detached classification: strictly
-// read-only (no training, no fit of a pending retrain point, no history
-// merge), so concurrent calls against the same axis are safe. It folds in
-// against the model as last fitted — stale if a retrain point is pending,
-// which is why callers run EnsureTrained first. With no model at all the
-// observations themselves are the best available row.
-func (a *axis) estimateRowFrozen(obs map[int]float64) []float64 {
-	if a.model == nil {
-		row := make([]float64, a.mat.Cols)
 		for j, v := range obs {
-			if j >= 0 && j < len(row) {
-				row[j] = v
-			}
+			merged[j] = v
 		}
-		return row
 	}
-	row := a.model.FoldIn(obs)
-	for j, v := range obs {
+	var row []float64
+	if a.model != nil {
+		row = a.model.FoldIn(merged)
+	} else {
+		row = make([]float64, a.mat.Cols)
+	}
+	for j, v := range merged {
 		if j >= 0 && j < len(row) {
 			row[j] = v
 		}
@@ -274,14 +230,12 @@ type Engine struct {
 // SetTracer installs the tracer.
 func (e *Engine) SetTracer(tr *obs.Tracer) { e.tracer = tr }
 
-// SetProfiler installs the self-profiler; Classify, Reclassify, Feedback and
-// EnsureTrained (the sequential, sim-goroutine entry points, i.e. every way
-// a retrain point or a fit is reached during a run) attribute to
-// prof.SubClassify: a Feedback that crosses the threshold books only the
-// freeze, and the fit is booked inside the next Classify, Reclassify or
-// EnsureTrained — never to the tick that encloses them. ClassifyDetached
-// runs on pool workers and stays uninstrumented — the profiler is
-// single-goroutine by design.
+// SetProfiler installs the self-profiler; Classify, Reclassify and Feedback
+// (the sequential, sim-goroutine entry points, i.e. every way a retrain point
+// is reached during a run) attribute to prof.SubClassify, so a fit is booked
+// to the classify section that reached its retrain point — never to the tick
+// that encloses it. ClassifyDetached runs on pool workers and stays
+// uninstrumented — the profiler is single-goroutine by design.
 func (e *Engine) SetProfiler(p *prof.Profiler) { e.prof = p }
 
 // NewEngine builds an engine for the platform set.
@@ -334,25 +288,13 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 func (e *Engine) RetrainAll() {
 	par.ParFor(0, int(numAxes), func(i int) {
 		e.axes[i].train()
-		e.axes[i].fit()
 	})
 }
 
-// EnsureTrained brings every axis model up to its latest retrain point: it
-// fits whatever is pending, and trains any axis that has rows but was never
-// trained. Callers must invoke it before a detached (concurrent, read-only)
-// classification pass so the fan-out folds in against settled models instead
-// of racing to fit.
-func (e *Engine) EnsureTrained() {
-	t0 := e.prof.Begin()
-	defer e.prof.End(prof.SubClassify, t0)
-	for _, a := range e.axes {
-		if !a.trained() && a.mat.Rows > 0 {
-			a.train()
-		}
-		a.fit()
-	}
-}
+// EnsureTrained does nothing: every retrain point fits on the spot, so every
+// axis with rows always has its model. It stays only because the ledger
+// harness in bench/ still calls it.
+func (e *Engine) EnsureTrained() {}
 
 // TrainStats returns each axis's retraining counters, indexed by Axis.
 func (e *Engine) TrainStats() []AxisTrainStats {
@@ -536,15 +478,13 @@ func (e *Engine) Classify(w *workload.Instance, p Prober) *Estimates {
 	return e.estimatesFromProbe(w, row, po)
 }
 
-// ClassifyDetached classifies w against the engine's settled models without
-// touching engine state: probes come through the supplied RNG (derive it
-// from the engine stream in input order before fanning out), and the row
-// estimate folds in against the models as last fitted. It is the concurrent
-// half of a batch classification — call EnsureTrained first (it fits any
-// retrain point still pending; without it the fold-in is against the model
-// before that point), run ClassifyDetached across workloads on the pool, then
-// Append each returned ProbeObs in input order so the matrices grow exactly
-// as a sequential pass would.
+// ClassifyDetached classifies w against the engine's models without touching
+// engine state: probes come through the supplied RNG (derive it from the
+// engine stream in input order before fanning out), and the row estimate
+// folds in against the models as last fitted. It is the concurrent half of a
+// batch classification — run ClassifyDetached across workloads on the pool,
+// then Append each returned ProbeObs in input order so the matrices grow
+// exactly as a sequential pass would.
 //
 // Detached estimates differ from Classify's in one way: they do not see the
 // other workloads of the same batch (fold-in is against the models as of the
@@ -649,8 +589,7 @@ func (e *Engine) probeArrival(w *workload.Instance, p Prober, rng *sim.RNG) *Pro
 }
 
 // estimatesFromProbe reconstructs full rows from one arrival's observations,
-// one axis after the other. row < 0 is the detached mode: no history merge
-// and strictly read-only fold-in against the frozen models.
+// one axis after the other. row < 0 is the detached mode: no history merge.
 func (e *Engine) estimatesFromProbe(w *workload.Instance, row int, po *ProbeObs) *Estimates {
 	es := &Estimates{
 		Engine:  e,
@@ -664,8 +603,6 @@ func (e *Engine) estimatesFromProbe(w *workload.Instance, row int, po *ProbeObs)
 		switch {
 		case Axis(i) == AxisScaleOut && !w.Type.Distributed():
 			rows[i] = make([]float64, len(e.SOCounts)) // flat: no scale-out
-		case row < 0:
-			rows[i] = a.estimateRowFrozen(po.obs[i])
 		default:
 			rows[i] = a.estimateRow(row, po.obs[i])
 		}

@@ -94,10 +94,6 @@ func (x *Exhaustive) Retrain() {
 func (x *Exhaustive) Classify(w *workload.Instance, p JointProber, entries int) []float64 {
 	obs := x.probe(w, p, entries, x.rng.Stream("exhaustive/"+w.ID))
 	x.append(w.ID, obs)
-	if x.model == nil {
-		x.model = cf.Train(x.mat, x.cfOpts)
-		x.since = 0
-	}
 	return x.foldIn(obs)
 }
 

@@ -109,14 +109,12 @@ func TestBetaWeightsObservedPoints(t *testing.T) {
 
 // TestFeedbackRetrainProfiledAsClassify: the monitor's feedback loop reaches
 // a retrain point through CorrectWith → Engine.Feedback from inside a runtime
-// tick. That books one cheap classify section per feedback and fits nothing;
-// the fit is paid by the next reader — Reclassify, Classify or EnsureTrained —
-// and, with a real profiler, booked to the classify subsystem there and not
-// to the tick section it is nested in.
+// tick. The Feedback that reaches it fits there, inside its own classify
+// section, so with a real profiler the fit's seconds are booked to the
+// classify subsystem and not to the tick section it is nested in.
 func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 	e, u := testSetup(t, 2)
-	ws, fed := classifyFresh(e, u, e.axes[AxisHetero].retrainThreshold())
-	w := ws[0]
+	_, fed := classifyFresh(e, u, e.axes[AxisHetero].retrainThreshold())
 	nodes := []NodeChoice{{PlatformIdx: 7, Alloc: cluster.Alloc{Cores: 12, MemoryGB: 24}}}
 
 	p := prof.New()
@@ -133,7 +131,7 @@ func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 	before, start, feedbacks := het.model, het.stats, 0
 
 	tick := p.Begin()
-	for het.stats.Points == start.Points {
+	for het.stats.Fits == start.Fits {
 		if feedbacks == len(fed) {
 			t.Fatalf("feedback on %d distinct workloads never reached a retrain point", len(fed))
 		}
@@ -142,39 +140,15 @@ func TestFeedbackRetrainProfiledAsClassify(t *testing.T) {
 		feedbacks++
 	}
 	p.End(prof.SubRuntime, tick)
-	if het.model != before || het.stats.Fits != start.Fits || !het.pending {
-		t.Fatalf("feedback past the threshold fitted a model: stats %+v → %+v, pending %v", start, het.stats, het.pending)
+	fit := het.stats.FitSeconds - start.FitSeconds
+	if het.model == before || het.stats.Fits != start.Fits+1 || fit <= 0 {
+		t.Fatalf("the feedback that reached a retrain point did not fit it: stats %+v → %+v", start, het.stats)
 	}
 	if got := stat(prof.SubClassify).Calls; got != int64(feedbacks) {
 		t.Fatalf("classify sections = %d, want one per feedback (%d)", got, feedbacks)
 	}
-
-	w2 := u.New(workload.Spec{Type: workload.Spark, Family: -1, MaxNodes: 4})
-	reprobe, probe2 := NewGroundTruthProber(w, e.Platforms, sim.NewRNG(6)), NewGroundTruthProber(w2, e.Platforms, sim.NewRNG(7))
-	for _, reader := range []struct {
-		name string
-		read func()
-	}{
-		{"Reclassify", func() { e.Reclassify(w, reprobe) }},
-		{"EnsureTrained", e.EnsureTrained},
-		{"Classify", func() { e.Classify(w2, probe2) }},
-	} {
-		name, read := reader.name, reader.read
-		if !het.pending {
-			het.train() // the previous reader resolved it
-		}
-		classify0, runtime0, fit0 := stat(prof.SubClassify), stat(prof.SubRuntime), het.stats
-		tick = p.Begin()
-		read()
-		p.End(prof.SubRuntime, tick)
-		fit := het.stats.FitSeconds - fit0.FitSeconds
-		if het.pending || het.stats.Fits != fit0.Fits+1 || fit <= 0 {
-			t.Fatalf("%s did not fit the pending retrain point: stats %+v → %+v", name, fit0, het.stats)
-		}
-		classify, runtime := stat(prof.SubClassify).Seconds-classify0.Seconds, stat(prof.SubRuntime).Seconds-runtime0.Seconds
-		if classify < fit || runtime >= classify {
-			t.Fatalf("%s: fit of %.6fs booked to the tick: classify +%.6fs, runtime_tick +%.6fs", name, fit, classify, runtime)
-		}
+	if classify, runtime := stat(prof.SubClassify).Seconds, stat(prof.SubRuntime).Seconds; classify < fit || runtime >= classify {
+		t.Fatalf("fit of %.6fs booked to the tick: classify %.6fs, runtime_tick %.6fs", fit, classify, runtime)
 	}
 }
 
@@ -200,7 +174,7 @@ func TestFeedbackCountsRowOncePerInterval(t *testing.T) {
 	ws, fed := classifyFresh(e, u, het.retrainThreshold())
 	row, _ := e.RowOf(fed[0].ID)
 
-	since, points := het.sinceTrain, het.stats.Points
+	since, fits := het.sinceTrain, het.stats.Fits
 	for i := 0; i < 3*het.retrainThreshold(); i++ {
 		v := 0.5 + 0.01*float64(i)
 		e.Feedback(fed[0].ID, AxisHetero, i%len(e.Platforms), v)
@@ -208,12 +182,12 @@ func TestFeedbackCountsRowOncePerInterval(t *testing.T) {
 			t.Fatalf("feedback %d: matrix cell %v, want %v", i, got, safeLog(v))
 		}
 	}
-	if het.sinceTrain != since+1 || het.stats.Points != points {
-		t.Fatalf("%d feedbacks to one row: sinceTrain %d → %d, points %d → %d; want one change and no retrain point",
-			3*het.retrainThreshold(), since, het.sinceTrain, points, het.stats.Points)
+	if het.sinceTrain != since+1 || het.stats.Fits != fits {
+		t.Fatalf("%d feedbacks to one row: sinceTrain %d → %d, fits %d → %d; want one change and no retrain point",
+			3*het.retrainThreshold(), since, het.sinceTrain, fits, het.stats.Fits)
 	}
 
-	for i := 1; het.stats.Points == points; i++ {
+	for i := 1; het.stats.Fits == fits; i++ {
 		if i == len(fed) {
 			t.Fatalf("feedback to %d distinct rows never reached a retrain point (sinceTrain %d, threshold %d)",
 				len(fed), het.sinceTrain, het.retrainThreshold())

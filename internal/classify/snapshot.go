@@ -52,7 +52,6 @@ func (e *Engine) LoadSnapshot(snap *EngineSnapshot) error {
 		a := e.axes[i]
 		a.mat = cf.NewSparseFrom(a.mat.Cols, rows)
 		a.train()
-		a.fit()
 	}
 	e.rowOf = make(map[string]int, len(snap.RowOf))
 	for id, row := range snap.RowOf {

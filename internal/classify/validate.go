@@ -94,7 +94,6 @@ func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates
 		probeRNGs[i] = e.rng.Stream("probe/" + w.ID)
 		classifyRNGs[i] = e.rng.Stream("classify/" + w.ID)
 	}
-	e.EnsureTrained()
 	type result struct {
 		es   *Estimates
 		po   *ProbeObs

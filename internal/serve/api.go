@@ -375,8 +375,6 @@ func writeTrainStats(w io.Writer, stats []classify.AxisTrainStats) error {
 		name, help string
 		value      func(classify.AxisTrainStats) float64
 	}{
-		{"classify_retrain_points_total", "retrain points reached (matrix freezes)",
-			func(st classify.AxisTrainStats) float64 { return float64(st.Points) }},
 		{"classify_fits_total", "models fitted", func(st classify.AxisTrainStats) float64 { return float64(st.Fits) }},
 		{"classify_fit_seconds_total", "wall time spent fitting", func(st classify.AxisTrainStats) float64 { return st.FitSeconds }},
 		{"classify_fit_epochs_total", "SGD epochs run over all fits", func(st classify.AxisTrainStats) float64 { return float64(st.Epochs) }},
