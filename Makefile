@@ -28,9 +28,11 @@ lint: fmt-check
 ## in the number of rows; a retrain point is a freeze plus a fit, and
 ## BenchmarkFreeze times only the freeze's copy; BenchmarkTopK
 ## is the fit's SVD seed at the end-of-day scale-up shape, and BenchmarkSymEig
-## its cubic term; BenchmarkNodePerf is paid per node per tick) and the
-## oracle target sweep
-## (BenchmarkOracleBestCompletion: paid per targeted batch arrival), then the
+## its cubic term; BenchmarkNodePerf is paid per node per tick), the
+## oracle target sweep at 8 and 100 nodes (BenchmarkOracleBestCompletion:
+## paid per targeted batch arrival) and one arrival's instance generation
+## (BenchmarkUniverseNew: a targeted Hadoop job, a service and a single-node
+## job), then the
 ## random streams: minting one builds no register (BenchmarkNewRNG,
 ## BenchmarkStream), a typical stream is minted and drawn 19 times
 ## (BenchmarkStreamDraws: paid per workload), and SGD's shuffle runs on a
@@ -39,10 +41,11 @@ lint: fmt-check
 ## (BenchmarkRank) and one decision in sim_scale_churn's shape, which reads
 ## only the top of its ranking (BenchmarkSchedule), then one replayed journal
 ## entry of serve_replay's mix through JournalReader.Next next to the
-## encoding/json decode it falls back to (BenchmarkJournalNext)
+## encoding/json decode it falls back to (BenchmarkJournalNext). These are
+## all of the repository's benchmarks; CI's bench job runs each once.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='^Benchmark(Train|Freeze|TopK|SymEig|NodePerf|OracleBestCompletion)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
+	$(GO) test -bench='^Benchmark(Train|Freeze|TopK|SymEig|NodePerf|OracleBestCompletion|UniverseNew)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
 	$(GO) test -bench='^Benchmark(NewRNG|Stream|StreamDraws|Shuffle)$$' -benchmem -run=^$$ ./internal/sim
 	$(GO) test -bench='^Benchmark(Rank|Schedule)$$' -benchmem -run=^$$ ./internal/sched
 	$(GO) test -bench='^BenchmarkJournalNext$$' -benchmem -run=^$$ ./internal/serve

@@ -92,10 +92,10 @@ var allocProbes = []struct {
 	// whose key buffer the estimates already own (measured 0.0).
 	{"estimates_correctwith", "quasar/internal/classify.(*Estimates).CorrectWith", 0, correctWithProbe},
 	// One oracle target sweep for a configured Hadoop job, paid by every
-	// targeted batch arrival in Universe.New: each platform's whole-server
-	// allocation and configuration candidates refill two buffers reused
-	// across the sweep (measured 2.0).
-	{"oracle_sweep", "quasar/internal/workload.OracleBestCompletion", 2, oracleSweepProbe},
+	// targeted batch arrival in Universe.New: one node rate per platform and
+	// configuration, the candidates in a fixed array on the stack (measured
+	// 0.0).
+	{"oracle_sweep", "quasar/internal/workload.OracleBestCompletion", 0, oracleSweepProbe},
 }
 
 // TestAllocBudgets is the allocation gate: every probe must stay within its

@@ -224,6 +224,10 @@ type Family struct {
 	Name      string
 	Archetype Archetype
 	Base      Genome
+
+	// affinityNames holds Base.Affinity's keys, sorted: Instantiate draws
+	// jitter in this order (map order would make genomes irreproducible).
+	affinityNames []string
 }
 
 // NewFamily draws a family from the archetype for the given platform set.
@@ -263,7 +267,12 @@ func NewFamily(name string, arch Archetype, platforms []cluster.Platform, rng *s
 		g.Sens[r] = clamp01(arch.Sens[r] * rng.Uniform(0.6, 1.4))
 		g.Caused[r] = clamp01(arch.Caused[r] * rng.Uniform(0.6, 1.4))
 	}
-	return &Family{Name: name, Archetype: arch, Base: g}
+	names := make([]string, 0, len(g.Affinity))
+	for name := range g.Affinity {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return &Family{Name: name, Archetype: arch, Base: g, affinityNames: names}
 }
 
 // Instantiate derives an instance genome from the family base: every scalar
@@ -286,14 +295,7 @@ func (f *Family) Instantiate(rng *sim.RNG, workMult, memMult float64) *Genome {
 		NoiseCV:     b.NoiseCV,
 		Affinity:    make(map[string]float64, len(b.Affinity)),
 	}
-	// Iterate platforms in sorted order: drawing jitter in map order would
-	// make genomes irreproducible.
-	names := make([]string, 0, len(b.Affinity))
-	for name := range b.Affinity {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range f.affinityNames {
 		g.Affinity[name] = rng.Jitter(b.Affinity[name], 0.06)
 	}
 	for r := 0; r < int(cluster.NumResources); r++ {

@@ -159,7 +159,7 @@ func TestOracleBestBeatsDefault(t *testing.T) {
 	w := u.New(Spec{Type: Hadoop, Family: -1, MaxNodes: 4})
 	// Default config on a mid platform, 4 nodes.
 	p := &u.Platforms[4]
-	nodes := uniformNodes(nil, p, 4)
+	nodes := wholeNodes(p, 4)
 	defTime := w.CompletionTime(nodes)
 	best, _ := OracleBestCompletion(w, u.Platforms, 4)
 	if best > defTime {
@@ -209,8 +209,8 @@ func TestJobRateScaleOut(t *testing.T) {
 	w := u.New(Spec{Type: Hadoop, Family: -1, MaxNodes: 2})
 	w.Genome.Beta = 0.8
 	p := &u.Platforms[9]
-	r1 := w.JobRate(uniformNodes(nil, p, 1))
-	r4 := w.JobRate(uniformNodes(nil, p, 4))
+	r1 := w.JobRate(wholeNodes(p, 1))
+	r4 := w.JobRate(wholeNodes(p, 4))
 	want := r1 * 4 * math.Pow(4, -0.2)
 	if math.Abs(r4-want)/want > 1e-9 {
 		t.Fatalf("JobRate scale-out wrong: %v want %v", r4, want)

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"slices"
 
 	"quasar/internal/cluster"
 	"quasar/internal/perfmodel"
@@ -15,35 +14,54 @@ import (
 // decisions come to optimal. The cluster manager itself never calls them.
 
 // oracleGrid is the scale-out sweep grid, ascending.
-var oracleGrid = []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 100}
+var oracleGrid = [...]int{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 100}
 
-// oracleNodeCounts returns the prefix of oracleGrid up to maxNodes, or {1}
-// when maxNodes < 1. Callers must not modify it.
-func oracleNodeCounts(maxNodes int) []int {
+// scaleOut is the node-count half of the oracle sweep: every allocation it
+// evaluates is n identical idle whole servers, so one node rate per
+// (platform, configuration) gives the job rate of every count.
+type scaleOut struct {
+	// counts is the prefix of oracleGrid up to maxNodes, or {1} when
+	// maxNodes < 1.
+	counts []int
+	// eff[i] is the genome's ScaleOutEfficiency(counts[i]).
+	eff [len(oracleGrid)]float64
+	// rates holds jobRates' result.
+	rates [len(oracleGrid)]float64
+}
+
+// newScaleOut returns the node counts up to maxNodes and g's efficiency at
+// each.
+func newScaleOut(g *perfmodel.Genome, maxNodes int) scaleOut {
 	k := 1
 	for k < len(oracleGrid) && oracleGrid[k] <= maxNodes {
 		k++
 	}
-	return oracleGrid[:k]
+	s := scaleOut{counts: oracleGrid[:k]}
+	for i, n := range s.counts {
+		s.eff[i] = g.ScaleOutEfficiency(n)
+	}
+	return s
 }
 
-// uniformNodes refills nodes with an n-node allocation of whole servers of
-// platform p, reusing its storage. The sweeps build the largest allocation
-// once per platform and evaluate its prefixes (JobRate only reads them).
-func uniformNodes(nodes []perfmodel.NodeAlloc, p *cluster.Platform, n int) []perfmodel.NodeAlloc {
-	alloc := cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}
-	nodes = slices.Grow(nodes[:0], n)
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, perfmodel.NodeAlloc{Platform: p, Alloc: alloc})
+// jobRates returns the job rate of counts[i] nodes of rate r at index i,
+// exactly as JobRate computes it: the node rates summed in order, times the
+// scale-out efficiency. The result is valid until the next call.
+func (s *scaleOut) jobRates(r float64) []float64 {
+	sum, summed := 0.0, 0
+	for i, n := range s.counts {
+		for ; summed < n; summed++ {
+			sum += r
+		}
+		s.rates[i] = sum * s.eff[i]
 	}
-	return nodes
+	return s.rates[:len(s.counts)]
 }
 
 // configCandidates refills buf with the framework configurations the oracle
 // sweeps for a configured job on cores-core servers: base with every
 // combination of mappers per node, heap size and compression.
 func configCandidates(buf []FrameworkConfig, base *FrameworkConfig, cores int) []FrameworkConfig {
-	buf = slices.Grow(buf[:0], 3*4*2)
+	buf = buf[:0]
 	for _, mappers := range [...]int{cores / 2, cores, cores + cores/2} {
 		if mappers < 1 {
 			continue
@@ -65,36 +83,54 @@ func configCandidates(buf []FrameworkConfig, base *FrameworkConfig, cores int) [
 // framework configuration (for configured jobs) and node count up to
 // maxNodes, on whole servers. It returns the best completion time and the
 // platform index (-1 if no allocation finishes), configuration and node
-// count that first achieved it. w.Config is restored on return.
+// count that first achieved it.
+//
+// It evaluates the genome once per platform and distinct EffectiveCores
+// (the only way a configuration reaches it), the configuration term once
+// per candidate, and every node count from that one node rate; the result
+// is bit-identical to calling CompletionTime on each allocation.
 func sweepCompletion(w *Instance, platforms []cluster.Platform, maxNodes int) (best float64, plat int, cfg FrameworkConfig, nodes int) {
-	origCfg := w.Config
-	defer func() { w.Config = origCfg }()
-
-	counts := oracleNodeCounts(maxNodes)
-	var alloc []perfmodel.NodeAlloc
-	var cands []FrameworkConfig
+	so := newScaleOut(w.Genome, maxNodes)
+	var candBuf [3 * 4 * 2]FrameworkConfig
 	best, plat, nodes = math.Inf(1), -1, 1
-	for pi := range platforms {
-		p := &platforms[pi]
-		alloc = uniformNodes(alloc, p, counts[len(counts)-1])
-		try := func(c *FrameworkConfig) {
-			w.Config = c
-			for _, n := range counts {
-				if t := w.CompletionTime(alloc[:n]); t < best {
-					best, plat, nodes = t, pi, n
-					if c != nil {
-						cfg = *c
-					}
+	try := func(pi int, r float64, c *FrameworkConfig) {
+		for i, rate := range so.jobRates(r) {
+			if t := w.completionAt(rate); t < best {
+				best, plat, nodes = t, pi, so.counts[i]
+				if c != nil {
+					cfg = *c
 				}
 			}
 		}
-		if origCfg == nil {
-			try(nil)
+	}
+	for pi := range platforms {
+		p := &platforms[pi]
+		whole := cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}
+		if w.Config == nil {
+			try(pi, w.Genome.NodeRate(p, whole, cluster.ResVec{}), nil)
 			continue
 		}
-		cands = configCandidates(cands, origCfg, p.Cores)
+		// The genome's rate per distinct EffectiveCores on p; the
+		// candidates' three mapper settings give at most three.
+		var genome [3]struct {
+			cores int
+			rate  float64
+		}
+		seen := 0
+		cands := configCandidates(candBuf[:0], w.Config, p.Cores)
 		for ci := range cands {
-			try(&cands[ci])
+			eff := w.effect(&cands[ci], p.Cores)
+			j := 0
+			for j < seen && genome[j].cores != eff.EffectiveCores {
+				j++
+			}
+			if j == seen {
+				effAlloc := cluster.Alloc{Cores: eff.EffectiveCores, MemoryGB: whole.MemoryGB}
+				genome[j].cores = eff.EffectiveCores
+				genome[j].rate = w.Genome.NodeRate(p, effAlloc, cluster.ResVec{})
+				seen++
+			}
+			try(pi, eff.rate(genome[j].rate, whole.MemoryGB), &cands[ci])
 		}
 	}
 	return best, plat, cfg, nodes
@@ -112,13 +148,13 @@ func OracleBestCompletion(w *Instance, platforms []cluster.Platform, maxNodes in
 // OracleCapacityQPS returns the best achievable saturation throughput of a
 // latency service over platforms and node counts up to maxNodes.
 func OracleCapacityQPS(w *Instance, platforms []cluster.Platform, maxNodes int) float64 {
-	counts := oracleNodeCounts(maxNodes)
-	var alloc []perfmodel.NodeAlloc
+	so := newScaleOut(w.Genome, maxNodes)
 	best := 0.0
 	for pi := range platforms {
-		alloc = uniformNodes(alloc, &platforms[pi], counts[len(counts)-1])
-		for _, n := range counts {
-			if c := w.CapacityQPS(alloc[:n]); c > best {
+		p := &platforms[pi]
+		r := w.NodeRate(p, cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}, cluster.ResVec{})
+		for _, rate := range so.jobRates(r) {
+			if c := rate * w.Genome.QPSPerUnit; c > best {
 				best = c
 			}
 		}

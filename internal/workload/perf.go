@@ -40,13 +40,26 @@ func (w *Instance) NodeRate(p *cluster.Platform, alloc cluster.Alloc, pressure c
 	if w.Config == nil {
 		return w.Genome.NodeRate(p, alloc, pressure)
 	}
-	eff := w.Config.Effect(w.taskHeapNeedGB(), alloc.Cores, w.ioBoundFrac())
+	eff := w.effect(w.Config, alloc.Cores)
 	effAlloc := cluster.Alloc{Cores: eff.EffectiveCores, MemoryGB: alloc.MemoryGB}
-	rate := w.Genome.NodeRate(p, effAlloc, pressure) * eff.RateMult
+	return eff.rate(w.Genome.NodeRate(p, effAlloc, pressure), alloc.MemoryGB)
+}
+
+// effect evaluates configuration c for this workload on a node with
+// allocCores allocated cores.
+func (w *Instance) effect(c *FrameworkConfig, allocCores int) ConfigEffect {
+	return c.Effect(w.taskHeapNeedGB(), allocCores, w.ioBoundFrac())
+}
+
+// rate is the configuration term of a configured node rate: genomeRate is
+// the genome's rate on the node at EffectiveCores cores and the node's
+// allocated memory, memoryGB.
+func (e *ConfigEffect) rate(genomeRate, memoryGB float64) float64 {
+	rate := genomeRate * e.RateMult
 	// The framework's own memory footprint (heaps) competes with the
 	// dataset working set already modeled by the genome.
-	if alloc.MemoryGB < eff.MemoryGB {
-		rate *= math.Pow(alloc.MemoryGB/eff.MemoryGB, 0.7)
+	if memoryGB < e.MemoryGB {
+		rate *= math.Pow(memoryGB/e.MemoryGB, 0.7)
 	}
 	return rate
 }
@@ -57,7 +70,7 @@ func (w *Instance) NodeRate(p *cluster.Platform, alloc cluster.Alloc, pressure c
 func (w *Instance) CausedPressure(p *cluster.Platform, alloc cluster.Alloc) cluster.ResVec {
 	v := w.Genome.CausedPressure(p, alloc)
 	if w.Config != nil {
-		eff := w.Config.Effect(w.taskHeapNeedGB(), alloc.Cores, w.ioBoundFrac())
+		eff := w.effect(w.Config, alloc.Cores)
 		v[cluster.ResDiskIO] *= eff.DiskMult
 		if v[cluster.ResDiskIO] > 1 {
 			v[cluster.ResDiskIO] = 1
@@ -79,7 +92,12 @@ func (w *Instance) JobRate(nodes []perfmodel.NodeAlloc) float64 {
 // CompletionTime returns the true execution time of a batch workload on the
 // given allocation.
 func (w *Instance) CompletionTime(nodes []perfmodel.NodeAlloc) float64 {
-	rate := w.JobRate(nodes)
+	return w.completionAt(w.JobRate(nodes))
+}
+
+// completionAt returns the execution time of a batch workload running at
+// the given job rate, or +Inf for a non-positive rate.
+func (w *Instance) completionAt(rate float64) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}
