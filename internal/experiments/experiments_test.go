@@ -297,24 +297,48 @@ func TestStragglersShape(t *testing.T) {
 	}
 }
 
+// TestPhasesShape injects 10 phase changes per seed of behaviourSeeds and
+// scores detection over the pooled 120 injections: even-indexed ones (a
+// visible slowdown) are the reactive path's, odd-indexed ones (a silent
+// interference shift) the proactive probes'.
 func TestPhasesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("phase-change scenario runs ~40s under -race")
 	}
 	t.Parallel()
-	r, err := Phases(10, 2)
-	if err != nil {
-		t.Fatal(err)
+	results := overSeeds(t, func(t *testing.T, seed int64) *PhaseResult {
+		r, err := Phases(10, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("reactive %d, proactive %d, false positives %d of %d injections",
+			r.ReactiveDetected, r.ProactiveDetected, r.FalsePositives, r.Injected)
+		return r
+	})
+	if t.Failed() {
+		return
 	}
-	if r.ReactivePct < 60 {
-		t.Errorf("reactive detection only %.0f%%", r.ReactivePct)
+	var injected, loud, silent, reactive, proactive, fps int
+	for _, r := range results {
+		injected += r.Injected
+		loud += (r.Injected + 1) / 2
+		silent += r.Injected / 2
+		reactive += r.ReactiveDetected
+		proactive += r.ProactiveDetected
+		fps += r.FalsePositives
 	}
-	if r.ProactivePct < 40 {
-		t.Errorf("proactive detection only %.0f%%", r.ProactivePct)
+	pct := func(n, of int) float64 { return 100 * float64(n) / float64(max(1, of)) }
+	if p := pct(reactive, loud); p < 60 {
+		t.Errorf("reactive detection only %.0f%% (%d/%d)", p, reactive, loud)
 	}
-	if r.FalsePositivePct > 30 {
-		t.Errorf("proactive FPs %.0f%%", r.FalsePositivePct)
+	if p := pct(proactive, silent); p < 40 {
+		t.Errorf("proactive detection only %.0f%% (%d/%d)", p, proactive, silent)
 	}
+	if p := pct(fps, injected); p > 30 {
+		t.Errorf("proactive FPs %.0f%% (%d/%d)", p, fps, injected)
+	}
+	t.Logf("pooled over %d injections: reactive %d/%d, proactive %d/%d, false positives %d",
+		injected, reactive, loud, proactive, silent, fps)
 }
 
 func TestOverheadsShape(t *testing.T) {

@@ -5,34 +5,73 @@ import (
 	"testing"
 )
 
-// TestSLODetectAccuracy runs the canned crash storm and holds the PR's
-// alerting-quality bar: pages attribute to injected outages with high
-// precision, every sustained outage pages, and the page channel is no slower
-// than the operator-visible heartbeat detector at noticing a dead server.
+// TestSLODetectAccuracy runs the canned crash storm on every seed of
+// behaviourSeeds and holds the alerting-quality bar over the pooled
+// outages: pages attribute to injected outages with high precision, every
+// sustained outage pages, and the page channel is no slower than the
+// operator-visible heartbeat detector at noticing a dead server. Whether a
+// crash is sustained long enough to score depends on the seed's placement
+// (seeds 1, 2, 6 and 12 score none at the fixed configuration), so the
+// scenario-validity bar is a floor on the pooled count: a seed whose storm
+// did no damage does not fail the detector.
 func TestSLODetectAccuracy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a 10000s crash-storm scenario")
+		t.Skip("runs a 10000s crash-storm scenario per seed")
 	}
-	r, err := SLODetect(DefaultSLODetectConfig())
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultSLODetectConfig()
+	results := overSeeds(t, func(t *testing.T, seed int64) *SLODetectResult {
+		cfg := cfg
+		cfg.Seed = seed
+		r, err := SLODetect(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Outages) != cfg.Crashes {
+			t.Fatalf("scripted %d outages, want %d", len(r.Outages), cfg.Crashes)
+		}
+		t.Logf("scored %d, detected %d, pages %d (%d true)",
+			r.ScoredOutages, r.DetectedOutages, r.PagesFired, r.TruePositivePages)
+		return r
+	})
+	if t.Failed() {
+		return
 	}
-	if len(r.Outages) != 4 {
-		t.Fatalf("scripted %d outages, want 4", len(r.Outages))
+	var scored, detected, pages, truePages, both int
+	pageSum, hbSum := 0.0, 0.0
+	for _, r := range results {
+		scored += r.ScoredOutages
+		detected += r.DetectedOutages
+		pages += r.PagesFired
+		truePages += r.TruePositivePages
+		for _, ev := range r.Outages {
+			if len(ev.ImpactedLC) == 0 || ev.SustainedSecs < cfg.MinSustainedSecs ||
+				ev.PageAt < 0 || ev.HBDetectAt < 0 {
+				continue
+			}
+			pageSum += ev.PageAt - ev.At
+			hbSum += ev.HBDetectAt - ev.At
+			both++
+		}
 	}
-	if r.ScoredOutages < 2 {
-		t.Fatalf("only %d outages sustained past the scoring bar; the storm no longer injects real damage", r.ScoredOutages)
+	if floor := len(behaviourSeeds); scored < floor {
+		t.Fatalf("only %d outages over %d seeds sustained past the scoring bar (floor %d); the storm no longer injects real damage",
+			scored, len(behaviourSeeds), floor)
 	}
-	if r.Precision < 0.9 {
-		t.Errorf("page precision %.2f < 0.9 (%d true / %d false)",
-			r.Precision, r.TruePositivePages, r.FalsePositivePages)
+	if precision := float64(truePages) / float64(max(1, pages)); precision < 0.9 {
+		t.Errorf("pooled page precision %.2f < 0.9 (%d true / %d fired)", precision, truePages, pages)
 	}
-	if r.Recall < 1.0 {
-		t.Errorf("outage recall %.2f < 1.0 (%d/%d)", r.Recall, r.DetectedOutages, r.ScoredOutages)
+	if detected < scored {
+		t.Errorf("pooled outage recall %d/%d < 1.0", detected, scored)
 	}
-	if !(r.PageMTTDSecs <= r.HBMTTDSecs) { //lint:allow(floatcmp) ordering assertion, NaN must fail
-		t.Errorf("page MTTD %.0fs slower than heartbeat MTTD %.0fs", r.PageMTTDSecs, r.HBMTTDSecs)
+	if both == 0 {
+		t.Fatal("no scored outage was detected by both channels")
 	}
+	pageMTTD, hbMTTD := pageSum/float64(both), hbSum/float64(both)
+	if !(pageMTTD <= hbMTTD) { //lint:allow(floatcmp) ordering assertion, NaN must fail
+		t.Errorf("pooled page MTTD %.0fs slower than heartbeat MTTD %.0fs", pageMTTD, hbMTTD)
+	}
+	t.Logf("pooled: %d scored, %d detected, precision %d/%d, MTTD page %.0fs heartbeat %.0fs over %d outages",
+		scored, detected, truePages, pages, pageMTTD, hbMTTD, both)
 }
 
 // TestSLODetectDeterministic re-runs the full storm and requires the entire
