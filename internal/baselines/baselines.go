@@ -40,12 +40,10 @@ type Options struct {
 	Misestimate bool
 
 	// AutoscaleServices manages latency services with a load-triggered
-	// auto-scaler (add an instance above ScaleUpLoad, drop one below
-	// ScaleDownLoad) instead of a static reservation.
+	// auto-scaler (add an instance above scaleUpLoad, drop one below
+	// scaleDownLoad) instead of a static reservation.
 	AutoscaleServices bool
-	ScaleUpLoad       float64 // default 0.7 (the 70% trigger of §5)
-	ScaleDownLoad     float64 // default 0.25
-	MaxInstances      int     // default 8 (the 1-8 servers of §5)
+	MaxInstances      int // default 8 (the 1-8 servers of §5)
 
 	// MaxNodes bounds analytics reservations.
 	MaxNodes int
@@ -54,12 +52,10 @@ type Options struct {
 // DefaultOptions returns the reservation+least-loaded configuration.
 func DefaultOptions() Options {
 	return Options{
-		Assign:        AssignLeastLoaded,
-		Misestimate:   true,
-		ScaleUpLoad:   0.7,
-		ScaleDownLoad: 0.25,
-		MaxInstances:  8,
-		MaxNodes:      16,
+		Assign:       AssignLeastLoaded,
+		Misestimate:  true,
+		MaxInstances: 8,
+		MaxNodes:     16,
 	}
 }
 
@@ -85,12 +81,6 @@ type Baseline struct {
 
 // New builds a baseline manager over the runtime.
 func New(rt *core.Runtime, opts Options) *Baseline {
-	if opts.ScaleUpLoad <= 0 {
-		opts.ScaleUpLoad = 0.7
-	}
-	if opts.ScaleDownLoad <= 0 {
-		opts.ScaleDownLoad = 0.25
-	}
 	if opts.MaxInstances <= 0 {
 		opts.MaxInstances = 8
 	}
@@ -364,6 +354,13 @@ func (b *Baseline) OnTick(now float64) {
 	b.queue.Drain(b.rt.Cl, b.retry)
 }
 
+// The auto-scaler's triggers: add an instance above scaleUpLoad (the 70%
+// trigger of §5), drop one below scaleDownLoad.
+const (
+	scaleUpLoad   = 0.7
+	scaleDownLoad = 0.25
+)
+
 // autoscale adds an instance when observed utilization exceeds the trigger
 // and removes one when it falls below the low-water mark. It observes load
 // (offered/capacity), not latency — which is exactly why it misses QoS on
@@ -379,11 +376,11 @@ func (b *Baseline) autoscale(t *core.Task, st *resState, now float64) {
 	}
 	load := offered / capQPS
 	switch {
-	case load > b.opts.ScaleUpLoad && t.NumNodes() < b.opts.MaxInstances:
+	case load > scaleUpLoad && t.NumNodes() < b.opts.MaxInstances:
 		st.nodes = t.NumNodes() + 1
 		st.lastScale = now
 		b.tryPlace(t, st)
-	case load < b.opts.ScaleDownLoad && t.NumNodes() > 1:
+	case load < scaleDownLoad && t.NumNodes() > 1:
 		ids := t.Servers()
 		_ = b.rt.RemoveNode(t, ids[len(ids)-1])
 		st.nodes = t.NumNodes()

@@ -70,7 +70,7 @@ var topKSink *SVD
 // pass — at the end-of-day scale-up shape.
 func BenchmarkTopK(b *testing.B) {
 	f := libraryShaped(231, 81, 21, 7).Freeze(nil)
-	mu, k := meanOf(f.cells), DefaultOptions().K
+	mu, k := meanOf(f.cells), latentK
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		topKSink = topK(f.cells, f.Rows, f.Cols, mu, k)

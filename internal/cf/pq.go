@@ -7,39 +7,39 @@ import (
 	"quasar/internal/sim"
 )
 
-// Options configures PQ-reconstruction. The defaults follow the paper: a
-// simple latent-factor model r̂_ui = µ + b_u + q_i·p_u trained by SGD with
-// learning rate η and regularization λ, initialized from the SVD of the
-// mean-imputed matrix (Pᵀ ← ΣVᵀ, Q ← U), iterating until the L2 norm of the
-// prediction error becomes marginal.
+// PQ-reconstruction follows the paper: a simple latent-factor model
+// r̂_ui = µ + b_u + b_i + q_i·p_u trained by SGD with learning rate η and
+// regularization λ, initialized from the SVD of the mean-imputed matrix
+// (Pᵀ ← ΣVᵀ, Q ← U), iterating until the L2 norm of the prediction error
+// becomes marginal.
+const (
+	latentK     = 4    // number of latent factors, clamped to the matrix shape
+	eta         = 0.05 // SGD learning rate η
+	lambda      = 0.02 // regularization factor λ, also fold-in's ridge term
+	stopTol     = 1e-6 // stop when the relative RMSE improvement falls below this
+	shuffleSeed = 1    // RNG seed for the per-epoch entry-order shuffle
+)
+
+// Options configures PQ-reconstruction.
 type Options struct {
-	K       int     // number of latent factors
-	Eta     float64 // SGD learning rate
-	Lambda  float64 // regularization factor
-	Epochs  int     // maximum SGD epochs
-	Tol     float64 // stop when relative RMSE improvement falls below Tol
-	Seed    int64   // RNG seed for entry-order shuffling
-	ItemBia bool    // also learn per-column (item) bias b_i
+	Epochs int // maximum SGD epochs
 }
 
 // DefaultOptions returns the options used by the classification engine.
-func DefaultOptions() Options {
-	return Options{K: 4, Eta: 0.05, Lambda: 0.02, Epochs: 500, Tol: 1e-6, Seed: 1, ItemBia: true}
-}
+func DefaultOptions() Options { return Options{Epochs: 500} }
 
 // Model is a trained latent-factor model over a sparse matrix.
 type Model struct {
-	K      int
-	Mu     float64
-	BU     []float64 // row (user) biases
-	BI     []float64 // column (item) biases
-	P      *Dense    // row factors, Rows×K
-	Q      *Dense    // column factors, Cols×K
-	Lambda float64
+	K  int
+	Mu float64
+	BU []float64 // row (user) biases
+	BI []float64 // column (item) biases
+	P  *Dense    // row factors, Rows×K
+	Q  *Dense    // column factors, Cols×K
 
 	// Epochs is how many SGD epochs the fit ran. Rose says the fit stopped
 	// because an epoch's RMSE rose, not because it improved by less than
-	// Tol or reached the epoch cap.
+	// stopTol or reached the epoch cap.
 	Epochs int
 	Rose   bool
 }
@@ -49,23 +49,18 @@ func Train(s *Sparse, opts Options) *Model { return TrainFrozen(s.Freeze(nil), o
 
 // TrainFrozen fits a latent-factor model to a frozen matrix. The model is a
 // pure function of (the frozen cells, rows, cols, opts): the shuffle re-seeds
-// from opts.Seed on every call, so fitting a capture later gives exactly the
+// from shuffleSeed on every call, so fitting a capture later gives exactly the
 // model fitting it on the spot would have. It consumes f — SGD shuffles the
 // cell list in place — so Freeze into f again before training from it again.
 func TrainFrozen(f *Frozen, opts Options) *Model {
-	k := opts.K
-	if k <= 0 {
-		k = DefaultOptions().K
-	}
-	k = max(1, min(k, f.Rows, f.Cols))
+	k := max(1, min(latentK, f.Rows, f.Cols))
 	m := &Model{
-		K:      k,
-		Mu:     meanOf(f.cells),
-		BU:     make([]float64, f.Rows),
-		BI:     make([]float64, f.Cols),
-		P:      NewDense(f.Rows, k),
-		Q:      NewDense(f.Cols, k),
-		Lambda: opts.Lambda,
+		K:  k,
+		Mu: meanOf(f.cells),
+		BU: make([]float64, f.Rows),
+		BI: make([]float64, f.Cols),
+		P:  NewDense(f.Rows, k),
+		Q:  NewDense(f.Cols, k),
 	}
 	m.initFromSVD(f.cells)
 	m.sgd(f.cells, opts)
@@ -75,20 +70,20 @@ func TrainFrozen(f *Frozen, opts Options) *Model {
 // sgd refines the model over the observed entries, reshuffled (in place)
 // every epoch starting from their (row, column) order, until the RMSE
 // improvement becomes marginal. The classifier's innermost loop: nnz × epochs
-// steps per retrain, over the factor matrices as flat slices. Every fit the
-// engine runs has K = 4 and item biases, and takes sgd4; any other shape
-// takes the general loop, which does the same arithmetic in the same order.
+// steps per retrain, over the factor matrices as flat slices. A fit with
+// K = 4 takes sgd4; a matrix too small for four factors (fewer than four
+// rows or columns, as at an axis's first fits) clamps K and takes the
+// general loop, which does the same arithmetic in the same order.
 func (m *Model) sgd(cells []Cell, opts Options) {
 	if len(cells) == 0 {
 		return
 	}
-	if m.K == 4 && opts.ItemBia {
+	if m.K == 4 {
 		m.sgd4(cells, opts)
 		return
 	}
-	rng := sim.NewSource(opts.Seed)
-	k, p, q, bu, bi := m.K, m.P.Data, m.Q.Data, m.BU, m.BI
-	mu, eta, lambda := m.Mu, opts.Eta, opts.Lambda
+	rng := sim.NewSource(shuffleSeed)
+	k, p, q, bu, bi, mu := m.K, m.P.Data, m.Q.Data, m.BU, m.BI, m.Mu
 	prevRMSE := math.Inf(1)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		sim.Shuffle(rng, cells)
@@ -104,9 +99,7 @@ func (m *Model) sgd(cells []Cell, opts Options) {
 			err := e.V - pred
 			sse += err * err
 			bu[e.Row] += eta * (err - lambda*bu[e.Row])
-			if opts.ItemBia {
-				bi[e.Col] += eta * (err - lambda*bi[e.Col])
-			}
+			bi[e.Col] += eta * (err - lambda*bi[e.Col])
 			for f, pf := range pu {
 				qf := qi[f]
 				pu[f] = pf + eta*(err*qf-lambda*pf)
@@ -115,7 +108,7 @@ func (m *Model) sgd(cells []Cell, opts Options) {
 		}
 		rmse := math.Sqrt(sse / float64(len(cells)))
 		m.Epochs = epoch + 1
-		if prevRMSE-rmse < opts.Tol*prevRMSE {
+		if prevRMSE-rmse < stopTol*prevRMSE {
 			m.Rose = rmse > prevRMSE
 			break
 		}
@@ -123,14 +116,12 @@ func (m *Model) sgd(cells []Cell, opts Options) {
 	}
 }
 
-// sgd4 is sgd for K = 4 with item biases: the factor rows are fixed-size
-// arrays, so the dot product and the updates are written out — each one
+// sgd4 is sgd for K = 4: the factor rows are fixed-size arrays, so the dot product and the updates are written out — each one
 // the general loop's expression, in its order — with no bounds checks in
 // them and no per-entry branch.
 func (m *Model) sgd4(cells []Cell, opts Options) {
-	rng := sim.NewSource(opts.Seed)
-	p, q, bu, bi := m.P.Data, m.Q.Data, m.BU, m.BI
-	mu, eta, lambda := m.Mu, opts.Eta, opts.Lambda
+	rng := sim.NewSource(shuffleSeed)
+	p, q, bu, bi, mu := m.P.Data, m.Q.Data, m.BU, m.BI, m.Mu
 	prevRMSE := math.Inf(1)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		sim.Shuffle(rng, cells)
@@ -162,7 +153,7 @@ func (m *Model) sgd4(cells []Cell, opts Options) {
 		}
 		rmse := math.Sqrt(sse / float64(len(cells)))
 		m.Epochs = epoch + 1
-		if prevRMSE-rmse < opts.Tol*prevRMSE {
+		if prevRMSE-rmse < stopTol*prevRMSE {
 			m.Rose = rmse > prevRMSE
 			break
 		}
@@ -249,7 +240,7 @@ func (m *Model) FoldIn(obs map[int]float64) []float64 {
 	a := make([][]float64, dim) // normal equations matrix
 	for i := range a {
 		a[i] = make([]float64, dim)
-		a[i][i] = m.Lambda * float64(max(1, valid))
+		a[i][i] = lambda * float64(max(1, valid))
 	}
 	b := make([]float64, dim)
 	// Deterministic iteration: float accumulation order must not depend on

@@ -17,10 +17,7 @@ import (
 // also records where it stopped (Model.Epochs, Model.Rose), which changes no
 // arithmetic.
 func trainReference(s *Sparse, opts Options) *Model {
-	k := opts.K
-	if k <= 0 {
-		k = DefaultOptions().K
-	}
+	k := latentK
 	if k > s.Cols {
 		k = s.Cols
 	}
@@ -31,13 +28,12 @@ func trainReference(s *Sparse, opts Options) *Model {
 		k = 1
 	}
 	m := &Model{
-		K:      k,
-		Mu:     s.Mean(),
-		BU:     make([]float64, s.Rows),
-		BI:     make([]float64, s.Cols),
-		P:      NewDense(s.Rows, k),
-		Q:      NewDense(s.Cols, k),
-		Lambda: opts.Lambda,
+		K:  k,
+		Mu: s.Mean(),
+		BU: make([]float64, s.Rows),
+		BI: make([]float64, s.Cols),
+		P:  NewDense(s.Rows, k),
+		Q:  NewDense(s.Cols, k),
 	}
 	referenceInit(m, s)
 	referenceSGD(m, s, opts)
@@ -89,7 +85,7 @@ func referenceSGD(m *Model, s *Sparse, opts Options) {
 		}
 		return entries[a].i < entries[b].i
 	})
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(shuffleSeed))
 	k := m.K
 	prevRMSE := math.Inf(1)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
@@ -99,20 +95,18 @@ func referenceSGD(m *Model, s *Sparse, opts Options) {
 			pred := m.Predict(e.u, e.i)
 			err := e.v - pred
 			sse += err * err
-			m.BU[e.u] += opts.Eta * (err - opts.Lambda*m.BU[e.u])
-			if opts.ItemBia {
-				m.BI[e.i] += opts.Eta * (err - opts.Lambda*m.BI[e.i])
-			}
+			m.BU[e.u] += eta * (err - lambda*m.BU[e.u])
+			m.BI[e.i] += eta * (err - lambda*m.BI[e.i])
 			for f := 0; f < k; f++ {
 				pu := m.P.At(e.u, f)
 				qi := m.Q.At(e.i, f)
-				m.P.Set(e.u, f, pu+opts.Eta*(err*qi-opts.Lambda*pu))
-				m.Q.Set(e.i, f, qi+opts.Eta*(err*pu-opts.Lambda*qi))
+				m.P.Set(e.u, f, pu+eta*(err*qi-lambda*pu))
+				m.Q.Set(e.i, f, qi+eta*(err*pu-lambda*qi))
 			}
 		}
 		rmse := math.Sqrt(sse / float64(len(entries)))
 		m.Epochs = epoch + 1
-		if prevRMSE-rmse < opts.Tol*prevRMSE {
+		if prevRMSE-rmse < stopTol*prevRMSE {
 			m.Rose = rmse > prevRMSE
 			break
 		}
@@ -153,6 +147,19 @@ func trainFixtures() map[string]*Sparse {
 	return fx
 }
 
+// clampFixtures are matrices with fewer than latentK rows or columns, the
+// shapes of an axis's first fits (its first fit runs on one row): the fit
+// clamps K to 1, 2 and 3 and takes the general SGD loop, not sgd4. They
+// sit beside trainFixtures because TestTrainPinnedDigests pins exactly
+// trainFixtures' set.
+func clampFixtures() map[string]*Sparse {
+	fx := map[string]*Sparse{}
+	fx["1x81"], _ = makeLowRankSparse(1, 81, 1, 0.05, 47)
+	fx["2x81"], _ = makeLowRankSparse(2, 81, 2, 0.05, 53)
+	fx["3x10"], _ = makeLowRankSparse(3, 10, 2, 0.6, 59)
+	return fx
+}
+
 func modelsBitEqual(a, b *Model) bool {
 	eq := func(x, y []float64) bool {
 		if len(x) != len(y) {
@@ -172,32 +179,39 @@ func modelsBitEqual(a, b *Model) bool {
 // TestSGDLoopBitIdenticalToReference: from the same seed factors, the flat
 // SGD loop over the row-ordered entry list lands on exactly the reference
 // loop's model — same entry order, same shuffle draws, same arithmetic.
-// K = 4 with item biases takes the unrolled kernel, every other (K, item
-// bias) pair the general loop; both are held to the reference, and so is
-// where each stops: at the default cap and at a 3-epoch cap that binds.
+// K = 4 takes the unrolled kernel; a matrix with fewer than four rows or
+// columns clamps K and takes the general loop (5x1 and the clamp fixtures).
+// Both are held to the reference, and so is where each stops: at the
+// default cap and at a 3-epoch cap that binds.
 func TestSGDLoopBitIdenticalToReference(t *testing.T) {
-	for name, s := range trainFixtures() {
-		for k := 1; k <= 5; k++ {
-			for _, itemBias := range []bool{true, false} {
-				for _, epochs := range []int{DefaultOptions().Epochs, 3} {
-					opts := DefaultOptions()
-					opts.K, opts.ItemBia, opts.Epochs = k, itemBias, epochs
-					want := trainReference(s, opts)
+	fixtures := trainFixtures()
+	for name, s := range clampFixtures() {
+		fixtures[name] = s
+	}
+	general := 0
+	for name, s := range fixtures {
+		for _, epochs := range []int{DefaultOptions().Epochs, 3} {
+			opts := Options{Epochs: epochs}
+			want := trainReference(s, opts)
+			if want.K < latentK && s.NNZ() > 0 {
+				general++
+			}
 
-					got := &Model{K: want.K, Mu: s.Mean(), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
-						P: NewDense(s.Rows, want.K), Q: NewDense(s.Cols, want.K), Lambda: opts.Lambda}
-					referenceInit(got, s)
-					got.sgd(s.Freeze(nil).cells, opts)
-					if !modelsBitEqual(got, want) {
-						t.Errorf("%s K=%d itemBias=%v cap=%d: flat SGD loop diverged from the reference loop", name, k, itemBias, epochs)
-					}
-					if got.Epochs != want.Epochs || got.Rose != want.Rose {
-						t.Errorf("%s K=%d itemBias=%v cap=%d: stopped after %d epochs (rose %v), reference after %d (rose %v)",
-							name, k, itemBias, epochs, got.Epochs, got.Rose, want.Epochs, want.Rose)
-					}
-				}
+			got := &Model{K: want.K, Mu: s.Mean(), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
+				P: NewDense(s.Rows, want.K), Q: NewDense(s.Cols, want.K)}
+			referenceInit(got, s)
+			got.sgd(s.Freeze(nil).cells, opts)
+			if !modelsBitEqual(got, want) {
+				t.Errorf("%s K=%d cap=%d: flat SGD loop diverged from the reference loop", name, want.K, epochs)
+			}
+			if got.Epochs != want.Epochs || got.Rose != want.Rose {
+				t.Errorf("%s K=%d cap=%d: stopped after %d epochs (rose %v), reference after %d (rose %v)",
+					name, want.K, epochs, got.Epochs, got.Rose, want.Epochs, want.Rose)
 			}
 		}
+	}
+	if general < 8 {
+		t.Fatalf("only %d fits took the general loop; the clamp fixtures no longer clamp K", general)
 	}
 }
 

@@ -257,9 +257,9 @@ func TestSeedSignDoesNotMatter(t *testing.T) {
 	fit := func(s *Sparse, flip int) *Model {
 		opts := DefaultOptions()
 		f := s.Freeze(nil)
-		k := min(opts.K, s.Rows, s.Cols)
+		k := min(latentK, s.Rows, s.Cols)
 		m := &Model{K: k, Mu: meanOf(f.cells), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
-			P: NewDense(s.Rows, k), Q: NewDense(s.Cols, k), Lambda: opts.Lambda}
+			P: NewDense(s.Rows, k), Q: NewDense(s.Cols, k)}
 		m.initFromSVD(f.cells)
 		if flip >= 0 {
 			for _, d := range []*Dense{m.P, m.Q} {

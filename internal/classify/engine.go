@@ -249,7 +249,7 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 	if opts.RetrainEvery <= 0 {
 		opts.RetrainEvery = 25
 	}
-	if opts.CF.K == 0 {
+	if opts.CF.Epochs == 0 {
 		opts.CF = cf.DefaultOptions()
 	}
 	he := cluster.HighestEnd(platforms)

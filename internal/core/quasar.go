@@ -23,12 +23,6 @@ type QuasarOptions struct {
 	Sched sched.Options
 	// Classify configures the classification engine.
 	Classify classify.Options
-	// ProactivePeriodSecs is the proactive phase-probe period (600s = 10
-	// minutes in the paper); 0 disables proactive probing.
-	ProactivePeriodSecs float64
-	// ProactiveFraction is the share of active workloads sampled per probe
-	// round (0.2 in the paper).
-	ProactiveFraction float64
 	// DisableAdaptation freezes allocations after initial placement
 	// (ablation knob).
 	DisableAdaptation bool
@@ -43,11 +37,9 @@ type QuasarOptions struct {
 // DefaultQuasarOptions returns the paper's settings.
 func DefaultQuasarOptions() QuasarOptions {
 	return QuasarOptions{
-		MaxNodesPerJob:      16,
-		Sched:               sched.DefaultOptions(),
-		Classify:            classify.DefaultOptions(),
-		ProactivePeriodSecs: 600,
-		ProactiveFraction:   0.2,
+		MaxNodesPerJob: 16,
+		Sched:          sched.DefaultOptions(),
+		Classify:       classify.DefaultOptions(),
 	}
 }
 
@@ -437,13 +429,9 @@ func (q *Quasar) OnTick(now float64) {
 	if q.opts.EnablePartitioning {
 		q.managePartitions()
 	}
-	if q.opts.ProactivePeriodSecs > 0 {
-		period := q.opts.ProactivePeriodSecs
-		// Fire on ticks aligned with the probe period.
-		tick := q.rt.opts.TickSecs
-		if math.Mod(now+tick/2, period) < tick {
-			q.proactiveProbe(now)
-		}
+	// Fire on ticks aligned with the probe period.
+	if tick := q.rt.opts.TickSecs; math.Mod(now+tick/2, proactivePeriodSecs) < tick {
+		q.proactiveProbe(now)
 	}
 	q.drainQueue()
 }
@@ -821,6 +809,14 @@ func (q *Quasar) reclassify(t *Task, st *taskState, source string) {
 	}
 }
 
+// The proactive phase probe runs every proactivePeriodSecs (10 minutes in
+// the paper) and samples proactiveFraction of the active workloads per
+// round (0.2 in the paper).
+const (
+	proactivePeriodSecs = 600
+	proactiveFraction   = 0.2
+)
+
 // proactiveProbe samples a fraction of active workloads and injects
 // interference microbenchmarks to detect phase changes before they violate
 // QoS (§4.1).
@@ -834,7 +830,7 @@ func (q *Quasar) proactiveProbe(now float64) {
 	if len(running) == 0 {
 		return
 	}
-	n := int(math.Ceil(q.opts.ProactiveFraction * float64(len(running))))
+	n := int(math.Ceil(proactiveFraction * float64(len(running))))
 	// Probe the least-recently-probed workloads first: uniform random
 	// sampling can starve a workload indefinitely, while round-robin
 	// coverage bounds every workload's probe interval by

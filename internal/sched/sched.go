@@ -42,7 +42,7 @@ type Request struct {
 	// (the cost-target extension of §4.4); 0 means unlimited.
 	MaxCostPerHour float64
 
-	// AcceptPartial disables the MinFill admission check: the caller wants
+	// AcceptPartial disables the minFill admission check: the caller wants
 	// the best currently available allocation even if it falls well short
 	// of NeedPerf (used when rescheduling past-due workloads).
 	AcceptPartial bool
@@ -73,14 +73,17 @@ type Assignment struct {
 	CostPerHour float64
 }
 
+const (
+	// perfMargin is the headroom factor applied to NeedPerf (allocate for
+	// margin x need) to absorb estimation error.
+	perfMargin = 1.1
+	// minFill is the fraction of NeedPerf below which admission control
+	// rejects the workload instead of placing a starved allocation.
+	minFill = 0.25
+)
+
 // Options tunes the scheduler.
 type Options struct {
-	// PerfMargin is the headroom factor applied to NeedPerf (allocate for
-	// margin x need) to absorb estimation error; 1.1 by default.
-	PerfMargin float64
-	// MinFill is the fraction of NeedPerf below which admission control
-	// rejects the workload instead of placing a starved allocation.
-	MinFill float64
 	// ScaleOutFirst flips the sizing order (ablation knob; the paper
 	// scales up first).
 	ScaleOutFirst bool
@@ -98,9 +101,7 @@ type Options struct {
 }
 
 // DefaultOptions returns production settings.
-func DefaultOptions() Options {
-	return Options{PerfMargin: 1.1, MinFill: 0.25}
-}
+func DefaultOptions() Options { return Options{} }
 
 // Scheduler performs greedy allocation/assignment over a cluster.
 type Scheduler struct {
@@ -125,12 +126,6 @@ type Scheduler struct {
 
 // New returns a scheduler.
 func New(c *cluster.Cluster, opts Options) *Scheduler {
-	if opts.PerfMargin <= 0 {
-		opts.PerfMargin = 1.1
-	}
-	if opts.MinFill <= 0 {
-		opts.MinFill = 0.25
-	}
 	return &Scheduler{Cluster: c, Opts: opts, zoneScratch: make(map[int]bool)}
 }
 
@@ -572,7 +567,7 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 	if maxNodes <= 0 {
 		maxNodes = 1
 	}
-	want := req.NeedPerf * s.Opts.PerfMargin
+	want := req.NeedPerf * perfMargin
 	rk := s.rank(req)
 	if len(rk.cands) == 0 {
 		if s.Tracer.Enabled() {
@@ -662,7 +657,7 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 		return nil, ErrNoCapacity
 	}
 	asn.EstPerf = sumPerf * req.Est.ScaleOutEff(len(asn.Nodes))
-	if !req.AcceptPartial && asn.EstPerf < req.NeedPerf*s.Opts.MinFill {
+	if !req.AcceptPartial && asn.EstPerf < req.NeedPerf*minFill {
 		if s.Tracer.Enabled() {
 			s.emitDecision(req, want, rk.cands, asn, obs.OutcomeBelowMinFill)
 		}

@@ -36,9 +36,6 @@ type Options struct {
 	// HorizonSecs, when positive, ends the run at that sim time; 0 runs
 	// until Shutdown.
 	HorizonSecs float64
-	// RequestLog is the capacity of the bounded request-span ring behind
-	// GET /debug/requests (default 1024, minimum 16).
-	RequestLog int
 }
 
 // Server is the live daemon: an HTTP admission front end over a journal,
@@ -121,10 +118,7 @@ func New(opts Options) (*Server, error) {
 		nextB: cfg.EpochSecs,
 	}
 	w.snapPath, w.snapEvery, w.snapDue = opts.SnapshotPath, opts.SnapshotEverySecs, opts.SnapshotEverySecs
-	if opts.RequestLog <= 0 {
-		opts.RequestLog = 1024
-	}
-	s.tel = newTelemetry(opts.RequestLog, &j.bytesOut, tee.Subscribers, tee.DroppedTotal)
+	s.tel = newTelemetry(&j.bytesOut, tee.Subscribers, tee.DroppedTotal)
 	j.tel = s.tel
 	w.onApplied = func(e *Entry, applyErr string) {
 		s.tel.applied(e, telNow()-w.applyStartNS, applyErr)

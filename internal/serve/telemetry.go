@@ -103,16 +103,17 @@ type Telemetry struct {
 	pacerLagUS *metrics.Histogram
 }
 
-// newTelemetry builds the telemetry plane with a request ring of the given
-// capacity. journalBytes is the journal's output-byte counter; subscribers
-// and subDropped read the tee sink's subscription state.
-func newTelemetry(ringCap int, journalBytes *atomic.Int64, subscribers, subDropped func() int64) *Telemetry {
-	if ringCap < 16 {
-		ringCap = 16
-	}
+// requestLogCap is the capacity of the bounded request-span ring behind
+// GET /debug/requests.
+const requestLogCap = 1024
+
+// newTelemetry builds the telemetry plane with a request ring of
+// requestLogCap spans. journalBytes is the journal's output-byte counter;
+// subscribers and subDropped read the tee sink's subscription state.
+func newTelemetry(journalBytes *atomic.Int64, subscribers, subDropped func() int64) *Telemetry {
 	t := &Telemetry{
 		reg:          obs.NewRegistry(),
-		spans:        make([]RequestSpan, ringCap),
+		spans:        make([]RequestSpan, requestLogCap),
 		journalBytes: journalBytes,
 		httpReqs:     make(map[string]*obs.Counter, len(telemetryEndpoints)),
 		httpErrs:     make(map[string]*obs.Counter, len(telemetryEndpoints)),

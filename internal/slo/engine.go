@@ -66,7 +66,6 @@ func (ws *wstate) push(b uint8) {
 type Engine struct {
 	rt   *core.Runtime
 	tr   *obs.Tracer
-	opts Options
 	tick float64
 
 	// byPos[i] is the state of the task at position i of rt.Tasks() (nil
@@ -100,16 +99,14 @@ type Engine struct {
 // runtime tick. tr may be nil (monitoring without tracing): alert episodes,
 // health scores, and reports still work; only event emission and registry
 // metrics are skipped.
-func Attach(rt *core.Runtime, tr *obs.Tracer, opts Options) *Engine {
-	opts = opts.normalized()
+func Attach(rt *core.Runtime, tr *obs.Tracer, _ Options) *Engine {
 	e := &Engine{
 		rt:         rt,
 		tr:         tr,
-		opts:       opts,
 		tick:       rt.TickSecs(),
 		states:     make(map[string]*wstate),
 		HealthHeat: metrics.NewHeatmap(len(rt.Cl.Servers)),
-		nextHealth: rt.Eng.Now() + opts.HealthEverySecs,
+		nextHealth: rt.Eng.Now() + healthEverySecs,
 	}
 	e.ClusterHealth.Name = "cluster_health"
 	if reg := tr.Registry(); reg != nil {
@@ -125,9 +122,6 @@ func Attach(rt *core.Runtime, tr *obs.Tracer, opts Options) *Engine {
 	return e
 }
 
-// Options returns the normalized configuration the engine runs with.
-func (e *Engine) Options() Options { return e.opts }
-
 // windowTicks converts a window length to whole ticks (at least one).
 func (e *Engine) windowTicks(secs float64) int {
 	n := int(secs/e.tick + 0.5)
@@ -140,13 +134,13 @@ func (e *Engine) windowTicks(secs float64) int {
 // newState starts monitoring a workload on first sight.
 func (e *Engine) newState(t *core.Task) *wstate {
 	class := t.W.Type.Class()
-	goal := e.opts.GoalBatch
+	goal := goalBatch
 	if class == perfmodel.LatencyCritical {
-		goal = e.opts.GoalLC
+		goal = goalLC
 	}
 	maxTicks := 1
-	rules := make([]ruleState, len(e.opts.Rules))
-	for i, r := range e.opts.Rules {
+	rules := make([]ruleState, len(burnRules))
+	for i, r := range burnRules {
 		rules[i] = ruleState{
 			long:       winCount{ticks: e.windowTicks(r.LongSecs)},
 			short:      winCount{ticks: e.windowTicks(r.ShortSecs)},
@@ -216,7 +210,7 @@ func (e *Engine) onTick(now float64) {
 
 	if now+1e-9 >= e.nextHealth {
 		e.healthSweep(now)
-		e.nextHealth += e.opts.HealthEverySecs
+		e.nextHealth += healthEverySecs
 	}
 }
 
@@ -233,7 +227,7 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 			r.active = false
 			if e.tr.Enabled() {
 				e.tr.InstantAt(now, workloadTrack(ws.id), "slo", "alert_resolve",
-					obs.Arg{Key: "rule", Val: e.opts.Rules[ri].Name},
+					obs.Arg{Key: "rule", Val: burnRules[ri].Name},
 					obs.Arg{Key: "duration_secs", Val: now - r.firedAt},
 					obs.Arg{Key: "peak_burn", Val: r.peakBurn},
 					obs.Arg{Key: "reason", Val: "completed"})
@@ -245,7 +239,7 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 	}
 
 	bad := uint8(0)
-	if now-t.StartAt >= e.opts.WarmupSecs && e.badTick(t, now) {
+	if now-t.StartAt >= warmupSecs && e.badTick(t, now) {
 		bad = 1
 	}
 	ws.push(bad)
@@ -253,7 +247,7 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 	ws.badTotal += int(bad)
 
 	for ri := range ws.rules {
-		rule := e.opts.Rules[ri]
+		rule := burnRules[ri]
 		r := &ws.rules[ri]
 		burnL := float64(r.long.bad) / float64(r.long.ticks) / ws.budget
 		burnS := float64(r.short.bad) / float64(r.short.ticks) / ws.budget
@@ -292,12 +286,12 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 			r.peakBurn = burnL
 		}
 		// Hysteresis: resolve only after the short-window burn has stayed
-		// at or below ResolveFrac x threshold for the hold time.
-		if burnS <= rule.Burn*e.opts.ResolveFrac {
+		// at or below resolveFrac x threshold for the hold time.
+		if burnS <= rule.Burn*resolveFrac {
 			if r.belowSince < 0 {
 				r.belowSince = now
 			}
-			if now-r.belowSince >= e.opts.ResolveHoldSecs {
+			if now-r.belowSince >= resolveHoldSecs {
 				r.active = false
 				if e.tr.Enabled() {
 					e.tr.InstantAt(now, workloadTrack(ws.id), "slo", "alert_resolve",

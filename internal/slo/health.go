@@ -41,7 +41,7 @@ func (e *Engine) alertMass(workloadID string) float64 {
 		if !ws.rules[ri].active {
 			continue
 		}
-		if e.opts.Rules[ri].Name == "page" {
+		if burnRules[ri].Name == "page" {
 			m += AlertMassPage
 		} else {
 			m += AlertMassTick

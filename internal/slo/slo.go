@@ -27,12 +27,12 @@
 // is consumed: alerting is a pure function of the observed stream.
 package slo
 
-// BurnRule is one multi-window burn-rate alerting rule. The burn rate over
+// burnRule is one multi-window burn-rate alerting rule. The burn rate over
 // a window is (bad fraction over the window) / (error budget); a burn of 1
 // consumes the budget exactly at the tolerated pace, a burn of 10 exhausts
 // it 10x too fast. The rule fires when the burn over BOTH windows reaches
 // Burn.
-type BurnRule struct {
+type burnRule struct {
 	// Name labels the rule in events and reports ("page", "ticket").
 	Name string
 	// LongSecs is the evidence window.
@@ -43,94 +43,51 @@ type BurnRule struct {
 	Burn float64
 }
 
-// Default burn-rate rules, following the SRE-workbook shape scaled to
-// simulation time: the page catches a hard outage in ~30s of continuous
-// badness (long window x threshold x budget), well inside the heartbeat
-// detector's 40s dead window; the ticket catches slow leaks that would
-// quietly eat the budget.
-func defaultRules() []BurnRule {
-	return []BurnRule{
-		{Name: "page", LongSecs: 300, ShortSecs: 60, Burn: 10},
-		{Name: "ticket", LongSecs: 1800, ShortSecs: 300, Burn: 2},
-	}
+// burnRules are the burn-rate rules evaluated per workload, in severity
+// order, following the SRE-workbook shape scaled to simulation time: the
+// page catches a hard outage in ~30s of continuous badness (long window x
+// threshold x budget), well inside the heartbeat detector's 40s dead
+// window; the ticket catches slow leaks that would quietly eat the budget.
+var burnRules = []burnRule{
+	{Name: "page", LongSecs: 300, ShortSecs: 60, Burn: 10},
+	{Name: "ticket", LongSecs: 1800, ShortSecs: 300, Burn: 2},
 }
 
-// Options configures the SLO engine. The zero value selects the defaults
-// documented on each field.
-type Options struct {
-	// Rules are the burn-rate rules evaluated per workload, in severity
-	// order. Default: a fast-burn page (300s/60s windows, burn 10) and a
-	// slow-burn ticket (1800s/300s windows, burn 2).
-	Rules []BurnRule
+const (
+	// goalLC is the availability goal for latency-critical services: a
+	// budget of 1% of ticks may miss QoS.
+	goalLC = 0.99
+	// goalBatch is the goal for analytics and single-node workloads, whose
+	// targets are softer deadlines.
+	goalBatch = 0.95
 
-	// GoalLC is the availability goal for latency-critical services
-	// (default 0.99: budget = 1% of ticks may miss QoS).
-	GoalLC float64
-	// GoalBatch is the goal for analytics and single-node workloads
-	// (default 0.95: their targets are softer deadlines).
-	GoalBatch float64
+	// warmupSecs skips SLI evaluation for this long after a workload
+	// starts, matching the runtime's latency-distribution warm-up:
+	// placement ramp-up is not an SLO violation.
+	warmupSecs = 600
 
-	// WarmupSecs skips SLI evaluation for this long after a workload
-	// starts (default 600s, matching the runtime's latency-distribution
-	// warm-up): placement ramp-up is not an SLO violation.
-	WarmupSecs float64
+	// resolveFrac and resolveHoldSecs are the hysteresis: an active alert
+	// resolves only after the short-window burn stays at or below
+	// resolveFrac x threshold for resolveHoldSecs.
+	resolveFrac     = 0.5
+	resolveHoldSecs = 60
 
-	// ResolveFrac and ResolveHoldSecs implement hysteresis: an active
-	// alert resolves only after the short-window burn stays at or below
-	// ResolveFrac x threshold for ResolveHoldSecs (defaults 0.5 and 60s).
-	ResolveFrac     float64
-	ResolveHoldSecs float64
+	// healthEverySecs is the health-score sweep period.
+	healthEverySecs = 60
+)
 
-	// HealthEverySecs is the health-score sweep period (default 60s).
-	HealthEverySecs float64
-}
+// Options configures the SLO engine. It has no fields: the engine runs one
+// configuration, the rules, goals, warm-up, hysteresis and health period
+// above.
+type Options struct{}
 
 // QoSMetFraction is the met-fraction below which a latency-critical tick
 // counts against the budget. It matches the runtime's qos-met<->miss edge
 // threshold so alerts and trace edges tell one story.
 const QoSMetFraction = 0.95
 
-// DefaultOptions returns the documented defaults.
-func DefaultOptions() Options {
-	return Options{
-		Rules:           defaultRules(),
-		GoalLC:          0.99,
-		GoalBatch:       0.95,
-		WarmupSecs:      600,
-		ResolveFrac:     0.5,
-		ResolveHoldSecs: 60,
-		HealthEverySecs: 60,
-	}
-}
-
-// normalized fills zero fields with defaults.
-func (o Options) normalized() Options {
-	d := DefaultOptions()
-	if len(o.Rules) == 0 {
-		o.Rules = d.Rules
-	}
-	if o.GoalLC <= 0 || o.GoalLC >= 1 {
-		o.GoalLC = d.GoalLC
-	}
-	if o.GoalBatch <= 0 || o.GoalBatch >= 1 {
-		o.GoalBatch = d.GoalBatch
-	}
-	if o.WarmupSecs < 0 {
-		o.WarmupSecs = 0
-	} else if o.WarmupSecs == 0 { //lint:allow(floatcmp) zero is the unset sentinel, not a computed value
-		o.WarmupSecs = d.WarmupSecs
-	}
-	if o.ResolveFrac <= 0 || o.ResolveFrac >= 1 {
-		o.ResolveFrac = d.ResolveFrac
-	}
-	if o.ResolveHoldSecs <= 0 {
-		o.ResolveHoldSecs = d.ResolveHoldSecs
-	}
-	if o.HealthEverySecs <= 0 {
-		o.HealthEverySecs = d.HealthEverySecs
-	}
-	return o
-}
+// DefaultOptions returns the (empty) configuration Attach takes.
+func DefaultOptions() Options { return Options{} }
 
 // Episode is one fired alert from fire to resolution.
 type Episode struct {
