@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench ledger trace-diff fmt-check ci
+.PHONY: all build test race behaviour lint bench ledger trace-diff fmt-check ci
 
 all: build
 
@@ -17,6 +17,11 @@ test:
 ## race: run the short test suite under the race detector (the CI lane)
 race:
 	$(GO) test -race -short ./...
+
+## behaviour: the behavioural checks that claim over seeds 1-12; they skip
+## under -short, so `race` does not run them
+behaviour:
+	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape)$$' -count=1 ./internal/experiments
 
 ## lint: gofmt, go vet, and the repository's own static-analysis suite
 lint: fmt-check
@@ -90,4 +95,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 ## ci: everything the CI pipeline runs
-ci: fmt-check build lint race
+ci: fmt-check build lint race behaviour
