@@ -33,8 +33,9 @@ lint: fmt-check
 ## in the number of rows; a retrain point is a freeze plus a fit, and
 ## BenchmarkFreeze times only the freeze's copy; BenchmarkTopK
 ## is the fit's SVD seed at the end-of-day scale-up shape, and BenchmarkSymEig
-## its cubic term; BenchmarkNodePerf is paid per node per tick), the
-## oracle target sweep at 8 and 100 nodes (BenchmarkOracleBestCompletion:
+## its cubic term; BenchmarkNodePerf is paid per node per tick;
+## BenchmarkSeedLibrary seeds sim_day_mixed's 84-row offline library, paid
+## once per world build), the oracle target sweep at 8 and 100 nodes (BenchmarkOracleBestCompletion:
 ## paid per targeted batch arrival) and one arrival's instance generation
 ## (BenchmarkUniverseNew: a targeted Hadoop job, a service and a single-node
 ## job), then the
@@ -50,7 +51,7 @@ lint: fmt-check
 ## all of the repository's benchmarks; CI's bench job runs each once.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='^Benchmark(Train|Freeze|TopK|SymEig|NodePerf|OracleBestCompletion|UniverseNew)$$' -run=^$$ ./internal/cf ./internal/classify ./internal/workload
+	$(GO) test -bench='^Benchmark(Train|Freeze|TopK|SymEig|NodePerf|SeedLibrary|OracleBestCompletion|UniverseNew)$$' -benchmem -run=^$$ ./internal/cf ./internal/classify ./internal/workload
 	$(GO) test -bench='^Benchmark(NewRNG|Stream|StreamDraws|Shuffle)$$' -benchmem -run=^$$ ./internal/sim
 	$(GO) test -bench='^Benchmark(Rank|Schedule)$$' -benchmem -run=^$$ ./internal/sched
 	$(GO) test -bench='^BenchmarkJournalNext$$' -benchmem -run=^$$ ./internal/serve

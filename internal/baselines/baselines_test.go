@@ -22,13 +22,16 @@ func fixture(t testing.TB, opts Options, seed int64) (*core.Runtime, *Baseline, 
 	u := workload.NewUniverse(platforms, seed+1, 3)
 	b := New(rt, opts)
 	if b.Engine() != nil {
+		var lib []*workload.Instance
+		var probers []classify.Prober
 		for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode} {
 			for i := 0; i < 3; i++ {
 				w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
-				p := classify.NewGroundTruthProber(w, platforms, sim.NewRNG(int64(100+i)))
-				b.Engine().SeedOffline(w, p)
+				lib = append(lib, w)
+				probers = append(probers, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(int64(100+i))))
 			}
 		}
+		b.Engine().SeedOfflineMany(lib, probers)
 	}
 	rt.SetManager(b)
 	return rt, b, u

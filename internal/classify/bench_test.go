@@ -34,3 +34,33 @@ func BenchmarkNodePerf(b *testing.B) {
 		perfSink += es.NodePerf(i%len(e.Platforms), allocs[i%len(allocs)], pressure)
 	}
 }
+
+// BenchmarkSeedLibrary: seeding sim_day_mixed's offline library — 12
+// workloads of each of the seven types on the local platforms, scale-out
+// counts up to 32 — into a fresh engine: the dense probes, the 84 appends and
+// the fits. Every world build pays it once, before its first event.
+func BenchmarkSeedLibrary(b *testing.B) {
+	platforms := cluster.LocalPlatforms()
+	u := workload.NewUniverse(platforms, 20140301, 3)
+	var lib []*workload.Instance
+	for _, tp := range []workload.Type{workload.Hadoop, workload.Spark, workload.Storm,
+		workload.Memcached, workload.Cassandra, workload.Webserver, workload.SingleNode} {
+		for i := 0; i < 12; i++ {
+			lib = append(lib, u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4}))
+		}
+	}
+	opts := DefaultOptions()
+	opts.MaxNodes = 32
+	rng := sim.NewRNG(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probers := make([]Prober, len(lib))
+		for j, w := range lib {
+			probers[j] = NewGroundTruthProber(w, platforms, rng.Stream("seed").Stream(w.ID))
+		}
+		e := NewEngine(platforms, opts, rng.Stream("classify"))
+		e.SeedOfflineMany(lib, probers)
+		perfSink += float64(e.Rows())
+	}
+}

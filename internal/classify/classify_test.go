@@ -21,13 +21,16 @@ func testSetup(t testing.TB, seedPerType int) (*Engine, *workload.Universe) {
 	e := NewEngine(platforms, opts, sim.NewRNG(99))
 	types := []workload.Type{workload.Hadoop, workload.Spark, workload.Storm,
 		workload.Memcached, workload.Cassandra, workload.Webserver, workload.SingleNode}
+	var ws []*workload.Instance
+	var ps []Prober
 	for _, tp := range types {
 		for i := 0; i < seedPerType; i++ {
 			w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
-			p := NewGroundTruthProber(w, platforms, sim.NewRNG(int64(1000+i)))
-			e.SeedOffline(w, p)
+			ws = append(ws, w)
+			ps = append(ps, NewGroundTruthProber(w, platforms, sim.NewRNG(int64(1000+i))))
 		}
 	}
+	e.SeedOfflineMany(ws, ps)
 	return e, u
 }
 

@@ -79,14 +79,18 @@ func safeLog(v float64) float64 {
 // (appendRow and feedback say what counts) — and refits the model there: the
 // matrix is frozen into a buffer the axis re-uses, an O(nnz) copy, and
 // cf.TrainFrozen fits the freeze. Reads (estimateRow) only fold in, so they
-// never write the axis and may run concurrently.
+// never write the axis and may run concurrently. The one exception is a batch
+// append (Engine.appendBatch): nothing reads between its rows, so a retrain
+// point inside it only freezes, and the axis fits once, after the last row,
+// from the last freeze.
 type axis struct {
 	name       string
 	mat        *cf.Sparse
 	model      *cf.Model
 	frozen     *cf.Frozen // freeze buffer, re-used at every retrain point
+	unfitted   bool       // frozen holds a retrain point the model was not fitted from yet
 	sinceTrain int        // changes counted toward the next retrain point
-	interval   int        // numbers the current retrain interval from 1; train bumps it
+	interval   int        // numbers the current retrain interval from 1; every retrain point bumps it
 	fedIn      []int      // per row: the interval its runtime feedback was last counted in
 	cfOpts     cf.Options
 	retrain    int
@@ -94,7 +98,8 @@ type axis struct {
 }
 
 // AxisTrainStats counts one axis's retraining work since the engine was
-// built; every retrain point is one fit.
+// built. Fits counts the fits that ran, not the retrain points: a batch
+// append that passes several points fits once.
 type AxisTrainStats struct {
 	Fits       int     // models fitted
 	FitSeconds float64 // wall time spent fitting
@@ -116,11 +121,22 @@ func (a *axis) retrainThreshold() int {
 	return th
 }
 
+// appendRow appends one row and, at a retrain point, fits on the spot.
 func (a *axis) appendRow(obs map[int]float64) int {
+	idx := a.appendUnfitted(obs)
+	if a.unfitted {
+		a.fit()
+	}
+	return idx
+}
+
+// appendUnfitted appends one row, and at a retrain point only freezes: the
+// fit is left to the caller. The axis's first row is always a retrain point.
+func (a *axis) appendUnfitted(obs map[int]float64) int {
 	idx := a.mat.AppendRow(obs)
 	a.sinceTrain++
-	if a.model == nil || a.sinceTrain >= a.retrainThreshold() {
-		a.train()
+	if (a.model == nil && !a.unfitted) || a.sinceTrain >= a.retrainThreshold() {
+		a.point()
 	}
 	return idx
 }
@@ -128,11 +144,24 @@ func (a *axis) appendRow(obs map[int]float64) int {
 // train is a retrain point: it freezes the matrix as it stands and fits the
 // model from the freeze.
 func (a *axis) train() {
+	a.point()
+	a.fit()
+}
+
+// point is a retrain point without its fit: it freezes the matrix into the
+// axis's buffer and opens the next retrain interval.
+func (a *axis) point() {
 	a.frozen = a.mat.Freeze(a.frozen)
-	t0 := prof.Now()
-	a.model = cf.TrainFrozen(a.frozen, a.cfOpts)
+	a.unfitted = true
 	a.sinceTrain = 0
 	a.interval++
+}
+
+// fit fits the model from the last retrain point's freeze.
+func (a *axis) fit() {
+	t0 := prof.Now()
+	a.model = cf.TrainFrozen(a.frozen, a.cfOpts)
+	a.unfitted = false
 	a.stats.Fits++
 	a.stats.Epochs += a.model.Epochs
 	if a.model.Rose {
@@ -382,25 +411,24 @@ type ProbeObs struct {
 	obs     [numAxes]map[int]float64
 }
 
-// SeedOffline adds a densely profiled workload to every matrix — the
+// SeedOfflineMany adds densely profiled workloads to every matrix — the
 // paper's offline-characterized library ("a small number of different
-// workload types (20-30)" profiled exhaustively, §3.2).
-func (e *Engine) SeedOffline(w *workload.Instance, p Prober) {
-	e.appendObs(w.ID, e.probeSeed(w, p))
-}
-
-// SeedOfflineMany seeds ws[i] with probers[i], in input order, and traces a
-// seed-probe event per workload.
+// workload types (20-30)" profiled exhaustively, §3.2). It probes ws[i] with
+// probers[i] on the worker pool (each prober touches only its own workload,
+// so the ws must be distinct instances), then traces a seed-probe event per
+// workload and appends the rows as one batch, both in input order.
 func (e *Engine) SeedOfflineMany(ws []*workload.Instance, probers []Prober) {
-	for i, w := range ws {
-		po := e.probeSeed(w, probers[i])
-		if e.tracer.Enabled() {
+	pos := par.ParMap(0, len(ws), func(i int) *ProbeObs {
+		return e.probeSeed(ws[i], probers[i])
+	})
+	if e.tracer.Enabled() {
+		for i, w := range ws {
 			e.tracer.Instant("classify", "classify", "seed-probe",
 				obs.Arg{Key: "workload", Val: w.ID},
-				obs.Arg{Key: "ref_perf", Val: po.RefPerf})
+				obs.Arg{Key: "ref_perf", Val: pos[i].RefPerf})
 		}
-		e.appendObs(w.ID, po)
 	}
+	e.appendBatch(ws, pos)
 }
 
 // probeSeed runs the dense offline characterization. It only reads engine
@@ -450,6 +478,26 @@ func (e *Engine) appendObs(id string, po *ProbeObs) int {
 	row := e.axes[AxisScaleUp].mat.Rows - 1
 	e.rowOf[id] = row
 	return row
+}
+
+// appendBatch appends pos[i] as ws[i]'s row, in input order, and leaves
+// every matrix, model and counter but the fit statistics as appendObs called
+// once per row would. Nothing reads a model
+// between the rows, so only the last retrain point an axis reaches in the
+// batch is fitted: every point still freezes, counts and opens its interval
+// as it comes, and each axis that reached one fits once, after the last row.
+func (e *Engine) appendBatch(ws []*workload.Instance, pos []*ProbeObs) {
+	for i, po := range pos {
+		for j, a := range e.axes {
+			a.appendUnfitted(po.obs[j])
+		}
+		e.rowOf[ws[i].ID] = e.axes[AxisScaleUp].mat.Rows - 1
+	}
+	for _, a := range e.axes {
+		if a.unfitted {
+			a.fit()
+		}
+	}
 }
 
 // profilingAlloc is the reference per-node allocation for scale-out probes:

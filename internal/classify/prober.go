@@ -73,6 +73,10 @@ type GroundTruthProber struct {
 	RNG               *sim.RNG
 	// NoiseCV overrides the genome's measurement noise when positive.
 	NoiseCV float64
+
+	// tuned is the configuration W.Config points to while nodeRate
+	// measures a configured workload.
+	tuned workload.FrameworkConfig
 }
 
 // NewGroundTruthProber builds a prober for w over the platform set.
@@ -96,25 +100,40 @@ func (p *GroundTruthProber) noise(x float64) float64 {
 	return p.RNG.Jitter(x, cv)
 }
 
-// perfAt returns the workload's true performance metric for the allocation.
+// perfAt returns the workload's true performance metric on n nodes of the
+// platform, each with the same allocation and pressure.
 func (p *GroundTruthProber) perfAt(platformIdx, n int, alloc cluster.Alloc, pressure cluster.ResVec) float64 {
-	plat := &p.Platforms[platformIdx]
-	w := p.W
+	return p.metric(p.jobRate(p.nodeRate(platformIdx, alloc, pressure), n))
+}
 
-	// Configured workloads are profiled with the tuned configuration for
-	// this allocation.
-	origCfg := w.Config
-	if origCfg != nil {
-		cfg := TunedConfig(alloc.Cores, alloc.MemoryGB, false)
-		w.Config = &cfg
+// nodeRate returns the workload's true work rate on one node of the
+// platform. Configured workloads are profiled with the tuned configuration
+// for the allocation.
+func (p *GroundTruthProber) nodeRate(platformIdx int, alloc cluster.Alloc, pressure cluster.ResVec) float64 {
+	w := p.W
+	if origCfg := w.Config; origCfg != nil {
+		p.tuned = TunedConfig(alloc.Cores, alloc.MemoryGB, false)
+		w.Config = &p.tuned
 		defer func() { w.Config = origCfg }()
 	}
+	return w.NodeRate(&p.Platforms[platformIdx], alloc, pressure)
+}
 
-	nodes := make([]perfmodel.NodeAlloc, n)
-	for i := range nodes {
-		nodes[i] = perfmodel.NodeAlloc{Platform: plat, Alloc: alloc, Pressure: pressure}
+// jobRate is JobRate over n nodes of rate r: every node rate is the same, so
+// it adds r n times in JobRate's order and applies the scale-out efficiency,
+// which gives JobRate's bits without building the n-node slice.
+func (p *GroundTruthProber) jobRate(r float64, n int) float64 {
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += r
 	}
-	rate := w.JobRate(nodes)
+	return sum * p.W.Genome.ScaleOutEfficiency(n)
+}
+
+// metric turns a job rate into the workload's performance metric: the rate
+// itself for batch work, QPS at the latency bound for a service.
+func (p *GroundTruthProber) metric(rate float64) float64 {
+	w := p.W
 	if w.Type.Class() == perfmodel.LatencyCritical {
 		capQPS := rate * w.Genome.QPSPerUnit
 		bound := w.Target.LatencyUS
@@ -131,13 +150,14 @@ func (p *GroundTruthProber) ScaleUp(alloc cluster.Alloc) float64 {
 	return p.noise(p.perfAt(p.ProfilingPlatform, 1, alloc, cluster.ResVec{}))
 }
 
-// ScaleOut implements Prober.
+// ScaleOut implements Prober. One node rate serves both counts.
 func (p *GroundTruthProber) ScaleOut(n int, alloc cluster.Alloc) float64 {
-	one := p.perfAt(p.ProfilingPlatform, 1, alloc, cluster.ResVec{})
+	r := p.nodeRate(p.ProfilingPlatform, alloc, cluster.ResVec{})
+	one := p.metric(p.jobRate(r, 1))
 	if one <= 0 {
 		return 0
 	}
-	return p.noise(p.perfAt(p.ProfilingPlatform, n, alloc, cluster.ResVec{}) / one)
+	return p.noise(p.metric(p.jobRate(r, n)) / one)
 }
 
 // Heterogeneity implements Prober.

@@ -86,7 +86,7 @@ func Validate(e *Engine, w *workload.Instance) (*Estimates, ValidationErrors) {
 // one-at-a-time Validate loop derives them, so the randomness — and with it
 // the whole result — is identical for any worker count. Classification is
 // detached: every workload folds in against the models as of the batch
-// start, then the observations are appended in input order.
+// start, then the observations are appended in input order, as one batch.
 func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates, []ValidationErrors) {
 	probeRNGs := make([]*sim.RNG, len(ws))
 	classifyRNGs := make([]*sim.RNG, len(ws))
@@ -106,13 +106,17 @@ func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates
 		truth := NewGroundTruthProber(w, e.Platforms, nil)
 		return result{es, po, CompareToTruth(es, w, truth)}
 	})
+	first := e.Rows()
 	ess := make([]*Estimates, len(ws))
+	pos := make([]*ProbeObs, len(ws))
 	errs := make([]ValidationErrors, len(ws))
 	for i, r := range results {
-		r.es.Row = e.Append(ws[i].ID, r.po)
+		r.es.Row = first + i
 		ess[i] = r.es
+		pos[i] = r.po
 		errs[i] = r.errs
 	}
+	e.appendBatch(ws, pos)
 	return ess, errs
 }
 

@@ -96,6 +96,10 @@ var allocProbes = []struct {
 	// configuration, the candidates in a fixed array on the stack (measured
 	// 0.0).
 	{"oracle_sweep", "quasar/internal/workload.OracleBestCompletion", 0, oracleSweepProbe},
+	// One scale-out probe of a configured Hadoop job, paid per node count
+	// for every distributed workload the library seeds: one node rate for
+	// both counts, the tuned configuration in the prober (measured 0.0).
+	{"prober_scaleout", "quasar/internal/classify.(*GroundTruthProber).ScaleOut", 0, proberScaleOutProbe},
 }
 
 // TestAllocBudgets is the allocation gate: every probe must stay within its
@@ -142,12 +146,16 @@ func schedScheduleProbe(t *testing.T) float64 {
 	copts := classify.DefaultOptions()
 	copts.MaxNodes = 32
 	ceng := classify.NewEngine(platforms, copts, sim.NewRNG(seed+1))
+	var lib []*workload.Instance
+	var probers []classify.Prober
 	for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode} {
 		for i := 0; i < 3; i++ {
 			w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
-			ceng.SeedOffline(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+int64(i))))
+			lib = append(lib, w)
+			probers = append(probers, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+int64(i))))
 		}
 	}
+	ceng.SeedOfflineMany(lib, probers)
 	est := map[string]*classify.Estimates{}
 	s := sched.New(cl, sched.DefaultOptions())
 
@@ -292,6 +300,25 @@ func oracleSweepProbe(*testing.T) float64 {
 	})
 }
 
+// proberScaleOutProbe measures one noisy ScaleOut at 32 nodes of half the
+// profiling platform, the largest count seeding probes at the ledger's
+// MaxNodes.
+func proberScaleOutProbe(*testing.T) float64 {
+	platforms := cluster.LocalPlatforms()
+	u := workload.NewUniverse(platforms, allocSeed, 3)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 8})
+	p := classify.NewGroundTruthProber(w, platforms, sim.NewRNG(allocSeed))
+	plat := &platforms[p.ProfilingPlatform]
+	alloc := cluster.Alloc{Cores: max(1, plat.Cores/2), MemoryGB: plat.MemoryGB / 2}
+	sum := 0.0
+	for i := 0; i < 300; i++ { // build the noise stream's register
+		sum += p.ScaleOut(32, alloc)
+	}
+	return testing.AllocsPerRun(allocRuns, func() {
+		sum += p.ScaleOut(32, alloc)
+	})
+}
+
 // classifiedHadoop classifies one Hadoop job against a three-row library
 // on the local platforms.
 func classifiedHadoop() (*classify.Estimates, []cluster.Platform) {
@@ -299,10 +326,13 @@ func classifiedHadoop() (*classify.Estimates, []cluster.Platform) {
 	platforms := cluster.LocalPlatforms()
 	u := workload.NewUniverse(platforms, seed, 3)
 	ceng := classify.NewEngine(platforms, classify.DefaultOptions(), sim.NewRNG(seed+1))
-	for i := 0; i < 3; i++ {
-		w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
-		ceng.SeedOffline(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+int64(i))))
+	lib := make([]*workload.Instance, 3)
+	probers := make([]classify.Prober, len(lib))
+	for i := range lib {
+		lib[i] = u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+		probers[i] = classify.NewGroundTruthProber(lib[i], platforms, sim.NewRNG(seed+int64(i)))
 	}
+	ceng.SeedOfflineMany(lib, probers)
 	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
 	return ceng.Classify(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(seed+7))), platforms
 }

@@ -28,12 +28,16 @@ func newFixture(t testing.TB) *fixture {
 	opts := classify.DefaultOptions()
 	opts.MaxNodes = 32
 	eng := classify.NewEngine(platforms, opts, sim.NewRNG(5))
+	var lib []*workload.Instance
+	var probers []classify.Prober
 	for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode, workload.Spark} {
 		for i := 0; i < 3; i++ {
 			w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
-			eng.SeedOffline(w, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(int64(i))))
+			lib = append(lib, w)
+			probers = append(probers, classify.NewGroundTruthProber(w, platforms, sim.NewRNG(int64(i))))
 		}
 	}
+	eng.SeedOfflineMany(lib, probers)
 	return &fixture{
 		cl:  cl,
 		eng: eng,
