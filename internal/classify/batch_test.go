@@ -178,6 +178,16 @@ func sparseDiff(got, want *cf.Sparse) string {
 // the threshold follows rows/5.
 var batchSizes = []int{0, 1, 2, 25, 26, 27, 51, 76, 84, 130, 300}
 
+// testBatchSizes returns batchSizes, less the sizes past the 84-row library
+// under -short: the race lane still covers every retrain point a fresh
+// engine reaches and the probing fan-out, and the plain lane covers them all.
+func testBatchSizes() []int {
+	if testing.Short() {
+		return batchSizes[:len(batchSizes)-2]
+	}
+	return batchSizes
+}
+
 // withDefaultWorkers runs fn with the worker pool's default size set to n.
 func withDefaultWorkers(n int, fn func()) {
 	par.SetDefaultWorkers(n)
@@ -190,9 +200,10 @@ func withDefaultWorkers(n int, fn func()) {
 // appending and fitting one row at a time, on a fresh engine and on a used
 // one, whatever the probing fan-out's worker count.
 func TestSeedBatchMatchesPerRowReference(t *testing.T) {
-	f := newBatchFixture(batchSizes[len(batchSizes)-1])
+	sizes := testBatchSizes()
+	f := newBatchFixture(sizes[len(sizes)-1])
 	for _, used := range []bool{false, true} {
-		for _, n := range batchSizes {
+		for _, n := range sizes {
 			ws := f.batch[:n]
 			want := f.engine(used)
 			referenceSeed(want, ws, f.probers(ws, 1000))
@@ -211,9 +222,10 @@ func TestSeedBatchMatchesPerRowReference(t *testing.T) {
 // and resulting engine are bit-equal to appending its observations one row
 // at a time.
 func TestValidateManyMatchesPerRowReference(t *testing.T) {
-	f := newBatchFixture(batchSizes[len(batchSizes)-1])
+	sizes := testBatchSizes()
+	f := newBatchFixture(sizes[len(sizes)-1])
 	for _, used := range []bool{false, true} {
-		for _, n := range batchSizes {
+		for _, n := range sizes {
 			ws := f.batch[:n]
 			want := f.engine(used)
 			wantEs, wantErrs := referenceValidateMany(want, ws, 1)

@@ -74,15 +74,15 @@ func safeLog(v float64) float64 {
 // axis is one classification: its matrix, the model reads fold in against,
 // and the retraining state between the two.
 //
-// A retrain point (train) is reached on the write side — once
-// retrainThreshold() changed rows have been counted since the last one
-// (appendRow and feedback say what counts) — and refits the model there: the
-// matrix is frozen into a buffer the axis re-uses, an O(nnz) copy, and
-// cf.TrainFrozen fits the freeze. Reads (estimateRow) only fold in, so they
-// never write the axis and may run concurrently. The one exception is a batch
-// append (Engine.appendBatch): nothing reads between its rows, so a retrain
-// point inside it only freezes, and the axis fits once, after the last row,
-// from the last freeze.
+// A retrain point is reached on the write side — once retrainThreshold()
+// changed rows have been counted since the last one (appendUnfitted and
+// feedback say what counts). There the matrix is frozen into a buffer the
+// axis re-uses, an O(nnz) copy, and cf.TrainFrozen fits the freeze before
+// anything reads the axis again: feedback fits on the spot (train), and an
+// append (Engine.appendBatch) fits each axis once, after its last row, from
+// the last freeze — nothing reads between the rows of a batch. Reads
+// (estimateRow) only fold in, so they never write the axis and may run
+// concurrently.
 type axis struct {
 	name       string
 	mat        *cf.Sparse
@@ -119,15 +119,6 @@ func (a *axis) retrainThreshold() int {
 		th = grow
 	}
 	return th
-}
-
-// appendRow appends one row and, at a retrain point, fits on the spot.
-func (a *axis) appendRow(obs map[int]float64) int {
-	idx := a.appendUnfitted(obs)
-	if a.unfitted {
-		a.fit()
-	}
-	return idx
 }
 
 // appendUnfitted appends one row, and at a retrain point only freezes: the
@@ -428,7 +419,11 @@ func (e *Engine) SeedOfflineMany(ws []*workload.Instance, probers []Prober) {
 				obs.Arg{Key: "ref_perf", Val: pos[i].RefPerf})
 		}
 	}
-	e.appendBatch(ws, pos)
+	ids := make([]string, len(ws))
+	for i, w := range ws {
+		ids[i] = w.ID
+	}
+	e.appendBatch(ids, pos)
 }
 
 // probeSeed runs the dense offline characterization. It only reads engine
@@ -470,28 +465,25 @@ func (e *Engine) probeSeed(w *workload.Instance, p Prober) *ProbeObs {
 	return po
 }
 
-// appendObs appends one workload's observations to all five matrices.
+// appendObs appends one workload's observations to all five matrices and
+// returns its row: a batch of one.
 func (e *Engine) appendObs(id string, po *ProbeObs) int {
-	for i, a := range e.axes {
-		a.appendRow(po.obs[i])
-	}
-	row := e.axes[AxisScaleUp].mat.Rows - 1
-	e.rowOf[id] = row
-	return row
+	e.appendBatch([]string{id}, []*ProbeObs{po})
+	return e.Rows() - 1
 }
 
-// appendBatch appends pos[i] as ws[i]'s row, in input order, and leaves
-// every matrix, model and counter but the fit statistics as appendObs called
-// once per row would. Nothing reads a model
-// between the rows, so only the last retrain point an axis reaches in the
-// batch is fitted: every point still freezes, counts and opens its interval
-// as it comes, and each axis that reached one fits once, after the last row.
-func (e *Engine) appendBatch(ws []*workload.Instance, pos []*ProbeObs) {
+// appendBatch appends pos[i] as the row of workload ids[i], in input order.
+// Every retrain point an axis reaches freezes, counts and opens its interval
+// as it comes, but nothing reads a model between the rows, so only the last
+// one is fitted: each axis that reached a point fits once, after the last
+// row. Matrices, models and counters end as appending and fitting one row at
+// a time would leave them; only the fit statistics count fewer fits.
+func (e *Engine) appendBatch(ids []string, pos []*ProbeObs) {
 	for i, po := range pos {
 		for j, a := range e.axes {
 			a.appendUnfitted(po.obs[j])
 		}
-		e.rowOf[ws[i].ID] = e.axes[AxisScaleUp].mat.Rows - 1
+		e.rowOf[ids[i]] = e.axes[AxisScaleUp].mat.Rows - 1
 	}
 	for _, a := range e.axes {
 		if a.unfitted {

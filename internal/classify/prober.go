@@ -103,7 +103,7 @@ func (p *GroundTruthProber) noise(x float64) float64 {
 // perfAt returns the workload's true performance metric on n nodes of the
 // platform, each with the same allocation and pressure.
 func (p *GroundTruthProber) perfAt(platformIdx, n int, alloc cluster.Alloc, pressure cluster.ResVec) float64 {
-	return p.metric(p.jobRate(p.nodeRate(platformIdx, alloc, pressure), n))
+	return p.metric(p.W.UniformJobRate(p.nodeRate(platformIdx, alloc, pressure), n))
 }
 
 // nodeRate returns the workload's true work rate on one node of the
@@ -117,17 +117,6 @@ func (p *GroundTruthProber) nodeRate(platformIdx int, alloc cluster.Alloc, press
 		defer func() { w.Config = origCfg }()
 	}
 	return w.NodeRate(&p.Platforms[platformIdx], alloc, pressure)
-}
-
-// jobRate is JobRate over n nodes of rate r: every node rate is the same, so
-// it adds r n times in JobRate's order and applies the scale-out efficiency,
-// which gives JobRate's bits without building the n-node slice.
-func (p *GroundTruthProber) jobRate(r float64, n int) float64 {
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r
-	}
-	return sum * p.W.Genome.ScaleOutEfficiency(n)
 }
 
 // metric turns a job rate into the workload's performance metric: the rate
@@ -153,11 +142,11 @@ func (p *GroundTruthProber) ScaleUp(alloc cluster.Alloc) float64 {
 // ScaleOut implements Prober. One node rate serves both counts.
 func (p *GroundTruthProber) ScaleOut(n int, alloc cluster.Alloc) float64 {
 	r := p.nodeRate(p.ProfilingPlatform, alloc, cluster.ResVec{})
-	one := p.metric(p.jobRate(r, 1))
+	one := p.metric(p.W.UniformJobRate(r, 1))
 	if one <= 0 {
 		return 0
 	}
-	return p.noise(p.metric(p.jobRate(r, n)) / one)
+	return p.noise(p.metric(p.W.UniformJobRate(r, n)) / one)
 }
 
 // Heterogeneity implements Prober.

@@ -140,7 +140,11 @@ func TestAxisMatchesEagerReference(t *testing.T) {
 				switch k := rng.Intn(10); {
 				case k < 2:
 					obs := randObs(1 + rng.Intn(4))
-					if g, w := got.appendRow(obs), want.appendRow(obs); g != w {
+					g := got.appendUnfitted(obs)
+					if got.unfitted {
+						got.fit()
+					}
+					if w := want.appendRow(obs); g != w {
 						t.Fatalf("%s: appended row %d, reference %d", name, g, w)
 					}
 				case k < 8: // a burst on one row, counted per cell or once per row

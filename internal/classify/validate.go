@@ -108,15 +108,17 @@ func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates
 	})
 	first := e.Rows()
 	ess := make([]*Estimates, len(ws))
+	ids := make([]string, len(ws))
 	pos := make([]*ProbeObs, len(ws))
 	errs := make([]ValidationErrors, len(ws))
 	for i, r := range results {
 		r.es.Row = first + i
 		ess[i] = r.es
+		ids[i] = ws[i].ID
 		pos[i] = r.po
 		errs[i] = r.errs
 	}
-	e.appendBatch(ws, pos)
+	e.appendBatch(ids, pos)
 	return ess, errs
 }
 

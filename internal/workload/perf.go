@@ -89,6 +89,17 @@ func (w *Instance) JobRate(nodes []perfmodel.NodeAlloc) float64 {
 	return sum * w.Genome.ScaleOutEfficiency(len(nodes))
 }
 
+// UniformJobRate is JobRate over n nodes that each run at rate r. It adds r
+// n times, in JobRate's order, so it returns JobRate's bits without the
+// n-node slice.
+func (w *Instance) UniformJobRate(r float64, n int) float64 {
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += r
+	}
+	return sum * w.Genome.ScaleOutEfficiency(n)
+}
+
 // CompletionTime returns the true execution time of a batch workload on the
 // given allocation.
 func (w *Instance) CompletionTime(nodes []perfmodel.NodeAlloc) float64 {

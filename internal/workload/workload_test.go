@@ -206,3 +206,23 @@ func TestPinnedFamilyAndDataset(t *testing.T) {
 		t.Fatal("instances should carry instance-level noise")
 	}
 }
+
+// TestUniformJobRateMatchesJobRate: UniformJobRate returns the bits of
+// JobRate over n copies of one node, for every type and every node count up
+// to 100.
+func TestUniformJobRateMatchesJobRate(t *testing.T) {
+	u := testUniverse()
+	p := &u.Platforms[cluster.HighestEnd(u.Platforms)]
+	alloc := cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}
+	for tp := Type(0); tp < NumTypes; tp++ {
+		w := u.New(Spec{Type: tp, Family: -1, MaxNodes: 4})
+		r := w.NodeRate(p, alloc, cluster.ResVec{})
+		var nodes []perfmodel.NodeAlloc
+		for n := 1; n <= 100; n++ {
+			nodes = append(nodes, perfmodel.NodeAlloc{Platform: p, Alloc: alloc})
+			if got, want := w.UniformJobRate(r, n), w.JobRate(nodes); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s on %d nodes: UniformJobRate %v, JobRate %v", w.ID, n, got, want)
+			}
+		}
+	}
+}
