@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race behaviour lint bench ledger trace-diff fmt-check ci
+.PHONY: all build test race behaviour determinism corpus lint bench ledger trace-diff fmt-check ci
 
 all: build
 
@@ -22,6 +22,23 @@ race:
 ## under -short, so `race` does not run them
 behaviour:
 	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape)$$' -count=1 ./internal/experiments
+
+## determinism: the determinism matrix — every 'Deterministic' test pinned to
+## one OS thread, then under the default scheduler
+determinism:
+	GOMAXPROCS=1 $(GO) test -run 'Deterministic' -count=1 ./internal/experiments ./internal/par ./internal/serve
+	$(GO) test -run 'Deterministic' -count=1 ./internal/experiments ./internal/par ./internal/serve
+
+## corpus: replay every fuzz target's committed seed corpus as a regression
+## suite (no live fuzzing)
+corpus:
+	$(GO) test -run 'FuzzEventLineMatchesReference' -count=1 ./internal/obs
+	$(GO) test -run 'FuzzSymEigMatchesJacobi' -count=1 ./internal/cf
+	$(GO) test -run 'FuzzSourceMatchesMathRand' -count=1 ./internal/sim
+	$(GO) test -run 'FuzzSparseMatchesMap' -count=1 ./internal/cf
+	$(GO) test -run 'FuzzJournalEntryMatchesJSON' -count=1 ./internal/serve
+	$(GO) test -run 'FuzzQuasarUnmarshalSnapshot' -count=1 ./internal/core
+	$(GO) test -run 'FuzzSubmitBody' -count=1 ./internal/serve
 
 ## lint: gofmt, go vet, and the repository's own static-analysis suite
 lint: fmt-check
@@ -95,5 +112,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-## ci: everything the CI pipeline runs
-ci: fmt-check build lint race behaviour
+## ci: everything the CI pipeline runs, except the jobs that stay CI-only:
+## race-full (the whole suite under -race), full-tests (the whole suite
+## without -short), trace-diff (`make trace-diff` runs it locally), live
+## fuzzing and bench (`make bench` runs it locally)
+ci: fmt-check build lint race behaviour determinism corpus

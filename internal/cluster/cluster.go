@@ -67,12 +67,6 @@ type Server struct {
 	ID       int
 	Platform *Platform
 
-	// Zone is the fault domain (rack/PDU) the server belongs to. The
-	// scheduler can spread a workload's nodes across zones (§4.4: "our
-	// current resource assignment does not account for fault zones;
-	// however, this is a straightforward extension").
-	Zone int
-
 	usedCores  int
 	usedMemGB  float64
 	placements map[string]*Placement
@@ -194,9 +188,6 @@ func (s *Server) SetDegrade(v ResVec) {
 	s.degrade = v
 	s.reindex()
 }
-
-// Degrade returns the current slowdown pressure.
-func (s *Server) Degrade() ResVec { return s.degrade }
 
 // Degraded reports whether any slowdown pressure is installed.
 func (s *Server) Degraded() bool {
@@ -331,9 +322,6 @@ func (s *Server) SetProbe(p ResVec) {
 	s.probe = p
 	s.reindex()
 }
-
-// Probe returns the currently injected probe pressure.
-func (s *Server) Probe() ResVec { return s.probe }
 
 // SetIsolation configures hardware partitioning (cache ways, NIC rate
 // limits, ...): isolation[r] is the fraction of cross-workload pressure in
@@ -484,16 +472,6 @@ func NewUniform(platforms []Platform, total int) (*Cluster, error) {
 	return New(platforms, counts)
 }
 
-// AssignZones spreads the servers round-robin over n fault zones.
-func (c *Cluster) AssignZones(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for i, s := range c.Servers {
-		s.Zone = i % n
-	}
-}
-
 // ByPlatform returns the servers of the named platform.
 func (c *Cluster) ByPlatform(name string) []*Server { return c.byPlatform[name] }
 
@@ -523,18 +501,6 @@ func (c *Cluster) TotalMemGB() float64 {
 		m += s.Platform.MemoryGB
 	}
 	return m
-}
-
-// MeanCPUUtilization averages CPU utilization over all servers.
-func (c *Cluster) MeanCPUUtilization() float64 {
-	if len(c.Servers) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, s := range c.Servers {
-		sum += s.CPUUtilization()
-	}
-	return sum / float64(len(c.Servers))
 }
 
 // FreeCores sums unallocated cores over all servers.

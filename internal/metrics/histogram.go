@@ -57,9 +57,6 @@ func (h *Histogram) derive() {
 	h.lnGamma = math.Log(h.gamma)
 }
 
-// RelativeError returns the configured quantile relative-error bound.
-func (h *Histogram) RelativeError() float64 { return h.alpha }
-
 // bucketOf maps a positive value to its bucket index: the smallest i with
 // gamma^i >= v.
 func (h *Histogram) bucketOf(v float64) int32 {

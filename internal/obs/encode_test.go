@@ -368,7 +368,11 @@ func TestFailedEventLeavesNoPartialLine(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var file bytes.Buffer
-			stream, tee, buffer := NewStreamSinkWriter(&file), NewTeeSink(), NewBufferSink()
+			tee, err := NewLiveStreamSink("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, buffer := NewStreamSinkWriter(&file), NewBufferSink()
 			tr := NewWithSinks(nil, stream, tee, buffer)
 			_, header, ch := tee.Subscribe(1)
 			if header != nil {

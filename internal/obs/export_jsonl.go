@@ -12,12 +12,11 @@ import (
 // run recorded under), then events in sequence order, then one line per
 // registered metrics container. Field order is fixed by DTO struct
 // declaration order and Args marshal as an object in emission order, so the
-// file is byte-identical across runs. The buffered
-// WriteJSONL and the incremental StreamSink share the per-line encoders
-// (appendEventLine in encode.go for events, writeRegistryLines below for the
-// metric tail), which is what makes a streamed file byte-identical to a
-// buffered export of the same run. cmd/quasar-trace reconstructs runs from
-// this format alone.
+// file is byte-identical across runs. StreamSink is the one writer of the
+// format (appendEventLine in encode.go for events, writeRegistryLines below
+// for the metric tail); the buffered exports replay retained events through
+// it, which is what makes a streamed file byte-identical to a buffered export
+// of the same run. cmd/quasar-trace reconstructs runs from this format alone.
 
 // jsonlMetric is the wire shape of one trailing metric line.
 type jsonlMetric struct {
@@ -28,7 +27,7 @@ type jsonlMetric struct {
 }
 
 // writeRegistryLines appends the registry's metric lines in registration
-// order (shared by WriteJSONL and StreamSink.Close).
+// order (StreamSink.Close's metric tail).
 func writeRegistryLines(enc *json.Encoder, reg *Registry) error {
 	if reg == nil {
 		return nil
@@ -60,57 +59,39 @@ func writeRegistryLines(enc *json.Encoder, reg *Registry) error {
 }
 
 // WriteJSONL writes the full trace — header, events, then registry metrics —
-// to w from a buffered tracer. Byte-identical to what a StreamSink produced
+// to w from a buffered tracer, by replaying its events through a
+// writer-backed StreamSink: byte-identical to what a StreamSink produced
 // incrementally for the same run.
 func WriteJSONL(w io.Writer, t *Tracer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
 	h := t.Header()
-	if err := enc.Encode(&h); err != nil {
-		return err
-	}
-	if err := writeEventLines(bw, t.Events()); err != nil {
-		return err
-	}
-	if err := writeRegistryLines(enc, t.Registry()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return replayJSONL(w, &h, t.Events(), t.Registry())
 }
 
 // WriteEventsJSONL writes an explicit event window as JSONL — the optional
 // header line first, then one line per event with the events' original
-// sequence numbers — using the same per-line encoder as the full exporters.
-// This is the flight-recorder dump format: a RingSink's retained window
-// serialized mid-run, without the trailing registry lines a finalized trace
-// carries.
+// sequence numbers. This is the flight-recorder dump format: a RingSink's
+// retained window serialized mid-run, without the trailing registry lines a
+// finalized trace carries.
 func WriteEventsJSONL(w io.Writer, h *Header, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if h != nil {
-		if err := json.NewEncoder(bw).Encode(h); err != nil {
-			return err
-		}
-	}
-	if err := writeEventLines(bw, events); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return replayJSONL(w, h, events, nil)
 }
 
-// writeEventLines encodes events one line at a time through a single reused
-// line buffer, stopping at the first event that fails to encode.
-func writeEventLines(bw *bufio.Writer, events []Event) error {
-	var line []byte
+// replayJSONL runs a header (none when nil), events and reg's metric tail
+// through a StreamSink over w, stopping at the first event that fails to
+// encode.
+func replayJSONL(w io.Writer, h *Header, events []Event, reg *Registry) error {
+	s := NewStreamSinkWriter(w)
+	if h == nil {
+		s.started = true // a headerless window: Close must not add one
+	} else if err := s.Start(h); err != nil {
+		return err
+	}
 	for i := range events {
-		var err error
-		if line, err = appendEventLine(line[:0], &events[i]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(line); err != nil {
+		if err := s.Emit(&events[i], 0); err != nil {
 			return err
 		}
 	}
-	return nil
+	return s.Close(reg)
 }
 
 // RawEvent is the decoded form of one JSONL event line, with the payload left

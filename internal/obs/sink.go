@@ -110,9 +110,6 @@ func (r *RingSink) Close(*Registry) error { return nil }
 // RetainedBytes implements Sink.
 func (r *RingSink) RetainedBytes() (cur, high int) { return r.retained, r.high }
 
-// Capacity returns the fixed slot count.
-func (r *RingSink) Capacity() int { return len(r.buf) }
-
 // Emitted returns the total number of events the sink has observed
 // (including overwritten ones).
 func (r *RingSink) Emitted() int { return r.emitted }

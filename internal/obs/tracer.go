@@ -22,8 +22,6 @@
 // StreamSink and RingSink keep the tracer's footprint bounded at any scale.
 package obs
 
-import "sort"
-
 // Arg is one key/value pair of an event payload. Payloads are ordered slices,
 // never maps, so serialization order is part of the emission site, not of Go's
 // randomized map iteration.
@@ -374,28 +372,6 @@ func (t *Tracer) Tracks() []string {
 		}
 	}
 	return out
-}
-
-// EventCountsByName returns (name, count) pairs sorted by name, for summary
-// reporting (BufferSink required).
-func (t *Tracer) EventCountsByName() (names []string, counts []int) {
-	events := t.Events()
-	if events == nil {
-		return nil, nil
-	}
-	m := make(map[string]int, 32)
-	for i := range events {
-		m[events[i].Name]++
-	}
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	counts = make([]int, len(names))
-	for i, name := range names {
-		counts[i] = m[name]
-	}
-	return names, counts
 }
 
 // eventSize is the deterministic per-event size estimate: a pure function of

@@ -142,7 +142,6 @@ type churnFixture struct {
 func newChurnFixture(t testing.TB, opts Options) *churnFixture {
 	t.Helper()
 	f := newFixture(t)
-	f.cl.AssignZones(4)
 	f.s = New(f.cl, opts)
 	return &churnFixture{fixture: f}
 }
@@ -179,8 +178,6 @@ func sameCandidates(t testing.TB, what string, got, want []candidate) {
 
 // schedule holds the ranking of the request to the oracle twice: settled in
 // full, then as the prefix Schedule settles by popping on its own call.
-// Under SpreadZones a scan-ahead may swap settled candidates, so that prefix
-// is compared as a set, in oracle order.
 func (f *churnFixture) schedule(t testing.TB, step int, req *Request) (*Assignment, error) {
 	t.Helper()
 	want := f.s.rankScan(req, nil)
@@ -188,10 +185,7 @@ func (f *churnFixture) schedule(t testing.TB, step int, req *Request) (*Assignme
 	rk.settle()
 	sameCandidates(t, fmt.Sprintf("step %d: settled rank", step), rk.cands, want)
 	asn, err := f.s.Schedule(req)
-	popped := append([]candidate(nil), rk.cands[:rk.done]...)
-	if f.s.Opts.SpreadZones {
-		sort.Sort(scanOrder(popped))
-	}
+	popped := rk.cands[:rk.done]
 	sameCandidates(t, fmt.Sprintf("step %d: Schedule's popped prefix", step), popped, want[:min(len(popped), len(want))])
 	return asn, err
 }
@@ -338,7 +332,6 @@ func TestRankMatchesScanOracleAblations(t *testing.T) {
 			o.IgnoreInterference = true
 			o.IgnoreHeterogeneity = true
 		}},
-		{"spread-zones", func(o *Options) { o.SpreadZones = true }},
 		{"scale-out-first", func(o *Options) { o.ScaleOutFirst = true }},
 	}
 	steps := 30

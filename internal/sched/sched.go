@@ -93,11 +93,6 @@ type Options struct {
 	// IgnoreHeterogeneity ranks servers by free capacity only (ablation
 	// knob).
 	IgnoreHeterogeneity bool
-
-	// SpreadZones makes multi-node assignments prefer servers in fault
-	// zones the workload does not occupy yet (§4.4 fault-zone extension):
-	// among near-equal candidates, a new zone wins.
-	SpreadZones bool
 }
 
 // DefaultOptions returns production settings.
@@ -116,17 +111,16 @@ type Scheduler struct {
 	// Outside the determinism boundary; see internal/obs/prof.
 	Prof *prof.Profiler
 
-	// rk, srvScratch, and zoneScratch are reused across Schedule calls so
-	// ranking does not reallocate per decision. The scheduler is driven from
-	// the single-goroutine simulation loop, so unsynchronized reuse is safe.
-	rk          ranking
-	srvScratch  []*cluster.Server
-	zoneScratch map[int]bool
+	// rk and srvScratch are reused across Schedule calls so ranking does
+	// not reallocate per decision. The scheduler is driven from the
+	// single-goroutine simulation loop, so unsynchronized reuse is safe.
+	rk         ranking
+	srvScratch []*cluster.Server
 }
 
 // New returns a scheduler.
 func New(c *cluster.Cluster, opts Options) *Scheduler {
-	return &Scheduler{Cluster: c, Opts: opts, zoneScratch: make(map[int]bool)}
+	return &Scheduler{Cluster: c, Opts: opts}
 }
 
 // CostPerCoreHour prices a platform's cores: faster cores cost more. The
@@ -582,30 +576,10 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 
 	asn := &Assignment{}
 	sumPerf := 0.0
-	if s.zoneScratch == nil {
-		s.zoneScratch = make(map[int]bool)
-	}
-	clear(s.zoneScratch)
-	usedZones := s.zoneScratch
 
-	// Only the candidates read here are settled; cand points into the
-	// ranking, so a scan-ahead swap replaces it in place.
+	// Only the candidates read here are settled.
 	for ci := 0; ci < len(rk.cands) && len(asn.Nodes) < maxNodes; ci++ {
 		cand := rk.at(ci)
-		if s.Opts.SpreadZones && usedZones[cand.server.Zone] {
-			// Prefer a near-equal candidate in a fresh fault zone: scan
-			// ahead within 10% quality for one.
-			for cj := ci + 1; cj < len(rk.cands); cj++ {
-				next := rk.at(cj)
-				if next.quality < 0.9*cand.quality {
-					break
-				}
-				if !usedZones[next.server.Zone] {
-					*cand, *next = *next, *cand
-					break
-				}
-			}
-		}
 		n := len(asn.Nodes) + 1
 		// Remaining per-node need if this is the last node we add.
 		remaining := want/req.Est.ScaleOutEff(n) - sumPerf
@@ -636,7 +610,6 @@ func (s *Scheduler) Schedule(req *Request) (*Assignment, error) {
 			continue
 		}
 		asn.Nodes = append(asn.Nodes, NodeAssign{Server: cand.server, Alloc: alloc})
-		usedZones[cand.server.Zone] = true
 		asn.CostPerHour += cost
 		sumPerf += perf
 		for _, ev := range cand.evictable {

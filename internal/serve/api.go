@@ -449,7 +449,8 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 // is bounded; when this client falls behind, whole epochs are dropped and a
 // {"stream_dropped":N} control line (cumulative count, seq 0 so it can never
 // be mistaken for an event) precedes the next delivered batch. ?n= stops
-// after that many events — handy for smoke tests. On shutdown the stream
+// after exactly that many events, cutting the last batch after its line —
+// handy for smoke tests. On shutdown the stream
 // ends at the stop signal, before finalize's last epoch: the HTTP drain must
 // complete before that epoch runs (raced admissions), so the final events
 // and the registry metric tail are the trace file's, not the live stream's.
@@ -471,18 +472,23 @@ func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 	}
 	sent := 0
 	var lastDropped int64
-	deliver := func(batch obs.TeeBatch) bool {
+	deliver := func(batch obs.Batch) bool {
 		if batch.Dropped > lastDropped {
 			lastDropped = batch.Dropped
 			_, _ = fmt.Fprintf(w, "{\"seq\":0,\"stream_dropped\":%d}\n", batch.Dropped)
 		}
-		if _, err := w.Write(batch.Data); err != nil {
+		data, events := batch.Data, batch.Events
+		if limit > 0 && sent+events > limit {
+			events = limit - sent
+			data = data[:lineEnd(data, events)]
+		}
+		if _, err := w.Write(data); err != nil {
 			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		sent += batch.Events
+		sent += events
 		return limit == 0 || sent < limit
 	}
 	for {
@@ -508,6 +514,20 @@ func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+}
+
+// lineEnd returns the offset just past the n-th newline of data (len(data)
+// if it holds fewer lines). A batch's event lines come first, one per line.
+func lineEnd(data []byte, n int) int {
+	end := 0
+	for ; n > 0; n-- {
+		i := bytes.IndexByte(data[end:], '\n')
+		if i < 0 {
+			return len(data)
+		}
+		end += i + 1
+	}
+	return end
 }
 
 // statusz is the daemon's introspection snapshot.

@@ -150,12 +150,12 @@ func TestOpenJournalHeader(t *testing.T) {
 }
 
 // TestReplaySinksShareOneEncoding replays one journal on a 200-server world —
-// every schedule decision carries a full 200-candidate ranking — into a
-// streaming file sink, a buffer sink and a tee subscriber at once. The three
-// reach the bytes by different routes (line scratch + bufio, a retained event
-// re-encoded by WriteEventsJSONL, the tee's pending batch); all go through the
-// one event-line encoder, so the file must begin with the buffered export and
-// the subscriber must receive the file.
+// every schedule decision carries a full 200-candidate ranking — into a live
+// file sink with a subscriber and a buffer sink at once. The live sink encodes
+// each line once for its file and its subscriber; the buffer's retained
+// events are re-encoded by WriteEventsJSONL through a writer-backed
+// StreamSink. So the file must begin with the buffered export and the
+// subscriber must receive the file after its header line.
 func TestReplaySinksShareOneEncoding(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "run.journal")
@@ -163,13 +163,13 @@ func TestReplaySinksShareOneEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracePath := filepath.Join(dir, "out.jsonl")
-	stream, err := obs.NewStreamSink(tracePath)
+	tee, err := obs.NewLiveStreamSink(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buffer, tee := obs.NewBufferSink(), obs.NewTeeSink()
+	buffer := obs.NewBufferSink()
 	_, _, ch := tee.Subscribe(1)
-	if _, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{stream, buffer, tee}}); err != nil {
+	if _, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{tee, buffer}}); err != nil {
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(tracePath)
@@ -189,7 +189,7 @@ func TestReplaySinksShareOneEncoding(t *testing.T) {
 		t.Errorf("streamed file (%d bytes) does not begin with the buffered export (%d bytes)", len(file), buffered.Len())
 	}
 
-	// Nothing published mid-replay, so the tee hands over one batch at Close:
+	// Nothing published mid-replay, so the sink hands over one batch at Close:
 	// every event line plus the metric tail — the file minus its header line.
 	batch := <-ch
 	headerLine := file[:bytes.IndexByte(file, '\n')+1]

@@ -52,8 +52,10 @@ type Server struct {
 	engineMu sync.Mutex
 	w        *world
 	j        *Journal
-	tee      *obs.TeeSink
-	tel      *Telemetry
+	// tee is the daemon's one JSONL trace sink: it writes the -trace file
+	// (when set) and feeds GET /v1/trace/stream's subscribers.
+	tee *obs.StreamSink
+	tel *Telemetry
 
 	ln      net.Listener
 	httpSrv *http.Server
@@ -77,27 +79,17 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	cfg := opts.Config.withDefaults()
-	var stream *obs.StreamSink
-	var extra []obs.Sink
-	if opts.TracePath != "" {
-		var err error
-		stream, err = obs.NewStreamSink(opts.TracePath)
-		if err != nil {
-			return nil, err
-		}
-		extra = append(extra, stream)
-	}
-	// The tee feeds GET /v1/trace/stream; it observes the same sequenced
-	// event stream as the trace file and publishes after every sealed epoch.
-	tee := obs.NewTeeSink()
-	extra = append(extra, tee)
-	fail := func(err error) (*Server, error) {
-		if stream != nil {
-			stream.Discard()
-		}
+	// One sink encodes the trace once for the file and for the subscribers
+	// of GET /v1/trace/stream; the pacer publishes after every sealed epoch.
+	tee, err := obs.NewLiveStreamSink(opts.TracePath)
+	if err != nil {
 		return nil, err
 	}
-	w, err := buildWorld(cfg, extra...)
+	fail := func(err error) (*Server, error) {
+		tee.Discard()
+		return nil, err
+	}
+	w, err := buildWorld(cfg, tee)
 	if err != nil {
 		return fail(err)
 	}

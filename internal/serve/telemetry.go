@@ -109,7 +109,7 @@ const requestLogCap = 1024
 
 // newTelemetry builds the telemetry plane with a request ring of
 // requestLogCap spans. journalBytes is the journal's output-byte counter;
-// subscribers and subDropped read the tee sink's subscription state.
+// subscribers and subDropped read the trace sink's subscriber list.
 func newTelemetry(journalBytes *atomic.Int64, subscribers, subDropped func() int64) *Telemetry {
 	t := &Telemetry{
 		reg:          obs.NewRegistry(),

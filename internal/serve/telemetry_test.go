@@ -75,6 +75,114 @@ func TestLiveTraceStreamMatchesFile(t *testing.T) {
 	}
 }
 
+// TestLiveStreamWithoutTraceMatchesReplay: a daemon started without -trace
+// still attaches its one JSONL sink, subscriber-only, and a subscriber
+// attached before pacing receives exactly the trace an offline replay of the
+// daemon's journal writes to its file.
+func TestLiveStreamWithoutTraceMatchesReplay(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.journal")
+	s, err := New(Options{
+		Addr:        "127.0.0.1:0",
+		Config:      Config{Servers: 20, Seed: 7},
+		JournalPath: journal,
+		Warp:        400,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, header, ch := s.tee.Subscribe(4096)
+	var streamed bytes.Buffer
+	streamed.Write(header)
+	collected := make(chan int64)
+	go func() {
+		var dropped int64
+		for batch := range ch {
+			streamed.Write(batch.Data)
+			dropped = batch.Dropped
+		}
+		collected <- dropped
+	}()
+
+	done := make(chan error, 1)
+	go func() { done <- s.Serve() }()
+	driveScriptedMix(t, "http://"+s.Addr())
+	time.Sleep(60 * time.Millisecond)
+	stopServer(t, s, done)
+	if dropped := <-collected; dropped != 0 {
+		t.Fatalf("deep-buffered subscriber dropped %d events", dropped)
+	}
+
+	tracePath := filepath.Join(dir, "replay.jsonl")
+	sink, err := obs.NewStreamSink(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{sink}}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, streamed.Bytes()) {
+		t.Fatalf("subscriber stream diverged from the replayed trace (%d vs %d bytes)", streamed.Len(), len(want))
+	}
+}
+
+// TestStreamLimitStopsAtExactlyN: GET /v1/trace/stream?n=N ends after exactly
+// N event lines, though the epoch batches that carry five in-flight
+// submissions hold many events each: the last batch is cut after its line.
+func TestStreamLimitStopsAtExactlyN(t *testing.T) {
+	dir := t.TempDir()
+	s, done := startServer(t, Options{
+		Config:      Config{Servers: 10, Seed: 13},
+		JournalPath: filepath.Join(dir, "run.journal"),
+		Warp:        400,
+	})
+	defer stopServer(t, s, done)
+	base := "http://" + s.Addr()
+
+	limits := []int{1, 2, 7}
+	bodies := make([]*http.Response, len(limits))
+	for i, n := range limits {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/trace/stream?n=%d", base, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = resp
+	}
+	for i := 0; i < 5; i++ {
+		postJSON(t, base, "/v1/submit", SubmitRequest{Type: "single-node", Family: -1, BestEffort: true})
+	}
+	for i, n := range limits {
+		data, err := io.ReadAll(bodies[i].Body)
+		_ = bodies[i].Body.Close()
+		if err != nil {
+			t.Fatalf("?n=%d: %v", n, err)
+		}
+		lines := strings.SplitAfter(string(data), "\n")
+		if last := lines[len(lines)-1]; last != "" {
+			t.Fatalf("?n=%d: stream ends in a partial line %q", n, last)
+		}
+		events := 0
+		for _, line := range lines[1 : len(lines)-1] { // after the header line
+			var ev struct {
+				Seq uint64 `json:"seq"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("?n=%d: line %q: %v", n, line, err)
+			}
+			if ev.Seq > 0 {
+				events++
+			}
+		}
+		if events != n {
+			t.Fatalf("?n=%d delivered %d events", n, events)
+		}
+	}
+}
+
 // TestRequestSpansEndToEnd pins the request-span surface: the admission
 // response's request ID resolves on /debug/requests/{id} with a closed span
 // whose phase timings are populated, the ring listing covers the admissions,

@@ -129,14 +129,3 @@ func HashNormal(seed int64) float64 {
 	u2 := float64(h2>>11) / (1 << 53)
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
-
-// HashJitter is the stateless counterpart of Jitter: it multiplies x by a
-// log-normal factor with the given coefficient of variation, derived purely
-// from seed.
-func HashJitter(seed int64, x, cv float64) float64 {
-	if cv <= 0 {
-		return x
-	}
-	sigma := math.Sqrt(math.Log(1 + cv*cv))
-	return x * math.Exp(-sigma*sigma/2+sigma*HashNormal(seed))
-}

@@ -40,9 +40,6 @@ func NewUniverse(platforms []cluster.Platform, seed int64, familiesPerArchetype 
 	return u
 }
 
-// Families returns the family pool of the named archetype.
-func (u *Universe) Families(archetype string) []*perfmodel.Family { return u.families[archetype] }
-
 // Counter returns how many instances this universe has generated. The next
 // New call mints ID "<type>-%04d" with ordinal Counter()+1 — which is what
 // lets an admission front end promise a workload ID before the deterministic
