@@ -8,12 +8,15 @@
 //	quasar-lint [-list] [-analyzers a,b] [patterns ...]
 //
 // Patterns default to "./...". Relative patterns resolve against the
-// working directory, as with the go tool. A pattern ending in /... walks
-// the tree beneath it (skipping testdata and vendor); analyzers then
-// apply only within their configured package scopes. A plain directory pattern, e.g.
-// internal/analysis/testdata/src/determinism_bad, names the package
-// explicitly and runs every analyzer on it regardless of scope — which is
-// how the known-bad fixtures are exercised.
+// working directory, as with the go tool, and always name directories.
+// `go list` resolves them and picks each package's files, so lint sees
+// the files `go build` compiles in the same environment (GOOS, GOARCH,
+// GOFLAGS=-tags=...; cgo off). A pattern ending in /... names every
+// package beneath it (go list skips testdata and vendor); analyzers then
+// apply only within their configured package scopes. A plain directory
+// pattern, e.g. internal/analysis/testdata/src/determinism_bad, names the
+// package explicitly and runs every analyzer on it regardless of scope —
+// which is how the known-bad fixtures are exercised.
 //
 // Diagnostics print as "file:line:col: [analyzer] message". The exit
 // status is 1 when any diagnostic is reported, 2 on usage or load errors.

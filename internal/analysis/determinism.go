@@ -54,18 +54,23 @@ var Determinism = &Analyzer{
 		"across concurrent tasks, engine scheduling or RNG draws in " +
 		"map order, and order-sensitive float accumulation across map " +
 		"iteration in simulation code",
-	Scope: []string{
-		"internal/sim",
-		"internal/experiments",
-		"internal/classify",
-		"internal/sched",
-		"internal/core",
-		"internal/par",
-		"internal/obs",
-		"internal/chaos",
-		"internal/slo",
-	},
-	Run: runDeterminism,
+	Scope: simulationScope,
+	Run:   runDeterminism,
+}
+
+// simulationScope is the package scope of the analyzers that guard the
+// seeded-simulation contract (determinism and parcapture): the simulation
+// code whose results must be a pure function of the seed.
+var simulationScope = []string{
+	"internal/sim",
+	"internal/experiments",
+	"internal/classify",
+	"internal/sched",
+	"internal/core",
+	"internal/par",
+	"internal/obs",
+	"internal/chaos",
+	"internal/slo",
 }
 
 // wallClockAllowlist names the functions (as pkgpath.Func or

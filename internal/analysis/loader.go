@@ -1,18 +1,19 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -36,21 +37,21 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader discovers, parses, and type-checks the packages of a single Go
-// module using only the standard library. Module-local imports are
-// resolved through the loader's own cache (type-checking dependencies
-// first); all other imports go to the compiler's export data, falling
-// back to type-checking the dependency from source.
+// Loader lists, parses, and type-checks the packages of a single Go
+// module. The go command decides which packages a pattern names and which
+// files belong to each (`go list -deps -json`), so the loader sees the
+// files `go build` compiles in the same environment. Module-local packages
+// are type-checked from those files, dependencies first; all other imports
+// go to the compiler's export data, falling back to type-checking the
+// dependency from source.
 type Loader struct {
 	// Fset positions every file the loader touches.
 	Fset *token.FileSet
 
-	root       string // module root: the directory containing go.mod
-	modulePath string
-	pkgs       map[string]*Package // keyed by import path
-	checking   map[string]bool     // import-cycle guard
-	std        types.ImporterFrom  // export-data importer
-	src        types.ImporterFrom  // source importer fallback
+	root string              // module root: the directory containing go.mod
+	pkgs map[string]*Package // module-local packages, keyed by import path
+	std  types.ImporterFrom  // export-data importer
+	src  types.ImporterFrom  // source importer fallback
 }
 
 // NewLoader returns a loader for the module rooted at root (the directory
@@ -60,316 +61,106 @@ func NewLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePathOf(filepath.Join(abs, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
 	return &Loader{
-		Fset:       token.NewFileSet(),
-		root:       abs,
-		modulePath: modPath,
-		pkgs:       make(map[string]*Package),
-		checking:   make(map[string]bool),
+		Fset: token.NewFileSet(),
+		root: abs,
+		pkgs: make(map[string]*Package),
 	}, nil
 }
 
-// modulePathOf reads the module path from a go.mod file.
-func modulePathOf(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("analysis: no module line in %s", gomod)
+// listedPackage is the part of `go list -json` output the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Match      []string // the command-line patterns that named the package
+	DepOnly    bool     // listed only as a dependency of a named package
+	Module     *struct{ Main bool }
 }
 
 // Load resolves the given patterns to packages and type-checks them.
-// Supported patterns: "./..." (every package under the module root,
-// skipping testdata, vendor, and hidden directories), a "dir/..." prefix
-// walk, or a plain directory path. Directory patterns without "..." are
-// marked Explicit.
+// Patterns are the go command's, resolved in the module root: "./..."
+// names every package of the module (go list skips testdata, vendor, and
+// directories starting with "." or "_"), "dir/..." every package beneath
+// dir, and a plain directory one package. A relative pattern always names
+// a directory, with or without a leading "./". Packages named by a pattern
+// without "..." are marked Explicit.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	var paths []string
-	explicit := make(map[string]bool)
-	seen := make(map[string]bool)
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "" || pat == "." {
-				pat = l.root
-			}
-		}
-		dir := pat
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(l.root, dir)
-		}
-		dirs := []string{dir}
-		if recursive {
-			var err error
-			dirs, err = walkPackageDirs(dir)
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, d := range dirs {
-			ip, err := l.importPathFor(d)
-			if err != nil {
-				return nil, err
-			}
-			if seen[ip] {
-				continue
-			}
-			seen[ip] = true
-			paths = append(paths, ip)
-			if !recursive {
-				explicit[ip] = true
-			}
-		}
+	listed, err := l.list(patterns)
+	if err != nil {
+		return nil, err
 	}
 	var out []*Package
-	for _, ip := range paths {
-		pkg, err := l.loadPath(ip)
+	for _, lp := range listed {
+		if lp.Module == nil || !lp.Module.Main {
+			continue // outside the module: imported through export data
+		}
+		explicit := false
+		for _, m := range lp.Match {
+			explicit = explicit || !strings.Contains(m, "...")
+		}
+		if len(lp.GoFiles) == 0 && !explicit {
+			continue // test-only directory under a ... pattern
+		}
+		pkg, err := l.check(lp)
 		if err != nil {
 			return nil, err
 		}
-		pkg.Explicit = pkg.Explicit || explicit[ip]
+		if lp.DepOnly {
+			continue
+		}
+		pkg.Explicit = pkg.Explicit || explicit
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
-// walkPackageDirs returns every directory under root that contains at
-// least one non-test .go file, skipping testdata, vendor, and
-// hidden/underscore directories.
-func walkPackageDirs(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+// list runs `go list -deps -json` over patterns in the module root and
+// returns the packages in its order: every package after its dependencies.
+// cgo is off (CGO_ENABLED=0): the loader never configures it, so files that
+// need it are left out. The go binary is GOROOT's, as for the standard
+// importer, because `go run` does not put it on PATH.
+func (l *Loader) list(patterns []string) ([]*listedPackage, error) {
+	args := []string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Match,DepOnly,Module"}
+	for _, pat := range patterns {
+		if !filepath.IsAbs(pat) && !build.IsLocalImport(pat) {
+			pat = "./" + pat // a directory, not an import path
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		names, err := goSourceNames(path)
-		if err != nil {
-			return err
-		}
-		if len(names) > 0 {
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	return dirs, err
-}
-
-// goSourceNames lists the .go files in dir that belong to the package on
-// this platform, sorted. Excluded, mirroring the go tool's rules:
-//
-//   - _test.go files — the suite's remit is shipped code; tests exercise
-//     themselves;
-//   - files whose name starts with "_" or "." — ignored by the toolchain;
-//   - files fenced off by a _GOOS/_GOARCH filename suffix or a //go:build
-//     (or legacy // +build) constraint that the current platform does not
-//     satisfy. Without this, a windows-only file would break type-checking
-//     of the whole package on linux.
-func goSourceNames(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
+		args = append(args, pat)
+	}
+	cmd := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...)
+	cmd.Dir = l.root
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0", "PWD="+l.root)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
+	var listed []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(stdout)); dec.More(); {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("analysis: decoding go list output: %w", err)
 		}
-		n := e.Name()
-		if !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") ||
-			strings.HasPrefix(n, "_") || strings.HasPrefix(n, ".") {
-			continue
-		}
-		if !filenameMatchesPlatform(n) {
-			continue
-		}
-		ok, err := buildConstraintSatisfied(filepath.Join(dir, n))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			names = append(names, n)
-		}
+		listed = append(listed, lp)
 	}
-	return names, nil
+	return listed, nil
 }
 
-// knownOS and knownArch are the GOOS/GOARCH values recognized in filename
-// suffixes and build tags. A conservative subset of the toolchain's list:
-// anything unlisted simply is not treated as a platform suffix.
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// unixOS mirrors the toolchain's "unix" build tag.
-var unixOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "linux": true,
-	"netbsd": true, "openbsd": true, "solaris": true,
-}
-
-// filenameMatchesPlatform applies the go tool's implicit filename
-// constraints: name_GOOS.go, name_GOARCH.go, and name_GOOS_GOARCH.go only
-// build on the matching platform.
-func filenameMatchesPlatform(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 3 && knownOS[parts[len(parts)-2]] {
-			return parts[len(parts)-2] == runtime.GOOS
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
-}
-
-// buildConstraintSatisfied reads the file's header and evaluates its
-// //go:build (preferred) or legacy // +build constraint against the
-// current platform. Files without a constraint always build.
-func buildConstraintSatisfied(path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	expr := headerConstraint(string(data))
-	if expr == nil {
-		return true, nil
-	}
-	return expr.Eval(buildTagSatisfied), nil
-}
-
-// headerConstraint extracts the first build-constraint expression from the
-// comment block preceding the package clause, or nil.
-func headerConstraint(src string) constraint.Expr {
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") {
-			if constraint.IsGoBuild(line) || constraint.IsPlusBuild(line) {
-				if expr, err := constraint.Parse(line); err == nil {
-					return expr
-				}
-			}
-			continue
-		}
-		break // package clause (or any code): constraints must precede it
-	}
-	return nil
-}
-
-// buildTagSatisfied reports whether one build tag holds on this platform:
-// the current GOOS/GOARCH, the gc compiler, cgo off (the loader never
-// configures cgo), "unix" per the toolchain's definition, and every go1.N
-// release tag at or below the toolchain's version.
-func buildTagSatisfied(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "cgo":
-		return false
-	case "unix":
-		return unixOS[runtime.GOOS]
-	}
-	if rest, ok := strings.CutPrefix(tag, "go1."); ok {
-		n, err := strconv.Atoi(rest)
-		if err != nil {
-			return false
-		}
-		cur, err := strconv.Atoi(strings.TrimPrefix(strings.Split(runtime.Version(), ".")[1], "go"))
-		if err == nil {
-			return n <= cur
-		}
-		// Non-release toolchains (devel builds): assume recent.
-		return true
-	}
-	return false
-}
-
-// importPathFor maps an absolute or module-relative directory to its
-// import path within the module.
-func (l *Loader) importPathFor(dir string) (string, error) {
-	rel, err := filepath.Rel(l.root, dir)
-	if err != nil {
-		return "", err
-	}
-	if rel == "." {
-		return l.modulePath, nil
-	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("analysis: %s is outside module %s", dir, l.root)
-	}
-	return l.modulePath + "/" + filepath.ToSlash(rel), nil
-}
-
-// dirFor inverts importPathFor.
-func (l *Loader) dirFor(importPath string) string {
-	rel := strings.TrimPrefix(importPath, l.modulePath)
-	rel = strings.TrimPrefix(rel, "/")
-	return filepath.Join(l.root, filepath.FromSlash(rel))
-}
-
-// loadPath parses and type-checks the package at the given module-local
-// import path, loading its module-local dependencies first.
-func (l *Loader) loadPath(importPath string) (*Package, error) {
-	if pkg, ok := l.pkgs[importPath]; ok {
+// check parses and type-checks one listed module-local package. Its
+// module-local imports were checked before it, in go list's order.
+func (l *Loader) check(lp *listedPackage) (*Package, error) {
+	if pkg, ok := l.pkgs[lp.ImportPath]; ok {
 		return pkg, nil
 	}
-	if l.checking[importPath] {
-		return nil, fmt.Errorf("analysis: import cycle through %s", importPath)
-	}
-	l.checking[importPath] = true
-	defer delete(l.checking, importPath)
-
-	dir := l.dirFor(importPath)
-	names, err := goSourceNames(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("analysis: no Go sources in %s", dir)
+	if len(lp.GoFiles) == 0 {
+		return nil, fmt.Errorf("analysis: no Go sources in %s", lp.Dir)
 	}
 	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -382,19 +173,13 @@ func (l *Loader) loadPath(importPath string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: (*loaderImporter)(l)}
-	tpkg, err := conf.Check(importPath, l.Fset, files, info)
+	tpkg, err := conf.Check(lp.ImportPath, l.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", importPath, err)
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", lp.ImportPath, err)
 	}
-	pkg := &Package{Path: importPath, Dir: dir, Files: files, Types: tpkg, Info: info}
-	l.pkgs[importPath] = pkg
+	pkg := &Package{Path: lp.ImportPath, Dir: lp.Dir, Files: files, Types: tpkg, Info: info}
+	l.pkgs[lp.ImportPath] = pkg
 	return pkg, nil
-}
-
-// local reports whether an import path belongs to the module under
-// analysis.
-func (l *Loader) local(path string) bool {
-	return path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/")
 }
 
 // importNonLocal resolves a dependency outside the module: first from the
@@ -425,11 +210,7 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 
 func (li *loaderImporter) ImportFrom(path, dir string, _ types.ImportMode) (*types.Package, error) {
 	l := (*Loader)(li)
-	if l.local(path) {
-		pkg, err := l.loadPath(path)
-		if err != nil {
-			return nil, err
-		}
+	if pkg, ok := l.pkgs[path]; ok {
 		return pkg.Types, nil
 	}
 	return l.importNonLocal(path, dir)

@@ -151,11 +151,18 @@ func TestLoaderGeneratedCode(t *testing.T) {
 	}
 }
 
-func TestHeaderConstraintStopsAtPackageClause(t *testing.T) {
-	// A //go:build-looking comment after the package clause is not a
-	// constraint.
-	src := "package p\n\n//go:build windows\n\nfunc F() {}\n"
-	if expr := headerConstraint(src); expr != nil {
-		t.Errorf("constraint parsed from below the package clause: %v", expr)
+func TestLoaderHonoursGOFLAGSTags(t *testing.T) {
+	// go list reads -tags from GOFLAGS, so lint sees the files go build
+	// compiles in the same environment.
+	t.Setenv("GOFLAGS", "-tags=linttag")
+	root := writeModule(t, map[string]string{
+		"p/a.go":     "package p\n\nfunc A() int { return impl() }\n",
+		"p/on.go":    "//go:build linttag\n\npackage p\n\nfunc impl() int { return 1 }\n",
+		"p/off.go":   "//go:build !linttag\n\npackage p\n\nfunc impl() int { return 2 }\n",
+		"p/other.go": "//go:build othertag\n\npackage p\n\nfunc impl() int { return 3 }\n",
+	})
+	names := loadNames(t, root, "p")
+	if !names["a.go"] || !names["on.go"] || names["off.go"] || names["other.go"] {
+		t.Errorf("got files %v, want a.go and on.go", names)
 	}
 }

@@ -28,18 +28,8 @@ var ParCapture = &Analyzer{
 	Doc: "flags writes to shared state captured by concurrent task bodies " +
 		"(go statements and par fan-outs) without a submission-order merge; " +
 		"out[i] = ... index writes into a captured slice are sanctioned",
-	Scope: []string{
-		"internal/sim",
-		"internal/experiments",
-		"internal/classify",
-		"internal/sched",
-		"internal/core",
-		"internal/par",
-		"internal/obs",
-		"internal/chaos",
-		"internal/slo",
-	},
-	Run: runParCapture,
+	Scope: simulationScope,
+	Run:   runParCapture,
 }
 
 func runParCapture(pass *Pass) {

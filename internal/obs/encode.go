@@ -13,8 +13,8 @@ import (
 // reflection, no intermediate copies — and are pinned to that definition by
 // the reference encoder kept in export_reference_test.go, the fuzz target next
 // to it, and the golden file under testdata/. Every sink and exporter that
-// writes event lines calls appendEventLine, so streamed = buffered = tee
-// bytes. Header and registry metric lines (a handful per trace) stay on
+// writes event lines calls appendEventLine, so streamed = buffered =
+// subscriber bytes. Header and registry metric lines (a handful per trace) stay on
 // encoding/json.
 
 // appendEventLine appends one event line, trailing newline included: the

@@ -368,15 +368,15 @@ func TestFailedEventLeavesNoPartialLine(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var file bytes.Buffer
-			tee, err := NewLiveStreamSink("")
+			live, err := NewLiveStreamSink("")
 			if err != nil {
 				t.Fatal(err)
 			}
 			stream, buffer := NewStreamSinkWriter(&file), NewBufferSink()
-			tr := NewWithSinks(nil, stream, tee, buffer)
-			_, header, ch := tee.Subscribe(1)
+			tr := NewWithSinks(nil, stream, live, buffer)
+			_, header, ch := live.Subscribe(1)
 			if header != nil {
-				t.Fatal("tee started before the first event")
+				t.Fatal("subscriber stream started before the first event")
 			}
 			tr.Instant("manager", "sched", "before", Arg{Key: "i", Val: 1})
 			tr.Instant("manager", "sched", "broken", Arg{Key: "lead", Val: "in"}, arg)
@@ -408,7 +408,7 @@ func TestFailedEventLeavesNoPartialLine(t *testing.T) {
 			}
 			batch := <-ch
 			if !strings.HasPrefix(string(batch.Data), wantLines) || strings.Contains(string(batch.Data), "broken") {
-				t.Fatalf("tee batch:\n%s\nwant prefix:\n%s", batch.Data, wantLines)
+				t.Fatalf("subscriber batch:\n%s\nwant prefix:\n%s", batch.Data, wantLines)
 			}
 			evs := buffer.Events()
 			if len(evs) != 3 || evs[0].Seq != 1 || evs[1].Seq != 2 || evs[2].Seq != 3 {

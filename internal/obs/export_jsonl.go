@@ -44,8 +44,6 @@ func writeRegistryLines(enc *json.Encoder, reg *Registry) error {
 			m.Kind, m.Value = "gauge", e.gauge()
 		case kindSeries:
 			m.Kind, m.Value = "series", e.series
-		case kindDistribution:
-			m.Kind, m.Value = "distribution", e.dist
 		case kindHistogram:
 			m.Kind, m.Value = "histogram", e.hist
 		case kindHeatmap:

@@ -12,12 +12,12 @@ import (
 // The Prometheus export is a point-in-time text snapshot of the registry in
 // the exposition format: # HELP / # TYPE headers followed by samples, walked
 // in registration order. Series export their last value, mean, and point
-// count; distributions export summary quantiles; heatmaps their overall
+// count; histograms export summary quantiles; heatmaps their overall
 // mean. Wall-clock scrape loops do not exist in the simulation — the snapshot
 // is taken once, at the sim time the caller chooses (normally end of run).
 
 // promFloat renders a value the way Prometheus expects (NaN for empty
-// distributions stays literal "NaN").
+// histograms stays literal "NaN").
 func promFloat(v float64) string {
 	if math.IsNaN(v) {
 		return "NaN"
@@ -60,11 +60,6 @@ func promLabelValue(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// promLabel renders one {name="value"} label set with the value escaped.
-func promLabel(name, value string) string {
-	return fmt.Sprintf(`{%s="%s"}`, promName(name), promLabelValue(value))
 }
 
 // promName sanitizes a metric name to the [a-zA-Z_:][a-zA-Z0-9_:]* charset.
@@ -144,12 +139,6 @@ func (p *promWriter) entry(e *entry) {
 		p.sample(name+"_last", p.labels(e, ""), last)
 		p.sample(name+"_mean", p.labels(e, ""), e.series.Mean())
 		p.sample(name+"_points", p.labels(e, ""), float64(e.series.Len()))
-	case kindDistribution:
-		p.head(name, e.help, "summary")
-		for _, q := range []float64{50, 90, 99} {
-			p.sample(name, p.labels(e, quantileLabel(q)), e.dist.Percentile(q))
-		}
-		p.sample(name+"_count", p.labels(e, ""), float64(e.dist.N()))
 	case kindHistogram:
 		p.head(name, e.help, "summary")
 		for _, q := range []float64{50, 90, 99} {

@@ -28,10 +28,6 @@ func buildAdversarialTrace() *Tracer {
 	s.Add(0, 1)
 	s.Add(5, 3)
 	reg.Series("série_utf8", "utf-8 name gets sanitized, help café stays", s)
-	d := &metrics.Distribution{}
-	d.Add(10)
-	d.Add(20)
-	reg.Distribution("dist", "trailing backslash \\", d)
 	h := metrics.NewHistogram(0.01)
 	for i := 1; i <= 100; i++ {
 		h.Add(float64(i))
@@ -64,7 +60,6 @@ func TestPromEscapingGolden(t *testing.T) {
 		`# HELP evil_name_total help with "quotes" and a \\backslash\\`,
 		`# HELP multi_line first line\nsecond line`,
 		`multi_line 2`,
-		`# HELP dist trailing backslash \\`,
 		`# TYPE lat_hist summary`,
 		`# HELP lat_hist histogram with\nnewline and "quote"`,
 		`lat_hist{quantile="0.50"}`,

@@ -32,11 +32,11 @@ func buildSampleTrace() *Tracer {
 	s.Add(0, 0.5)
 	s.Add(10, 0.7)
 	reg.Series("cluster_util", "cluster utilization", s)
-	d := &metrics.Distribution{}
-	d.Add(1)
-	d.Add(2)
-	d.Add(3)
-	reg.Distribution("latency", "placement latency", d)
+	lat := metrics.NewHistogram(0.01)
+	lat.Add(1)
+	lat.Add(2)
+	lat.Add(3)
+	reg.Histogram("latency", "placement latency", lat)
 	h := metrics.NewHeatmap(2)
 	h.Sample(0, []float64{0.1, 0.2})
 	reg.Heatmap("cpu_heat", "per-server cpu", h)

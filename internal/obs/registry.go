@@ -11,7 +11,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindSeries
-	kindDistribution
 	kindHistogram
 	kindHeatmap
 )
@@ -54,7 +53,6 @@ type entry struct {
 	counter *Counter
 	gauge   func() float64
 	series  *metrics.Series
-	dist    *metrics.Distribution
 	hist    *metrics.Histogram
 	heat    *metrics.Heatmap
 }
@@ -140,15 +138,6 @@ func (r *Registry) Series(name, help string, s *metrics.Series) {
 		return
 	}
 	r.add(entry{name: name, help: help, kind: kindSeries, series: s})
-}
-
-// Distribution registers a metrics.Distribution; snapshots export count and
-// p50/p90/p99 quantiles.
-func (r *Registry) Distribution(name, help string, d *metrics.Distribution) {
-	if r == nil || d == nil {
-		return
-	}
-	r.add(entry{name: name, help: help, kind: kindDistribution, dist: d})
 }
 
 // Histogram registers a metrics.Histogram (the bounded-memory streaming

@@ -4,10 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -73,17 +74,28 @@ func (c *counting) Write(p []byte) (int, error) {
 // file is created immediately (in path's directory, so the final rename
 // cannot cross filesystems); call Close to finalize or Discard to abandon it.
 func NewStreamSink(path string) (*StreamSink, error) {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
+	f, err := CreateTemp(path)
 	if err != nil {
 		return nil, err
 	}
 	s := NewStreamSinkWriter(f)
 	s.file, s.tmpPath, s.dstPath = f, f.Name(), path
 	return s, nil
+}
+
+// CreateTemp creates a new temporary file next to path, named
+// path.tmp-<pid>-<n> with the first n not taken, for the caller to fill and
+// then rename onto path. The file gets os.Create's mode, 0666 before the
+// umask, so the renamed file has the permissions of any other output file:
+// os.CreateTemp's 0600 would make it owner-only.
+func CreateTemp(path string) (*os.File, error) {
+	for n := 0; ; n++ {
+		name := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), n)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
 }
 
 // NewStreamSinkWriter creates a streaming sink over an arbitrary writer (a

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"quasar/internal/classify"
@@ -96,6 +98,77 @@ func TestScheduleSameWithTracer(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDecisionTopKPretrimMatchesTruncate holds emitDecision's TopK pre-trim
+// to the tracer's own truncation (obs.Controls): a packed Schedule traced
+// under Controls{TopK: k} must emit the same decision line, drop count
+// included, as the full decision of a run without controls re-emitted
+// through a TopK: k tracer.
+func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
+	cl := packedCluster(t, 1000)
+	reqs := packedRequests(cluster.LocalPlatforms())
+	// decisionLine returns the decision event's JSONL line as a tracer with
+	// Controls{TopK: k} writes it.
+	decisionLine := func(k int, emit func(tr *obs.Tracer)) string {
+		t.Helper()
+		var buf bytes.Buffer
+		tr := obs.NewWithSinks(nil, obs.NewStreamSinkWriter(&buf))
+		tr.SetControls(obs.Controls{TopK: k})
+		emit(tr)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ln := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(ln, `"name":"decision"`) {
+				return ln
+			}
+		}
+		t.Fatalf("no decision line in:\n%s", buf.String())
+		return ""
+	}
+	picksBeyondTopK := 0
+	for _, k := range []int{1, 3, 8} {
+		for i, req := range reqs {
+			pretrimmed := decisionLine(k, func(tr *obs.Tracer) {
+				s := New(cl, DefaultOptions())
+				s.Tracer = tr
+				if _, err := s.Schedule(req); err != nil {
+					t.Fatal(err)
+				}
+			})
+
+			full := New(cl, DefaultOptions())
+			full.Tracer = obs.New(nil)
+			if _, err := full.Schedule(req); err != nil {
+				t.Fatal(err)
+			}
+			var d obs.ScheduleDecision
+			for _, ev := range full.Tracer.Events() {
+				if ev.Name == "decision" {
+					d = ev.Args[0].Val.(obs.ScheduleDecision)
+				}
+			}
+			if len(d.Candidates) <= k {
+				t.Fatalf("k=%d request %d: %d candidates, too few to truncate", k, i, len(d.Candidates))
+			}
+			for _, c := range d.Candidates[k:] {
+				if c.Picked {
+					picksBeyondTopK++
+				}
+			}
+			truncated := decisionLine(k, func(tr *obs.Tracer) {
+				tr.Instant("manager", "sched", "decision", obs.Arg{Key: "decision", Val: d})
+			})
+			if pretrimmed != truncated {
+				t.Errorf("k=%d request %d: pre-trimmed decision differs from truncated full decision:\n  pre-trimmed: %s\n  truncated:   %s",
+					k, i, pretrimmed, truncated)
+			}
+		}
+	}
+	if picksBeyondTopK == 0 {
+		t.Error("no picked server ranked beyond TopK: the picks-after-TopK path went unexercised")
+	}
 }
 
 // describeAssignment serializes a Schedule outcome, floats at full bit

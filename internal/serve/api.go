@@ -459,8 +459,8 @@ func (s *Server) handleTraceStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	id, header, ch := s.tee.Subscribe(16)
-	defer s.tee.Unsubscribe(id)
+	id, header, ch := s.traceSink.Subscribe(16)
+	defer s.traceSink.Unsubscribe(id)
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -84,6 +84,33 @@ func TestWarmFailoverResumesByteIdentically(t *testing.T) {
 	}
 }
 
+// TestSnapshotFileMode: a written snapshot gets the mode os.Create gives a
+// new file in the same directory, as the journal does, not os.CreateTemp's
+// owner-only 0600.
+func TestSnapshotFileMode(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.snapshot.json")
+	if err := writeSnapshotFile(path, []byte("{}\n")); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := os.Create(filepath.Join(dir, "probe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	want, err := probe.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode().Perm() != want.Mode().Perm() {
+		t.Fatalf("snapshot mode %v, want os.Create's %v", got.Mode().Perm(), want.Mode().Perm())
+	}
+}
+
 // TestSnapshotVerifyCatchesDivergence: a snapshot from a different run must
 // fail verification, not silently pass.
 func TestSnapshotVerifyCatchesDivergence(t *testing.T) {

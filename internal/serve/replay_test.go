@@ -163,13 +163,13 @@ func TestReplaySinksShareOneEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracePath := filepath.Join(dir, "out.jsonl")
-	tee, err := obs.NewLiveStreamSink(tracePath)
+	live, err := obs.NewLiveStreamSink(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buffer := obs.NewBufferSink()
-	_, _, ch := tee.Subscribe(1)
-	if _, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{tee, buffer}}); err != nil {
+	_, _, ch := live.Subscribe(1)
+	if _, err := Replay(journal, ReplayOptions{Sinks: []obs.Sink{live, buffer}}); err != nil {
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(tracePath)
@@ -194,7 +194,7 @@ func TestReplaySinksShareOneEncoding(t *testing.T) {
 	batch := <-ch
 	headerLine := file[:bytes.IndexByte(file, '\n')+1]
 	if !bytes.Equal(batch.Data, file[len(headerLine):]) {
-		t.Errorf("tee subscriber received %d bytes, file holds %d after the header", len(batch.Data), len(file)-len(headerLine))
+		t.Errorf("subscriber received %d bytes, file holds %d after the header", len(batch.Data), len(file)-len(headerLine))
 	}
 }
 

@@ -52,10 +52,10 @@ type Server struct {
 	engineMu sync.Mutex
 	w        *world
 	j        *Journal
-	// tee is the daemon's one JSONL trace sink: it writes the -trace file
+	// traceSink is the daemon's one JSONL trace sink: it writes the -trace file
 	// (when set) and feeds GET /v1/trace/stream's subscribers.
-	tee *obs.StreamSink
-	tel *Telemetry
+	traceSink *obs.StreamSink
+	tel       *Telemetry
 
 	ln      net.Listener
 	httpSrv *http.Server
@@ -81,15 +81,15 @@ func New(opts Options) (*Server, error) {
 	cfg := opts.Config.withDefaults()
 	// One sink encodes the trace once for the file and for the subscribers
 	// of GET /v1/trace/stream; the pacer publishes after every sealed epoch.
-	tee, err := obs.NewLiveStreamSink(opts.TracePath)
+	traceSink, err := obs.NewLiveStreamSink(opts.TracePath)
 	if err != nil {
 		return nil, err
 	}
 	fail := func(err error) (*Server, error) {
-		tee.Discard()
+		traceSink.Discard()
 		return nil, err
 	}
-	w, err := buildWorld(cfg, tee)
+	w, err := buildWorld(cfg, traceSink)
 	if err != nil {
 		return fail(err)
 	}
@@ -105,12 +105,12 @@ func New(opts Options) (*Server, error) {
 		return fail(err)
 	}
 	s := &Server{
-		opts: opts, w: w, j: j, tee: tee, ln: ln,
+		opts: opts, w: w, j: j, traceSink: traceSink, ln: ln,
 		stop:  make(chan struct{}),
 		nextB: cfg.EpochSecs,
 	}
 	w.snapPath, w.snapEvery, w.snapDue = opts.SnapshotPath, opts.SnapshotEverySecs, opts.SnapshotEverySecs
-	s.tel = newTelemetry(&j.bytesOut, tee.Subscribers, tee.DroppedTotal)
+	s.tel = newTelemetry(&j.bytesOut, traceSink.Subscribers, traceSink.DroppedTotal)
 	j.tel = s.tel
 	w.onApplied = func(e *Entry, applyErr string) {
 		s.tel.applied(e, telNow()-w.applyStartNS, applyErr)
@@ -225,7 +225,7 @@ func (s *Server) epochStep(boundary float64) (int, error) {
 	}
 	s.tel.sealed(batch, telNow(), flushNS)
 	snapped, err := s.w.step(boundary, batch)
-	s.tee.Publish()
+	s.traceSink.Publish()
 	if snapped {
 		s.tel.snapshotLanded()
 	}

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"quasar/internal/obs"
 )
 
 // snapshotVersion is the ServeSnapshot format version.
@@ -82,11 +83,7 @@ func LoadSnapshot(path string) (*ServeSnapshot, error) {
 // observes a half-written snapshot, and a crash mid-write leaves the
 // previous snapshot intact.
 func writeSnapshotFile(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp-*")
+	f, err := obs.CreateTemp(path)
 	if err != nil {
 		return err
 	}

@@ -21,10 +21,10 @@ import (
 )
 
 // TestLiveTraceStreamMatchesFile is the live-streaming byte-identity
-// contract: a subscriber attached before the daemon starts pacing (so the tee
-// buffers the world-build prologue) receives, across header and batches, the
-// exact bytes the StreamSink writes to the trace file — telemetry and live
-// subscription never perturb the deterministic plane.
+// contract: a subscriber attached before the daemon starts pacing (so the
+// trace sink buffers the world-build prologue) receives, across header and
+// batches, the exact bytes the StreamSink writes to the trace file —
+// telemetry and live subscription never perturb the deterministic plane.
 func TestLiveTraceStreamMatchesFile(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "live.jsonl")
@@ -38,9 +38,9 @@ func TestLiveTraceStreamMatchesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Subscribe before Serve: the tee buffers everything until the first
+	// Subscribe before Serve: the trace sink buffers everything until the first
 	// Publish, so this subscriber's stream starts at the very first event.
-	_, header, ch := s.tee.Subscribe(4096)
+	_, header, ch := s.traceSink.Subscribe(4096)
 	var streamed bytes.Buffer
 	streamed.Write(header)
 	collected := make(chan struct{})
@@ -91,7 +91,7 @@ func TestLiveStreamWithoutTraceMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, header, ch := s.tee.Subscribe(4096)
+	_, header, ch := s.traceSink.Subscribe(4096)
 	var streamed bytes.Buffer
 	streamed.Write(header)
 	collected := make(chan int64)
