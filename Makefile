@@ -18,7 +18,7 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-## behaviour: the behavioural checks that claim over seeds 1-12; they skip
+## behaviour: the behavioural checks that claim over seeds 1-48; they skip
 ## under -short, so `race` does not run them
 behaviour:
 	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape)$$' -count=1 ./internal/experiments

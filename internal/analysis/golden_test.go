@@ -3,8 +3,10 @@ package analysis
 import (
 	"flag"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,9 +47,14 @@ var goldenCases = []struct {
 }
 
 func TestGolden(t *testing.T) {
+	fset, pkgs := loadFixtures(t)
 	for _, tc := range goldenCases {
 		t.Run(tc.fixture, func(t *testing.T) {
-			got := runFixture(t, []*Analyzer{tc.analyzer}, tc.fixture)
+			pkg := pkgs[tc.fixture]
+			if pkg == nil {
+				t.Fatalf("fixture %s was not loaded", tc.fixture)
+			}
+			got := formatDiagnostics(Run(fset, []*Package{pkg}, []*Analyzer{tc.analyzer}))
 			if tc.wantBad && got == "" {
 				t.Fatalf("known-bad fixture %s produced no diagnostics", tc.fixture)
 			}
@@ -73,20 +80,36 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// runFixture loads one fixture package explicitly and formats the
-// resulting diagnostics with basenamed files, one per line.
-func runFixture(t *testing.T, analyzers []*Analyzer, fixture string) string {
+// loadFixtures loads every fixture package of goldenCases with one loader
+// and one Load (one go list call), keyed by fixture directory name.
+func loadFixtures(t *testing.T) (*token.FileSet, map[string]*Package) {
 	t.Helper()
 	loader, err := NewLoader(moduleRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load(filepath.Join("internal", "analysis", "testdata", "src", fixture))
+	var dirs []string
+	for _, tc := range goldenCases {
+		dir := filepath.Join("internal", "analysis", "testdata", "src", tc.fixture)
+		if !slices.Contains(dirs, dir) {
+			dirs = append(dirs, dir)
+		}
+	}
+	pkgs, err := loader.Load(dirs...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	byFixture := make(map[string]*Package, len(pkgs))
+	for _, pkg := range pkgs {
+		byFixture[filepath.Base(pkg.Dir)] = pkg
+	}
+	return loader.Fset, byFixture
+}
+
+// formatDiagnostics renders diagnostics with basenamed files, one per line.
+func formatDiagnostics(diags []Diagnostic) string {
 	var b strings.Builder
-	for _, d := range Run(loader.Fset, pkgs, analyzers) {
+	for _, d := range diags {
 		fmt.Fprintf(&b, "%s:%d:%d: [%s] %s\n",
 			filepath.Base(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"quasar/internal/cluster"
@@ -400,18 +401,26 @@ func TestReclassifyKeepsRow(t *testing.T) {
 }
 
 // fixedProber is a noise-free prober whose scale-up measurement depends
-// only on the allocation; it records every scale-up allocation it is asked
-// about, in call order.
+// only on the allocation; it records every scale-up allocation, node count
+// and platform it is asked about, in call order.
 type fixedProber struct {
-	asked []cluster.Alloc
+	asked    []cluster.Alloc
+	outAsked []int
+	hetAsked []int
 }
 
 func (p *fixedProber) ScaleUp(a cluster.Alloc) float64 {
 	p.asked = append(p.asked, a)
 	return 0.3*float64(a.Cores) + 0.05*a.MemoryGB
 }
-func (p *fixedProber) ScaleOut(n int, _ cluster.Alloc) float64 { return 0.8 * float64(n) }
-func (p *fixedProber) Heterogeneity(j int) float64             { return 1 + 0.1*float64(j) }
+func (p *fixedProber) ScaleOut(n int, _ cluster.Alloc) float64 {
+	p.outAsked = append(p.outAsked, n)
+	return 0.8 * float64(n)
+}
+func (p *fixedProber) Heterogeneity(j int) float64 {
+	p.hetAsked = append(p.hetAsked, j)
+	return 1 + 0.1*float64(j)
+}
 func (p *fixedProber) ToleratedIntensity(r cluster.Resource) float64 {
 	return 0.1 * float64(r)
 }
@@ -468,6 +477,55 @@ func TestReclassifyWritesLogRatios(t *testing.T) {
 				t.Fatalf("%s column %d holds %v, outside [0, 1]", ax, c.Col, c.V)
 			}
 		}
+	}
+}
+
+// TestReclassifyProbesLikeAnArrival: a re-profile is an arrival's sparse
+// profiling. Its scale-up picks come from the informative columns, it
+// probes the fixed heterogeneity secondary, and a distributed workload gets
+// a small scale-out count; each probed value lands in the existing row.
+func TestReclassifyProbesLikeAnArrival(t *testing.T) {
+	e, u := testSetup(t, 2)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+	e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(5)))
+	row, _ := e.RowOf(w.ID)
+
+	p := &fixedProber{}
+	e.Reclassify(w, p)
+	asked := p.asked
+	refLog := safeLog(p.ScaleUp(e.refAlloc()))
+	for _, a := range asked[1:] {
+		col := e.suGrid.nearest(a)
+		if !slices.Contains(e.informative, col) {
+			t.Fatalf("scale-up probe at %+v (column %d) is not an informative column %v", a, col, e.informative)
+		}
+	}
+	if !slices.Contains(p.hetAsked, e.secondary) {
+		t.Fatalf("heterogeneity probes %v miss the secondary platform %d", p.hetAsked, e.secondary)
+	}
+	if v, ok := e.axes[AxisHetero].mat.Get(row, e.secondary); !ok ||
+		math.Float64bits(v) != math.Float64bits(safeLog(p.Heterogeneity(e.secondary))-refLog) {
+		t.Fatalf("het[secondary] = %v (written %v), want the probed log ratio", v, ok)
+	}
+	if len(p.outAsked) == 0 {
+		t.Fatal("a distributed workload's re-profile probed no scale-out count")
+	}
+	for _, n := range p.outAsked {
+		j := slices.Index(e.SOCounts, n)
+		if n < 2 || n > 4 || j < 0 {
+			t.Fatalf("scale-out probe at %d nodes, want a profiling count in 2..4", n)
+		}
+		if v, ok := e.axes[AxisScaleOut].mat.Get(row, j); !ok || math.Float64bits(v) != math.Float64bits(safeLog(0.8*float64(n))) {
+			t.Fatalf("scale-out column %d = %v (written %v), want the probed log value", j, v, ok)
+		}
+	}
+
+	single := u.New(workload.Spec{Type: workload.SingleNode, Family: -1})
+	e.Classify(single, NewGroundTruthProber(single, e.Platforms, sim.NewRNG(6)))
+	p = &fixedProber{}
+	e.Reclassify(single, p)
+	if len(p.outAsked) != 0 {
+		t.Fatalf("a single-node workload's re-profile probed scale-out at %v", p.outAsked)
 	}
 }
 

@@ -659,10 +659,11 @@ func (e *Engine) estimatesFromProbe(w *workload.Instance, row int, po *ProbeObs)
 }
 
 // Reclassify re-profiles a workload in place (phase change or detected
-// misclassification, §4.1) and returns fresh estimates. The workload's
-// existing matrix row is overwritten with the new observations, in the form
-// appendObs stores them: log ratios on the scale-up and heterogeneity axes,
-// intensities in [0, 1] on the interference axes.
+// misclassification, §4.1) and returns fresh estimates. The re-profile is
+// the sparse profiling an arrival gets (probeArrival, on the workload's own
+// reclassify stream); every probed cell then overwrites the workload's
+// existing row, axis by axis in ascending column order, each cell one change
+// toward the axis's next retrain point.
 func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 	t0 := e.prof.Begin()
 	defer e.prof.End(prof.SubClassify, t0)
@@ -675,43 +676,14 @@ func (e *Engine) Reclassify(w *workload.Instance, p Prober) *Estimates {
 			obs.Arg{Key: "workload", Val: w.ID},
 			obs.Arg{Key: "row", Val: row})
 	}
-	rng := e.rng.Stream("reclassify/" + w.ID)
-	entries := e.opts.Entries
-
-	refPerf := p.ScaleUp(e.refAlloc())
-	refLog := safeLog(refPerf)
-	su := make(map[int]float64, entries)
-	su[e.refCol] = 0
-	e.axes[AxisScaleUp].feedback(row, e.refCol, 0, perCell)
-	for _, j := range pickDistinct(rng, len(e.SUCols), entries) {
-		col := e.SUCols[j]
-		v := safeLog(p.ScaleUp(cluster.Alloc{Cores: col.Cores, MemoryGB: col.MemoryGB})) - refLog
-		su[j] = v
-		e.axes[AxisScaleUp].feedback(row, j, v, perCell)
+	po := e.probeArrival(w, p, e.rng.Stream("reclassify/"+w.ID))
+	for i, a := range e.axes {
+		for j := 0; j < a.mat.Cols; j++ {
+			if v, ok := po.obs[i][j]; ok {
+				a.feedback(row, j, v, perCell)
+			}
+		}
 	}
-	so := map[int]float64{}
-	if w.Type.Distributed() {
-		so[0] = 0
-	}
-	het := map[int]float64{}
-	het[e.HighEnd] = 0
-	e.axes[AxisHetero].feedback(row, e.HighEnd, 0, perCell)
-	tol := make(map[int]float64, entries)
-	for _, r := range pickDistinct(rng, int(cluster.NumResources), entries) {
-		tol[r] = clamp01(p.ToleratedIntensity(cluster.Resource(r)))
-		e.axes[AxisTolerated].feedback(row, r, tol[r], perCell)
-	}
-	caused := make(map[int]float64, entries)
-	for _, r := range pickDistinct(rng, int(cluster.NumResources), entries) {
-		caused[r] = clamp01(p.CausedIntensity(cluster.Resource(r)))
-		e.axes[AxisCaused].feedback(row, r, caused[r], perCell)
-	}
-	po := &ProbeObs{RefPerf: refPerf}
-	po.obs[AxisScaleUp] = su
-	po.obs[AxisScaleOut] = so
-	po.obs[AxisHetero] = het
-	po.obs[AxisTolerated] = tol
-	po.obs[AxisCaused] = caused
 	return e.estimatesFromProbe(w, row, po)
 }
 

@@ -9,11 +9,19 @@ import (
 // (TestSLODetectAccuracy, TestAvailabilityAcceptance, TestPhasesShape)
 // claim over. At one seed such a bar passes or fails with that seed's draw.
 // A change that moves trajectories re-draws every storm, so a bar that
-// sits near one seed's value is a coin flip for it. Pooled over twelve
-// seeds, the bar has to move with the behaviour. The …Deterministic
-// byte-identity tests stay at their fixed seeds: those are contracts, not
-// claims.
-var behaviourSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+// sits near one seed's value is a coin flip for it. Pooled over 48 seeds,
+// the bar has to move with the behaviour. The …Deterministic byte-identity
+// tests stay at their fixed seeds: those are contracts, not claims.
+var behaviourSeeds = seedRange(1, 48)
+
+// seedRange returns the seeds lo..hi in order.
+func seedRange(lo, hi int64) []int64 {
+	out := make([]int64, 0, hi-lo+1)
+	for s := lo; s <= hi; s++ {
+		out = append(out, s)
+	}
+	return out
+}
 
 // overSeeds runs one scenario per seed of behaviourSeeds as parallel
 // subtests. It returns once every seed has finished, with the results in

@@ -107,6 +107,17 @@ func TestPromLabelValueEscaping(t *testing.T) {
 	if got := promHelp("a\\b\nc\"d"); got != `a\\b\nc"d` {
 		t.Errorf("promHelp = %q", got)
 	}
+
+	// A registered label value reaches the scrape escaped.
+	reg := NewRegistry()
+	reg.LabeledCounter("odd_total", "path", "a\"b\\c\n", "odd label values").Inc()
+	var buf bytes.Buffer
+	if err := WritePromRegistry(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	if want := `odd_total{path="a\"b\\c\n"} 1`; !strings.Contains(buf.String(), want) {
+		t.Errorf("scrape missing %q:\n%s", want, buf.String())
+	}
 }
 
 // TestPromLabeledMetricsGrouping pins the labeled-registry contract the RED
@@ -115,16 +126,16 @@ func TestPromLabelValueEscaping(t *testing.T) {
 // quantiles merge the endpoint label with the quantile pair.
 func TestPromLabeledMetricsGrouping(t *testing.T) {
 	reg := NewRegistry()
-	reg.LabeledCounter("http_requests_total", `endpoint="submit"`, "requests by endpoint").Add(3)
-	reg.LabeledCounter("http_requests_total", `endpoint="evict"`, "requests by endpoint").Inc()
+	reg.LabeledCounter("http_requests_total", "endpoint", "submit", "requests by endpoint").Add(3)
+	reg.LabeledCounter("http_requests_total", "endpoint", "evict", "requests by endpoint").Inc()
 	h := metrics.NewHistogram(0.01)
 	for i := 1; i <= 50; i++ {
 		h.Add(float64(i))
 	}
-	reg.LabeledHistogram("http_request_us", `endpoint="submit"`, "latency by endpoint", h)
+	reg.LabeledHistogram("http_request_us", "endpoint", "submit", "latency by endpoint", h)
 
 	// Same name + label returns the existing counter, not a new registration.
-	reg.LabeledCounter("http_requests_total", `endpoint="submit"`, "requests by endpoint").Inc()
+	reg.LabeledCounter("http_requests_total", "endpoint", "submit", "requests by endpoint").Inc()
 	if reg.Len() != 3 {
 		t.Fatalf("registry has %d entries, want 3", reg.Len())
 	}

@@ -106,14 +106,16 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// LabeledCounter registers (or returns the existing) counter under a
-// name + label-set pair. The label is the rendered inner pair list of the
-// Prometheus sample (e.g. `endpoint="submit"`); entries sharing a name are
-// grouped under one HELP/TYPE header by the snapshot renderer. Nil-safe.
-func (r *Registry) LabeledCounter(name, label, help string) *Counter {
+// LabeledCounter registers (or returns the existing) counter under a name
+// and one label pair: key is the label name, value its raw value, which the
+// registry escapes (e.g. key "endpoint", value "submit" renders
+// `endpoint="submit"`). Entries sharing a name are grouped under one
+// HELP/TYPE header by the snapshot renderer. Nil-safe.
+func (r *Registry) LabeledCounter(name, key, value, help string) *Counter {
 	if r == nil {
 		return nil
 	}
+	label := labelPair(key, value)
 	k := name + "{" + label + "}"
 	if i, ok := r.byName[k]; ok && r.entries[i].kind == kindCounter {
 		return r.entries[i].counter
@@ -150,13 +152,18 @@ func (r *Registry) Histogram(name, help string, h *metrics.Histogram) {
 	r.add(entry{name: name, help: help, kind: kindHistogram, hist: h})
 }
 
-// LabeledHistogram registers a metrics.Histogram under a name + label-set
+// LabeledHistogram registers a metrics.Histogram under a name and one label
 // pair (see LabeledCounter for the label contract).
-func (r *Registry) LabeledHistogram(name, label, help string, h *metrics.Histogram) {
+func (r *Registry) LabeledHistogram(name, key, value, help string, h *metrics.Histogram) {
 	if r == nil || h == nil {
 		return
 	}
-	r.add(entry{name: name, label: label, help: help, kind: kindHistogram, hist: h})
+	r.add(entry{name: name, label: labelPair(key, value), help: help, kind: kindHistogram, hist: h})
+}
+
+// labelPair renders one Prometheus label pair, its value escaped.
+func labelPair(key, value string) string {
+	return key + `="` + promLabelValue(value) + `"`
 }
 
 // Heatmap registers a metrics.Heatmap; snapshots export its overall mean.

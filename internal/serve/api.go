@@ -380,7 +380,7 @@ func writeTrainStats(w io.Writer, stats []classify.AxisTrainStats) error {
 		{"classify_fit_epochs_total", "SGD epochs run over all fits", func(st classify.AxisTrainStats) float64 { return float64(st.Epochs) }},
 	} {
 		for axis, st := range stats {
-			reg.LabeledCounter(m.name, `axis="`+classify.Axis(axis).String()+`"`, m.help).Add(m.value(st))
+			reg.LabeledCounter(m.name, "axis", classify.Axis(axis).String(), m.help).Add(m.value(st))
 		}
 	}
 	return obs.WritePromRegistry(w, reg)

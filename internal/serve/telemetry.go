@@ -124,21 +124,18 @@ func newTelemetry(journalBytes *atomic.Int64, subscribers, subDropped func() int
 	}
 	t.lastSnapshotNS.Store(-1)
 	for _, ep := range telemetryEndpoints {
-		label := `endpoint="` + ep + `"`
 		t.httpReqs[ep] = t.reg.LabeledCounter("serve_http_requests_total",
-			label, "HTTP requests handled, by endpoint.")
+			"endpoint", ep, "HTTP requests handled, by endpoint.")
 	}
 	for _, ep := range telemetryEndpoints {
-		label := `endpoint="` + ep + `"`
 		t.httpErrs[ep] = t.reg.LabeledCounter("serve_http_errors_total",
-			label, "HTTP responses with status >= 400, by endpoint.")
+			"endpoint", ep, "HTTP responses with status >= 400, by endpoint.")
 	}
 	for _, ep := range telemetryEndpoints {
-		label := `endpoint="` + ep + `"`
 		h := metrics.NewHistogram(0.01)
 		t.httpLat[ep] = h
 		t.reg.LabeledHistogram("serve_http_request_us",
-			label, "Wall-clock handler latency, microseconds, by endpoint.", h)
+			"endpoint", ep, "Wall-clock handler latency, microseconds, by endpoint.", h)
 	}
 	t.reg.Histogram("serve_journal_flush_us",
 		"Journal group-commit flush latency per sealed epoch, microseconds.", t.flushUS)

@@ -36,6 +36,11 @@ type wstate struct {
 	class  perfmodel.Class
 	goal   float64
 	budget float64
+	// firstStart is the task's StartAt when monitoring began: its first
+	// placement. Runtime.Place rewrites StartAt at every re-admission, and
+	// a displaced service that comes back is not a new one, so the warm-up
+	// counts from here.
+	firstStart float64
 
 	ring []uint8 // last len(ring) SLI bits; zero (good) before history exists
 	head int     // next write position
@@ -161,6 +166,8 @@ func (e *Engine) newState(t *core.Task) *wstate {
 		budget: 1 - goal,
 		ring:   make([]uint8, maxTicks),
 		rules:  rules,
+
+		firstStart: t.StartAt,
 	}
 }
 
@@ -239,7 +246,7 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 	}
 
 	bad := uint8(0)
-	if now-t.StartAt >= warmupSecs && e.badTick(t, now) {
+	if now-ws.firstStart >= warmupSecs && e.badTick(t, now) {
 		bad = 1
 	}
 	ws.push(bad)

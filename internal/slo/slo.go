@@ -62,8 +62,9 @@ const (
 	goalBatch = 0.95
 
 	// warmupSecs skips SLI evaluation for this long after a workload
-	// starts, matching the runtime's latency-distribution warm-up:
-	// placement ramp-up is not an SLO violation.
+	// first starts, matching the runtime's latency-distribution warm-up:
+	// placement ramp-up is not an SLO violation. A re-admission after a
+	// displacement does not restart it.
 	warmupSecs = 600
 
 	// resolveFrac and resolveHoldSecs are the hysteresis: an active alert

@@ -304,3 +304,64 @@ func TestBatchDeadlineSLI(t *testing.T) {
 		}
 	}
 }
+
+// readmitManager pins like pinManager, and puts a task that lost every node
+// straight back on the next server of the list with a starved allocation.
+type readmitManager struct {
+	pinManager
+	starved   cluster.Alloc
+	readmitAt float64
+}
+
+func (m *readmitManager) OnEvicted(t *core.Task) {
+	srv := m.rt.Cl.Servers[m.servers[m.next%len(m.servers)]]
+	m.next++
+	if err := m.rt.Place(t, srv, m.starved); err != nil {
+		panic(err)
+	}
+	m.readmitAt = m.rt.Eng.Now()
+}
+
+// TestReadmittedServicePagesWithoutNewWarmup displaces a healthy service
+// long after its warm-up and re-admits it at once onto a starved
+// allocation, where it misses QoS. The outage is the re-admitted service's:
+// the page must fire inside the page rule's short window after the
+// re-admission, not after a second warm-up.
+func TestReadmittedServicePagesWithoutNewWarmup(t *testing.T) {
+	rt, u, pin := testWorld(t, 3)
+	m := &readmitManager{pinManager: *pin, starved: cluster.Alloc{Cores: 1, MemoryGB: 2}}
+	rt.SetManager(m)
+	rt.EnableFailureDetector(core.DefaultDetectorOptions())
+	eng := Attach(rt, nil, Options{})
+
+	w := u.New(workload.Spec{Type: workload.Memcached, Family: -1, MaxNodes: 4})
+	rt.Submit(w, 0, loadgen.Flat{QPS: safeLoad(w, rt.Cl.Servers[36].Platform, m.alloc)})
+
+	// A partition keeps the service running until the detector fences it
+	// (dead after 40 s of silence): no bad tick before the re-admission.
+	const partitionAt = 2000.0
+	rt.Eng.Schedule(partitionAt, func() { rt.PartitionServer(36) })
+	rt.Run(3000)
+	rt.Stop()
+
+	if m.readmitAt < partitionAt {
+		t.Fatalf("service was never re-admitted (readmit at %.0fs)", m.readmitAt)
+	}
+	var page *Episode
+	for _, ep := range eng.Episodes() {
+		if ep.Rule == "page" {
+			if ep.FireAt < m.readmitAt {
+				t.Fatalf("page at %.0fs, before the re-admission at %.0fs: the outage began earlier than the test means", ep.FireAt, m.readmitAt)
+			}
+			page = &ep
+			break
+		}
+	}
+	if page == nil {
+		t.Fatalf("no page for a service missing QoS since %.0fs; episodes: %+v", m.readmitAt, eng.Episodes())
+	}
+	if window := burnRules[0].ShortSecs; page.FireAt > m.readmitAt+window {
+		t.Fatalf("page fired at %.0fs, %.0fs after the re-admission; want within the page rule's %.0fs window",
+			page.FireAt, page.FireAt-m.readmitAt, window)
+	}
+}
