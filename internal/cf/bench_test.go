@@ -72,7 +72,22 @@ func BenchmarkTopK(b *testing.B) {
 	f := libraryShaped(231, 81, 21, 7).Freeze(nil)
 	mu, k := meanOf(f.cells), latentK
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topKSink = topK(f.cells, f.Rows, f.Cols, mu, k)
+	}
+}
+
+var foldInSink []float64
+
+// BenchmarkFoldIn: one arrival's fold-in — three observed cells against the
+// end-of-day scale-up model.
+func BenchmarkFoldIn(b *testing.B) {
+	m := Train(libraryShaped(231, 81, 21, 7), DefaultOptions())
+	obs := map[int]float64{3: 0.2, 40: -0.4, 80: 0.1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		foldInSink = m.FoldIn(obs)
 	}
 }

@@ -2,7 +2,6 @@ package cf
 
 import (
 	"math"
-	"sort"
 
 	"quasar/internal/sim"
 )
@@ -166,20 +165,22 @@ func (m *Model) sgd4(cells []Cell, opts Options) {
 // the SVD is computed, and Q ← U·sqrt(Σ), Pᵀ ← sqrt(Σ)·Vᵀ so that Q·Pᵀ
 // reproduces the imputed matrix's low-rank structure. (The paper assigns
 // Q ← U, Pᵀ ← ΣVᵀ; splitting Σ symmetrically conditions SGD better and is
-// equivalent up to a diagonal rescaling.)
+// equivalent up to a diagonal rescaling.) The triplets are written straight
+// into the zero P and Q, then scaled by √σ in place.
 func (m *Model) initFromSVD(cells []Cell) {
-	rows, cols := m.P.R, m.Q.R
+	rows, cols, k := m.P.R, m.Q.R, m.K
 	if rows == 0 || cols == 0 {
 		return
 	}
-	svd := topK(cells, rows, cols, m.Mu, m.K)
-	for f, sigma := range svd.S {
+	var s [latentK]float64
+	topKInto(SVD{U: m.P, S: s[:k], V: m.Q}, cells, rows, cols, m.Mu)
+	for f, sigma := range s[:k] {
 		root := math.Sqrt(sigma)
 		for u := 0; u < rows; u++ {
-			m.P.Set(u, f, svd.U.At(u, f)*root)
+			m.P.Data[u*k+f] *= root
 		}
 		for i := 0; i < cols; i++ {
-			m.Q.Set(i, f, svd.V.At(i, f)*root)
+			m.Q.Data[i*k+f] *= root
 		}
 	}
 }
@@ -227,6 +228,9 @@ func (m *Model) RMSE(s *Sparse) float64 {
 //
 // which is the standard fold-in for latent-factor models and is what makes
 // per-arrival classification cost milliseconds instead of a full retrain.
+// Observations outside [0, Cols) are ignored. K never exceeds latentK, so
+// the normal equations live in fixed arrays and the returned row is the
+// only allocation.
 func (m *Model) FoldIn(obs map[int]float64) []float64 {
 	k := m.K
 	valid := 0
@@ -237,26 +241,20 @@ func (m *Model) FoldIn(obs map[int]float64) []float64 {
 	}
 	// Unknowns: [b, p_1..p_k].
 	dim := k + 1
-	a := make([][]float64, dim) // normal equations matrix
-	for i := range a {
-		a[i] = make([]float64, dim)
+	var a [latentK + 1][latentK + 1]float64 // normal equations matrix
+	var b, x, sol [latentK + 1]float64
+	for i := 0; i < dim; i++ {
 		a[i][i] = lambda * float64(max(1, valid))
 	}
-	b := make([]float64, dim)
-	// Deterministic iteration: float accumulation order must not depend on
-	// map order.
-	keys := make([]int, 0, len(obs))
-	for i := range obs {
-		keys = append(keys, i)
-	}
-	sort.Ints(keys)
-	for _, i := range keys {
-		v := obs[i]
-		if i < 0 || i >= m.Q.R {
+	// Ascending columns: float accumulation order must not depend on map
+	// order.
+	for i, seen := 0, 0; seen < valid; i++ {
+		v, ok := obs[i]
+		if !ok {
 			continue
 		}
+		seen++
 		// Feature vector x = [1, q_i].
-		x := make([]float64, dim)
 		x[0] = 1
 		for f := 0; f < k; f++ {
 			x[f+1] = m.Q.At(i, f)
@@ -269,8 +267,8 @@ func (m *Model) FoldIn(obs map[int]float64) []float64 {
 			b[r] += x[r] * y
 		}
 	}
-	sol := solve(a, b)
-	bu, p := sol[0], sol[1:]
+	solve(&a, &b, &sol, dim)
+	bu, p := sol[0], sol[1:dim]
 	out := make([]float64, m.Q.R)
 	for i := range out {
 		s := m.Mu + bu + m.BI[i]
@@ -282,10 +280,10 @@ func (m *Model) FoldIn(obs map[int]float64) []float64 {
 	return out
 }
 
-// solve performs Gaussian elimination with partial pivoting on a·x = b.
-// The ridge term guarantees a is positive definite, so this never fails.
-func solve(a [][]float64, b []float64) []float64 {
-	n := len(b)
+// solve performs Gaussian elimination with partial pivoting on the leading
+// n×n system a·x = b, writing x. It overwrites a and b. The ridge term
+// guarantees a is positive definite, so this never fails.
+func solve(a *[latentK + 1][latentK + 1]float64, b, x *[latentK + 1]float64, n int) {
 	for col := 0; col < n; col++ {
 		// Pivot.
 		piv := col
@@ -311,15 +309,14 @@ func solve(a [][]float64, b []float64) []float64 {
 			b[r] -= f * b[col]
 		}
 	}
-	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		s := b[r]
 		for c := r + 1; c < n; c++ {
 			s -= a[r][c] * x[c]
 		}
+		x[r] = 0
 		if a[r][r] != 0 { //lint:allow(floatcmp) exact-zero guard before division
 			x[r] = s / a[r][r]
 		}
 	}
-	return x
 }

@@ -161,6 +161,18 @@ func TestFoldInIgnoresOutOfRangeColumns(t *testing.T) {
 	}
 }
 
+// TestFoldInAllocatesOnlyItsRow: the normal equations, the feature vector
+// and the solution stay on the stack; the returned row is the one
+// allocation.
+func TestFoldInAllocatesOnlyItsRow(t *testing.T) {
+	s, _ := makeLowRankSparse(30, 15, 3, 0.7, 37)
+	m := Train(s, DefaultOptions())
+	obs := map[int]float64{0: 0.4, 6: -0.1, 14: 0.9, 99: 5, -3: 2}
+	if allocs := testing.AllocsPerRun(100, func() { m.FoldIn(obs) }); allocs != 1 { //lint:allow(floatcmp) an exact count
+		t.Fatalf("FoldIn allocates %v times per call, want 1", allocs)
+	}
+}
+
 func TestTrainDeterministic(t *testing.T) {
 	s, _ := makeLowRankSparse(15, 10, 2, 0.5, 31)
 	m1 := Train(s, DefaultOptions())
@@ -197,9 +209,11 @@ func TestTrainSingleColumn(t *testing.T) {
 
 func TestSolveLinearSystem(t *testing.T) {
 	// 2x + y = 5; x + 3y = 10 -> x = 1, y = 3.
-	a := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x := solve(a, b)
+	var a [latentK + 1][latentK + 1]float64
+	var b, x [latentK + 1]float64
+	a[0][0], a[0][1], a[1][0], a[1][1] = 2, 1, 1, 3
+	b[0], b[1] = 5, 10
+	solve(&a, &b, &x, 2)
 	if math.Abs(x[0]-1) > 1e-9 || math.Abs(x[1]-3) > 1e-9 {
 		t.Fatalf("solve = %v, want [1 3]", x)
 	}
@@ -207,9 +221,11 @@ func TestSolveLinearSystem(t *testing.T) {
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Leading zero forces a pivot swap.
-	a := [][]float64{{0, 1}, {1, 0}}
-	b := []float64{2, 3}
-	x := solve(a, b)
+	var a [latentK + 1][latentK + 1]float64
+	var b, x [latentK + 1]float64
+	a[0][0], a[0][1], a[1][0], a[1][1] = 0, 1, 1, 0
+	b[0], b[1] = 2, 3
+	solve(&a, &b, &x, 2)
 	if math.Abs(x[0]-3) > 1e-9 || math.Abs(x[1]-2) > 1e-9 {
 		t.Fatalf("solve = %v, want [3 2]", x)
 	}

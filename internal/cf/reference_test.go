@@ -305,3 +305,141 @@ func TestTrainMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// foldInReference is FoldIn as it was before the normal equations moved
+// into fixed arrays, kept verbatim as the oracle: a [][]float64 system, the
+// observed keys sorted, one feature slice per cell, and solveReference.
+func foldInReference(m *Model, obs map[int]float64) []float64 {
+	k := m.K
+	valid := 0
+	for i := range obs {
+		if i >= 0 && i < m.Q.R {
+			valid++
+		}
+	}
+	dim := k + 1
+	a := make([][]float64, dim)
+	for i := range a {
+		a[i] = make([]float64, dim)
+		a[i][i] = lambda * float64(max(1, valid))
+	}
+	b := make([]float64, dim)
+	keys := make([]int, 0, len(obs))
+	for i := range obs {
+		keys = append(keys, i)
+	}
+	sort.Ints(keys)
+	for _, i := range keys {
+		v := obs[i]
+		if i < 0 || i >= m.Q.R {
+			continue
+		}
+		x := make([]float64, dim)
+		x[0] = 1
+		for f := 0; f < k; f++ {
+			x[f+1] = m.Q.At(i, f)
+		}
+		y := v - m.Mu - m.BI[i]
+		for r := 0; r < dim; r++ {
+			for c := 0; c < dim; c++ {
+				a[r][c] += x[r] * x[c]
+			}
+			b[r] += x[r] * y
+		}
+	}
+	sol := solveReference(a, b)
+	bu, p := sol[0], sol[1:]
+	out := make([]float64, m.Q.R)
+	for i := range out {
+		s := m.Mu + bu + m.BI[i]
+		for f := 0; f < k; f++ {
+			s += p[f] * m.Q.At(i, f)
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// solveReference is solve over slices, as foldInReference called it.
+func solveReference(a [][]float64, b []float64) []float64 {
+	n := len(b)
+	for col := 0; col < n; col++ {
+		piv := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
+				piv = r
+			}
+		}
+		a[col], a[piv] = a[piv], a[col]
+		b[col], b[piv] = b[piv], b[col]
+		d := a[col][col]
+		if d == 0 {
+			continue
+		}
+		for r := col + 1; r < n; r++ {
+			f := a[r][col] / d
+			if f == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				a[r][c] -= f * a[col][c]
+			}
+			b[r] -= f * b[col]
+		}
+	}
+	x := make([]float64, n)
+	for r := n - 1; r >= 0; r-- {
+		s := b[r]
+		for c := r + 1; c < n; c++ {
+			s -= a[r][c] * x[c]
+		}
+		if a[r][r] != 0 {
+			x[r] = s / a[r][r]
+		}
+	}
+	return x
+}
+
+// TestFoldInMatchesSortedKeyReference holds FoldIn to the sorted-key
+// reference bit for bit on models of every K (the clamp fixtures and 5x1
+// fold in with K < latentK), over nil and empty maps and seeded random
+// observation maps whose keys include negatives and columns ≥ Cols.
+func TestFoldInMatchesSortedKeyReference(t *testing.T) {
+	fixtures := trainFixtures()
+	for name, s := range clampFixtures() {
+		fixtures[name] = s
+	}
+	names := make([]string, 0, len(fixtures))
+	for name := range fixtures {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(61))
+	ks := map[int]bool{}
+	for _, name := range names {
+		m := Train(fixtures[name], DefaultOptions())
+		ks[m.K] = true
+		maps := []map[int]float64{nil, {}}
+		for n := 0; n < 60; n++ {
+			obs := map[int]float64{}
+			for size := rng.Intn(9); len(obs) < size; {
+				obs[rng.Intn(m.Q.R+8)-4] = rng.NormFloat64()
+			}
+			maps = append(maps, obs)
+		}
+		for n, obs := range maps {
+			got, want := m.FoldIn(obs), foldInReference(m, obs)
+			if len(got) != len(want) {
+				t.Fatalf("%s map %d: %d columns, reference %d", name, n, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s K=%d map %d %v: column %d = %v, reference %v", name, m.K, n, obs, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if len(ks) < 3 {
+		t.Fatalf("models covered K ∈ %v; the fixtures no longer clamp K", ks)
+	}
+}

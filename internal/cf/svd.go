@@ -186,16 +186,27 @@ const noiseFloor = 1e-6
 
 // topK returns the k leading singular triplets of the rows×cols matrix A
 // holding v−mu at every cell (given in (row, column) order) and zero
-// elsewhere, without materialising A: it eigen-decomposes the Gram matrix of
-// the smaller side — AᵀA, or AAᵀ via the transpose — with symEig, takes
-// σ = √λ and recovers the other side as A·v/σ. Cost
-// O(Σ nnz_row² + min(rows,cols)³), independent of the larger dimension.
-// Triplets under noiseFloor are zeros; k must not exceed min(rows, cols).
+// elsewhere. It allocates the result and fills it with topKInto; the fit
+// itself calls topKInto on the model's own factors.
 func topK(cells []Cell, rows, cols int, mu float64, k int) *SVD {
+	out := &SVD{U: NewDense(rows, k), S: make([]float64, k), V: NewDense(cols, k)}
+	topKInto(*out, cells, rows, cols, mu)
+	return out
+}
+
+// topKInto writes the len(out.S) leading singular triplets of A (as topK
+// defines it) into out, whose U (rows×k), S and V (cols×k) must be zero,
+// without materialising A: it eigen-decomposes the Gram matrix of the
+// smaller side — AᵀA, or AAᵀ via the transpose — with symEig, takes σ = √λ
+// and recovers the other side as A·v/σ. Cost O(Σ nnz_row² +
+// min(rows,cols)³), independent of the larger dimension. Triplets under
+// noiseFloor stay zero; k must not exceed min(rows, cols).
+func topKInto(out SVD, cells []Cell, rows, cols int, mu float64) {
 	if rows < cols {
-		t := topK(transposed(cells, cols), cols, rows, mu, k)
-		return &SVD{U: t.V, S: t.S, V: t.U}
+		topKInto(SVD{U: out.V, S: out.S, V: out.U}, transposed(cells, cols), cols, rows, mu)
+		return
 	}
+	k := len(out.S)
 	// Each row of A adds the outer product of its cells. symEig reads only
 	// the upper triangle (row ≤ column), and a row's cells are sorted by
 	// column, so each cell pairs with itself and the cells after it.
@@ -212,7 +223,6 @@ func topK(cells []Cell, rows, cols int, mu float64, k int) *SVD {
 	}
 	lambda, vecs := symEig(g)
 
-	out := &SVD{U: NewDense(rows, k), S: make([]float64, k), V: NewDense(cols, k)}
 	for f := 0; f < k && lambda[f] > noiseFloor*noiseFloor*lambda[0]; f++ {
 		out.S[f] = math.Sqrt(lambda[f])
 		for i, v := range vecs.Data[f*cols : (f+1)*cols] {
@@ -229,7 +239,6 @@ func topK(cells []Cell, rows, cols int, mu float64, k int) *SVD {
 			}
 		}
 	}
-	return out
 }
 
 // transposed returns the transpose's cells in its (row, column) order: a

@@ -186,3 +186,41 @@ func TestTransposedOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestInitFromSVDMatchesTopK: the seed initFromSVD writes straight into P and
+// Q, and the model TrainFrozen fits from it, equal bit for bit the ones built
+// from topK's returned triplets as U·√S and V·√S — on a tall matrix, a wide
+// one (the transposed branch) and the clamp fixtures (K < latentK).
+func TestInitFromSVDMatchesTopK(t *testing.T) {
+	train := trainFixtures()
+	fixtures := map[string]*Sparse{"231x81-library": train["231x81-library"], "12x81": train["12x81"]}
+	for name, s := range clampFixtures() {
+		fixtures[name] = s
+	}
+	for name, s := range fixtures {
+		cells := s.Freeze(nil).cells
+		k := max(1, min(latentK, s.Rows, s.Cols))
+		want := &Model{K: k, Mu: meanOf(cells), BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
+			P: NewDense(s.Rows, k), Q: NewDense(s.Cols, k)}
+		svd := topK(cells, s.Rows, s.Cols, want.Mu, k)
+		for f, sigma := range svd.S {
+			root := math.Sqrt(sigma)
+			for u := 0; u < s.Rows; u++ {
+				want.P.Set(u, f, svd.U.At(u, f)*root)
+			}
+			for i := 0; i < s.Cols; i++ {
+				want.Q.Set(i, f, svd.V.At(i, f)*root)
+			}
+		}
+		got := &Model{K: k, Mu: want.Mu, BU: make([]float64, s.Rows), BI: make([]float64, s.Cols),
+			P: NewDense(s.Rows, k), Q: NewDense(s.Cols, k)}
+		got.initFromSVD(cells)
+		if !modelsBitEqual(got, want) {
+			t.Fatalf("%s: initFromSVD's in-place seed differs from topK's U·√S, V·√S", name)
+		}
+		want.sgd(cells, DefaultOptions())
+		if !modelsBitEqual(TrainFrozen(s.Freeze(nil), DefaultOptions()), want) {
+			t.Fatalf("%s: TrainFrozen differs from a fit seeded by topK's triplets", name)
+		}
+	}
+}

@@ -53,8 +53,12 @@ type Task struct {
 	Status Status
 
 	SubmitAt float64
-	StartAt  float64
-	DoneAt   float64
+	// StartAt is when the current run began: Place rewrites it each time a
+	// queued task is placed, a displaced one's re-admission included.
+	// FirstStartAt is the first placement's time and is written once.
+	StartAt      float64
+	FirstStartAt float64
+	DoneAt       float64
 
 	// Progress is completed work units (batch workloads).
 	Progress float64
@@ -67,12 +71,8 @@ type Task struct {
 	LastAchievedQPS float64
 	LastOfferedQPS  float64
 	LastP99US       float64
-	QoSFrac         *metrics.Series // fraction of queries meeting QoS per tick
-	QPSSeries       *metrics.Series
+	QoSFrac         *metrics.Series    // fraction of queries meeting QoS per tick
 	LatencyDist     *metrics.Histogram // streaming per-tick p99 samples, O(buckets) memory
-
-	// Batch statistics.
-	RateSeries *metrics.Series
 
 	// UsedPlatforms accumulates the platform names the task was ever
 	// placed on (Table 3's "server type" row).
@@ -87,6 +87,7 @@ type Task struct {
 	// without sorting or map iteration.
 	serverIDs []int
 	qosState  int8 // 0 unknown, 1 meeting QoS, -1 missing (trace edge detection)
+	started   bool // FirstStartAt is set
 
 	// truth memoises the task's ground-truth rate (see Runtime.truthValid);
 	// offered memoises Load at the sim instant offeredAt (NaN before the
@@ -326,8 +327,6 @@ func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern
 		SubmitAt:      at,
 		Load:          load,
 		QoSFrac:       &metrics.Series{Name: w.ID + "/qos"},
-		QPSSeries:     &metrics.Series{Name: w.ID + "/qps"},
-		RateSeries:    &metrics.Series{Name: w.ID + "/rate"},
 		LatencyDist:   metrics.NewHistogram(0.01),
 		UsedPlatforms: make(map[string]bool),
 		placements:    make(map[int]*cluster.Placement),
@@ -373,6 +372,9 @@ func (rt *Runtime) Place(t *Task, server *cluster.Server, alloc cluster.Alloc) e
 	if t.Status != StatusRunning {
 		t.Status = StatusRunning
 		t.StartAt = rt.Eng.Now()
+		if !t.started {
+			t.started, t.FirstStartAt = true, t.StartAt
+		}
 	}
 	if rt.Trace.Enabled() {
 		rt.Trace.BeginAsync(spanID(t.W.ID, server.ID), serverTrack(server.ID), "placement", t.W.ID,
@@ -602,7 +604,6 @@ func (rt *Runtime) AddTickListener(fn func(now float64)) {
 func (rt *Runtime) tickBatch(t *Task, now, dt float64) {
 	rate := rt.TrueRate(t)
 	t.Progress += rate * dt
-	t.RateSeries.Add(now, rate)
 	for _, id := range t.serverIDs {
 		pl := t.placements[id]
 		pl.ActiveCores = t.W.Genome.UsefulCores(pl.Alloc, 1.0)
@@ -634,11 +635,13 @@ func (rt *Runtime) tickService(t *Task, now float64) {
 	t.LastOfferedQPS = lambda
 	t.LastAchievedQPS = achieved
 	t.LastP99US = p99
-	t.QPSSeries.Add(now, achieved)
-	// Skip the placement warm-up: latency percentiles should describe the
-	// served steady state, not the seconds before capacity exists. The
-	// streaming histogram is bounded-memory, so no sample cap is needed.
-	if now-t.StartAt > 600 {
+	// Skip the service's warm-up after its first placement: latency
+	// percentiles should describe the served steady state, not the seconds
+	// before capacity first exists. A re-admission does not restart the
+	// warm-up — the tail a displacement causes is latency the service's
+	// users see, so it belongs in the distribution. The streaming histogram
+	// is bounded-memory, so no sample cap is needed.
+	if now-t.FirstStartAt > 600 {
 		t.LatencyDist.Add(p99)
 	}
 

@@ -88,8 +88,8 @@ func TestServiceServesLoad(t *testing.T) {
 	if math.Abs(task.LastAchievedQPS-w.Target.QPS*0.5) > 1 {
 		t.Fatalf("achieved %.0f, offered %.0f", task.LastAchievedQPS, w.Target.QPS*0.5)
 	}
-	if task.QoSFrac.Len() == 0 || task.QPSSeries.Len() == 0 {
-		t.Fatal("service series not recorded")
+	if task.QoSFrac.Len() == 0 {
+		t.Fatal("service QoS series not recorded")
 	}
 }
 
@@ -241,3 +241,66 @@ func TestRemoveNodeScaleIn(t *testing.T) {
 }
 
 var _ = perfmodel.Analytics
+
+// TestBatchTickAllocatesNothing: a tick of a running batch task whose
+// ground-truth rate is memoised advances progress and refreshes its
+// placements' activity without allocating, so a per-tick history cannot
+// come back unnoticed. The ticks run inside one measured call: AllocsPerRun
+// divides by the run count in integers, which would round a slice's
+// amortised growth away.
+func TestBatchTickAllocatesNothing(t *testing.T) {
+	rt, u := newTestRuntime(t)
+	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
+	w.Genome.Work = 1e15
+	rt.SetManager(&nullManager{rt: rt, alloc: cluster.Alloc{Cores: 4, MemoryGB: 8}, server: 30, nodes: 2})
+	task := rt.Submit(w, 0, nil)
+	rt.Run(20)
+	rt.Stop()
+	if task.Status != StatusRunning || !rt.truthValid(task) {
+		t.Fatalf("status %v, truth memo valid %v: want a running task on a memo hit", task.Status, rt.truthValid(task))
+	}
+	before := task.Progress
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			rt.tickBatch(task, 20, rt.TickSecs())
+		}
+	})
+	if task.Progress <= before || !rt.truthValid(task) {
+		t.Fatal("the measured tick did not advance progress on a memo hit")
+	}
+	if allocs != 0 { //lint:allow(floatcmp) an exact count
+		t.Fatalf("1000 batch ticks allocate %v times, want 0", allocs)
+	}
+}
+
+// TestLatencyWarmupCountsFromFirstStart: the p99 histogram skips the 600 s
+// after a service's first placement only. A displaced service that is
+// re-admitted keeps feeding it, so the tail of a displacement reaches the
+// distribution.
+func TestLatencyWarmupCountsFromFirstStart(t *testing.T) {
+	rt, u := newTestRuntime(t)
+	w := u.New(workload.Spec{Type: workload.Memcached, Family: -1, MaxNodes: 4})
+	m := &nullManager{rt: rt, alloc: cluster.Alloc{Cores: 12, MemoryGB: 24}, server: 36, nodes: 1}
+	rt.SetManager(m)
+	task := rt.Submit(w, 0, loadgen.Flat{QPS: w.Target.QPS * 0.5})
+	rt.Run(700)
+	before := task.LatencyDist.N()
+	if before == 0 {
+		t.Fatal("no p99 sample recorded 700 s after the first placement")
+	}
+	srv := rt.Cl.Servers[36]
+	if d := rt.fence(srv, "test"); len(d) != 1 || task.Status != StatusQueued {
+		t.Fatalf("fence displaced %d tasks, status %v: want the service queued", len(d), task.Status)
+	}
+	if err := rt.Place(task, srv, m.alloc); err != nil {
+		t.Fatal(err)
+	}
+	if task.StartAt != 700 || task.FirstStartAt != 0 { //lint:allow(floatcmp) sim-clock instants set from Eng.Now
+		t.Fatalf("StartAt %v, FirstStartAt %v: want the re-admission at 700 and the first start at 0", task.StartAt, task.FirstStartAt)
+	}
+	rt.Run(800)
+	rt.Stop()
+	if task.LatencyDist.N() <= before {
+		t.Fatal("no p99 sample recorded in the 100 s after the re-admission")
+	}
+}

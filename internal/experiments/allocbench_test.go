@@ -56,14 +56,14 @@ var allocProbes = []struct {
 	// One runtime tick over nine steady services: progress accounting and
 	// load lookups are allocation-free, and ground truth is rebuilt (one
 	// nodesOf slice) only for a service whose servers changed; the residue
-	// is monitoring history (retained by design) and the manager's
-	// occasional adjustments and reclassifications (measured 17.0).
-	{"runtime_tick", "quasar/internal/core.(*Runtime).tick", 28,
+	// is the QoS history (retained by design) and the manager's occasional
+	// adjustments and reclassifications (measured 2.0).
+	{"runtime_tick", "quasar/internal/core.(*Runtime).tick", 4,
 		func(t *testing.T) float64 { return tickProbe(t, false) }},
 	// One runtime tick with the SLO engine attached, sequential fan-out:
 	// adds window pushes and health scoring on reused scratch, with
-	// per-workload state found by position (measured 19.0).
-	{"slo_tick", "quasar/internal/slo.(*Engine).onTick", 32,
+	// per-workload state found by position (measured 2.0).
+	{"slo_tick", "quasar/internal/slo.(*Engine).onTick", 4,
 		func(t *testing.T) float64 { return tickProbe(t, true) }},
 	// One event through the full trace pipeline — controls, sequencing, and
 	// fan-out to a streaming JSONL sink plus a ring flight recorder. The
