@@ -18,10 +18,11 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-## behaviour: the behavioural checks that claim over seeds 1-48; they skip
-## under -short, so `race` does not run them
+## behaviour: the behavioural checks that claim over seeds 1-48, and the
+## full-Table 2 digest of TestColdFitPathsPinnedDigests; they skip under
+## -short, so `race` does not run them
 behaviour:
-	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape)$$' -count=1 ./internal/experiments
+	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape|TestColdFitPathsPinnedDigests)$$' -count=1 ./internal/experiments
 
 ## determinism: the determinism matrix — every 'Deterministic' test pinned to
 ## one OS thread, then under the default scheduler

@@ -9,14 +9,14 @@ import (
 // FloatCmp flags == and != between floating-point operands. Exact float
 // equality is almost never what simulation or classification code means:
 // accumulated rounding makes mathematically equal quantities compare
-// unequal, and the failure is silent and seed-dependent. Compare with
-// quasar/internal/floats.AlmostEqual (or an explicit tolerance) instead;
+// unequal, and the failure is silent and seed-dependent. Compare within an
+// explicit tolerance instead;
 // genuinely intentional exact comparisons — sort tie-breaks, sentinel
 // values — carry a //lint:allow(floatcmp) annotation saying so.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
 	Doc: "flags exact ==/!= comparison of floating-point values; use " +
-		"floats.AlmostEqual or annotate the intentional exact comparison",
+		"a tolerance or annotate the intentional exact comparison",
 	Run: runFloatCmp,
 }
 
@@ -33,7 +33,7 @@ func runFloatCmp(pass *Pass) {
 			}
 			if isFloat(pass, be.X) && isFloat(pass, be.Y) {
 				pass.Reportf(be.OpPos,
-					"exact %s comparison of floating-point values; use floats.AlmostEqual or annotate with //lint:allow(floatcmp)",
+					"exact %s comparison of floating-point values; compare within a tolerance or annotate with //lint:allow(floatcmp)",
 					be.Op)
 			}
 			return true

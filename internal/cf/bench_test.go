@@ -2,6 +2,7 @@ package cf
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -44,6 +45,32 @@ func BenchmarkTrain(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				trainSink = Train(s, DefaultOptions())
 			}
+		})
+	}
+}
+
+// BenchmarkTrainWarm: a runtime retrain point at the 538x81 shape — one
+// row's cells rewritten since the model was fitted — fitted warm from that
+// model, and cold from the SVD for comparison. Each iteration re-freezes the
+// matrix (a fit consumes its freeze); epochs/op is the last fit's epochs.
+func BenchmarkTrainWarm(b *testing.B) {
+	s := libraryShaped(538, 81, 21, 7)
+	prev := Train(s, DefaultOptions())
+	for _, c := range slices.Clone(s.Row(300)) {
+		s.Set(300, int(c.Col), c.V+0.1)
+	}
+	for _, sub := range []struct {
+		name string
+		seed *Model
+	}{{"warm", prev}, {"cold", nil}} {
+		b.Run(sub.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var f *Frozen
+			for i := 0; i < b.N; i++ {
+				f = s.Freeze(f)
+				trainSink = TrainFrozenFrom(f, DefaultOptions(), sub.seed)
+			}
+			b.ReportMetric(float64(trainSink.Epochs), "epochs/op")
 		})
 	}
 }

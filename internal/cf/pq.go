@@ -2,6 +2,7 @@ package cf
 
 import (
 	"math"
+	"slices"
 
 	"quasar/internal/sim"
 )
@@ -38,20 +39,37 @@ type Model struct {
 
 	// Epochs is how many SGD epochs the fit ran. Rose says the fit stopped
 	// because an epoch's RMSE rose, not because it improved by less than
-	// stopTol or reached the epoch cap.
+	// stopTol or reached the epoch cap. Warm says SGD started from an
+	// earlier model (TrainFrozenFrom) instead of the SVD seed.
 	Epochs int
 	Rose   bool
+	Warm   bool
 }
 
 // Train fits a latent-factor model to the observed entries of s.
 func Train(s *Sparse, opts Options) *Model { return TrainFrozen(s.Freeze(nil), opts) }
 
-// TrainFrozen fits a latent-factor model to a frozen matrix. The model is a
-// pure function of (the frozen cells, rows, cols, opts): the shuffle re-seeds
-// from shuffleSeed on every call, so fitting a capture later gives exactly the
+// TrainFrozen fits a latent-factor model to a frozen matrix, seeding SGD
+// from the SVD of the mean-imputed matrix. This cold fit is a pure function
+// of (the frozen cells, rows, cols, opts): the shuffle re-seeds from
+// shuffleSeed on every call, so fitting a capture later gives exactly the
 // model fitting it on the spot would have. It consumes f — SGD shuffles the
 // cell list in place — so Freeze into f again before training from it again.
-func TrainFrozen(f *Frozen, opts Options) *Model {
+func TrainFrozen(f *Frozen, opts Options) *Model { return TrainFrozenFrom(f, opts, nil) }
+
+// TrainFrozenFrom is TrainFrozen with SGD seeded from prev, a model fitted
+// to an earlier freeze of the same matrix, instead of from the SVD. Rows and
+// columns prev knows start at prev's factors and biases, the column biases
+// shifted by prev's µ minus the new µ; a row appended since then starts at
+// its fold-in against prev. Before the first epoch the seed therefore
+// predicts what prev predicted (its fold-in, for a new row), and the
+// unchanged SGD loop — same shuffle seed, same stop rule — only has to move
+// it as far as the cells changed. The warm model is a deterministic function
+// of the freeze, opts and prev. A nil prev, or one whose K or column count
+// differs from the freeze's (K grows until the matrix has latentK rows),
+// gives TrainFrozen's cold fit. It consumes f as TrainFrozen does and only
+// reads prev.
+func TrainFrozenFrom(f *Frozen, opts Options, prev *Model) *Model {
 	k := max(1, min(latentK, f.Rows, f.Cols))
 	m := &Model{
 		K:  k,
@@ -61,9 +79,43 @@ func TrainFrozen(f *Frozen, opts Options) *Model {
 		P:  NewDense(f.Rows, k),
 		Q:  NewDense(f.Cols, k),
 	}
-	m.initFromSVD(f.cells)
+	if prev != nil && prev.K == k && prev.Q.R == f.Cols && prev.P.R <= f.Rows {
+		m.initFrom(prev, f.cells)
+	} else {
+		m.initFromSVD(f.cells)
+	}
 	m.sgd(f.cells, opts)
 	return m
+}
+
+// initFrom seeds the model from prev (see TrainFrozenFrom). cells are the
+// freeze's, in (row, column) order, so the rows prev does not know are the
+// tail of the list.
+func (m *Model) initFrom(prev *Model, cells []Cell) {
+	m.Warm = true
+	known := prev.P.R
+	copy(m.P.Data, prev.P.Data)
+	copy(m.Q.Data, prev.Q.Data)
+	copy(m.BU, prev.BU)
+	shift := prev.Mu - m.Mu
+	for i, b := range prev.BI {
+		m.BI[i] = b + shift
+	}
+	at, _ := slices.BinarySearchFunc(cells, int32(known), func(c Cell, u int32) int { return int(c.Row - u) })
+	for u := known; u < m.P.R; u++ {
+		end := at
+		for end < len(cells) && int(cells[end].Row) == u {
+			end++
+		}
+		ne := prev.normalEquations(end - at)
+		for _, c := range cells[at:end] {
+			ne.add(int(c.Col), c.V)
+		}
+		b, p := ne.solve()
+		m.BU[u] = b
+		copy(m.P.Data[u*m.K:(u+1)*m.K], p[:m.K])
+		at = end
+	}
 }
 
 // sgd refines the model over the observed entries, reshuffled (in place)
@@ -232,52 +284,77 @@ func (m *Model) RMSE(s *Sparse) float64 {
 // the normal equations live in fixed arrays and the returned row is the
 // only allocation.
 func (m *Model) FoldIn(obs map[int]float64) []float64 {
-	k := m.K
 	valid := 0
 	for i := range obs {
 		if i >= 0 && i < m.Q.R {
 			valid++
 		}
 	}
-	// Unknowns: [b, p_1..p_k].
-	dim := k + 1
-	var a [latentK + 1][latentK + 1]float64 // normal equations matrix
-	var b, x, sol [latentK + 1]float64
-	for i := 0; i < dim; i++ {
-		a[i][i] = lambda * float64(max(1, valid))
-	}
+	ne := m.normalEquations(valid)
 	// Ascending columns: float accumulation order must not depend on map
 	// order.
 	for i, seen := 0, 0; seen < valid; i++ {
-		v, ok := obs[i]
-		if !ok {
-			continue
-		}
-		seen++
-		// Feature vector x = [1, q_i].
-		x[0] = 1
-		for f := 0; f < k; f++ {
-			x[f+1] = m.Q.At(i, f)
-		}
-		y := v - m.Mu - m.BI[i]
-		for r := 0; r < dim; r++ {
-			for c := 0; c < dim; c++ {
-				a[r][c] += x[r] * x[c]
-			}
-			b[r] += x[r] * y
+		if v, ok := obs[i]; ok {
+			seen++
+			ne.add(i, v)
 		}
 	}
-	solve(&a, &b, &sol, dim)
-	bu, p := sol[0], sol[1:dim]
+	bu, p := ne.solve()
 	out := make([]float64, m.Q.R)
 	for i := range out {
 		s := m.Mu + bu + m.BI[i]
-		for f := 0; f < k; f++ {
+		for f := 0; f < m.K; f++ {
 			s += p[f] * m.Q.At(i, f)
 		}
 		out[i] = s
 	}
 	return out
+}
+
+// normalEquations is fold-in's ridge regression for one row against a
+// model: the normal equations over the unknowns [b, p_1..p_K], accumulated
+// one observation at a time. FoldIn and a warm fit's new-row seed both
+// solve through it.
+type normalEquations struct {
+	m   *Model
+	a   [latentK + 1][latentK + 1]float64
+	rhs [latentK + 1]float64
+}
+
+// normalEquations starts the system for a row of n observations: the ridge
+// term λ·max(1, n) on the diagonal.
+func (m *Model) normalEquations(n int) normalEquations {
+	ne := normalEquations{m: m}
+	for i := 0; i <= m.K; i++ {
+		ne.a[i][i] = lambda * float64(max(1, n))
+	}
+	return ne
+}
+
+// add accumulates observation v of column i. Callers add in ascending
+// column order, so the sums are bit-reproducible.
+func (ne *normalEquations) add(i int, v float64) {
+	m, dim := ne.m, ne.m.K+1
+	// Feature vector x = [1, q_i].
+	var x [latentK + 1]float64
+	x[0] = 1
+	for f := 0; f < m.K; f++ {
+		x[f+1] = m.Q.At(i, f)
+	}
+	y := v - m.Mu - m.BI[i]
+	for r := 0; r < dim; r++ {
+		for c := 0; c < dim; c++ {
+			ne.a[r][c] += x[r] * x[c]
+		}
+		ne.rhs[r] += x[r] * y
+	}
+}
+
+// solve returns the row's bias b and factors p (the first K entries).
+func (ne *normalEquations) solve() (float64, [latentK]float64) {
+	var sol [latentK + 1]float64
+	solve(&ne.a, &ne.rhs, &sol, ne.m.K+1)
+	return sol[0], [latentK]float64(sol[1:])
 }
 
 // solve performs Gaussian elimination with partial pivoting on the leading

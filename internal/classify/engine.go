@@ -77,12 +77,19 @@ func safeLog(v float64) float64 {
 // A retrain point is reached on the write side — once retrainThreshold()
 // changed rows have been counted since the last one (appendUnfitted and
 // feedback say what counts). There the matrix is frozen into a buffer the
-// axis re-uses, an O(nnz) copy, and cf.TrainFrozen fits the freeze before
-// anything reads the axis again: feedback fits on the spot (train), and an
-// append (Engine.appendBatch) fits each axis once, after its last row, from
-// the last freeze — nothing reads between the rows of a batch. Reads
+// axis re-uses, an O(nnz) copy, and the freeze is fitted before anything
+// reads the axis again: feedback fits on the spot (train), and an append
+// (Engine.appendBatch) fits each axis once, after its last row, from the
+// last freeze — nothing reads between the rows of a batch. Reads
 // (estimateRow) only fold in, so they never write the axis and may run
 // concurrently.
+//
+// A point reached from feedback (runtime feedback and Reclassify's
+// re-profile) rewrites a few cells of rows the model already has, so its
+// fit is warm: SGD starts from the current model (cf.TrainFrozenFrom).
+// Every other fit is cold, from the SVD seed, and so a pure function of the
+// freeze: appends (arrivals and library seeding), RetrainAll and
+// LoadSnapshot.
 type axis struct {
 	name       string
 	mat        *cf.Sparse
@@ -105,6 +112,8 @@ type AxisTrainStats struct {
 	FitSeconds float64 // wall time spent fitting
 	Epochs     int     // SGD epochs run over all fits
 	Rises      int     // fits that stopped because an epoch's RMSE rose
+	WarmFits   int     // fits seeded from the previous model, of Fits
+	WarmEpochs int     // SGD epochs the warm fits ran, of Epochs
 }
 
 func newAxis(name string, cols int, cfOpts cf.Options, retrain int) *axis {
@@ -133,10 +142,10 @@ func (a *axis) appendUnfitted(obs map[int]float64) int {
 }
 
 // train is a retrain point: it freezes the matrix as it stands and fits the
-// model from the freeze.
-func (a *axis) train() {
+// model from the freeze, seeded from seed (nil: cold).
+func (a *axis) train(seed *cf.Model) {
 	a.point()
-	a.fit()
+	a.fit(seed)
 }
 
 // point is a retrain point without its fit: it freezes the matrix into the
@@ -148,15 +157,20 @@ func (a *axis) point() {
 	a.interval++
 }
 
-// fit fits the model from the last retrain point's freeze.
-func (a *axis) fit() {
+// fit fits the model from the last retrain point's freeze, with SGD seeded
+// from seed, or cold from the SVD if seed is nil (see axis).
+func (a *axis) fit(seed *cf.Model) {
 	t0 := prof.Now()
-	a.model = cf.TrainFrozen(a.frozen, a.cfOpts)
+	a.model = cf.TrainFrozenFrom(a.frozen, a.cfOpts, seed)
 	a.unfitted = false
 	a.stats.Fits++
 	a.stats.Epochs += a.model.Epochs
 	if a.model.Rose {
 		a.stats.Rises++
+	}
+	if a.model.Warm {
+		a.stats.WarmFits++
+		a.stats.WarmEpochs += a.model.Epochs
 	}
 	a.stats.FitSeconds += float64(prof.Now()-t0) / 1e9
 }
@@ -219,7 +233,7 @@ func (a *axis) feedback(row, col int, v float64, oncePerRow bool) {
 	}
 	a.sinceTrain++
 	if a.sinceTrain >= a.retrainThreshold() {
-		a.train()
+		a.train(a.model)
 	}
 }
 
@@ -304,10 +318,10 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 // amortizes it via fold-in plus periodic retraining. It is the engine's one
 // fan-out: each of the five multi-millisecond fits touches only its own axis,
 // so results match the sequential loop. Fig. 3 times it as the paper's four
-// parallel classifications.
+// parallel classifications, so its fits are cold.
 func (e *Engine) RetrainAll() {
 	par.ParFor(0, int(numAxes), func(i int) {
-		e.axes[i].train()
+		e.axes[i].train(nil)
 	})
 }
 
@@ -487,7 +501,7 @@ func (e *Engine) appendBatch(ids []string, pos []*ProbeObs) {
 	}
 	for _, a := range e.axes {
 		if a.unfitted {
-			a.fit()
+			a.fit(nil)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func TestFeedbackCountsRowOncePerInterval(t *testing.T) {
 	// Reclassify's re-profile counts every cell it writes: on the scale-up
 	// axis the reference column plus Entries−1 informative ones.
 	su := e.axes[AxisScaleUp]
-	su.train()
+	su.train(nil)
 	e.Reclassify(ws[0], NewGroundTruthProber(ws[0], e.Platforms, sim.NewRNG(9)))
 	if want := e.opts.Entries; su.sinceTrain != want {
 		t.Fatalf("re-profile counted %d scale-up changes, want %d (one per written cell)", su.sinceTrain, want)

@@ -14,11 +14,12 @@ import (
 )
 
 // referenceAxis is the axis written the plain way: every retrain point trains
-// from the live matrix with cf.Train, and runtime feedback is counted once per
-// row per retrain interval with a set of the rows counted since the last
-// retrain point, emptied there — the rule axis keeps with a per-row interval
-// stamp and a re-used freeze buffer. It is compared with axis over arbitrary
-// interleavings of writes and reads.
+// from a fresh freeze of the live matrix — an append's cold, a feedback
+// point's seeded from the model before it — and runtime feedback is counted
+// once per row per retrain interval with a set of the rows counted since the
+// last retrain point, emptied there — the rule axis keeps with a per-row
+// interval stamp and a re-used freeze buffer. It is compared with axis over
+// arbitrary interleavings of writes and reads.
 type referenceAxis struct {
 	mat        *cf.Sparse
 	model      *cf.Model
@@ -40,13 +41,13 @@ func (a *referenceAxis) appendRow(obs map[int]float64) int {
 	idx := a.mat.AppendRow(obs)
 	a.sinceTrain++
 	if a.model == nil || a.sinceTrain >= a.retrainThreshold() {
-		a.train()
+		a.train(nil)
 	}
 	return idx
 }
 
-func (a *referenceAxis) train() {
-	a.model = cf.Train(a.mat, a.cfOpts)
+func (a *referenceAxis) train(seed *cf.Model) {
+	a.model = cf.TrainFrozenFrom(a.mat.Freeze(nil), a.cfOpts, seed)
 	a.sinceTrain = 0
 	a.fed = nil
 }
@@ -89,7 +90,7 @@ func (a *referenceAxis) feedback(row, col int, v float64, oncePerRow bool) {
 	}
 	a.sinceTrain++
 	if a.sinceTrain >= a.retrainThreshold() {
-		a.train()
+		a.train(a.model)
 	}
 }
 
@@ -142,7 +143,7 @@ func TestAxisMatchesEagerReference(t *testing.T) {
 					obs := randObs(1 + rng.Intn(4))
 					g := got.appendUnfitted(obs)
 					if got.unfitted {
-						got.fit()
+						got.fit(nil)
 					}
 					if w := want.appendRow(obs); g != w {
 						t.Fatalf("%s: appended row %d, reference %d", name, g, w)
@@ -328,4 +329,58 @@ func TestDetachedReadWritesNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestColdRetrainPointsFitLikeTrainFrozen: the retrain points that fit cold
+// — RetrainAll, LoadSnapshot and an append — leave every axis they fit with
+// exactly cf.TrainFrozen's model of the same freeze, even when the model
+// before them was a warm feedback fit.
+func TestColdRetrainPointsFitLikeTrainFrozen(t *testing.T) {
+	e, u := testSetup(t, 2)
+	ws, _ := classifyFresh(e, u, 8)
+	// warmUp feeds scale-up cells back until the axis has refitted warm.
+	su := e.axes[AxisScaleUp]
+	warmUp := func() {
+		t.Helper()
+		for i, fits := 0, su.stats.WarmFits; su.stats.WarmFits == fits; i++ {
+			if i > 10*su.retrainThreshold() {
+				t.Fatal("feedback never reached a warm retrain point")
+			}
+			w := ws[i%len(ws)]
+			e.Reclassify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(int64(100+i))))
+		}
+		if !su.model.Warm {
+			t.Fatal("the scale-up model after a feedback retrain point is not warm")
+		}
+	}
+	coldEverywhere := func(what string, axes []*axis) {
+		t.Helper()
+		for _, a := range axes {
+			want := cf.TrainFrozen(a.mat.Freeze(nil), a.cfOpts)
+			if a.model.Warm || !modelsBitEqual(a.model, want) {
+				t.Fatalf("%s: axis %s is not cf.TrainFrozen of its matrix (warm %v)", what, a.name, a.model.Warm)
+			}
+		}
+	}
+
+	warmUp()
+	e.RetrainAll()
+	coldEverywhere("RetrainAll", e.axes[:])
+
+	warmUp()
+	data, err := e.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.UnmarshalSnapshot(data); err != nil {
+		t.Fatal(err)
+	}
+	coldEverywhere("LoadSnapshot", e.axes[:])
+
+	warmUp()
+	for fits := su.stats.Fits; su.stats.Fits == fits; {
+		w := u.New(workload.Spec{Type: workload.SingleNode, Family: -1, MaxNodes: 1})
+		e.Classify(w, NewGroundTruthProber(w, e.Platforms, sim.NewRNG(7)))
+	}
+	coldEverywhere("append", []*axis{su})
 }

@@ -41,7 +41,8 @@ func (e *Engine) MarshalSnapshot() ([]byte, error) {
 }
 
 // LoadSnapshot replaces the engine's matrices with the snapshot's and
-// refits every axis model. Column layouts must match the engine's
+// refits every axis model cold, so the restored models are a function of
+// the snapshot alone. Column layouts must match the engine's
 // configuration (same platforms and grids). The whole snapshot is validated
 // before anything is replaced: on error the engine is as it was.
 func (e *Engine) LoadSnapshot(snap *EngineSnapshot) error {
@@ -51,7 +52,7 @@ func (e *Engine) LoadSnapshot(snap *EngineSnapshot) error {
 	for i, rows := range snap.Axes {
 		a := e.axes[i]
 		a.mat = cf.NewSparseFrom(a.mat.Cols, rows)
-		a.train()
+		a.train(nil)
 	}
 	e.rowOf = make(map[string]int, len(snap.RowOf))
 	for id, row := range snap.RowOf {

@@ -58,8 +58,9 @@ func simulatedDay(t *testing.T) (*Scenario, []byte) {
 }
 
 // TestTrainStatsOnSimulatedDay reads Engine.TrainStats after the simulated
-// day: every axis fits, each fit runs between one SGD epoch and the cap, and
-// at most every fit stops on a rise. It also guards against a retrain storm.
+// day: every axis fits, each fit runs between one SGD epoch and the cap, at
+// most every fit stops on a rise, and the warm fits are some of the fits and
+// their epochs some of the epochs. It also guards against a retrain storm.
 // The monitor feeds the heterogeneity cells of every running workload back on
 // every tick. If each of those writes counted toward RetrainEvery, that axis
 // would fit more than ten times as often as the interference axes, which
@@ -80,13 +81,17 @@ func TestTrainStatsOnSimulatedDay(t *testing.T) {
 		if st.Rises > st.Fits || st.Epochs < st.Fits || st.Epochs > st.Fits*epochCap {
 			t.Errorf("%s: %+v: want rises ≤ fits ≤ epochs ≤ fits × %d", classify.Axis(axis), st, epochCap)
 		}
+		if st.WarmFits > st.Fits || st.WarmEpochs < st.WarmFits || st.WarmEpochs > st.Epochs {
+			t.Errorf("%s: %+v: want warm fits ≤ fits, warm fits ≤ warm epochs ≤ epochs", classify.Axis(axis), st)
+		}
 	}
 	if het, tol := stats[classify.AxisHetero], stats[classify.AxisTolerated]; het.Fits > 2*tol.Fits {
 		t.Errorf("heterogeneity axis fitted %d times, interference-tolerated %d: want at most twice as often",
 			het.Fits, tol.Fits)
 	}
 	for axis, st := range stats {
-		t.Logf("%-12s fits %4d  fit %.3fs  epochs %6d (%.1f per fit)  stopped on a rise %d of %d",
-			classify.Axis(axis), st.Fits, st.FitSeconds, st.Epochs, float64(st.Epochs)/float64(st.Fits), st.Rises, st.Fits)
+		t.Logf("%-12s fits %4d  fit %.3fs  epochs %6d (%.1f per fit)  stopped on a rise %d of %d  warm %d fits, %d epochs",
+			classify.Axis(axis), st.Fits, st.FitSeconds, st.Epochs, float64(st.Epochs)/float64(st.Fits), st.Rises, st.Fits,
+			st.WarmFits, st.WarmEpochs)
 	}
 }

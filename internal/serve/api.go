@@ -378,6 +378,8 @@ func writeTrainStats(w io.Writer, stats []classify.AxisTrainStats) error {
 		{"classify_fits_total", "models fitted", func(st classify.AxisTrainStats) float64 { return float64(st.Fits) }},
 		{"classify_fit_seconds_total", "wall time spent fitting", func(st classify.AxisTrainStats) float64 { return st.FitSeconds }},
 		{"classify_fit_epochs_total", "SGD epochs run over all fits", func(st classify.AxisTrainStats) float64 { return float64(st.Epochs) }},
+		{"classify_warm_fits_total", "fits seeded from the previous model", func(st classify.AxisTrainStats) float64 { return float64(st.WarmFits) }},
+		{"classify_warm_fit_epochs_total", "SGD epochs run over the warm fits", func(st classify.AxisTrainStats) float64 { return float64(st.WarmEpochs) }},
 	} {
 		for axis, st := range stats {
 			reg.LabeledCounter(m.name, "axis", classify.Axis(axis).String(), m.help).Add(m.value(st))

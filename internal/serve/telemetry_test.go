@@ -304,8 +304,8 @@ func TestRequestSpansEndToEnd(t *testing.T) {
 // TestMetricsExportTrainStats scrapes the classifier's retraining counters
 // off /metrics: every axis carries fits, fit seconds and epochs, in one
 // sample group per counter, with 1 ≤ fits ≤ epochs (seeding the library
-// already fits), and no scraped counter is ahead of the engine's own
-// TrainStats.
+// already fits), and its warm fits and their epochs, each no more than the
+// total; no scraped counter is ahead of the engine's own TrainStats.
 func TestMetricsExportTrainStats(t *testing.T) {
 	dir := t.TempDir()
 	s, done := startServer(t, Options{
@@ -356,6 +356,11 @@ func TestMetricsExportTrainStats(t *testing.T) {
 		}
 		if fits > float64(st.Fits) || epochs > float64(st.Epochs) || seconds > st.FitSeconds {
 			t.Errorf("%s: scraped %v/%v/%v, ahead of the engine's %+v", axis, fits, seconds, epochs, st)
+		}
+		warmFits, warmEpochs := scraped(prom, "classify_warm_fits_total", axis), scraped(prom, "classify_warm_fit_epochs_total", axis)
+		if warmFits > fits || warmEpochs > epochs || warmFits > float64(st.WarmFits) || warmEpochs > float64(st.WarmEpochs) {
+			t.Errorf("%s: scraped warm fits %v, warm epochs %v: want at most fits %v, epochs %v and the engine's %+v",
+				axis, warmFits, warmEpochs, fits, epochs, st)
 		}
 	}
 	if n := strings.Count(string(prom), "# TYPE classify_fits_total counter"); n != 1 {

@@ -36,11 +36,6 @@ type wstate struct {
 	class  perfmodel.Class
 	goal   float64
 	budget float64
-	// firstStart is the task's StartAt when monitoring began: its first
-	// placement. Runtime.Place rewrites StartAt at every re-admission, and
-	// a displaced service that comes back is not a new one, so the warm-up
-	// counts from here.
-	firstStart float64
 
 	ring []uint8 // last len(ring) SLI bits; zero (good) before history exists
 	head int     // next write position
@@ -166,8 +161,6 @@ func (e *Engine) newState(t *core.Task) *wstate {
 		budget: 1 - goal,
 		ring:   make([]uint8, maxTicks),
 		rules:  rules,
-
-		firstStart: t.StartAt,
 	}
 }
 
@@ -178,7 +171,7 @@ func started(t *core.Task) bool {
 	case core.StatusRunning, core.StatusCompleted:
 		return true
 	case core.StatusQueued:
-		return t.StartAt > 0 && t.DoneAt == 0 //lint:allow(floatcmp) zero is the never-finished sentinel
+		return t.FirstStartAt > 0 && t.DoneAt == 0 //lint:allow(floatcmp) zero is the never-finished sentinel
 	}
 	return false
 }
@@ -246,7 +239,7 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 	}
 
 	bad := uint8(0)
-	if now-ws.firstStart >= warmupSecs && e.badTick(t, now) {
+	if now-t.FirstStartAt >= warmupSecs && e.badTick(t, now) {
 		bad = 1
 	}
 	ws.push(bad)
