@@ -18,9 +18,9 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-## behaviour: the behavioural checks that claim over seeds 1-48, and the
-## full-Table 2 digest of TestColdFitPathsPinnedDigests; they skip under
-## -short, so `race` does not run them
+## behaviour: the behavioural checks that claim over seeds 1-48; they skip
+## under -short, so `race` does not run them. TestColdFitPathsPinnedDigests
+## rides along (it also runs under -short)
 behaviour:
 	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape|TestColdFitPathsPinnedDigests)$$' -count=1 ./internal/experiments
 

@@ -246,15 +246,6 @@ func (m *Model) Predict(u, i int) float64 {
 	return s
 }
 
-// PredictRow returns the full reconstructed row u.
-func (m *Model) PredictRow(u int) []float64 {
-	out := make([]float64, m.Q.R)
-	for i := range out {
-		out[i] = m.Predict(u, i)
-	}
-	return out
-}
-
 // RMSE returns the root-mean-square error over the observed entries of s,
 // summed in (row, column) order so that it is bit-reproducible.
 func (m *Model) RMSE(s *Sparse) float64 {

@@ -100,14 +100,6 @@ func TestTrainGeneralizes(t *testing.T) {
 	}
 }
 
-func TestPredictRowLength(t *testing.T) {
-	s, _ := makeLowRankSparse(10, 7, 2, 0.6, 17)
-	m := Train(s, DefaultOptions())
-	if got := len(m.PredictRow(0)); got != 7 {
-		t.Fatalf("PredictRow length %d, want 7", got)
-	}
-}
-
 func TestFoldInRecoversRow(t *testing.T) {
 	// Train on 39 rows; fold in the 40th from 4 observations.
 	s, truth := makeLowRankSparse(40, 25, 3, 0.6, 19)

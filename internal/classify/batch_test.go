@@ -270,3 +270,117 @@ func validationDiff(got, want ValidationErrors) string {
 	}
 	return ""
 }
+
+// referenceExhaustiveSeed is library seeding as the exhaustive classifier
+// did it before it was built on axis: append every row uncounted, then fit
+// cold once.
+func referenceExhaustiveSeed(x *Exhaustive, ws []*workload.Instance, probers []*GroundTruthProber) {
+	for i, w := range ws {
+		obs := make(map[int]float64, len(x.Cols))
+		for j, col := range x.Cols {
+			if col.Nodes > 1 && !w.Type.Distributed() {
+				continue
+			}
+			obs[j] = safeLog(probers[i].JointPerf(col.PlatformIdx, col.Nodes, col.Alloc(x.Platforms)))
+		}
+		x.ax.mat.AppendRow(obs)
+	}
+	if len(ws) > 0 {
+		x.ax.model = cf.TrainFrozen(x.ax.mat.Freeze(nil), x.ax.cfOpts)
+		x.ax.sinceTrain = 0
+	}
+}
+
+// referenceValidateExhaustiveMany is ValidateExhaustiveMany with its
+// observations appended one row at a time: append, and at a retrain point
+// fit cold on the spot.
+func referenceValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries int) [][]float64 {
+	a := x.ax
+	var pending []map[int]float64
+	errs := make([][]float64, len(ws))
+	for i, w := range ws {
+		obs := x.probe(w, noisy[i], entries, x.rng.Stream("exhaustive/"+w.ID))
+		errs[i] = compareExhaustive(x, w, a.estimateRow(-1, obs))
+		pending = append(pending, obs)
+	}
+	for _, obs := range pending {
+		a.mat.AppendRow(obs)
+		a.sinceTrain++
+		if a.model == nil || a.sinceTrain >= a.retrainThreshold() {
+			a.model = cf.TrainFrozen(a.mat.Freeze(nil), a.cfOpts)
+			a.sinceTrain = 0
+		}
+	}
+	return errs
+}
+
+// gtProbers returns fresh ground-truth probers for ws, whose noise depends
+// only on the position and salt.
+func (f *batchFixture) gtProbers(ws []*workload.Instance, salt int64) []*GroundTruthProber {
+	ps := make([]*GroundTruthProber, len(ws))
+	for i, w := range ws {
+		ps[i] = NewGroundTruthProber(w, f.platforms, sim.NewRNG(salt+int64(i)))
+	}
+	return ps
+}
+
+// TestExhaustiveMatchesPerRowReference: the exhaustive classifier, seeded as
+// one batch and validating batch after batch, gives the errors and ends with
+// the model, counter and matrix of appending and fitting one row at a time,
+// with and without a library and for 1 and 4 workers. The batches follow
+// Table 2's shape: the third reaches a retrain point part-way, and the
+// fourth passes two and fits once. Outside -short a fifth carries the
+// matrix past 125 rows, where the threshold follows rows/5.
+func TestExhaustiveMatchesPerRowReference(t *testing.T) {
+	batches := []int{10, 10, 10, 60}
+	if !testing.Short() {
+		batches = append(batches, 100)
+	}
+	total := 0
+	for _, n := range batches {
+		total += n
+	}
+	f := newBatchFixture(total)
+	build := func() *Exhaustive {
+		return NewExhaustive(f.platforms, 8, DefaultOptions().CF, sim.NewRNG(5))
+	}
+	for _, lib := range []int{0, 8} {
+		libWs := f.prep[:lib]
+		want := build()
+		referenceExhaustiveSeed(want, libWs, f.gtProbers(libWs, 500))
+		var wantErrs [][][]float64
+		for b, first := 0, 0; b < len(batches); first, b = first+batches[b], b+1 {
+			ws := f.batch[first : first+batches[b]]
+			wantErrs = append(wantErrs, referenceValidateExhaustiveMany(want, ws, f.gtProbers(ws, 1000), 8))
+		}
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("library=%d workers=%d", lib, workers)
+			got := build()
+			got.SeedMany(libWs, f.gtProbers(libWs, 500))
+			for b, first := 0, 0; b < len(batches); first, b = first+batches[b], b+1 {
+				ws := f.batch[first : first+batches[b]]
+				fits := got.ax.stats.Fits
+				errs := ValidateExhaustiveMany(got, ws, f.gtProbers(ws, 1000), 8, workers)
+				for i := range ws {
+					if !bitsEqual(errs[i], wantErrs[b][i]) {
+						t.Errorf("%s: batch %d workload %d: errors differ", name, b, i)
+					}
+				}
+				if b == 3 && got.ax.stats.Fits != fits+1 {
+					t.Errorf("%s: batch %d passed two retrain points and fitted %d times, want once",
+						name, b, got.ax.stats.Fits-fits)
+				}
+			}
+			g, w := got.ax, want.ax
+			switch {
+			case !modelsBitEqual(g.model, w.model):
+				t.Errorf("%s: model differs", name)
+			case g.sinceTrain != w.sinceTrain || g.unfitted:
+				t.Errorf("%s: sinceTrain %d unfitted %v, want %d false", name, g.sinceTrain, g.unfitted, w.sinceTrain)
+			}
+			if d := sparseDiff(g.mat, w.mat); d != "" {
+				t.Errorf("%s: %s", name, d)
+			}
+		}
+	}
+}

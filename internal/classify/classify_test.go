@@ -153,9 +153,6 @@ func TestScaleOutCounts(t *testing.T) {
 	if got := ScaleOutCounts(0); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("degenerate counts: %v", got)
 	}
-	if idx := NearestCountIdx(c, 50); c[idx] != 48 {
-		t.Fatalf("nearest count to 50 = %d", c[idx])
-	}
 }
 
 func TestJointColumnsSize(t *testing.T) {
@@ -536,13 +533,16 @@ func TestExhaustiveClassify(t *testing.T) {
 	if x.NumColumns() < 100 {
 		t.Fatalf("joint space suspiciously small: %d", x.NumColumns())
 	}
+	var lib []*workload.Instance
+	var ps []*GroundTruthProber
 	for i := 0; i < 6; i++ {
 		w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
-		x.Seed(w, NewGroundTruthProber(w, platforms, sim.NewRNG(int64(i))))
+		lib, ps = append(lib, w), append(ps, NewGroundTruthProber(w, platforms, sim.NewRNG(int64(i))))
 	}
+	x.SeedMany(lib, ps)
 	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
 	noisy := NewGroundTruthProber(w, platforms, sim.NewRNG(55))
-	errs := ValidateExhaustiveWith(x, w, noisy, 8)
+	errs := compareExhaustive(x, w, x.Classify(w, noisy, 8))
 	if len(errs) != x.NumColumns() {
 		t.Fatalf("%d errors for %d columns", len(errs), x.NumColumns())
 	}
@@ -562,10 +562,6 @@ func TestStats(t *testing.T) {
 	}
 	if z := Stats(nil); z.N != 0 || z.Avg != 0 {
 		t.Fatalf("empty stats %+v", z)
-	}
-	m := Merge([]float64{1}, []float64{2, 3})
-	if len(m) != 3 {
-		t.Fatal("merge wrong")
 	}
 }
 

@@ -155,21 +155,6 @@ func ScaleOutCounts(maxNodes int) []int {
 	return out
 }
 
-// NearestCountIdx returns the index of the closest node-count column.
-func NearestCountIdx(counts []int, n int) int {
-	best, bestD := 0, math.MaxInt
-	for i, c := range counts {
-		d := c - n
-		if d < 0 {
-			d = -d
-		}
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
 // JointCol is one column of the exhaustive classification: a full
 // allocation-assignment vector (platform, per-node scale-up, node count).
 type JointCol struct {

@@ -85,7 +85,7 @@ func TestRetrainAllAndExhaustiveRetrain(t *testing.T) {
 
 	x := NewExhaustive(e.Platforms, 8, DefaultOptions().CF, sim.NewRNG(7))
 	w2 := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
-	x.Seed(w2, NewGroundTruthProber(w2, e.Platforms, sim.NewRNG(8)))
+	x.SeedMany([]*workload.Instance{w2}, []*GroundTruthProber{NewGroundTruthProber(w2, e.Platforms, sim.NewRNG(8))})
 	x.Retrain()
 	w3 := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
 	row := x.Classify(w3, NewGroundTruthProber(w3, e.Platforms, sim.NewRNG(9)), 4)

@@ -40,15 +40,6 @@ func Stats(errs []float64) ErrorStats {
 	}
 }
 
-// Merge pools several error sets.
-func Merge(all ...[]float64) []float64 {
-	var out []float64
-	for _, e := range all {
-		out = append(out, e...)
-	}
-	return out
-}
-
 // relErr returns |est-true|/true, guarding tiny denominators.
 func relErr(est, truth float64) float64 {
 	if truth < 1e-9 {
@@ -167,35 +158,30 @@ func CompareToTruth(es *Estimates, w *workload.Instance, truth *GroundTruthProbe
 	return v
 }
 
-// ValidateExhaustiveWith classifies w with the joint classifier using the
-// given noisy prober and compares against noise-free truth.
-func ValidateExhaustiveWith(x *Exhaustive, w *workload.Instance, noisy *GroundTruthProber, entries int) []float64 {
-	row := x.Classify(w, noisy, entries)
-	return compareExhaustive(x, w, row)
-}
-
-// ValidateExhaustiveMany is the batch form: detached joint classification
-// fanned out across workers (per-workload streams derived in input order,
-// fold-in against the frozen model), appends applied sequentially after.
+// ValidateExhaustiveMany classifies ws with the joint classifier and scores
+// each reconstructed row against noise-free characterization. The probing
+// and fold-in fan out across workers (per-workload streams derived in input
+// order, every fold-in against the model as of the batch start); the
+// observations are then appended in input order, as one batch.
 func ValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries, workers int) [][]float64 {
 	rngs := make([]*sim.RNG, len(ws))
 	for i, w := range ws {
 		rngs[i] = x.rng.Stream("exhaustive/" + w.ID)
 	}
-	x.EnsureTrained()
 	type result struct {
 		errs []float64
 		obs  map[int]float64
 	}
 	results := par.ParMap(workers, len(ws), func(i int) result {
-		row, obs := x.ClassifyDetached(ws[i], noisy[i], entries, rngs[i])
-		return result{compareExhaustive(x, ws[i], row), obs}
+		obs := x.probe(ws[i], noisy[i], entries, rngs[i])
+		return result{compareExhaustive(x, ws[i], x.ax.estimateRow(-1, obs)), obs}
 	})
 	errs := make([][]float64, len(ws))
+	rows := make([]map[int]float64, len(ws))
 	for i, r := range results {
-		x.Append(ws[i].ID, r.obs)
-		errs[i] = r.errs
+		errs[i], rows[i] = r.errs, r.obs
 	}
+	x.appendBatch(rows)
 	return errs
 }
 

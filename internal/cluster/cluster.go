@@ -412,12 +412,6 @@ func (s *Server) DiskUtilization() float64 {
 	return used
 }
 
-// AllocUtilization returns allocated cores divided by total cores (the
-// "reserved" series of Fig. 1 and 11d).
-func (s *Server) AllocUtilization() float64 {
-	return float64(s.usedCores) / float64(s.Platform.Cores)
-}
-
 // Cluster is a set of servers drawn from a list of platforms.
 type Cluster struct {
 	Platforms []Platform

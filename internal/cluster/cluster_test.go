@@ -46,9 +46,6 @@ func TestResVecOps(t *testing.T) {
 	if a.Max() != 0.5 {
 		t.Fatalf("Max wrong: %v", a.Max())
 	}
-	if got := a.Dot(b); math.Abs(got-0.125) > 1e-12 {
-		t.Fatalf("Dot = %v, want 0.125", got)
-	}
 }
 
 func TestLocalPlatformsMatchTable1(t *testing.T) {
@@ -214,9 +211,6 @@ func TestUtilizationGauges(t *testing.T) {
 	}
 	if got := s.DiskUtilization(); got != 0.25 {
 		t.Fatalf("disk util = %v", got)
-	}
-	if got := s.AllocUtilization(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("alloc util = %v, want 0.5", got)
 	}
 	// Gauges clamp at 1.
 	pl.ActiveCores = 100

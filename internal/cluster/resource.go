@@ -91,12 +91,3 @@ func (v ResVec) Max() float64 {
 	}
 	return m
 }
-
-// Dot returns the inner product of v and w.
-func (v ResVec) Dot(w ResVec) float64 {
-	s := 0.0
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}

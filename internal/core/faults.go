@@ -64,9 +64,6 @@ func (rt *Runtime) EnableFailureDetector(opts DetectorOptions) {
 	rt.startHeartbeat()
 }
 
-// DetectorEnabled reports whether the heartbeat detector is running.
-func (rt *Runtime) DetectorEnabled() bool { return rt.detOpts != nil }
-
 func (rt *Runtime) startHeartbeat() {
 	p := rt.detOpts.PeriodSecs
 	rt.stopHB = rt.Eng.Ticker(rt.Eng.Now()+p, p, rt.heartbeat)

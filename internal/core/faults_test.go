@@ -177,7 +177,7 @@ func TestWorldPrimitivesNoOpInWrongState(t *testing.T) {
 
 func TestDetectorOffByDefault(t *testing.T) {
 	rt, _ := newTestRuntime(t)
-	if rt.DetectorEnabled() {
+	if rt.detOpts != nil {
 		t.Fatal("detector enabled without opt-in")
 	}
 	rt.SetManager(&nullManager{rt: rt})

@@ -17,9 +17,9 @@ import (
 // change to how runtime refits are seeded must leave every byte of them as
 // it is. The reduced sweeps never pass a retrain point after library
 // seeding; the default Table 2 passes several, so it is the one that sees
-// how an append fits, and it is skipped under -short (CI's behavioural
-// step runs it). A change meant to move them (the cold fit, the probes,
-// the scenario) updates the literals and says why.
+// how an append fits. All three run under -short. A change meant to move
+// them (the cold fit, the probes, the scenario) updates the literals and
+// says why.
 func TestColdFitPathsPinnedDigests(t *testing.T) {
 	digest := func(v any) string {
 		out, err := json.Marshal(v)
@@ -38,16 +38,12 @@ func TestColdFitPathsPinnedDigests(t *testing.T) {
 	f3.PointClock = fakeClock
 	for _, c := range []struct {
 		name, want string
-		long       bool
 		run        func() any
 	}{
-		{"table2", "a87ffb7a5612b1869a4a152dc93f9a17721c00d325a1915c0565234ccc37826e", false, func() any { return Table2(t2) }},
-		{"fig3", "8d706aa5d20d9a880851418c13de12f10dfee75c855bf77fcc1e56a3c79a163a", false, func() any { return fig3(f3, cluster.LocalPlatforms(), 6) }},
-		{"table2-default", "e31ca1005249a9100d026bb946cd82d159b12638f3b7a0088828c641a6e89a93", true, func() any { return Table2(DefaultTable2Config()) }},
+		{"table2", "a87ffb7a5612b1869a4a152dc93f9a17721c00d325a1915c0565234ccc37826e", func() any { return Table2(t2) }},
+		{"fig3", "8d706aa5d20d9a880851418c13de12f10dfee75c855bf77fcc1e56a3c79a163a", func() any { return fig3(f3, cluster.LocalPlatforms(), 6) }},
+		{"table2-default", "e31ca1005249a9100d026bb946cd82d159b12638f3b7a0088828c641a6e89a93", func() any { return Table2(DefaultTable2Config()) }},
 	} {
-		if c.long && testing.Short() {
-			continue
-		}
 		if got := digest(c.run()); got != c.want {
 			t.Errorf("%s: digest %s, pinned %s", c.name, got, c.want)
 		}

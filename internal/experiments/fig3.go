@@ -173,15 +173,17 @@ func fig3(cfg Fig3Config, platforms []cluster.Platform, libRows int) *Fig3Result
 	rng := sim.NewRNG(cfg.Seed + 10)
 	types := []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode}
 	var libWs []*workload.Instance
+	var libGT []*classify.GroundTruthProber
 	var libPs []classify.Prober
 	for i := 0; i < libRows; i++ {
 		w := u.New(workload.Spec{Type: types[i%len(types)], Family: -1, MaxNodes: 4})
 		p := classify.NewGroundTruthProber(w, platforms, rng.Stream(w.ID))
-		libWs, libPs = append(libWs, w), append(libPs, p)
-		exh.Seed(w, p)
+		libWs, libGT, libPs = append(libWs, w), append(libGT, p), append(libPs, p)
 	}
+	// Each prober draws its noise for the exhaustive first, as the two
+	// libraries share them.
+	exh.SeedMany(libWs, libGT)
 	eng.SeedOfflineMany(libWs, libPs)
-	exh.Retrain()
 	res.DecisionRows, res.ScaleUpCols, res.ExhaustiveCols = libRows, len(eng.SUCols), exh.NumColumns()
 	// Per the paper, classification recomputes the reconstruction at every
 	// arrival; the decision cost is therefore the model rebuild plus the

@@ -78,9 +78,7 @@ func Table2(cfg Table2Config) *Table2Result {
 		}
 	}
 	eng.SeedOfflineMany(libWs, libPs)
-	for i, w := range libWs {
-		exh.Seed(w, libGT[i])
-	}
+	exh.SeedMany(libWs, libGT)
 
 	groups := []struct {
 		name string

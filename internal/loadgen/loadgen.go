@@ -124,16 +124,6 @@ type Scaled struct {
 // Load implements Pattern.
 func (s Scaled) Load(t float64) float64 { return s.K * s.P.Load(t) }
 
-// Arrivals builds a submission schedule: n arrivals spaced interArrival
-// seconds apart starting at start.
-func Arrivals(start, interArrival float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*interArrival
-	}
-	return out
-}
-
 // PoissonArrivals builds n arrival times with exponential gaps of the given
 // mean, starting at start.
 func PoissonArrivals(rng *sim.RNG, start, meanGap float64, n int) []float64 {

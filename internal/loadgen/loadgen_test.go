@@ -110,16 +110,6 @@ func TestScaled(t *testing.T) {
 	}
 }
 
-func TestArrivals(t *testing.T) {
-	a := Arrivals(10, 5, 4)
-	want := []float64{10, 15, 20, 25}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("arrivals %v", a)
-		}
-	}
-}
-
 func TestPoissonArrivals(t *testing.T) {
 	rng := sim.NewRNG(1)
 	a := PoissonArrivals(rng, 0, 10, 1000)

@@ -223,23 +223,6 @@ func (h *Heatmap) MeanAt(t float64) float64 {
 	return sum / float64(h.Rows)
 }
 
-// RowMeans returns each entity's time-averaged value.
-func (h *Heatmap) RowMeans() []float64 {
-	out := make([]float64, h.Rows)
-	if len(h.Cells) == 0 {
-		return out
-	}
-	for _, col := range h.Cells {
-		for r, v := range col {
-			out[r] += v
-		}
-	}
-	for r := range out {
-		out[r] /= float64(len(h.Cells))
-	}
-	return out
-}
-
 // TargetTracker accumulates per-workload performance normalized to target
 // (Fig. 11a: 1.0 = met the target exactly; >1 = beat it).
 type TargetTracker struct {
@@ -290,19 +273,4 @@ func (t *TargetTracker) Mean(cap float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(t.order))
-}
-
-// FractionMeeting returns the fraction of workloads with normalized
-// performance >= threshold.
-func (t *TargetTracker) FractionMeeting(threshold float64) float64 {
-	if len(t.order) == 0 {
-		return 0
-	}
-	n := 0
-	for _, id := range t.order {
-		if t.byID[id] >= threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(t.order))
 }

@@ -191,18 +191,6 @@ func TestOracleBestIPSPositive(t *testing.T) {
 	}
 }
 
-func TestMeetsQoS(t *testing.T) {
-	u := testUniverse()
-	w := u.New(Spec{Type: Memcached, Family: -1, MaxNodes: 4})
-	cap := OracleCapacityQPS(w, u.Platforms, 4)
-	if !w.MeetsQoS(0.1*cap, cap) {
-		t.Fatal("light load should meet QoS")
-	}
-	if w.MeetsQoS(2*cap, cap) {
-		t.Fatal("overload should violate QoS")
-	}
-}
-
 // Scale-out efficiency respected by JobRate for configured workloads.
 func TestJobRateScaleOut(t *testing.T) {
 	u := testUniverse()

@@ -120,10 +120,3 @@ func (w *Instance) completionAt(rate float64) float64 {
 func (w *Instance) CapacityQPS(nodes []perfmodel.NodeAlloc) float64 {
 	return w.JobRate(nodes) * w.Genome.QPSPerUnit
 }
-
-// MeetsQoS reports whether the service meets its latency constraint at
-// offered load lambda on the given capacity.
-func (w *Instance) MeetsQoS(lambda, capacity float64) bool {
-	_, p99 := w.Genome.Latency(lambda, capacity)
-	return p99 <= w.Target.LatencyUS && lambda <= capacity
-}
