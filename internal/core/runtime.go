@@ -618,8 +618,10 @@ func (rt *Runtime) tickBatch(t *Task, now, dt float64) {
 		t.DoneAt = now
 		rt.Release(t)
 		if rt.Trace.Enabled() {
+			// The whole run, from the first start: a displaced job's latest
+			// start would leave out its earlier runs.
 			rt.Trace.Instant(workloadTrack(t.W.ID), "lifecycle", "complete",
-				obs.Arg{Key: "runtime_secs", Val: now - t.StartAt})
+				obs.Arg{Key: "runtime_secs", Val: now - t.FirstStartAt})
 			rt.Trace.Registry().Counter("batch_completions_total", "batch workloads completed").Inc()
 		}
 		rt.manager.OnComplete(t)

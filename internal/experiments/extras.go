@@ -229,7 +229,9 @@ func Overheads(jobs int, seed int64) (*OverheadResult, error) {
 		if t.Status != core.StatusCompleted {
 			continue
 		}
-		overhead := t.StartAt - t.SubmitAt
+		// Overhead ends at the first start: for a displaced job, the time
+		// up to its latest start includes run time.
+		overhead := t.FirstStartAt - t.SubmitAt
 		total := t.DoneAt - t.SubmitAt
 		if total <= 0 {
 			continue

@@ -284,12 +284,15 @@ func PerfNormalizedToTarget(rt *core.Runtime, t *core.Task) float64 {
 		warm := t.SubmitAt + math.Min(600, span*0.2)
 		return t.QoSFrac.MeanBetween(warm, math.Inf(1))
 	case w.Type.Class() == perfmodel.SingleNode:
-		// Achieved IPS (mean work rate while running) vs the IPS target.
+		// Achieved IPS (mean work rate since the first start) vs the IPS
+		// target. Progress spans every run, so it is divided by the time
+		// since the first start: a displaced job's last run alone would
+		// overstate its rate.
 		end := t.DoneAt
 		if t.Status != core.StatusCompleted {
 			end = rt.Eng.Now()
 		}
-		elapsed := end - t.StartAt
+		elapsed := end - t.FirstStartAt
 		if elapsed <= 0 || t.Progress <= 0 {
 			return 0
 		}

@@ -39,7 +39,7 @@ func TestReplayDeterministicPinnedDigests(t *testing.T) {
 		trace, mgr string
 	}{
 		{"slo-faults", Config{Servers: 24, Seed: 13, SLO: true, EpochSecs: 0.5, Detector: true, Faults: pinPlan()}, 240,
-			"1a388ddd6078ed0357a80931ea57aae69759792ad86ee62ce6b2257965d3aeff",
+			"20be1a698b79a6c67243e624030f94e96920f9e5b501bbd2a41f3a444739ed78",
 			"de225db4c439f53386571e9509e844225f3be4eda5c4b58355f5e98e1f98909e"},
 		{"detector", Config{Seed: 5, Detector: true}, 120,
 			"aa2c1c8a65df4f7bad70bf82727f1af8ddda25e15c5484b6f0ddae43aacaa355",
