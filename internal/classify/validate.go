@@ -202,10 +202,8 @@ func compareExhaustive(x *Exhaustive, w *workload.Instance, row []float64) []flo
 		}
 	}
 	var errs []float64
-	for j, col := range x.Cols {
-		if col.Nodes > 1 && !w.Type.Distributed() {
-			continue
-		}
+	for _, j := range x.validCols(w) {
+		col := x.Cols[j]
 		tr := truth.JointPerf(col.PlatformIdx, col.Nodes, col.Alloc(x.Platforms))
 		if tr < 0.02*refTruth {
 			continue
