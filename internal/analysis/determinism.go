@@ -9,7 +9,7 @@ import (
 
 // Determinism enforces the seeded-simulation contract: identical seeds
 // must produce identical results. It flags eight nondeterminism sources
-// in the nine packages of its scope:
+// in the seventeen packages of its scope:
 //
 //  1. draws from math/rand's unseeded global source (use a seeded
 //     *rand.Rand, e.g. sim.NewRNG);
@@ -71,6 +71,14 @@ var simulationScope = []string{
 	"internal/obs",
 	"internal/chaos",
 	"internal/slo",
+	"internal/workload",
+	"internal/baselines",
+	"internal/cluster",
+	"internal/cf",
+	"internal/perfmodel",
+	"internal/interference",
+	"internal/loadgen",
+	"internal/metrics",
 }
 
 // wallClockAllowlist names the functions (as pkgpath.Func or

@@ -23,7 +23,7 @@ func fixture(t testing.TB, opts Options, seed int64) (*core.Runtime, *Baseline, 
 	b := New(rt, opts)
 	if b.Engine() != nil {
 		var lib []*workload.Instance
-		var probers []classify.Prober
+		var probers []*classify.GroundTruthProber
 		for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode} {
 			for i := 0; i < 3; i++ {
 				w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})

@@ -108,14 +108,6 @@ func (s *Sparse) Row(i int) []Cell { return s.rows[i] }
 // NNZ returns the number of observed entries.
 func (s *Sparse) NNZ() int { return s.n }
 
-// Density returns NNZ / (Rows*Cols).
-func (s *Sparse) Density() float64 {
-	if s.Rows*s.Cols == 0 {
-		return 0
-	}
-	return float64(s.n) / float64(s.Rows*s.Cols)
-}
-
 // AppendRow grows the matrix by one row containing the given observations
 // and returns its index. The row is sorted once, here.
 func (s *Sparse) AppendRow(obs map[int]float64) int {

@@ -33,7 +33,7 @@ func makeLowRankSparse(rows, cols, rank int, density float64, seed int64) (*Spar
 
 func TestSparseBasics(t *testing.T) {
 	s := NewSparse(3, 4)
-	if s.NNZ() != 0 || s.Density() != 0 {
+	if s.NNZ() != 0 {
 		t.Fatal("fresh sparse not empty")
 	}
 	s.Set(0, 1, 5)
@@ -50,9 +50,6 @@ func TestSparseBasics(t *testing.T) {
 	}
 	if math.Abs(s.Mean()-3.5) > 1e-12 {
 		t.Fatalf("Mean = %v, want 3.5", s.Mean())
-	}
-	if math.Abs(s.Density()-2.0/12) > 1e-12 {
-		t.Fatalf("Density = %v", s.Density())
 	}
 	idx := s.AppendRow(map[int]float64{0: 2})
 	if idx != 3 || s.Rows != 4 || s.NNZ() != 3 {

@@ -33,7 +33,7 @@ func referenceAppendObs(e *Engine, id string, po *ProbeObs) int {
 
 // referenceSeed is the seeding loop the batch replaces: probe one workload,
 // append its row, next.
-func referenceSeed(e *Engine, ws []*workload.Instance, probers []Prober) {
+func referenceSeed(e *Engine, ws []*workload.Instance, probers []*GroundTruthProber) {
 	for i, w := range ws {
 		referenceAppendObs(e, w.ID, e.probeSeed(w, probers[i]))
 	}
@@ -41,7 +41,7 @@ func referenceSeed(e *Engine, ws []*workload.Instance, probers []Prober) {
 
 // referenceValidateMany is ValidateMany with its observations appended one
 // row at a time.
-func referenceValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates, []ValidationErrors) {
+func referenceValidateMany(e *Engine, ws []*workload.Instance, workers int) ValidationErrors {
 	probeRNGs := make([]*sim.RNG, len(ws))
 	classifyRNGs := make([]*sim.RNG, len(ws))
 	for i, w := range ws {
@@ -49,23 +49,23 @@ func referenceValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*
 		classifyRNGs[i] = e.rng.Stream("classify/" + w.ID)
 	}
 	type result struct {
-		es   *Estimates
 		po   *ProbeObs
 		errs ValidationErrors
 	}
 	results := par.ParMap(workers, len(ws), func(i int) result {
 		w := ws[i]
 		es, po := e.ClassifyDetached(w, NewGroundTruthProber(w, e.Platforms, probeRNGs[i]), classifyRNGs[i])
-		return result{es, po, CompareToTruth(es, w, NewGroundTruthProber(w, e.Platforms, nil))}
+		return result{po, CompareToTruth(es, w, NewGroundTruthProber(w, e.Platforms, nil))}
 	})
-	ess := make([]*Estimates, len(ws))
-	errs := make([]ValidationErrors, len(ws))
+	var pooled ValidationErrors
 	for i, r := range results {
-		r.es.Row = referenceAppendObs(e, ws[i].ID, r.po)
-		ess[i] = r.es
-		errs[i] = r.errs
+		referenceAppendObs(e, ws[i].ID, r.po)
+		pooled.ScaleUp = append(pooled.ScaleUp, r.errs.ScaleUp...)
+		pooled.ScaleOut = append(pooled.ScaleOut, r.errs.ScaleOut...)
+		pooled.Hetero = append(pooled.Hetero, r.errs.Hetero...)
+		pooled.Interf = append(pooled.Interf, r.errs.Interf...)
 	}
-	return ess, errs
+	return pooled
 }
 
 // batchFixture holds the workloads the batch tests append, and builds the
@@ -91,8 +91,8 @@ func newBatchFixture(maxBatch int) *batchFixture {
 
 // probers returns fresh probers for ws, whose noise depends only on the
 // position and salt.
-func (f *batchFixture) probers(ws []*workload.Instance, salt int64) []Prober {
-	ps := make([]Prober, len(ws))
+func (f *batchFixture) probers(ws []*workload.Instance, salt int64) []*GroundTruthProber {
+	ps := make([]*GroundTruthProber, len(ws))
 	for i, w := range ws {
 		ps[i] = NewGroundTruthProber(w, f.platforms, sim.NewRNG(salt+int64(i)))
 	}
@@ -218,9 +218,9 @@ func TestSeedBatchMatchesPerRowReference(t *testing.T) {
 	}
 }
 
-// TestValidateManyMatchesPerRowReference: ValidateMany's estimates, errors
-// and resulting engine are bit-equal to appending its observations one row
-// at a time.
+// TestValidateManyMatchesPerRowReference: ValidateMany's pooled errors and
+// resulting engine are bit-equal to appending its observations one row at a
+// time.
 func TestValidateManyMatchesPerRowReference(t *testing.T) {
 	sizes := testBatchSizes()
 	f := newBatchFixture(sizes[len(sizes)-1])
@@ -228,47 +228,21 @@ func TestValidateManyMatchesPerRowReference(t *testing.T) {
 		for _, n := range sizes {
 			ws := f.batch[:n]
 			want := f.engine(used)
-			wantEs, wantErrs := referenceValidateMany(want, ws, 1)
+			wantErrs := referenceValidateMany(want, ws, 1)
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("used=%v rows=%d workers=%d", used, n, workers)
 				got := f.engine(used)
-				gotEs, gotErrs := ValidateMany(got, ws, workers)
+				gotErrs := ValidateMany(got, ws, workers)
 				if d := engineDiff(got, want); d != "" {
 					t.Errorf("%s: %s", name, d)
 				}
-				for i := range ws {
-					if d := estimatesDiff(gotEs[i], wantEs[i]); d != "" {
-						t.Errorf("%s: workload %d: %s", name, i, d)
-					}
-					if d := validationDiff(gotErrs[i], wantErrs[i]); d != "" {
-						t.Errorf("%s: workload %d: %s", name, i, d)
-					}
+				if !bitsEqual(gotErrs.ScaleUp, wantErrs.ScaleUp) || !bitsEqual(gotErrs.ScaleOut, wantErrs.ScaleOut) ||
+					!bitsEqual(gotErrs.Hetero, wantErrs.Hetero) || !bitsEqual(gotErrs.Interf, wantErrs.Interf) {
+					t.Errorf("%s: validation errors differ", name)
 				}
 			}
 		}
 	}
-}
-
-func estimatesDiff(got, want *Estimates) string {
-	switch {
-	case got.ID != want.ID || got.Row != want.Row || got.Class != want.Class:
-		return fmt.Sprintf("estimates of %s row %d, want %s row %d", got.ID, got.Row, want.ID, want.Row)
-	case math.Float64bits(got.RefPerf) != math.Float64bits(want.RefPerf) || math.Float64bits(got.beta) != math.Float64bits(want.beta):
-		return "RefPerf or beta differs"
-	case !bitsEqual(got.SULog, want.SULog) || !bitsEqual(got.SOLog, want.SOLog) || !bitsEqual(got.HetLog, want.HetLog):
-		return "a reconstructed row differs"
-	case !bitsEqual(got.Tol[:], want.Tol[:]) || !bitsEqual(got.Caused[:], want.Caused[:]):
-		return "an interference estimate differs"
-	}
-	return ""
-}
-
-func validationDiff(got, want ValidationErrors) string {
-	if !bitsEqual(got.ScaleUp, want.ScaleUp) || !bitsEqual(got.ScaleOut, want.ScaleOut) ||
-		!bitsEqual(got.Hetero, want.Hetero) || !bitsEqual(got.Interf, want.Interf) {
-		return "validation errors differ"
-	}
-	return ""
 }
 
 // referenceExhaustiveSeed is library seeding as the exhaustive classifier
@@ -294,13 +268,13 @@ func referenceExhaustiveSeed(x *Exhaustive, ws []*workload.Instance, probers []*
 // referenceValidateExhaustiveMany is ValidateExhaustiveMany with its
 // observations appended one row at a time: append, and at a retrain point
 // fit cold on the spot.
-func referenceValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries int) [][]float64 {
+func referenceValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries int) []float64 {
 	a := x.ax
 	var pending []map[int]float64
-	errs := make([][]float64, len(ws))
+	var errs []float64
 	for i, w := range ws {
 		obs := x.probe(w, noisy[i], entries, x.rng.Stream("exhaustive/"+w.ID))
-		errs[i] = compareExhaustive(x, w, a.estimateRow(-1, obs))
+		errs = append(errs, compareExhaustive(x, w, a.estimateRow(-1, obs))...)
 		pending = append(pending, obs)
 	}
 	for _, obs := range pending {
@@ -312,16 +286,6 @@ func referenceValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noi
 		}
 	}
 	return errs
-}
-
-// gtProbers returns fresh ground-truth probers for ws, whose noise depends
-// only on the position and salt.
-func (f *batchFixture) gtProbers(ws []*workload.Instance, salt int64) []*GroundTruthProber {
-	ps := make([]*GroundTruthProber, len(ws))
-	for i, w := range ws {
-		ps[i] = NewGroundTruthProber(w, f.platforms, sim.NewRNG(salt+int64(i)))
-	}
-	return ps
 }
 
 // TestExhaustiveMatchesPerRowReference: the exhaustive classifier, seeded as
@@ -347,24 +311,22 @@ func TestExhaustiveMatchesPerRowReference(t *testing.T) {
 	for _, lib := range []int{0, 8} {
 		libWs := f.prep[:lib]
 		want := build()
-		referenceExhaustiveSeed(want, libWs, f.gtProbers(libWs, 500))
-		var wantErrs [][][]float64
+		referenceExhaustiveSeed(want, libWs, f.probers(libWs, 500))
+		var wantErrs [][]float64
 		for b, first := 0, 0; b < len(batches); first, b = first+batches[b], b+1 {
 			ws := f.batch[first : first+batches[b]]
-			wantErrs = append(wantErrs, referenceValidateExhaustiveMany(want, ws, f.gtProbers(ws, 1000), 8))
+			wantErrs = append(wantErrs, referenceValidateExhaustiveMany(want, ws, f.probers(ws, 1000), 8))
 		}
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("library=%d workers=%d", lib, workers)
 			got := build()
-			got.SeedMany(libWs, f.gtProbers(libWs, 500))
+			got.SeedMany(libWs, f.probers(libWs, 500))
 			for b, first := 0, 0; b < len(batches); first, b = first+batches[b], b+1 {
 				ws := f.batch[first : first+batches[b]]
 				fits := got.ax.stats.Fits
-				errs := ValidateExhaustiveMany(got, ws, f.gtProbers(ws, 1000), 8, workers)
-				for i := range ws {
-					if !bitsEqual(errs[i], wantErrs[b][i]) {
-						t.Errorf("%s: batch %d workload %d: errors differ", name, b, i)
-					}
+				errs := ValidateExhaustiveMany(got, ws, f.probers(ws, 1000), 8, workers)
+				if !bitsEqual(errs, wantErrs[b]) {
+					t.Errorf("%s: batch %d: errors differ", name, b)
 				}
 				if b == 3 && got.ax.stats.Fits != fits+1 {
 					t.Errorf("%s: batch %d passed two retrain points and fitted %d times, want once",

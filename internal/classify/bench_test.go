@@ -42,20 +42,14 @@ func BenchmarkNodePerf(b *testing.B) {
 func BenchmarkSeedLibrary(b *testing.B) {
 	platforms := cluster.LocalPlatforms()
 	u := workload.NewUniverse(platforms, 20140301, 3)
-	var lib []*workload.Instance
-	for _, tp := range []workload.Type{workload.Hadoop, workload.Spark, workload.Storm,
-		workload.Memcached, workload.Cassandra, workload.Webserver, workload.SingleNode} {
-		for i := 0; i < 12; i++ {
-			lib = append(lib, u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4}))
-		}
-	}
+	lib := u.Library(workload.LibraryTypes, 12)
 	opts := DefaultOptions()
 	opts.MaxNodes = 32
 	rng := sim.NewRNG(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		probers := make([]Prober, len(lib))
+		probers := make([]*GroundTruthProber, len(lib))
 		for j, w := range lib {
 			probers[j] = NewGroundTruthProber(w, platforms, rng.Stream("seed").Stream(w.ID))
 		}

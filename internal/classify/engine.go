@@ -419,10 +419,11 @@ type ProbeObs struct {
 // SeedOfflineMany adds densely profiled workloads to every matrix — the
 // paper's offline-characterized library ("a small number of different
 // workload types (20-30)" profiled exhaustively, §3.2). It probes ws[i] with
-// probers[i] on the worker pool (each prober touches only its own workload,
+// probers[i] (a library's GroundTruthProbers, the slice Exhaustive.SeedMany
+// takes too) on the worker pool (each prober touches only its own workload,
 // so the ws must be distinct instances), then traces a seed-probe event per
 // workload and appends the rows as one batch, both in input order.
-func (e *Engine) SeedOfflineMany(ws []*workload.Instance, probers []Prober) {
+func (e *Engine) SeedOfflineMany(ws []*workload.Instance, probers []*GroundTruthProber) {
 	pos := par.ParMap(0, len(ws), func(i int) *ProbeObs {
 		return e.probeSeed(ws[i], probers[i])
 	})

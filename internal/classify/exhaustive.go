@@ -7,15 +7,9 @@ import (
 	"quasar/internal/workload"
 )
 
-// JointProber measures performance for full allocation-assignment vectors,
-// as the exhaustive classification requires.
-type JointProber interface {
-	// JointPerf measures performance on n nodes of the given platform with
-	// the given per-node allocation.
-	JointPerf(platformIdx, n int, alloc cluster.Alloc) float64
-}
-
-// JointPerf implements JointProber for the ground-truth prober.
+// JointPerf measures performance on n nodes of the given platform with the
+// given per-node allocation: one allocation-assignment vector, as the
+// exhaustive classification requires.
 func (p *GroundTruthProber) JointPerf(platformIdx, n int, alloc cluster.Alloc) float64 {
 	return p.noise(p.perfAt(platformIdx, n, alloc, cluster.ResVec{}))
 }
@@ -75,7 +69,7 @@ func (x *Exhaustive) Retrain() { x.ax.train(nil) }
 // Classify profiles the workload at entries random joint columns, appends
 // the observations as a batch of one and reconstructs the full row (log
 // performance per column).
-func (x *Exhaustive) Classify(w *workload.Instance, p JointProber, entries int) []float64 {
+func (x *Exhaustive) Classify(w *workload.Instance, p *GroundTruthProber, entries int) []float64 {
 	obs := x.probe(w, p, entries, x.rng.Stream("exhaustive/"+w.ID))
 	x.appendBatch([]map[int]float64{obs})
 	return x.ax.estimateRow(-1, obs)
@@ -108,7 +102,7 @@ func (x *Exhaustive) validCols(w *workload.Instance) []int {
 
 // probe samples entries random valid joint columns. Read-only on the
 // classifier; workload mutation is confined to the prober.
-func (x *Exhaustive) probe(w *workload.Instance, p JointProber, entries int, rng *sim.RNG) map[int]float64 {
+func (x *Exhaustive) probe(w *workload.Instance, p *GroundTruthProber, entries int, rng *sim.RNG) map[int]float64 {
 	valid := x.validCols(w)
 	obs := make(map[int]float64, entries)
 	for _, vi := range pickDistinct(rng, len(valid), entries) {

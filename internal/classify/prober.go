@@ -89,6 +89,16 @@ func NewGroundTruthProber(w *workload.Instance, platforms []cluster.Platform, rn
 	}
 }
 
+// GroundTruthProbers builds a library's probers: the prober for ws[i] draws
+// its noise from rng.Stream(ws[i].ID), derived in input order.
+func GroundTruthProbers(ws []*workload.Instance, platforms []cluster.Platform, rng *sim.RNG) []*GroundTruthProber {
+	ps := make([]*GroundTruthProber, len(ws))
+	for i, w := range ws {
+		ps[i] = NewGroundTruthProber(w, platforms, rng.Stream(w.ID))
+	}
+	return ps
+}
+
 func (p *GroundTruthProber) noise(x float64) float64 {
 	cv := p.NoiseCV
 	if cv <= 0 {

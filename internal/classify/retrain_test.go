@@ -189,7 +189,7 @@ func randomOpsRun(t *testing.T, seed int64, nOps int, afterOp func(*Engine)) {
 
 	var known []*workload.Instance
 	probes := 0
-	fresh := func() (*workload.Instance, Prober) {
+	fresh := func() (*workload.Instance, *GroundTruthProber) {
 		w := u.New(workload.Spec{Type: workload.Type(rng.Intn(int(workload.NumTypes))), Family: -1, MaxNodes: 4})
 		probes++
 		return w, NewGroundTruthProber(w, platforms, sim.NewRNG(seed*1000+int64(probes)))
@@ -198,7 +198,7 @@ func randomOpsRun(t *testing.T, seed int64, nOps int, afterOp func(*Engine)) {
 		switch k := rng.Intn(100); {
 		case op == 0 || k < 4: // offline library batch
 			n := 1 + rng.Intn(3)
-			ws, ps := make([]*workload.Instance, n), make([]Prober, n)
+			ws, ps := make([]*workload.Instance, n), make([]*GroundTruthProber, n)
 			for i := range ws {
 				ws[i], ps[i] = fresh()
 			}

@@ -51,9 +51,9 @@ func relErr(est, truth float64) float64 {
 	return math.Abs(est-truth) / truth
 }
 
-// ValidationErrors holds per-axis error samples for one workload: the
-// deviation between classification estimates and detailed ground-truth
-// characterization over every column.
+// ValidationErrors holds per-axis error samples: the deviation between
+// classification estimates and detailed ground-truth characterization over
+// every column.
 type ValidationErrors struct {
 	ScaleUp  []float64
 	ScaleOut []float64
@@ -61,24 +61,16 @@ type ValidationErrors struct {
 	Interf   []float64
 }
 
-// Validate classifies w with the engine (sparse profiling through prober)
-// and compares the reconstructed rows against exhaustive noise-free
-// characterization, column by column. This is the Table 2 measurement.
-func Validate(e *Engine, w *workload.Instance) (*Estimates, ValidationErrors) {
-	noisy := NewGroundTruthProber(w, e.Platforms, e.rng.Stream("probe/"+w.ID))
-	es := e.Classify(w, noisy)
-	truth := NewGroundTruthProber(w, e.Platforms, nil) // nil RNG: noise-free
-	return es, CompareToTruth(es, w, truth)
-}
-
-// ValidateMany validates a batch of workloads with the profiling and
-// comparison fanned out across workers. Per-workload RNG substreams are
-// derived from the engine stream sequentially, in the same order the
-// one-at-a-time Validate loop derives them, so the randomness — and with it
-// the whole result — is identical for any worker count. Classification is
-// detached: every workload folds in against the models as of the batch
-// start, then the observations are appended in input order, as one batch.
-func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates, []ValidationErrors) {
+// ValidateMany classifies ws with the engine (sparse profiling through a
+// noisy prober) and compares each reconstructed row against exhaustive
+// noise-free characterization, column by column: the Table 2 measurement.
+// It returns the errors of every workload pooled in input order. Per-workload
+// RNG substreams are derived from the engine stream sequentially, in input
+// order, and the profiling and comparison then fan out across workers, so the
+// result is identical for any worker count. Classification is detached:
+// every workload folds in against the models as of the batch start, then the
+// observations are appended in input order, as one batch.
+func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ValidationErrors {
 	probeRNGs := make([]*sim.RNG, len(ws))
 	classifyRNGs := make([]*sim.RNG, len(ws))
 	for i, w := range ws {
@@ -86,7 +78,6 @@ func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates
 		classifyRNGs[i] = e.rng.Stream("classify/" + w.ID)
 	}
 	type result struct {
-		es   *Estimates
 		po   *ProbeObs
 		errs ValidationErrors
 	}
@@ -94,23 +85,21 @@ func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ([]*Estimates
 		w := ws[i]
 		noisy := NewGroundTruthProber(w, e.Platforms, probeRNGs[i])
 		es, po := e.ClassifyDetached(w, noisy, classifyRNGs[i])
-		truth := NewGroundTruthProber(w, e.Platforms, nil)
-		return result{es, po, CompareToTruth(es, w, truth)}
+		truth := NewGroundTruthProber(w, e.Platforms, nil) // nil RNG: noise-free
+		return result{po, CompareToTruth(es, w, truth)}
 	})
-	first := e.Rows()
-	ess := make([]*Estimates, len(ws))
 	ids := make([]string, len(ws))
 	pos := make([]*ProbeObs, len(ws))
-	errs := make([]ValidationErrors, len(ws))
+	var pooled ValidationErrors
 	for i, r := range results {
-		r.es.Row = first + i
-		ess[i] = r.es
-		ids[i] = ws[i].ID
-		pos[i] = r.po
-		errs[i] = r.errs
+		ids[i], pos[i] = ws[i].ID, r.po
+		pooled.ScaleUp = append(pooled.ScaleUp, r.errs.ScaleUp...)
+		pooled.ScaleOut = append(pooled.ScaleOut, r.errs.ScaleOut...)
+		pooled.Hetero = append(pooled.Hetero, r.errs.Hetero...)
+		pooled.Interf = append(pooled.Interf, r.errs.Interf...)
 	}
 	e.appendBatch(ids, pos)
-	return ess, errs
+	return pooled
 }
 
 // CompareToTruth computes per-column errors of estimates against a
@@ -159,11 +148,12 @@ func CompareToTruth(es *Estimates, w *workload.Instance, truth *GroundTruthProbe
 }
 
 // ValidateExhaustiveMany classifies ws with the joint classifier and scores
-// each reconstructed row against noise-free characterization. The probing
-// and fold-in fan out across workers (per-workload streams derived in input
-// order, every fold-in against the model as of the batch start); the
-// observations are then appended in input order, as one batch.
-func ValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries, workers int) [][]float64 {
+// each reconstructed row against noise-free characterization, returning the
+// errors of every workload pooled in input order. The probing and fold-in fan
+// out across workers (per-workload streams derived in input order, every
+// fold-in against the model as of the batch start); the observations are
+// then appended in input order, as one batch.
+func ValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries, workers int) []float64 {
 	rngs := make([]*sim.RNG, len(ws))
 	for i, w := range ws {
 		rngs[i] = x.rng.Stream("exhaustive/" + w.ID)
@@ -176,13 +166,13 @@ func ValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*Gro
 		obs := x.probe(ws[i], noisy[i], entries, rngs[i])
 		return result{compareExhaustive(x, ws[i], x.ax.estimateRow(-1, obs)), obs}
 	})
-	errs := make([][]float64, len(ws))
+	var pooled []float64
 	rows := make([]map[int]float64, len(ws))
 	for i, r := range results {
-		errs[i], rows[i] = r.errs, r.obs
+		pooled, rows[i] = append(pooled, r.errs...), r.obs
 	}
 	x.appendBatch(rows)
-	return errs
+	return pooled
 }
 
 // compareExhaustive scores a reconstructed joint row against noise-free

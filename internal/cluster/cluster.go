@@ -417,9 +417,8 @@ type Cluster struct {
 	Platforms []Platform
 	Servers   []*Server
 
-	byPlatform map[string][]*Server
-	index      *FreeIndex
-	gen        uint64
+	index *FreeIndex
+	gen   uint64
 }
 
 // Gen returns the cluster's mutation generation: a counter that advances on
@@ -435,7 +434,7 @@ func New(platforms []Platform, counts []int) (*Cluster, error) {
 	if len(platforms) != len(counts) {
 		return nil, fmt.Errorf("cluster: %d platforms but %d counts", len(platforms), len(counts))
 	}
-	c := &Cluster{Platforms: platforms, byPlatform: make(map[string][]*Server)}
+	c := &Cluster{Platforms: platforms}
 	id := 0
 	for i := range platforms {
 		if err := platforms[i].Validate(); err != nil {
@@ -448,7 +447,6 @@ func New(platforms []Platform, counts []int) (*Cluster, error) {
 			s := NewServer(id, &c.Platforms[i])
 			s.cl, s.pidx = c, i
 			c.Servers = append(c.Servers, s)
-			c.byPlatform[platforms[i].Name] = append(c.byPlatform[platforms[i].Name], s)
 			id++
 		}
 	}
@@ -465,9 +463,6 @@ func NewUniform(platforms []Platform, total int) (*Cluster, error) {
 	}
 	return New(platforms, counts)
 }
-
-// ByPlatform returns the servers of the named platform.
-func (c *Cluster) ByPlatform(name string) []*Server { return c.byPlatform[name] }
 
 // PlatformIndex returns the position of the named platform, or -1.
 func (c *Cluster) PlatformIndex(name string) int {
@@ -518,18 +513,6 @@ func (c *Cluster) NumLive() int {
 	return n
 }
 
-// LiveCores returns the core count of schedulable servers only: dead or
-// suspect machines contribute no capacity.
-func (c *Cluster) LiveCores() int {
-	n := 0
-	for _, s := range c.Servers {
-		if s.Schedulable() {
-			n += s.Platform.Cores
-		}
-	}
-	return n
-}
-
 // LiveFreeCores sums unallocated cores over schedulable servers: the
 // capacity actually available to recover displaced work.
 func (c *Cluster) LiveFreeCores() int {
@@ -540,15 +523,4 @@ func (c *Cluster) LiveFreeCores() int {
 		}
 	}
 	return n
-}
-
-// LiveMemGB returns the memory capacity of schedulable servers only.
-func (c *Cluster) LiveMemGB() float64 {
-	m := 0.0
-	for _, s := range c.Servers {
-		if s.Schedulable() {
-			m += s.Platform.MemoryGB
-		}
-	}
-	return m
 }

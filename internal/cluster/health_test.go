@@ -105,10 +105,8 @@ func TestDegradePressureFoldsIn(t *testing.T) {
 
 func TestLiveCapacityAccounting(t *testing.T) {
 	cl := healthFixture(t)
-	total := cl.TotalCores()
-	if cl.NumLive() != len(cl.Servers) || cl.LiveCores() != total {
-		t.Fatalf("healthy cluster: live %d/%d cores %d/%d",
-			cl.NumLive(), len(cl.Servers), cl.LiveCores(), total)
+	if cl.NumLive() != len(cl.Servers) {
+		t.Fatalf("healthy cluster: live %d/%d", cl.NumLive(), len(cl.Servers))
 	}
 	if cl.LiveFreeCores() != cl.FreeCores() {
 		t.Fatalf("live free %d != free %d on healthy cluster", cl.LiveFreeCores(), cl.FreeCores())
@@ -122,12 +120,8 @@ func TestLiveCapacityAccounting(t *testing.T) {
 	if cl.NumLive() != wantLive {
 		t.Fatalf("NumLive = %d, want %d (down + suspect excluded)", cl.NumLive(), wantLive)
 	}
-	wantCores := total - dead.Platform.Cores - suspect.Platform.Cores
-	if cl.LiveCores() != wantCores {
-		t.Fatalf("LiveCores = %d, want %d", cl.LiveCores(), wantCores)
-	}
-	wantMem := cl.TotalMemGB() - dead.Platform.MemoryGB - suspect.Platform.MemoryGB
-	if cl.LiveMemGB() != wantMem {
-		t.Fatalf("LiveMemGB = %g, want %g", cl.LiveMemGB(), wantMem)
+	wantFree := cl.FreeCores() - dead.FreeCores() - suspect.FreeCores()
+	if cl.LiveFreeCores() != wantFree {
+		t.Fatalf("LiveFreeCores = %d, want %d", cl.LiveFreeCores(), wantFree)
 	}
 }

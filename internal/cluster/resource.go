@@ -39,16 +39,6 @@ func (r Resource) String() string {
 	return resourceNames[r]
 }
 
-// ParseResource maps a short name back to a Resource.
-func ParseResource(s string) (Resource, error) {
-	for i, n := range resourceNames {
-		if n == s {
-			return Resource(i), nil
-		}
-	}
-	return 0, fmt.Errorf("cluster: unknown resource %q", s)
-}
-
 // ResVec holds one value per interference resource, e.g. a sensitivity
 // profile or the pressure currently present on a server.
 type ResVec [NumResources]float64

@@ -18,19 +18,9 @@ func partitionFixture(t *testing.T, enable bool, seed int64) (*Runtime, *Quasar,
 	// decisions themselves are observable.
 	opts.DisableAdaptation = true
 	q2 := NewQuasar(rt, opts)
-	q2.SeedLibrary(libraryForTest(u))
+	q2.SeedLibrary(u.Library([]workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode}, 2))
 	rt.SetManager(q2)
 	return rt, q2, u
-}
-
-func libraryForTest(u *workload.Universe) []*workload.Instance {
-	var lib []*workload.Instance
-	for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode} {
-		for i := 0; i < 2; i++ {
-			lib = append(lib, u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4}))
-		}
-	}
-	return lib
 }
 
 // TestPartitioningEnablesIsolationUnderContention: a cache-sensitive

@@ -163,9 +163,12 @@ func resVecSlice(v cluster.ResVec) []float64 {
 func (q *Quasar) Name() string { return "quasar" }
 
 // SeedLibrary adds offline-profiled workloads to the classification engine,
-// in library order, each with its own prober stream.
+// in library order, each with its own prober stream. Each row's stream comes
+// from a fresh "seed" stream of the manager's RNG, not from one root as in
+// classify.GroundTruthProbers: serve's replay digests and the ledger's result
+// hashes cover what these probers draw.
 func (q *Quasar) SeedLibrary(ws []*workload.Instance) {
-	probers := make([]classify.Prober, len(ws))
+	probers := make([]*classify.GroundTruthProber, len(ws))
 	for i, w := range ws {
 		probers[i] = classify.NewGroundTruthProber(w, q.rt.Cl.Platforms, q.rng.Stream("seed").Stream(w.ID))
 	}

@@ -147,7 +147,7 @@ func schedScheduleProbe(t *testing.T) float64 {
 	copts.MaxNodes = 32
 	ceng := classify.NewEngine(platforms, copts, sim.NewRNG(seed+1))
 	var lib []*workload.Instance
-	var probers []classify.Prober
+	var probers []*classify.GroundTruthProber
 	for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode} {
 		for i := 0; i < 3; i++ {
 			w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
@@ -327,7 +327,7 @@ func classifiedHadoop() (*classify.Estimates, []cluster.Platform) {
 	u := workload.NewUniverse(platforms, seed, 3)
 	ceng := classify.NewEngine(platforms, classify.DefaultOptions(), sim.NewRNG(seed+1))
 	lib := make([]*workload.Instance, 3)
-	probers := make([]classify.Prober, len(lib))
+	probers := make([]*classify.GroundTruthProber, len(lib))
 	for i := range lib {
 		lib[i] = u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
 		probers[i] = classify.NewGroundTruthProber(lib[i], platforms, sim.NewRNG(seed+int64(i)))

@@ -9,10 +9,10 @@ import (
 	"quasar/internal/cluster"
 )
 
-// TestColdFitPathsPinnedDigests pins, as SHA-256 of their JSON, the reduced
-// Table 2 sweep of TestTable2DeterministicAcrossWorkers, the fake-clock
-// Fig. 3 sweep of TestFig3DeterministicAcrossWorkers and the full default
-// Table 2. All three reach the classifier only through appends and
+// TestColdFitPathsPinnedDigests pins, as SHA-256 of their JSON, a reduced
+// Table 2 sweep (3/3/3/10 workloads), the fake-clock Fig. 3 sweep of
+// TestFig3DeterministicAcrossWorkers and the full default Table 2, which
+// TestTable2DeterministicAcrossWorkers runs across worker counts. All three reach the classifier only through appends and
 // RetrainAll — retrain points that fit cold, from the SVD seed — so a
 // change to how runtime refits are seeded must leave every byte of them as
 // it is. The reduced sweeps never pass a retrain point after library

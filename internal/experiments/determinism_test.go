@@ -55,14 +55,15 @@ func TestStragglersDeterministic(t *testing.T) {
 
 // TestTable2DeterministicAcrossWorkers pins the Table 2 classification
 // sweep: the validation fan-out must serialize byte-identically for any
-// worker count.
+// worker count. It runs the default configuration, whose appends pass
+// several retrain points after library seeding, so the matrix also covers
+// append fits that later fold-ins read.
 func TestTable2DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the classification sweep once per worker count")
 	}
 	run := func(workers int) []byte {
 		cfg := DefaultTable2Config()
-		cfg.Hadoop, cfg.Memcached, cfg.Webserver, cfg.SingleNode = 3, 3, 3, 10
 		cfg.Workers = workers
 		out, err := json.Marshal(Table2(cfg))
 		if err != nil {

@@ -315,7 +315,7 @@ func runAblation(seed int64, jobs int, horizon float64, mod func(*core.QuasarOpt
 	opts := QuasarOptions(4)
 	mod(&opts)
 	q := core.NewQuasar(s.RT, opts)
-	q.SeedLibrary(libraryFor(s.U, 3))
+	q.SeedLibrary(s.U.Library(workload.LibraryTypes, 3))
 	s.RT.SetManager(q)
 	s.Q, s.Mgr = q, q
 

@@ -114,43 +114,27 @@ func fig3(cfg Fig3Config, platforms []cluster.Platform, libRows int) *Fig3Result
 		opts.MaxNodes = fig3MaxNodes
 		opts.Entries = entries
 		eng := classify.NewEngine(platforms, opts, sim.NewRNG(cfg.Seed+int64(entries)))
-		rng := sim.NewRNG(cfg.Seed + 100 + int64(entries))
-		var libWs []*workload.Instance
-		var libPs []classify.Prober
-		for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached,
-			workload.SingleNode, workload.Webserver, workload.Spark} {
-			for i := 0; i < cfg.SeedLibPerType; i++ {
-				w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
-				libWs = append(libWs, w)
-				libPs = append(libPs, classify.NewGroundTruthProber(w, platforms, rng.Stream(w.ID)))
-			}
-		}
-		eng.SeedOfflineMany(libWs, libPs)
+		lib := u.Library([]workload.Type{workload.Hadoop, workload.Memcached,
+			workload.SingleNode, workload.Webserver, workload.Spark}, cfg.SeedLibPerType)
+		eng.SeedOfflineMany(lib, classify.GroundTruthProbers(lib, platforms, sim.NewRNG(cfg.Seed+100+int64(entries))))
 		points := make([]Fig3Point, 0, len(classes))
 		for _, cls := range classes {
 			ws := make([]*workload.Instance, cfg.PerClass)
 			for i := range ws {
 				ws[i] = u.New(workload.Spec{Type: cls.tp, Family: -1, MaxNodes: 4})
 			}
-			var su, so, het, interf []float64
 			start := clock()
-			_, allErrs := classify.ValidateMany(eng, ws, cfg.Workers)
-			for _, errs := range allErrs {
-				su = append(su, errs.ScaleUp...)
-				so = append(so, errs.ScaleOut...)
-				het = append(het, errs.Hetero...)
-				interf = append(interf, errs.Interf...)
-			}
+			errs := classify.ValidateMany(eng, ws, cfg.Workers)
 			elapsed := clock().Sub(start).Seconds() / float64(cfg.PerClass)
 			points = append(points, Fig3Point{
 				Entries:    entries,
 				AppClass:   cls.name,
 				DensityPct: 100 * float64(entries) / float64(len(eng.SUCols)),
 				P90: map[string]float64{
-					"scale-up":     classify.Stats(su).P90,
-					"scale-out":    classify.Stats(so).P90,
-					"hetero":       classify.Stats(het).P90,
-					"interference": classify.Stats(interf).P90,
+					"scale-up":     classify.Stats(errs.ScaleUp).P90,
+					"scale-out":    classify.Stats(errs.ScaleOut).P90,
+					"hetero":       classify.Stats(errs.Hetero).P90,
+					"interference": classify.Stats(errs.Interf).P90,
 				},
 				OverheadSecs: elapsed,
 			})
@@ -171,19 +155,18 @@ func fig3(cfg Fig3Config, platforms []cluster.Platform, libRows int) *Fig3Result
 	eng := classify.NewEngine(platforms, opts, sim.NewRNG(cfg.Seed+8))
 	exh := classify.NewExhaustive(platforms, fig3MaxNodes, opts.CF, sim.NewRNG(cfg.Seed+9))
 	rng := sim.NewRNG(cfg.Seed + 10)
+	// The library cycles its three types row by row.
 	types := []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode}
-	var libWs []*workload.Instance
-	var libGT []*classify.GroundTruthProber
-	var libPs []classify.Prober
-	for i := 0; i < libRows; i++ {
-		w := u.New(workload.Spec{Type: types[i%len(types)], Family: -1, MaxNodes: 4})
-		p := classify.NewGroundTruthProber(w, platforms, rng.Stream(w.ID))
-		libWs, libGT, libPs = append(libWs, w), append(libGT, p), append(libPs, p)
+	cycle := make([]workload.Type, libRows)
+	for i := range cycle {
+		cycle[i] = types[i%len(types)]
 	}
+	lib := u.Library(cycle, 1)
+	probers := classify.GroundTruthProbers(lib, platforms, rng)
 	// Each prober draws its noise for the exhaustive first, as the two
 	// libraries share them.
-	exh.SeedMany(libWs, libGT)
-	eng.SeedOfflineMany(libWs, libPs)
+	exh.SeedMany(lib, probers)
+	eng.SeedOfflineMany(lib, probers)
 	res.DecisionRows, res.ScaleUpCols, res.ExhaustiveCols = libRows, len(eng.SUCols), exh.NumColumns()
 	// Per the paper, classification recomputes the reconstruction at every
 	// arrival; the decision cost is therefore the model rebuild plus the

@@ -190,7 +190,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 			s.Tracer.SetControls(*cfg.TraceControls)
 		}
 	}
-	lib := libraryFor(u, cfg.SeedLib)
+	lib := u.Library(workload.LibraryTypes, cfg.SeedLib)
 	switch cfg.Manager {
 	case KindQuasar:
 		q := core.NewQuasar(rt, QuasarOptions(cfg.MaxNodes))
@@ -204,7 +204,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	case KindReservationLL, KindFrameworkSelf, KindAutoscale, KindReservationParagon:
 		b := baselines.New(rt, baselineOpts(cfg))
 		if b.Engine() != nil {
-			seedBaselineEngine(b.Engine(), lib, cl.Platforms, cfg.Seed)
+			b.Engine().SeedOfflineMany(lib, classify.GroundTruthProbers(lib, cl.Platforms, sim.NewRNG(cfg.Seed+77)))
 		}
 		s.Mgr = b
 	}
@@ -247,27 +247,6 @@ func baselineOpts(cfg ScenarioConfig) baselines.Options {
 		opts.AutoscaleServices = true
 	}
 	return opts
-}
-
-// libraryFor generates the offline-profiled seed library.
-func libraryFor(u *workload.Universe, perType int) []*workload.Instance {
-	var lib []*workload.Instance
-	for _, tp := range []workload.Type{workload.Hadoop, workload.Spark, workload.Storm,
-		workload.Memcached, workload.Cassandra, workload.Webserver, workload.SingleNode} {
-		for i := 0; i < perType; i++ {
-			lib = append(lib, u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4}))
-		}
-	}
-	return lib
-}
-
-func seedBaselineEngine(e *classify.Engine, lib []*workload.Instance, platforms []cluster.Platform, seed int64) {
-	rng := sim.NewRNG(seed + 77)
-	probers := make([]classify.Prober, len(lib))
-	for i, w := range lib {
-		probers[i] = classify.NewGroundTruthProber(w, platforms, rng.Stream(w.ID))
-	}
-	e.SeedOfflineMany(lib, probers)
 }
 
 // PerfNormalizedToTarget returns a finished or running task's performance

@@ -59,26 +59,16 @@ func Table2(cfg Table2Config) *Table2Result {
 	eng := classify.NewEngine(platforms, opts, sim.NewRNG(cfg.Seed+1))
 	exh := classify.NewExhaustive(platforms, 8, opts.CF, sim.NewRNG(cfg.Seed+2))
 
-	// Offline library for both engines. Workloads, probers, and the
-	// per-workload noise streams are built sequentially in arrival order —
-	// the derivation that pins determinism — and the dense probing then
-	// fans out across workers.
+	// Offline library for both engines. The workloads and the probers'
+	// noise streams are derived sequentially in library order — the
+	// derivation that pins determinism — and the dense probing then fans
+	// out across workers.
 	rng := sim.NewRNG(cfg.Seed + 3)
-	var libWs []*workload.Instance
-	var libGT []*classify.GroundTruthProber
-	var libPs []classify.Prober
-	for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached,
-		workload.Webserver, workload.SingleNode, workload.Spark, workload.Storm, workload.Cassandra} {
-		for i := 0; i < cfg.SeedLibPerType; i++ {
-			w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
-			p := classify.NewGroundTruthProber(w, platforms, rng.Stream(w.ID))
-			libWs = append(libWs, w)
-			libGT = append(libGT, p)
-			libPs = append(libPs, p)
-		}
-	}
-	eng.SeedOfflineMany(libWs, libPs)
-	exh.SeedMany(libWs, libGT)
+	lib := u.Library([]workload.Type{workload.Hadoop, workload.Memcached, workload.Webserver,
+		workload.SingleNode, workload.Spark, workload.Storm, workload.Cassandra}, cfg.SeedLibPerType)
+	probers := classify.GroundTruthProbers(lib, platforms, rng)
+	eng.SeedOfflineMany(lib, probers)
+	exh.SeedMany(lib, probers)
 
 	groups := []struct {
 		name string
@@ -98,24 +88,15 @@ func Table2(cfg Table2Config) *Table2Result {
 			ws[i] = u.New(workload.Spec{Type: g.tp, Family: -1, MaxNodes: 4})
 			noisy[i] = classify.NewGroundTruthProber(ws[i], platforms, rng.Stream("exh/"+ws[i].ID))
 		}
-		var su, so, het, interf, joint []float64
-		_, allErrs := classify.ValidateMany(eng, ws, cfg.Workers)
-		for _, errs := range allErrs {
-			su = append(su, errs.ScaleUp...)
-			so = append(so, errs.ScaleOut...)
-			het = append(het, errs.Hetero...)
-			interf = append(interf, errs.Interf...)
-		}
-		for _, errs := range classify.ValidateExhaustiveMany(exh, ws, noisy, cfg.ExhaustiveEntries, cfg.Workers) {
-			joint = append(joint, errs...)
-		}
+		errs := classify.ValidateMany(eng, ws, cfg.Workers)
+		joint := classify.ValidateExhaustiveMany(exh, ws, noisy, cfg.ExhaustiveEntries, cfg.Workers)
 		res.Rows = append(res.Rows, ClassErrors{
 			AppClass:   g.name,
 			N:          g.n,
-			ScaleUp:    classify.Stats(su),
-			ScaleOut:   classify.Stats(so),
-			Hetero:     classify.Stats(het),
-			Interf:     classify.Stats(interf),
+			ScaleUp:    classify.Stats(errs.ScaleUp),
+			ScaleOut:   classify.Stats(errs.ScaleOut),
+			Hetero:     classify.Stats(errs.Hetero),
+			Interf:     classify.Stats(errs.Interf),
 			Exhaustive: classify.Stats(joint),
 		})
 	}

@@ -79,13 +79,6 @@ func (d *Distribution) Add(v float64) {
 	d.sorted = false
 }
 
-// AddN appends the sample v with weight n (n identical samples).
-func (d *Distribution) AddN(v float64, n int) {
-	for i := 0; i < n; i++ {
-		d.Add(v)
-	}
-}
-
 // N returns the sample count.
 func (d *Distribution) N() int { return len(d.vals) }
 

@@ -94,14 +94,6 @@ func TestFractionBelow(t *testing.T) {
 	}
 }
 
-func TestAddN(t *testing.T) {
-	var d Distribution
-	d.AddN(7, 5)
-	if d.N() != 5 || d.Percentile(50) != 7 {
-		t.Fatal("AddN wrong")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	var d Distribution
 	for i := 0; i < 100; i++ {

@@ -110,10 +110,6 @@ func (r *RingSink) Close(*Registry) error { return nil }
 // RetainedBytes implements Sink.
 func (r *RingSink) RetainedBytes() (cur, high int) { return r.retained, r.high }
 
-// Emitted returns the total number of events the sink has observed
-// (including overwritten ones).
-func (r *RingSink) Emitted() int { return r.emitted }
-
 // Events returns a copy of the retained window, oldest first.
 func (r *RingSink) Events() []Event {
 	n := r.emitted

@@ -29,7 +29,7 @@ func newFixture(t testing.TB) *fixture {
 	opts.MaxNodes = 32
 	eng := classify.NewEngine(platforms, opts, sim.NewRNG(5))
 	var lib []*workload.Instance
-	var probers []classify.Prober
+	var probers []*classify.GroundTruthProber
 	for _, tp := range []workload.Type{workload.Hadoop, workload.Memcached, workload.SingleNode, workload.Spark} {
 		for i := 0; i < 3; i++ {
 			w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 4})
@@ -220,8 +220,10 @@ func TestInterferenceAwareAvoidsHostileColocation(t *testing.T) {
 	for r := range hot {
 		hot[r] = 0.9
 	}
-	jServers := f.cl.ByPlatform("J")
-	for _, srv := range jServers {
+	for _, srv := range f.cl.Servers {
+		if srv.Platform.Name != "J" {
+			continue
+		}
 		if _, err := srv.Place(resident.ID+srv.Platform.Name+string(rune('0'+srv.ID%10)),
 			cluster.Alloc{Cores: 12, MemoryGB: 24}, hot, false); err != nil {
 			t.Fatal(err)

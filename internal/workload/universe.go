@@ -91,6 +91,25 @@ func (u *Universe) pickDataset(t Type, rng *sim.RNG) Dataset {
 	}
 }
 
+// LibraryTypes is the library order of the scenarios and the public
+// quasar.Library: every type once, in declaration order.
+var LibraryTypes = []Type{Hadoop, Spark, Storm, Memcached, Cassandra, Webserver, SingleNode}
+
+// Library mints an offline-profiled library (§3.2: "a small number of
+// different workload types (20-30)" characterised exhaustively): perType
+// workloads of each of types, in order, each with a random family and a
+// target swept up to four nodes. It is the one place a library is minted;
+// a runner's type order fixes its instances, so each passes its own.
+func (u *Universe) Library(types []Type, perType int) []*Instance {
+	lib := make([]*Instance, 0, len(types)*perType)
+	for _, tp := range types {
+		for i := 0; i < perType; i++ {
+			lib = append(lib, u.New(Spec{Type: tp, Family: -1, MaxNodes: 4}))
+		}
+	}
+	return lib
+}
+
 // New generates a workload instance.
 func (u *Universe) New(spec Spec) *Instance {
 	u.counter++

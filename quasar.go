@@ -173,13 +173,7 @@ func DefaultBaselineOptions() BaselineOptions { return baselines.DefaultOptions(
 // Library generates an offline-profiled workload library: n workloads of
 // every type, for seeding the classification engine.
 func Library(u *Universe, nPerType int) []*Instance {
-	var lib []*Instance
-	for _, tp := range []WorkloadType{Hadoop, Spark, Storm, Memcached, Cassandra, Webserver, SingleNode} {
-		for i := 0; i < nPerType; i++ {
-			lib = append(lib, u.New(Spec{Type: tp, Family: -1, MaxNodes: 4}))
-		}
-	}
-	return lib
+	return u.Library(workload.LibraryTypes, nPerType)
 }
 
 // Load patterns (for latency-critical services).
