@@ -339,7 +339,7 @@ func (b *Baseline) retry(t *core.Task) (placed, noFit bool) {
 // reservations themselves never adapt.
 func (b *Baseline) OnTick(now float64) {
 	if b.opts.AutoscaleServices {
-		for _, t := range b.rt.Tasks() {
+		for _, t := range b.rt.Live() {
 			if t.Status != core.StatusRunning || t.W.BestEffort ||
 				t.W.Type.Class() != perfmodel.LatencyCritical {
 				continue

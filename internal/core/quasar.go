@@ -418,7 +418,7 @@ func (q *Quasar) retry(t *Task) (placed, noFit bool) {
 // allocations that deviate from their constraints (§4.1).
 func (q *Quasar) OnTick(now float64) {
 	if !q.opts.DisableAdaptation {
-		for _, t := range q.rt.Tasks() {
+		for _, t := range q.rt.Live() {
 			if t.Status != StatusRunning || t.W.BestEffort {
 				continue
 			}
@@ -825,7 +825,7 @@ const (
 // QoS (§4.1).
 func (q *Quasar) proactiveProbe(now float64) {
 	var running []*Task
-	for _, t := range q.rt.Tasks() {
+	for _, t := range q.rt.Live() {
 		if t.Status == StatusRunning && !t.W.BestEffort {
 			running = append(running, t)
 		}
@@ -838,7 +838,7 @@ func (q *Quasar) proactiveProbe(now float64) {
 	// sampling can starve a workload indefinitely, while round-robin
 	// coverage bounds every workload's probe interval by
 	// len(running)/n probe periods at the same per-period cost.
-	// Tasks() order breaks ties, so selection is deterministic.
+	// Submission order breaks ties, so selection is deterministic.
 	sort.SliceStable(running, func(i, j int) bool {
 		si, sj := q.state[running[i].W.ID], q.state[running[j].W.ID]
 		ti, tj := 0.0, 0.0

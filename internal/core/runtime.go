@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"quasar/internal/cluster"
 	"quasar/internal/loadgen"
@@ -88,6 +89,7 @@ type Task struct {
 	serverIDs []int
 	qosState  int8 // 0 unknown, 1 meeting QoS, -1 missing (trace edge detection)
 	started   bool // FirstStartAt is set
+	pos       int  // index in Runtime.Tasks(), written once by Submit
 
 	// truth memoises the task's ground-truth rate (see Runtime.truthValid);
 	// offered memoises Load at the sim instant offeredAt (NaN before the
@@ -104,6 +106,11 @@ type truthMemo struct {
 	cfg  *workload.FrameworkConfig // W.Config when rate was computed
 	ok   bool                      // false until computed and after Place, RemoveNode or ShiftPhase
 }
+
+// Pos returns the task's index in Runtime.Tasks(): its submission ordinal,
+// fixed for the whole run. Per-task state kept outside the runtime can be
+// indexed by it instead of by workload ID.
+func (t *Task) Pos() int { return t.pos }
 
 // Servers returns the IDs of servers currently hosting the task, ascending.
 // The result is the caller's to keep; hot paths inside the runtime iterate
@@ -199,9 +206,11 @@ type Runtime struct {
 	manager Manager
 
 	tasks map[string]*Task
-	// ordered holds the tasks in submission order, append-only, so the
-	// per-tick sweeps and Tasks() iterate without rebuilding a slice.
+	// ordered holds every task in submission order, append-only.
 	ordered []*Task
+	// live holds the tasks not yet completed, in submission order: Submit
+	// appends, and each tick sweep drops the completed ones at its end.
+	live []*Task
 
 	// CPUHeat, MemHeat, DiskHeat sample per-server utilization over time
 	// (Figs. 7, 10, 11). AllocSeries and UsedSeries track aggregate
@@ -268,7 +277,7 @@ func (rt *Runtime) SetTracer(tr *obs.Tracer) {
 		reg.Gauge("tasks_total", "tasks submitted", func() float64 { return float64(len(rt.ordered)) })
 		reg.Gauge("tasks_running", "tasks currently running", func() float64 {
 			n := 0
-			for _, t := range rt.ordered {
+			for _, t := range rt.live {
 				if t.Status == StatusRunning {
 					n++
 				}
@@ -331,9 +340,11 @@ func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern
 		UsedPlatforms: make(map[string]bool),
 		placements:    make(map[int]*cluster.Placement),
 		offeredAt:     math.NaN(),
+		pos:           len(rt.ordered),
 	}
 	rt.tasks[w.ID] = t
 	rt.ordered = append(rt.ordered, t)
+	rt.live = append(rt.live, t)
 	rt.Eng.Schedule(at, func() {
 		if rt.Trace.Enabled() {
 			rt.Trace.Instant(workloadTrack(w.ID), "lifecycle", "submit",
@@ -348,11 +359,19 @@ func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern
 // Task returns the task for a workload ID.
 func (rt *Runtime) Task(id string) *Task { return rt.tasks[id] }
 
-// Tasks returns all tasks in submission order. The slice is the runtime's
-// live ordering — callers iterate it every tick and must not mutate it; it
-// is valid until the next Submit, which only appends, so a task keeps its
-// position for the whole run.
+// Tasks returns every task ever submitted, in submission order: the whole
+// history, for end-of-run reports and snapshots. Callers must not mutate the
+// slice; it is valid until the next Submit, which only appends, so a task
+// keeps its position (Task.Pos) for the whole run. Per-tick sweeps iterate
+// Live instead.
 func (rt *Runtime) Tasks() []*Task { return rt.ordered }
+
+// Live returns the tasks not yet completed, in submission order — what a
+// per-tick sweep needs to visit. A task that completes during a tick sweep
+// stays in it until that sweep ends, so the manager's OnTick and the tick
+// listeners see the completion once. Callers must not mutate the slice, and
+// it is valid only until the end of the current tick sweep.
+func (rt *Runtime) Live() []*Task { return rt.live }
 
 // Place establishes the task's placements. Any existing placements are kept
 // (use it to add nodes); it fails atomically per node.
@@ -567,12 +586,13 @@ func (rt *Runtime) OfferedLoad(t *Task) float64 {
 	return t.offered
 }
 
-// tick advances every running task by one interval.
+// tick advances every running task by one interval, then drops the tasks
+// that completed from the live list.
 func (rt *Runtime) tick(now float64) {
 	t0 := rt.Prof.Begin()
 	defer rt.Prof.End(prof.SubRuntime, t0)
 	dt := rt.opts.TickSecs
-	for _, t := range rt.ordered {
+	for _, t := range rt.live {
 		if t.Status != StatusRunning {
 			continue
 		}
@@ -589,6 +609,7 @@ func (rt *Runtime) tick(now float64) {
 	for _, fn := range rt.tickListeners {
 		fn(now)
 	}
+	rt.live = slices.DeleteFunc(rt.live, func(t *Task) bool { return t.Status == StatusCompleted })
 }
 
 // TickSecs returns the monitoring tick granularity.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -302,5 +303,62 @@ func TestLatencyWarmupCountsFromFirstStart(t *testing.T) {
 	rt.Stop()
 	if task.LatencyDist.N() <= before {
 		t.Fatal("no p99 sample recorded in the 100 s after the re-admission")
+	}
+}
+
+// BenchmarkTickHistory times one tick — the runtime's sweep, Quasar's
+// OnTick and the proactive probe's share — over a fixed live set of six
+// services and two endless single-node jobs, behind a history of 0 or 10 000
+// completed best-effort tasks. A tick's cost should follow the live set, not
+// the history.
+func BenchmarkTickHistory(b *testing.B) {
+	for _, history := range []int{0, 10000} {
+		b.Run(fmt.Sprintf("completed=%d", history), func(b *testing.B) {
+			rt, _, u := quasarFixture(b, 61)
+			// The live set is minted first, so both cases run the same
+			// workloads.
+			var live []*workload.Instance
+			for _, tp := range []workload.Type{workload.Memcached, workload.Webserver, workload.Cassandra, workload.SingleNode} {
+				for i := 0; i < 2; i++ {
+					w := u.New(workload.Spec{Type: tp, Family: -1, MaxNodes: 2})
+					w.Genome.Work = 1e12
+					live = append(live, w)
+				}
+			}
+			// Waves of 100 one-tick jobs, one wave per tick: what does not
+			// fit waits in the queue and drains as earlier waves complete.
+			for i := 0; i < history; i++ {
+				w := u.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
+				w.Genome.Work = 1
+				rt.Submit(w, float64(i/100)*rt.TickSecs()+1, nil)
+			}
+			at := float64(history/100)*rt.TickSecs() + 10
+			rt.Run(at)
+			for _, w := range live {
+				var load loadgen.Pattern
+				if w.Type.Class() == perfmodel.LatencyCritical {
+					load = loadgen.Flat{QPS: w.Target.QPS * 0.5}
+				}
+				rt.Submit(w, at, load)
+			}
+			rt.Run(at + 300)
+			done, running := 0, 0
+			for _, t := range rt.Tasks() {
+				switch t.Status {
+				case StatusCompleted:
+					done++
+				case StatusRunning:
+					running++
+				}
+			}
+			if done != history || running != 8 {
+				b.Fatalf("%d of %d history tasks completed and %d of 8 live tasks running", done, history, running)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt.Run(rt.Eng.Now() + rt.TickSecs())
+			}
+		})
 	}
 }

@@ -68,9 +68,9 @@ type Engine struct {
 	tr   *obs.Tracer
 	tick float64
 
-	// byPos[i] is the state of the task at position i of rt.Tasks() (nil
-	// until first sight). Tasks() only appends, so a position names one task
-	// for the whole run and the per-tick sweep needs no lookup by ID.
+	// byPos[i] is the state of the task whose Task.Pos is i (nil until first
+	// sight). A position names one task for the whole run, so the per-tick
+	// sweep needs no lookup by ID.
 	byPos  []*wstate
 	states map[string]*wstate // by workload ID, for the health score's residents
 	order  []*wstate          // tracked workloads in first-seen (submission) order
@@ -180,23 +180,27 @@ func started(t *core.Task) bool {
 func (e *Engine) onTick(now float64) {
 	t0 := e.Prof.Begin()
 	defer e.Prof.End(prof.SubSLO, t0)
-	// Evaluate in submission order. Best-effort workloads carry no
-	// guarantee, so they carry no SLO.
-	tasks := e.rt.Tasks()
-	if grow := len(tasks) - len(e.byPos); grow > 0 {
-		// Entries past len(byPos) were never written, so the new slots are
-		// nil: no state yet.
-		e.byPos = slices.Grow(e.byPos, grow)[:len(tasks)]
+	// Evaluate the live tasks in submission order: a task leaves Live only
+	// after the sweep in which it completed, which closed its state here.
+	// Best-effort workloads carry no guarantee, so they carry no SLO.
+	tasks := e.rt.Live()
+	if n := len(tasks); n > 0 {
+		// The last live task has the highest position. Entries past
+		// len(byPos) were never written, so the new slots are nil: no state
+		// yet.
+		if want := tasks[n-1].Pos() + 1; want > len(e.byPos) {
+			e.byPos = slices.Grow(e.byPos, want-len(e.byPos))[:want]
+		}
 	}
-	for i, t := range tasks {
+	for _, t := range tasks {
 		if t.W.BestEffort {
 			continue
 		}
-		ws := e.byPos[i]
+		ws := e.byPos[t.Pos()]
 		if ws == nil {
 			if t.Status != core.StatusCompleted && started(t) {
 				ws = e.newState(t)
-				e.byPos[i] = ws
+				e.byPos[t.Pos()] = ws
 				e.states[t.W.ID] = ws
 				e.order = append(e.order, ws)
 			} else {
