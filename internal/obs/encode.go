@@ -127,12 +127,22 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 // 'f' form, or 'e' form below 1e-6 and from 1e21 with a two-digit negative
 // exponent's leading zero dropped (e-09 -> e-9). A non-finite value is the
 // error encoding/json itself reports for it.
+//
+// Integer values below 2^53 — every tick time, most free-memory and pressure
+// figures — take strconv.AppendInt: there every integer is a float, so the
+// shortest 'f' form is exactly its decimal digits. -0 prints "-0" and takes
+// the general path.
 func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		_, err := json.Marshal(f)
 		return dst, err
 	}
 	abs := math.Abs(f)
+	if abs < 1<<53 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) { //lint:allow(floatcmp) exact integer test: below 2^53 the conversion is lossless
+			return strconv.AppendInt(dst, i, 10), nil
+		}
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) { //lint:allow(floatcmp) encoding/json's own exact test
 		format = 'e'

@@ -88,6 +88,46 @@ func fullSchedule() ScheduleDecision {
 	}
 }
 
+// replayDecision is a 185-candidate scheduling decision in serve_replay's
+// value mix: on a 200-server cluster most servers are pristine, so every
+// free_mem_gb and about 85% of pressures hold integers while qualities are
+// fractional.
+func replayDecision() ScheduleDecision {
+	cands := make([]Candidate, 185)
+	for i := range cands {
+		pressure := 0.0
+		if i%20 >= 17 {
+			pressure = 0.2601473735856961 / float64(1+i%3)
+		}
+		cands[i] = Candidate{Server: 15 + i, Platform: string(rune('A' + i%10)), Quality: 11.318039500586975 / float64(1+i%7),
+			FreeCores: 4 * (1 + i%6), FreeMemGB: float64(8 * (1 + i%6)), Compatible: i%9 != 0, Pressure: pressure, Picked: i < 2}
+	}
+	return ScheduleDecision{
+		Workload: "hadoop-0931", NeedPerf: 31.364727726207274, Want: 34.501200498828005, MaxNodes: 4,
+		Candidates: cands, Picks: []NodePick{{Server: 15, Cores: 8, MemGB: 16, EstPerf: 17.25}, {Server: 16, Cores: 8, MemGB: 16, EstPerf: 15.5}},
+		EstPerf: 32.75, CostPerHour: 1.92, Outcome: OutcomePlaced,
+	}
+}
+
+// BenchmarkAppendScheduleDecision encodes one decision event line the size
+// of serve_replay's: 185 candidates, nine floats each.
+func BenchmarkAppendScheduleDecision(b *testing.B) {
+	ev := Event{Seq: 41, Time: 1805, Phase: PhaseInstant, Cat: "sched", Name: "decision", Track: "manager",
+		Args: []Arg{{Key: "decision", Val: replayDecision()}}}
+	buf, err := appendEventLine(nil, &ev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = appendEventLine(buf[:0], &ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // edgeEvents is the table of encoder edge cases: every rule of the wire format
 // the typed appenders re-implement, and every way out of them.
 func edgeEvents() []Event {
@@ -250,10 +290,12 @@ func TestChromeArgsMatchReference(t *testing.T) {
 // FuzzEventLineMatchesReference drives both encoders with fuzzed float bits,
 // integers, string bytes and candidate counts placed in every position a value
 // of that kind can take. The seed corpus under testdata/fuzz (one file per
-// format boundary: the 'f'/'e' switches, -0, subnormals, non-finite values,
-// escapes, invalid UTF-8, a 184-candidate ranking) replays in normal `go test`
-// runs; `go test -fuzz=FuzzEventLineMatchesReference ./internal/obs` explores
-// further.
+// format boundary: the 'f'/'e' switches and the floats either side of them,
+// ±0, integers up to and past 2^53 for the integer fast path — 2^60+256 is
+// one whose shortest 'f' form is not its digits — subnormals, non-finite
+// values, escapes, invalid UTF-8, 184- and 185-candidate rankings) replays in
+// normal `go test` runs; `go test -fuzz=FuzzEventLineMatchesReference
+// ./internal/obs` explores further.
 func FuzzEventLineMatchesReference(f *testing.F) {
 	f.Add(math.Float64bits(0.75), int64(4), []byte("w0@2"), uint8(2))
 	f.Fuzz(func(t *testing.T, bits uint64, n int64, raw []byte, ncand uint8) {
