@@ -47,32 +47,34 @@ lint: fmt-check
 	$(GO) run ./cmd/quasar-lint ./...
 
 ## bench: run the repository benchmarks — one iteration of every paper
-## artifact, then the classifier's inner loops (BenchmarkTrain must stay flat
-## in the number of rows; a retrain point is a freeze plus a fit, and
-## BenchmarkFreeze times only the freeze's copy; BenchmarkTopK
-## is the fit's SVD seed at the end-of-day scale-up shape, and BenchmarkSymEig
-## its cubic term; BenchmarkNodePerf is paid per node per tick;
-## BenchmarkSeedLibrary seeds sim_day_mixed's 84-row offline library, paid
-## once per world build), the oracle target sweep at 8 and 100 nodes (BenchmarkOracleBestCompletion:
-## paid per targeted batch arrival) and one arrival's instance generation
-## (BenchmarkUniverseNew: a targeted Hadoop job, a service and a single-node
-## job), then the
-## random streams: minting one builds no register (BenchmarkNewRNG,
-## BenchmarkStream), a typical stream is minted and drawn 19 times
-## (BenchmarkStreamDraws: paid per workload), and SGD's shuffle runs on a
-## built register (BenchmarkShuffle), then the scheduler: a full, settled
-## ranking of a packed cluster through the index and the scan oracle
-## (BenchmarkRank) and one decision in sim_scale_churn's shape, which reads
-## only the top of its ranking (BenchmarkSchedule), then one replayed journal
-## entry of serve_replay's mix through JournalReader.Next next to the
-## encoding/json decode it falls back to (BenchmarkJournalNext). These are
-## all of the repository's benchmarks; CI's bench job runs each once.
+## artifact (BenchmarkTable2Validation among them), then every benchmark under
+## internal/ with -benchmem. The second line selects by package, not by name,
+## so a new benchmark cannot be missed. They are: the classifier's inner loops
+## (BenchmarkTrain must stay flat in the number of rows, BenchmarkTrainWarm
+## times a warm refit against a cold one; a retrain point is a freeze plus a
+## fit, and BenchmarkFreeze times only the freeze's copy; BenchmarkTopK is the
+## fit's SVD seed at the end-of-day scale-up shape, and BenchmarkSymEig its
+## cubic term; BenchmarkFoldIn is one arrival's fold-in; BenchmarkNodePerf is
+## paid per node per tick; BenchmarkSeedLibrary seeds sim_day_mixed's 84-row
+## offline library, paid once per world build), the oracle target sweep at 8
+## and 100 nodes (BenchmarkOracleBestCompletion: paid per targeted batch
+## arrival) and one arrival's instance generation (BenchmarkUniverseNew: a
+## targeted Hadoop job, a service and a single-node job), the random streams:
+## minting one builds no register (BenchmarkNewRNG, BenchmarkStream), a typical
+## stream is minted and drawn 19 times (BenchmarkStreamDraws: paid per
+## workload), and SGD's shuffle runs on a built register (BenchmarkShuffle),
+## the scheduler: a full, settled ranking of a packed cluster through the
+## index and the scan oracle (BenchmarkRank) and one decision in
+## sim_scale_churn's shape, which reads only the top of its ranking
+## (BenchmarkSchedule), one replayed journal entry of serve_replay's mix
+## through JournalReader.Next next to the encoding/json decode it falls back
+## to (BenchmarkJournalNext), one tick over a fixed live set behind 0 and
+## 10 000 completed tasks, which should cost the same (BenchmarkTickHistory),
+## and one 185-candidate decision event line of serve_replay's value mix
+## (BenchmarkAppendScheduleDecision). CI's bench job runs each of them once.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-	$(GO) test -bench='^Benchmark(Train|Freeze|TopK|SymEig|NodePerf|SeedLibrary|OracleBestCompletion|UniverseNew)$$' -benchmem -run=^$$ ./internal/cf ./internal/classify ./internal/workload
-	$(GO) test -bench='^Benchmark(NewRNG|Stream|StreamDraws|Shuffle)$$' -benchmem -run=^$$ ./internal/sim
-	$(GO) test -bench='^Benchmark(Rank|Schedule)$$' -benchmem -run=^$$ ./internal/sched
-	$(GO) test -bench='^BenchmarkJournalNext$$' -benchmem -run=^$$ ./internal/serve
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/...
 
 ## ledger: the performance ledger — every bench/ workload untraced x3 and
 ## traced once, with the per-layer split (see bench/README.md)

@@ -147,11 +147,15 @@ type SLODetectResult struct {
 	HBMTTDSecs   float64 `json:"hb_mttd_secs"`
 }
 
-// steadyServiceLoad derives a flat offered load one node can comfortably
-// serve at QoS: half the QPS a half-machine allocation on the cluster's
-// biggest platform sustains at the target tail latency. Deriving from
-// modeled capacity rather than Target.QPS keeps the no-fault baseline
-// violation-free regardless of how optimistic the declared target is.
+// steadyServiceLoad derives a flat offered load from modeled capacity
+// rather than Target.QPS: 55% of the QPS a whole machine of the cluster's
+// biggest platform sustains at the target tail latency. What that
+// guarantees is headroom on one such machine free of interference,
+// whatever the declared target. It does not keep the no-fault baseline
+// violation-free: in a full cluster a service can be admitted onto smaller
+// partial allocations and stay below QoS with no move left, and ROADMAP.md
+// item 19 counts 82 of 288 monitored services with a pre-fault bad run of
+// at least 300 s over seeds 1–48.
 func steadyServiceLoad(s *Scenario, w *workload.Instance) loadgen.Pattern {
 	big := s.RT.Cl.Servers[0].Platform
 	for _, sv := range s.RT.Cl.Servers {

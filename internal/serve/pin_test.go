@@ -32,8 +32,8 @@ var churnDataset = &workload.Dataset{Name: "churn", SizeGB: 5, WorkMult: 0.05, M
 
 // churnScript is a journal of n entries, one a second, that turns the task
 // population over many times. Each run of 25 entries holds one Hadoop job on
-// an oracle-best deadline (it runs late past the SLO warm-up, fires a page
-// and completes with the alert open), four single-node jobs on a target,
+// an oracle-best deadline (some run late past the SLO warm-up, fire a page
+// and complete with the alert open), four single-node jobs on a target,
 // four evictions of the oldest best-effort submission not yet named, and
 // best-effort single-node filler. IDs follow the default library's seven
 // ordinals, so the first submission is 0008.
