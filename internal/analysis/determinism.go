@@ -568,8 +568,8 @@ func sortedAfter(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, obj types.Obje
 }
 
 // isSortCall recognizes deterministic-ordering calls: the sort and slices
-// packages, plus any function whose name mentions "sort" (local helpers
-// like sortInts).
+// packages, plus any function whose name mentions "sort" (local sort
+// helpers).
 func isSortCall(pass *Pass, call *ast.CallExpr) bool {
 	if pkgPath, _, ok := pkgFuncCall(pass, call); ok {
 		if pkgPath == "sort" || pkgPath == "slices" {

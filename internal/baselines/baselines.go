@@ -381,8 +381,8 @@ func (b *Baseline) autoscale(t *core.Task, st *resState, now float64) {
 		st.lastScale = now
 		b.tryPlace(t, st)
 	case load < scaleDownLoad && t.NumNodes() > 1:
-		ids := t.Servers()
-		_ = b.rt.RemoveNode(t, ids[len(ids)-1])
+		pls := t.Placements()
+		_ = b.rt.RemoveNode(t, pls[len(pls)-1].Server.ID)
 		st.nodes = t.NumNodes()
 		st.lastScale = now
 	}

@@ -131,7 +131,7 @@ func TestParagonAssignmentPrefersGoodServers(t *testing.T) {
 		t.Fatalf("status %v", task.Status)
 	}
 	if task.NumNodes() > 0 {
-		srv := rt.Cl.Servers[task.Servers()[0]]
+		srv := task.Placements()[0].Server
 		if srv.Platform.Name == "A" {
 			t.Fatal("Paragon picked the weakest platform on an idle cluster")
 		}

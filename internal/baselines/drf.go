@@ -112,9 +112,7 @@ func (d *DRF) dominantShare(st *drfState) float64 {
 	totalCores := float64(d.rt.Cl.TotalCores())
 	totalMem := d.rt.Cl.TotalMemGB()
 	cores, mem := 0.0, 0.0
-	for _, id := range st.task.Servers() {
-		srv := d.rt.Cl.Servers[id]
-		pl := srv.Placement(st.task.W.ID)
+	for _, pl := range st.task.Placements() {
 		cores += float64(pl.Alloc.Cores)
 		mem += pl.Alloc.MemoryGB
 	}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // Alloc is the per-server share of an allocation: a number of cores and an
@@ -67,12 +69,11 @@ type Server struct {
 	ID       int
 	Platform *Platform
 
-	usedCores  int
-	usedMemGB  float64
-	placements map[string]*Placement
-	// order mirrors placements sorted by workload ID, maintained on
-	// Place/Remove, so the per-decision sweeps over residents iterate
-	// deterministically without sorting or allocating.
+	usedCores int
+	usedMemGB float64
+	// order holds the resident placements ascending by workload ID, so the
+	// per-decision sweeps over residents iterate deterministically without
+	// sorting or allocating, and find locates one by binary search.
 	order     []*Placement
 	pressure  ResVec // sum of residents' Caused vectors
 	probe     ResVec // injected microbenchmark pressure (iBench-style)
@@ -110,7 +111,15 @@ type Server struct {
 
 // NewServer returns an empty server of the given platform.
 func NewServer(id int, p *Platform) *Server {
-	return &Server{ID: id, Platform: p, placements: make(map[string]*Placement), pidx: -1}
+	return &Server{ID: id, Platform: p, pidx: -1}
+}
+
+// find locates the workload's placement in order: its index, or where it
+// would be inserted.
+func (s *Server) find(workloadID string) (int, bool) {
+	return slices.BinarySearchFunc(s.order, workloadID, func(pl *Placement, id string) int {
+		return strings.Compare(pl.WorkloadID, id)
+	})
 }
 
 // PlatformIdx returns the position of the server's platform in its
@@ -232,7 +241,8 @@ func (s *Server) Place(workloadID string, alloc Alloc, caused ResVec, bestEffort
 	if !alloc.Valid() {
 		return nil, fmt.Errorf("cluster: invalid alloc %+v for %s", alloc, workloadID)
 	}
-	if _, dup := s.placements[workloadID]; dup {
+	i, dup := s.find(workloadID)
+	if dup {
 		return nil, fmt.Errorf("cluster: %s already placed on server %d", workloadID, s.ID)
 	}
 	if !s.Reachable() {
@@ -244,11 +254,7 @@ func (s *Server) Place(workloadID string, alloc Alloc, caused ResVec, bestEffort
 			s.ID, alloc, s.FreeCores(), s.FreeMemGB())
 	}
 	pl := &Placement{WorkloadID: workloadID, Server: s, Alloc: alloc, Caused: caused, BestEffort: bestEffort}
-	s.placements[workloadID] = pl
-	s.order = append(s.order, pl)
-	for i := len(s.order) - 1; i > 0 && s.order[i].WorkloadID < s.order[i-1].WorkloadID; i-- {
-		s.order[i], s.order[i-1] = s.order[i-1], s.order[i]
-	}
+	s.order = slices.Insert(s.order, i, pl)
 	s.usedCores += alloc.Cores
 	s.usedMemGB += alloc.MemoryGB
 	s.pressure = s.pressure.Add(caused)
@@ -259,17 +265,12 @@ func (s *Server) Place(workloadID string, alloc Alloc, caused ResVec, bestEffort
 // Remove releases the workload's placement. It is an error to remove a
 // workload that is not placed here.
 func (s *Server) Remove(workloadID string) error {
-	pl, ok := s.placements[workloadID]
+	i, ok := s.find(workloadID)
 	if !ok {
 		return fmt.Errorf("cluster: %s not placed on server %d", workloadID, s.ID)
 	}
-	delete(s.placements, workloadID)
-	for i, p := range s.order {
-		if p == pl {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	pl := s.order[i]
+	s.order = slices.Delete(s.order, i, i+1)
 	s.usedCores -= pl.Alloc.Cores
 	s.usedMemGB -= pl.Alloc.MemoryGB
 	s.pressure = s.pressure.Sub(pl.Caused)
@@ -280,8 +281,8 @@ func (s *Server) Remove(workloadID string) error {
 // Resize changes the allocation and caused-pressure of an existing
 // placement in place (scale-up/down adjustment).
 func (s *Server) Resize(workloadID string, alloc Alloc, caused ResVec) error {
-	pl, ok := s.placements[workloadID]
-	if !ok {
+	pl := s.Placement(workloadID)
+	if pl == nil {
 		return fmt.Errorf("cluster: %s not placed on server %d", workloadID, s.ID)
 	}
 	if !s.Reachable() {
@@ -302,7 +303,12 @@ func (s *Server) Resize(workloadID string, alloc Alloc, caused ResVec) error {
 }
 
 // Placement returns the placement of the given workload, or nil.
-func (s *Server) Placement(workloadID string) *Placement { return s.placements[workloadID] }
+func (s *Server) Placement(workloadID string) *Placement {
+	if i, ok := s.find(workloadID); ok {
+		return s.order[i]
+	}
+	return nil
+}
 
 // Placements returns the resident placements in workload-ID order
 // (deterministic iteration). The slice is the server's live ordering —
@@ -311,7 +317,7 @@ func (s *Server) Placement(workloadID string) *Placement { return s.placements[w
 func (s *Server) Placements() []*Placement { return s.order }
 
 // NumPlacements returns the number of resident workloads.
-func (s *Server) NumPlacements() int { return len(s.placements) }
+func (s *Server) NumPlacements() int { return len(s.order) }
 
 // SetProbe injects extra shared-resource pressure (the interference
 // microbenchmarks of §3.2/§4.1). It replaces any previous probe.
@@ -353,7 +359,7 @@ func clampUnit(x float64) float64 {
 // "" to get total pressure.
 func (s *Server) PressureOn(workloadID string) ResVec {
 	p := s.pressure.Add(s.probe).Add(s.degrade)
-	if pl, ok := s.placements[workloadID]; ok {
+	if pl := s.Placement(workloadID); pl != nil {
 		p = p.Sub(pl.Caused)
 	}
 	for r := range p {
@@ -364,7 +370,7 @@ func (s *Server) PressureOn(workloadID string) ResVec {
 
 // CPUUtilization returns actually-busy cores divided by total cores.
 // Summation runs in workload-ID order: float addition is not associative,
-// so summing in map order would change the last bits run to run.
+// so only a fixed order keeps the last bits reproducible run to run.
 // A down server does no work, whatever stale placements it still carries.
 func (s *Server) CPUUtilization() float64 {
 	if s.down {

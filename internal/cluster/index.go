@@ -176,7 +176,7 @@ func (s *Server) recomputeEv() {
 // no residual accounting, no injected pressure, no partitioning config. The
 // checks are exact on purpose — see the file comment.
 func (s *Server) isPristine() bool {
-	return len(s.placements) == 0 && s.usedCores == 0 &&
+	return len(s.order) == 0 && s.usedCores == 0 &&
 		s.usedMemGB == 0 && //lint:allow(floatcmp) structural exact-zero: residue demotes to the per-server path, never misclassifies
 		s.pressure == (ResVec{}) && s.probe == (ResVec{}) &&
 		s.degrade == (ResVec{}) && s.isolation == (ResVec{})

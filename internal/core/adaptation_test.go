@@ -76,8 +76,8 @@ func TestBestEffortAvoidsSensitiveResidents(t *testing.T) {
 	}
 	svcServers := map[int]bool{}
 	task := rt.Task(svc.ID)
-	for _, id := range task.Servers() {
-		svcServers[id] = true
+	for _, pl := range task.Placements() {
+		svcServers[pl.Server.ID] = true
 	}
 	if len(svcServers) == 0 {
 		t.Fatal("service not placed")
@@ -93,8 +93,8 @@ func TestBestEffortAvoidsSensitiveResidents(t *testing.T) {
 		if !other.W.BestEffort || other.Status != StatusRunning {
 			continue
 		}
-		for _, id := range other.Servers() {
-			if svcServers[id] {
+		for _, pl := range other.Placements() {
+			if svcServers[pl.Server.ID] {
 				t.Fatalf("filler %s colocated with a zero-tolerance service", other.W.ID)
 			}
 		}

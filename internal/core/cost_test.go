@@ -22,8 +22,8 @@ func TestCostCapLimitsAllocation(t *testing.T) {
 		rt.Run(400)
 		rt.Stop()
 		plats = map[string]bool{}
-		for _, id := range task.Servers() {
-			plats[rt.Cl.Servers[id].Platform.Name] = true
+		for _, pl := range task.Placements() {
+			plats[pl.Server.Platform.Name] = true
 		}
 		return task.TotalCores(), plats
 	}

@@ -206,8 +206,8 @@ func TestQuasarReadmitsDisplacedServiceWithoutReprofile(t *testing.T) {
 	if task.NumNodes() == 0 {
 		t.Fatal("service never placed")
 	}
-	for _, id := range task.Servers() {
-		rt.CrashServer(id)
+	for _, pl := range task.Placements() {
+		rt.CrashServer(pl.Server.ID) // crashing fences nothing yet: the slice stays as it is
 	}
 	rt.Run(1200)
 	rt.Stop()

@@ -37,7 +37,7 @@ func TestPartitioningEnablesIsolationUnderContention(t *testing.T) {
 	if task.NumNodes() == 0 {
 		t.Fatal("service not placed")
 	}
-	srv := rt.Cl.Servers[task.Servers()[0]]
+	srv := task.Placements()[0].Server
 	var hot cluster.ResVec
 	hot[cluster.ResLLC] = 0.9
 	hot[cluster.ResNetBW] = 0.9
@@ -83,7 +83,7 @@ func TestPartitioningReleasedWhenUnneeded(t *testing.T) {
 	rt.Submit(svc, 0, loadgen.Flat{QPS: 0.7 * svc.Target.QPS})
 	rt.Run(400)
 	task := rt.Task(svc.ID)
-	srv := rt.Cl.Servers[task.Servers()[0]]
+	srv := task.Placements()[0].Server
 	var hot cluster.ResVec
 	hot[cluster.ResLLC] = 0.9
 	srv.SetProbe(hot)

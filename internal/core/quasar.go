@@ -525,8 +525,7 @@ func (q *Quasar) monitor(t *Task, st *taskState) {
 // allocCostPerHour prices the task's current allocation.
 func (q *Quasar) allocCostPerHour(t *Task) float64 {
 	cost := 0.0
-	for _, id := range t.serverIDs {
-		pl := t.placements[id]
+	for _, pl := range t.placements {
 		cost += float64(pl.Alloc.Cores) * sched.CostPerCoreHour(pl.Server.Platform)
 	}
 	return cost
@@ -556,9 +555,9 @@ func (q *Quasar) scaleUpOrOut(t *Task, st *taskState, need, measured float64) (p
 		}
 		return
 	}
-	// Scale up in place.
-	for _, id := range t.Servers() {
-		pl := t.placements[id]
+	// Scale up in place. The loop leaves t's placement set as it is: Resize
+	// keeps it, and the evicted fillers are other tasks (t is not best-effort).
+	for _, pl := range t.placements {
 		srv := pl.Server
 		freeC, freeM := srv.FreeCores(), srv.FreeMemGB()
 		// Evict best-effort residents if that frees capacity. The IDs are
@@ -639,12 +638,8 @@ func (q *Quasar) scaleUpOrOut(t *Task, st *taskState, need, measured float64) (p
 	for _, ev := range asn.Evictions {
 		_ = q.rt.Evict(ev)
 	}
-	have := map[int]bool{}
-	for _, id := range t.Servers() {
-		have[id] = true
-	}
 	for _, n := range asn.Nodes {
-		if have[n.Server.ID] {
+		if n.Server.Placement(t.W.ID) != nil {
 			continue // already on this server; Place would fail
 		}
 		if q.rt.Place(t, n.Server, n.Alloc) == nil {
@@ -675,8 +670,7 @@ func (q *Quasar) retuneConfig(t *Task, st *taskState, alloc cluster.Alloc) {
 // the next call.
 func (q *Quasar) nodeChoices(t *Task) []classify.NodeChoice {
 	out := q.choices[:0]
-	for _, id := range t.serverIDs {
-		pl := t.placements[id]
+	for _, pl := range t.placements {
 		out = append(out, classify.NodeChoice{
 			PlatformIdx: pl.Server.PlatformIdx(),
 			Alloc:       pl.Alloc,
@@ -709,10 +703,8 @@ func (q *Quasar) reschedule(t *Task, st *taskState, measured float64) {
 		srv   *cluster.Server
 		alloc cluster.Alloc
 	}
-	ids := t.Servers()
-	old := make([]heldAlloc, 0, len(ids))
-	for _, id := range ids {
-		pl := t.placements[id]
+	old := make([]heldAlloc, 0, len(t.placements))
+	for _, pl := range t.placements {
 		old = append(old, heldAlloc{pl.Server, pl.Alloc})
 	}
 	q.rt.Release(t)
@@ -757,19 +749,18 @@ func (q *Quasar) reclaim(t *Task, st *taskState, need, measured float64) {
 	// back into scale-up territory: reclaim steps are coarse (a whole node,
 	// half an allocation), and over-shrinking at a load trough costs a
 	// latency excursion plus a scale-up round trip on the next rise.
-	ids := t.Servers()
-	if len(ids) > 1 {
+	if n := len(t.placements); n > 1 {
 		choices := q.nodeChoices(t)
 		if st.est.JobPerf(choices[:len(choices)-1]) < 1.2*need {
 			return
 		}
-		last := ids[len(ids)-1]
+		last := t.placements[n-1].Server.ID
 		if q.rt.RemoveNode(t, last) == nil && q.tracer.Enabled() {
 			actions = append(actions, fmt.Sprintf("drop server %d", last))
 		}
 		return
 	}
-	pl := t.placements[ids[0]]
+	pl := t.placements[0]
 	if pl.Alloc.Cores > 1 {
 		shrunk := cluster.Alloc{
 			Cores:    max(1, pl.Alloc.Cores/2),

@@ -31,7 +31,7 @@ func TestScaleUpEvictsEachFillerOnce(t *testing.T) {
 	if primary.Status != StatusRunning || primary.NumNodes() != 1 {
 		t.Fatalf("primary is %v on %d nodes, want running on 1", primary.Status, primary.NumNodes())
 	}
-	srv := rt.Cl.Servers[primary.Servers()[0]]
+	srv := primary.Placements()[0].Server
 	// Shrink the primary to one core, then fill the rest of the server with
 	// four fillers so no core is free. Their arrival is far in the future:
 	// the manager never sees them submitted, only evicted.

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -75,21 +76,19 @@ type Task struct {
 	QoSFrac         *metrics.Series    // fraction of queries meeting QoS per tick
 	LatencyDist     *metrics.Histogram // streaming per-tick p99 samples, O(buckets) memory
 
-	// UsedPlatforms accumulates the platform names the task was ever
-	// placed on (Table 3's "server type" row).
-	UsedPlatforms map[string]bool
+	// UsedPlatforms accumulates the names of the platforms the task was
+	// ever placed on, sorted (Table 3's "server type" row).
+	UsedPlatforms []string
 
 	// PeakCores is the largest simultaneous core allocation observed.
 	PeakCores int
 
-	placements map[int]*cluster.Placement // by server ID
-	// serverIDs mirrors the placement keys in ascending order, maintained
-	// on Place/RemoveNode, so per-tick sweeps iterate deterministically
-	// without sorting or map iteration.
-	serverIDs []int
-	qosState  int8 // 0 unknown, 1 meeting QoS, -1 missing (trace edge detection)
-	started   bool // FirstStartAt is set
-	pos       int  // index in Runtime.Tasks(), written once by Submit
+	// placements ascend by server ID, so per-tick sweeps iterate
+	// deterministically without sorting.
+	placements []*cluster.Placement
+	qosState   int8 // 0 unknown, 1 meeting QoS, -1 missing (trace edge detection)
+	started    bool // FirstStartAt is set
+	pos        int  // index in Runtime.Tasks(), written once by Submit
 
 	// truth memoises the task's ground-truth rate (see Runtime.truthValid);
 	// offered memoises Load at the sim instant offeredAt (NaN before the
@@ -112,31 +111,17 @@ type truthMemo struct {
 // indexed by it instead of by workload ID.
 func (t *Task) Pos() int { return t.pos }
 
-// Servers returns the IDs of servers currently hosting the task, ascending.
-// The result is the caller's to keep; hot paths inside the runtime iterate
-// the maintained serverIDs slice directly.
-func (t *Task) Servers() []int {
-	return append([]int(nil), t.serverIDs...)
-}
+// Placements returns the task's placements in ascending server-ID order.
+// The slice is the task's own — callers must not mutate it; it is valid
+// until the next Place or RemoveNode on this task.
+func (t *Task) Placements() []*cluster.Placement { return t.placements }
 
-// insertID inserts id into ascending ids (no-op duplicates never occur:
-// Place rejects double-placement at the cluster layer).
-func insertID(ids []int, id int) []int {
-	ids = append(ids, id)
-	for i := len(ids) - 1; i > 0 && ids[i] < ids[i-1]; i-- {
-		ids[i], ids[i-1] = ids[i-1], ids[i]
-	}
-	return ids
-}
-
-// removeID deletes id from ascending ids, preserving order.
-func removeID(ids []int, id int) []int {
-	for i, v := range ids {
-		if v == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
+// placementIdx finds the task's placement on server id: its index, or
+// where it would be inserted.
+func (t *Task) placementIdx(id int) (int, bool) {
+	return slices.BinarySearchFunc(t.placements, id, func(pl *cluster.Placement, id int) int {
+		return cmp.Compare(pl.Server.ID, id)
+	})
 }
 
 // NumNodes returns the current allocation width.
@@ -149,14 +134,6 @@ func (t *Task) TotalCores() int {
 		n += pl.Alloc.Cores
 	}
 	return n
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Manager is the decision-maker plugged into the runtime. The runtime
@@ -331,16 +308,14 @@ func (rt *Runtime) Manager() Manager { return rt.manager }
 // Submit schedules a workload arrival at time at.
 func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern) *Task {
 	t := &Task{
-		W:             w,
-		Status:        StatusQueued,
-		SubmitAt:      at,
-		Load:          load,
-		QoSFrac:       &metrics.Series{Name: w.ID + "/qos"},
-		LatencyDist:   metrics.NewHistogram(0.01),
-		UsedPlatforms: make(map[string]bool),
-		placements:    make(map[int]*cluster.Placement),
-		offeredAt:     math.NaN(),
-		pos:           len(rt.ordered),
+		W:           w,
+		Status:      StatusQueued,
+		SubmitAt:    at,
+		Load:        load,
+		QoSFrac:     &metrics.Series{Name: w.ID + "/qos"},
+		LatencyDist: metrics.NewHistogram(0.01),
+		offeredAt:   math.NaN(),
+		pos:         len(rt.ordered),
 	}
 	rt.tasks[w.ID] = t
 	rt.ordered = append(rt.ordered, t)
@@ -381,10 +356,12 @@ func (rt *Runtime) Place(t *Task, server *cluster.Server, alloc cluster.Alloc) e
 	if err != nil {
 		return err
 	}
-	t.placements[server.ID] = pl
-	t.serverIDs = insertID(t.serverIDs, server.ID)
+	i, _ := t.placementIdx(server.ID) // server.Place refused a second placement
+	t.placements = slices.Insert(t.placements, i, pl)
 	t.truth = truthMemo{}
-	t.UsedPlatforms[server.Platform.Name] = true
+	if j, used := slices.BinarySearch(t.UsedPlatforms, server.Platform.Name); !used {
+		t.UsedPlatforms = slices.Insert(t.UsedPlatforms, j, server.Platform.Name)
+	}
 	if tc := t.TotalCores(); tc > t.PeakCores {
 		t.PeakCores = tc
 	}
@@ -422,15 +399,14 @@ func (rt *Runtime) Resize(t *Task, server *cluster.Server, alloc cluster.Alloc) 
 
 // RemoveNode releases the task's share of one server (scale-in).
 func (rt *Runtime) RemoveNode(t *Task, serverID int) error {
-	pl, ok := t.placements[serverID]
+	i, ok := t.placementIdx(serverID)
 	if !ok {
 		return fmt.Errorf("core: %s not on server %d", t.W.ID, serverID)
 	}
-	if err := pl.Server.Remove(t.W.ID); err != nil {
+	if err := t.placements[i].Server.Remove(t.W.ID); err != nil {
 		return err
 	}
-	delete(t.placements, serverID)
-	t.serverIDs = removeID(t.serverIDs, serverID)
+	t.placements = slices.Delete(t.placements, i, i+1)
 	t.truth = truthMemo{}
 	if rt.Trace.Enabled() {
 		rt.Trace.EndAsync(spanID(t.W.ID, serverID), serverTrack(serverID), "placement", t.W.ID)
@@ -440,12 +416,12 @@ func (rt *Runtime) RemoveNode(t *Task, serverID int) error {
 
 // Release frees all of the task's resources in ascending server order, so
 // floating-point pressure bookkeeping is reproducible. It iterates the live
-// serverIDs slice, advancing only past servers whose removal failed.
+// placements slice, advancing only past servers whose removal failed.
 func (rt *Runtime) Release(t *Task) {
-	for i := 0; i < len(t.serverIDs); {
-		n := len(t.serverIDs)
-		_ = rt.RemoveNode(t, t.serverIDs[i])
-		if len(t.serverIDs) == n {
+	for i := 0; i < len(t.placements); {
+		n := len(t.placements)
+		_ = rt.RemoveNode(t, t.placements[i].Server.ID)
+		if len(t.placements) == n {
 			i++ // removal failed; leave the placement and move on
 		}
 	}
@@ -480,9 +456,8 @@ func (rt *Runtime) Evict(id string) error {
 // It runs only on a truth-memo miss, so it allocates per call rather than
 // keeping a scratch buffer.
 func (rt *Runtime) nodesOf(t *Task) []perfmodel.NodeAlloc {
-	nodes := make([]perfmodel.NodeAlloc, 0, len(t.serverIDs))
-	for _, id := range t.serverIDs {
-		pl := t.placements[id]
+	nodes := make([]perfmodel.NodeAlloc, 0, len(t.placements))
+	for _, pl := range t.placements {
 		if !pl.Server.Up() {
 			// Crashed but not yet detected: the placement is still on the
 			// books, but the machine does no work.
@@ -509,8 +484,8 @@ func (rt *Runtime) truthValid(t *Task) bool {
 	if !m.ok || m.cfg != t.W.Config {
 		return false
 	}
-	for _, id := range t.serverIDs {
-		if rt.Cl.Servers[id].Stamp() > m.gen {
+	for _, pl := range t.placements {
+		if pl.Server.Stamp() > m.gen {
 			return false
 		}
 	}
@@ -625,8 +600,7 @@ func (rt *Runtime) AddTickListener(fn func(now float64)) {
 func (rt *Runtime) tickBatch(t *Task, now, dt float64) {
 	rate := rt.TrueRate(t)
 	t.Progress += rate * dt
-	for _, id := range t.serverIDs {
-		pl := t.placements[id]
+	for _, pl := range t.placements {
 		pl.ActiveCores = t.W.Genome.UsefulCores(pl.Alloc, 1.0)
 		if cfg := t.W.Config; cfg != nil && float64(cfg.MappersPerNode) < pl.ActiveCores {
 			pl.ActiveCores = float64(cfg.MappersPerNode)
@@ -702,8 +676,7 @@ func (rt *Runtime) tickService(t *Task, now float64) {
 	if capQPS > 0 {
 		loadFactor = math.Min(1, lambda/capQPS)
 	}
-	for _, id := range t.serverIDs {
-		pl := t.placements[id]
+	for _, pl := range t.placements {
 		pl.ActiveCores = t.W.Genome.UsefulCores(pl.Alloc, loadFactor)
 		pl.ActiveMemGB = t.W.Genome.UsefulMemGB(pl.Alloc)
 		pl.ActiveDisk = pl.Caused[cluster.ResDiskIO] * loadFactor

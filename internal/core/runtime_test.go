@@ -228,14 +228,14 @@ func TestRemoveNodeScaleIn(t *testing.T) {
 	if task.NumNodes() != 3 {
 		t.Fatalf("%d nodes", task.NumNodes())
 	}
-	ids := task.Servers()
-	if err := rt.RemoveNode(task, ids[0]); err != nil {
+	id := task.Placements()[0].Server.ID
+	if err := rt.RemoveNode(task, id); err != nil {
 		t.Fatal(err)
 	}
 	if task.NumNodes() != 2 {
 		t.Fatal("scale-in failed")
 	}
-	if err := rt.RemoveNode(task, ids[0]); err == nil {
+	if err := rt.RemoveNode(task, id); err == nil {
 		t.Fatal("double remove succeeded")
 	}
 	rt.Stop()

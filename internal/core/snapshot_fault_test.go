@@ -47,7 +47,7 @@ func midFaultRun(t *testing.T) ([]byte, []byte, RecoveryStats) {
 	if svcTask.NumNodes() == 0 {
 		t.Fatal("service never placed")
 	}
-	crashed := svcTask.Servers()[0]
+	crashed := svcTask.Placements()[0].Server.ID
 	rt.CrashServer(crashed)
 	// Detection fences at t=270 (4 missed beats); failing over at 272 lands
 	// inside the open recovery episode, before the next monitor tick can

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"quasar/internal/sim"
@@ -237,7 +238,7 @@ func (d *QuasarDetector) Detect(now float64, tasks []*MapTask) []int {
 	}
 	// d.probing is a map: sort so same-tick detections report in a
 	// seed-stable order.
-	sortInts(out)
+	slices.Sort(out)
 	// Start probes on new suspects: instantaneous rate below 50% of the
 	// median rate (TaskTracker counters expose rates immediately).
 	var rs []float64

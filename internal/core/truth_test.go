@@ -18,7 +18,8 @@ import (
 // under the failure detector's fence, framework re-tuning, phase shifts and
 // plain time — and after each one requires every task's memoised rate, as
 // TrueRate and TrueCapacityQPS read it, to equal a from-scratch
-// JobRate(nodesOf(t)) bit for bit.
+// JobRate(nodesOf(t)) bit for bit, and the task and server placement indexes
+// to agree.
 func TestTruthMemoMatchesRecompute(t *testing.T) {
 	rt, u := newTestRuntime(t)
 	rt.SetManager(&nullManager{rt: rt}) // places nothing: the test drives every change
@@ -59,10 +60,43 @@ func TestTruthMemoMatchesRecompute(t *testing.T) {
 		return v
 	}
 	onServer := func(tk *Task) (int, bool) {
-		if len(tk.serverIDs) == 0 {
+		if len(tk.placements) == 0 {
 			return 0, false
 		}
-		return tk.serverIDs[rng.Intn(len(tk.serverIDs))], true
+		return tk.placements[rng.Intn(len(tk.placements))].Server.ID, true
+	}
+	// checkIndexes holds the two placement indexes to each other: every
+	// task's placements ascend by server ID and are the ones its servers
+	// hold, every server's ascend by workload ID, and both sides count the
+	// same placements.
+	checkIndexes := func(step int, op string) {
+		onTasks, onServers := 0, 0
+		for _, tk := range rt.Tasks() {
+			for i, pl := range tk.Placements() {
+				if i > 0 && pl.Server.ID <= tk.placements[i-1].Server.ID {
+					t.Fatalf("step %d (%s): %s placements out of server order at %d", step, op, tk.W.ID, i)
+				}
+				if got := pl.Server.Placement(tk.W.ID); got != pl {
+					t.Fatalf("step %d (%s): server %d holds %p for %s, task holds %p", step, op, pl.Server.ID, got, tk.W.ID, pl)
+				}
+			}
+			onTasks += tk.NumNodes()
+		}
+		for _, s := range rt.Cl.Servers {
+			pls := s.Placements()
+			for i := 1; i < len(pls); i++ {
+				if pls[i].WorkloadID <= pls[i-1].WorkloadID {
+					t.Fatalf("step %d (%s): server %d placements out of workload order at %d", step, op, s.ID, i)
+				}
+			}
+			if s.NumPlacements() != len(pls) {
+				t.Fatalf("step %d (%s): server %d NumPlacements %d, holds %d", step, op, s.ID, s.NumPlacements(), len(pls))
+			}
+			onServers += len(pls)
+		}
+		if onTasks != onServers {
+			t.Fatalf("step %d (%s): tasks hold %d placements, servers %d", step, op, onTasks, onServers)
+		}
 	}
 
 	ops := []struct {
@@ -112,6 +146,7 @@ func TestTruthMemoMatchesRecompute(t *testing.T) {
 	for step := 0; step < steps; step++ {
 		op := ops[rng.Intn(len(ops))]
 		op.do(tasks[rng.Intn(len(tasks))])
+		checkIndexes(step, op.name)
 		for _, tk := range tasks {
 			if rt.truthValid(tk) {
 				hits++

@@ -4,7 +4,6 @@ import (
 	"io"
 	"sort"
 
-	"quasar/internal/metrics"
 	"quasar/internal/trace"
 )
 
@@ -41,11 +40,13 @@ func (r *Fig1Result) Print(w io.Writer) {
 	for _, u := range []float64{10, 20, 30, 40, 50, 60, 80, 100} {
 		fprintf(w, "%-8.0f", u)
 		for _, week := range tr.WeeklyServerCPU {
-			var d metrics.Distribution
+			below := 0
 			for _, v := range week {
-				d.Add(v)
+				if v <= u {
+					below++
+				}
 			}
-			fprintf(w, " %6.1f", 100*d.FractionBelow(u))
+			fprintf(w, " %6.1f", 100*float64(below)/float64(max(len(week), 1)))
 		}
 		fprintf(w, "\n")
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 	"math"
-	"sort"
 
 	"quasar/internal/core"
 	"quasar/internal/workload"
@@ -96,11 +95,7 @@ func runSingleJob(kind ManagerKind, jobIdx int, cfg Fig5Config) (secs float64, t
 	} else {
 		secs = task.DoneAt - task.SubmitAt
 	}
-	for p := range task.UsedPlatforms {
-		plats = append(plats, p)
-	}
-	sort.Strings(plats)
-	return secs, w.Target.CompletionSecs, plats, w.Config, nil
+	return secs, w.Target.CompletionSecs, task.UsedPlatforms, w.Config, nil
 }
 
 // Fig5 runs each job under Quasar and under the Hadoop self-scheduler.

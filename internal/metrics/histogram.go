@@ -174,7 +174,9 @@ func (h *Histogram) Percentile(p float64) float64 {
 		rank = 1
 	}
 	if rank <= h.zero {
-		return 0
+		// Reported as 0, but like every quantile never above the observed
+		// maximum: with only negative samples, 0 would exceed p100.
+		return math.Min(0, h.max)
 	}
 	seen := h.zero
 	for k := range h.idx {

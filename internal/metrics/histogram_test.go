@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -41,6 +42,13 @@ func sampleSets(rng *rand.Rand) map[string][]float64 {
 	}
 }
 
+// nearestRank returns the p-th percentile (0..100) of ascending samples by
+// nearest rank: the exact answer the histogram approximates.
+func nearestRank(sorted []float64, p float64) float64 {
+	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	return sorted[min(max(rank, 0), len(sorted)-1)]
+}
+
 // TestHistogramQuantilesBoundedError is the property test of the streaming
 // histogram: for every population shape and every probed percentile, the
 // histogram's answer must be within the configured relative-error bound of
@@ -51,16 +59,16 @@ func TestHistogramQuantilesBoundedError(t *testing.T) {
 	for _, relErr := range []float64{0.005, 0.01, 0.05} {
 		for name, vals := range sampleSets(rng) {
 			h := NewHistogram(relErr)
-			var exact Distribution
 			for _, v := range vals {
 				h.Add(v)
-				exact.Add(v)
 			}
-			if h.N() != exact.N() {
-				t.Fatalf("%s/alpha=%v: histogram holds %d samples, want %d", name, relErr, h.N(), exact.N())
+			if h.N() != len(vals) {
+				t.Fatalf("%s/alpha=%v: histogram holds %d samples, want %d", name, relErr, h.N(), len(vals))
 			}
+			exact := append([]float64(nil), vals...)
+			sort.Float64s(exact)
 			for _, p := range percentiles {
-				got, want := h.Percentile(p), exact.Percentile(p)
+				got, want := h.Percentile(p), nearestRank(exact, p)
 				// Nearest-rank picks a sample; the histogram answers within
 				// alpha of *some* sample in the same bucket, so allow the
 				// bound plus a hair of float slack.
@@ -69,10 +77,14 @@ func TestHistogramQuantilesBoundedError(t *testing.T) {
 						name, relErr, p, got, want, d, relErr)
 				}
 			}
-			if g, w := h.Mean(), exact.Mean(); relDiff(g, w) > relErr {
+			sum := 0.0
+			for _, v := range exact {
+				sum += v
+			}
+			if g, w := h.Mean(), sum/float64(len(exact)); relDiff(g, w) > relErr {
 				t.Errorf("%s/alpha=%v: mean %v, exact %v (bucket-representative mean exceeds error bound)", name, relErr, g, w)
 			}
-			if g, w := h.Max(), exact.Max(); g != w {
+			if g, w := h.Max(), exact[len(exact)-1]; g != w {
 				t.Errorf("%s/alpha=%v: max %v, exact %v (max is tracked exactly)", name, relErr, g, w)
 			}
 		}
@@ -113,6 +125,14 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	}
 	if got := h.Min(); got != -3 {
 		t.Fatalf("min %v, want -3", got)
+	}
+	// With only negative samples the non-positive bucket reports the
+	// maximum, so percentiles stay monotone up to p100.
+	neg := NewHistogram(0.01)
+	neg.Add(-7)
+	neg.Add(-3)
+	if got := neg.Percentile(50); got != -3 {
+		t.Fatalf("p50 over {-7,-3} = %v, want -3 (the maximum)", got)
 	}
 }
 

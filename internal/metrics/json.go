@@ -30,29 +30,6 @@ func (s *Series) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// distributionJSON is the wire shape of a Distribution. Samples are written
-// in their current storage order; a Distribution that has answered a
-// percentile query stores them sorted, which is itself deterministic.
-type distributionJSON struct {
-	Vals []float64 `json:"vals"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (d *Distribution) MarshalJSON() ([]byte, error) {
-	return json.Marshal(distributionJSON{Vals: d.vals})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Distribution) UnmarshalJSON(data []byte) error {
-	var w distributionJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	d.vals = w.Vals
-	d.sorted = false
-	return nil
-}
-
 // histogramJSON is the wire shape of a Histogram. Buckets are stored as the
 // sorted parallel index/count slices, so output is byte-stable and
 // Unmarshal(Marshal(h)) reproduces h's observable state exactly.

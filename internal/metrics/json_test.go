@@ -38,42 +38,6 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDistributionJSONRoundTrip(t *testing.T) {
-	d := &Distribution{}
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		d.Add(v)
-	}
-	b, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Distribution
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != d.N() {
-		t.Fatalf("round-trip lost samples: %d vs %d", got.N(), d.N())
-	}
-	// Percentile queries work after decode (sorted flag reset correctly).
-	if got.Percentile(50) != 3 || got.Percentile(100) != 5 { //lint:allow(floatcmp) exact values
-		t.Fatalf("percentiles after decode: p50=%v p100=%v",
-			got.Percentile(50), got.Percentile(100))
-	}
-	// Once a percentile query has sorted the samples, re-marshalling emits the
-	// sorted order — still a valid, deterministic representation.
-	b2, err := json.Marshal(&got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var again Distribution
-	if err := json.Unmarshal(b2, &again); err != nil {
-		t.Fatal(err)
-	}
-	if again.N() != d.N() || again.Percentile(50) != 3 { //lint:allow(floatcmp) exact values
-		t.Fatalf("second round-trip broke distribution: %+v", again)
-	}
-}
-
 func TestHeatmapJSONRoundTrip(t *testing.T) {
 	h := NewHeatmap(2)
 	h.Sample(0, []float64{0.1, 0.2})

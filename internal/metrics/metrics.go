@@ -67,100 +67,6 @@ func (s *Series) MeanBetween(t0, t1 float64) float64 {
 	return sum / float64(n)
 }
 
-// Distribution accumulates values for percentile queries.
-type Distribution struct {
-	vals   []float64
-	sorted bool
-}
-
-// Add appends a sample.
-func (d *Distribution) Add(v float64) {
-	d.vals = append(d.vals, v)
-	d.sorted = false
-}
-
-// N returns the sample count.
-func (d *Distribution) N() int { return len(d.vals) }
-
-// Percentile returns the p-th percentile (0..100) by nearest-rank, or NaN
-// when empty.
-func (d *Distribution) Percentile(p float64) float64 {
-	if len(d.vals) == 0 {
-		return math.NaN()
-	}
-	if !d.sorted {
-		sort.Float64s(d.vals)
-		d.sorted = true
-	}
-	if p <= 0 {
-		return d.vals[0]
-	}
-	if p >= 100 {
-		return d.vals[len(d.vals)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(d.vals)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return d.vals[rank]
-}
-
-// Mean returns the sample mean, or NaN when empty.
-func (d *Distribution) Mean() float64 {
-	if len(d.vals) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range d.vals {
-		sum += v
-	}
-	return sum / float64(len(d.vals))
-}
-
-// Max returns the largest sample, or NaN when empty.
-func (d *Distribution) Max() float64 {
-	if len(d.vals) == 0 {
-		return math.NaN()
-	}
-	if !d.sorted {
-		sort.Float64s(d.vals)
-		d.sorted = true
-	}
-	return d.vals[len(d.vals)-1]
-}
-
-// FractionBelow returns the fraction of samples <= bound.
-func (d *Distribution) FractionBelow(bound float64) float64 {
-	if len(d.vals) == 0 {
-		return 0
-	}
-	if !d.sorted {
-		sort.Float64s(d.vals)
-		d.sorted = true
-	}
-	idx := sort.SearchFloat64s(d.vals, math.Nextafter(bound, math.Inf(1)))
-	return float64(idx) / float64(len(d.vals))
-}
-
-// CDF returns (value, cumulative fraction) pairs at the given number of
-// evenly spaced quantiles, for plotting CDFs like Fig. 1c.
-func (d *Distribution) CDF(points int) (vals, fracs []float64) {
-	if len(d.vals) == 0 || points < 2 {
-		return nil, nil
-	}
-	if !d.sorted {
-		sort.Float64s(d.vals)
-		d.sorted = true
-	}
-	for i := 0; i < points; i++ {
-		f := float64(i) / float64(points-1)
-		idx := int(f * float64(len(d.vals)-1))
-		vals = append(vals, d.vals[idx])
-		fracs = append(fracs, f)
-	}
-	return vals, fracs
-}
-
 // Heatmap holds per-entity utilization over time: one row per server, one
 // column per sampling instant (Figs. 7 and 11b-c).
 type Heatmap struct {

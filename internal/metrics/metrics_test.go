@@ -33,98 +33,40 @@ func TestSeriesRejectsTimeTravel(t *testing.T) {
 	s.Add(4, 1)
 }
 
-func TestDistributionPercentiles(t *testing.T) {
-	var d Distribution
-	for i := 1; i <= 100; i++ {
-		d.Add(float64(i))
-	}
-	if got := d.Percentile(50); got != 50 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := d.Percentile(99); got != 99 {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := d.Percentile(0); got != 1 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := d.Percentile(100); got != 100 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := d.Mean(); got != 50.5 {
-		t.Fatalf("mean = %v", got)
-	}
-	if got := d.Max(); got != 100 {
-		t.Fatalf("max = %v", got)
-	}
-}
-
-func TestDistributionEmpty(t *testing.T) {
-	var d Distribution
-	if !math.IsNaN(d.Percentile(50)) || !math.IsNaN(d.Mean()) || !math.IsNaN(d.Max()) {
-		t.Fatal("empty distribution should return NaN")
-	}
-	if d.FractionBelow(10) != 0 {
-		t.Fatal("empty FractionBelow != 0")
-	}
-}
-
-func TestDistributionInterleavedAddQuery(t *testing.T) {
-	var d Distribution
-	d.Add(10)
-	_ = d.Percentile(50)
-	d.Add(1) // must re-sort after this
-	if got := d.Percentile(0); got != 1 {
-		t.Fatalf("p0 after interleaved add = %v", got)
-	}
-}
-
 func TestFractionBelow(t *testing.T) {
-	var d Distribution
-	for i := 1; i <= 10; i++ {
-		d.Add(float64(i))
+	h := NewHistogram(0.01)
+	if got := h.FractionBelow(10); got != 0 {
+		t.Fatalf("empty FractionBelow(10) = %v", got)
 	}
-	if got := d.FractionBelow(5); got != 0.5 {
+	for i := 1; i <= 10; i++ {
+		h.Add(float64(i))
+	}
+	if got := h.FractionBelow(5); got != 0.5 {
 		t.Fatalf("FractionBelow(5) = %v", got)
 	}
-	if got := d.FractionBelow(10); got != 1 {
+	if got := h.FractionBelow(10); got != 1 {
 		t.Fatalf("FractionBelow(10) = %v", got)
 	}
-	if got := d.FractionBelow(0.5); got != 0 {
+	if got := h.FractionBelow(0.5); got != 0 {
 		t.Fatalf("FractionBelow(0.5) = %v", got)
 	}
 }
 
-func TestCDF(t *testing.T) {
-	var d Distribution
-	for i := 0; i < 100; i++ {
-		d.Add(float64(i))
-	}
-	vals, fracs := d.CDF(11)
-	if len(vals) != 11 || fracs[0] != 0 || fracs[10] != 1 {
-		t.Fatalf("CDF shape wrong: %v %v", vals, fracs)
-	}
-	for i := 1; i < len(vals); i++ {
-		if vals[i] < vals[i-1] {
-			t.Fatal("CDF values not monotone")
-		}
-	}
-}
-
-// Property: percentile is monotone in p and bounded by min/max.
+// Property: percentile is monotone in p.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64) bool {
-		var d Distribution
+		h := NewHistogram(0.01)
 		for _, v := range raw {
 			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				d.Add(v)
+				h.Add(v)
 			}
 		}
-		if d.N() == 0 {
+		if h.N() == 0 {
 			return true
 		}
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 10 {
-			v := d.Percentile(p)
+			v := h.Percentile(p)
 			if v < prev {
 				return false
 			}

@@ -64,6 +64,22 @@ func (b *BufferSink) RetainedBytes() (cur, high int) { return b.retained, b.high
 // sink's backing store; callers must not mutate it.
 func (b *BufferSink) Events() []Event { return b.events }
 
+// DiscardSink keeps nothing: the sink of a trace no one reads. The tracer
+// still counts and meters what it accepts.
+type DiscardSink struct{}
+
+// Start implements Sink.
+func (DiscardSink) Start(*Header) error { return nil }
+
+// Emit implements Sink.
+func (DiscardSink) Emit(*Event, int) error { return nil }
+
+// Close implements Sink.
+func (DiscardSink) Close(*Registry) error { return nil }
+
+// RetainedBytes implements Sink.
+func (DiscardSink) RetainedBytes() (cur, high int) { return 0, 0 }
+
 // RingSink is a fixed-capacity flight recorder: it keeps the most recent
 // events and overwrites the oldest, so an always-on tracer costs a bounded,
 // configuration-chosen amount of memory no matter how long the run is. The

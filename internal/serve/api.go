@@ -410,7 +410,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) flightWindow() (obs.Header, []obs.Event) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	return s.w.Tracer.Header(), s.w.ring.Events()
+	return s.w.Tracer.Header(), s.ring.Events()
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {

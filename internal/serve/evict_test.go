@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"quasar/internal/core"
+	"quasar/internal/obs"
 	"quasar/internal/workload"
 )
 
@@ -14,7 +15,8 @@ import (
 // outcome stays a plain serve.apply, not an apply-error, so a client racing
 // a completion sees the same result as before.
 func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
-	w, err := buildWorld(Config{Servers: 4, Seed: 9})
+	trace := obs.NewBufferSink()
+	w, err := buildWorld(Config{Servers: 4, Seed: 9}, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
 		name string
 		task *core.Task
 	}{{"completed", short}, {"queued", queued}} {
-		status, qlen, evicts := tc.task.Status, w.Q.QueueLen(), countEvents(w, "evict")
+		status, qlen, evicts := tc.task.Status, w.Q.QueueLen(), countEvents(trace, "evict")
 		if err := w.apply(&Entry{Seq: 1, Kind: KindEvict, Workload: tc.task.W.ID}); err != nil {
 			t.Fatalf("%s: apply: %v", tc.name, err)
 		}
@@ -55,14 +57,14 @@ func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
 		if got := w.Q.QueueLen(); got != qlen {
 			t.Errorf("%s: queue length %d after evict, was %d", tc.name, got, qlen)
 		}
-		if got := countEvents(w, "evict"); got != evicts {
+		if got := countEvents(trace, "evict"); got != evicts {
 			t.Errorf("%s: %d evict lifecycle events, was %d", tc.name, got, evicts)
 		}
 	}
 	if len(outcomes) != 2 || outcomes[0] != "" || outcomes[1] != "" {
 		t.Errorf("apply outcomes %q, want two successes", outcomes)
 	}
-	if got := countEvents(w, "serve.apply"); got != 2 {
+	if got := countEvents(trace, "serve.apply"); got != 2 {
 		t.Errorf("%d serve.apply events in the trace, want 2", got)
 	}
 	// The completed filler must not run again.
@@ -72,10 +74,10 @@ func TestEvictOfUnplacedWorkloadIsNoOp(t *testing.T) {
 	}
 }
 
-// countEvents counts flight-recorder events by name.
-func countEvents(w *world, name string) int {
+// countEvents counts the trace's events by name.
+func countEvents(trace *obs.BufferSink, name string) int {
 	n := 0
-	for _, e := range w.ring.Events() {
+	for _, e := range trace.Events() {
 		if e.Name == name {
 			n++
 		}

@@ -55,7 +55,10 @@ type Server struct {
 	// traceSink is the daemon's one JSONL trace sink: it writes the -trace file
 	// (when set) and feeds GET /v1/trace/stream's subscribers.
 	traceSink *obs.StreamSink
-	tel       *Telemetry
+	// ring is the flight recorder behind /debug/flightrecorder: the last
+	// Config.FlightRecorder trace events, engineMu-held.
+	ring *obs.RingSink
+	tel  *Telemetry
 
 	ln      net.Listener
 	httpSrv *http.Server
@@ -89,7 +92,8 @@ func New(opts Options) (*Server, error) {
 		traceSink.Discard()
 		return nil, err
 	}
-	w, err := buildWorld(cfg, traceSink)
+	ring := obs.NewRingSink(cfg.FlightRecorder)
+	w, err := buildWorld(cfg, ring, traceSink)
 	if err != nil {
 		return fail(err)
 	}
@@ -105,7 +109,7 @@ func New(opts Options) (*Server, error) {
 		return fail(err)
 	}
 	s := &Server{
-		opts: opts, w: w, j: j, traceSink: traceSink, ln: ln,
+		opts: opts, w: w, j: j, traceSink: traceSink, ring: ring, ln: ln,
 		stop:  make(chan struct{}),
 		nextB: cfg.EpochSecs,
 	}

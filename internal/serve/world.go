@@ -41,8 +41,9 @@ type Config struct {
 	SLO bool `json:"slo"`
 	// Detector arms the failure detector (always armed when Faults is set).
 	Detector bool `json:"detector"`
-	// FlightRecorder is the RingSink capacity backing /debug/flightrecorder
-	// (default 4096 events).
+	// FlightRecorder is the RingSink capacity backing the live daemon's
+	// /debug/flightrecorder (default 4096 events); Replay keeps no flight
+	// recorder.
 	FlightRecorder int `json:"flight_recorder"`
 	// Faults optionally injects a chaos plan, armed before any admission.
 	Faults *chaos.Plan `json:"faults,omitempty"`
@@ -90,12 +91,11 @@ func (c Config) validate() error {
 }
 
 // world is a serve run's simulation: the scenario every world is assembled
-// as, the flight-recorder ring at the head of its sink list, and the epoch
-// state the live pacer and Replay both advance through step.
+// as, and the epoch state the live pacer and Replay both advance through
+// step.
 type world struct {
 	*experiments.Scenario
-	cfg  Config
-	ring *obs.RingSink
+	cfg Config
 	// onApplied, when set, observes every applied entry's outcome. The live
 	// server uses it to close wall-clock request spans, timed from
 	// applyStartNS (the telemetry clock just before the entry's apply ran);
@@ -113,18 +113,22 @@ type world struct {
 	snapEvery, snapDue   float64
 }
 
-// buildWorld assembles the world for cfg with experiments.NewScenario. Extra
-// sinks (a trace StreamSink) are appended after the always-on
-// flight-recorder ring. Everything that derives RNG streams happens here, in
-// a fixed order, before any admission — the deterministic prologue every
-// replay repeats exactly.
-func buildWorld(cfg Config, extra ...obs.Sink) (*world, error) {
+// buildWorld assembles the world for cfg with experiments.NewScenario. The
+// world always traces, into sinks (the live daemon's flight-recorder ring and
+// trace StreamSink, a replay's trace file); with none, into a DiscardSink,
+// which keeps nothing where the scenario's default would buffer the whole
+// trace. Everything that derives RNG streams happens here, in a fixed order,
+// before any admission — the deterministic prologue every replay repeats
+// exactly.
+func buildWorld(cfg Config, sinks ...obs.Sink) (*world, error) {
 	cfg = cfg.withDefaults()
-	ring := obs.NewRingSink(cfg.FlightRecorder)
+	if len(sinks) == 0 {
+		sinks = []obs.Sink{obs.DiscardSink{}}
+	}
 	s, err := experiments.NewScenario(experiments.ScenarioConfig{
 		Servers: cfg.Servers, Manager: experiments.KindQuasar, Seed: cfg.Seed,
 		TickSecs: cfg.TickSecs, Sample: cfg.SampleSecs, SeedLib: cfg.SeedLib, MaxNodes: cfg.MaxNodes,
-		Trace: true, TraceSinks: append([]obs.Sink{ring}, extra...), SLO: cfg.SLO,
+		Trace: true, TraceSinks: sinks, SLO: cfg.SLO,
 	})
 	if err != nil {
 		return nil, err
@@ -136,7 +140,7 @@ func buildWorld(cfg Config, extra ...obs.Sink) (*world, error) {
 	} else if cfg.Detector {
 		s.RT.EnableFailureDetector(core.DefaultDetectorOptions())
 	}
-	return &world{Scenario: s, cfg: cfg, ring: ring}, nil
+	return &world{Scenario: s, cfg: cfg}, nil
 }
 
 // step runs the epoch at boundary b (the simulation is at or before b): the
