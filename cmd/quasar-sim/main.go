@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -40,39 +41,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		_, _ = fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run executes the scenario the command-line args describe, reporting to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("quasar-sim", flag.ExitOnError)
 	var (
-		managerName = flag.String("manager", "quasar", "quasar | reservation-ll | reservation-paragon | framework | autoscale | mesos-drf")
-		clusterName = flag.String("cluster", "local40", "local40 | ec2x200")
-		servers     = flag.Int("servers", 0, "override -cluster with a uniform spread of the local platforms at this size")
-		gap         = flag.Float64("gap", 5, "simulated seconds between submissions")
-		hadoop      = flag.Int("hadoop", 4, "Hadoop jobs to submit")
-		spark       = flag.Int("spark", 2, "Spark jobs")
-		storm       = flag.Int("storm", 2, "Storm jobs")
-		services    = flag.Int("services", 3, "latency-critical services")
-		single      = flag.Int("single", 20, "single-node batch jobs")
-		bestEffort  = flag.Int("besteffort", 40, "best-effort fillers")
-		horizon     = flag.Float64("horizon", 20000, "simulated seconds to run")
-		seed        = flag.Int64("seed", 1, "deterministic seed")
-		verbose     = flag.Bool("v", false, "per-workload detail")
-		tracePath   = flag.String("trace", "", "write a deterministic trace of the run to this file")
-		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl | chrome | prom")
-		traceBuffer = flag.Bool("trace-buffer", false, "buffer the whole trace in memory instead of streaming to disk (implied by chrome/prom formats)")
-		traceLevel  = flag.String("trace-level", "", "default trace level: off | lifecycle | decision | debug (empty records everything)")
-		traceCats   = flag.String("trace-cats", "", "per-category level overrides, e.g. 'runtime=lifecycle,chaos=off'")
-		traceSample = flag.Float64("trace-sample", 0, "keep this fraction of workloads in the trace (hash-based and deterministic; 0 or 1 keeps all)")
-		traceTopK   = flag.Int("trace-topk", 0, "truncate schedule-decision candidate rankings to the K best (0 keeps the full ranking)")
-		profFlag    = flag.Bool("prof", false, "print an engine self-profile (wall-clock time per subsystem) after the run")
-		faultsPath  = flag.String("faults", "", "inject faults from this chaos plan JSON (e.g. internal/chaos/testdata/storm.json)")
-		sloFlag     = flag.Bool("slo", false, "monitor every non-best-effort workload against its SLO and report error budgets, burn-rate alerts, and cluster health")
+		managerName = fs.String("manager", "quasar", "quasar | reservation-ll | reservation-paragon | framework | autoscale | mesos-drf")
+		clusterName = fs.String("cluster", "local40", "local40 | ec2x200")
+		servers     = fs.Int("servers", 0, "override -cluster with a uniform spread of the local platforms at this size")
+		gap         = fs.Float64("gap", 5, "simulated seconds between submissions")
+		hadoop      = fs.Int("hadoop", 4, "Hadoop jobs to submit")
+		spark       = fs.Int("spark", 2, "Spark jobs")
+		storm       = fs.Int("storm", 2, "Storm jobs")
+		services    = fs.Int("services", 3, "latency-critical services")
+		single      = fs.Int("single", 20, "single-node batch jobs")
+		bestEffort  = fs.Int("besteffort", 40, "best-effort fillers")
+		horizon     = fs.Float64("horizon", 20000, "simulated seconds to run")
+		seed        = fs.Int64("seed", 1, "deterministic seed")
+		verbose     = fs.Bool("v", false, "per-workload detail")
+		tracePath   = fs.String("trace", "", "write a deterministic trace of the run to this file")
+		traceFormat = fs.String("trace-format", "jsonl", "trace format: jsonl | chrome | prom")
+		traceBuffer = fs.Bool("trace-buffer", false, "buffer the whole trace in memory instead of streaming to disk (implied by chrome/prom formats)")
+		traceLevel  = fs.String("trace-level", "", "default trace level: off | lifecycle | decision | debug (empty records everything)")
+		traceCats   = fs.String("trace-cats", "", "per-category level overrides, e.g. 'runtime=lifecycle,chaos=off'")
+		traceSample = fs.Float64("trace-sample", 0, "keep this fraction of workloads in the trace (hash-based and deterministic; 0 or 1 keeps all)")
+		traceTopK   = fs.Int("trace-topk", 0, "truncate schedule-decision candidate rankings to the K best (0 keeps the full ranking)")
+		profFlag    = fs.Bool("prof", false, "print an engine self-profile (wall-clock time per subsystem) after the run")
+		faultsPath  = fs.String("faults", "", "inject faults from this chaos plan JSON (e.g. internal/chaos/testdata/storm.json)")
+		sloFlag     = fs.Bool("slo", false, "monitor every non-best-effort workload against its SLO and report error budgets, burn-rate alerts, and cluster health")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage text
 
 	kind := map[string]experiments.ManagerKind{
 		"quasar":              experiments.KindQuasar,
@@ -199,16 +202,16 @@ func run() error {
 			if err := s.Tracer.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("trace: %d events -> %s (jsonl, streamed, %d bytes)\n",
+			_, _ = fmt.Fprintf(stdout, "trace: %d events -> %s (jsonl, streamed, %d bytes)\n",
 				s.Tracer.Len(), *tracePath, stream.BytesWritten())
 		} else {
 			if err := writeTrace(*tracePath, *traceFormat, s.Tracer); err != nil {
 				return err
 			}
-			fmt.Printf("trace: %d events -> %s (%s)\n", s.Tracer.Len(), *tracePath, *traceFormat)
+			_, _ = fmt.Fprintf(stdout, "trace: %d events -> %s (%s)\n", s.Tracer.Len(), *tracePath, *traceFormat)
 		}
 		if d := s.Tracer.Dropped(); d > 0 {
-			fmt.Printf("trace controls dropped %d events (recorded in the trace header)\n", d)
+			_, _ = fmt.Fprintf(stdout, "trace controls dropped %d events (recorded in the trace header)\n", d)
 		}
 	}
 
@@ -216,13 +219,13 @@ func run() error {
 	if *servers > 0 {
 		clusterLabel = fmt.Sprintf("uniform%d", *servers)
 	}
-	fmt.Printf("manager=%s cluster=%s horizon=%.0fs workloads=%d\n",
+	_, _ = fmt.Fprintf(stdout, "manager=%s cluster=%s horizon=%.0fs workloads=%d\n",
 		s.Mgr.Name(), clusterLabel, *horizon, len(tasks))
 	byStatus := map[core.Status]int{}
 	sum, n := 0.0, 0
 	for _, t := range tasks {
 		byStatus[t.Status]++
-		if t.W.BestEffort {
+		if !t.W.Tier().Targeted() {
 			continue
 		}
 		v := experiments.PerfNormalizedToTarget(s.RT, t)
@@ -230,7 +233,7 @@ func run() error {
 			continue
 		}
 		if *verbose {
-			fmt.Printf("  %-20s %-12s %-10s perf=%.2f nodes=%d\n",
+			_, _ = fmt.Fprintf(stdout, "  %-20s %-12s %-10s perf=%.2f nodes=%d\n",
 				t.W.ID, t.W.Type, t.Status, v, t.NumNodes())
 		}
 		if v > 1 {
@@ -239,36 +242,36 @@ func run() error {
 		sum += v
 		n++
 	}
-	fmt.Printf("statuses: ")
+	_, _ = fmt.Fprintf(stdout, "statuses: ")
 	for st := core.StatusQueued; st <= core.StatusRejected; st++ {
 		if byStatus[st] > 0 {
-			fmt.Printf("%s=%d ", st, byStatus[st])
+			_, _ = fmt.Fprintf(stdout, "%s=%d ", st, byStatus[st])
 		}
 	}
-	fmt.Println()
+	_, _ = fmt.Fprintln(stdout)
 	if n > 0 {
-		fmt.Printf("mean %% of target achieved: %.1f%%\n", 100*sum/float64(n))
+		_, _ = fmt.Fprintf(stdout, "mean %% of target achieved: %.1f%%\n", 100*sum/float64(n))
 	}
-	fmt.Printf("mean CPU utilization: %.1f%%\n", 100*s.RT.CPUHeat.MeanOverall())
+	_, _ = fmt.Fprintf(stdout, "mean CPU utilization: %.1f%%\n", 100*s.RT.CPUHeat.MeanOverall())
 
 	if s.SLO != nil {
-		s.SLO.Report(os.Stdout)
+		s.SLO.Report(stdout)
 	}
 
 	if inj != nil {
 		st := inj.Stats()
-		fmt.Printf("faults: %d crashes, %d slowdowns, %d partitions (%d restarts, %d heals, %d skipped); live servers %d/%d\n",
+		_, _ = fmt.Fprintf(stdout, "faults: %d crashes, %d slowdowns, %d partitions (%d restarts, %d heals, %d skipped); live servers %d/%d\n",
 			st.Crashes, st.Slowdowns, st.Partitions, st.Restarts, st.Heals, st.Skipped,
 			s.RT.Cl.NumLive(), len(s.RT.Cl.Servers))
 		if s.Q != nil {
 			rec := s.Q.Recovery()
-			fmt.Printf("recovery: %d displaced (%d LC), %d re-admitted (%d without re-profiling), MTTR %.0fs\n",
+			_, _ = fmt.Fprintf(stdout, "recovery: %d displaced (%d LC), %d re-admitted (%d without re-profiling), MTTR %.0fs\n",
 				rec.Displaced, rec.DisplacedLC, rec.Readmitted, rec.ReadmittedNoReprofile, rec.MTTR())
 		}
 	}
 
 	if p != nil {
-		if err := p.WriteReport(os.Stdout); err != nil {
+		if err := p.WriteReport(stdout); err != nil {
 			return err
 		}
 	}

@@ -240,8 +240,8 @@ func (b *Baseline) paragonQuality(t *core.Task, st *resState, s *cluster.Server)
 
 // OnSubmit implements core.Manager.
 func (b *Baseline) OnSubmit(t *core.Task) {
-	if t.W.BestEffort {
-		if placed, _ := b.placeBestEffort(t); !placed {
+	if !t.W.Tier().Targeted() {
+		if placed, _ := b.rt.PlaceFiller(t, nil); !placed {
 			b.queue.Push(t)
 		}
 		return
@@ -298,24 +298,6 @@ func (b *Baseline) tryPlace(t *core.Task, st *resState) bool {
 	return placed > 0
 }
 
-// placeBestEffort gives filler tasks a small least-loaded slice. noFit
-// reports that no server has room for any filler.
-func (b *Baseline) placeBestEffort(t *core.Task) (placed, noFit bool) {
-	var best *cluster.Server
-	for _, s := range b.rt.Cl.Servers {
-		if s.Schedulable() && s.FreeCores() >= 1 && s.FreeMemGB() >= 1 {
-			if best == nil || s.FreeCores() > best.FreeCores() {
-				best = s
-			}
-		}
-	}
-	if best == nil {
-		return false, true
-	}
-	alloc := cluster.Alloc{Cores: min(4, best.FreeCores()), MemoryGB: math.Min(6, best.FreeMemGB())}
-	return b.rt.Place(t, best, alloc) == nil, false
-}
-
 // OnComplete implements core.Manager.
 func (b *Baseline) OnComplete(t *core.Task) {
 	delete(b.state, t.W.ID)
@@ -328,8 +310,8 @@ func (b *Baseline) OnEvicted(t *core.Task) { b.queue.Push(t) }
 // retry is one queued task's placement attempt (core.WaitQueue.Drain's
 // callback).
 func (b *Baseline) retry(t *core.Task) (placed, noFit bool) {
-	if t.W.BestEffort {
-		return b.placeBestEffort(t)
+	if !t.W.Tier().Targeted() {
+		return b.rt.PlaceFiller(t, nil)
 	}
 	st, has := b.state[t.W.ID]
 	return has && b.tryPlace(t, st), false
@@ -340,8 +322,7 @@ func (b *Baseline) retry(t *core.Task) (placed, noFit bool) {
 func (b *Baseline) OnTick(now float64) {
 	if b.opts.AutoscaleServices {
 		for _, t := range b.rt.Live() {
-			if t.Status != core.StatusRunning || t.W.BestEffort ||
-				t.W.Type.Class() != perfmodel.LatencyCritical {
+			if t.Status != core.StatusRunning || t.W.Tier() != cluster.Guaranteed {
 				continue
 			}
 			st := b.state[t.W.ID]

@@ -83,7 +83,7 @@ func (d *DRF) demandOf(t *core.Task) (cluster.Alloc, int) {
 
 // OnSubmit implements core.Manager.
 func (d *DRF) OnSubmit(t *core.Task) {
-	if t.W.BestEffort {
+	if !t.W.Tier().Targeted() {
 		// DRF treats everyone as a first-class tenant; best-effort tasks
 		// simply declare a minimal demand.
 		d.state[t.W.ID] = &drfState{task: t, demand: cluster.Alloc{Cores: 1, MemoryGB: 2}, wantNodes: 1}

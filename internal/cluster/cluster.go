@@ -29,7 +29,7 @@ type Placement struct {
 	Server     *Server
 	Alloc      Alloc
 	Caused     ResVec
-	BestEffort bool
+	Tier       Tier
 
 	ActiveCores float64
 	ActiveMemGB float64
@@ -234,10 +234,10 @@ func (s *Server) SetDet(d DetectorState) {
 // server is reachable and the failure detector does not suspect it.
 func (s *Server) Schedulable() bool { return s.Reachable() && s.det == DetOK }
 
-// Place reserves alloc for the given workload. It returns the placement or
-// an error when capacity is insufficient or the workload already resides
-// here.
-func (s *Server) Place(workloadID string, alloc Alloc, caused ResVec, bestEffort bool) (*Placement, error) {
+// Place reserves alloc for the given workload of the given tier. It returns
+// the placement or an error when capacity is insufficient or the workload
+// already resides here.
+func (s *Server) Place(workloadID string, alloc Alloc, caused ResVec, tier Tier) (*Placement, error) {
 	if !alloc.Valid() {
 		return nil, fmt.Errorf("cluster: invalid alloc %+v for %s", alloc, workloadID)
 	}
@@ -253,7 +253,7 @@ func (s *Server) Place(workloadID string, alloc Alloc, caused ResVec, bestEffort
 		return nil, fmt.Errorf("cluster: server %d cannot fit %+v (free %d cores, %.1f GB)",
 			s.ID, alloc, s.FreeCores(), s.FreeMemGB())
 	}
-	pl := &Placement{WorkloadID: workloadID, Server: s, Alloc: alloc, Caused: caused, BestEffort: bestEffort}
+	pl := &Placement{WorkloadID: workloadID, Server: s, Alloc: alloc, Caused: caused, Tier: tier}
 	s.order = slices.Insert(s.order, i, pl)
 	s.usedCores += alloc.Cores
 	s.usedMemGB += alloc.MemoryGB

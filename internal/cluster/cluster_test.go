@@ -100,7 +100,7 @@ func TestPlaceRemoveAccounting(t *testing.T) {
 	var caused ResVec
 	caused[ResLLC] = 0.3
 
-	pl, err := s.Place("w1", Alloc{Cores: 8, MemoryGB: 16}, caused, false)
+	pl, err := s.Place("w1", Alloc{Cores: 8, MemoryGB: 16}, caused, Guaranteed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,19 +133,19 @@ func TestPlaceRemoveAccounting(t *testing.T) {
 func TestPlaceRejections(t *testing.T) {
 	p := LocalPlatforms()[0] // A: 2 cores 4 GB
 	s := NewServer(0, &p)
-	if _, err := s.Place("w", Alloc{Cores: 3, MemoryGB: 1}, ResVec{}, false); err == nil {
+	if _, err := s.Place("w", Alloc{Cores: 3, MemoryGB: 1}, ResVec{}, Guaranteed); err == nil {
 		t.Fatal("over-core placement succeeded")
 	}
-	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 8}, ResVec{}, false); err == nil {
+	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 8}, ResVec{}, Guaranteed); err == nil {
 		t.Fatal("over-memory placement succeeded")
 	}
-	if _, err := s.Place("w", Alloc{}, ResVec{}, false); err == nil {
+	if _, err := s.Place("w", Alloc{}, ResVec{}, Guaranteed); err == nil {
 		t.Fatal("zero alloc succeeded")
 	}
-	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, false); err != nil {
+	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, false); err == nil {
+	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed); err == nil {
 		t.Fatal("duplicate placement succeeded")
 	}
 }
@@ -156,7 +156,7 @@ func TestResize(t *testing.T) {
 	var c1, c2 ResVec
 	c1[ResCPU] = 0.2
 	c2[ResCPU] = 0.5
-	if _, err := s.Place("w", Alloc{Cores: 4, MemoryGB: 8}, c1, false); err != nil {
+	if _, err := s.Place("w", Alloc{Cores: 4, MemoryGB: 8}, c1, Guaranteed); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Resize("w", Alloc{Cores: 12, MemoryGB: 24}, c2); err != nil {
@@ -194,7 +194,7 @@ func TestProbePressure(t *testing.T) {
 func TestUtilizationGauges(t *testing.T) {
 	p := LocalPlatforms()[2] // C: 8 cores 12 GB
 	s := NewServer(0, &p)
-	pl, err := s.Place("w", Alloc{Cores: 4, MemoryGB: 6}, ResVec{}, false)
+	pl, err := s.Place("w", Alloc{Cores: 4, MemoryGB: 6}, ResVec{}, Guaranteed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestPlacementsDeterministicOrder(t *testing.T) {
 	p := LocalPlatforms()[9]
 	s := NewServer(0, &p)
 	for _, id := range []string{"zeta", "alpha", "mid"} {
-		if _, err := s.Place(id, Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, false); err != nil {
+		if _, err := s.Place(id, Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestAccountingInvariant(t *testing.T) {
 			if op%2 == 0 {
 				var cv ResVec
 				cv[op%uint8(NumResources)] = float64(op%5) / 10
-				if _, err := s.Place(id, Alloc{Cores: int(op%4) + 1, MemoryGB: float64(op%8) + 1}, cv, false); err == nil {
+				if _, err := s.Place(id, Alloc{Cores: int(op%4) + 1, MemoryGB: float64(op%8) + 1}, cv, Guaranteed); err == nil {
 					n++
 				}
 			} else {

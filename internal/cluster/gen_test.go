@@ -29,8 +29,8 @@ func TestGenAdvancesOnEveryMutation(t *testing.T) {
 		do   func()
 		bump bool
 	}{
-		{"Place", func() { _, err := s.Place("a", Alloc{Cores: 2, MemoryGB: 2}, press, false); mustOK(err) }, true},
-		{"Place best-effort", func() { _, err := s.Place("b", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, true); mustOK(err) }, true},
+		{"Place", func() { _, err := s.Place("a", Alloc{Cores: 2, MemoryGB: 2}, press, Guaranteed); mustOK(err) }, true},
+		{"Place best-effort", func() { _, err := s.Place("b", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, BestEffort); mustOK(err) }, true},
 		{"Resize", func() { mustOK(s.Resize("a", Alloc{Cores: 4, MemoryGB: 3}, press)) }, true},
 		{"Remove", func() { mustOK(s.Remove("b")) }, true},
 		{"SetProbe", func() { s.SetProbe(press) }, true},
@@ -47,7 +47,7 @@ func TestGenAdvancesOnEveryMutation(t *testing.T) {
 		{"SetDown", func() { s.SetDown() }, true},
 		{"SetUp", func() { s.SetUp() }, true},
 		// Rejected mutations leave the server as it was.
-		{"Place duplicate", func() { _, _ = s.Place("a", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, false) }, false},
+		{"Place duplicate", func() { _, _ = s.Place("a", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed) }, false},
 		{"Remove absent", func() { _ = s.Remove("nope") }, false},
 		{"Resize past capacity", func() { _ = s.Resize("a", Alloc{Cores: 999, MemoryGB: 1}, press) }, false},
 	}
@@ -69,7 +69,7 @@ func TestGenAdvancesOnEveryMutation(t *testing.T) {
 	// A mutation on any server moves the one cluster-wide counter, and only
 	// that server's stamp.
 	before, stamp := c.Gen(), s.Stamp()
-	if _, err := c.Servers[0].Place("c", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, true); err != nil {
+	if _, err := c.Servers[0].Place("c", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, BestEffort); err != nil {
 		t.Fatal(err)
 	}
 	if c.Gen() == before {
@@ -86,7 +86,7 @@ func TestGenAdvancesOnEveryMutation(t *testing.T) {
 	solo := NewServer(0, &p)
 	prev := solo.Stamp()
 	for _, do := range []func(){
-		func() { _, err := solo.Place("a", Alloc{Cores: 1, MemoryGB: 1}, press, false); mustOK(err) },
+		func() { _, err := solo.Place("a", Alloc{Cores: 1, MemoryGB: 1}, press, Guaranteed); mustOK(err) },
 		func() { solo.SetProbe(press) },
 		func() { solo.SetDown() },
 	} {

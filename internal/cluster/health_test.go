@@ -19,7 +19,7 @@ func TestServerHealthStates(t *testing.T) {
 	}
 
 	// Crash: down, unreachable, unschedulable; utilization reads as idle.
-	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, false); err != nil {
+	if _, err := s.Place("w", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed); err != nil {
 		t.Fatal(err)
 	}
 	s.SetDown()
@@ -29,7 +29,7 @@ func TestServerHealthStates(t *testing.T) {
 	if s.Fits(Alloc{Cores: 1, MemoryGB: 1}) {
 		t.Fatal("down server accepts placements")
 	}
-	if _, err := s.Place("w2", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, false); err == nil {
+	if _, err := s.Place("w2", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed); err == nil {
 		t.Fatal("Place on a down server succeeded")
 	}
 	if err := s.Resize("w", Alloc{Cores: 2, MemoryGB: 1}, ResVec{}); err == nil {

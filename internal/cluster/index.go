@@ -156,14 +156,14 @@ func (s *Server) reindex() {
 }
 
 // recomputeEv refreshes the cached free-after-eviction capacity and the
-// evictable (best-effort) placement list. The accumulation order — free
-// memory first, then best-effort allocations in workload-ID order — is
+// list of placements whose tier yields. The accumulation order — free
+// memory first, then yielding allocations in workload-ID order — is
 // fixed, so the cached float is bit-identical to an on-demand recomputation.
 func (s *Server) recomputeEv() {
 	cores, mem := s.FreeCores(), s.FreeMemGB()
 	be := s.beList[:0]
 	for _, pl := range s.order {
-		if pl.BestEffort {
+		if pl.Tier.Yields() {
 			cores += pl.Alloc.Cores
 			mem += pl.Alloc.MemoryGB
 			be = append(be, pl)
@@ -182,8 +182,8 @@ func (s *Server) isPristine() bool {
 		s.degrade == (ResVec{}) && s.isolation == (ResVec{})
 }
 
-// FreeAfterEviction returns the capacity available counting best-effort
-// residents as removable, plus those residents in workload-ID order. Indexed
+// FreeAfterEviction returns the capacity available counting residents whose
+// tier yields as removable, plus those residents in workload-ID order. Indexed
 // servers answer from the cache maintained on every mutation; standalone
 // servers recompute. The returned slice is the server's cache — callers must
 // not mutate it, and it is valid until the next mutation of this server.
@@ -272,7 +272,7 @@ func (ix *FreeIndex) checkEntry(s *Server, pidx int, kind int8, band, pos int, s
 func recomputeFree(s *Server) (cores int, mem float64, evictable []*Placement) {
 	cores, mem = s.FreeCores(), s.FreeMemGB()
 	for _, pl := range s.order {
-		if pl.BestEffort {
+		if pl.Tier.Yields() {
 			cores += pl.Alloc.Cores
 			mem += pl.Alloc.MemoryGB
 			evictable = append(evictable, pl)

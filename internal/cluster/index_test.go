@@ -52,7 +52,11 @@ func TestIndexInvariantsRandomized(t *testing.T) {
 						Cores:    1 + rng.Intn(srv.Platform.Cores),
 						MemoryGB: rng.Uniform(0.5, srv.Platform.MemoryGB),
 					}
-					if _, err := srv.Place(id, alloc, vec(), rng.Bool(0.4)); err == nil {
+					tier := Guaranteed
+					if rng.Bool(0.4) {
+						tier = BestEffort
+					}
+					if _, err := srv.Place(id, alloc, vec(), tier); err == nil {
 						nextWL++
 						placed = append(placed, id)
 						where[id] = srv
@@ -132,7 +136,7 @@ func TestIndexPristineLifecycle(t *testing.T) {
 		t.Fatalf("fresh cluster: %d pristine, want 2", got)
 	}
 	s := c.Servers[0]
-	if _, err := s.Place("a", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, false); err != nil {
+	if _, err := s.Place("a", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed); err != nil {
 		t.Fatal(err)
 	}
 	if got := ix.NumPristine(0); got != 1 {
@@ -174,7 +178,7 @@ func TestIndexPristineLifecycle(t *testing.T) {
 func TestStandaloneServerNoIndex(t *testing.T) {
 	p := LocalPlatforms()[0]
 	s := NewServer(7, &p)
-	if _, err := s.Place("a", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, true); err != nil {
+	if _, err := s.Place("a", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, BestEffort); err != nil {
 		t.Fatal(err)
 	}
 	s.SetDet(DetSuspect)

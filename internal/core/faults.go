@@ -161,7 +161,7 @@ func (rt *Runtime) notifyDisplaced(s *cluster.Server, displaced []*Task) {
 		return
 	}
 	for _, t := range displaced {
-		if t.W.BestEffort || t.NumNodes() == 0 {
+		if t.W.Tier().Yields() || t.NumNodes() == 0 {
 			rt.manager.OnEvicted(t)
 		}
 	}

@@ -32,7 +32,7 @@ func (q *Quasar) managePartitions() {
 		// injected probes.
 		if srv.NumPlacements() >= 1 {
 			for _, pl := range srv.Placements() {
-				if pl.BestEffort {
+				if !pl.Tier.Targeted() {
 					continue
 				}
 				st, ok := q.state[pl.WorkloadID]

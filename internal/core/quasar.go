@@ -180,7 +180,7 @@ func (q *Quasar) SeedLibrary(ws []*workload.Instance) {
 // services).
 func profilingDelay(w *workload.Instance) float64 {
 	switch {
-	case w.BestEffort:
+	case !w.Tier().Targeted():
 		return 0
 	case w.Type.Stateful():
 		return 240 // state warm-up dominates
@@ -199,8 +199,8 @@ func profilingDelay(w *workload.Instance) float64 {
 // OnSubmit implements Manager: profile, classify, then jointly allocate and
 // assign.
 func (q *Quasar) OnSubmit(t *Task) {
-	if t.W.BestEffort {
-		if placed, _ := q.placeBestEffort(t); !placed {
+	if !t.W.Tier().Targeted() {
+		if placed, _ := q.rt.PlaceFiller(t, q.beSafeOn); !placed {
 			q.queue.Push(t)
 		}
 		return
@@ -345,7 +345,7 @@ func (q *Quasar) estOf(id string) *classify.Estimates {
 func (q *Quasar) beSafeOn(s *cluster.Server) bool {
 	const beCausedMargin = 0.12 // conservative bound for an unclassified filler
 	for _, pl := range s.Placements() {
-		if pl.BestEffort {
+		if !pl.Tier.Targeted() {
 			continue
 		}
 		st, ok := q.state[pl.WorkloadID]
@@ -360,29 +360,6 @@ func (q *Quasar) beSafeOn(s *cluster.Server) bool {
 		}
 	}
 	return true
-}
-
-// placeBestEffort gives a best-effort task a small slice on the server with
-// the most free cores among servers where it will not disturb primaries.
-// noFit reports that no server is eligible — an answer that holds for every
-// best-effort task until the cluster or the residents' estimates change.
-func (q *Quasar) placeBestEffort(t *Task) (placed, noFit bool) {
-	var best *cluster.Server
-	for _, s := range q.rt.Cl.Servers {
-		if s.Schedulable() && s.FreeCores() >= 1 && s.FreeMemGB() >= 1 && q.beSafeOn(s) {
-			if best == nil || s.FreeCores() > best.FreeCores() {
-				best = s
-			}
-		}
-	}
-	if best == nil {
-		return false, true
-	}
-	alloc := cluster.Alloc{
-		Cores:    min(4, best.FreeCores()),
-		MemoryGB: math.Min(6, best.FreeMemGB()),
-	}
-	return q.rt.Place(t, best, alloc) == nil, false
 }
 
 // OnComplete implements Manager.
@@ -401,8 +378,8 @@ func (q *Quasar) drainQueue() { q.queue.Drain(q.rt.Cl, q.retry) }
 
 // retry is one queued task's placement attempt (WaitQueue.Drain's callback).
 func (q *Quasar) retry(t *Task) (placed, noFit bool) {
-	if t.W.BestEffort {
-		return q.placeBestEffort(t)
+	if !t.W.Tier().Targeted() {
+		return q.rt.PlaceFiller(t, q.beSafeOn)
 	}
 	st, has := q.state[t.W.ID]
 	if !has || !q.tryPlace(t, st) {
@@ -419,7 +396,7 @@ func (q *Quasar) retry(t *Task) (placed, noFit bool) {
 func (q *Quasar) OnTick(now float64) {
 	if !q.opts.DisableAdaptation {
 		for _, t := range q.rt.Live() {
-			if t.Status != StatusRunning || t.W.BestEffort {
+			if t.Status != StatusRunning || !t.W.Tier().Targeted() {
 				continue
 			}
 			st, ok := q.state[t.W.ID]
@@ -556,17 +533,17 @@ func (q *Quasar) scaleUpOrOut(t *Task, st *taskState, need, measured float64) (p
 		return
 	}
 	// Scale up in place. The loop leaves t's placement set as it is: Resize
-	// keeps it, and the evicted fillers are other tasks (t is not best-effort).
+	// keeps it, and the evicted fillers are other tasks (t's tier does not yield).
 	for _, pl := range t.placements {
 		srv := pl.Server
 		freeC, freeM := srv.FreeCores(), srv.FreeMemGB()
-		// Evict best-effort residents if that frees capacity. The IDs are
-		// snapshotted first: each eviction shifts the live resident list the
-		// range would otherwise be walking.
+		// Evict residents whose tier yields if that frees capacity. The IDs
+		// are snapshotted first: each eviction shifts the live resident list
+		// the range would otherwise be walking.
 		if freeC == 0 {
 			var fillers []string
 			for _, other := range srv.Placements() {
-				if other.BestEffort {
+				if other.Tier.Yields() {
 					fillers = append(fillers, other.WorkloadID)
 				}
 			}
@@ -817,7 +794,7 @@ const (
 func (q *Quasar) proactiveProbe(now float64) {
 	var running []*Task
 	for _, t := range q.rt.Live() {
-		if t.Status == StatusRunning && !t.W.BestEffort {
+		if t.Status == StatusRunning && t.W.Tier().Targeted() {
 			running = append(running, t)
 		}
 	}
@@ -889,7 +866,7 @@ func (q *Quasar) UpdateTarget(id string, target workload.Target) error {
 	if t == nil {
 		return fmt.Errorf("core: target update for unknown task %s", id)
 	}
-	if t.W.BestEffort {
+	if !t.W.Tier().Targeted() {
 		return fmt.Errorf("core: task %s is best-effort and has no target", id)
 	}
 	if target.Class != t.W.Type.Class() {

@@ -152,7 +152,7 @@ func refEligible(q *Quasar) bool {
 		safe := true
 		for _, pl := range s.Placements() {
 			st := q.state[pl.WorkloadID]
-			if pl.BestEffort || st == nil {
+			if !pl.Tier.Targeted() || st == nil {
 				continue
 			}
 			press := s.PressureOn(pl.WorkloadID)

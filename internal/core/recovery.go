@@ -87,7 +87,7 @@ func (q *Quasar) OnServerDead(s *cluster.Server, displaced []*Task) {
 		return isLC(ordered[i]) && !isLC(ordered[j])
 	})
 	for _, t := range ordered {
-		if t.W.BestEffort {
+		if !t.W.Tier().Targeted() {
 			// Fillers have no targets to restore; back to the queue.
 			if t.NumNodes() == 0 {
 				q.queue.Push(t)

@@ -352,7 +352,7 @@ func (rt *Runtime) Live() []*Task { return rt.live }
 // (use it to add nodes); it fails atomically per node.
 func (rt *Runtime) Place(t *Task, server *cluster.Server, alloc cluster.Alloc) error {
 	caused := t.W.CausedPressure(server.Platform, alloc)
-	pl, err := server.Place(t.W.ID, alloc, caused, t.W.BestEffort)
+	pl, err := server.Place(t.W.ID, alloc, caused, t.W.Tier())
 	if err != nil {
 		return err
 	}
@@ -380,6 +380,27 @@ func (rt *Runtime) Place(t *Task, server *cluster.Server, alloc cluster.Alloc) e
 			obs.Arg{Key: "best_effort", Val: t.W.BestEffort})
 	}
 	return nil
+}
+
+// PlaceFiller gives a task with no target a small slice — at most 4 cores
+// and 6 GB — on the schedulable server with the most free cores among those
+// safe accepts (nil accepts every server); ties go to the lowest server ID.
+// noFit reports that no server is eligible — an answer that holds for every
+// filler until the cluster, or what safe reads, changes.
+func (rt *Runtime) PlaceFiller(t *Task, safe func(*cluster.Server) bool) (placed, noFit bool) {
+	var best *cluster.Server
+	for _, s := range rt.Cl.Servers {
+		if s.Schedulable() && s.FreeCores() >= 1 && s.FreeMemGB() >= 1 && (safe == nil || safe(s)) {
+			if best == nil || s.FreeCores() > best.FreeCores() {
+				best = s
+			}
+		}
+	}
+	if best == nil {
+		return false, true
+	}
+	alloc := cluster.Alloc{Cores: min(4, best.FreeCores()), MemoryGB: math.Min(6, best.FreeMemGB())}
+	return rt.Place(t, best, alloc) == nil, false
 }
 
 // Resize changes a task's allocation on one server.
@@ -427,8 +448,8 @@ func (rt *Runtime) Release(t *Task) {
 	}
 }
 
-// Evict displaces a best-effort task back to the queue and informs the
-// manager. Evicting a task that holds no placement — already queued, or
+// Evict displaces a task whose tier yields back to the queue and informs
+// the manager. Evicting a task that holds no placement — already queued, or
 // completed — is an idempotent no-op: there is nothing to displace, and
 // re-queueing it would duplicate its queue entry or resurrect finished work.
 func (rt *Runtime) Evict(id string) error {
@@ -436,7 +457,7 @@ func (rt *Runtime) Evict(id string) error {
 	if !ok {
 		return fmt.Errorf("core: evict of unknown task %s", id)
 	}
-	if !t.W.BestEffort {
+	if !t.W.Tier().Yields() {
 		return fmt.Errorf("core: refusing to evict non-best-effort task %s", id)
 	}
 	if t.NumNodes() == 0 {

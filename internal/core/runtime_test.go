@@ -139,16 +139,22 @@ func TestEvictOnlyBestEffort(t *testing.T) {
 	w.Genome.Work = 1e9
 	m := &nullManager{rt: rt, alloc: cluster.Alloc{Cores: 2, MemoryGB: 4}, server: 0, nodes: 1}
 	rt.SetManager(m)
-	rt.Submit(w, 0, nil)
+	task := rt.Submit(w, 0, nil)
 	rt.Run(10)
+	if tier := task.Placements()[0].Tier; tier != cluster.Burstable || tier.Yields() {
+		t.Fatalf("targeted single-node placement has tier %d, want a Burstable that does not yield", tier)
+	}
 	if err := rt.Evict(w.ID); err == nil {
 		t.Fatal("evicted a non-best-effort task")
 	}
 	be := u.New(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
 	be.Genome.Work = 1e9
 	m.server = 1 // server 0 is full with w's placement
-	rt.Submit(be, 20, nil)
+	beTask := rt.Submit(be, 20, nil)
 	rt.Run(30)
+	if tier := beTask.Placements()[0].Tier; !tier.Yields() {
+		t.Fatalf("best-effort placement has tier %d, which does not yield", tier)
+	}
 	if err := rt.Evict(be.ID); err != nil {
 		t.Fatal(err)
 	}

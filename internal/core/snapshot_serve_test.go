@@ -23,16 +23,18 @@ func TestServeSnapshotMidDisplacement(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "run.journal")
 	snapshot := filepath.Join(dir, "run.snapshot.json")
-	// A small cluster packed with multi-node work, so the AnyServer crash at
-	// t=250 displaces placements; the detector (period 10, dead after 4
-	// missed beats) fences the server by ~t=290, and the t=300 snapshot
-	// lands inside the open recovery episode.
-	cfg := serve.Config{
-		Servers: 8, Seed: 1,
-		Faults: &chaos.Plan{Name: "serve-crash", Faults: []chaos.FaultSpec{
-			{Kind: chaos.KindCrash, Server: chaos.AnyServer, At: 250, DurationSecs: 600},
-		}},
+	// Every server crashes at t=250, so the crash displaces the targeted
+	// work running then wherever the draw placed it (the services are
+	// long-running, so there is some). The detector (period 10, dead after 4
+	// missed beats) fences the servers by ~t=290, and nothing can be
+	// readmitted before they restart at t=350, so the t=300 snapshot lands
+	// inside the open recovery episode and the standby closes it.
+	const servers = 8
+	var crashes []chaos.FaultSpec
+	for id := 0; id < servers; id++ {
+		crashes = append(crashes, chaos.FaultSpec{Kind: chaos.KindCrash, Server: id, At: 250, DurationSecs: 100})
 	}
+	cfg := serve.Config{Servers: servers, Seed: 1, Faults: &chaos.Plan{Name: "serve-crash", Faults: crashes}}
 	script := []serve.ScriptEntry{
 		{At: 1, Submit: &serve.SubmitRequest{Type: "memcached", Family: -1, QPS: 7000, LatencyUS: 600, MaxNodes: 4}},
 		{At: 3, Submit: &serve.SubmitRequest{Type: "webserver", Family: -1, QPS: 8000, LatencyUS: 900, MaxNodes: 4}},

@@ -45,7 +45,7 @@ func (wq *WaitQueue) Drain(cl *cluster.Cluster, try func(t *Task) (placed, noFit
 		if t.Status == StatusCompleted {
 			continue
 		}
-		if t.W.BestEffort && memo && cl.Gen() == memoGen {
+		if !t.W.Tier().Targeted() && memo && cl.Gen() == memoGen {
 			wq.tasks = append(wq.tasks, t)
 			continue
 		}

@@ -77,7 +77,7 @@ func TestWaitQueueGenerationRearmsScan(t *testing.T) {
 		switch task {
 		case tg[0]:
 			// A targeted placement (or its evictions) changes the cluster.
-			if _, err := cl.Servers[0].Place(task.W.ID, cluster.Alloc{Cores: 1, MemoryGB: 1}, cluster.ResVec{}, false); err != nil {
+			if _, err := cl.Servers[0].Place(task.W.ID, cluster.Alloc{Cores: 1, MemoryGB: 1}, cluster.ResVec{}, cluster.Guaranteed); err != nil {
 				t.Fatal(err)
 			}
 			return true, false

@@ -173,7 +173,7 @@ func schedScheduleProbe(t *testing.T) float64 {
 		}
 		for _, n := range asn.Nodes {
 			caused := w.CausedPressure(n.Server.Platform, n.Alloc)
-			if _, err := n.Server.Place(w.ID, n.Alloc, caused, w.BestEffort); err != nil {
+			if _, err := n.Server.Place(w.ID, n.Alloc, caused, w.Tier()); err != nil {
 				t.Fatal(err)
 			}
 		}

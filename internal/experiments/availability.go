@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"quasar/internal/chaos"
+	"quasar/internal/cluster"
 	"quasar/internal/core"
 	"quasar/internal/loadgen"
 	"quasar/internal/perfmodel"
@@ -167,7 +168,7 @@ func availabilityResult(cfg AvailabilityConfig, s *Scenario, inj *chaos.Injector
 	// QoS-met tick fraction.
 	sum, n := 0.0, 0
 	for _, t := range s.RT.Tasks() {
-		if t.W.BestEffort || t.W.Type.Class() != perfmodel.LatencyCritical {
+		if t.W.Tier() != cluster.Guaranteed {
 			continue
 		}
 		sum += PerfNormalizedToTarget(s.RT, t)

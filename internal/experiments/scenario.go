@@ -255,7 +255,7 @@ func baselineOpts(cfg ScenarioConfig) baselines.Options {
 func PerfNormalizedToTarget(rt *core.Runtime, t *core.Task) float64 {
 	w := t.W
 	switch {
-	case w.BestEffort:
+	case !w.Tier().Targeted():
 		return math.NaN()
 	case w.Type.Class() == perfmodel.LatencyCritical:
 		// Fraction of ticks meeting QoS, discounting warm-up.

@@ -219,11 +219,11 @@ func pickVictim(rt *core.Runtime, down map[int]bool, hit map[string]bool) int {
 		cores := 0.0
 		for _, pl := range sv.Placements() {
 			t := rt.Task(pl.WorkloadID)
-			if t == nil || t.W.BestEffort {
+			if t == nil || !t.W.Tier().Targeted() {
 				continue
 			}
 			any++
-			if t.W.Type.Class() == perfmodel.LatencyCritical && !hit[pl.WorkloadID] {
+			if t.W.Tier() == cluster.Guaranteed && !hit[pl.WorkloadID] {
 				fresh++
 				cores += float64(pl.Alloc.Cores)
 			}
@@ -345,12 +345,12 @@ func SLODetect(cfg SLODetectConfig) (*SLODetectResult, error) {
 			for _, id := range servers {
 				for _, pl := range rt.Cl.Servers[id].Placements() {
 					t := rt.Task(pl.WorkloadID)
-					if t == nil || t.W.BestEffort {
+					if t == nil || !t.W.Tier().Targeted() {
 						continue
 					}
 					ev.Impacted = append(ev.Impacted, pl.WorkloadID)
 					hit[pl.WorkloadID] = true
-					if t.W.Type.Class() == perfmodel.LatencyCritical {
+					if t.W.Tier() == cluster.Guaranteed {
 						ev.ImpactedLC = append(ev.ImpactedLC, pl.WorkloadID)
 					}
 				}

@@ -20,12 +20,12 @@ import (
 // step rank must match the oracle exactly — every float bit — because the
 // simulator's byte-identical traces depend on it.
 
-// freeAfterEviction recomputes the capacity available counting best-effort
-// residents as removable, plus those residents in workload-ID order.
+// freeAfterEviction recomputes the capacity available counting residents
+// whose tier yields as removable, plus those residents in workload-ID order.
 func freeAfterEviction(s *cluster.Server) (cores int, mem float64, evictable []*cluster.Placement) {
 	cores, mem = s.FreeCores(), s.FreeMemGB()
 	for _, pl := range s.Placements() {
-		if pl.BestEffort {
+		if pl.Tier.Yields() {
 			cores += pl.Alloc.Cores
 			mem += pl.Alloc.MemoryGB
 			evictable = append(evictable, pl)
@@ -78,7 +78,7 @@ func (s *Scheduler) appraiseScan(req *Request, srv *cluster.Server, cores int, m
 			cluster.Alloc{Cores: srv.Platform.Cores / 2, MemoryGB: srv.Platform.MemoryGB / 2})
 		for _, pl := range srv.Placements() {
 			res := req.EstOf(pl.WorkloadID)
-			if pl.BestEffort || res == nil {
+			if !pl.Tier.Targeted() || res == nil {
 				continue
 			}
 			existing := srv.PressureOn(pl.WorkloadID)
@@ -269,7 +269,7 @@ func (f *churnFixture) churn(t testing.TB, rng *sim.RNG) {
 			return cluster.Alloc{Cores: 1, MemoryGB: rng.Uniform(0.1, 0.9) * srv.Platform.MemoryGB}
 		}
 		for try := 0; try < 1000 && srv.FreeMemGB() == srv.Platform.MemoryGB; try++ {
-			if _, err := srv.Place("residue", mem(), cluster.ResVec{}, false); err != nil {
+			if _, err := srv.Place("residue", mem(), cluster.ResVec{}, cluster.Guaranteed); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 2; i++ {
@@ -366,14 +366,14 @@ func packedCluster(tb testing.TB, servers int) *cluster.Cluster {
 		case i%2000 == 50: // fully-packed but evictable
 			_, err = srv.Place(fmt.Sprintf("be-%d", i),
 				cluster.Alloc{Cores: srv.Platform.Cores, MemoryGB: srv.Platform.MemoryGB},
-				cluster.ResVec{}, true)
+				cluster.ResVec{}, cluster.BestEffort)
 		case i%2000 == 51: // one core left over
 			if srv.Platform.Cores < 2 {
 				continue
 			}
 			_, err = srv.Place(fmt.Sprintf("part-%d", i),
 				cluster.Alloc{Cores: srv.Platform.Cores - 1, MemoryGB: srv.Platform.MemoryGB / 2},
-				cluster.ResVec{}, false)
+				cluster.ResVec{}, cluster.Guaranteed)
 		default:
 			k := 4
 			if srv.Platform.Cores < k {
@@ -386,7 +386,7 @@ func packedCluster(tb testing.TB, servers int) *cluster.Cluster {
 					a.Cores = srv.FreeCores()
 					a.MemoryGB = srv.FreeMemGB()
 				}
-				_, err = srv.Place(fmt.Sprintf("fill-%d-%d", i, j), a, cluster.ResVec{}, false)
+				_, err = srv.Place(fmt.Sprintf("fill-%d-%d", i, j), a, cluster.ResVec{}, cluster.Guaranteed)
 			}
 		}
 		if err != nil {

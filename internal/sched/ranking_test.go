@@ -221,7 +221,7 @@ func churnShape(tb testing.TB) (*cluster.Cluster, []*Request) {
 				cores = max(1, srv.FreeCores()/2)
 			}
 			a := cluster.Alloc{Cores: cores, MemoryGB: srv.FreeMemGB() * float64(cores) / float64(srv.FreeCores())}
-			if _, err := srv.Place(w.ID, a, w.CausedPressure(srv.Platform, a), w.BestEffort); err != nil {
+			if _, err := srv.Place(w.ID, a, w.CausedPressure(srv.Platform, a), w.Tier()); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -367,15 +367,15 @@ func (s *Scheduler) RankCandidates(req *Request) []RankedCandidate {
 }
 
 // compatible reports whether placing the request's workload on the server
-// would keep every non-best-effort resident within its interference
-// tolerance ("colocate workloads that do not interfere with each other"),
-// given the pressure t.caused the workload would add.
+// would keep every targeted resident within its interference tolerance
+// ("colocate workloads that do not interfere with each other"), given the
+// pressure t.caused the workload would add.
 func (s *Scheduler) compatible(req *Request, t *terms, srv *cluster.Server) bool {
 	if s.Opts.IgnoreInterference || req.EstOf == nil {
 		return true
 	}
 	for _, pl := range srv.Placements() {
-		if pl.BestEffort {
+		if !pl.Tier.Targeted() {
 			continue
 		}
 		res := req.EstOf(pl.WorkloadID)

@@ -74,7 +74,7 @@ func (f *fixture) place(t testing.TB, w *workload.Instance, asn *Assignment) {
 	}
 	for _, n := range asn.Nodes {
 		caused := w.CausedPressure(n.Server.Platform, n.Alloc)
-		if _, err := n.Server.Place(w.ID, n.Alloc, caused, w.BestEffort); err != nil {
+		if _, err := n.Server.Place(w.ID, n.Alloc, caused, w.Tier()); err != nil {
 			t.Fatalf("place %s: %v", w.ID, err)
 		}
 	}
@@ -124,20 +124,41 @@ func TestScheduleLeastResources(t *testing.T) {
 	}
 }
 
+// nodeRate is the most one uncontended node can give the request's workload
+// at the allocation alloc picks for each platform, by the estimates the
+// scheduler itself reads. Tests size needs from it, so the path a need is
+// meant to reach does not depend on the drawn workload.
+func (f *fixture) nodeRate(req *Request, alloc func(p *cluster.Platform) cluster.Alloc) float64 {
+	best := 0.0
+	for pidx := range f.cl.Platforms {
+		best = max(best, req.Est.NodePerf(pidx, alloc(&f.cl.Platforms[pidx]), cluster.ResVec{}))
+	}
+	return best
+}
+
+func wholeServer(p *cluster.Platform) cluster.Alloc {
+	return cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}
+}
+
 func TestScheduleScalesOutForBigNeed(t *testing.T) {
 	f := newFixture(t)
 	w := f.u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 8})
-	small, err := f.s.Schedule(f.request(w, 5, 8))
+	req := f.request(w, 1, 8)
+	req.NeedPerf = f.nodeRate(req, wholeServer) / 4
+	small, err := f.s.Schedule(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Three whole servers' worth: no single node can meet it.
 	w2 := f.u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 8})
-	big, err := f.s.Schedule(f.request(w2, 500, 8))
+	req2 := f.request(w2, 1, 8)
+	req2.NeedPerf = 3 * f.nodeRate(req2, wholeServer)
+	big, err := f.s.Schedule(req2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(big.Nodes) <= len(small.Nodes) {
-		t.Fatalf("100x need did not scale out: %d vs %d nodes", len(big.Nodes), len(small.Nodes))
+	if len(big.Nodes) < 2 || len(big.Nodes) <= len(small.Nodes) {
+		t.Fatalf("need of three whole servers did not scale out: %d vs %d nodes", len(big.Nodes), len(small.Nodes))
 	}
 }
 
@@ -175,7 +196,7 @@ func TestAdmissionControlOnFullCluster(t *testing.T) {
 		id := "filler"
 		if _, err := srv.Place(id+string(rune('a'+i%26))+string(rune('a'+i/26)),
 			cluster.Alloc{Cores: srv.Platform.Cores, MemoryGB: srv.Platform.MemoryGB},
-			cluster.ResVec{}, false); err != nil {
+			cluster.ResVec{}, cluster.Guaranteed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +213,7 @@ func TestBestEffortEviction(t *testing.T) {
 		id := "be-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
 		if _, err := srv.Place(id,
 			cluster.Alloc{Cores: srv.Platform.Cores, MemoryGB: srv.Platform.MemoryGB},
-			cluster.ResVec{}, true); err != nil {
+			cluster.ResVec{}, cluster.BestEffort); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +246,7 @@ func TestInterferenceAwareAvoidsHostileColocation(t *testing.T) {
 			continue
 		}
 		if _, err := srv.Place(resident.ID+srv.Platform.Name+string(rune('0'+srv.ID%10)),
-			cluster.Alloc{Cores: 12, MemoryGB: 24}, hot, false); err != nil {
+			cluster.Alloc{Cores: 12, MemoryGB: 24}, hot, cluster.Guaranteed); err != nil {
 			t.Fatal(err)
 		}
 		f.est[resident.ID+srv.Platform.Name+string(rune('0'+srv.ID%10))] = resEst
@@ -265,9 +286,17 @@ func TestScaleOutFirstAblation(t *testing.T) {
 	f := newFixture(t)
 	f.s.Opts.ScaleOutFirst = true
 	w := f.u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 8})
-	asn, err := f.s.Schedule(f.request(w, 30, 8))
+	req := f.request(w, 1, 8)
+	// Three of the ablation's 2-core, 4 GB slices' worth: it has to spread.
+	req.NeedPerf = 3 * f.nodeRate(req, func(*cluster.Platform) cluster.Alloc {
+		return cluster.Alloc{Cores: 2, MemoryGB: 4}
+	})
+	asn, err := f.s.Schedule(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(asn.Nodes) < 2 {
+		t.Fatalf("scale-out-first met a three-slice need on %d node", len(asn.Nodes))
 	}
 	for _, n := range asn.Nodes {
 		if n.Alloc.Cores > 2 {

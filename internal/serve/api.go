@@ -294,7 +294,7 @@ func (s *Server) getWorkload(id string) (workloadDetail, bool) {
 		},
 		Class: t.W.Type.Class().String(),
 	}
-	if !t.W.BestEffort {
+	if t.W.Tier().Targeted() {
 		d.CompletionSecs = t.W.Target.CompletionSecs
 		d.QPS = t.W.Target.QPS
 		d.LatencyUS = t.W.Target.LatencyUS

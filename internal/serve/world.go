@@ -5,11 +5,11 @@ import (
 	"math"
 
 	"quasar/internal/chaos"
+	"quasar/internal/cluster"
 	"quasar/internal/core"
 	"quasar/internal/experiments"
 	"quasar/internal/loadgen"
 	"quasar/internal/obs"
-	"quasar/internal/perfmodel"
 	"quasar/internal/workload"
 )
 
@@ -218,7 +218,7 @@ func (w *world) apply(e *Entry) error {
 				// was edited or the format drifted.
 				return fmt.Errorf("serve: journal seq %d: %w", e.Seq, err)
 			}
-		} else if inst.Type.Class() == perfmodel.LatencyCritical && !inst.BestEffort {
+		} else if inst.Tier() == cluster.Guaranteed {
 			load = experiments.ServiceLoad(inst)
 		}
 		w.RT.Submit(inst, w.RT.Eng.Now(), load)

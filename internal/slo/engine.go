@@ -193,7 +193,7 @@ func (e *Engine) onTick(now float64) {
 		}
 	}
 	for _, t := range tasks {
-		if t.W.BestEffort {
+		if !t.W.Tier().Targeted() {
 			continue
 		}
 		ws := e.byPos[t.Pos()]

@@ -151,7 +151,7 @@ func (u *Universe) New(spec Spec) *Instance {
 		cfg := DefaultHadoopConfig()
 		w.Config = &cfg
 	}
-	if !spec.BestEffort {
+	if w.Tier().Targeted() {
 		w.Target = u.deriveTarget(w, spec)
 	}
 	return w

@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 
+	"quasar/internal/cluster"
 	"quasar/internal/perfmodel"
 )
 
@@ -172,6 +173,20 @@ type Instance struct {
 	Genome *perfmodel.Genome
 }
 
+// Tier places the workload in the cluster's yield order: best-effort work
+// has no target, latency-critical work with one is guaranteed, and targeted
+// batch work is burstable.
+func (w *Instance) Tier() cluster.Tier {
+	switch {
+	case w.BestEffort:
+		return cluster.BestEffort
+	case w.Type.Class() == perfmodel.LatencyCritical:
+		return cluster.Guaranteed
+	default:
+		return cluster.Burstable
+	}
+}
+
 // Validate checks instance consistency.
 func (w *Instance) Validate() error {
 	if w.ID == "" {
@@ -180,7 +195,7 @@ func (w *Instance) Validate() error {
 	if w.Genome == nil {
 		return fmt.Errorf("workload %s: nil genome", w.ID)
 	}
-	if !w.BestEffort {
+	if w.Tier().Targeted() {
 		if w.Target.Class != w.Type.Class() {
 			return fmt.Errorf("workload %s: target class %v does not match type %v",
 				w.ID, w.Target.Class, w.Type)

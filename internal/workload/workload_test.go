@@ -119,6 +119,28 @@ func TestBestEffortHasNoTarget(t *testing.T) {
 	}
 }
 
+// TestInstanceTier holds Tier to the spec flag and the class: the flag wins
+// on any type, and targeted work is guaranteed only if latency-critical.
+func TestInstanceTier(t *testing.T) {
+	for _, tc := range []struct {
+		typ        Type
+		bestEffort bool
+		want       cluster.Tier
+	}{
+		{Memcached, false, cluster.Guaranteed},
+		{Webserver, false, cluster.Guaranteed},
+		{Hadoop, false, cluster.Burstable},
+		{SingleNode, false, cluster.Burstable},
+		{SingleNode, true, cluster.BestEffort},
+		{Memcached, true, cluster.BestEffort},
+	} {
+		w := &Instance{Type: tc.typ, BestEffort: tc.bestEffort}
+		if got := w.Tier(); got != tc.want {
+			t.Errorf("%v best-effort=%v: tier %d, want %d", tc.typ, tc.bestEffort, got, tc.want)
+		}
+	}
+}
+
 func TestAnalyticsTargetAchievable(t *testing.T) {
 	u := testUniverse()
 	w := u.New(Spec{Type: Hadoop, Family: -1, MaxNodes: 4, TargetSlack: 1.0})
