@@ -10,17 +10,19 @@ all: build
 build:
 	$(GO) build ./...
 
-## test: run the full test suite
+## test: run the full test suite, uncached, without -short or the race
+## detector: the lane that runs what -short skips (TestAllocBudgets, the
+## behavioural checks over seeds, the slow scenarios)
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 ## race: run the short test suite under the race detector (the CI lane)
 race:
 	$(GO) test -race -short ./...
 
 ## behaviour: the behavioural checks that claim over seeds 1-48; they skip
-## under -short, so `race` does not run them. TestColdFitPathsPinnedDigests
-## rides along (it also runs under -short)
+## under -short, so `race` does not run them (`test` does).
+## TestColdFitPathsPinnedDigests rides along (it also runs under -short)
 behaviour:
 	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape|TestColdFitPathsPinnedDigests)$$' -count=1 ./internal/experiments
 
@@ -59,7 +61,10 @@ lint: fmt-check
 ## offline library, paid once per world build), the oracle target sweep at 8
 ## and 100 nodes (BenchmarkOracleBestCompletion: paid per targeted batch
 ## arrival) and one arrival's instance generation (BenchmarkUniverseNew: a
-## targeted Hadoop job, a service and a single-node job), the random streams:
+## targeted Hadoop job, a service, a single-node job and a best-effort one),
+## one ground-truth node rate with its affinity lookup among the 14 EC2
+## platforms (BenchmarkNodeRate: paid per node by every oracle sweep, probe
+## and tick), the random streams:
 ## minting one builds no register (BenchmarkNewRNG, BenchmarkStream), a typical
 ## stream is minted and drawn 19 times (BenchmarkStreamDraws: paid per
 ## workload), and SGD's shuffle runs on a built register (BenchmarkShuffle),
@@ -116,7 +121,6 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 ## ci: everything the CI pipeline runs, except the jobs that stay CI-only:
-## race-full (the whole suite under -race), full-tests (the whole suite
-## without -short), trace-diff (`make trace-diff` runs it locally), live
-## fuzzing and bench (`make bench` runs it locally)
-ci: fmt-check build lint race behaviour determinism corpus
+## race-full (the whole suite under -race), trace-diff (`make trace-diff`
+## runs it locally), live fuzzing and bench (`make bench` runs it locally)
+ci: fmt-check build lint race test determinism corpus

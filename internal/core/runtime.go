@@ -69,7 +69,10 @@ type Task struct {
 	// Submit.
 	Load loadgen.Pattern
 
-	// Service statistics, updated every tick while running.
+	// Service statistics, updated every tick while running. Submit
+	// allocates QoSFrac and LatencyDist by class: every latency-critical
+	// task, best-effort or not, has both; for analytics and single-node
+	// tasks, which never record a sample, both are nil.
 	LastAchievedQPS float64
 	LastOfferedQPS  float64
 	LastP99US       float64
@@ -308,14 +311,16 @@ func (rt *Runtime) Manager() Manager { return rt.manager }
 // Submit schedules a workload arrival at time at.
 func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern) *Task {
 	t := &Task{
-		W:           w,
-		Status:      StatusQueued,
-		SubmitAt:    at,
-		Load:        load,
-		QoSFrac:     &metrics.Series{Name: w.ID + "/qos"},
-		LatencyDist: metrics.NewHistogram(0.01),
-		offeredAt:   math.NaN(),
-		pos:         len(rt.ordered),
+		W:         w,
+		Status:    StatusQueued,
+		SubmitAt:  at,
+		Load:      load,
+		offeredAt: math.NaN(),
+		pos:       len(rt.ordered),
+	}
+	if w.Type.Class() == perfmodel.LatencyCritical {
+		t.QoSFrac = &metrics.Series{Name: w.ID + "/qos"}
+		t.LatencyDist = metrics.NewHistogram(0.01)
 	}
 	rt.tasks[w.ID] = t
 	rt.ordered = append(rt.ordered, t)

@@ -280,6 +280,58 @@ func TestBatchTickAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSubmitKeepsServiceHistoryOnlyForServices: Submit gives a task a QoS
+// series and a p99 histogram by class, not tier. Latency-critical tasks, a
+// best-effort one included, get both and fill them; analytics and
+// single-node tasks, targeted or best-effort, get neither, and their ticks
+// still allocate nothing.
+func TestSubmitKeepsServiceHistoryOnlyForServices(t *testing.T) {
+	rt, u := newTestRuntime(t)
+	rt.SetManager(&nullManager{rt: rt, alloc: cluster.Alloc{Cores: 2, MemoryGB: 4}, server: 36, nodes: 1})
+	var services, batch []*Task
+	for _, spec := range []workload.Spec{
+		{Type: workload.Memcached, Family: -1, MaxNodes: 4},
+		{Type: workload.Webserver, Family: -1, BestEffort: true},
+		{Type: workload.Hadoop, Family: -1, MaxNodes: 4},
+		{Type: workload.SingleNode, Family: -1},
+		{Type: workload.SingleNode, Family: -1, BestEffort: true},
+		{Type: workload.Spark, Family: -1, BestEffort: true},
+	} {
+		w := u.New(spec)
+		w.Genome.Work = 1e15
+		if w.Type.Class() == perfmodel.LatencyCritical {
+			services = append(services, rt.Submit(w, 0, loadgen.Flat{QPS: 100}))
+		} else {
+			batch = append(batch, rt.Submit(w, 0, nil))
+		}
+	}
+	rt.Run(700)
+	rt.Stop()
+	for _, task := range services {
+		if task.Status != StatusRunning || task.QoSFrac == nil || task.LatencyDist == nil {
+			t.Fatalf("%s (tier %v): status %v, QoS series %v, p99 histogram %v: want a running service with both",
+				task.W.ID, task.W.Tier(), task.Status, task.QoSFrac != nil, task.LatencyDist != nil)
+		}
+		if task.QoSFrac.Len() == 0 || task.LatencyDist.N() == 0 {
+			t.Fatalf("%s: %d QoS points and %d p99 samples after 700 s", task.W.ID, task.QoSFrac.Len(), task.LatencyDist.N())
+		}
+	}
+	for _, task := range batch {
+		if task.Status != StatusRunning || task.QoSFrac != nil || task.LatencyDist != nil {
+			t.Fatalf("%s (tier %v): status %v, QoS series %v, p99 histogram %v: want a running task with neither",
+				task.W.ID, task.W.Tier(), task.Status, task.QoSFrac != nil, task.LatencyDist != nil)
+		}
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1000; i++ {
+				rt.tickBatch(task, 700, rt.TickSecs())
+			}
+		})
+		if allocs != 0 { //lint:allow(floatcmp) an exact count
+			t.Fatalf("%s: 1000 ticks allocate %v times, want 0", task.W.ID, allocs)
+		}
+	}
+}
+
 // TestLatencyWarmupCountsFromFirstStart: the p99 histogram skips the 600 s
 // after a service's first placement only. A displaced service that is
 // re-admitted keeps feeding it, so the tail of a displacement reaches the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"quasar/internal/chaos"
@@ -35,9 +36,14 @@ func TestServeSnapshotMidDisplacement(t *testing.T) {
 		crashes = append(crashes, chaos.FaultSpec{Kind: chaos.KindCrash, Server: id, At: 250, DurationSecs: 100})
 	}
 	cfg := serve.Config{Servers: servers, Seed: 1, Faults: &chaos.Plan{Name: "serve-crash", Faults: crashes}}
+	// The webserver names no QPS or latency, so its target is derived from
+	// the drawn instance: four times its zero-load latency, and 60 % of the
+	// QPS the oracle's best four-node allocation sustains at that bound. A
+	// fixed target can lie out of the draw's reach: this seed's webserver
+	// has a 16.7 ms zero-load latency, so under a 900 µs bound it never runs.
 	script := []serve.ScriptEntry{
 		{At: 1, Submit: &serve.SubmitRequest{Type: "memcached", Family: -1, QPS: 7000, LatencyUS: 600, MaxNodes: 4}},
-		{At: 3, Submit: &serve.SubmitRequest{Type: "webserver", Family: -1, QPS: 8000, LatencyUS: 900, MaxNodes: 4}},
+		{At: 3, Submit: &serve.SubmitRequest{Type: "webserver", Family: -1, MaxNodes: 4}},
 		{At: 6, Submit: &serve.SubmitRequest{Type: "hadoop", Family: 1, MaxNodes: 4, TargetSlack: 1.4}},
 		{At: 10, Submit: &serve.SubmitRequest{Type: "single-node", Family: -1, BestEffort: true}},
 		{At: 12, Submit: &serve.SubmitRequest{Type: "single-node", Family: -1, BestEffort: true}},
@@ -70,14 +76,20 @@ func TestServeSnapshotMidDisplacement(t *testing.T) {
 	if mgr.Recovery.Displaced == 0 {
 		t.Fatalf("no displacement recorded by snapshot time: %+v", mgr.Recovery)
 	}
-	openEpisode := false
+	openEpisode, webserverDisplaced := false, false
 	for _, ts := range mgr.Tasks {
 		if ts.Displaced {
 			openEpisode = true
+			webserverDisplaced = webserverDisplaced || strings.HasPrefix(ts.ID, "webserver-")
 		}
 	}
 	if !openEpisode {
 		t.Fatal("snapshot carries no open displacement episode (all tasks already readmitted); move the snapshot boundary")
+	}
+	// Every server crashed, so a webserver that ran before t=250 is
+	// displaced at the snapshot; one that never ran is not.
+	if !webserverDisplaced {
+		t.Fatalf("the webserver was not running when the servers crashed: tasks %+v, queue %v", mgr.Tasks, mgr.Queue)
 	}
 
 	// Two standbys performing the identical take-over must agree byte for

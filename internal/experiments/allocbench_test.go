@@ -96,6 +96,11 @@ var allocProbes = []struct {
 	// configuration, the candidates in a fixed array on the stack (measured
 	// 0.0).
 	{"oracle_sweep", "quasar/internal/workload.OracleBestCompletion", 0, oracleSweepProbe},
+	// One best-effort single-node arrival's instance, the bulk of
+	// sim_scale_churn's submissions: its ID, random streams, synthetic
+	// dataset, genome with its dense affinity slice, and the instance. No
+	// target is derived (measured 12.0).
+	{"universe_new_be", "quasar/internal/workload.(*Universe).New", 12, universeNewProbe},
 	// One scale-out probe of a configured Hadoop job, paid per node count
 	// for every distributed workload the library seeds: one node rate for
 	// both counts, the tuned configuration in the prober (measured 0.0).
@@ -298,6 +303,14 @@ func oracleSweepProbe(*testing.T) float64 {
 	return testing.AllocsPerRun(allocRuns, func() {
 		_, _ = workload.OracleBestCompletion(w, platforms, 8)
 	})
+}
+
+// universeNewProbe measures one Universe.New of a best-effort single-node
+// job on the local platforms, sim_scale_churn's.
+func universeNewProbe(*testing.T) float64 {
+	u := workload.NewUniverse(cluster.LocalPlatforms(), allocSeed, 3)
+	spec := workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true}
+	return testing.AllocsPerRun(allocRuns, func() { u.New(spec) })
 }
 
 // proberScaleOutProbe measures one noisy ScaleOut at 32 nodes of half the

@@ -3,7 +3,7 @@ package perfmodel
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"quasar/internal/cluster"
 	"quasar/internal/sim"
@@ -224,10 +224,6 @@ type Family struct {
 	Name      string
 	Archetype Archetype
 	Base      Genome
-
-	// affinityNames holds Base.Affinity's keys, sorted: Instantiate draws
-	// jitter in this order (map order would make genomes irreproducible).
-	affinityNames []string
 }
 
 // NewFamily draws a family from the archetype for the given platform set.
@@ -247,7 +243,6 @@ func NewFamily(name string, arch Archetype, platforms []cluster.Platform, rng *s
 		TailFactor: rng.Uniform(arch.TailLo, arch.TailHi),
 		QPSPerUnit: arch.QPSPerUnit,
 		NoiseCV:    arch.NoiseCV,
-		Affinity:   make(map[string]float64, len(platforms)),
 	}
 	if arch.WorkHi > 0 {
 		g.Work = rng.Pareto(1.2, arch.WorkLo, arch.WorkHi)
@@ -256,27 +251,32 @@ func NewFamily(name string, arch Archetype, platforms []cluster.Platform, rng *s
 		g.ServiceUS = rng.Uniform(arch.ServiceUSLo, arch.ServiceUSHi)
 	}
 	cacheNeed := arch.CacheNeedMB * rng.Uniform(0.6, 1.6)
+	names := make([]string, len(platforms))
+	for i, p := range platforms {
+		names[i] = p.Name
+	}
+	slices.Sort(names)
+	g.affinityNames = slices.Compact(names)
+	g.affinity = make([]float64, len(g.affinityNames))
+	// Draw in platform order; a repeated name keeps its last draw.
 	for _, p := range platforms {
 		fit := 1.0
 		if p.CacheMB < cacheNeed {
 			fit = math.Pow(p.CacheMB/cacheNeed, 0.2)
 		}
-		g.Affinity[p.Name] = rng.LogNormal(0, arch.AffinitySigma) * fit
+		i, _ := slices.BinarySearch(g.affinityNames, p.Name)
+		g.affinity[i] = rng.LogNormal(0, arch.AffinitySigma) * fit
 	}
 	for r := 0; r < int(cluster.NumResources); r++ {
 		g.Sens[r] = clamp01(arch.Sens[r] * rng.Uniform(0.6, 1.4))
 		g.Caused[r] = clamp01(arch.Caused[r] * rng.Uniform(0.6, 1.4))
 	}
-	names := make([]string, 0, len(g.Affinity))
-	for name := range g.Affinity {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return &Family{Name: name, Archetype: arch, Base: g, affinityNames: names}
+	return &Family{Name: name, Archetype: arch, Base: g}
 }
 
 // Instantiate derives an instance genome from the family base: every scalar
-// is jittered, affinities get per-platform noise, and the dataset factor
+// is jittered, affinities get per-platform noise (drawn in sorted platform
+// order, and sharing the base's name list), and the dataset factor
 // multiplies the work and shifts the memory need (the paper's "dataset
 // impact", up to ~3x).
 func (f *Family) Instantiate(rng *sim.RNG, workMult, memMult float64) *Genome {
@@ -293,10 +293,12 @@ func (f *Family) Instantiate(rng *sim.RNG, workMult, memMult float64) *Genome {
 		TailFactor:  b.TailFactor,
 		QPSPerUnit:  b.QPSPerUnit,
 		NoiseCV:     b.NoiseCV,
-		Affinity:    make(map[string]float64, len(b.Affinity)),
+
+		affinityNames: b.affinityNames,
+		affinity:      make([]float64, len(b.affinity)),
 	}
-	for _, name := range f.affinityNames {
-		g.Affinity[name] = rng.Jitter(b.Affinity[name], 0.06)
+	for i, a := range b.affinity {
+		g.affinity[i] = rng.Jitter(a, 0.06)
 	}
 	for r := 0; r < int(cluster.NumResources); r++ {
 		g.Sens[r] = clamp01(b.Sens[r] * rng.Uniform(0.85, 1.15))

@@ -14,6 +14,7 @@ package perfmodel
 
 import (
 	"math"
+	"slices"
 
 	"quasar/internal/cluster"
 )
@@ -24,10 +25,13 @@ type Genome struct {
 	// CorePerf=1.0 platform with sufficient memory and no interference.
 	BaseRate float64
 
-	// Affinity multiplies per-core performance on each platform (keyed by
-	// platform name), capturing microarchitectural match beyond raw
-	// CorePerf (cache fit, memory system balance).
-	Affinity map[string]float64
+	// affinity[i] multiplies per-core performance on the platform named
+	// affinityNames[i], capturing microarchitectural match beyond raw
+	// CorePerf (cache fit, memory system balance). affinityNames is the
+	// family's sorted, duplicate-free platform list, shared by every
+	// instance of the family; Affinity looks a name up in it.
+	affinityNames []string
+	affinity      []float64
 
 	// Alpha is the scale-up exponent: node rate grows as cores^Alpha.
 	Alpha float64
@@ -105,11 +109,11 @@ func (g *Genome) memFactor(memGB float64) float64 {
 	return math.Pow(memGB/g.MemNeedGB, g.MemCurve)
 }
 
-// affinity returns the platform multiplier, defaulting to 1 for unknown
-// platforms.
-func (g *Genome) affinity(name string) float64 {
-	if a, ok := g.Affinity[name]; ok {
-		return a
+// Affinity returns the per-core performance multiplier on the named
+// platform, or 1 for a platform the genome was not drawn for.
+func (g *Genome) Affinity(platform string) float64 {
+	if i, ok := slices.BinarySearch(g.affinityNames, platform); ok {
+		return g.affinity[i]
 	}
 	return 1
 }
@@ -132,7 +136,7 @@ func (g *Genome) NodeRate(p *cluster.Platform, alloc cluster.Alloc, pressure clu
 	// rate = base * affinity * (cores*CorePerf)^alpha. This keeps whole-node
 	// heterogeneity in the ~3-7x range of Fig. 2 while scale-up within the
 	// largest node still spans ~an order of magnitude with memory effects.
-	rate := g.BaseRate * g.affinity(p.Name) * math.Pow(cores*p.CorePerf, g.Alpha)
+	rate := g.BaseRate * g.Affinity(p.Name) * math.Pow(cores*p.CorePerf, g.Alpha)
 	rate *= g.memFactor(alloc.MemoryGB)
 	rate *= InterferencePenalty(g.Sens, pressure)
 	return rate

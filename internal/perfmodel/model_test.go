@@ -263,7 +263,7 @@ func TestFamilyInstanceCoherence(t *testing.T) {
 	dist := func(x, y *Genome) float64 {
 		d := 0.0
 		for _, p := range platforms {
-			d += math.Abs(math.Log(x.Affinity[p.Name] / y.Affinity[p.Name]))
+			d += math.Abs(math.Log(x.Affinity(p.Name) / y.Affinity(p.Name)))
 		}
 		d += math.Abs(x.Alpha-y.Alpha) * 5
 		return d

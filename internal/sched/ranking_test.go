@@ -104,10 +104,21 @@ func TestScheduleSameWithTracer(t *testing.T) {
 // to the tracer's own truncation (obs.Controls): a packed Schedule traced
 // under Controls{TopK: k} must emit the same decision line, drop count
 // included, as the full decision of a run without controls re-emitted
-// through a TopK: k tracer.
+// through a TopK: k tracer. The last request cannot be met by its MaxNodes
+// best whole nodes, so it picks MaxNodes servers, more than any k: its
+// picks beyond TopK, which the pre-trim must keep, exist by construction.
 func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 	cl := packedCluster(t, 1000)
-	reqs := packedRequests(cluster.LocalPlatforms())
+	platforms := cluster.LocalPlatforms()
+	reqs := packedRequests(platforms)
+	wide := *reqs[0]
+	wide.MaxNodes, wide.AcceptPartial = 10, true
+	bestNode := 0.0
+	for i, p := range platforms {
+		bestNode = math.Max(bestNode, wide.Est.NodePerf(i, cluster.Alloc{Cores: p.Cores, MemoryGB: p.MemoryGB}, cluster.ResVec{}))
+	}
+	wide.NeedPerf = 10 * float64(wide.MaxNodes) * bestNode
+	reqs = append(reqs, &wide)
 	// decisionLine returns the decision event's JSONL line as a tracer with
 	// Controls{TopK: k} writes it.
 	decisionLine := func(k int, emit func(tr *obs.Tracer)) string {
@@ -127,7 +138,6 @@ func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 		t.Fatalf("no decision line in:\n%s", buf.String())
 		return ""
 	}
-	picksBeyondTopK := 0
 	for _, k := range []int{1, 3, 8} {
 		for i, req := range reqs {
 			pretrimmed := decisionLine(k, func(tr *obs.Tracer) {
@@ -152,10 +162,15 @@ func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 			if len(d.Candidates) <= k {
 				t.Fatalf("k=%d request %d: %d candidates, too few to truncate", k, i, len(d.Candidates))
 			}
+			picksBeyondTopK := 0
 			for _, c := range d.Candidates[k:] {
 				if c.Picked {
 					picksBeyondTopK++
 				}
+			}
+			if req == &wide && (len(d.Picks) != wide.MaxNodes || picksBeyondTopK == 0) {
+				t.Fatalf("k=%d: the wide request picked %d of %d servers, %d ranked beyond TopK: want all %d and at least one beyond",
+					k, len(d.Picks), wide.MaxNodes, picksBeyondTopK, wide.MaxNodes)
 			}
 			truncated := decisionLine(k, func(tr *obs.Tracer) {
 				tr.Instant("manager", "sched", "decision", obs.Arg{Key: "decision", Val: d})
@@ -165,9 +180,6 @@ func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 					k, i, pretrimmed, truncated)
 			}
 		}
-	}
-	if picksBeyondTopK == 0 {
-		t.Error("no picked server ranked beyond TopK: the picks-after-TopK path went unexercised")
 	}
 }
 

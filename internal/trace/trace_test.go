@@ -111,19 +111,30 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
+// TestDiurnalVariation: aggregate usage must swing within a day. Each
+// workload's phase is drawn uniformly, so the aggregate swing is what the
+// draws leave uncancelled, and a seed can land below any fixed bar. The
+// claim is therefore stated over seeds 1-48: the day-two swing reaches the
+// same 0.5-point bound on at least nine seeds in ten.
 func TestDiurnalVariation(t *testing.T) {
-	tr := Generate(smallConfig())
-	// Usage must swing within each day.
-	lo, hi := 1e9, 0.0
-	for h := 24; h < 48; h++ {
-		if tr.CPUUsedPct[h] < lo {
-			lo = tr.CPUUsedPct[h]
+	const seeds, bound = 48, 0.5
+	met := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		cfg := smallConfig()
+		cfg.Seed = seed
+		tr := Generate(cfg)
+		lo, hi := 1e9, 0.0
+		for h := 24; h < 48; h++ {
+			lo = min(lo, tr.CPUUsedPct[h])
+			hi = max(hi, tr.CPUUsedPct[h])
 		}
-		if tr.CPUUsedPct[h] > hi {
-			hi = tr.CPUUsedPct[h]
+		if hi-lo >= bound {
+			met++
+		} else {
+			t.Logf("seed %d: day-two usage %.2f..%.2f swings %.2f points, below %.1f", seed, lo, hi, hi-lo, bound)
 		}
 	}
-	if hi-lo < 0.5 {
-		t.Fatalf("no diurnal variation: %.2f..%.2f", lo, hi)
+	if 10*met < 9*seeds {
+		t.Fatalf("day-two usage swings at least %.1f points on %d of %d seeds, want nine in ten", bound, met, seeds)
 	}
 }

@@ -28,8 +28,10 @@ func BenchmarkOracleBestCompletion(b *testing.B) {
 
 // BenchmarkUniverseNew is one arrival's instance generation: its random
 // streams, genome and (unless best-effort) the oracle-derived target. The
-// three cases are the three target derivations: the configured-job sweep,
-// a service's capacity sweep and a single node's best rate.
+// first three cases are the three target derivations: the configured-job
+// sweep, a service's capacity sweep and a single node's best rate. The
+// fourth derives none: a best-effort single-node job, most of
+// sim_scale_churn's arrivals, pays only for its instance.
 func BenchmarkUniverseNew(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -38,6 +40,7 @@ func BenchmarkUniverseNew(b *testing.B) {
 		{"hadoop", Spec{Type: Hadoop, Family: -1}},
 		{"service", Spec{Type: Memcached, Family: -1}},
 		{"single_node", Spec{Type: SingleNode, Family: -1}},
+		{"single_node_best_effort", Spec{Type: SingleNode, Family: -1, BestEffort: true}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			u := testUniverse()
