@@ -68,10 +68,11 @@ lint: fmt-check
 ## minting one builds no register (BenchmarkNewRNG, BenchmarkStream), a typical
 ## stream is minted and drawn 19 times (BenchmarkStreamDraws: paid per
 ## workload), and SGD's shuffle runs on a built register (BenchmarkShuffle),
-## the scheduler: a full, settled ranking of a packed cluster through the
-## index and the scan oracle (BenchmarkRank) and one decision in
-## sim_scale_churn's shape, which reads only the top of its ranking
-## (BenchmarkSchedule), one replayed journal entry of serve_replay's mix
+## one event-queue Step at 16 and 5 000 pending events (BenchmarkEngineStep:
+## paid per simulated event), the scheduler: a full, settled ranking of a
+## packed cluster through the index and the scan oracle (BenchmarkRank) and
+## one decision in sim_scale_churn's shape, which reads only the top of its
+## ranking (BenchmarkSchedule), one replayed journal entry of serve_replay's mix
 ## through JournalReader.Next next to the encoding/json decode it falls back
 ## to (BenchmarkJournalNext), one tick over a fixed live set behind 0 and
 ## 10 000 completed tasks, which should cost the same (BenchmarkTickHistory),

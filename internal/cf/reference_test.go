@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"quasar/internal/sim"
 )
 
 // trainReference is the implementation Train replaced, kept verbatim as the
@@ -85,11 +87,11 @@ func referenceSGD(m *Model, s *Sparse, opts Options) {
 		}
 		return entries[a].i < entries[b].i
 	})
-	rng := rand.New(rand.NewSource(shuffleSeed))
+	rng := sim.NewSource(shuffleSeed)
 	k := m.K
 	prevRMSE := math.Inf(1)
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		rng.Shuffle(len(entries), func(a, b int) { entries[a], entries[b] = entries[b], entries[a] })
+		sim.Shuffle(rng, entries)
 		sse := 0.0
 		for _, e := range entries {
 			pred := m.Predict(e.u, e.i)

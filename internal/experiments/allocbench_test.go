@@ -45,7 +45,7 @@ var allocProbes = []struct {
 	budget   float64
 	probe    func(t *testing.T) float64
 }{
-	// One event pop + self-reschedule through the engine freelist: zero
+	// One event pop + self-reschedule into the engine's value heap: zero
 	// steady-state allocations (measured 0.0).
 	{"sim_step", "quasar/internal/sim.(*Engine).Step", 0, simStepProbe},
 	// One scheduling decision: the returned Assignment, its node list, and
@@ -131,7 +131,7 @@ func simStepProbe(*testing.T) float64 {
 	var tick func()
 	tick = func() { eng.After(1, tick) }
 	eng.After(1, tick)
-	for i := 0; i < 64; i++ { // warm the event freelist
+	for i := 0; i < 64; i++ { // grow the heap to its steady capacity
 		eng.Step()
 	}
 	return testing.AllocsPerRun(allocRuns, func() { eng.Step() })

@@ -15,10 +15,7 @@ import (
 // tracking, SLO budget math).
 //
 // Determinism contract. Buckets are kept as parallel sorted slices, never a
-// map, so every walk (quantiles, serialization, merges) runs in index order.
-// Merging adds integer bucket counts, which is exactly associative and
-// commutative: merging shard histograms in any grouping yields byte-identical
-// serialized state, mirroring the Shards/Merge discipline of internal/obs.
+// map, so every walk (quantiles, serialization) runs in index order.
 type Histogram struct {
 	alpha   float64 // quantile relative-error bound
 	gamma   float64 // bucket growth factor (1+alpha)/(1-alpha)
@@ -126,8 +123,8 @@ func (h *Histogram) Buckets() int { return len(h.idx) }
 // Mean returns the sample mean computed from bucket representatives, within
 // RelativeError of the exact mean for positive samples (non-positive samples
 // contribute 0). NaN when empty. It is derived purely from the integer
-// bucket state in index order, so it is byte-identical across any merge
-// grouping — a running float sum would not be.
+// bucket state in index order, so it is the same for any order of the same
+// samples — a running float sum would not be.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return math.NaN()
@@ -218,53 +215,4 @@ func (h *Histogram) FractionBelow(bound float64) float64 {
 		}
 	}
 	return float64(below) / float64(h.count)
-}
-
-// Merge folds other into h. Histograms must share the same relative-error
-// bound (bucket boundaries must line up); merging an empty histogram is a
-// no-op. Bucket counts add, so merging is exactly associative and
-// commutative — any grouping of shard merges produces identical state.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil || other.count == 0 {
-		return nil
-	}
-	if h.lnGamma == 0 { //lint:allow(floatcmp) zero value: adopt the peer's error bound
-		h.alpha = other.alpha
-		h.derive()
-	}
-	if h.alpha != other.alpha { //lint:allow(floatcmp) configured constants compared for identity
-		return fmt.Errorf("metrics: merging histograms with different error bounds (%v vs %v)",
-			h.alpha, other.alpha)
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.count == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.zero += other.zero
-	// Merge the sorted index slices.
-	mi := make([]int32, 0, len(h.idx)+len(other.idx))
-	mc := make([]uint64, 0, len(h.cnt)+len(other.cnt))
-	a, b := 0, 0
-	for a < len(h.idx) || b < len(other.idx) {
-		switch {
-		case b >= len(other.idx) || (a < len(h.idx) && h.idx[a] < other.idx[b]):
-			mi = append(mi, h.idx[a])
-			mc = append(mc, h.cnt[a])
-			a++
-		case a >= len(h.idx) || other.idx[b] < h.idx[a]:
-			mi = append(mi, other.idx[b])
-			mc = append(mc, other.cnt[b])
-			b++
-		default:
-			mi = append(mi, h.idx[a])
-			mc = append(mc, h.cnt[a]+other.cnt[b])
-			a++
-			b++
-		}
-	}
-	h.idx, h.cnt = mi, mc
-	return nil
 }

@@ -146,84 +146,6 @@ func serialize(t *testing.T, h *Histogram) []byte {
 	return b
 }
 
-// TestHistogramMergeAssociativeAcrossShards is the shard-discipline test:
-// splitting one sample stream across shards and merging the shard
-// histograms — pairwise, left-folded, or in one pass — must yield state
-// byte-identical to the sequential histogram, whatever the grouping.
-func TestHistogramMergeAssociativeAcrossShards(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	vals := make([]float64, 9000)
-	for i := range vals {
-		vals[i] = math.Exp(4 + 2*rng.NormFloat64())
-	}
-	sequential := NewHistogram(0.01)
-	for _, v := range vals {
-		sequential.Add(v)
-	}
-	want := serialize(t, sequential)
-
-	for _, shards := range []int{2, 3, 4, 7, 16} {
-		parts := make([]*Histogram, shards)
-		for i := range parts {
-			parts[i] = NewHistogram(0.01)
-		}
-		for i, v := range vals {
-			parts[i%shards].Add(v) // round-robin, like a worker fan-out
-		}
-		// Grouping 1: left fold in shard order.
-		left := NewHistogram(0.01)
-		for _, p := range parts {
-			if err := left.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Grouping 2: balanced pairwise tree.
-		tree := make([]*Histogram, shards)
-		for i, p := range parts {
-			c := NewHistogram(0.01)
-			if err := c.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-			tree[i] = c
-		}
-		for len(tree) > 1 {
-			var next []*Histogram
-			for i := 0; i < len(tree); i += 2 {
-				if i+1 < len(tree) {
-					if err := tree[i].Merge(tree[i+1]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				next = append(next, tree[i])
-			}
-			tree = next
-		}
-		// Grouping 3: reverse shard order.
-		rev := NewHistogram(0.01)
-		for i := len(parts) - 1; i >= 0; i-- {
-			if err := rev.Merge(parts[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for name, got := range map[string]*Histogram{"left-fold": left, "pairwise": tree[0], "reverse": rev} {
-			if b := serialize(t, got); !bytes.Equal(b, want) {
-				t.Fatalf("%d shards, %s merge: state diverged from sequential\n got: %s\nwant: %s",
-					shards, name, b, want)
-			}
-		}
-	}
-}
-
-// TestHistogramMergeErrorBoundMismatch rejects merging incompatible bucket
-// layouts.
-func TestHistogramMergeErrorBoundMismatch(t *testing.T) {
-	a, b := NewHistogram(0.01), NewHistogram(0.02)
-	b.Add(1)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging histograms with different error bounds must fail")
-	}
-}
-
 // TestHistogramJSONRoundTrip checks Unmarshal(Marshal(h)) reproduces the
 // observable state, including quantile answers.
 func TestHistogramJSONRoundTrip(t *testing.T) {

@@ -41,8 +41,8 @@ var base = time.Now()
 type Subsystem int
 
 const (
-	// SubSimStep is the discrete-event core: pop, clock advance, event
-	// recycling — the queue machinery around callback dispatch.
+	// SubSimStep is the discrete-event core: pop and clock advance — the
+	// queue machinery around callback dispatch.
 	SubSimStep Subsystem = iota
 	// SubRuntime is the cluster runtime's per-tick sweep: task progress,
 	// utilization sampling, heartbeat bookkeeping.

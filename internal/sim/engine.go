@@ -14,15 +14,14 @@ import (
 	"quasar/internal/obs/prof"
 )
 
-// EventID identifies a scheduled event so it can be cancelled.
+// EventID identifies a scheduled event so it can be cancelled. It is the
+// event's scheduling sequence number, which is never reused.
 type EventID uint64
 
 type event struct {
-	at    float64
-	seq   uint64
-	id    EventID
-	fn    func()
-	index int // heap position, -1 when popped or cancelled
+	at  float64
+	seq uint64
+	fn  func()
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; use
@@ -31,24 +30,17 @@ type Engine struct {
 	now     float64
 	q       eventHeap
 	nextSeq uint64
-	nextID  EventID
-	live    map[EventID]*event
 	fired   uint64
-	// free recycles fired and cancelled event records so steady-state
-	// operation allocates nothing per event: a long simulation's event
-	// count is bounded only by virtual time, and one heap object per event
-	// was the engine's dominant allocation.
-	free []*event
-	// Prof, when non-nil, attributes the queue machinery's wall time (pop,
-	// clock advance, recycling — not the callbacks) to prof.SubSimStep. It
-	// lives outside the determinism boundary: nothing it measures feeds back
-	// into scheduling.
+	// Prof, when non-nil, attributes the queue machinery's wall time (pop
+	// and clock advance, not the callbacks) to prof.SubSimStep. It lives
+	// outside the determinism boundary: nothing it measures feeds back into
+	// scheduling.
 	Prof *prof.Profiler
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{live: make(map[EventID]*event)}
+	return &Engine{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -63,29 +55,9 @@ func (e *Engine) Schedule(at float64, fn func()) EventID {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("sim: schedule at non-finite time %v", at))
 	}
-	e.nextID++
 	e.nextSeq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.id, ev.fn = at, e.nextSeq, e.nextID, fn
-	} else {
-		ev = &event{at: at, seq: e.nextSeq, id: e.nextID, fn: fn}
-	}
-	e.q.push(ev)
-	e.live[ev.id] = ev
-	return ev.id
-}
-
-// recycle returns a popped or cancelled event record to the freelist. The
-// fn reference is dropped so recycling never pins a closure's captures, and
-// the id is cleared so a stale handle can never match a reused record.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	ev.id = 0
-	e.free = append(e.free, ev)
+	e.q.push(event{at: at, seq: e.nextSeq, fn: fn})
+	return EventID(e.nextSeq)
 }
 
 // After runs fn after delay seconds of virtual time.
@@ -93,30 +65,19 @@ func (e *Engine) After(delay float64, fn func()) EventID {
 	return e.Schedule(e.now+delay, fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired, already-
-// cancelled, or unknown event is a safe no-op and returns false — a stale
-// EventID must never touch a recycled record that now backs a newer event.
+// Cancel removes a pending event and reports whether it was pending. An
+// event that has fired or been cancelled, or an id never issued, is not in
+// the queue, so cancelling it is a no-op that returns false. Cancel scans
+// the queue: its one caller in program code is a ticker's stop, once per
+// ticker.
 func (e *Engine) Cancel(id EventID) bool {
-	if id == 0 {
-		return false
+	for i := range e.q {
+		if e.q[i].seq == uint64(id) {
+			e.q.remove(i)
+			return true
+		}
 	}
-	ev, ok := e.live[id]
-	if !ok || ev.id != id {
-		// Not pending: fired, cancelled, or the id predates a restart. The
-		// ev.id check is defense in depth — a live entry pointing at a
-		// record the freelist already reissued would otherwise let this
-		// cancel destroy an unrelated newer event.
-		return false
-	}
-	delete(e.live, id)
-	if !e.q.remove(ev) {
-		// The queue disagrees with the live map; recycling here could hand
-		// the same record to two future events, which is the corruption
-		// this guard exists to make impossible.
-		return false
-	}
-	e.recycle(ev)
-	return true
+	return false
 }
 
 // Pending reports the number of events waiting to fire.
@@ -131,21 +92,18 @@ func (e *Engine) NextAt() (float64, bool) { return e.q.peekAt() }
 // false when no events remain.
 func (e *Engine) Step() bool {
 	t0 := e.Prof.Begin()
-	ev := e.q.pop()
-	if ev == nil {
+	if len(e.q) == 0 {
 		e.Prof.End(prof.SubSimStep, t0)
 		return false
 	}
-	delete(e.live, ev.id)
+	ev := e.q.pop()
 	e.now = ev.at
 	e.fired++
-	fn := ev.fn
-	e.recycle(ev)
 	// Close the sim-step section before dispatch: the callback's time belongs
 	// to whichever subsystem it enters (runtime tick, scheduler, ...), not to
 	// the queue core.
 	e.Prof.End(prof.SubSimStep, t0)
-	fn()
+	ev.fn()
 	return true
 }
 

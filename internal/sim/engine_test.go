@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -194,7 +196,11 @@ func TestPending(t *testing.T) {
 }
 
 // Property: regardless of insertion order, events fire in nondecreasing time
-// order.
+// order. Then, differentially: random sequences of Schedule (small integer
+// times, so ties occur), Cancel (of pending, fired, cancelled and never-issued
+// ids), Step, scheduling from inside a callback and Ticker start/stop run
+// against the engine and against refQueue, and after every op the fire
+// order, Now, Pending, NextAt and Cancel's result must agree.
 func TestEventOrderProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		if len(times) > 200 {
@@ -214,6 +220,233 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	// siftUps counts cancels whose refilled slot had to move toward the
+	// root; cancels counts Cancel calls by what the id named.
+	siftUps := 0
+	var cancels struct{ pending, fired, cancelled, neverIssued int }
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := NewRNG(seed)
+		eng := NewEngine()
+		ref := &refQueue{}
+		sides := [2]*queueRun{{q: eng}, {q: ref}}
+		cancelled := map[int]bool{}
+		for op := 1; op <= 300; op++ {
+			var res [2]bool
+			switch k := rng.Intn(20); {
+			case k < 8:
+				at := eng.Now() + float64(rng.Intn(6))
+				spawn := rng.Bool(0.2)
+				for _, d := range sides {
+					d.schedule(at, op, spawn)
+				}
+			case k < 12:
+				j := rng.Intn(len(sides[0].ids) + 2)
+				ids := [2]EventID{EventID(1<<40 + op), EventID(1<<40 + op)}
+				switch {
+				case j == len(sides[0].ids):
+					ids = [2]EventID{} // the zero id
+					cancels.neverIssued++
+				case j > len(sides[0].ids):
+					cancels.neverIssued++
+				default:
+					ids = [2]EventID{sides[0].ids[j], sides[1].ids[j]}
+					switch {
+					case cancelled[j]:
+						cancels.cancelled++
+					case ref.pending(ids[1]):
+						cancels.pending++
+						cancelled[j] = true
+					default:
+						cancels.fired++
+					}
+				}
+				for i := range eng.q {
+					if n := len(eng.q) - 1; eng.q[i].seq == uint64(ids[0]) &&
+						i > 0 && i < n && eng.q[n].before(&eng.q[(i-1)/2]) {
+						siftUps++
+					}
+				}
+				for i, d := range sides {
+					res[i] = d.q.Cancel(ids[i])
+				}
+			case k < 17:
+				for i, d := range sides {
+					res[i] = d.q.Step()
+				}
+			case k < 18:
+				start := eng.Now() + float64(rng.Intn(4))
+				period := float64(1 + rng.Intn(5))
+				for _, d := range sides {
+					d.ticker(start, period, op)
+				}
+			default:
+				if len(sides[0].stops) > 0 {
+					j := rng.Intn(len(sides[0].stops))
+					for _, d := range sides {
+						d.stops[j]()
+					}
+				}
+			}
+			a, b := sides[0], sides[1]
+			atA, okA := a.q.NextAt()
+			atB, okB := b.q.NextAt()
+			if res[0] != res[1] || a.q.Now() != b.q.Now() || a.q.Pending() != b.q.Pending() ||
+				atA != atB || okA != okB || len(a.ids) != len(b.ids) || !slices.Equal(a.log, b.log) {
+				t.Fatalf("seed %d op %d: engine and reference diverged\n"+
+					"result %v/%v now %v/%v pending %d/%d next %v,%v/%v,%v\nengine log %v\nref log    %v",
+					seed, op, res[0], res[1], a.q.Now(), b.q.Now(), a.q.Pending(), b.q.Pending(),
+					atA, okA, atB, okB, a.log, b.log)
+			}
+			if eng.Fired() != uint64(len(a.log)) {
+				t.Fatalf("seed %d op %d: Fired() = %d, %d callbacks ran", seed, op, eng.Fired(), len(a.log))
+			}
+			for i := 1; i < len(eng.q); i++ {
+				if eng.q[i].before(&eng.q[(i-1)/2]) {
+					t.Fatalf("seed %d op %d: heap order broken at slot %d", seed, op, i)
+				}
+			}
+			for i, ev := range eng.q[len(eng.q):cap(eng.q)] {
+				if ev.fn != nil {
+					t.Fatalf("seed %d op %d: spare slot %d still holds a closure", seed, op, len(eng.q)+i)
+				}
+			}
+		}
+	}
+	t.Logf("sift-ups %d, cancels %+v", siftUps, cancels)
+	if siftUps == 0 {
+		t.Error("no cancel reached remove's sift-up branch")
+	}
+	if cancels.pending == 0 || cancels.fired == 0 || cancels.cancelled == 0 || cancels.neverIssued == 0 {
+		t.Errorf("cancel kinds not all exercised: %+v", cancels)
+	}
+}
+
+// queueRun drives one event queue through TestEventOrderProperty's op
+// sequence and logs every callback as label@time.
+type queueRun struct {
+	q interface {
+		Now() float64
+		Schedule(at float64, fn func()) EventID
+		Cancel(id EventID) bool
+		Step() bool
+		Pending() int
+		NextAt() (float64, bool)
+		Ticker(start, period float64, fn func(now float64)) (stop func())
+	}
+	log   []string
+	ids   []EventID // every id schedule returned, in order
+	stops []func()
+}
+
+// schedule adds an event at at; with spawn, its callback schedules a child
+// event from inside the callback.
+func (d *queueRun) schedule(at float64, label int, spawn bool) {
+	d.ids = append(d.ids, d.q.Schedule(at, func() {
+		d.log = append(d.log, fmt.Sprintf("%d@%v", label, d.q.Now()))
+		if spawn {
+			d.schedule(d.q.Now()+float64(label%3), -label, false)
+		}
+	}))
+}
+
+func (d *queueRun) ticker(start, period float64, label int) {
+	d.stops = append(d.stops, d.q.Ticker(start, period, func(now float64) {
+		d.log = append(d.log, fmt.Sprintf("t%d@%v", label, now))
+	}))
+}
+
+// refQueue is the reference event queue: an unordered slice whose next
+// event is found by linear search on (at, seq).
+type refQueue struct {
+	now float64
+	seq uint64
+	evs []refEvent
+}
+
+type refEvent struct {
+	at  float64
+	seq uint64
+	fn  func()
+}
+
+func (r *refQueue) Now() float64 { return r.now }
+
+func (r *refQueue) Schedule(at float64, fn func()) EventID {
+	r.seq++
+	r.evs = append(r.evs, refEvent{at, r.seq, fn})
+	return EventID(r.seq)
+}
+
+// next returns the index of the event that fires next, or -1.
+func (r *refQueue) next() int {
+	m := -1
+	for i, ev := range r.evs {
+		if m < 0 || ev.at < r.evs[m].at || (ev.at == r.evs[m].at && ev.seq < r.evs[m].seq) {
+			m = i
+		}
+	}
+	return m
+}
+
+func (r *refQueue) pending(id EventID) bool {
+	for _, ev := range r.evs {
+		if ev.seq == uint64(id) {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refQueue) Cancel(id EventID) bool {
+	for i, ev := range r.evs {
+		if ev.seq == uint64(id) {
+			r.evs = slices.Delete(r.evs, i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refQueue) Step() bool {
+	m := r.next()
+	if m < 0 {
+		return false
+	}
+	ev := r.evs[m]
+	r.evs = slices.Delete(r.evs, m, m+1)
+	r.now = ev.at
+	ev.fn()
+	return true
+}
+
+func (r *refQueue) Pending() int { return len(r.evs) }
+
+func (r *refQueue) NextAt() (float64, bool) {
+	if m := r.next(); m >= 0 {
+		return r.evs[m].at, true
+	}
+	return 0, false
+}
+
+func (r *refQueue) Ticker(start, period float64, fn func(now float64)) (stop func()) {
+	stopped := false
+	at := start
+	var id EventID
+	var tick func()
+	tick = func() {
+		if stopped {
+			return
+		}
+		fn(r.now)
+		at += period
+		id = r.Schedule(at, tick)
+	}
+	id = r.Schedule(at, tick)
+	return func() {
+		stopped = true
+		r.Cancel(id)
 	}
 }
 
@@ -244,16 +477,16 @@ func TestHeapDrainSorted(t *testing.T) {
 	var q eventHeap
 	rng := NewRNG(41)
 	const n = 5000
-	evs := make([]*event, n)
+	evs := make([]event, n)
 	for i := 0; i < n; i++ {
 		at := rng.Uniform(0, 1000)
 		if i%17 == 0 {
 			at = float64(i % 97) // deliberate exact ties
 		}
-		evs[i] = &event{at: at, seq: uint64(i)}
+		evs[i] = event{at: at, seq: uint64(i)}
 		q.push(evs[i])
 	}
-	want := append([]*event(nil), evs...)
+	want := append([]event(nil), evs...)
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].at != want[j].at {
 			return want[i].at < want[j].at
@@ -261,24 +494,23 @@ func TestHeapDrainSorted(t *testing.T) {
 		return want[i].seq < want[j].seq
 	})
 	for i, w := range want {
-		got := q.pop()
-		if got == nil {
+		if len(q) == 0 {
 			t.Fatalf("pop %d: queue empty early", i)
 		}
-		if got != w {
+		got := q.pop()
+		if got.at != w.at || got.seq != w.seq {
 			t.Fatalf("pop %d: got (at=%v seq=%d), want (at=%v seq=%d)",
 				i, got.at, got.seq, w.at, w.seq)
 		}
 	}
-	if q.pop() != nil {
+	if len(q) != 0 {
 		t.Fatal("queue should be empty")
 	}
 }
 
-// TestCancelAfterFire is the regression test for the recycled-record hazard:
-// cancelling an event that already fired — after its record has been
-// recycled into a NEW event — must be a no-op and must not destroy the new
-// event. This and the two cancel tests below run in a subtest named for the
+// TestCancelAfterFire: cancelling an event that already fired — after a NEW
+// event has been scheduled in its place — must be a no-op and must not
+// destroy the new event. This and the two cancel tests below run in a subtest named for the
 // engine's event queue, the binary heap.
 func TestCancelAfterFire(t *testing.T) {
 	t.Run("heap", func(t *testing.T) {
@@ -288,7 +520,7 @@ func TestCancelAfterFire(t *testing.T) {
 		if !e.Step() {
 			t.Fatal("step failed")
 		}
-		// The freelist now holds a's record; this Schedule reuses it.
+		// b takes the heap slot a vacated.
 		e.After(1, func() { fired["b"]++ })
 		if e.Cancel(stale) {
 			t.Error("cancel of an already-fired event reported success")
@@ -304,8 +536,7 @@ func TestCancelAfterFire(t *testing.T) {
 }
 
 // TestDoubleCancel cancels the same event twice: the first must succeed, the
-// second must be a no-op even after the record has been reissued to a new
-// event.
+// second must be a no-op even after a new event has been scheduled.
 func TestDoubleCancel(t *testing.T) {
 	t.Run("heap", func(t *testing.T) {
 		e := NewEngine()
@@ -317,8 +548,8 @@ func TestDoubleCancel(t *testing.T) {
 		if e.Cancel(id) {
 			t.Error("second cancel reported success")
 		}
-		// Reissue the recycled record, then double-cancel again: the stale id
-		// must not reach the new event through the freelist.
+		// Schedule a new event into the vacated slot, then cancel again: the
+		// stale id must not reach the new event.
 		e.After(1, func() { fired += 10 })
 		if e.Cancel(id) {
 			t.Error("stale cancel after reissue reported success")
@@ -358,4 +589,35 @@ func TestCancelInsideCallback(t *testing.T) {
 			t.Fatalf("%d pending, want 0", e.Pending())
 		}
 	})
+}
+
+// BenchmarkEngineStep times one Step at a steady pending count: each fired
+// event reschedules itself, so every op is one pop and one push. 16 pending
+// events is a small simulation's queue; 5 000 is sim_scale_churn's, which
+// schedules all its arrivals up front.
+func BenchmarkEngineStep(b *testing.B) {
+	for _, n := range []int{16, 5000} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			rng := NewRNG(1)
+			delays := make([]float64, 1024)
+			for i := range delays {
+				delays[i] = rng.Uniform(0, 100)
+			}
+			e := NewEngine()
+			k := 0
+			var tick func()
+			tick = func() {
+				k++
+				e.After(delays[k%len(delays)], tick)
+			}
+			for i := 0; i < n; i++ {
+				e.Schedule(delays[i%len(delays)], tick)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
 }
