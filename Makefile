@@ -26,11 +26,14 @@ race:
 behaviour:
 	$(GO) test -run '^(TestSLODetectAccuracy|TestAvailabilityAcceptance|TestPhasesShape|TestColdFitPathsPinnedDigests)$$' -count=1 ./internal/experiments
 
-## determinism: the determinism matrix — every 'Deterministic' test pinned to
-## one OS thread, then under the default scheduler
+## determinism: the determinism matrix — every 'Deterministic' test and the
+## classifier's batch-against-per-row worker-matrix tests, pinned to one OS
+## thread, then under the default scheduler
+DETERMINISM_RUN = 'Deterministic|PerRowReference'
+DETERMINISM_PKGS = ./internal/experiments ./internal/par ./internal/serve ./internal/classify
 determinism:
-	GOMAXPROCS=1 $(GO) test -run 'Deterministic' -count=1 ./internal/experiments ./internal/par ./internal/serve
-	$(GO) test -run 'Deterministic' -count=1 ./internal/experiments ./internal/par ./internal/serve
+	GOMAXPROCS=1 $(GO) test -run $(DETERMINISM_RUN) -count=1 $(DETERMINISM_PKGS)
+	$(GO) test -run $(DETERMINISM_RUN) -count=1 $(DETERMINISM_PKGS)
 
 ## corpus: replay every fuzz target's committed seed corpus as a regression
 ## suite (no live fuzzing)

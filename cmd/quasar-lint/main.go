@@ -1,7 +1,8 @@
 // Command quasar-lint runs the repository's static-analysis suite
-// (internal/analysis): project-specific determinism, float-comparison,
-// snapshot-drift, error-discard, lock-hygiene, and concurrent-capture
-// checks built purely on the standard library's go/ast and go/types.
+// (internal/analysis): five project-specific analyzers — determinism
+// (concurrent-capture checks included), float-comparison, snapshot-drift,
+// error-discard, and lock-hygiene — built purely on the standard library's
+// go/ast and go/types.
 //
 // Usage:
 //

@@ -1,9 +1,10 @@
 // Package analysis is a small static-analysis framework built only on the
 // standard library's go/ast, go/parser, go/token, and go/types. It exists
 // to enforce the repository's correctness invariants — deterministic
-// seeded simulation, float-comparison hygiene, snapshot-format stability,
-// no silently dropped errors, mutex hygiene, and race-free writes from
-// concurrent task bodies — which ordinary `go vet` does not cover.
+// seeded simulation (race-free writes from concurrent task bodies
+// included), float-comparison hygiene, snapshot-format stability, no
+// silently dropped errors, and mutex hygiene — which ordinary `go vet` does
+// not cover.
 //
 // An Analyzer inspects one type-checked package at a time and reports
 // Diagnostics. The driver (cmd/quasar-lint) loads the module with Loader,
@@ -73,7 +74,7 @@ func (a *Analyzer) appliesTo(pkgPath string) bool {
 
 // All returns the repository's analyzer suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, FloatCmp, SnapshotDrift, ErrDiscard, LockCheck, ParCapture}
+	return []*Analyzer{Determinism, FloatCmp, SnapshotDrift, ErrDiscard, LockCheck}
 }
 
 // Pass carries one analyzer's view of one package.

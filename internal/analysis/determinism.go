@@ -8,7 +8,7 @@ import (
 )
 
 // Determinism enforces the seeded-simulation contract: identical seeds
-// must produce identical results. It flags eight nondeterminism sources
+// must produce identical results. It flags nine nondeterminism sources
 // in the seventeen packages of its scope:
 //
 //  1. draws from math/rand's unseeded global source (use a seeded
@@ -24,9 +24,9 @@ import (
 //  4. method calls on a shared RNG (*sim.RNG or *math/rand.Rand) captured
 //     inside a concurrent function literal — a `go` statement or a task
 //     passed to par.ParFor/ParMap/ParMapErr. Concurrent draws interleave
-//     by schedule, so results change run to run; derive per-task
-//     substreams (RNG.Substreams) before the fan-out instead. Receivers
-//     selected through an index expression (subs[i].Float64()) are the
+//     by schedule, so results change run to run; derive one stream per
+//     task (rng.Stream) before the fan-out instead. Receivers selected
+//     through an index expression (streams[i].Float64()) are the
 //     sanctioned per-task pattern and are not flagged;
 //  5. tracer emission (obs.Tracer methods that append to the event
 //     stream) inside a map-range loop — the events land in Go's
@@ -44,7 +44,17 @@ import (
 //     a map-range loop — float addition is not associative, so the sum's
 //     low bits vary with Go's randomized iteration order even though every
 //     element is visited; iterate sorted keys (or a slice) instead.
-//     Integer accumulation is associative and passes.
+//     Integer accumulation is associative and passes;
+//  9. writes to a variable captured by a concurrent function literal (the
+//     literals of rule 4, nested literals included) — they race, and even
+//     under a mutex their order depends on the schedule. An index write
+//     into a captured slice (out[i] = ...) is the sanctioned per-task
+//     merge and passes; one into a captured map does not (concurrent map
+//     writes fault).
+//
+// Rules 4, 6 and 9 share one walk over each concurrent literal
+// (checkConcurrentCapture). Function literals in package-level var
+// initializers are walked too.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flags unseeded global math/rand draws, wall-clock reads " +
@@ -52,15 +62,16 @@ var Determinism = &Analyzer{
 		"unsorted result accumulation across map iteration, shared-RNG " +
 		"capture in concurrent tasks, trace emission in map order or " +
 		"across concurrent tasks, engine scheduling or RNG draws in " +
-		"map order, and order-sensitive float accumulation across map " +
-		"iteration in simulation code",
+		"map order, order-sensitive float accumulation across map " +
+		"iteration, and writes to captured state from concurrent tasks " +
+		"(out[i] = ... index writes into a captured slice are sanctioned) " +
+		"in simulation code",
 	Scope: simulationScope,
 	Run:   runDeterminism,
 }
 
-// simulationScope is the package scope of the analyzers that guard the
-// seeded-simulation contract (determinism and parcapture): the simulation
-// code whose results must be a pure function of the seed.
+// simulationScope is the package scope of the determinism analyzer: the
+// simulation code whose results must be a pure function of the seed.
 var simulationScope = []string{
 	"internal/sim",
 	"internal/experiments",
@@ -129,10 +140,11 @@ func runDeterminism(pass *Pass) {
 }
 
 // checkVarDeterminism flags wall-clock reads in package-level var
-// initializers. These run before any function body, so the function walk
-// never sees them — `var start = time.Now()` would otherwise smuggle a
-// wall-clock anchor into simulation code unnoticed. The allowlist key is
-// pkgpath.VarName (first name of the spec), matching funcKey's shape.
+// initializers, and walks the concurrent literals inside them. These run
+// before any function body, so the function walk never sees them —
+// `var start = time.Now()` would otherwise smuggle a wall-clock anchor into
+// simulation code unnoticed. The allowlist key is pkgpath.VarName (first
+// name of the spec), matching funcKey's shape.
 func checkVarDeterminism(pass *Pass, gd *ast.GenDecl) {
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
@@ -142,6 +154,7 @@ func checkVarDeterminism(pass *Pass, gd *ast.GenDecl) {
 		key := pass.Pkg.Path + "." + vs.Names[0].Name
 		for _, v := range vs.Values {
 			ast.Inspect(v, func(n ast.Node) bool {
+				checkConcurrentLit(pass, n)
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -180,6 +193,7 @@ var parFanoutFuncs = map[string]bool{
 
 func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		checkConcurrentLit(pass, n)
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if pkgPath, name, ok := pkgFuncCall(pass, n); ok {
@@ -190,17 +204,6 @@ func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {
 				case pkgPath == "time":
 					reportWallClock(pass, n, pkgPath, name, funcKey(pass, fd))
 				}
-				if strings.HasSuffix(pkgPath, "internal/par") && parFanoutFuncs[name] {
-					for _, arg := range n.Args {
-						if fl, ok := arg.(*ast.FuncLit); ok {
-							checkConcurrentCapture(pass, fl, "par."+name+" task")
-						}
-					}
-				}
-			}
-		case *ast.GoStmt:
-			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				checkConcurrentCapture(pass, fl, "goroutine")
 			}
 		case *ast.RangeStmt:
 			checkMapRange(pass, fd, n)
@@ -209,49 +212,130 @@ func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// checkConcurrentCapture flags method calls inside a concurrent function
-// literal whose receiver is shared mutable simulation state captured from
-// the enclosing scope: an RNG (concurrent draws interleave by goroutine
-// schedule, breaking the identical-seeds-identical-results contract and
-// racing, for sim.RNG) or a tracer emission (concurrent appends
-// interleave the same way, breaking the byte-identical-trace contract).
-// Receivers reached through an index expression — subs[i].Float64() on a
-// pre-derived per-task slice — are the sanctioned pattern and pass. Values
-// declared inside the literal are task-local and also pass.
+// checkConcurrentLit hands every function literal that n runs concurrently
+// — a go statement's literal or a task passed to a par fan-out — to
+// checkConcurrentCapture.
+func checkConcurrentLit(pass *Pass, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if pkgPath, name, ok := pkgFuncCall(pass, n); ok &&
+			strings.HasSuffix(pkgPath, "internal/par") && parFanoutFuncs[name] {
+			for _, arg := range n.Args {
+				if fl, ok := arg.(*ast.FuncLit); ok {
+					checkConcurrentCapture(pass, fl, "par."+name+" task")
+				}
+			}
+		}
+	case *ast.GoStmt:
+		if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
+			checkConcurrentCapture(pass, fl, "goroutine")
+		}
+	}
+}
+
+// checkConcurrentCapture walks a concurrent function literal, nested
+// literals included (a deferred handler or helper closure still runs on the
+// task's goroutine), for shared mutable state captured from the enclosing
+// scope: writes to a captured variable (rule 9) and method calls whose
+// receiver is a captured RNG (rule 4: concurrent draws interleave by
+// goroutine schedule, and race, for sim.RNG) or tracer emission (rule 6:
+// concurrent appends interleave the same way, breaking the
+// byte-identical-trace contract). Receivers reached through an index
+// expression — streams[i].Float64() on a pre-derived per-task slice — are
+// the sanctioned pattern and pass. Values declared inside the literal are
+// task-local and also pass.
 func checkConcurrentCapture(pass *Pass, fl *ast.FuncLit, context string) {
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		tv, ok := pass.Pkg.Info.Types[sel.X]
-		if !ok {
-			return true
-		}
-		isRNG := isRNGType(tv.Type)
-		isTrace := isTracerType(tv.Type) && tracerEmitMethods[sel.Sel.Name]
-		if !isRNG && !isTrace {
-			return true
-		}
-		root := capturedRoot(pass, sel.X, fl)
-		if root == nil {
-			return true
-		}
-		if isRNG {
-			pass.Reportf(call.Pos(),
-				"RNG %s is shared across concurrent tasks in this %s: draws interleave by schedule; derive per-task substreams (RNG.Substreams) before the fan-out",
-				root.Name(), context)
-		} else {
-			pass.Reportf(call.Pos(),
-				"tracer %s is shared across concurrent tasks in this %s: emissions interleave by schedule; emit after the fan-out, in input order",
-				root.Name(), context)
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				reportCapturedWrite(pass, fl, lhs, n.Pos(), context)
+			}
+		case *ast.IncDecStmt:
+			reportCapturedWrite(pass, fl, n.X, n.Pos(), context)
+		case *ast.CallExpr:
+			reportSharedReceiver(pass, fl, n, context)
 		}
 		return true
 	})
+}
+
+// reportSharedReceiver flags call when its receiver is a captured RNG or a
+// captured tracer it emits on.
+func reportSharedReceiver(pass *Pass, fl *ast.FuncLit, call *ast.CallExpr, context string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	tv, ok := pass.Pkg.Info.Types[sel.X]
+	if !ok {
+		return
+	}
+	isRNG := isRNGType(tv.Type)
+	isTrace := isTracerType(tv.Type) && tracerEmitMethods[sel.Sel.Name]
+	if !isRNG && !isTrace {
+		return
+	}
+	root := capturedRoot(pass, sel.X, fl)
+	if root == nil {
+		return
+	}
+	if isRNG {
+		pass.Reportf(call.Pos(),
+			"RNG %s is shared across concurrent tasks in this %s: draws interleave by schedule; derive one stream per task (rng.Stream) before the fan-out",
+			root.Name(), context)
+	} else {
+		pass.Reportf(call.Pos(),
+			"tracer %s is shared across concurrent tasks in this %s: emissions interleave by schedule; emit after the fan-out, in input order",
+			root.Name(), context)
+	}
+}
+
+// reportCapturedWrite flags lhs when it writes through a captured variable.
+// Index writes into a captured slice are the sanctioned per-task merge and
+// pass; index writes into a captured map are flagged (concurrent map
+// writes fault).
+func reportCapturedWrite(pass *Pass, fl *ast.FuncLit, lhs ast.Expr, pos token.Pos, context string) {
+	if idx, ok := unwrapIndex(lhs); ok {
+		root := capturedRoot(pass, idx.X, fl)
+		if root == nil {
+			return // task-local container
+		}
+		tv, ok := pass.Pkg.Info.Types[idx.X]
+		if ok && tv.Type != nil {
+			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+				pass.Reportf(pos,
+					"write into captured map %s from this %s: concurrent map writes fault; collect per-task results in a slice and merge after the fan-out",
+					root.Name(), context)
+			}
+		}
+		return // slice/array index write: sanctioned out[i] = ... merge
+	}
+	root := capturedRoot(pass, lhs, fl)
+	if root == nil {
+		return
+	}
+	if _, ok := root.(*types.Var); !ok {
+		return
+	}
+	pass.Reportf(pos,
+		"write to captured %s from this %s races and orders by schedule; write out[i] into a pre-sized slice and merge in submission order",
+		root.Name(), context)
+}
+
+// unwrapIndex peels parens and returns the index expression when lhs is a
+// (possibly parenthesized) index write.
+func unwrapIndex(lhs ast.Expr) (*ast.IndexExpr, bool) {
+	for {
+		switch e := lhs.(type) {
+		case *ast.ParenExpr:
+			lhs = e.X
+		case *ast.IndexExpr:
+			return e, true
+		default:
+			return nil, false
+		}
+	}
 }
 
 // isRNGType reports whether t is (a pointer to) a random-number generator:

@@ -40,8 +40,8 @@ var goldenCases = []struct {
 	{ErrDiscard, "errdiscard_clean", false},
 	{LockCheck, "lockcheck_bad", true},
 	{LockCheck, "lockcheck_clean", false},
-	{ParCapture, "parcapture_bad", true},
-	{ParCapture, "parcapture_clean", false},
+	{Determinism, "parcapture_bad", true},
+	{Determinism, "parcapture_clean", false},
 	{FloatCmp, "unusedallow_bad", true},
 	{FloatCmp, "unusedallow_clean", false},
 }

@@ -28,7 +28,7 @@ func WallClockStamp(tr *obs.Tracer) {
 // SharedTracerFanOut captures one tracer across concurrent tasks, so
 // emissions interleave by goroutine schedule.
 func SharedTracerFanOut(tr *obs.Tracer) {
-	par.ParFor(0, 8, func(i int) {
+	par.ParFor(8, func(i int) {
 		tr.Instant("classify", "classify", "probe")
 	})
 }
@@ -36,7 +36,7 @@ func SharedTracerFanOut(tr *obs.Tracer) {
 // TracerInStruct reaches the shared tracer through a captured struct, which
 // interleaves emissions just the same.
 func TracerInStruct(e *struct{ tr *obs.Tracer }) {
-	par.ParFor(0, 4, func(i int) {
+	par.ParFor(4, func(i int) {
 		e.tr.Instant("classify", "classify", "probe", obs.Arg{Key: "i", Val: i})
 	})
 }

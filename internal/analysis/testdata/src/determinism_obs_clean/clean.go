@@ -31,7 +31,7 @@ func SimClockStamp(clock func() float64, tr *obs.Tracer) {
 // EmitAfterFanOut returns each task's result and emits after the fan-out,
 // in input order.
 func EmitAfterFanOut(tr *obs.Tracer, refs []float64) {
-	perf := par.ParMap(0, len(refs), func(i int) float64 {
+	perf := par.ParMap(len(refs), func(i int) float64 {
 		return 2 * refs[i]
 	})
 	for i, p := range perf {
@@ -42,7 +42,7 @@ func EmitAfterFanOut(tr *obs.Tracer, refs []float64) {
 // ReadOnlyInTask checks the tracer's state inside a task without emitting,
 // which is safe anywhere.
 func ReadOnlyInTask(tr *obs.Tracer, hits []int) {
-	par.ParFor(0, len(hits), func(i int) {
+	par.ParFor(len(hits), func(i int) {
 		if tr.Enabled() {
 			hits[i]++
 		}

@@ -25,7 +25,7 @@ func SharedInGoroutine(seed int64) float64 {
 // SharedInParTask captures the parent generator inside a fan-out task.
 func SharedInParTask(seed int64) []float64 {
 	rng := sim.NewRNG(seed)
-	return par.ParMap(0, 8, func(i int) float64 {
+	return par.ParMap(8, func(i int) float64 {
 		return rng.Float64()
 	})
 }
@@ -34,7 +34,7 @@ func SharedInParTask(seed int64) []float64 {
 // parent, so derivation order depends on the schedule.
 func SharedStreamDerivation(seed int64) {
 	rng := sim.NewRNG(seed)
-	par.ParFor(0, 4, func(i int) {
+	par.ParFor(4, func(i int) {
 		_ = rng.Stream("task").Float64()
 	})
 }
@@ -44,7 +44,7 @@ func SharedStreamDerivation(seed int64) {
 func SharedStdRand(seed int64) []float64 {
 	r := rand.New(sim.NewSource(seed))
 	sums := make([]float64, 4)
-	par.ParFor(0, 4, func(i int) {
+	par.ParFor(4, func(i int) {
 		sums[i] = r.NormFloat64()
 	})
 	return sums
@@ -54,7 +54,7 @@ func SharedStdRand(seed int64) []float64 {
 // as much a shared generator as the RNG built on it.
 func SharedSource(seed int64) []uint64 {
 	src := sim.NewSource(seed)
-	return par.ParMap(0, 8, func(i int) uint64 {
+	return par.ParMap(8, func(i int) uint64 {
 		return src.Uint64()
 	})
 }
@@ -64,7 +64,7 @@ type worker struct{ rng *sim.RNG }
 
 // Fill draws through the shared receiver field inside each task.
 func (w *worker) Fill(out []float64) {
-	par.ParFor(0, len(out), func(i int) {
+	par.ParFor(len(out), func(i int) {
 		out[i] = w.rng.Float64()
 	})
 }

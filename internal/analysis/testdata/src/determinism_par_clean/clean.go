@@ -1,26 +1,31 @@
-// Package determinism_par_clean is a known-clean fixture: concurrent tasks
-// that draw only from per-task substreams or task-local generators must
-// produce no shared-RNG diagnostics.
+// Package determinism_par_clean is a known-clean fixture: the sanctioned
+// fan-out patterns. Tasks draw only from per-task streams or task-local
+// generators, so nothing is reported.
 package determinism_par_clean
 
 import (
+	"strconv"
+
 	"quasar/internal/par"
 	"quasar/internal/sim"
 )
 
-// SubstreamPerTask pre-derives one substream per task in input order — the
-// sanctioned fan-out pattern.
-func SubstreamPerTask(seed int64) []float64 {
+// StreamPerTask derives one stream per task in input order, before the
+// fan-out — the sanctioned pattern.
+func StreamPerTask(seed int64) []float64 {
 	rng := sim.NewRNG(seed)
-	subs := rng.Substreams("task", 8)
-	return par.ParMap(0, 8, func(i int) float64 {
-		return subs[i].Float64()
+	streams := make([]*sim.RNG, 8)
+	for i := range streams {
+		streams[i] = rng.Stream("task:" + strconv.Itoa(i))
+	}
+	return par.ParMap(len(streams), func(i int) float64 {
+		return streams[i].Float64()
 	})
 }
 
 // TaskLocal mints an independent generator inside each task.
 func TaskLocal(seed int64) []float64 {
-	return par.ParMap(0, 8, func(i int) float64 {
+	return par.ParMap(8, func(i int) float64 {
 		rng := sim.NewRNG(seed + int64(i))
 		return rng.Float64()
 	})
@@ -29,7 +34,7 @@ func TaskLocal(seed int64) []float64 {
 // SourcePerTask seeds a raw source inside each task; each shuffle draws
 // only from its own.
 func SourcePerTask(seed int64) [][]int {
-	return par.ParMap(0, 8, func(i int) []int {
+	return par.ParMap(8, func(i int) []int {
 		src := sim.NewSource(seed + int64(i))
 		xs := []int{0, 1, 2, 3}
 		sim.Shuffle(src, xs)

@@ -52,7 +52,7 @@ func (s *store) SendWhileLocked(ch chan<- int, k string) {
 func (s *store) FanoutWhileLocked(out []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	par.ParFor(0, len(out), func(i int) {
+	par.ParFor(len(out), func(i int) {
 		out[i] = i
 	})
 }

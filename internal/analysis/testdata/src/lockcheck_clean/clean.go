@@ -50,7 +50,7 @@ func (s *store) FanoutAfterUnlock(out []int) {
 	s.mu.Lock()
 	n := len(s.vals)
 	s.mu.Unlock()
-	par.ParFor(0, len(out), func(i int) {
+	par.ParFor(len(out), func(i int) {
 		out[i] = n + i
 	})
 }

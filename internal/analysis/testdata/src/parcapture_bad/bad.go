@@ -1,7 +1,7 @@
 // Package parcapture_bad is a known-bad fixture: concurrent task bodies
-// writing to state captured from the enclosing scope, which the parcapture
-// analyzer must flag — the writes race and their order depends on the
-// goroutine schedule.
+// writing to state captured from the enclosing scope, which the
+// determinism analyzer's captured-write rule must flag — the writes race
+// and their order depends on the goroutine schedule.
 package parcapture_bad
 
 import (
@@ -13,7 +13,7 @@ import (
 // SharedCounter increments a captured int from every task.
 func SharedCounter(n int) int {
 	count := 0
-	par.ParFor(0, n, func(i int) {
+	par.ParFor(n, func(i int) {
 		count++
 	})
 	return count
@@ -22,7 +22,7 @@ func SharedCounter(n int) int {
 // SharedAccumulator compound-assigns into a captured float.
 func SharedAccumulator(xs []float64) float64 {
 	total := 0.0
-	par.ParFor(0, len(xs), func(i int) {
+	par.ParFor(len(xs), func(i int) {
 		total += xs[i]
 	})
 	return total
@@ -33,7 +33,7 @@ func SharedAccumulator(xs []float64) float64 {
 func SharedAppend(n int) []int {
 	var mu sync.Mutex
 	var out []int
-	par.ParFor(0, n, func(i int) {
+	par.ParFor(n, func(i int) {
 		mu.Lock()
 		defer mu.Unlock()
 		out = append(out, i)
@@ -45,7 +45,7 @@ func SharedAppend(n int) []int {
 // runtime.
 func SharedMap(n int) map[int]int {
 	m := make(map[int]int, n)
-	par.ParFor(0, n, func(i int) {
+	par.ParFor(n, func(i int) {
 		m[i] = i * i
 	})
 	return m
@@ -62,3 +62,14 @@ func GoroutineWrite() int {
 	<-done
 	return best
 }
+
+// initTotal is written by a goroutine that a package-level initializer
+// starts: the walk covers var initializers as well as function bodies.
+var initTotal int
+
+var _ = func() int {
+	go func() {
+		initTotal++
+	}()
+	return 0
+}()

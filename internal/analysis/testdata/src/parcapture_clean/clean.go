@@ -8,7 +8,7 @@ import "quasar/internal/par"
 // IndexMerge is the canonical pattern: task i owns out[i].
 func IndexMerge(xs []float64) []float64 {
 	out := make([]float64, len(xs))
-	par.ParFor(0, len(xs), func(i int) {
+	par.ParFor(len(xs), func(i int) {
 		out[i] = xs[i] * 2
 	})
 	return out
@@ -17,7 +17,7 @@ func IndexMerge(xs []float64) []float64 {
 // TaskLocal declares and mutates state inside the task body.
 func TaskLocal(xs []float64) []float64 {
 	out := make([]float64, len(xs))
-	par.ParFor(0, len(xs), func(i int) {
+	par.ParFor(len(xs), func(i int) {
 		sum := 0.0
 		for _, x := range xs[:i+1] {
 			sum += x
@@ -30,7 +30,7 @@ func TaskLocal(xs []float64) []float64 {
 // MapAfterMerge collects per-task results in a slice and folds them into a
 // map only after the fan-out completes.
 func MapAfterMerge(n int) map[int]int {
-	squares := par.ParMap(0, n, func(i int) int { return i * i })
+	squares := par.ParMap(n, func(i int) int { return i * i })
 	m := make(map[int]int, n)
 	for i, sq := range squares {
 		m[i] = sq
@@ -42,7 +42,7 @@ func MapAfterMerge(n int) map[int]int {
 type cell struct{ v int }
 
 func NestedFieldWrite(cells []cell) {
-	par.ParFor(0, len(cells), func(i int) {
+	par.ParFor(len(cells), func(i int) {
 		cells[i].v = i
 	})
 }

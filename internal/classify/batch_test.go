@@ -40,8 +40,8 @@ func referenceSeed(e *Engine, ws []*workload.Instance, probers []*GroundTruthPro
 }
 
 // referenceValidateMany is ValidateMany with its observations appended one
-// row at a time.
-func referenceValidateMany(e *Engine, ws []*workload.Instance, workers int) ValidationErrors {
+// row at a time, classifying sequentially.
+func referenceValidateMany(e *Engine, ws []*workload.Instance) ValidationErrors {
 	probeRNGs := make([]*sim.RNG, len(ws))
 	classifyRNGs := make([]*sim.RNG, len(ws))
 	for i, w := range ws {
@@ -52,11 +52,11 @@ func referenceValidateMany(e *Engine, ws []*workload.Instance, workers int) Vali
 		po   *ProbeObs
 		errs ValidationErrors
 	}
-	results := par.ParMap(workers, len(ws), func(i int) result {
-		w := ws[i]
+	results := make([]result, len(ws))
+	for i, w := range ws {
 		es, po := e.ClassifyDetached(w, NewGroundTruthProber(w, e.Platforms, probeRNGs[i]), classifyRNGs[i])
-		return result{po, CompareToTruth(es, w, NewGroundTruthProber(w, e.Platforms, nil))}
-	})
+		results[i] = result{po, CompareToTruth(es, w, NewGroundTruthProber(w, e.Platforms, nil))}
+	}
 	var pooled ValidationErrors
 	for i, r := range results {
 		referenceAppendObs(e, ws[i].ID, r.po)
@@ -228,11 +228,12 @@ func TestValidateManyMatchesPerRowReference(t *testing.T) {
 		for _, n := range sizes {
 			ws := f.batch[:n]
 			want := f.engine(used)
-			wantErrs := referenceValidateMany(want, ws, 1)
+			wantErrs := referenceValidateMany(want, ws)
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("used=%v rows=%d workers=%d", used, n, workers)
 				got := f.engine(used)
-				gotErrs := ValidateMany(got, ws, workers)
+				var gotErrs ValidationErrors
+				withDefaultWorkers(workers, func() { gotErrs = ValidateMany(got, ws) })
 				if d := engineDiff(got, want); d != "" {
 					t.Errorf("%s: %s", name, d)
 				}
@@ -324,7 +325,8 @@ func TestExhaustiveMatchesPerRowReference(t *testing.T) {
 			for b, first := 0, 0; b < len(batches); first, b = first+batches[b], b+1 {
 				ws := f.batch[first : first+batches[b]]
 				fits := got.ax.stats.Fits
-				errs := ValidateExhaustiveMany(got, ws, f.probers(ws, 1000), 8, workers)
+				var errs []float64
+				withDefaultWorkers(workers, func() { errs = ValidateExhaustiveMany(got, ws, f.probers(ws, 1000), 8) })
 				if !bitsEqual(errs, wantErrs[b]) {
 					t.Errorf("%s: batch %d: errors differ", name, b)
 				}

@@ -273,7 +273,7 @@ func TestClassificationAccuracy(t *testing.T) {
 	for i := range ws {
 		ws[i] = u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 4})
 	}
-	errs := ValidateMany(e, ws, 0)
+	errs := ValidateMany(e, ws)
 	// Thresholds reflect this substrate's harder surfaces (per-instance
 	// dataset effects move the memory cliff): the paper reports <8% avg on
 	// real workloads; we bound the same ordering with looser absolutes.

@@ -315,12 +315,13 @@ func NewEngine(platforms []cluster.Platform, opts Options, rng *sim.RNG) *Engine
 // RetrainAll refits every axis model from its matrix as it stands, here and
 // now. This is the cost a from-scratch reconstruction pays at an arrival (the
 // paper's SVD + PQ-reconstruction per submission); the engine otherwise
-// amortizes it via fold-in plus periodic retraining. It is the engine's one
-// fan-out: each of the five multi-millisecond fits touches only its own axis,
-// so results match the sequential loop. Fig. 3 times it as the paper's four
-// parallel classifications, so its fits are cold.
+// amortizes it via fold-in plus periodic retraining. It is one of the
+// engine's two fan-outs (the other is SeedOfflineMany's probe stage): each of
+// the five multi-millisecond fits touches only its own axis, so results match
+// the sequential loop. Fig. 3 times it as the paper's four parallel
+// classifications, so its fits are cold.
 func (e *Engine) RetrainAll() {
-	par.ParFor(0, int(numAxes), func(i int) {
+	par.ParFor(int(numAxes), func(i int) {
 		e.axes[i].train(nil)
 	})
 }
@@ -424,7 +425,7 @@ type ProbeObs struct {
 // so the ws must be distinct instances), then traces a seed-probe event per
 // workload and appends the rows as one batch, both in input order.
 func (e *Engine) SeedOfflineMany(ws []*workload.Instance, probers []*GroundTruthProber) {
-	pos := par.ParMap(0, len(ws), func(i int) *ProbeObs {
+	pos := par.ParMap(len(ws), func(i int) *ProbeObs {
 		return e.probeSeed(ws[i], probers[i])
 	})
 	if e.tracer.Enabled() {

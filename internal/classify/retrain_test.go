@@ -236,7 +236,7 @@ func randomOpsRun(t *testing.T, seed int64, nOps int, afterOp func(*Engine)) {
 				ws[i], ps[i] = fresh()
 				rngs[i] = sim.NewRNG(seed*7919 + int64(probes))
 			}
-			pos := par.ParMap(0, n, func(i int) *ProbeObs {
+			pos := par.ParMap(n, func(i int) *ProbeObs {
 				_, po := e.ClassifyDetached(ws[i], ps[i], rngs[i])
 				return po
 			})
@@ -304,9 +304,11 @@ func TestDetachedReadWritesNothing(t *testing.T) {
 	for i := range ws {
 		ws[i] = u.New(workload.Spec{Type: workload.Spark, Family: -1, MaxNodes: 4})
 	}
-	par.ParMap(4, len(ws), func(i int) *Estimates {
-		es, _ := e.ClassifyDetached(ws[i], NewGroundTruthProber(ws[i], e.Platforms, sim.NewRNG(int64(10+i))), sim.NewRNG(int64(20+i)))
-		return es
+	withDefaultWorkers(4, func() {
+		par.ParMap(len(ws), func(i int) *Estimates {
+			es, _ := e.ClassifyDetached(ws[i], NewGroundTruthProber(ws[i], e.Platforms, sim.NewRNG(int64(10+i))), sim.NewRNG(int64(20+i)))
+			return es
+		})
 	})
 	if after := state(e); after != before {
 		t.Fatalf("detached reads changed the engine:\nbefore %+v\nafter  %+v", before, after)

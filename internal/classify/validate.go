@@ -65,12 +65,12 @@ type ValidationErrors struct {
 // noisy prober) and compares each reconstructed row against exhaustive
 // noise-free characterization, column by column: the Table 2 measurement.
 // It returns the errors of every workload pooled in input order. Per-workload
-// RNG substreams are derived from the engine stream sequentially, in input
+// RNG streams are derived from the engine stream sequentially, in input
 // order, and the profiling and comparison then fan out across workers, so the
-// result is identical for any worker count. Classification is detached:
+// result is identical for any pool size. Classification is detached:
 // every workload folds in against the models as of the batch start, then the
 // observations are appended in input order, as one batch.
-func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ValidationErrors {
+func ValidateMany(e *Engine, ws []*workload.Instance) ValidationErrors {
 	probeRNGs := make([]*sim.RNG, len(ws))
 	classifyRNGs := make([]*sim.RNG, len(ws))
 	for i, w := range ws {
@@ -81,7 +81,7 @@ func ValidateMany(e *Engine, ws []*workload.Instance, workers int) ValidationErr
 		po   *ProbeObs
 		errs ValidationErrors
 	}
-	results := par.ParMap(workers, len(ws), func(i int) result {
+	results := par.ParMap(len(ws), func(i int) result {
 		w := ws[i]
 		noisy := NewGroundTruthProber(w, e.Platforms, probeRNGs[i])
 		es, po := e.ClassifyDetached(w, noisy, classifyRNGs[i])
@@ -153,7 +153,7 @@ func CompareToTruth(es *Estimates, w *workload.Instance, truth *GroundTruthProbe
 // out across workers (per-workload streams derived in input order, every
 // fold-in against the model as of the batch start); the observations are
 // then appended in input order, as one batch.
-func ValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries, workers int) []float64 {
+func ValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*GroundTruthProber, entries int) []float64 {
 	rngs := make([]*sim.RNG, len(ws))
 	for i, w := range ws {
 		rngs[i] = x.rng.Stream("exhaustive/" + w.ID)
@@ -162,7 +162,7 @@ func ValidateExhaustiveMany(x *Exhaustive, ws []*workload.Instance, noisy []*Gro
 		errs []float64
 		obs  map[int]float64
 	}
-	results := par.ParMap(workers, len(ws), func(i int) result {
+	results := par.ParMap(len(ws), func(i int) result {
 		obs := x.probe(ws[i], noisy[i], entries, rngs[i])
 		return result{compareExhaustive(x, ws[i], x.ax.estimateRow(-1, obs)), obs}
 	})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"quasar/internal/sim"
@@ -21,8 +22,9 @@ func TestIndexInvariantsRandomized(t *testing.T) {
 	if testing.Short() {
 		ops, streams = 1500, 2
 	}
-	subs := sim.NewRNG(20260808).Substreams("cluster-index", streams)
-	for si, rng := range subs {
+	root := sim.NewRNG(20260808)
+	for si := 0; si < streams; si++ {
+		rng := root.Stream("cluster-index:" + strconv.Itoa(si))
 		t.Run(fmt.Sprintf("substream-%d", si), func(t *testing.T) {
 			c, err := New(LocalPlatforms(), []int{3, 3, 3, 3, 3, 3, 3, 3, 3, 3})
 			if err != nil {

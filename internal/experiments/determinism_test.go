@@ -27,16 +27,24 @@ func workerMatrix() []int {
 	return []int{1, 4, runtime.NumCPU()}
 }
 
+// withWorkers runs fn with the worker pool's size set to n, so every
+// fan-out fn reaches (validations, library seeding, RetrainAll, whole
+// worlds) runs on a pool of that size.
+func withWorkers(n int, fn func()) {
+	par.SetDefaultWorkers(n)
+	defer par.SetDefaultWorkers(0)
+	fn()
+}
+
 // TestStragglersDeterministic runs the straggler-detection scenario —
 // trials fan out on the worker pool — across the worker matrix and requires
 // byte-identical serialized results. The sim engine underneath each trial
 // must therefore be deterministic too.
 func TestStragglersDeterministic(t *testing.T) {
 	const seed = 11
-	marshal := func(workers int) []byte {
-		par.SetDefaultWorkers(workers)
-		defer par.SetDefaultWorkers(0)
-		out, err := json.Marshal(Stragglers(3, seed))
+	marshal := func(workers int) (out []byte) {
+		var err error
+		withWorkers(workers, func() { out, err = json.Marshal(Stragglers(3, seed)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,18 +62,17 @@ func TestStragglersDeterministic(t *testing.T) {
 }
 
 // TestTable2DeterministicAcrossWorkers pins the Table 2 classification
-// sweep: the validation fan-out must serialize byte-identically for any
-// worker count. It runs the default configuration, whose appends pass
-// several retrain points after library seeding, so the matrix also covers
-// append fits that later fold-ins read.
+// sweep: its fan-outs (library seeding's probes and both validations) must
+// serialize byte-identically for any worker count. It runs the default
+// configuration, whose appends pass several retrain points after library
+// seeding, so the matrix also covers append fits that later fold-ins read.
 func TestTable2DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the classification sweep once per worker count")
 	}
-	run := func(workers int) []byte {
-		cfg := DefaultTable2Config()
-		cfg.Workers = workers
-		out, err := json.Marshal(Table2(cfg))
+	run := func(workers int) (out []byte) {
+		var err error
+		withWorkers(workers, func() { out, err = json.Marshal(Table2(DefaultTable2Config())) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,22 +89,23 @@ func TestTable2DeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestFig3DeterministicAcrossWorkers pins the Fig. 3 density sweep under
-// injected per-point clocks: grid points run concurrently yet must land
+// injected per-point clocks: grid points, and within each the library
+// seeding, validations and RetrainAll, run concurrently yet must land
 // byte-identically for any worker count, and repeat runs must agree.
 func TestFig3DeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the density sweep once per worker count")
 	}
-	run := func(workers int) []byte {
+	run := func(workers int) (out []byte) {
 		cfg := DefaultFig3Config()
 		cfg.EntriesGrid = []int{1, 4}
 		cfg.PerClass = 2
 		cfg.SeedLibPerType = 2
-		cfg.Workers = workers
 		cfg.PointClock = fakeClock
 		// A six-row decision library: determinism, not the cost regime, is
 		// under test.
-		out, err := json.Marshal(fig3(cfg, cluster.LocalPlatforms(), 6))
+		var err error
+		withWorkers(workers, func() { out, err = json.Marshal(fig3(cfg, cluster.LocalPlatforms(), 6)) })
 		if err != nil {
 			t.Fatal(err)
 		}

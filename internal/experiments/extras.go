@@ -30,7 +30,7 @@ func Stragglers(trials int, seed int64) *StragglerResultSet {
 	// Each trial seeds its own RNG, so trials fan out across workers; the
 	// float accumulation below runs in trial order to keep sums (and thus
 	// serialized output) byte-identical for any worker count.
-	perTrial := par.ParMap(0, trials, func(trial int) []core.StragglerResult {
+	perTrial := par.ParMap(trials, func(trial int) []core.StragglerResult {
 		rng := sim.NewRNG(seed + int64(trial))
 		detectors := []core.StragglerDetector{
 			core.NewHadoopDetector(30),
@@ -291,7 +291,7 @@ func AblationsSized(seed int64, jobs int, horizon float64) (*AblationResult, err
 	}
 	// Every variant runs its own scenario from the same seed; the six
 	// simulations are independent and fan out across workers.
-	perfs, err := par.ParMapErr(0, len(variants), func(i int) (float64, error) {
+	perfs, err := par.ParMapErr(len(variants), func(i int) (float64, error) {
 		return runAblation(seed, jobs, horizon, variants[i].mod)
 	})
 	if err != nil {

@@ -190,7 +190,7 @@ func Fig11(cfg Fig11Config) (*Fig11Result, error) {
 	if len(cfg.Managers) == 0 {
 		cfg.Managers = DefaultFig11Config().Managers
 	}
-	runs, err := par.ParMapErr(0, len(cfg.Managers), func(i int) (*Fig11Run, error) {
+	runs, err := par.ParMapErr(len(cfg.Managers), func(i int) (*Fig11Run, error) {
 		return fig11Run(cfg.Managers[i], cfg)
 	})
 	if err != nil {

@@ -22,9 +22,6 @@ type Fig3Config struct {
 	// timestamps in completion order and break determinism. Nil means every
 	// point reads the wall clock; tests inject a factory of fake clocks.
 	PointClock func() Clock
-	// Workers bounds the grid fan-out; zero means the process default.
-	// Results are identical for any value.
-	Workers int
 }
 
 // DefaultFig3Config matches the figure: density from one entry per row up
@@ -106,7 +103,7 @@ func fig3(cfg Fig3Config, platforms []cluster.Platform, libRows int) *Fig3Result
 	}
 	decisionClock := pointClock()
 
-	pointsPer := par.ParMap(cfg.Workers, len(cfg.EntriesGrid), func(gi int) []Fig3Point {
+	pointsPer := par.ParMap(len(cfg.EntriesGrid), func(gi int) []Fig3Point {
 		entries := cfg.EntriesGrid[gi]
 		clock := clocks[gi]
 		u := workload.NewUniverse(platforms, cfg.Seed, 3)
@@ -124,7 +121,7 @@ func fig3(cfg Fig3Config, platforms []cluster.Platform, libRows int) *Fig3Result
 				ws[i] = u.New(workload.Spec{Type: cls.tp, Family: -1, MaxNodes: 4})
 			}
 			start := clock()
-			errs := classify.ValidateMany(eng, ws, cfg.Workers)
+			errs := classify.ValidateMany(eng, ws)
 			elapsed := clock().Sub(start).Seconds() / float64(cfg.PerClass)
 			points = append(points, Fig3Point{
 				Entries:    entries,

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"quasar/internal/obs"
-	"quasar/internal/par"
 )
 
 var updateObsGolden = flag.Bool("update-obs", false, "rewrite the obs exporter golden files")
@@ -53,17 +52,17 @@ func renderAll(t *testing.T, tr *obs.Tracer) (jsonl, chrome, prom []byte) {
 
 // TestTraceExportersDeterministicAcrossWorkers runs the traced scenario for
 // every worker count of the determinism contract and requires all three
-// exporter outputs to be byte-identical. A simulated world runs on one
-// goroutine, so nothing inside it reads the worker count: this test is the
-// sentinel that an engine fan-out added back must still pass.
+// exporter outputs to be byte-identical. Past its library seeding, a
+// simulated world runs on one goroutine, so nothing else inside it reads
+// the worker count: this test is the sentinel that an engine fan-out added
+// back must still pass.
 func TestTraceExportersDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the traced scenario once per worker count")
 	}
 	run := func(workers int) (j, c, p []byte) {
-		par.SetDefaultWorkers(workers)
-		defer par.SetDefaultWorkers(0)
-		return renderAll(t, tinyTracedScenario(t))
+		withWorkers(workers, func() { j, c, p = renderAll(t, tinyTracedScenario(t)) })
+		return j, c, p
 	}
 	wj, wc, wp := run(1)
 	for _, w := range workerMatrix() {

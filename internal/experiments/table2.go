@@ -18,9 +18,6 @@ type Table2Config struct {
 	SeedLibPerType                           int
 	ExhaustiveEntries                        int // 8 in the paper
 	Seed                                     int64
-	// Workers bounds the validation fan-out; zero means the process
-	// default. Results are identical for any value.
-	Workers int
 }
 
 // DefaultTable2Config matches the paper's counts.
@@ -88,8 +85,8 @@ func Table2(cfg Table2Config) *Table2Result {
 			ws[i] = u.New(workload.Spec{Type: g.tp, Family: -1, MaxNodes: 4})
 			noisy[i] = classify.NewGroundTruthProber(ws[i], platforms, rng.Stream("exh/"+ws[i].ID))
 		}
-		errs := classify.ValidateMany(eng, ws, cfg.Workers)
-		joint := classify.ValidateExhaustiveMany(exh, ws, noisy, cfg.ExhaustiveEntries, cfg.Workers)
+		errs := classify.ValidateMany(eng, ws)
+		joint := classify.ValidateExhaustiveMany(exh, ws, noisy, cfg.ExhaustiveEntries)
 		res.Rows = append(res.Rows, ClassErrors{
 			AppClass:   g.name,
 			N:          g.n,

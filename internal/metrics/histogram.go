@@ -193,26 +193,3 @@ func (h *Histogram) Percentile(p float64) float64 {
 	}
 	return h.max
 }
-
-// FractionBelow returns the fraction of samples <= bound, with bucket
-// resolution (exact at bucket boundaries, within the relative-error band
-// elsewhere).
-func (h *Histogram) FractionBelow(bound float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	below := uint64(0)
-	if bound >= 0 {
-		below = h.zero
-	}
-	if bound > 0 {
-		bi := h.bucketOf(bound)
-		for k := range h.idx {
-			if h.idx[k] > bi {
-				break
-			}
-			below += h.cnt[k]
-		}
-	}
-	return float64(below) / float64(h.count)
-}

@@ -33,25 +33,6 @@ func TestSeriesRejectsTimeTravel(t *testing.T) {
 	s.Add(4, 1)
 }
 
-func TestFractionBelow(t *testing.T) {
-	h := NewHistogram(0.01)
-	if got := h.FractionBelow(10); got != 0 {
-		t.Fatalf("empty FractionBelow(10) = %v", got)
-	}
-	for i := 1; i <= 10; i++ {
-		h.Add(float64(i))
-	}
-	if got := h.FractionBelow(5); got != 0.5 {
-		t.Fatalf("FractionBelow(5) = %v", got)
-	}
-	if got := h.FractionBelow(10); got != 1 {
-		t.Fatalf("FractionBelow(10) = %v", got)
-	}
-	if got := h.FractionBelow(0.5); got != 0 {
-		t.Fatalf("FractionBelow(0.5) = %v", got)
-	}
-}
-
 // Property: percentile is monotone in p.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64) bool {

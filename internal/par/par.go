@@ -11,15 +11,17 @@
 //     (matrices, probers, workload instances) must be confined to that
 //     task.
 //  2. Randomness inside a task must come from the task's own seeded RNG
-//     substream, derived *before* the fan-out in input order — see
-//     sim.RNG.Substreams ("stream:0" … "stream:n-1"). Sharing one
-//     generator across tasks makes draw order depend on goroutine
+//     stream, derived *before* the fan-out in input order: one
+//     rng.Stream(prefix+id) call per task on the calling goroutine. Sharing
+//     one generator across tasks makes draw order depend on goroutine
 //     scheduling and is flagged by quasar-lint's determinism analyzer.
 //  3. Results are only combined by input index (ParMap) or by the caller
 //     after the pool drains, never in completion order.
 //
 // Under these rules a worker count of 1 reproduces the sequential
 // execution exactly, which is what the determinism matrix tests assert.
+// The pool size has one setting, SetDefaultWorkers, and it can only change
+// how fast results arrive.
 package par
 
 import (
@@ -28,15 +30,13 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers holds the process-wide worker count used when a caller
-// passes workers <= 0; zero means runtime.GOMAXPROCS(0). It exists so
-// quasar-bench can expose a single -workers flag without threading a
-// parameter through every experiment config. It must never affect results —
-// only how fast they arrive.
+// defaultWorkers holds the process-wide pool size; zero means
+// runtime.GOMAXPROCS(0). quasar-bench's -workers flag sets it. It must never
+// affect results — only how fast they arrive.
 var defaultWorkers atomic.Int64
 
-// SetDefaultWorkers sets the process-wide default worker count. n <= 0
-// restores the GOMAXPROCS default.
+// SetDefaultWorkers sets the process-wide pool size. n <= 0 restores the
+// GOMAXPROCS default.
 func SetDefaultWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -44,30 +44,26 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int64(n))
 }
 
-// Resolve maps a caller-supplied worker count to the effective pool size:
-// the count itself when positive, otherwise the process default, otherwise
-// GOMAXPROCS.
-func Resolve(workers int) int {
-	if workers > 0 {
-		return workers
-	}
+// resolve returns the effective pool size: the process setting when
+// positive, otherwise GOMAXPROCS.
+func resolve() int {
 	if d := defaultWorkers.Load(); d > 0 {
 		return int(d)
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// ParFor runs fn(i) for every i in [0,n) on a pool of at most
-// Resolve(workers) goroutines. It returns when every task has finished.
+// ParFor runs fn(i) for every i in [0,n) on a pool of at most resolve()
+// goroutines. It returns when every task has finished.
 // Tasks are handed out in index order through an atomic cursor; with one
 // worker the execution is exactly the sequential loop. A panicking task
 // stops its worker; the first panic (by observation order) is re-raised in
 // the caller after the pool drains.
-func ParFor(workers, n int, fn func(i int)) {
+func ParFor(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	w := Resolve(workers)
+	w := resolve()
 	if w > n {
 		w = n
 	}
@@ -91,7 +87,7 @@ func ParFor(workers, n int, fn func(i int)) {
 				if r := recover(); r != nil {
 					panicMu.Lock()
 					if panicV == nil {
-						//lint:allow(parcapture) first-panic capture: mutex-guarded, and which panic wins never affects results (the run aborts)
+						//lint:allow(determinism) first-panic capture: mutex-guarded, and which panic wins never affects results (the run aborts)
 						panicV = r
 					}
 					panicMu.Unlock()
@@ -116,9 +112,9 @@ func ParFor(workers, n int, fn func(i int)) {
 // the results in input order: out[i] = fn(i). Each result slot is written
 // exactly once by the task that owns it, so no locking is needed and the
 // merge order never depends on scheduling.
-func ParMap[T any](workers, n int, fn func(i int) T) []T {
+func ParMap[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ParFor(workers, n, func(i int) {
+	ParFor(n, func(i int) {
 		out[i] = fn(i)
 	})
 	return out
@@ -127,10 +123,10 @@ func ParMap[T any](workers, n int, fn func(i int) T) []T {
 // ParMapErr is ParMap for fallible tasks. Every task runs to completion;
 // the returned error is the first non-nil error by input index (not by
 // completion time), keeping error reporting deterministic too.
-func ParMapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+func ParMapErr[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	ParFor(workers, n, func(i int) {
+	ParFor(n, func(i int) {
 		out[i], errs[i] = fn(i)
 	})
 	for _, err := range errs {

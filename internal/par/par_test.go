@@ -2,18 +2,28 @@ package par
 
 import (
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"quasar/internal/sim"
 )
 
+// withWorkers runs fn with the pool size set to n. Tests that call it
+// change process-wide state, so they do not run in parallel.
+func withWorkers(n int, fn func()) {
+	SetDefaultWorkers(n)
+	defer SetDefaultWorkers(0)
+	fn()
+}
+
 func TestParForCoversAllIndices(t *testing.T) {
-	t.Parallel()
 	for _, w := range []int{1, 2, 4, 16} {
 		hits := make([]int32, 100)
-		ParFor(w, len(hits), func(i int) {
-			atomic.AddInt32(&hits[i], 1)
+		withWorkers(w, func() {
+			ParFor(len(hits), func(i int) {
+				atomic.AddInt32(&hits[i], 1)
+			})
 		})
 		for i, h := range hits {
 			if h != 1 {
@@ -26,17 +36,17 @@ func TestParForCoversAllIndices(t *testing.T) {
 func TestParForZeroAndNegativeN(t *testing.T) {
 	t.Parallel()
 	called := false
-	ParFor(4, 0, func(int) { called = true })
-	ParFor(4, -3, func(int) { called = true })
+	ParFor(0, func(int) { called = true })
+	ParFor(-3, func(int) { called = true })
 	if called {
 		t.Fatal("fn called for empty range")
 	}
 }
 
 func TestParMapOrdersResults(t *testing.T) {
-	t.Parallel()
 	for _, w := range []int{1, 3, 8} {
-		got := ParMap(w, 50, func(i int) int { return i * i })
+		var got []int
+		withWorkers(w, func() { got = ParMap(50, func(i int) int { return i * i }) })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d]=%d", w, i, v)
@@ -46,17 +56,19 @@ func TestParMapOrdersResults(t *testing.T) {
 }
 
 func TestParMapErrReturnsFirstErrorByIndex(t *testing.T) {
-	t.Parallel()
 	errA := &indexErr{7}
 	errB := &indexErr{3}
-	_, err := ParMapErr(4, 10, func(i int) (int, error) {
-		switch i {
-		case 7:
-			return 0, errA
-		case 3:
-			return 0, errB
-		}
-		return i, nil
+	var err error
+	withWorkers(4, func() {
+		_, err = ParMapErr(10, func(i int) (int, error) {
+			switch i {
+			case 7:
+				return 0, errA
+			case 3:
+				return 0, errB
+			}
+			return i, nil
+		})
 	})
 	if err != errB {
 		t.Fatalf("got %v, want error from lowest index 3", err)
@@ -68,35 +80,41 @@ type indexErr struct{ i int }
 func (e *indexErr) Error() string { return "task failed" }
 
 func TestParForPanicPropagates(t *testing.T) {
-	t.Parallel()
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("panic swallowed")
 		}
 	}()
-	ParFor(4, 10, func(i int) {
-		if i == 5 {
-			panic("boom")
-		}
+	withWorkers(4, func() {
+		ParFor(10, func(i int) {
+			if i == 5 {
+				panic("boom")
+			}
+		})
 	})
 }
 
-// TestParMapDeterministicWithSubstreams is the contract test: per-task RNG
-// substreams plus input-order merge must give byte-identical results for
-// any worker count.
+// TestParMapDeterministicWithSubstreams is the contract test: one RNG
+// stream per task, derived before the fan-out in input order, plus the
+// input-order merge must give byte-identical results for any worker count.
 func TestParMapDeterministicWithSubstreams(t *testing.T) {
-	t.Parallel()
-	run := func(workers int) []float64 {
+	run := func(workers int) (out []float64) {
 		rng := sim.NewRNG(42)
-		subs := rng.Substreams("task", 64)
-		return ParMap(workers, len(subs), func(i int) float64 {
-			r := subs[i]
-			sum := 0.0
-			for k := 0; k < 100; k++ {
-				sum += r.Float64()
-			}
-			return sum
+		streams := make([]*sim.RNG, 64)
+		for i := range streams {
+			streams[i] = rng.Stream("task:" + strconv.Itoa(i))
+		}
+		withWorkers(workers, func() {
+			out = ParMap(len(streams), func(i int) float64 {
+				r := streams[i]
+				sum := 0.0
+				for k := 0; k < 100; k++ {
+					sum += r.Float64()
+				}
+				return sum
+			})
 		})
+		return out
 	}
 	want := run(1)
 	for _, w := range []int{2, 4, runtime.NumCPU()} {
@@ -110,15 +128,16 @@ func TestParMapDeterministicWithSubstreams(t *testing.T) {
 }
 
 func TestResolveAndDefaultWorkers(t *testing.T) {
-	if Resolve(3) != 3 {
-		t.Fatal("explicit count ignored")
-	}
 	SetDefaultWorkers(5)
-	if Resolve(0) != 5 {
-		t.Fatal("default not used")
+	if resolve() != 5 {
+		t.Fatal("setting not used")
+	}
+	SetDefaultWorkers(-2)
+	if resolve() != runtime.GOMAXPROCS(0) {
+		t.Fatal("negative setting not treated as the default")
 	}
 	SetDefaultWorkers(0)
-	if Resolve(0) != runtime.GOMAXPROCS(0) {
+	if resolve() != runtime.GOMAXPROCS(0) {
 		t.Fatal("GOMAXPROCS fallback broken")
 	}
 }

@@ -309,9 +309,9 @@ func TestRankMatchesScanOracle(t *testing.T) {
 	if testing.Short() {
 		streams, steps = 2, 25
 	}
-	subs := sim.NewRNG(20260808).Substreams("sched-oracle", streams)
-	for i, rng := range subs {
-		rng := rng
+	root := sim.NewRNG(20260808)
+	for i := 0; i < streams; i++ {
+		rng := root.Stream("sched-oracle:" + strconv.Itoa(i))
 		t.Run(fmt.Sprintf("substream-%d", i), func(t *testing.T) {
 			runChurn(t, DefaultOptions(), rng, steps)
 		})

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"strconv"
 )
 
 // RNG wraps a deterministic random source with the distributions the
@@ -37,20 +36,6 @@ func (g *RNG) Stream(name string) *RNG {
 	// parents diverge.
 	h ^= g.r.Uint64()
 	return NewRNG(int64(h))
-}
-
-// Substreams derives n independent generators for the tasks of a parallel
-// fan-out, named name:0 … name:n-1. Derivation happens sequentially on the
-// calling goroutine in input order, so the parent's draw sequence — and
-// therefore every substream — is identical no matter how many workers later
-// consume them. Callers hand substream i to task i and must not share a
-// substream across tasks.
-func (g *RNG) Substreams(name string, n int) []*RNG {
-	subs := make([]*RNG, n)
-	for i := range subs {
-		subs[i] = g.Stream(name + ":" + strconv.Itoa(i))
-	}
-	return subs
 }
 
 // Float64 returns a uniform value in [0,1).

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -119,31 +118,5 @@ func TestBoolProbability(t *testing.T) {
 	p := float64(hits) / n
 	if math.Abs(p-0.3) > 0.01 {
 		t.Fatalf("Bool(0.3) frequency = %v", p)
-	}
-}
-
-func TestSubstreamsMatchSequentialDerivation(t *testing.T) {
-	a := NewRNG(11)
-	subs := a.Substreams("probe", 4)
-
-	b := NewRNG(11)
-	for i, sub := range subs {
-		want := b.Stream("probe:" + strconv.Itoa(i))
-		for k := 0; k < 10; k++ {
-			if got, exp := sub.Float64(), want.Float64(); got != exp {
-				t.Fatalf("substream %d draw %d: %v != %v", i, k, got, exp)
-			}
-		}
-	}
-	// Parent state after derivation must match too, so later draws agree.
-	if a.Float64() != b.Float64() {
-		t.Fatal("parent state diverged after Substreams")
-	}
-}
-
-func TestSubstreamsDecorrelated(t *testing.T) {
-	subs := NewRNG(5).Substreams("x", 3)
-	if subs[0].Float64() == subs[1].Float64() && subs[1].Float64() == subs[2].Float64() {
-		t.Fatal("substreams look identical")
 	}
 }
