@@ -11,7 +11,8 @@ import (
 // must produce identical results. It flags nine nondeterminism sources
 // in the seventeen packages of its scope:
 //
-//  1. draws from math/rand's unseeded global source (use a seeded
+//  1. draws from math/rand's unseeded global source, in function bodies
+//     and in package-level var initializers alike (use a seeded
 //     *rand.Rand, e.g. sim.NewRNG);
 //  2. wall-clock reads — time.Now() or time.Since() — outside the
 //     wall-clock allowlist, in function bodies and in package-level var
@@ -57,8 +58,8 @@ import (
 // initializers are walked too.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "flags unseeded global math/rand draws, wall-clock reads " +
-		"(time.Now/time.Since, including package-level var initializers), " +
+	Doc: "flags unseeded global math/rand draws and wall-clock reads " +
+		"(time.Now/time.Since), package-level var initializers included, " +
 		"unsorted result accumulation across map iteration, shared-RNG " +
 		"capture in concurrent tasks, trace emission in map order or " +
 		"across concurrent tasks, engine scheduling or RNG draws in " +
@@ -139,10 +140,11 @@ func runDeterminism(pass *Pass) {
 	}
 }
 
-// checkVarDeterminism flags wall-clock reads in package-level var
-// initializers, and walks the concurrent literals inside them. These run
-// before any function body, so the function walk never sees them —
-// `var start = time.Now()` would otherwise smuggle a wall-clock anchor into
+// checkVarDeterminism flags global math/rand draws and wall-clock reads in
+// package-level var initializers, and walks the concurrent literals inside
+// them. These run before any function body, so the function walk never
+// sees them — `var start = time.Now()` or `var jitter = rand.Float64()`
+// would otherwise smuggle a wall-clock anchor or an unseeded draw into
 // simulation code unnoticed. The allowlist key is pkgpath.VarName (first
 // name of the spec), matching funcKey's shape.
 func checkVarDeterminism(pass *Pass, gd *ast.GenDecl) {
@@ -159,27 +161,32 @@ func checkVarDeterminism(pass *Pass, gd *ast.GenDecl) {
 				if !ok {
 					return true
 				}
-				if pkgPath, name, ok := pkgFuncCall(pass, call); ok {
-					reportWallClock(pass, call, pkgPath, name, key)
-				}
+				reportPkgCall(pass, call, key)
 				return true
 			})
 		}
 	}
 }
 
-// reportWallClock flags time.Now and time.Since calls outside the
-// wall-clock allowlist. Both read the real clock: Since is Now minus its
-// argument, so it is exactly as nondeterministic under fixed seeds.
-func reportWallClock(pass *Pass, call *ast.CallExpr, pkgPath, name, allowKey string) {
-	if pkgPath != "time" || wallClockAllowlist[allowKey] {
+// reportPkgCall applies rules 1 and 2 to one call: a draw from math/rand's
+// global source, or a time.Now or time.Since call outside the wall-clock
+// allowlist (allowKey names the enclosing function or var). Both read the
+// real clock: Since is Now minus its argument, so it is exactly as
+// nondeterministic under fixed seeds.
+func reportPkgCall(pass *Pass, call *ast.CallExpr, allowKey string) {
+	pkgPath, name, ok := pkgFuncCall(pass, call)
+	if !ok {
 		return
 	}
-	switch name {
-	case "Now":
+	switch {
+	case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && globalRandFuncs[name]:
+		pass.Reportf(call.Pos(),
+			"call to global math/rand.%s draws from the unseeded shared source; use a seeded generator (sim.NewRNG)", name)
+	case pkgPath != "time" || wallClockAllowlist[allowKey]:
+	case name == "Now":
 		pass.Reportf(call.Pos(),
 			"bare time.Now() is nondeterministic under fixed seeds; use the sim engine's virtual clock or an injected clock")
-	case "Since":
+	case name == "Since":
 		pass.Reportf(call.Pos(),
 			"time.Since reads the wall clock and is nondeterministic under fixed seeds; use the sim engine's virtual clock or route overhead measurement through internal/obs/prof")
 	}
@@ -196,15 +203,7 @@ func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {
 		checkConcurrentLit(pass, n)
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if pkgPath, name, ok := pkgFuncCall(pass, n); ok {
-				switch {
-				case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && globalRandFuncs[name]:
-					pass.Reportf(n.Pos(),
-						"call to global math/rand.%s draws from the unseeded shared source; use a seeded generator (sim.NewRNG)", name)
-				case pkgPath == "time":
-					reportWallClock(pass, n, pkgPath, name, funcKey(pass, fd))
-				}
-			}
+			reportPkgCall(pass, n, funcKey(pass, fd))
 		case *ast.RangeStmt:
 			checkMapRange(pass, fd, n)
 		}

@@ -22,3 +22,6 @@ func CollectUnsorted(m map[string]int) []int {
 	}
 	return out
 }
+
+// jitter draws from the unseeded shared source before any function runs.
+var jitter = rand.Float64()

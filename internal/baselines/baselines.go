@@ -77,6 +77,17 @@ type Baseline struct {
 	state  map[string]*resState
 	queue  core.WaitQueue
 	name   string
+
+	// rankServers' buffers, reused across calls.
+	cands  []*cluster.Server
+	scored []scoredServer
+}
+
+// scoredServer is a candidate with its Paragon quality, computed once
+// before the sort.
+type scoredServer struct {
+	quality float64
+	srv     *cluster.Server
 }
 
 // New builds a baseline manager over the runtime.
@@ -193,11 +204,15 @@ func (b *Baseline) reservation(t *core.Task) (nodes int, alloc cluster.Alloc) {
 	}
 }
 
-// rankServers orders candidate servers per the assignment policy.
+// rankServers orders the cluster's candidate servers that can take a slice
+// of alloc and do not host the task yet, per the assignment policy. The
+// result aliases the manager's buffer: it is valid until the next call.
 func (b *Baseline) rankServers(t *core.Task, st *resState, alloc cluster.Alloc) []*cluster.Server {
-	var servers []*cluster.Server
-	for _, s := range b.rt.Cl.Servers {
-		if !s.Schedulable() || s.Placement(t.W.ID) != nil {
+	cands := b.rt.Cl.AppendCandidates(b.cands[:0])
+	b.cands = cands[:0]
+	servers := cands[:0]
+	for _, s := range cands {
+		if t.On(s.ID) {
 			continue
 		}
 		fit := cluster.Alloc{
@@ -211,14 +226,20 @@ func (b *Baseline) rankServers(t *core.Task, st *resState, alloc cluster.Alloc) 
 	}
 	switch {
 	case b.opts.Assign == AssignParagon && st.est != nil:
-		sort.Slice(servers, func(i, j int) bool {
-			qi := b.paragonQuality(t, st, servers[i])
-			qj := b.paragonQuality(t, st, servers[j])
-			if qi != qj { //lint:allow(floatcmp) sort tie-break: any consistent order is fine
-				return qi > qj
+		scored := b.scored[:0]
+		for _, s := range servers {
+			scored = append(scored, scoredServer{b.paragonQuality(t, st, s), s})
+		}
+		b.scored = scored[:0]
+		sort.Slice(scored, func(i, j int) bool {
+			if scored[i].quality != scored[j].quality { //lint:allow(floatcmp) sort tie-break: any consistent order is fine
+				return scored[i].quality > scored[j].quality
 			}
-			return servers[i].ID < servers[j].ID
+			return scored[i].srv.ID < scored[j].srv.ID
 		})
+		for i := range scored {
+			servers[i] = scored[i].srv
+		}
 	default:
 		sort.Slice(servers, func(i, j int) bool {
 			if servers[i].FreeCores() != servers[j].FreeCores() {

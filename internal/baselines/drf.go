@@ -147,7 +147,10 @@ func (d *DRF) allocateRound() {
 			return
 		}
 		st := d.state[bestID]
-		if srv := d.leastLoadedFitting(st); srv != nil {
+		// The emptiest server that can host one slice and does not
+		// already host the workload.
+		srv := d.rt.Cl.MostFree(func(s *cluster.Server) bool { return !st.task.On(s.ID) })
+		if srv != nil {
 			alloc := cluster.Alloc{
 				Cores:    min(st.demand.Cores, srv.FreeCores()),
 				MemoryGB: math.Min(st.demand.MemoryGB, srv.FreeMemGB()),
@@ -161,24 +164,6 @@ func (d *DRF) allocateRound() {
 		// than skipping ahead (progressive filling).
 		return
 	}
-}
-
-// leastLoadedFitting finds the emptiest server that can host one slice of
-// the demand and does not already host the workload.
-func (d *DRF) leastLoadedFitting(st *drfState) *cluster.Server {
-	var best *cluster.Server
-	for _, srv := range d.rt.Cl.Servers {
-		if !srv.Schedulable() || srv.Placement(st.task.W.ID) != nil {
-			continue
-		}
-		if srv.FreeCores() < 1 || srv.FreeMemGB() < 1 {
-			continue
-		}
-		if best == nil || srv.FreeCores() > best.FreeCores() {
-			best = srv
-		}
-	}
-	return best
 }
 
 var _ core.Manager = (*DRF)(nil)

@@ -8,7 +8,9 @@ import "fmt"
 // index is maintained incrementally — every mutation that can change a
 // server's schedulability or free capacity (place, remove, resize, fault
 // state, probe/degrade/isolation changes) reclassifies just that server —
-// so the scheduler's ranking never scans the full server list.
+// so no manager scans the full server list to place new work: the
+// scheduler's and the baselines' rankings, and the most-free pick that DRF
+// and filler placement share, all read their candidates from here.
 //
 // Pristine servers (no placements, no injected pressure of any kind) are
 // special because their ranking inputs are bit-identical across a platform:
@@ -110,21 +112,68 @@ func swapRemove(list *[]*Server, i int) {
 	*list = l[:last]
 }
 
-// AppendPristine appends platform pidx's pristine servers to dst and returns
-// it. The caller owns dst; the index's internal lists are never exposed.
-func (ix *FreeIndex) AppendPristine(pidx int, dst []*Server) []*Server {
-	return append(dst, ix.plats[pidx].pristine...)
+// Append appends platform pidx's indexed servers to dst — its pristine
+// servers first, then its occupiable ones bucket by bucket from most free
+// cores after eviction down — and returns it with the count of pristine
+// servers among those appended. The caller owns dst; the index's internal
+// lists are never exposed.
+func (ix *FreeIndex) Append(pidx int, dst []*Server) (srvs []*Server, nPristine int) {
+	p := &ix.plats[pidx]
+	dst = append(dst, p.pristine...)
+	for band := len(p.buckets) - 1; band >= 1; band-- {
+		dst = append(dst, p.buckets[band]...)
+	}
+	return dst, len(p.pristine)
 }
 
-// AppendOccupiable appends platform pidx's occupiable (non-pristine, free
-// capacity after eviction) servers to dst, bucket by bucket from most free
-// cores down, and returns it.
-func (ix *FreeIndex) AppendOccupiable(pidx int, dst []*Server) []*Server {
-	b := ix.plats[pidx].buckets
-	for band := len(b) - 1; band >= 1; band-- {
-		dst = append(dst, b[band]...)
+// AppendCandidates appends every server that may take new work — every
+// indexed server, platform by platform — to dst and returns it. The order
+// is the index's maintenance order, not ID order: a caller that picks by a
+// key breaks ties itself.
+func (c *Cluster) AppendCandidates(dst []*Server) []*Server {
+	for pidx := range c.index.plats {
+		dst, _ = c.index.Append(pidx, dst)
 	}
 	return dst
+}
+
+// MostFree returns the indexed server with the most free cores, among
+// those with at least 1 core and 1 GB free that ok accepts (nil accepts
+// every server); ties go to the lowest server ID. It returns nil when no
+// server qualifies. ok runs only on a server that would beat the best so
+// far, so it must not have side effects. A bucket's band bounds its
+// members' free cores from above, so each platform's walk stops at the
+// first band that cannot reach the best so far.
+func (c *Cluster) MostFree(ok func(*Server) bool) *Server {
+	var best *Server
+	for pidx := range c.index.plats {
+		p := &c.index.plats[pidx]
+		best = mostFree(p.pristine, best, ok)
+		for band := len(p.buckets) - 1; band >= 1; band-- {
+			if best != nil && band < best.FreeCores() {
+				break
+			}
+			best = mostFree(p.buckets[band], best, ok)
+		}
+	}
+	return best
+}
+
+// mostFree is MostFree's step over one index list.
+func mostFree(list []*Server, best *Server, ok func(*Server) bool) *Server {
+	for _, s := range list {
+		free := s.FreeCores()
+		if free < 1 || s.FreeMemGB() < 1 {
+			continue
+		}
+		if best != nil && (free < best.FreeCores() || free == best.FreeCores() && s.ID > best.ID) {
+			continue
+		}
+		if ok == nil || ok(s) {
+			best = s
+		}
+	}
+	return best
 }
 
 // NumPristine reports the pristine-server count of platform pidx.

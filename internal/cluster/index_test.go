@@ -120,8 +120,89 @@ func TestIndexInvariantsRandomized(t *testing.T) {
 				if err := c.Idx().Validate(); err != nil {
 					t.Fatalf("substream %d, op %d: %v", si, op, err)
 				}
+				if err := checkCandidates(c, rng); err != nil {
+					t.Fatalf("substream %d, op %d: %v", si, op, err)
+				}
 			}
 		})
+	}
+}
+
+// checkCandidates holds the index's candidate walk to a plain scan of
+// c.Servers: AppendCandidates, as a set, is every schedulable server with at
+// least a core and some memory free after eviction, and MostFree, under nil
+// and under a random accept predicate, is the scan's most-free pick (ties
+// to the lowest ID, which the scan gets by walking in ID order).
+func checkCandidates(c *Cluster, rng *sim.RNG) error {
+	got := map[int]bool{}
+	for _, s := range c.AppendCandidates(nil) {
+		if got[s.ID] {
+			return fmt.Errorf("AppendCandidates lists server %d twice", s.ID)
+		}
+		got[s.ID] = true
+	}
+	for _, s := range c.Servers {
+		cores, mem, _ := recomputeFree(s)
+		if want := s.Schedulable() && cores >= 1 && mem > 0; got[s.ID] != want {
+			return fmt.Errorf("AppendCandidates has server %d: %v, scan says %v", s.ID, got[s.ID], want)
+		}
+	}
+	rejected := make([]bool, len(c.Servers))
+	for i := range rejected {
+		rejected[i] = rng.Bool(0.3)
+	}
+	accept := func(s *Server) bool { return !rejected[s.ID] }
+	for _, pred := range []struct {
+		name string
+		ok   func(*Server) bool
+	}{{"nil", nil}, {"accept", accept}} {
+		ok := pred.ok
+		var want *Server
+		for _, s := range c.Servers {
+			if s.Schedulable() && s.FreeCores() >= 1 && s.FreeMemGB() >= 1 && (ok == nil || ok(s)) &&
+				(want == nil || s.FreeCores() > want.FreeCores()) {
+				want = s
+			}
+		}
+		if got := c.MostFree(ok); got != want {
+			return fmt.Errorf("MostFree(%s) = server %d, scan says %d", pred.name, serverID(got), serverID(want))
+		}
+	}
+	return nil
+}
+
+func serverID(s *Server) int {
+	if s == nil {
+		return -1
+	}
+	return s.ID
+}
+
+// TestMostFreeTieGoesToLowestID puts three tied servers into the index out
+// of ID order — swap-remove moves the last pristine server into the slot a
+// placement vacates — with the lowest ID in the middle, so neither the
+// first nor the last tied server the walk meets is the right answer.
+func TestMostFreeTieGoesToLowestID(t *testing.T) {
+	c, err := New(LocalPlatforms()[:1], []int{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Servers[0].Place("a", Alloc{Cores: 1, MemoryGB: 1}, ResVec{}, Guaranteed); err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	for _, s := range c.AppendCandidates(nil) {
+		order = append(order, s.ID)
+	}
+	if fmt.Sprint(order) != "[3 1 2 0]" {
+		t.Fatalf("candidate order %v, want [3 1 2 0]: the tie below is not out of ID order", order)
+	}
+	if got := c.MostFree(nil); got != c.Servers[1] {
+		t.Fatalf("MostFree(nil) = server %d, want 1 (lowest ID among 1, 2, 3)", serverID(got))
+	}
+	notOne := func(s *Server) bool { return s.ID != 1 }
+	if got := c.MostFree(notOne); got != c.Servers[2] {
+		t.Fatalf("MostFree(not 1) = server %d, want 2", serverID(got))
 	}
 }
 

@@ -616,7 +616,7 @@ func (q *Quasar) scaleUpOrOut(t *Task, st *taskState, need, measured float64) (p
 		_ = q.rt.Evict(ev)
 	}
 	for _, n := range asn.Nodes {
-		if n.Server.Placement(t.W.ID) != nil {
+		if t.On(n.Server.ID) {
 			continue // already on this server; Place would fail
 		}
 		if q.rt.Place(t, n.Server, n.Alloc) == nil {

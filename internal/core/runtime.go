@@ -127,6 +127,12 @@ func (t *Task) placementIdx(id int) (int, bool) {
 	})
 }
 
+// On reports whether the task holds a placement on server id.
+func (t *Task) On(id int) bool {
+	_, ok := t.placementIdx(id)
+	return ok
+}
+
 // NumNodes returns the current allocation width.
 func (t *Task) NumNodes() int { return len(t.placements) }
 
@@ -388,19 +394,11 @@ func (rt *Runtime) Place(t *Task, server *cluster.Server, alloc cluster.Alloc) e
 }
 
 // PlaceFiller gives a task with no target a small slice — at most 4 cores
-// and 6 GB — on the schedulable server with the most free cores among those
-// safe accepts (nil accepts every server); ties go to the lowest server ID.
-// noFit reports that no server is eligible — an answer that holds for every
-// filler until the cluster, or what safe reads, changes.
+// and 6 GB — on cluster.MostFree(safe)'s pick (nil safe accepts every
+// server). noFit reports that no server is eligible — an answer that holds
+// for every filler until the cluster, or what safe reads, changes.
 func (rt *Runtime) PlaceFiller(t *Task, safe func(*cluster.Server) bool) (placed, noFit bool) {
-	var best *cluster.Server
-	for _, s := range rt.Cl.Servers {
-		if s.Schedulable() && s.FreeCores() >= 1 && s.FreeMemGB() >= 1 && (safe == nil || safe(s)) {
-			if best == nil || s.FreeCores() > best.FreeCores() {
-				best = s
-			}
-		}
-	}
+	best := rt.Cl.MostFree(safe)
 	if best == nil {
 		return false, true
 	}

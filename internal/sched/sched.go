@@ -301,9 +301,7 @@ func (s *Scheduler) rankIndexed(req *Request, cands []candidate) []candidate {
 	ix := s.Cluster.Idx()
 	sens := req.Est.EstSensitivity()
 	for pidx := range s.Cluster.Platforms {
-		srvs := ix.AppendPristine(pidx, s.srvScratch[:0])
-		npr := len(srvs)
-		srvs = ix.AppendOccupiable(pidx, srvs)
+		srvs, npr := ix.Append(pidx, s.srvScratch[:0])
 		s.srvScratch = srvs[:0]
 		if len(srvs) == 0 {
 			continue
