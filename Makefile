@@ -52,7 +52,8 @@ lint: fmt-check
 	$(GO) run ./cmd/quasar-lint ./...
 
 ## bench: run the repository benchmarks — one iteration of every paper
-## artifact (BenchmarkTable2Validation among them), then every benchmark under
+## artifact at the scale quasar-bench prints (BenchmarkArtifacts/<name>, one
+## sub-benchmark per experiments.Artifacts() entry), then every benchmark under
 ## internal/ with -benchmem. The second line selects by package, not by name,
 ## so a new benchmark cannot be missed. They are: the classifier's inner loops
 ## (BenchmarkTrain must stay flat in the number of rows, BenchmarkTrainWarm

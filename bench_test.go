@@ -1,233 +1,26 @@
 package quasar_test
 
-// One benchmark per table and figure of the paper's evaluation. Each
-// iteration regenerates the artifact through the shared experiment runners
-// (internal/experiments), printing nothing; run cmd/quasar-bench to see the
-// rows/series themselves.
-//
-// The benchmarks use moderately sized scenario configurations so that the
-// full suite (go test -bench=. -benchmem) completes in minutes; the paper-
-// scale configurations are the Default*Config values used by quasar-bench.
-
 import (
+	"io"
 	"testing"
 
 	"quasar/internal/experiments"
-	"quasar/internal/trace"
 )
 
-func BenchmarkFig1TwitterTrace(b *testing.B) {
-	cfg := trace.DefaultConfig()
-	cfg.Servers, cfg.Workloads, cfg.Days = 300, 1200, 30
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig1(cfg)
-		if r.Trace.MeanCPUResvPct() < r.Trace.MeanCPUUsedPct() {
-			b.Fatal("reservation below usage")
-		}
-	}
-}
-
-func BenchmarkFig2Surfaces(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2(3)
-		if len(r.HadoopHeterogeneity) != 10 {
-			b.Fatal("missing platforms")
-		}
-	}
-}
-
-func BenchmarkTable2Validation(b *testing.B) {
-	cfg := experiments.DefaultTable2Config()
-	cfg.Hadoop, cfg.Memcached, cfg.Webserver, cfg.SingleNode = 5, 5, 5, 40
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table2(cfg)
-		if len(r.Rows) != 4 {
-			b.Fatal("missing classes")
-		}
-	}
-}
-
-func BenchmarkFig3Density(b *testing.B) {
-	cfg := experiments.DefaultFig3Config()
-	cfg.EntriesGrid = []int{1, 2, 4, 8}
-	cfg.PerClass = 3
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig3(cfg)
-		if len(r.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-func BenchmarkFig5SingleBatch(b *testing.B) {
-	cfg := experiments.DefaultFig5Config()
-	cfg.Jobs = 4
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Jobs) != cfg.Jobs {
-			b.Fatal("missing jobs")
-		}
-	}
-}
-
-func BenchmarkTable3HadoopConfig(b *testing.B) {
-	// Table 3 derives from the Fig. 5 run of job H8; benchmark the full
-	// path for that single job.
-	cfg := experiments.DefaultFig5Config()
-	cfg.Jobs = 8
-	if testing.Short() {
-		b.Skip("long")
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Jobs[7].QuasarConfig == nil {
-			b.Fatal("no tuned config for H8")
-		}
-	}
-}
-
-func BenchmarkFig6MultiBatch(b *testing.B) {
-	cfg := experiments.DefaultFig6Config()
-	cfg.Hadoop, cfg.Storm, cfg.Spark, cfg.BestEffort = 4, 2, 2, 40
-	cfg.HorizonSecs = 10000
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.QuasarUtilPct <= 0 {
-			b.Fatal("no utilization measured")
-		}
-	}
-}
-
-func BenchmarkFig7Utilization(b *testing.B) {
-	// Fig. 7 is the utilization view of the Fig. 6 scenario; benchmark the
-	// heatmap collection path alone on the Quasar side.
-	cfg := experiments.DefaultFig6Config()
-	cfg.Hadoop, cfg.Storm, cfg.Spark, cfg.BestEffort = 3, 1, 1, 30
-	cfg.HorizonSecs = 8000
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.QuasarHeat == nil || len(r.QuasarHeat.Times) == 0 {
-			b.Fatal("no heatmap")
-		}
-	}
-}
-
-func BenchmarkFig8HotCRP(b *testing.B) {
-	cfg := experiments.DefaultFig8Config()
-	cfg.HorizonSecs = 6000
-	cfg.BestEffort = 100
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Series) != 6 {
-			b.Fatal("missing cells")
-		}
-	}
-}
-
-func BenchmarkFig9Stateful(b *testing.B) {
-	cfg := experiments.DefaultFig9Config()
-	cfg.HorizonSecs = 4 * 3600
-	cfg.BestEffort = 150
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Services) != 4 {
-			b.Fatal("missing services")
-		}
-	}
-}
-
-func BenchmarkFig10UtilizationWindows(b *testing.B) {
-	cfg := experiments.DefaultFig9Config()
-	cfg.HorizonSecs = 2 * 3600
-	cfg.BestEffort = 80
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Windows) != 4 {
-			b.Fatal("missing windows")
-		}
-	}
-}
-
-func BenchmarkFig11CloudProvider(b *testing.B) {
-	cfg := experiments.DefaultFig11Config()
-	cfg.Workloads = 150
-	cfg.HorizonSecs = 8000
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Runs) != 3 {
-			b.Fatal("missing managers")
-		}
-	}
-}
-
-func BenchmarkStragglerDetection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Stragglers(5, 1)
-		if r.Results["quasar"].DetectedFrac <= 0 {
-			b.Fatal("no detections")
-		}
-	}
-}
-
-func BenchmarkPhaseDetection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Phases(8, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Injected != 8 {
-			b.Fatal("bad injection count")
-		}
-	}
-}
-
-func BenchmarkOverheads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Overheads(6, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.N == 0 {
-			b.Fatal("no completed jobs")
-		}
-	}
-}
-
-func BenchmarkAblations(b *testing.B) {
-	if testing.Short() {
-		b.Skip("long")
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ablations(5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Rows) != 6 {
-			b.Fatal("missing variants")
-		}
+// BenchmarkArtifacts times every table, figure and study of the paper's
+// evaluation at the paper-scale configuration quasar-bench prints, one
+// sub-benchmark per catalogue name (BenchmarkArtifacts/fig11, …). Each
+// iteration builds a fresh catalogue, so a view of a shared run (table3,
+// fig7, fig10) times that run too. An artifact whose run fails or misses a
+// part fails its sub-benchmark.
+func BenchmarkArtifacts(b *testing.B) {
+	for i, a := range experiments.Artifacts() {
+		b.Run(a.Name, func(b *testing.B) {
+			for range b.N {
+				if err := experiments.Artifacts()[i].Print(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

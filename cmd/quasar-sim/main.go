@@ -18,8 +18,9 @@
 // JSONL traces stream to disk while the run executes (the in-memory footprint
 // stays bounded regardless of trace size) and finalize via temp-file + rename,
 // so a failed run still leaves a valid partial trace. -trace-buffer opts back
-// into full in-memory buffering; chrome and prom formats imply it, since they
-// render from the whole trace.
+// into full in-memory buffering; the chrome format implies it, since it
+// renders from the whole trace. The prom snapshot buffers nothing: it reads
+// only the event count and the metrics registry.
 package main
 
 import (
@@ -66,7 +67,7 @@ func run(args []string, stdout io.Writer) error {
 		verbose     = fs.Bool("v", false, "per-workload detail")
 		tracePath   = fs.String("trace", "", "write a deterministic trace of the run to this file")
 		traceFormat = fs.String("trace-format", "jsonl", "trace format: jsonl | chrome | prom")
-		traceBuffer = fs.Bool("trace-buffer", false, "buffer the whole trace in memory instead of streaming to disk (implied by chrome/prom formats)")
+		traceBuffer = fs.Bool("trace-buffer", false, "buffer the whole trace in memory instead of streaming to disk (implied by -trace-format chrome)")
 		traceLevel  = fs.String("trace-level", "", "default trace level: off | lifecycle | decision | debug (empty records everything)")
 		traceCats   = fs.String("trace-cats", "", "per-category level overrides, e.g. 'runtime=lifecycle,chaos=off'")
 		traceSample = fs.Float64("trace-sample", 0, "keep this fraction of workloads in the trace (hash-based and deterministic; 0 or 1 keeps all)")
@@ -94,11 +95,20 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	export, ok := traceExporters[*traceFormat]
+	if !ok {
+		return fmt.Errorf("unknown -trace-format %q (want jsonl, chrome, or prom)", *traceFormat)
+	}
 	// JSONL traces stream straight to disk unless buffering is asked for;
-	// chrome/prom render from the whole trace and need the buffer.
+	// chrome renders from the whole trace and needs the scenario's default
+	// buffer; prom keeps no event.
 	var stream *obs.StreamSink
 	var sinks []obs.Sink
-	if *tracePath != "" && *traceFormat == "jsonl" && !*traceBuffer {
+	switch {
+	case *tracePath == "":
+	case *traceFormat == "prom":
+		sinks = append(sinks, obs.DiscardSink{})
+	case *traceFormat == "jsonl" && !*traceBuffer:
 		stream, err = obs.NewStreamSink(*tracePath)
 		if err != nil {
 			return err
@@ -205,7 +215,7 @@ func run(args []string, stdout io.Writer) error {
 			_, _ = fmt.Fprintf(stdout, "trace: %d events -> %s (jsonl, streamed, %d bytes)\n",
 				s.Tracer.Len(), *tracePath, stream.BytesWritten())
 		} else {
-			if err := writeTrace(*tracePath, *traceFormat, s.Tracer); err != nil {
+			if err := writeTrace(*tracePath, export, s.Tracer); err != nil {
 				return err
 			}
 			_, _ = fmt.Fprintf(stdout, "trace: %d events -> %s (%s)\n", s.Tracer.Len(), *tracePath, *traceFormat)
@@ -309,22 +319,20 @@ func parseControls(level, cats string, sample float64, topK int) (*obs.Controls,
 	return &c, nil
 }
 
-// writeTrace renders the collected trace in the requested format.
-func writeTrace(path, format string, tr *obs.Tracer) error {
+// traceExporters maps each -trace-format to its renderer of a finished trace.
+var traceExporters = map[string]func(io.Writer, *obs.Tracer) error{
+	"jsonl":  obs.WriteJSONL,
+	"chrome": obs.WriteChromeTrace,
+	"prom":   obs.WritePromSnapshot,
+}
+
+// writeTrace renders the collected trace to path with export.
+func writeTrace(path string, export func(io.Writer, *obs.Tracer) error, tr *obs.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "jsonl":
-		err = obs.WriteJSONL(f, tr)
-	case "chrome":
-		err = obs.WriteChromeTrace(f, tr)
-	case "prom":
-		err = obs.WritePromSnapshot(f, tr)
-	default:
-		err = fmt.Errorf("unknown -trace-format %q (want jsonl, chrome, or prom)", format)
-	}
+	err = export(f, tr)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

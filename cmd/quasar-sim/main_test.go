@@ -57,3 +57,31 @@ func TestManagerTracesPinnedDigests(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceFormats holds -trace-format to two rules: an unknown format is
+// refused before the run, with no trace file created, and the prom
+// snapshot, which keeps no event buffer, renders the pinned bytes of the
+// default mix.
+func TestTraceFormats(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "x.out")
+	if err := run([]string{"-horizon", "6000", "-trace", bad, "-trace-format", "xyz"}, io.Discard); err == nil {
+		t.Fatal("unknown -trace-format accepted")
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Fatalf("unknown -trace-format left a file behind (stat: %v)", err)
+	}
+
+	prom := filepath.Join(dir, "run.prom")
+	if err := run([]string{"-horizon", "6000", "-trace", prom, "-trace-format", "prom"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "9a14fab073ea40ba8c11499a44c7996304774d26c0474032e369591748059000"
+	if sum := sha256.Sum256(snapshot); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("prom snapshot (%d bytes) sha256 = %x, want %s", len(snapshot), sum, want)
+	}
+}

@@ -187,7 +187,7 @@ func TestFig6Shape(t *testing.T) {
 		t.Fatal("utilization not measured")
 	}
 	var buf bytes.Buffer
-	r.Print(&buf)
+	r.Fig7(&buf)
 	if !strings.Contains(buf.String(), "Figure 7") {
 		t.Fatal("figure 7 section missing")
 	}

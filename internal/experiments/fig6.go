@@ -202,7 +202,7 @@ func sortJobs(jobs []Fig6JobResult) {
 	}
 }
 
-// Print renders Figure 6 (speedups) and the Figure 7 summary.
+// Print renders Figure 6: per-job speedups.
 func (r *Fig6Result) Print(w io.Writer) {
 	fprintf(w, "== Figure 6: multi-framework batch jobs, speedup under Quasar ==\n")
 	fprintf(w, "%-14s %-8s %10s %10s %10s %9s\n", "job", "fw", "target(s)", "quasar(s)", "frmwrk(s)", "speedup%")
@@ -212,6 +212,10 @@ func (r *Fig6Result) Print(w io.Writer) {
 	}
 	fprintf(w, "mean speedup %.1f%% (paper: 27%%); quasar |gap to target| %.1f%% (paper: 5.3%%)\n",
 		r.MeanSpeedupPct, r.MeanQuasarGap)
+}
+
+// Fig7 renders Figure 7, the cluster utilization of the same run.
+func (r *Fig6Result) Fig7(w io.Writer) {
 	fprintf(w, "== Figure 7: cluster utilization ==\n")
 	fprintf(w, "quasar mean CPU utilization:    %5.1f%% (paper: 62%%)\n", r.QuasarUtilPct)
 	fprintf(w, "framework schedulers:           %5.1f%% (paper: 34%%)\n", r.BaselineUtilPct)

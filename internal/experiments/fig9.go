@@ -194,7 +194,7 @@ func Fig9(cfg Fig9Config) (*Fig9Result, error) {
 	return res, nil
 }
 
-// Print renders Figures 9 and 10.
+// Print renders Figure 9: per-service QoS over the day.
 func (r *Fig9Result) Print(w io.Writer) {
 	fprintf(w, "== Figure 9: stateful latency-critical services over 24h ==\n")
 	fprintf(w, "%-11s %-10s %13s %9s %12s\n", "service", "manager", "QPS-tracking", "QoS met", "p99")
@@ -209,6 +209,10 @@ func (r *Fig9Result) Print(w io.Writer) {
 	}
 	fprintf(w, "paper: quasar meets latency QoS for 98.8%%/98.6%% of requests (mc/cassandra);\n")
 	fprintf(w, "autoscale 80%%/93%%, and degrades throughput 24%%/12%%.\n")
+}
+
+// Fig10 renders Figure 10, the utilization snapshots of the same run.
+func (r *Fig9Result) Fig10(w io.Writer) {
 	fprintf(w, "== Figure 10: utilization snapshots (quasar run) ==\n")
 	fprintf(w, "%-13s %8s %8s %8s\n", "window", "cpu%", "mem%", "disk%")
 	for _, win := range r.Windows {
