@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race behaviour determinism corpus lint bench ledger trace-diff fmt-check ci
+.PHONY: all build test race behaviour determinism corpus fuzz lint bench ledger trace-diff fmt-check ci
 
 all: build
 
@@ -35,16 +35,30 @@ determinism:
 	GOMAXPROCS=1 $(GO) test -run $(DETERMINISM_RUN) -count=1 $(DETERMINISM_PKGS)
 	$(GO) test -run $(DETERMINISM_RUN) -count=1 $(DETERMINISM_PKGS)
 
+## FUZZ_TARGETS: every fuzz target, as name:package
+FUZZ_TARGETS = \
+	FuzzEventLineMatchesReference:./internal/obs \
+	FuzzSymEigMatchesJacobi:./internal/cf \
+	FuzzSourceMatchesMathRand:./internal/sim \
+	FuzzSparseMatchesMap:./internal/cf \
+	FuzzJournalEntryMatchesJSON:./internal/serve \
+	FuzzQuasarUnmarshalSnapshot:./internal/core \
+	FuzzSubmitBody:./internal/serve
+FUZZTIME ?= 30s
+
 ## corpus: replay every fuzz target's committed seed corpus as a regression
 ## suite (no live fuzzing)
 corpus:
-	$(GO) test -run 'FuzzEventLineMatchesReference' -count=1 ./internal/obs
-	$(GO) test -run 'FuzzSymEigMatchesJacobi' -count=1 ./internal/cf
-	$(GO) test -run 'FuzzSourceMatchesMathRand' -count=1 ./internal/sim
-	$(GO) test -run 'FuzzSparseMatchesMap' -count=1 ./internal/cf
-	$(GO) test -run 'FuzzJournalEntryMatchesJSON' -count=1 ./internal/serve
-	$(GO) test -run 'FuzzQuasarUnmarshalSnapshot' -count=1 ./internal/core
-	$(GO) test -run 'FuzzSubmitBody' -count=1 ./internal/serve
+	@set -ex; for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run "^$${t%%:*}$$" -count=1 "$${t#*:}"; \
+	done
+
+## fuzz: live-fuzz every target in turn for FUZZTIME each (the CI budget is
+## 30s), looking for fresh counterexamples
+fuzz:
+	@set -ex; for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}$$" -fuzztime $(FUZZTIME) "$${t#*:}"; \
+	done
 
 ## lint: gofmt, go vet, and the repository's own static-analysis suite
 lint: fmt-check
@@ -127,5 +141,6 @@ fmt-check:
 
 ## ci: everything the CI pipeline runs, except the jobs that stay CI-only:
 ## race-full (the whole suite under -race), trace-diff (`make trace-diff`
-## runs it locally), live fuzzing and bench (`make bench` runs it locally)
+## runs it locally), live fuzzing (`make fuzz`) and bench (`make bench`
+## runs it locally)
 ci: fmt-check build lint race test determinism corpus

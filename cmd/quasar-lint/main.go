@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	quasar-lint [-list] [-analyzers a,b] [patterns ...]
+//	quasar-lint [-list] [patterns ...]
 //
-// Patterns default to "./...". Relative patterns resolve against the
-// working directory, as with the go tool, and always name directories.
-// `go list` resolves them and picks each package's files, so lint sees
-// the files `go build` compiles in the same environment (GOOS, GOARCH,
+// Every analyzer of analysis.All() runs; -list prints them. Patterns
+// default to "./...". Relative patterns resolve against the working
+// directory, as with the go tool, and always name directories. `go list`
+// resolves them and picks each package's files, so lint sees the files
+// `go build` compiles in the same environment (GOOS, GOARCH,
 // GOFLAGS=-tags=...; cgo off). A pattern ending in /... names every
 // package beneath it (go list skips testdata and vendor); analyzers then
 // apply only within their configured package scopes. A plain directory
@@ -35,7 +36,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	analyzerNames := flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
 	flag.Parse()
 
 	if *list {
@@ -43,11 +43,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	analyzers, err := selectAnalyzers(*analyzerNames)
-	if err != nil {
-		fatal(err)
 	}
 
 	patterns := flag.Args()
@@ -84,7 +79,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	diags := analysis.Run(loader.Fset, pkgs, analyzers)
+	diags := analysis.Run(loader.Fset, pkgs, analysis.All())
 	for _, d := range diags {
 		fmt.Printf("%s:%d:%d: [%s] %s\n",
 			relPath(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
@@ -92,34 +87,6 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// selectAnalyzers resolves the -analyzers flag against the registry.
-func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
-	all := analysis.All()
-	if names == "" {
-		return all, nil
-	}
-	byName := make(map[string]*analysis.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("quasar-lint: unknown analyzer %q (see -list)", name)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("quasar-lint: -analyzers selected nothing")
-	}
-	return out, nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest

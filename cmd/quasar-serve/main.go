@@ -46,28 +46,27 @@ func main() {
 
 func run() error {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:7717", "HTTP listen address (\":0\" picks a free port)")
-		servers      = flag.Int("servers", 40, "cluster size (uniform spread of the local platforms)")
-		seed         = flag.Int64("seed", 1, "deterministic seed")
-		tick         = flag.Float64("tick", 5, "runtime tick interval, sim seconds")
-		sample       = flag.Float64("sample", 60, "utilization sampling interval, sim seconds")
-		epoch        = flag.Float64("epoch", 1, "admission epoch, sim seconds (a positive multiple of 1/1024, e.g. 1, 0.5, 0.25)")
-		warp         = flag.Float64("warp", 0, "sim seconds per wall second (0 free-runs as fast as possible)")
-		horizon      = flag.Float64("horizon", 0, "stop at this sim time (0 runs until shutdown)")
-		journal      = flag.String("journal", "", "admission journal path (required for daemon mode)")
-		trace        = flag.String("trace", "", "stream the deterministic JSONL trace to this file")
-		snapshot     = flag.String("snapshot", "", "write warm-failover snapshots to this file (atomic rename)")
-		snapEvery    = flag.Float64("snapshot-every", 600, "snapshot cadence, sim seconds")
-		sloFlag      = flag.Bool("slo", false, "monitor SLOs and back /healthz with cluster health")
-		detector     = flag.Bool("detector", false, "enable the failure detector")
-		faultsPath   = flag.String("faults", "", "inject faults from this chaos plan JSON")
-		flight       = flag.Int("flight", 4096, "flight recorder capacity (events retained for /debug/flightrecorder)")
-		maxNodes     = flag.Int("maxnodes", 4, "default per-job node cap")
-		seedLib      = flag.Int("seedlib", 1, "classification library seeds per workload type")
-		replayPath   = flag.String("replay", "", "replay this journal instead of serving")
-		follow       = flag.Bool("follow", false, "with -replay: tail a journal that is still being written (warm standby)")
-		verifySnap   = flag.String("verify-snapshot", "", "with -replay: verify this snapshot file against the replayed state")
-		replayEvents = flag.Bool("replay-stats", true, "with -replay: print the replay summary")
+		addr       = flag.String("addr", "127.0.0.1:7717", "HTTP listen address (\":0\" picks a free port)")
+		servers    = flag.Int("servers", 40, "cluster size (uniform spread of the local platforms)")
+		seed       = flag.Int64("seed", 1, "deterministic seed")
+		tick       = flag.Float64("tick", 5, "runtime tick interval, sim seconds")
+		sample     = flag.Float64("sample", 60, "utilization sampling interval, sim seconds")
+		epoch      = flag.Float64("epoch", 1, "admission epoch, sim seconds (a positive multiple of 1/1024, e.g. 1, 0.5, 0.25)")
+		warp       = flag.Float64("warp", 0, "sim seconds per wall second (0 free-runs as fast as possible)")
+		horizon    = flag.Float64("horizon", 0, "stop at this sim time (0 runs until shutdown)")
+		journal    = flag.String("journal", "", "admission journal path (required for daemon mode)")
+		trace      = flag.String("trace", "", "stream the deterministic JSONL trace to this file")
+		snapshot   = flag.String("snapshot", "", "write warm-failover snapshots to this file (atomic rename)")
+		snapEvery  = flag.Float64("snapshot-every", 600, "snapshot cadence, sim seconds")
+		sloFlag    = flag.Bool("slo", false, "monitor SLOs and back /healthz with cluster health")
+		detector   = flag.Bool("detector", false, "enable the failure detector")
+		faultsPath = flag.String("faults", "", "inject faults from this chaos plan JSON")
+		flight     = flag.Int("flight", 4096, "flight recorder capacity (events retained for /debug/flightrecorder)")
+		maxNodes   = flag.Int("maxnodes", 4, "default per-job node cap")
+		seedLib    = flag.Int("seedlib", 1, "classification library seeds per workload type")
+		replayPath = flag.String("replay", "", "replay this journal instead of serving")
+		follow     = flag.Bool("follow", false, "with -replay: tail a journal that is still being written (warm standby)")
+		verifySnap = flag.String("verify-snapshot", "", "with -replay: verify this snapshot file against the replayed state")
 	)
 	flag.Parse()
 
@@ -75,7 +74,7 @@ func run() error {
 		Servers: *servers, Seed: *seed,
 		TickSecs: *tick, SampleSecs: *sample, EpochSecs: *epoch,
 		MaxNodes: *maxNodes, SeedLib: *seedLib,
-		SLO: *sloFlag, Detector: *detector, FlightRecorder: *flight,
+		SLO: *sloFlag, Detector: *detector,
 	}
 	if *faultsPath != "" {
 		plan, err := chaos.Load(*faultsPath)
@@ -86,7 +85,7 @@ func run() error {
 	}
 
 	if *replayPath != "" {
-		return runReplay(*replayPath, *trace, *follow, *verifySnap, *replayEvents)
+		return runReplay(*replayPath, *trace, *follow, *verifySnap)
 	}
 
 	if *journal == "" {
@@ -96,7 +95,7 @@ func run() error {
 		Addr: *addr, Config: cfg,
 		JournalPath: *journal, TracePath: *trace,
 		SnapshotPath: *snapshot, SnapshotEverySecs: *snapEvery,
-		Warp: *warp, HorizonSecs: *horizon,
+		Warp: *warp, HorizonSecs: *horizon, FlightRecorder: *flight,
 	})
 	if err != nil {
 		return err
@@ -119,8 +118,9 @@ func run() error {
 }
 
 // runReplay rebuilds a run from its journal, optionally tailing a live one
-// or verifying a warm-failover snapshot against the rebuilt state.
-func runReplay(journalPath, tracePath string, follow bool, verifySnap string, stats bool) error {
+// or verifying a warm-failover snapshot against the rebuilt state, and
+// prints the replay summary.
+func runReplay(journalPath, tracePath string, follow bool, verifySnap string) error {
 	opts := serve.ReplayOptions{Follow: follow}
 	if tracePath != "" {
 		sink, err := obs.NewStreamSink(tracePath)
@@ -140,15 +140,13 @@ func runReplay(journalPath, tracePath string, follow bool, verifySnap string, st
 	if err != nil {
 		return err
 	}
-	if stats {
-		fmt.Printf("replay: %d entries applied to t=%g (seed %d, %d servers)\n",
-			res.Applied, res.EndAt, res.Config.Seed, res.Config.Servers)
-		if res.Truncated {
-			fmt.Println("replay: journal has no end marker (killed run); applied everything on disk")
-		}
-		if opts.Snapshot != nil {
-			fmt.Printf("replay: snapshot at t=%g verified against replayed state\n", opts.Snapshot.SimTime)
-		}
+	fmt.Printf("replay: %d entries applied to t=%g (seed %d, %d servers)\n",
+		res.Applied, res.EndAt, res.Config.Seed, res.Config.Servers)
+	if res.Truncated {
+		fmt.Println("replay: journal has no end marker (killed run); applied everything on disk")
+	}
+	if opts.Snapshot != nil {
+		fmt.Printf("replay: snapshot at t=%g verified against replayed state\n", opts.Snapshot.SimTime)
 	}
 	return nil
 }

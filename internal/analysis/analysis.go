@@ -23,7 +23,10 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -175,9 +178,9 @@ func (s *suppressions) allows(d Diagnostic) bool {
 
 // unused reports a diagnostic for every directive name that named one of
 // the analyzers that actually ran here yet suppressed nothing. Names of
-// analyzers outside this run (a partial -analyzers invocation, a
-// single-analyzer golden test) are left alone — absence of findings proves
-// nothing when the analyzer never looked.
+// analyzers outside this run (one out of its scope here, a single-analyzer
+// golden test) are left alone — absence of findings proves nothing when
+// the analyzer never looked.
 func (s *suppressions) unused(ran []*Analyzer) []Diagnostic {
 	ranNames := make(map[string]bool, len(ran))
 	for _, a := range ran {
@@ -273,4 +276,40 @@ func parseAllowDirective(text string) (names []string, ok bool) {
 		}
 	}
 	return names, len(names) > 0
+}
+
+// isNamed reports whether t is (a pointer to) one of the named types given as
+// "pkg.Name", where pkg is the declaring package's import path or a suffix
+// of it that starts after a slash ("internal/sim.RNG", "sync.Mutex").
+func isNamed(t types.Type, names ...string) bool {
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	path, name := named.Obj().Pkg().Path(), named.Obj().Name()
+	return slices.ContainsFunc(names, func(q string) bool {
+		dot := strings.LastIndexByte(q, '.')
+		pkg := q[:dot]
+		return q[dot+1:] == name && (path == pkg || strings.HasSuffix(path, "/"+pkg))
+	})
+}
+
+// floatKind returns the types.IsFloat and types.IsComplex bits of expr's
+// underlying basic type: zero for every other or unknown type.
+func floatKind(pass *Pass, expr ast.Expr) types.BasicInfo {
+	tv, ok := pass.Pkg.Info.Types[expr]
+	if !ok || tv.Type == nil {
+		return 0
+	}
+	b, ok := tv.Type.Underlying().(*types.Basic)
+	if !ok {
+		return 0
+	}
+	return b.Info() & (types.IsFloat | types.IsComplex)
 }

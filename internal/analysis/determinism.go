@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -53,9 +54,12 @@ import (
 //     merge and passes; one into a captured map does not (concurrent map
 //     writes fault).
 //
-// Rules 4, 6 and 9 share one walk over each concurrent literal
-// (checkConcurrentCapture). Function literals in package-level var
-// initializers are walked too.
+// Each function body is walked once (detWalk), and each node in it is
+// classified once against the map ranges and concurrent literals that
+// enclose it, so a finding is reported once however deeply its loops or
+// literals nest; rule 3 reports once per (loop, slice). Package-level var
+// initializers get the same walk without the map-range rules 3, 5, 7 and
+// 8, so the function literals in them are checked too.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flags unseeded global math/rand draws and wall-clock reads " +
@@ -129,43 +133,244 @@ func runDeterminism(pass *Pass) {
 				if d.Body == nil {
 					continue
 				}
-				checkFuncDeterminism(pass, d)
+				w := &detWalk{pass: pass, key: funcKey(pass, d), mapRules: true}
+				ast.Inspect(d.Body, w.visit)
+				w.reportUnsortedAppends()
 			case *ast.GenDecl:
-				if d.Tok != token.VAR {
-					continue
+				if d.Tok == token.VAR {
+					checkVarDeterminism(pass, d)
 				}
-				checkVarDeterminism(pass, d)
 			}
 		}
 	}
 }
 
-// checkVarDeterminism flags global math/rand draws and wall-clock reads in
-// package-level var initializers, and walks the concurrent literals inside
-// them. These run before any function body, so the function walk never
-// sees them — `var start = time.Now()` or `var jitter = rand.Float64()`
-// would otherwise smuggle a wall-clock anchor or an unseeded draw into
-// simulation code unnoticed. The allowlist key is pkgpath.VarName (first
-// name of the spec), matching funcKey's shape.
+// checkVarDeterminism walks package-level var initializers. These run
+// before any function body, so the function walk never sees them —
+// `var start = time.Now()` or `var jitter = rand.Float64()` would otherwise
+// smuggle a wall-clock anchor or an unseeded draw into simulation code
+// unnoticed. The allowlist key is pkgpath.VarName (first name of the spec),
+// matching funcKey's shape.
 func checkVarDeterminism(pass *Pass, gd *ast.GenDecl) {
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
 		if !ok || len(vs.Values) == 0 || len(vs.Names) == 0 {
 			continue
 		}
-		key := pass.Pkg.Path + "." + vs.Names[0].Name
+		w := &detWalk{pass: pass, key: pass.Pkg.Path + "." + vs.Names[0].Name}
 		for _, v := range vs.Values {
-			ast.Inspect(v, func(n ast.Node) bool {
-				checkConcurrentLit(pass, n)
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				reportPkgCall(pass, call, key)
-				return true
-			})
+			ast.Inspect(v, w.visit)
 		}
 	}
+}
+
+// detWalk is one walk over a function body or a var initializer. It keeps
+// the map ranges and concurrent literals enclosing the current node, so
+// each node is classified once against all of them.
+type detWalk struct {
+	pass *Pass
+	key  string // allowlist key of the enclosing function or var
+	// mapRules enables rules 3, 5, 7 and 8 (function bodies only).
+	mapRules bool
+
+	ranges  []*ast.RangeStmt // enclosing map ranges, innermost last
+	lits    []concurrentLit  // enclosing concurrent literals, innermost last
+	pending []concurrentLit  // concurrent literals seen at their go or par call
+	appends []appendTarget   // rule 3 candidates, each (loop, slice) once
+	sorts   []*ast.CallExpr  // sorting calls, rule 3's sort-afterwards escape
+}
+
+// concurrentLit is a function literal that runs concurrently, with the
+// context its messages name ("goroutine", "par.ParFor task").
+type concurrentLit struct {
+	fl      *ast.FuncLit
+	context string
+}
+
+// appendTarget is a slice declared outside a map range and appended to in
+// its body.
+type appendTarget struct {
+	loop  *ast.RangeStmt
+	slice types.Object
+}
+
+func (w *detWalk) visit(n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		if tv, ok := w.pass.Pkg.Info.Types[n.X]; w.mapRules && ok && isMap(tv.Type) {
+			for _, e := range []ast.Expr{n.Key, n.Value, n.X} {
+				if e != nil {
+					ast.Inspect(e, w.visit)
+				}
+			}
+			w.ranges = append(w.ranges, n)
+			ast.Inspect(n.Body, w.visit)
+			w.ranges = w.ranges[:len(w.ranges)-1]
+			return false
+		}
+	case *ast.FuncLit:
+		if i := slices.IndexFunc(w.pending, func(c concurrentLit) bool { return c.fl == n }); i >= 0 {
+			ast.Inspect(n.Type, w.visit)
+			w.lits = append(w.lits, w.pending[i])
+			ast.Inspect(n.Body, w.visit)
+			w.lits = w.lits[:len(w.lits)-1]
+			return false
+		}
+	case *ast.GoStmt:
+		if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
+			w.pending = append(w.pending, concurrentLit{fl, "goroutine"})
+		}
+	case *ast.CallExpr:
+		w.call(n)
+	case *ast.AssignStmt:
+		w.assign(n)
+	case *ast.IncDecStmt:
+		for _, c := range w.lits {
+			reportCapturedWrite(w.pass, c.fl, n.X, n.Pos(), c.context)
+		}
+	}
+	return true
+}
+
+// call classifies one call: rules 1 and 2 everywhere, rules 4 and 6 inside
+// concurrent literals, rules 5 and 7 inside map ranges. It also notes par
+// fan-out tasks and sorting calls for later nodes.
+func (w *detWalk) call(call *ast.CallExpr) {
+	pass := w.pass
+	reportPkgCall(pass, call, w.key)
+	if name, ok := parFanout(pass, call); ok {
+		for _, arg := range call.Args {
+			if fl, ok := arg.(*ast.FuncLit); ok {
+				w.pending = append(w.pending, concurrentLit{fl, "par." + name + " task"})
+			}
+		}
+	}
+	if w.mapRules && isSortCall(pass, call) {
+		w.sorts = append(w.sorts, call)
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	tv, ok := pass.Pkg.Info.Types[sel.X]
+	if !ok {
+		return
+	}
+	method := sel.Sel.Name
+	rng := isNamed(tv.Type, "internal/sim.RNG", "internal/sim.Source", "math/rand.Rand", "math/rand/v2.Rand")
+	emits := tracerEmitMethods[method] && isNamed(tv.Type, "internal/obs.Tracer")
+	for _, c := range w.lits {
+		root := capturedRoot(pass, sel.X, c.fl)
+		switch {
+		case root == nil:
+		case rng:
+			pass.Reportf(call.Pos(),
+				"RNG %s is shared across concurrent tasks in this %s: draws interleave by schedule; derive one stream per task (rng.Stream) before the fan-out",
+				root.Name(), c.context)
+		case emits:
+			pass.Reportf(call.Pos(),
+				"tracer %s is shared across concurrent tasks in this %s: emissions interleave by schedule; emit after the fan-out, in input order",
+				root.Name(), c.context)
+		}
+	}
+	if len(w.ranges) == 0 {
+		return
+	}
+	// Tracer emission, engine scheduling and RNG draws in map order change
+	// the trace, the event sequence or the stream consumption run to run.
+	// There is no sort-afterwards escape: sequence numbers are assigned and
+	// draws made at the call.
+	switch {
+	case emits:
+		pass.Reportf(call.Pos(),
+			"tracer emission inside map iteration lands events in Go's randomized map order; iterate a sorted key slice instead")
+	case engineScheduleMethods[method] && isNamed(tv.Type, "internal/sim.Engine"):
+		pass.Reportf(call.Pos(),
+			"sim.Engine.%s inside map iteration arms events in Go's randomized map order; iterate a slice (e.g. the fault list) or sorted keys instead", method)
+	case rng:
+		pass.Reportf(call.Pos(),
+			"RNG draw inside map iteration consumes the stream in Go's randomized map order; iterate a slice or sorted keys instead")
+	}
+}
+
+// assign classifies one assignment: rule 9 inside concurrent literals,
+// rules 3 and 8 inside map ranges.
+func (w *detWalk) assign(as *ast.AssignStmt) {
+	pass := w.pass
+	for _, c := range w.lits {
+		for _, lhs := range as.Lhs {
+			reportCapturedWrite(pass, c.fl, lhs, as.Pos(), c.context)
+		}
+	}
+	if len(w.ranges) == 0 {
+		return
+	}
+	// Rule 3: a slice that outlives a loop and is appended to in it.
+	for i, rhs := range as.Rhs {
+		call, ok := rhs.(*ast.CallExpr)
+		if !ok || !isBuiltinAppend(pass, call) || i >= len(as.Lhs) {
+			continue
+		}
+		id, ok := as.Lhs[i].(*ast.Ident)
+		if !ok {
+			continue
+		}
+		obj := pass.Pkg.Info.Uses[id]
+		if obj == nil {
+			obj = pass.Pkg.Info.Defs[id]
+		}
+		if obj == nil {
+			continue
+		}
+		for _, rs := range w.ranges {
+			t := appendTarget{rs, obj}
+			if !declaredIn(obj, rs) && !slices.Contains(w.appends, t) {
+				w.appends = append(w.appends, t)
+			}
+		}
+	}
+	// Rule 8: float addition is not associative, so `sum += v` into a float
+	// that outlives the loop has low bits that vary with the iteration
+	// order. There is no sort-afterwards escape. The innermost range is the
+	// one to test: a variable outside any enclosing range is outside it.
+	if (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) || len(as.Lhs) != 1 ||
+		floatKind(pass, as.Lhs[0]) == 0 {
+		return
+	}
+	if obj := rootObject(pass, as.Lhs[0]); obj != nil && !declaredIn(obj, w.ranges[len(w.ranges)-1]) {
+		pass.Reportf(as.TokPos,
+			"float accumulation into %s inside map iteration is order-sensitive (float addition is not associative); iterate sorted keys instead",
+			obj.Name())
+	}
+}
+
+// reportUnsortedAppends reports rule 3: each (loop, slice) pair whose slice
+// no sorting call after the loop mentions — sort.*, slices.Sort*, or a local
+// helper whose name contains "sort".
+func (w *detWalk) reportUnsortedAppends() {
+	for _, t := range w.appends {
+		sorted := slices.ContainsFunc(w.sorts, func(call *ast.CallExpr) bool {
+			return call.Pos() > t.loop.End() && slices.ContainsFunc(call.Args, func(arg ast.Expr) bool {
+				return mentionsObject(w.pass, arg, t.slice)
+			})
+		})
+		if !sorted {
+			w.pass.Reportf(t.loop.For,
+				"map iteration order is randomized: %s is appended to inside this loop; sort the keys first or sort %s afterwards",
+				t.slice.Name(), t.slice.Name())
+		}
+	}
+}
+
+// declaredIn reports whether obj is declared within n's source span.
+func declaredIn(obj types.Object, n ast.Node) bool {
+	return obj.Pos() >= n.Pos() && obj.Pos() <= n.End()
+}
+
+// isMap reports whether t's underlying type is a map.
+func isMap(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }
 
 // reportPkgCall applies rules 1 and 2 to one call: a draw from math/rand's
@@ -198,96 +403,11 @@ var parFanoutFuncs = map[string]bool{
 	"ParFor": true, "ParMap": true, "ParMapErr": true,
 }
 
-func checkFuncDeterminism(pass *Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		checkConcurrentLit(pass, n)
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			reportPkgCall(pass, n, funcKey(pass, fd))
-		case *ast.RangeStmt:
-			checkMapRange(pass, fd, n)
-		}
-		return true
-	})
-}
-
-// checkConcurrentLit hands every function literal that n runs concurrently
-// — a go statement's literal or a task passed to a par fan-out — to
-// checkConcurrentCapture.
-func checkConcurrentLit(pass *Pass, n ast.Node) {
-	switch n := n.(type) {
-	case *ast.CallExpr:
-		if pkgPath, name, ok := pkgFuncCall(pass, n); ok &&
-			strings.HasSuffix(pkgPath, "internal/par") && parFanoutFuncs[name] {
-			for _, arg := range n.Args {
-				if fl, ok := arg.(*ast.FuncLit); ok {
-					checkConcurrentCapture(pass, fl, "par."+name+" task")
-				}
-			}
-		}
-	case *ast.GoStmt:
-		if fl, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			checkConcurrentCapture(pass, fl, "goroutine")
-		}
-	}
-}
-
-// checkConcurrentCapture walks a concurrent function literal, nested
-// literals included (a deferred handler or helper closure still runs on the
-// task's goroutine), for shared mutable state captured from the enclosing
-// scope: writes to a captured variable (rule 9) and method calls whose
-// receiver is a captured RNG (rule 4: concurrent draws interleave by
-// goroutine schedule, and race, for sim.RNG) or tracer emission (rule 6:
-// concurrent appends interleave the same way, breaking the
-// byte-identical-trace contract). Receivers reached through an index
-// expression — streams[i].Float64() on a pre-derived per-task slice — are
-// the sanctioned pattern and pass. Values declared inside the literal are
-// task-local and also pass.
-func checkConcurrentCapture(pass *Pass, fl *ast.FuncLit, context string) {
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				reportCapturedWrite(pass, fl, lhs, n.Pos(), context)
-			}
-		case *ast.IncDecStmt:
-			reportCapturedWrite(pass, fl, n.X, n.Pos(), context)
-		case *ast.CallExpr:
-			reportSharedReceiver(pass, fl, n, context)
-		}
-		return true
-	})
-}
-
-// reportSharedReceiver flags call when its receiver is a captured RNG or a
-// captured tracer it emits on.
-func reportSharedReceiver(pass *Pass, fl *ast.FuncLit, call *ast.CallExpr, context string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	tv, ok := pass.Pkg.Info.Types[sel.X]
-	if !ok {
-		return
-	}
-	isRNG := isRNGType(tv.Type)
-	isTrace := isTracerType(tv.Type) && tracerEmitMethods[sel.Sel.Name]
-	if !isRNG && !isTrace {
-		return
-	}
-	root := capturedRoot(pass, sel.X, fl)
-	if root == nil {
-		return
-	}
-	if isRNG {
-		pass.Reportf(call.Pos(),
-			"RNG %s is shared across concurrent tasks in this %s: draws interleave by schedule; derive one stream per task (rng.Stream) before the fan-out",
-			root.Name(), context)
-	} else {
-		pass.Reportf(call.Pos(),
-			"tracer %s is shared across concurrent tasks in this %s: emissions interleave by schedule; emit after the fan-out, in input order",
-			root.Name(), context)
-	}
+// parFanout returns the name of the internal/par fan-out that call invokes,
+// if it is one.
+func parFanout(pass *Pass, call *ast.CallExpr) (string, bool) {
+	pkgPath, name, ok := pkgFuncCall(pass, call)
+	return name, ok && strings.HasSuffix(pkgPath, "internal/par") && parFanoutFuncs[name]
 }
 
 // reportCapturedWrite flags lhs when it writes through a captured variable.
@@ -300,13 +420,10 @@ func reportCapturedWrite(pass *Pass, fl *ast.FuncLit, lhs ast.Expr, pos token.Po
 		if root == nil {
 			return // task-local container
 		}
-		tv, ok := pass.Pkg.Info.Types[idx.X]
-		if ok && tv.Type != nil {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				pass.Reportf(pos,
-					"write into captured map %s from this %s: concurrent map writes fault; collect per-task results in a slice and merge after the fan-out",
-					root.Name(), context)
-			}
+		if tv, ok := pass.Pkg.Info.Types[idx.X]; ok && tv.Type != nil && isMap(tv.Type) {
+			pass.Reportf(pos,
+				"write into captured map %s from this %s: concurrent map writes fault; collect per-task results in a slice and merge after the fan-out",
+				root.Name(), context)
 		}
 		return // slice/array index write: sanctioned out[i] = ... merge
 	}
@@ -337,46 +454,12 @@ func unwrapIndex(lhs ast.Expr) (*ast.IndexExpr, bool) {
 	}
 }
 
-// isRNGType reports whether t is (a pointer to) a random-number generator:
-// sim.RNG, sim.Source or math/rand's Rand.
-func isRNGType(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	path, name := named.Obj().Pkg().Path(), named.Obj().Name()
-	switch {
-	case strings.HasSuffix(path, "internal/sim") && (name == "RNG" || name == "Source"):
-		return true
-	case (path == "math/rand" || path == "math/rand/v2") && name == "Rand":
-		return true
-	}
-	return false
-}
-
 // tracerEmitMethods are the obs.Tracer methods that append to the event
 // stream. Read-only accessors (Enabled, Len, Events, Tracks) are
 // deliberately absent: they are safe anywhere.
 var tracerEmitMethods = map[string]bool{
 	"Instant": true, "InstantAt": true, "Begin": true, "End": true,
 	"BeginAsync": true, "EndAsync": true, "Counter": true,
-}
-
-// isTracerType reports whether t is (a pointer to) the observability
-// subsystem's event emitter, obs.Tracer.
-func isTracerType(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	path, name := named.Obj().Pkg().Path(), named.Obj().Name()
-	return strings.HasSuffix(path, "internal/obs") && name == "Tracer"
 }
 
 // capturedRoot walks a receiver expression (ident, selector chain, parens)
@@ -396,7 +479,7 @@ func capturedRoot(pass *Pass, expr ast.Expr, fl *ast.FuncLit) types.Object {
 			if obj == nil || obj.Pos() == 0 { // builtin or unresolved
 				return nil
 			}
-			if obj.Pos() >= fl.Pos() && obj.Pos() <= fl.End() {
+			if declaredIn(obj, fl) {
 				return nil // declared inside the literal: task-local
 			}
 			return obj
@@ -443,135 +526,6 @@ func funcKey(pass *Pass, fd *ast.FuncDecl) string {
 	return key + fd.Name.Name
 }
 
-// checkMapRange flags `for ... := range m` over a map when the loop body
-// appends to a slice declared outside the loop and no deterministic sort
-// of that slice follows the loop in the same function.
-func checkMapRange(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt) {
-	tv, ok := pass.Pkg.Info.Types[rs.X]
-	if !ok {
-		return
-	}
-	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-		return
-	}
-	// Collect slices declared outside the loop that the body appends to.
-	var targets []types.Object
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(pass, call) || i >= len(as.Lhs) {
-				continue
-			}
-			id, ok := as.Lhs[i].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := pass.Pkg.Info.Uses[id]
-			if obj == nil {
-				obj = pass.Pkg.Info.Defs[id]
-			}
-			// Only slices that outlive the loop iteration matter.
-			if obj != nil && (obj.Pos() < rs.Pos() || obj.Pos() > rs.End()) {
-				targets = append(targets, obj)
-			}
-		}
-		return true
-	})
-	for _, obj := range targets {
-		if !sortedAfter(pass, fd, rs, obj) {
-			pass.Reportf(rs.For,
-				"map iteration order is randomized: %s is appended to inside this loop; sort the keys first or sort %s afterwards",
-				obj.Name(), obj.Name())
-		}
-	}
-	// Tracer emission inside the loop body lands events in randomized map
-	// order, breaking the byte-identical-trace contract. There is no
-	// sort-afterwards escape hatch: the tracer's sequence numbers are
-	// assigned at emission.
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !tracerEmitMethods[sel.Sel.Name] {
-			return true
-		}
-		tv, ok := pass.Pkg.Info.Types[sel.X]
-		if !ok || !isTracerType(tv.Type) {
-			return true
-		}
-		pass.Reportf(call.Pos(),
-			"tracer emission inside map iteration lands events in Go's randomized map order; iterate a sorted key slice instead")
-		return true
-	})
-	checkFloatAccumulation(pass, rs)
-	// Engine scheduling or RNG draws in map order change the simulation's
-	// event sequence (and stream consumption order) run to run: a fault
-	// plan armed this way produces a different fault schedule every time.
-	// Like tracer emission, there is no sort-afterwards escape hatch.
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		tv, ok := pass.Pkg.Info.Types[sel.X]
-		if !ok {
-			return true
-		}
-		switch {
-		case isEngineType(tv.Type) && engineScheduleMethods[sel.Sel.Name]:
-			pass.Reportf(call.Pos(),
-				"sim.Engine.%s inside map iteration arms events in Go's randomized map order; iterate a slice (e.g. the fault list) or sorted keys instead", sel.Sel.Name)
-		case isRNGType(tv.Type):
-			pass.Reportf(call.Pos(),
-				"RNG draw inside map iteration consumes the stream in Go's randomized map order; iterate a slice or sorted keys instead")
-		}
-		return true
-	})
-}
-
-// checkFloatAccumulation flags `sum += v` / `sum -= v` inside a map-range
-// body when sum is a float declared outside the loop: float addition is not
-// associative, so the final value's low bits depend on Go's randomized
-// iteration order. There is no sort-afterwards escape hatch — the damage is
-// done during accumulation — so the fix is to iterate sorted keys.
-func checkFloatAccumulation(pass *Pass, rs *ast.RangeStmt) {
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) || len(as.Lhs) != 1 {
-			return true
-		}
-		tv, ok := pass.Pkg.Info.Types[as.Lhs[0]]
-		if !ok || !isFloatType(tv.Type) {
-			return true
-		}
-		obj := rootObject(pass, as.Lhs[0])
-		if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()) {
-			return true // loop-local accumulator: dies with the iteration
-		}
-		pass.Reportf(as.TokPos,
-			"float accumulation into %s inside map iteration is order-sensitive (float addition is not associative); iterate sorted keys instead",
-			obj.Name())
-		return true
-	})
-}
-
-// isFloatType reports whether t's underlying type is a floating-point or
-// complex basic type.
-func isFloatType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
-}
-
 // rootObject walks an lvalue (ident, selector chain, index, parens) down to
 // its root identifier and returns that identifier's object, or nil.
 func rootObject(pass *Pass, expr ast.Expr) types.Object {
@@ -604,18 +558,6 @@ var engineScheduleMethods = map[string]bool{
 	"Schedule": true, "After": true, "Ticker": true,
 }
 
-// isEngineType reports whether t is (a pointer to) sim.Engine.
-func isEngineType(t types.Type) bool {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return strings.HasSuffix(named.Obj().Pkg().Path(), "internal/sim") && named.Obj().Name() == "Engine"
-}
-
 // isBuiltinAppend reports whether call invokes the append builtin.
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
@@ -624,30 +566,6 @@ func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 	}
 	b, ok := pass.Pkg.Info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "append"
-}
-
-// sortedAfter reports whether fd contains, after the range statement, a
-// sorting call — sort.*, slices.Sort*, or a local helper whose name
-// contains "sort" — that mentions obj among its arguments.
-func sortedAfter(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() <= rs.End() || !isSortCall(pass, call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if mentionsObject(pass, arg, obj) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // isSortCall recognizes deterministic-ordering calls: the sort and slices

@@ -31,7 +31,7 @@ func runFloatCmp(pass *Pass) {
 				// The whole comparison is a compile-time constant.
 				return true
 			}
-			if isFloat(pass, be.X) && isFloat(pass, be.Y) {
+			if floatKind(pass, be.X)&types.IsFloat != 0 && floatKind(pass, be.Y)&types.IsFloat != 0 {
 				pass.Reportf(be.OpPos,
 					"exact %s comparison of floating-point values; compare within a tolerance or annotate with //lint:allow(floatcmp)",
 					be.Op)
@@ -39,15 +39,4 @@ func runFloatCmp(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// isFloat reports whether expr has a floating-point type (float32,
-// float64, or a named type with such an underlying type).
-func isFloat(pass *Pass, expr ast.Expr) bool {
-	tv, ok := pass.Pkg.Info.Types[expr]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }

@@ -32,6 +32,7 @@ var goldenCases = []struct {
 	{Determinism, "determinism_slo_clean", false},
 	{Determinism, "determinism_prof_bad", true},
 	{Determinism, "determinism_prof_clean", false},
+	{Determinism, "determinism_nested_bad", true},
 	{FloatCmp, "floatcmp_bad", true},
 	{FloatCmp, "floatcmp_clean", false},
 	{SnapshotDrift, "snapshotdrift_bad", true},

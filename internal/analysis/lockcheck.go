@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // LockCheck enforces mutex hygiene, which matters doubly here: a leaked
@@ -133,8 +132,7 @@ func reportBlockingAfter(pass *Pass, body *ast.BlockStmt, from, to token.Pos, re
 			pass.Reportf(n.Pos(),
 				"channel send while %s is locked can block the critical section; release the lock before sending", recv)
 		case *ast.CallExpr:
-			if pkgPath, name, ok := pkgFuncCall(pass, n); ok &&
-				strings.HasSuffix(pkgPath, "internal/par") && parFanoutFuncs[name] {
+			if name, ok := parFanout(pass, n); ok {
 				pass.Reportf(n.Pos(),
 					"par.%s submission while %s is locked stalls the worker pool for the whole fan-out; release the lock first", name, recv)
 			}
@@ -164,7 +162,7 @@ func lockCall(pass *Pass, stmt ast.Stmt) (string, string, bool) {
 		return "", "", false
 	}
 	tv, ok := pass.Pkg.Info.Types[sel.X]
-	if !ok || !isMutexType(tv.Type) {
+	if !ok || !isNamed(tv.Type, "sync.Mutex", "sync.RWMutex") {
 		return "", "", false
 	}
 	return types.ExprString(sel.X), release, true
@@ -190,7 +188,7 @@ func matchesRelease(pass *Pass, call *ast.CallExpr, recv, release string) bool {
 		return false
 	}
 	tv, ok := pass.Pkg.Info.Types[sel.X]
-	if !ok || !isMutexType(tv.Type) {
+	if !ok || !isNamed(tv.Type, "sync.Mutex", "sync.RWMutex") {
 		return false
 	}
 	return types.ExprString(sel.X) == recv
@@ -202,21 +200,4 @@ func acquireName(release string) string {
 		return "RLock"
 	}
 	return "Lock"
-}
-
-// isMutexType reports whether t is (a pointer to) sync.Mutex or
-// sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	path, name := named.Obj().Pkg().Path(), named.Obj().Name()
-	return path == "sync" && (name == "Mutex" || name == "RWMutex")
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"quasar/internal/core"
+	"quasar/internal/loadgen"
 	"quasar/internal/par"
 	"quasar/internal/perfmodel"
 	"quasar/internal/sim"
@@ -330,7 +331,7 @@ func runAblation(seed int64, jobs int, horizon float64, mod func(*core.QuasarOpt
 			task = s.RT.Submit(w, float64(i)*10, nil)
 		case 1:
 			w = s.U.New(workload.Spec{Type: workload.Webserver, Family: -1, MaxNodes: 2})
-			task = s.RT.Submit(w, float64(i)*10, flatLoad(w))
+			task = s.RT.Submit(w, float64(i)*10, loadgen.Flat{QPS: 0.8 * w.Target.QPS})
 		default:
 			w = s.U.New(workload.Spec{Type: workload.SingleNode, Family: -1, TargetSlack: 1.3})
 			task = s.RT.Submit(w, float64(i)*10, nil)
@@ -356,14 +357,6 @@ func runAblation(seed int64, jobs int, horizon float64, mod func(*core.QuasarOpt
 	}
 	return sum / float64(n), nil
 }
-
-func flatLoad(w *workload.Instance) interface{ Load(float64) float64 } {
-	return flatPattern{qps: 0.8 * w.Target.QPS}
-}
-
-type flatPattern struct{ qps float64 }
-
-func (p flatPattern) Load(float64) float64 { return p.qps }
 
 // Print renders the ablation table.
 func (r *AblationResult) Print(w io.Writer) {

@@ -114,18 +114,12 @@ type RawMetric struct {
 	Value json.RawMessage `json:"value"`
 }
 
-// StreamJSONL scans a JSONL trace incrementally, invoking fn for each event
-// line without ever holding more than one line in memory — how quasar-trace
-// summarizes multi-gigabyte traces. The returned header is the parsed first
-// line when present (headerless pre-v2 traces return nil). Metric lines are
-// skipped. fn returning an error aborts the scan with that error.
-func StreamJSONL(r io.Reader, fn func(ev *RawEvent) error) (*Header, error) {
-	return ScanJSONL(r, fn, nil)
-}
-
-// ScanJSONL is StreamJSONL with the trailing metric lines also delivered,
-// to onMetric (skipped when nil). Either callback returning an error aborts
-// the scan with that error.
+// ScanJSONL scans a JSONL trace incrementally, invoking onEvent for each
+// event line without ever holding more than one line in memory — how
+// quasar-trace summarizes multi-gigabyte traces. The returned header is the
+// parsed first line when present (headerless pre-v2 traces return nil). The
+// trailing metric lines go to onMetric, or are skipped when it is nil.
+// Either callback returning an error aborts the scan with that error.
 func ScanJSONL(r io.Reader, onEvent func(ev *RawEvent) error, onMetric func(m *RawMetric) error) (*Header, error) {
 	var header *Header
 	sc := bufio.NewScanner(r)
@@ -176,7 +170,7 @@ func ScanJSONL(r io.Reader, onEvent func(ev *RawEvent) error, onMetric func(m *R
 // ReadHeader parses just the leading header line of a JSONL trace (nil for a
 // headerless trace).
 func ReadHeader(r io.Reader) (*Header, error) {
-	h, err := StreamJSONL(io.LimitReader(r, 1<<20), func(*RawEvent) error { return errStopScan })
+	h, err := ScanJSONL(io.LimitReader(r, 1<<20), func(*RawEvent) error { return errStopScan }, nil)
 	if err == errStopScan {
 		err = nil
 	}
@@ -188,12 +182,12 @@ var errStopScan = fmt.Errorf("obs: stop scan")
 
 // ReadJSONL parses a whole JSONL trace into memory, returning events and
 // skipping the header and trailing metric lines (lines without a "seq"
-// field). Use StreamJSONL when the trace may not fit.
+// field). Use ScanJSONL when the trace may not fit.
 func ReadJSONL(r io.Reader) ([]RawEvent, error) {
 	var out []RawEvent
-	_, err := StreamJSONL(r, func(ev *RawEvent) error {
+	_, err := ScanJSONL(r, func(ev *RawEvent) error {
 		out = append(out, *ev)
 		return nil
-	})
+	}, nil)
 	return out, err
 }

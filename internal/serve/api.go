@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"quasar/internal/classify"
+	"quasar/internal/core"
 	"quasar/internal/obs"
 )
 
@@ -23,61 +25,72 @@ const promContentType = "text/plain; version=0.0.4"
 // recorder dump and the live trace stream): one complete JSON value per line.
 const ndjsonContentType = "application/x-ndjson"
 
-// routes builds the admission and introspection mux (Go 1.22 pattern
-// syntax), wrapped in the RED-metrics middleware. Admission endpoints only
-// touch the journal; query endpoints only take the engine lock — see the
-// Server lock-order comment.
+// route is one endpoint of the daemon's API: its method and path (Go 1.22
+// mux syntax; a trailing {id} wildcard matches one more path segment), the
+// endpoint label of its RED metrics, and its handler.
+type route struct {
+	method, path, label string
+	handle              func(*Server, http.ResponseWriter, *http.Request)
+}
+
+// apiRoutes declares every endpoint once. Admission endpoints only touch the
+// journal; query endpoints only take the engine lock — see the Server
+// lock-order comment. The order is the order /metrics prints each label's
+// series in, so a new route goes where its label should print.
+var apiRoutes = []route{
+	{"POST", "/v1/submit", "submit", (*Server).handleSubmit},
+	{"POST", "/v1/target/{id}", "target", (*Server).handleTarget},
+	{"POST", "/v1/evict/{id}", "evict", (*Server).handleEvict},
+	{"POST", "/v1/shutdown", "shutdown", (*Server).handleShutdown},
+	{"GET", "/v1/workloads", "workloads", (*Server).handleWorkloads},
+	{"GET", "/v1/workloads/{id}", "workload", (*Server).handleWorkload},
+	{"GET", "/healthz", "healthz", (*Server).handleHealthz},
+	{"GET", "/metrics", "metrics", (*Server).handleMetrics},
+	{"GET", "/debug/flightrecorder", "flightrecorder", (*Server).handleFlight},
+	{"GET", "/statusz", "statusz", (*Server).handleStatusz},
+	{"GET", "/debug/requests", "requests", (*Server).handleRequests},
+	{"GET", "/debug/requests/{id}", "requests", (*Server).handleRequest},
+	{"GET", "/v1/trace/stream", "trace-stream", (*Server).handleTraceStream},
+}
+
+// otherEndpoint labels every path no route serves, rather than minting
+// unbounded label values.
+const otherEndpoint = "other"
+
+// routes builds the mux from apiRoutes, wrapped in the RED-metrics
+// middleware.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
-	mux.HandleFunc("POST /v1/target/{id}", s.handleTarget)
-	mux.HandleFunc("POST /v1/evict/{id}", s.handleEvict)
-	mux.HandleFunc("POST /v1/shutdown", s.handleShutdown)
-	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
-	mux.HandleFunc("GET /v1/workloads/{id}", s.handleWorkload)
-	mux.HandleFunc("GET /v1/trace/stream", s.handleTraceStream)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/flightrecorder", s.handleFlight)
-	mux.HandleFunc("GET /debug/requests", s.handleRequests)
-	mux.HandleFunc("GET /debug/requests/{id}", s.handleRequest)
-	mux.HandleFunc("GET /statusz", s.handleStatusz)
+	for _, rt := range apiRoutes {
+		mux.HandleFunc(rt.method+" "+rt.path, func(w http.ResponseWriter, r *http.Request) { rt.handle(s, w, r) })
+	}
 	return s.redMiddleware(mux)
 }
 
-// endpointOf classifies a request path into the fixed telemetry endpoint
-// vocabulary. Go 1.22's http.Request carries no matched-pattern field, so the
-// classification is by hand; unknown paths land on "other" rather than
-// minting unbounded label values.
-func endpointOf(path string) string {
-	switch {
-	case path == "/v1/submit":
-		return "submit"
-	case strings.HasPrefix(path, "/v1/target/"):
-		return "target"
-	case strings.HasPrefix(path, "/v1/evict/"):
-		return "evict"
-	case path == "/v1/shutdown":
-		return "shutdown"
-	case path == "/v1/workloads":
-		return "workloads"
-	case strings.HasPrefix(path, "/v1/workloads/"):
-		return "workload"
-	case path == "/v1/trace/stream":
-		return "trace-stream"
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case path == "/debug/flightrecorder":
-		return "flightrecorder"
-	case path == "/debug/requests" || strings.HasPrefix(path, "/debug/requests/"):
-		return "requests"
-	case path == "/statusz":
-		return "statusz"
-	default:
-		return "other"
+// endpointLabels is the RED label vocabulary, registered up front so
+// /metrics sample groups are stable: each route's label once, in apiRoutes
+// order, then otherEndpoint.
+func endpointLabels() []string {
+	var labels []string
+	for _, rt := range apiRoutes {
+		if !slices.Contains(labels, rt.label) {
+			labels = append(labels, rt.label)
+		}
 	}
+	return append(labels, otherEndpoint)
+}
+
+// endpointOf returns the label of the route serving path. Go 1.22's
+// http.Request carries no matched-pattern field, so the match is by hand:
+// a path equal to a route's, or under a wildcard route's prefix.
+func endpointOf(path string) string {
+	for i := range apiRoutes {
+		rt := &apiRoutes[i]
+		if prefix, wild := strings.CutSuffix(rt.path, "{id}"); path == rt.path || (wild && strings.HasPrefix(path, prefix)) {
+			return rt.label
+		}
+	}
+	return otherEndpoint
 }
 
 // statusRecorder captures the response status for the RED metrics. It
@@ -220,6 +233,14 @@ type workloadInfo struct {
 	SubmitAt   float64 `json:"submit_at"`
 }
 
+// infoOf renders t's listing row; the caller holds the engine lock.
+func infoOf(t *core.Task) workloadInfo {
+	return workloadInfo{
+		ID: t.W.ID, Type: t.W.Type.String(), Status: t.Status.String(),
+		BestEffort: t.W.BestEffort, Nodes: t.NumNodes(), SubmitAt: t.SubmitAt,
+	}
+}
+
 type workloadList struct {
 	Total int            `json:"total"`
 	Tasks []workloadInfo `json:"tasks"`
@@ -238,10 +259,7 @@ func (s *Server) listWorkloads(limit int) workloadList {
 	}
 	out.Tasks = make([]workloadInfo, 0, n)
 	for _, t := range tasks[:n] {
-		out.Tasks = append(out.Tasks, workloadInfo{
-			ID: t.W.ID, Type: t.W.Type.String(), Status: t.Status.String(),
-			BestEffort: t.W.BestEffort, Nodes: t.NumNodes(), SubmitAt: t.SubmitAt,
-		})
+		out.Tasks = append(out.Tasks, infoOf(t))
 	}
 	return out
 }
@@ -287,13 +305,7 @@ func (s *Server) getWorkload(id string) (workloadDetail, bool) {
 	if t == nil {
 		return workloadDetail{}, false
 	}
-	d := workloadDetail{
-		workloadInfo: workloadInfo{
-			ID: t.W.ID, Type: t.W.Type.String(), Status: t.Status.String(),
-			BestEffort: t.W.BestEffort, Nodes: t.NumNodes(), SubmitAt: t.SubmitAt,
-		},
-		Class: t.W.Type.Class().String(),
-	}
+	d := workloadDetail{workloadInfo: infoOf(t), Class: t.W.Type.Class().String()}
 	if t.W.Tier().Targeted() {
 		d.CompletionSecs = t.W.Target.CompletionSecs
 		d.QPS = t.W.Target.QPS

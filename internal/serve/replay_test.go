@@ -149,6 +149,45 @@ func TestOpenJournalHeader(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderIsNotInTheHeader: the flight recorder's capacity changes
+// no byte of a run, so a journal header no longer records it, and a journal
+// written while it did replays to the same manager state.
+func TestFlightRecorderIsNotInTheHeader(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
+	if _, err := BuildJournal(path, Config{Servers: 24, Seed: 13}, 60, scriptFixture()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, entries, _ := bytes.Cut(data, []byte("\n"))
+	if bytes.Contains(header, []byte("flight_recorder")) {
+		t.Fatalf("journal header records the flight recorder: %s", header)
+	}
+	withKey := bytes.Replace(header, []byte(`"detector":false`), []byte(`"detector":false,"flight_recorder":4096`), 1)
+	if bytes.Equal(withKey, header) {
+		t.Fatalf("journal header has no detector field to anchor the old key: %s", header)
+	}
+	oldPath := filepath.Join(dir, "old.journal")
+	if err := os.WriteFile(oldPath, append(append(withKey, '\n'), entries...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Replay(path, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Replay(oldPath, ReplayOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Applied != len(scriptFixture()) || !bytes.Equal(got.ManagerState, want.ManagerState) {
+		t.Fatalf("old-header journal applied %d entries to a different manager state (%d vs %d bytes)",
+			got.Applied, len(got.ManagerState), len(want.ManagerState))
+	}
+}
+
 // TestReplaySinksShareOneEncoding replays one journal on a 200-server world —
 // every schedule decision carries a full 200-candidate ranking — into a live
 // file sink with a subscriber and a buffer sink at once. The live sink encodes

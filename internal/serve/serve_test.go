@@ -429,8 +429,9 @@ func TestCountParamsRejectNegative(t *testing.T) {
 func TestFlightRecorderDump(t *testing.T) {
 	dir := t.TempDir()
 	s, done := startServer(t, Options{
-		Config:      Config{Servers: 8, Seed: 5, FlightRecorder: 128},
-		JournalPath: filepath.Join(dir, "run.journal"),
+		Config:         Config{Servers: 8, Seed: 5},
+		FlightRecorder: 128,
+		JournalPath:    filepath.Join(dir, "run.journal"),
 	})
 	base := "http://" + s.Addr()
 	postJSON(t, base, "/v1/submit", SubmitRequest{Type: "single-node", Family: -1, BestEffort: true})

@@ -36,6 +36,11 @@ type Options struct {
 	// HorizonSecs, when positive, ends the run at that sim time; 0 runs
 	// until Shutdown.
 	HorizonSecs float64
+	// FlightRecorder is the RingSink capacity backing
+	// /debug/flightrecorder (<= 0: 4096 events). It changes no byte of the
+	// trace, so it is not part of the journaled Config; Replay keeps no
+	// flight recorder.
+	FlightRecorder int
 }
 
 // Server is the live daemon: an HTTP admission front end over a journal,
@@ -56,7 +61,7 @@ type Server struct {
 	// (when set) and feeds GET /v1/trace/stream's subscribers.
 	traceSink *obs.StreamSink
 	// ring is the flight recorder behind /debug/flightrecorder: the last
-	// Config.FlightRecorder trace events, engineMu-held.
+	// Options.FlightRecorder trace events, engineMu-held.
 	ring *obs.RingSink
 	tel  *Telemetry
 
@@ -92,7 +97,11 @@ func New(opts Options) (*Server, error) {
 		traceSink.Discard()
 		return nil, err
 	}
-	ring := obs.NewRingSink(cfg.FlightRecorder)
+	flight := opts.FlightRecorder
+	if flight <= 0 {
+		flight = 4096
+	}
+	ring := obs.NewRingSink(flight)
 	w, err := buildWorld(cfg, ring, traceSink)
 	if err != nil {
 		return fail(err)

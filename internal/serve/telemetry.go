@@ -72,14 +72,6 @@ type RequestSpan struct {
 	receivedNS int64 // handler-entry telemetry clock reading
 }
 
-// telemetryEndpoints is the fixed endpoint label vocabulary of the RED
-// metrics, registered up front so /metrics sample groups are stable.
-var telemetryEndpoints = []string{
-	"submit", "target", "evict", "shutdown", "workloads", "workload",
-	"healthz", "metrics", "flightrecorder", "statusz", "requests",
-	"trace-stream", "other",
-}
-
 // Telemetry is the serve daemon's wall-clock telemetry state: the bounded
 // request-span ring, the RED counters/histograms, and the atomics backing the
 // operational gauges.
@@ -111,27 +103,28 @@ const requestLogCap = 1024
 // requestLogCap spans. journalBytes is the journal's output-byte counter;
 // subscribers and subDropped read the trace sink's subscriber list.
 func newTelemetry(journalBytes *atomic.Int64, subscribers, subDropped func() int64) *Telemetry {
+	labels := endpointLabels()
 	t := &Telemetry{
 		reg:          obs.NewRegistry(),
 		spans:        make([]RequestSpan, requestLogCap),
 		journalBytes: journalBytes,
-		httpReqs:     make(map[string]*obs.Counter, len(telemetryEndpoints)),
-		httpErrs:     make(map[string]*obs.Counter, len(telemetryEndpoints)),
-		httpLat:      make(map[string]*metrics.Histogram, len(telemetryEndpoints)),
+		httpReqs:     make(map[string]*obs.Counter, len(labels)),
+		httpErrs:     make(map[string]*obs.Counter, len(labels)),
+		httpLat:      make(map[string]*metrics.Histogram, len(labels)),
 		flushUS:      metrics.NewHistogram(0.01),
 		batchSize:    metrics.NewHistogram(0.01),
 		pacerLagUS:   metrics.NewHistogram(0.01),
 	}
 	t.lastSnapshotNS.Store(-1)
-	for _, ep := range telemetryEndpoints {
+	for _, ep := range labels {
 		t.httpReqs[ep] = t.reg.LabeledCounter("serve_http_requests_total",
 			"endpoint", ep, "HTTP requests handled, by endpoint.")
 	}
-	for _, ep := range telemetryEndpoints {
+	for _, ep := range labels {
 		t.httpErrs[ep] = t.reg.LabeledCounter("serve_http_errors_total",
 			"endpoint", ep, "HTTP responses with status >= 400, by endpoint.")
 	}
-	for _, ep := range telemetryEndpoints {
+	for _, ep := range labels {
 		h := metrics.NewHistogram(0.01)
 		t.httpLat[ep] = h
 		t.reg.LabeledHistogram("serve_http_request_us",

@@ -375,8 +375,9 @@ func TestMetricsExportTrainStats(t *testing.T) {
 func TestFlightRecorderConcurrentWithAdmissions(t *testing.T) {
 	dir := t.TempDir()
 	s, done := startServer(t, Options{
-		Config:      Config{Servers: 12, Seed: 5, FlightRecorder: 256},
-		JournalPath: filepath.Join(dir, "run.journal"),
+		Config:         Config{Servers: 12, Seed: 5},
+		FlightRecorder: 256,
+		JournalPath:    filepath.Join(dir, "run.journal"),
 	})
 	base := "http://" + s.Addr()
 

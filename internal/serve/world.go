@@ -41,10 +41,6 @@ type Config struct {
 	SLO bool `json:"slo"`
 	// Detector arms the failure detector (always armed when Faults is set).
 	Detector bool `json:"detector"`
-	// FlightRecorder is the RingSink capacity backing the live daemon's
-	// /debug/flightrecorder (default 4096 events); Replay keeps no flight
-	// recorder.
-	FlightRecorder int `json:"flight_recorder"`
 	// Faults optionally injects a chaos plan, armed before any admission.
 	Faults *chaos.Plan `json:"faults,omitempty"`
 }
@@ -67,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SeedLib <= 0 {
 		c.SeedLib = 1
-	}
-	if c.FlightRecorder <= 0 {
-		c.FlightRecorder = 4096
 	}
 	return c
 }
