@@ -114,21 +114,24 @@ ledger:
 ##   chaos  under the injected fault storm
 ##   slo    SLO monitoring and burn-rate alerting on, under the same storm
 ##   scale  1k servers, 10k workloads
+##   topk   the scale row with each schedule decision's candidate ranking
+##          capped at the 8 best plus the picked servers (-trace-topk 8)
 TRACE_DIFF_base  := -horizon 6000
 TRACE_DIFF_chaos := -horizon 6000 -faults internal/chaos/testdata/storm.json
 TRACE_DIFF_slo   := -horizon 6000 -slo -faults internal/chaos/testdata/storm.json
 TRACE_DIFF_scale := -servers 1000 -gap 0.02 -horizon 260 -hadoop 0 -spark 0 -storm 0 \
 	-services 20 -single 480 -besteffort 9500
+TRACE_DIFF_topk  := $(TRACE_DIFF_scale) -trace-topk 8
 # Reader flags per row (the slo row replays the alert timeline).
 TRACE_DIFF_READ_slo := -alerts
-ROWS ?= base chaos slo scale
+ROWS ?= base chaos slo scale topk
 # Where a row leaves its two trace files.
 TRACE_DIFF_DIR ?= /tmp
 
 trace-diff: $(addprefix trace-diff-,$(ROWS))
 
 trace-diff-%:
-	$(if $(TRACE_DIFF_$*),,$(error unknown trace-diff row '$*' (rows: base chaos slo scale)))
+	$(if $(TRACE_DIFF_$*),,$(error unknown trace-diff row '$*' (rows: base chaos slo scale topk)))
 	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -trace $(TRACE_DIFF_DIR)/quasar-$*.jsonl >/dev/null
 	$(GO) run ./cmd/quasar-sim $(TRACE_DIFF_$*) -trace-buffer -trace $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl >/dev/null
 	cmp $(TRACE_DIFF_DIR)/quasar-$*.jsonl $(TRACE_DIFF_DIR)/quasar-$*-buf.jsonl

@@ -8,12 +8,13 @@
 //	           -single 40 -besteffort 60 -horizon 20000 -seed 7
 //
 // At-scale runs override the testbed preset with a uniform cluster and pack
-// submissions tighter; stream the trace and sample workloads to keep both
-// memory and trace size bounded:
+// submissions tighter; stream the trace to keep memory bounded, and cap each
+// schedule decision's candidate ranking (the bulk of a trace's bytes at
+// scale) with -trace-topk:
 //
 //	quasar-sim -servers 1000 -gap 0.02 -horizon 260 -hadoop 0 -spark 0 \
 //	           -storm 0 -services 20 -single 480 -besteffort 9500 \
-//	           -trace run.jsonl -trace-sample 0.1 -trace-topk 8
+//	           -trace run.jsonl -trace-topk 8
 //
 // JSONL traces stream to disk while the run executes (the in-memory footprint
 // stays bounded regardless of trace size) and finalize via temp-file + rename,
@@ -29,7 +30,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 
 	"quasar/internal/chaos"
 	"quasar/internal/core"
@@ -68,9 +68,6 @@ func run(args []string, stdout io.Writer) error {
 		tracePath   = fs.String("trace", "", "write a deterministic trace of the run to this file")
 		traceFormat = fs.String("trace-format", "jsonl", "trace format: jsonl | chrome | prom")
 		traceBuffer = fs.Bool("trace-buffer", false, "buffer the whole trace in memory instead of streaming to disk (implied by -trace-format chrome)")
-		traceLevel  = fs.String("trace-level", "", "default trace level: off | lifecycle | decision | debug (empty records everything)")
-		traceCats   = fs.String("trace-cats", "", "per-category level overrides, e.g. 'runtime=lifecycle,chaos=off'")
-		traceSample = fs.Float64("trace-sample", 0, "keep this fraction of workloads in the trace (hash-based and deterministic; 0 or 1 keeps all)")
 		traceTopK   = fs.Int("trace-topk", 0, "truncate schedule-decision candidate rankings to the K best (0 keeps the full ranking)")
 		profFlag    = fs.Bool("prof", false, "print an engine self-profile (wall-clock time per subsystem) after the run")
 		faultsPath  = fs.String("faults", "", "inject faults from this chaos plan JSON (e.g. internal/chaos/testdata/storm.json)")
@@ -91,10 +88,6 @@ func run(args []string, stdout io.Writer) error {
 		cl = experiments.EC2x200
 	}
 
-	controls, err := parseControls(*traceLevel, *traceCats, *traceSample, *traceTopK)
-	if err != nil {
-		return err
-	}
 	export, ok := traceExporters[*traceFormat]
 	if !ok {
 		return fmt.Errorf("unknown -trace-format %q (want jsonl, chrome, or prom)", *traceFormat)
@@ -104,6 +97,7 @@ func run(args []string, stdout io.Writer) error {
 	// buffer; prom keeps no event.
 	var stream *obs.StreamSink
 	var sinks []obs.Sink
+	var err error
 	switch {
 	case *tracePath == "":
 	case *traceFormat == "prom":
@@ -120,7 +114,7 @@ func run(args []string, stdout io.Writer) error {
 		Cluster: cl, Servers: *servers, Manager: kind, Seed: *seed, MaxNodes: 4,
 		SeedLib: 3, Misestimate: true,
 		Trace: *tracePath != "", SLO: *sloFlag,
-		TraceSinks: sinks, TraceControls: controls,
+		TraceSinks: sinks, TraceTopK: *traceTopK,
 	})
 	if err != nil {
 		if stream != nil {
@@ -220,9 +214,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			_, _ = fmt.Fprintf(stdout, "trace: %d events -> %s (%s)\n", s.Tracer.Len(), *tracePath, *traceFormat)
 		}
-		if d := s.Tracer.Dropped(); d > 0 {
-			_, _ = fmt.Fprintf(stdout, "trace controls dropped %d events (recorded in the trace header)\n", d)
-		}
 	}
 
 	clusterLabel := *clusterName
@@ -286,37 +277,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// parseControls builds trace controls from the -trace-* flags, nil when every
-// flag is at its record-everything default.
-func parseControls(level, cats string, sample float64, topK int) (*obs.Controls, error) {
-	c := obs.Controls{SampleWorkloads: sample, TopK: topK}
-	if level != "" {
-		l, ok := obs.ParseLevel(level)
-		if !ok {
-			return nil, fmt.Errorf("unknown -trace-level %q (want off, lifecycle, decision, or debug)", level)
-		}
-		c.Default = l
-	}
-	if cats != "" {
-		c.Category = map[string]obs.Level{}
-		for _, pair := range strings.Split(cats, ",") {
-			cat, lvl, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				return nil, fmt.Errorf("bad -trace-cats entry %q (want category=level)", pair)
-			}
-			l, okL := obs.ParseLevel(lvl)
-			if !okL {
-				return nil, fmt.Errorf("unknown level %q in -trace-cats entry %q", lvl, pair)
-			}
-			c.Category[cat] = l
-		}
-	}
-	if c.Default == obs.LevelUnset && len(c.Category) == 0 && sample == 0 && topK == 0 { //lint:allow(floatcmp) zero means "flag not set"
-		return nil, nil
-	}
-	return &c, nil
 }
 
 // traceExporters maps each -trace-format to its renderer of a finished trace.

@@ -69,21 +69,15 @@ func main() {
 	}
 
 	var evs []obs.RawEvent
-	var droppedAtRecord float64
 	hdr, err := obs.ScanJSONL(f, func(ev *obs.RawEvent) error {
 		evs = append(evs, *ev)
 		return nil
-	}, func(m *obs.RawMetric) error {
-		if m.Name == "tracer_events_dropped_total" {
-			_ = json.Unmarshal(m.Value, &droppedAtRecord)
-		}
-		return nil
-	})
+	}, nil)
 	if err != nil {
 		_, _ = fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	reportControls(os.Stdout, hdr, droppedAtRecord)
+	reportControls(os.Stdout, hdr)
 	evs = clipWindow(evs, *since, *until)
 
 	switch {
@@ -110,43 +104,23 @@ func summarize(r io.Reader, since, until float64, w io.Writer) error {
 		}
 		sum.add(ev)
 		return nil
-	}, sum.metric)
+	}, nil)
 	if err != nil {
 		return err
 	}
-	reportControls(w, hdr, sum.droppedAtRecord)
+	reportControls(w, hdr)
 	sum.report(w)
 	return nil
 }
 
-// reportControls tells the reader what the recording run chose to drop, from
-// the trace header and the tracer's own drop counter — so "no events for
-// workload X" can mean "sampled out at record time", not "never happened".
-func reportControls(w io.Writer, h *obs.Header, dropped float64) {
-	if h == nil {
-		return
+// reportControls tells the reader when the recording run capped schedule
+// decisions' candidate rankings, from the trace header, so a ranking that
+// stops at K entries reads as capped rather than as all the servers there
+// were.
+func reportControls(w io.Writer, h *obs.Header) {
+	if h != nil && h.TopK > 0 {
+		_, _ = fmt.Fprintf(w, "recorded with trace controls: top-k candidates=%d\n", h.TopK)
 	}
-	var parts []string
-	if h.Level != "" {
-		parts = append(parts, "level="+h.Level)
-	}
-	for _, cl := range h.Levels {
-		parts = append(parts, cl.Cat+"="+cl.Level)
-	}
-	if h.Sampled {
-		parts = append(parts, fmt.Sprintf("workload sample=%.3g", h.Sample))
-	}
-	if h.TopK > 0 {
-		parts = append(parts, fmt.Sprintf("top-k candidates=%d", h.TopK))
-	}
-	if len(parts) == 0 {
-		return
-	}
-	_, _ = fmt.Fprintf(w, "recorded with trace controls: %s", strings.Join(parts, ", "))
-	if dropped > 0 {
-		_, _ = fmt.Fprintf(w, " (%.0f events dropped at record time)", dropped)
-	}
-	_, _ = fmt.Fprintln(w)
 }
 
 // clipWindow keeps the events inside [since, until]. Events are time-ordered
@@ -207,7 +181,6 @@ type summary struct {
 	readmits, reused   int
 	deferred           int
 	delaySum           float64
-	droppedAtRecord    float64
 	serveApplied       int
 	serveErrors        int
 	serveReasons       map[string]int
@@ -266,14 +239,6 @@ func (s *summary) add(ev *obs.RawEvent) {
 			s.deferred++
 		}
 	}
-}
-
-// metric harvests the trailing metric lines the summary reports on.
-func (s *summary) metric(m *obs.RawMetric) error {
-	if m.Name == "tracer_events_dropped_total" {
-		_ = json.Unmarshal(m.Value, &s.droppedAtRecord)
-	}
-	return nil
 }
 
 func (s *summary) report(w io.Writer) {
@@ -547,7 +512,7 @@ func followStream(addr string, n int, w io.Writer) error {
 			var h obs.Header
 			_ = json.Unmarshal(line, &h)
 			_, _ = fmt.Fprintf(w, "attached to %s\n", addr)
-			reportControls(w, &h, 0)
+			reportControls(w, &h)
 		case probe.StreamDropped != nil:
 			_, _ = fmt.Fprintf(w, "!! stream fell behind: %d events dropped so far (bounded subscriber buffer)\n", *probe.StreamDropped)
 		case probe.Metric != "":

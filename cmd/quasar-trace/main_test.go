@@ -139,3 +139,29 @@ func TestTopReasons(t *testing.T) {
 // neg/pos are the flag defaults for an unwindowed run.
 func neg() float64 { return math.Inf(-1) }
 func pos() float64 { return math.Inf(1) }
+
+// TestSummaryReportsTopK: a trace recorded under a top-K cap says so on the
+// summary's first line; an uncapped trace prints no such line.
+func TestSummaryReportsTopK(t *testing.T) {
+	for _, k := range []int{0, 8} {
+		var trace bytes.Buffer
+		tr := obs.NewWithSinks(nil, obs.NewStreamSinkWriter(&trace))
+		tr.SetTopK(k)
+		tr.Instant("workload/w1", "runtime", "submit")
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := summarize(&trace, neg(), pos(), &out); err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(out.String(), "\n")
+		want := "events: 1  span: 0s..0s"
+		if k > 0 {
+			want = fmt.Sprintf("recorded with trace controls: top-k candidates=%d", k)
+		}
+		if first != want {
+			t.Errorf("k=%d: summary starts %q, want %q", k, first, want)
+		}
+	}
+}

@@ -58,8 +58,8 @@ import (
 // classified once against the map ranges and concurrent literals that
 // enclose it, so a finding is reported once however deeply its loops or
 // literals nest; rule 3 reports once per (loop, slice). Package-level var
-// initializers get the same walk without the map-range rules 3, 5, 7 and
-// 8, so the function literals in them are checked too.
+// initializers get the same walk with every rule, so a function literal
+// stored in a var is checked like a function body.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "flags unseeded global math/rand draws and wall-clock reads " +
@@ -133,7 +133,7 @@ func runDeterminism(pass *Pass) {
 				if d.Body == nil {
 					continue
 				}
-				w := &detWalk{pass: pass, key: funcKey(pass, d), mapRules: true}
+				w := &detWalk{pass: pass, key: funcKey(pass, d)}
 				ast.Inspect(d.Body, w.visit)
 				w.reportUnsortedAppends()
 			case *ast.GenDecl:
@@ -161,6 +161,7 @@ func checkVarDeterminism(pass *Pass, gd *ast.GenDecl) {
 		for _, v := range vs.Values {
 			ast.Inspect(v, w.visit)
 		}
+		w.reportUnsortedAppends()
 	}
 }
 
@@ -170,8 +171,6 @@ func checkVarDeterminism(pass *Pass, gd *ast.GenDecl) {
 type detWalk struct {
 	pass *Pass
 	key  string // allowlist key of the enclosing function or var
-	// mapRules enables rules 3, 5, 7 and 8 (function bodies only).
-	mapRules bool
 
 	ranges  []*ast.RangeStmt // enclosing map ranges, innermost last
 	lits    []concurrentLit  // enclosing concurrent literals, innermost last
@@ -197,7 +196,7 @@ type appendTarget struct {
 func (w *detWalk) visit(n ast.Node) bool {
 	switch n := n.(type) {
 	case *ast.RangeStmt:
-		if tv, ok := w.pass.Pkg.Info.Types[n.X]; w.mapRules && ok && isMap(tv.Type) {
+		if tv, ok := w.pass.Pkg.Info.Types[n.X]; ok && isMap(tv.Type) {
 			for _, e := range []ast.Expr{n.Key, n.Value, n.X} {
 				if e != nil {
 					ast.Inspect(e, w.visit)
@@ -245,7 +244,7 @@ func (w *detWalk) call(call *ast.CallExpr) {
 			}
 		}
 	}
-	if w.mapRules && isSortCall(pass, call) {
+	if isSortCall(pass, call) {
 		w.sorts = append(w.sorts, call)
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -33,6 +33,7 @@ var goldenCases = []struct {
 	{Determinism, "determinism_prof_bad", true},
 	{Determinism, "determinism_prof_clean", false},
 	{Determinism, "determinism_nested_bad", true},
+	{Determinism, "determinism_var_bad", true},
 	{FloatCmp, "floatcmp_bad", true},
 	{FloatCmp, "floatcmp_clean", false},
 	{SnapshotDrift, "snapshotdrift_bad", true},

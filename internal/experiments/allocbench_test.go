@@ -65,10 +65,10 @@ var allocProbes = []struct {
 	// per-workload state found by position (measured 2.0).
 	{"slo_tick", "quasar/internal/slo.(*Engine).onTick", 4,
 		func(t *testing.T) float64 { return tickProbe(t, true) }},
-	// One event through the full trace pipeline — controls, sequencing, and
-	// fan-out to a streaming JSONL sink plus a ring flight recorder. The
-	// caller's variadic args slice (the ring retains it) and its boxed values
-	// are all of it: the streaming sink appends the line into a buffer it reuses,
+	// One event through the full trace pipeline — sequencing and fan-out to
+	// a streaming JSONL sink plus a ring flight recorder. The caller's
+	// variadic args slice (the ring retains it) and its boxed values are all
+	// of it: the streaming sink appends the line into a buffer it reuses,
 	// with no reflection and no per-arg scratch (measured 2.0; the sink
 	// itself encodes even a full 184-candidate decision with 0, pinned by
 	// obs.TestStreamSinkEmitDecisionZeroAlloc).
@@ -200,16 +200,13 @@ func schedScheduleProbe(t *testing.T) float64 {
 }
 
 // tracerEmitProbe measures one event through the whole trace pipeline at
-// steady state: controls active (an off-category filter that the probe's own
-// category passes, so the keep path runs), sequence assignment, and fan-out
-// to a streaming JSONL sink (real encoding, discarded bytes) plus a ring
-// flight recorder. The warm loop fills the ring and grows the sink's line
-// buffer first.
+// steady state: sequence assignment and fan-out to a streaming JSONL sink
+// (real encoding, discarded bytes) plus a ring flight recorder. The warm
+// loop fills the ring and grows the sink's line buffer first.
 func tracerEmitProbe(*testing.T) float64 {
 	now := 0.0
 	tr := obs.NewWithSinks(func() float64 { return now },
 		obs.NewStreamSinkWriter(io.Discard), obs.NewRingSink(256))
-	tr.SetControls(obs.Controls{Category: map[string]obs.Level{"chaos": obs.LevelOff}})
 	emit := func(i int) {
 		now += 0.001
 		tr.Instant("server/7", "runtime", "alloc.probe",

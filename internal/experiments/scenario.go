@@ -124,10 +124,11 @@ type ScenarioConfig struct {
 	// scale. Without a BufferSink in the list the whole-trace exporters
 	// (Chrome, Prometheus) are unavailable.
 	TraceSinks []obs.Sink
-	// TraceControls, when non-nil, installs deterministic trace controls
-	// (level filters, workload sampling, top-K truncation) before the first
-	// event, so they are recorded in the trace header.
-	TraceControls *obs.Controls
+	// TraceTopK, when positive, caps each schedule decision's recorded
+	// candidate ranking at the K best plus every picked server (see
+	// obs.Tracer.SetTopK); the cap is recorded in the trace header. 0
+	// records full rankings.
+	TraceTopK int
 }
 
 // UniverseFamilies is the genome-family pool size per workload archetype of
@@ -186,9 +187,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		} else {
 			s.Tracer = obs.New(rt.Eng.Now)
 		}
-		if cfg.TraceControls != nil {
-			s.Tracer.SetControls(*cfg.TraceControls)
-		}
+		s.Tracer.SetTopK(cfg.TraceTopK)
 	}
 	lib := u.Library(workload.LibraryTypes, cfg.SeedLib)
 	switch cfg.Manager {

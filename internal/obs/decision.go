@@ -6,10 +6,9 @@ package obs
 // marshal in declaration order, which keeps the exporters byte-stable) and
 // are decoded back by cmd/quasar-trace when reconstructing a run.
 //
-// Emit them by value. The level filter, workload sampling, top-K truncation,
-// the size estimate and the event-line encoder all recognise the value types
-// and nothing else; a pointer to one is an ordinary opaque payload to every
-// one of them.
+// Emit them by value. The size estimate and the event-line encoder both
+// recognise the value types and nothing else; a pointer to one is an
+// ordinary opaque payload to both.
 
 // Candidate is one ranked server considered by a scheduling decision, with
 // the ranking inputs the greedy scheduler composed: platform affinity and
@@ -65,8 +64,8 @@ type ScheduleDecision struct {
 	AcceptPartial bool        `json:"accept_partial,omitempty"`
 	MaxCost       float64     `json:"max_cost_per_hour,omitempty"`
 	Candidates    []Candidate `json:"candidates"`
-	// CandidatesDropped counts ranking entries removed by top-K trace
-	// truncation (0 when the full ranking is recorded).
+	// CandidatesDropped counts ranking entries left out under the tracer's
+	// top-K cap (0 when the full ranking is recorded).
 	CandidatesDropped int        `json:"candidates_dropped,omitempty"`
 	Picks             []NodePick `json:"picks,omitempty"`
 	EstPerf           float64    `json:"est_perf"`

@@ -8,8 +8,8 @@ import (
 )
 
 // The JSONL export is the canonical machine-readable log: one JSON object per
-// line — a header line first (the format version and the trace controls the
-// run recorded under), then events in sequence order, then one line per
+// line — a header line first (the format version and the top-K cap the run
+// recorded under), then events in sequence order, then one line per
 // registered metrics container. Field order is fixed by DTO struct
 // declaration order and Args marshal as an object in emission order, so the
 // file is byte-identical across runs. StreamSink is the one writer of the

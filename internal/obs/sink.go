@@ -1,21 +1,20 @@
 package obs
 
-// A Sink receives the tracer's accepted events one at a time, in sequence
+// A Sink receives every event the tracer emits, one at a time, in sequence
 // order, on the simulation goroutine. Sinks decide what to retain: the
 // BufferSink keeps everything in memory (the classic tracer), the StreamSink
 // encodes and spills incrementally to disk, and the RingSink keeps only the
 // last N events as an always-on flight recorder.
 //
-// The pipeline preserves the determinism contract by construction: filtering
-// and sequence assignment happen in the Tracer before the sink sees anything,
-// so for a given scenario + controls every sink observes the identical event
-// stream, and the StreamSink's file is byte-identical to the buffered
-// exporter's output.
+// The pipeline preserves the determinism contract by construction: sequence
+// assignment happens in the Tracer before the sink sees anything, so for a
+// given scenario every sink observes the identical event stream, and the
+// StreamSink's file is byte-identical to the buffered exporter's output.
 type Sink interface {
 	// Start is called once, before the first event (or at Close for an empty
-	// trace), with the trace header derived from the tracer's controls.
+	// trace), with the trace header carrying the tracer's top-K cap.
 	Start(h *Header) error
-	// Emit receives one accepted event and its deterministic size estimate.
+	// Emit receives one event and its deterministic size estimate.
 	// The event's Args slices are retained-by-reference; sinks must not
 	// mutate them.
 	Emit(ev *Event, sizeEst int) error

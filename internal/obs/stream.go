@@ -16,7 +16,7 @@ import (
 )
 
 // StreamSink is the one JSONL trace writer. It encodes the header line, each
-// accepted event's line and the registry's metric tail once, as they happen,
+// event's line and the registry's metric tail once, as they happen,
 // and hands those bytes to up to two outputs:
 //
 //   - a writer: a trace file or any io.Writer, behind one bufio buffer, so
@@ -184,7 +184,7 @@ func (s *StreamSink) Close(reg *Registry) error {
 	t0 := s.Prof.Begin()
 	defer s.Prof.End(prof.SubTrace, t0)
 	if !s.started { // empty trace: still header + metrics
-		if err := s.Start(defaultHeader()); err != nil {
+		if err := s.Start(header(0)); err != nil {
 			s.subs.finish(nil)
 			return s.abandon(err)
 		}

@@ -8,11 +8,12 @@
 // injected func() float64, normally sim.Engine.Now) and carry a sequence
 // number assigned at emission. All emission happens on the simulation
 // goroutine — the discrete-event engine fires events one at a time, so calls
-// arrive in a fixed order. Trace controls (level filters, hash-based workload
-// sampling, top-K truncation) are pure functions of the event fields and run
-// before sequence assignment, so a filtered stream still has contiguous seqs.
-// Under those rules the event stream, and therefore every sink's and
-// exporter's output, is byte-identical from run to run.
+// arrive in a fixed order, and every emitted event reaches every sink: seq is
+// emission order. Under those rules the event stream, and therefore every
+// sink's and exporter's output, is byte-identical from run to run. The one
+// volume control, the top-K cap on schedule-decision candidate rankings, is
+// applied by the scheduler where it builds the decision; the tracer only
+// carries the cap and writes it into the trace header.
 //
 // Cost contract. A nil *Tracer is the off state: every method is nil-safe and
 // returns immediately, so instrumented code pays one pointer test per site and
@@ -63,26 +64,21 @@ type Event struct {
 	Args []Arg
 }
 
-// Tracer filters, sequences, and fans events out to its sinks against an
+// Tracer sequences events and fans them out to its sinks against an
 // injected simulation clock. The zero value is not usable; use New or
 // NewWithSinks. A nil Tracer is the disabled state.
 type Tracer struct {
 	clock    func() float64
-	seq      uint64
+	seq      uint64 // events emitted so far; the last event's Seq
 	reg      *Registry
-	controls Controls
-	// ctlActive caches controls.active() at SetControls time so the per-event
-	// path never walks the category map.
-	ctlActive bool
-	sinks     []Sink
-	buffer    *BufferSink // first buffer sink, for the whole-trace exporters
-	scratch   Event       // reused per emission so dispatch allocates nothing itself
-	started   bool
-	closed    bool
-	err       error
-	accepted  uint64
-	bytesEst  int64
-	dropped   *Counter
+	topK     int
+	sinks    []Sink
+	buffer   *BufferSink // first buffer sink, for the whole-trace exporters
+	scratch  Event       // reused per emission so dispatch allocates nothing itself
+	started  bool
+	closed   bool
+	err      error
+	bytesEst int64
 }
 
 // New returns a tracer with a single in-memory BufferSink — the classic
@@ -91,7 +87,7 @@ type Tracer struct {
 // times).
 func New(clock func() float64) *Tracer { return NewWithSinks(clock, NewBufferSink()) }
 
-// NewWithSinks returns a tracer fanning accepted events out to the given
+// NewWithSinks returns a tracer fanning every event out to the given
 // sinks in order. Pass a BufferSink to keep the whole-trace exporters
 // (Chrome, Prometheus, buffered JSONL) available; a StreamSink and/or
 // RingSink alone keeps memory bounded at any scale.
@@ -102,43 +98,41 @@ func NewWithSinks(clock func() float64, sinks ...Sink) *Tracer {
 			t.buffer = b
 		}
 	}
-	// The tracer meters itself: accepted events and their deterministic size
-	// estimate are pure functions of the event stream, so these lines are
-	// byte-identical across sinks, unlike per-sink retained memory (see
-	// Sink.RetainedBytes, which feeds the benchmarks instead).
-	t.reg.Gauge("tracer_events", "Events accepted into the trace stream.", func() float64 { return float64(t.accepted) })
+	// The tracer meters itself: the event count and the events'
+	// deterministic size estimate are pure functions of the event stream, so
+	// these lines are byte-identical across sinks, unlike per-sink retained
+	// memory (see Sink.RetainedBytes, which feeds the benchmarks instead).
+	// The dropped counter always reads 0 (no event is dropped); it stays
+	// registered because every trace's metric tail carries it.
+	t.reg.Gauge("tracer_events", "Events accepted into the trace stream.", func() float64 { return float64(t.seq) })
 	t.reg.Gauge("tracer_bytes", "Deterministic size estimate of all accepted trace events, bytes.", func() float64 { return float64(t.bytesEst) })
-	t.dropped = t.reg.Counter("tracer_events_dropped_total", "Events dropped by trace controls (level filters, workload sampling).")
+	t.reg.Counter("tracer_events_dropped_total", "Events dropped by trace controls (level filters, workload sampling).")
 	return t
 }
 
-// SetControls installs deterministic trace controls. Call before the first
-// event: the controls are written into the trace header when the stream
-// starts, and changing them mid-run would break the header's promise.
-func (t *Tracer) SetControls(c Controls) {
+// SetTopK sets the cap on schedule-decision candidate rankings: the
+// scheduler records the k best candidates plus every picked server, and
+// counts the rest in CandidatesDropped; 0 records full rankings. Call
+// before the first event: the cap is written into the trace header when
+// the stream starts.
+func (t *Tracer) SetTopK(k int) {
 	if t == nil {
 		return
 	}
-	t.controls = c
-	t.ctlActive = c.active()
+	t.topK = k
 }
 
-// Controls returns the installed controls (zero value for nil).
-func (t *Tracer) Controls() Controls {
+// TopK returns the candidate-ranking cap (0 for nil: full rankings).
+func (t *Tracer) TopK() int {
 	if t == nil {
-		return Controls{}
+		return 0
 	}
-	return t.controls
+	return t.topK
 }
 
 // Header returns the trace header the stream carries (the default header for
 // a nil tracer).
-func (t *Tracer) Header() Header {
-	if t == nil {
-		return *defaultHeader()
-	}
-	return t.controls.header()
-}
+func (t *Tracer) Header() Header { return *header(t.TopK()) }
 
 // Enabled reports whether the tracer records events. It is the guard for
 // building argument payloads at instrumentation sites.
@@ -167,9 +161,9 @@ func (t *Tracer) start() {
 		return
 	}
 	t.started = true
-	h := t.controls.header()
+	h := header(t.topK)
 	for _, s := range t.sinks {
-		if err := s.Start(&h); err != nil {
+		if err := s.Start(h); err != nil {
 			t.fail(err)
 		}
 	}
@@ -190,19 +184,11 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// emit runs one prospective event through the pipeline: controls decide
-// keep/drop and truncation, then the event gets the next sequence number and
-// fans out to every sink. The scratch event is reused across emissions, so
-// the pipeline itself allocates nothing; sinks copy what they retain and the
-// pointer is valid only for the duration of the Emit call.
+// emit gives one event the next sequence number and fans it out to every
+// sink. The scratch event is reused across emissions, so the pipeline itself
+// allocates nothing; sinks copy what they retain and the pointer is valid
+// only for the duration of the Emit call.
 func (t *Tracer) emit(tm float64, phase byte, id, track, cat, name string, args []Arg) {
-	if t.ctlActive {
-		if !t.controls.keep(phase, id, track, cat, args) {
-			t.dropped.Inc()
-			return
-		}
-		args = t.controls.truncate(args)
-	}
 	t.start()
 	t.seq++
 	t.scratch = Event{
@@ -210,7 +196,6 @@ func (t *Tracer) emit(tm float64, phase byte, id, track, cat, name string, args 
 		Cat: cat, Name: name, Track: track, Args: args,
 	}
 	sz := eventSize(&t.scratch)
-	t.accepted++
 	t.bytesEst += int64(sz)
 	for _, s := range t.sinks {
 		if err := s.Emit(&t.scratch, sz); err != nil {
@@ -256,7 +241,7 @@ func (t *Tracer) RetainedBytes() (cur, high int) {
 }
 
 // BytesEstimate returns the deterministic cumulative size estimate of all
-// accepted events — the same number the tracer_bytes gauge exposes. Unlike
+// events — the same number the tracer_bytes gauge exposes. Unlike
 // RetainedBytes it is a function of the event stream alone, so it is stable
 // across sinks.
 func (t *Tracer) BytesEstimate() int64 {
@@ -264,14 +249,6 @@ func (t *Tracer) BytesEstimate() int64 {
 		return 0
 	}
 	return t.bytesEst
-}
-
-// Dropped returns the number of events removed by trace controls.
-func (t *Tracer) Dropped() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.dropped.Value())
 }
 
 // Instant records a standalone event at the current sim time.
@@ -334,14 +311,14 @@ func (t *Tracer) Counter(track, cat, name string, args ...Arg) {
 	t.emit(t.now(), PhaseCounter, "", track, cat, name, args)
 }
 
-// Len returns the number of accepted events (0 for a nil tracer). Identical
+// Len returns the number of emitted events (0 for a nil tracer). Identical
 // across sink configurations: what the stream carried, not what a sink
 // retained.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return int(t.accepted)
+	return int(t.seq)
 }
 
 // Events returns the recorded events in emission order, when a BufferSink is

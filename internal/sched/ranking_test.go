@@ -101,12 +101,13 @@ func TestScheduleSameWithTracer(t *testing.T) {
 }
 
 // TestDecisionTopKPretrimMatchesTruncate holds emitDecision's TopK pre-trim
-// to the tracer's own truncation (obs.Controls): a packed Schedule traced
-// under Controls{TopK: k} must emit the same decision line, drop count
-// included, as the full decision of a run without controls re-emitted
-// through a TopK: k tracer. The last request cannot be met by its MaxNodes
-// best whole nodes, so it picks MaxNodes servers, more than any k: its
-// picks beyond TopK, which the pre-trim must keep, exist by construction.
+// to a reference truncation of the full build (truncateDecision): a packed
+// Schedule traced under SetTopK(k) must emit the same decision line, drop
+// count included, as the full decision of an uncapped run truncated to k
+// and re-emitted through a SetTopK(k) tracer. The last request cannot be
+// met by its MaxNodes best whole nodes, so it picks MaxNodes servers, more
+// than any k: its picks beyond TopK, which the pre-trim must keep, exist by
+// construction.
 func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 	cl := packedCluster(t, 1000)
 	platforms := cluster.LocalPlatforms()
@@ -120,12 +121,12 @@ func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 	wide.NeedPerf = 10 * float64(wide.MaxNodes) * bestNode
 	reqs = append(reqs, &wide)
 	// decisionLine returns the decision event's JSONL line as a tracer with
-	// Controls{TopK: k} writes it.
+	// SetTopK(k) writes it.
 	decisionLine := func(k int, emit func(tr *obs.Tracer)) string {
 		t.Helper()
 		var buf bytes.Buffer
 		tr := obs.NewWithSinks(nil, obs.NewStreamSinkWriter(&buf))
-		tr.SetControls(obs.Controls{TopK: k})
+		tr.SetTopK(k)
 		emit(tr)
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
@@ -173,7 +174,7 @@ func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 					k, len(d.Picks), wide.MaxNodes, picksBeyondTopK, wide.MaxNodes)
 			}
 			truncated := decisionLine(k, func(tr *obs.Tracer) {
-				tr.Instant("manager", "sched", "decision", obs.Arg{Key: "decision", Val: d})
+				tr.Instant("manager", "sched", "decision", obs.Arg{Key: "decision", Val: truncateDecision(d, k)})
 			})
 			if pretrimmed != truncated {
 				t.Errorf("k=%d request %d: pre-trimmed decision differs from truncated full decision:\n  pre-trimmed: %s\n  truncated:   %s",
@@ -181,6 +182,21 @@ func TestDecisionTopKPretrimMatchesTruncate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// truncateDecision is the reference top-K truncation: the first k
+// candidates in rank order plus every picked one beyond them, the rest
+// counted in CandidatesDropped.
+func truncateDecision(d obs.ScheduleDecision, k int) obs.ScheduleDecision {
+	kept := append([]obs.Candidate(nil), d.Candidates[:k]...)
+	for _, c := range d.Candidates[k:] {
+		if c.Picked {
+			kept = append(kept, c)
+		}
+	}
+	d.CandidatesDropped = len(d.Candidates) - len(kept)
+	d.Candidates = kept
+	return d
 }
 
 // describeAssignment serializes a Schedule outcome, floats at full bit

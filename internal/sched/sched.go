@@ -508,12 +508,12 @@ func (s *Scheduler) emitDecision(req *Request, want float64, cands []candidate, 
 		return false
 	}
 	// Full rankings scale with cluster size — O(servers) per decision on an
-	// unpacked cluster — so when the tracer's controls cap candidates, build
-	// only what truncation would keep: the first TopK in rank order plus
-	// every picked server, recording the drop count up front. The payload is
-	// byte-identical to truncating the full build; this just skips
-	// materializing thousands of candidates that truncate would discard.
-	if k := s.Tracer.Controls().TopK; k > 0 && len(cands) > k {
+	// unpacked cluster — so under the tracer's top-K cap the decision holds
+	// only the first TopK candidates in rank order plus every picked server
+	// (so a placement explanation resolves every chosen server), and counts
+	// the rest in CandidatesDropped. This is the only place a decision is
+	// built, so it is the cap's one implementation.
+	if k := s.Tracer.TopK(); k > 0 && len(cands) > k {
 		kept := cands[:k:k]
 		for _, c := range cands[k:] {
 			if picked(c.server.ID) {
