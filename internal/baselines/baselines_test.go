@@ -164,7 +164,7 @@ func TestBestEffortAndQueue(t *testing.T) {
 	rt.Run(60)
 	rt.Stop()
 	running := 0
-	for _, task := range rt.Tasks() {
+	for _, task := range rt.Live() {
 		if task.Status == core.StatusRunning {
 			running++
 		}

@@ -89,7 +89,7 @@ func TestBestEffortAvoidsSensitiveResidents(t *testing.T) {
 	}
 	rt.Run(600)
 	rt.Stop()
-	for _, other := range rt.Tasks() {
+	for _, other := range rt.Live() {
 		if !other.W.BestEffort || other.Status != StatusRunning {
 			continue
 		}

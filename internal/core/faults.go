@@ -128,7 +128,7 @@ func (rt *Runtime) fence(s *cluster.Server, reason string) []*Task {
 	pls := append([]*cluster.Placement(nil), s.Placements()...)
 	displaced := make([]*Task, 0, len(pls))
 	for _, pl := range pls {
-		t := rt.tasks[pl.WorkloadID]
+		t := rt.Task(pl.WorkloadID)
 		if t == nil {
 			_ = s.Remove(pl.WorkloadID)
 			continue

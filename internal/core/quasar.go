@@ -860,25 +860,26 @@ func (q *Quasar) QueueLen() int { return q.queue.Len() }
 // live re-negotiation a long-running manager needs (raise a service's QPS
 // floor, tighten a batch deadline) without resubmission. The class must not
 // change; monitoring picks the new constraint up on the next tick, and an
-// analytics deadline is re-anchored to the original submission time.
+// analytics deadline is re-anchored to the original submission time. A
+// completed workload's record takes the new target too.
 func (q *Quasar) UpdateTarget(id string, target workload.Target) error {
-	t := q.rt.Task(id)
-	if t == nil {
+	rec, _, ok := q.rt.Lookup(id)
+	if !ok {
 		return fmt.Errorf("core: target update for unknown task %s", id)
 	}
-	if !t.W.Tier().Targeted() {
+	if !rec.Tier().Targeted() {
 		return fmt.Errorf("core: task %s is best-effort and has no target", id)
 	}
-	if target.Class != t.W.Type.Class() {
+	if target.Class != rec.Type.Class() {
 		return fmt.Errorf("core: target class %v does not match task %s type %v",
-			target.Class, id, t.W.Type)
+			target.Class, id, rec.Type)
 	}
 	if err := target.Validate(); err != nil {
 		return err
 	}
-	t.W.Target = target
+	q.rt.setTarget(id, target)
 	if st, ok := q.state[id]; ok && target.Class == perfmodel.Analytics {
-		st.deadline = t.SubmitAt + target.CompletionSecs
+		st.deadline = rec.SubmitAt + target.CompletionSecs
 	}
 	if q.tracer.Enabled() {
 		q.tracer.Instant(workloadTrack(id), "quasar", "target-update",

@@ -118,7 +118,7 @@ func TestQuasarBestEffortPlacedAndEvictable(t *testing.T) {
 	}
 	rt.Run(60)
 	running := 0
-	for _, task := range rt.Tasks() {
+	for _, task := range rt.Live() {
 		if task.Status == StatusRunning {
 			running++
 		}
@@ -128,10 +128,10 @@ func TestQuasarBestEffortPlacedAndEvictable(t *testing.T) {
 	}
 	// A demanding primary workload should be able to displace them.
 	w := u.New(workload.Spec{Type: workload.Hadoop, Family: -1, MaxNodes: 8, TargetSlack: 1.2})
-	rt.Submit(w, 70, nil)
+	task := rt.Submit(w, 70, nil)
 	rt.Run(1200)
 	rt.Stop()
-	if rt.Task(w.ID).Status == StatusQueued {
+	if task.Status == StatusQueued {
 		t.Fatal("primary workload stuck behind best-effort fillers")
 	}
 	_ = q

@@ -277,7 +277,7 @@ func (m *checkedManager) integrity(what string) {
 			m.t.Errorf("t=%.0f after %s: queued entry %s is %v on %d nodes", now, what, t.W.ID, t.Status, t.NumNodes())
 		}
 	}
-	for _, t := range q.rt.Tasks() {
+	for _, t := range q.rt.Live() {
 		if t.Status == StatusQueued && t.SubmitAt < now && seen[t] == 0 {
 			m.t.Errorf("t=%.0f after %s: %s is waiting but in no queue", now, what, t.W.ID)
 		}

@@ -91,7 +91,7 @@ type Task struct {
 	placements []*cluster.Placement
 	qosState   int8 // 0 unknown, 1 meeting QoS, -1 missing (trace edge detection)
 	started    bool // FirstStartAt is set
-	pos        int  // index in Runtime.Tasks(), written once by Submit
+	pos        int  // submission ordinal, written once by Submit
 
 	// truth memoises the task's ground-truth rate (see Runtime.truthValid);
 	// offered memoises Load at the sim instant offeredAt (NaN before the
@@ -109,10 +109,45 @@ type truthMemo struct {
 	ok   bool                      // false until computed and after Place, RemoveNode or ShiftPhase
 }
 
-// Pos returns the task's index in Runtime.Tasks(): its submission ordinal,
-// fixed for the whole run. Per-task state kept outside the runtime can be
-// indexed by it instead of by workload ID.
+// Pos returns the task's submission ordinal: 0 for the runtime's first
+// Submit, fixed for the whole run. Per-task state kept outside the runtime
+// can be indexed by it instead of by workload ID.
 func (t *Task) Pos() int { return t.pos }
+
+// Record is what the runtime keeps of a workload once its task has
+// completed, and the view Lookup gives of any workload: what the API and
+// target and eviction requests still read. It holds no pointer to the task,
+// its instance or its genome, so a finished workload's history is garbage
+// unless its submitter keeps the *Task that Submit returned.
+type Record struct {
+	ID         string
+	SubmitAt   float64
+	Type       workload.Type
+	Status     Status
+	BestEffort bool
+	// Target is the workload's performance target; zero for best-effort
+	// work, which has none.
+	Target workload.Target
+}
+
+// Tier is the workload's yield tier, as Instance.Tier computes it.
+func (r *Record) Tier() cluster.Tier { return workload.TierOf(r.Type, r.BestEffort) }
+
+// recordOf is the task's record as of now.
+func recordOf(t *Task) Record {
+	r := Record{ID: t.W.ID, SubmitAt: t.SubmitAt, Type: t.W.Type, Status: t.Status, BestEffort: t.W.BestEffort}
+	if t.W.Tier().Targeted() {
+		r.Target = t.W.Target
+	}
+	return r
+}
+
+// entry is one submission's slot in Runtime.hist: the task while it is
+// live, its record once it has completed.
+type entry struct {
+	t   *Task
+	rec *Record
+}
 
 // Placements returns the task's placements in ascending server-ID order.
 // The slice is the task's own — callers must not mutate it; it is valid
@@ -191,11 +226,12 @@ type Runtime struct {
 	opts    Options
 	manager Manager
 
-	tasks map[string]*Task
-	// ordered holds every task in submission order, append-only.
-	ordered []*Task
+	// index maps every submitted workload ID to its submission ordinal
+	// (Task.Pos); hist holds one entry per submission in that order.
+	index map[string]int
+	hist  []entry
 	// live holds the tasks not yet completed, in submission order: Submit
-	// appends, and each tick sweep drops the completed ones at its end.
+	// appends, and each tick sweep retires the completed ones at its end.
 	live []*Task
 
 	// CPUHeat, MemHeat, DiskHeat sample per-server utilization over time
@@ -239,7 +275,7 @@ func NewRuntime(cl *cluster.Cluster, opts Options) *Runtime {
 		Cl:       cl,
 		RNG:      sim.NewRNG(opts.Seed),
 		opts:     opts,
-		tasks:    make(map[string]*Task),
+		index:    make(map[string]int),
 		CPUHeat:  metrics.NewHeatmap(len(cl.Servers)),
 		MemHeat:  metrics.NewHeatmap(len(cl.Servers)),
 		DiskHeat: metrics.NewHeatmap(len(cl.Servers)),
@@ -260,7 +296,7 @@ func (rt *Runtime) SetTracer(tr *obs.Tracer) {
 		reg.Heatmap("server_disk_util", "per-server disk utilization", rt.DiskHeat)
 		reg.Gauge("sim_events_fired", "discrete events fired by the engine",
 			func() float64 { return float64(rt.Eng.Fired()) })
-		reg.Gauge("tasks_total", "tasks submitted", func() float64 { return float64(len(rt.ordered)) })
+		reg.Gauge("tasks_total", "tasks submitted", func() float64 { return float64(rt.Submitted()) })
 		reg.Gauge("tasks_running", "tasks currently running", func() float64 {
 			n := 0
 			for _, t := range rt.live {
@@ -322,14 +358,14 @@ func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern
 		SubmitAt:  at,
 		Load:      load,
 		offeredAt: math.NaN(),
-		pos:       len(rt.ordered),
+		pos:       len(rt.hist),
 	}
 	if w.Type.Class() == perfmodel.LatencyCritical {
 		t.QoSFrac = &metrics.Series{Name: w.ID + "/qos"}
 		t.LatencyDist = metrics.NewHistogram(0.01)
 	}
-	rt.tasks[w.ID] = t
-	rt.ordered = append(rt.ordered, t)
+	rt.index[w.ID] = t.pos
+	rt.hist = append(rt.hist, entry{t: t})
 	rt.live = append(rt.live, t)
 	rt.Eng.Schedule(at, func() {
 		if rt.Trace.Enabled() {
@@ -342,21 +378,62 @@ func (rt *Runtime) Submit(w *workload.Instance, at float64, load loadgen.Pattern
 	return t
 }
 
-// Task returns the task for a workload ID.
-func (rt *Runtime) Task(id string) *Task { return rt.tasks[id] }
+// Task returns the live task of a workload ID: nil for an ID never
+// submitted and for a workload whose task has completed, which only Lookup
+// still knows.
+func (rt *Runtime) Task(id string) *Task {
+	if p, ok := rt.index[id]; ok {
+		return rt.hist[p].t
+	}
+	return nil
+}
 
-// Tasks returns every task ever submitted, in submission order: the whole
-// history, for end-of-run reports and snapshots. Callers must not mutate the
-// slice; it is valid until the next Submit, which only appends, so a task
-// keeps its position (Task.Pos) for the whole run. Per-tick sweeps iterate
-// Live instead.
-func (rt *Runtime) Tasks() []*Task { return rt.ordered }
+// Lookup returns the record of any workload ever submitted and, while it is
+// live, its task. A live workload's record is read from its task at the
+// call; a completed one's is the record the runtime retired it to. ok is
+// false for an ID never submitted.
+func (rt *Runtime) Lookup(id string) (rec Record, t *Task, ok bool) {
+	p, ok := rt.index[id]
+	if !ok {
+		return Record{}, nil, false
+	}
+	rec, t = rt.RecordAt(p)
+	return rec, t, true
+}
 
-// Live returns the tasks not yet completed, in submission order — what a
-// per-tick sweep needs to visit. A task that completes during a tick sweep
-// stays in it until that sweep ends, so the manager's OnTick and the tick
-// listeners see the completion once. Callers must not mutate the slice, and
-// it is valid only until the end of the current tick sweep.
+// RecordAt is Lookup by submission ordinal, 0 ≤ pos < Submitted().
+func (rt *Runtime) RecordAt(pos int) (Record, *Task) {
+	e := rt.hist[pos]
+	if e.t != nil {
+		return recordOf(e.t), e.t
+	}
+	return *e.rec, nil
+}
+
+// Submitted returns the number of workloads ever submitted.
+func (rt *Runtime) Submitted() int { return len(rt.hist) }
+
+// setTarget replaces a workload's target, on its task while it is live and
+// on its record once it has completed.
+func (rt *Runtime) setTarget(id string, target workload.Target) {
+	if e := &rt.hist[rt.index[id]]; e.t != nil {
+		e.t.W.Target = target
+	} else {
+		e.rec.Target = target
+	}
+}
+
+// Tasks returns the live tasks, as Live does. It exists only for the
+// ledger's traced-run probe, which counts running tasks through it, until
+// that caller moves to Live (ROADMAP item 10).
+func (rt *Runtime) Tasks() []*Task { return rt.live }
+
+// Live returns the tasks not yet completed, in submission order: the only
+// tasks the runtime holds. A task that completes during a tick sweep stays
+// in it until that sweep ends, so the manager's OnTick and the tick
+// listeners see the completion once; the sweep then retires it to a Record.
+// Callers must not mutate the slice, and it is valid only until the end of
+// the current tick sweep.
 func (rt *Runtime) Live() []*Task { return rt.live }
 
 // Place establishes the task's placements. Any existing placements are kept
@@ -456,14 +533,14 @@ func (rt *Runtime) Release(t *Task) {
 // completed — is an idempotent no-op: there is nothing to displace, and
 // re-queueing it would duplicate its queue entry or resurrect finished work.
 func (rt *Runtime) Evict(id string) error {
-	t, ok := rt.tasks[id]
+	rec, t, ok := rt.Lookup(id)
 	if !ok {
 		return fmt.Errorf("core: evict of unknown task %s", id)
 	}
-	if !t.W.Tier().Yields() {
+	if !rec.Tier().Yields() {
 		return fmt.Errorf("core: refusing to evict non-best-effort task %s", id)
 	}
-	if t.NumNodes() == 0 {
+	if t == nil || t.NumNodes() == 0 {
 		return nil
 	}
 	rt.Release(t)
@@ -585,8 +662,9 @@ func (rt *Runtime) OfferedLoad(t *Task) float64 {
 	return t.offered
 }
 
-// tick advances every running task by one interval, then drops the tasks
-// that completed from the live list.
+// tick advances every running task by one interval, then retires the tasks
+// that completed: each leaves the live list, and its history entry becomes
+// its Record.
 func (rt *Runtime) tick(now float64) {
 	t0 := rt.Prof.Begin()
 	defer rt.Prof.End(prof.SubRuntime, t0)
@@ -608,7 +686,14 @@ func (rt *Runtime) tick(now float64) {
 	for _, fn := range rt.tickListeners {
 		fn(now)
 	}
-	rt.live = slices.DeleteFunc(rt.live, func(t *Task) bool { return t.Status == StatusCompleted })
+	rt.live = slices.DeleteFunc(rt.live, func(t *Task) bool {
+		if t.Status != StatusCompleted {
+			return false
+		}
+		rec := recordOf(t)
+		rt.hist[t.pos] = entry{rec: &rec}
+		return true
+	})
 }
 
 // TickSecs returns the monitoring tick granularity.

@@ -40,7 +40,7 @@ type QuasarSnapshot struct {
 // Snapshot captures the manager's state. It is safe to call between ticks.
 func (q *Quasar) Snapshot() *QuasarSnapshot {
 	snap := &QuasarSnapshot{Engine: q.engine.Snapshot()}
-	for _, t := range q.rt.Tasks() {
+	for _, t := range q.rt.Live() {
 		st, ok := q.state[t.W.ID]
 		if !ok {
 			continue
@@ -69,14 +69,16 @@ func (q *Quasar) MarshalSnapshot() ([]byte, error) { return json.Marshal(q.Snaps
 // the same cluster). The whole snapshot is checked before anything is
 // replaced — every task known to the runtime, every estimate on the
 // engine's grids, the engine state loadable — so on error the manager is
-// as it was.
+// as it was. A task that has completed since the snapshot was taken needs
+// no managing, so its state is checked but not kept.
 func (q *Quasar) Restore(snap *QuasarSnapshot) error {
 	if snap == nil {
 		return fmt.Errorf("core: nil snapshot")
 	}
 	state := make(map[string]*taskState, len(snap.Tasks))
 	for _, ts := range snap.Tasks {
-		if q.rt.Task(ts.ID) == nil {
+		_, t, ok := q.rt.Lookup(ts.ID)
+		if !ok {
 			return fmt.Errorf("core: snapshot references unknown task %s", ts.ID)
 		}
 		st := &taskState{
@@ -90,7 +92,9 @@ func (q *Quasar) Restore(snap *QuasarSnapshot) error {
 			}
 			st.est = est
 		}
-		state[ts.ID] = st
+		if t != nil {
+			state[ts.ID] = st
+		}
 	}
 	// LoadSnapshot validates in full before it replaces the matrices, and it
 	// is the last step that can fail.

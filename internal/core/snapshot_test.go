@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"quasar/internal/loadgen"
@@ -120,6 +121,41 @@ func TestRestoreRejectsUnknownTasks(t *testing.T) {
 	}
 	if err := other.Restore(snap); err == nil {
 		t.Fatal("snapshot with unknown task accepted")
+	}
+}
+
+// TestRestoreDropsStateOfTasksCompletedSince: a standby restoring a
+// snapshot taken while a job ran, after the job has completed and been
+// retired, restores without error and keeps no state for the finished job,
+// so its next snapshot matches the primary's.
+func TestRestoreDropsStateOfTasksCompletedSince(t *testing.T) {
+	rt, q, u := quasarFixture(t, 231)
+	w := u.New(workload.Spec{Type: workload.SingleNode, Family: -1, TargetSlack: 1.3})
+	w.Genome.Work = 500
+	task := rt.Submit(w, 0, nil)
+	rt.Run(30)
+	if task.Status != StatusRunning {
+		t.Fatalf("job is %v at t=30, want running", task.Status)
+	}
+	data, err := q.MarshalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Run(600)
+	rt.Stop()
+	if task.Status != StatusCompleted || rt.Task(w.ID) != nil {
+		t.Fatalf("job is %v at t=600 and live=%v, want completed and retired", task.Status, rt.Task(w.ID) != nil)
+	}
+
+	standby := NewQuasar(rt, q.opts)
+	if err := standby.UnmarshalSnapshot(data); err != nil {
+		t.Fatalf("restore after the job completed: %v", err)
+	}
+	if _, ok := standby.state[w.ID]; ok {
+		t.Error("standby kept manager state for a completed job")
+	}
+	if got, want := standby.Snapshot().Tasks, q.Snapshot().Tasks; !reflect.DeepEqual(got, want) {
+		t.Errorf("standby snapshots tasks %+v, primary %+v", got, want)
 	}
 }
 

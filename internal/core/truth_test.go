@@ -71,7 +71,7 @@ func TestTruthMemoMatchesRecompute(t *testing.T) {
 	// same placements.
 	checkIndexes := func(step int, op string) {
 		onTasks, onServers := 0, 0
-		for _, tk := range rt.Tasks() {
+		for _, tk := range rt.Live() {
 			for i, pl := range tk.Placements() {
 				if i > 0 && pl.Server.ID <= tk.placements[i-1].Server.ID {
 					t.Fatalf("step %d (%s): %s placements out of server order at %d", step, op, tk.W.ID, i)

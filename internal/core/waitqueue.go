@@ -7,8 +7,9 @@ import "quasar/internal/cluster"
 // Entries are retried in arrival order by Drain.
 type WaitQueue struct {
 	tasks []*Task
-	// spare is the buffer the previous drain emptied; the next drain's
-	// survivors are written into it, so steady-state drains allocate nothing.
+	// spare is the buffer the previous drain emptied (and zeroed); the next
+	// drain's survivors are written into it, so steady-state drains allocate
+	// nothing.
 	spare []*Task
 }
 
@@ -57,5 +58,8 @@ func (wq *WaitQueue) Drain(cl *cluster.Cluster, try func(t *Task) (placed, noFit
 			wq.tasks = append(wq.tasks, t)
 		}
 	}
+	// Zero the old buffer before reusing it: its stale entries would keep
+	// completed tasks reachable.
+	clear(pending)
 	wq.spare = pending[:0]
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"quasar/internal/cluster"
 	"quasar/internal/workload"
@@ -117,5 +121,29 @@ func TestWaitQueuePushDuringDrainIsKept(t *testing.T) {
 	wq.Drain(cl, nothingFits) // sizes the second buffer
 	if allocs := testing.AllocsPerRun(100, func() { wq.Drain(cl, nothingFits) }); allocs != 0 {
 		t.Errorf("steady-state drain allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestDrainKeepsNoStaleEntries: once a drain has placed or dropped every
+// entry, neither the queue nor the buffer it keeps for the next drain holds
+// a reference to those tasks, so completed ones are collectable.
+func TestDrainKeepsNoStaleEntries(t *testing.T) {
+	var wq WaitQueue
+	var collected atomic.Int64
+	for i := 0; i < 8; i++ {
+		task := &Task{W: &workload.Instance{ID: fmt.Sprintf("single-node-%04d", i), Type: workload.SingleNode}}
+		if i%2 == 1 {
+			task.Status = StatusCompleted
+		}
+		runtime.SetFinalizer(task, func(*Task) { collected.Add(1) })
+		wq.Push(task)
+	}
+	wq.Drain(nil, func(*Task) (placed, noFit bool) { return true, false })
+	for i := 0; i < 20 && collected.Load() < 8; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n != 8 || wq.Len() != 0 {
+		t.Fatalf("%d of 8 drained tasks collected with %d still queued", n, wq.Len())
 	}
 }

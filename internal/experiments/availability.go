@@ -81,14 +81,15 @@ type AvailabilityResult struct {
 }
 
 // availabilityScenario builds, arms, and submits the availability run
-// without executing it; the trace tests drive the engine themselves.
-func availabilityScenario(cfg AvailabilityConfig) (*Scenario, *chaos.Injector, error) {
+// without executing it, and returns the submitted tasks with it; the trace
+// tests drive the engine themselves.
+func availabilityScenario(cfg AvailabilityConfig) (*Scenario, *chaos.Injector, []*core.Task, error) {
 	s, err := NewScenario(ScenarioConfig{
 		Cluster: Local40, Manager: KindQuasar, Seed: cfg.Seed,
 		MaxNodes: 4, SeedLib: 3, Trace: cfg.Trace,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	plan := cfg.Plan
 	if plan == nil {
@@ -96,24 +97,25 @@ func availabilityScenario(cfg AvailabilityConfig) (*Scenario, *chaos.Injector, e
 	}
 	inj, err := s.AttachFaults(plan, cfg.Detector)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	submitAvailabilityMix(s, cfg)
-	return s, inj, nil
+	return s, inj, submitAvailabilityMix(s, cfg), nil
 }
 
 // submitAvailabilityMix submits the availability workload mix: batch
 // frameworks, fluctuating latency-critical services, single-node jobs, and
-// best-effort filler, staggered 5 simulated seconds apart.
-func submitAvailabilityMix(s *Scenario, cfg AvailabilityConfig) {
+// best-effort filler, staggered 5 simulated seconds apart. It returns the
+// tasks in submission order.
+func submitAvailabilityMix(s *Scenario, cfg AvailabilityConfig) []*core.Task {
 	at := 0.0
+	var tasks []*core.Task
 	submit := func(spec workload.Spec) {
 		w := s.U.New(spec)
 		var load loadgen.Pattern
 		if w.Type.Class() == perfmodel.LatencyCritical {
 			load = ServiceLoad(w)
 		}
-		s.RT.Submit(w, at, load)
+		tasks = append(tasks, s.RT.Submit(w, at, load))
 		at += 5
 	}
 	for i := 0; i < cfg.Hadoop; i++ {
@@ -134,21 +136,22 @@ func submitAvailabilityMix(s *Scenario, cfg AvailabilityConfig) {
 	for i := 0; i < cfg.BestEffort; i++ {
 		submit(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
 	}
+	return tasks
 }
 
 // Availability runs the fault-storm scenario to completion and aggregates
 // the result.
 func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
-	s, inj, err := availabilityScenario(cfg)
+	s, inj, tasks, err := availabilityScenario(cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.RT.Run(cfg.HorizonSecs)
 	s.RT.Stop()
-	return availabilityResult(cfg, s, inj), nil
+	return availabilityResult(cfg, s, inj, tasks), nil
 }
 
-func availabilityResult(cfg AvailabilityConfig, s *Scenario, inj *chaos.Injector) *AvailabilityResult {
+func availabilityResult(cfg AvailabilityConfig, s *Scenario, inj *chaos.Injector, tasks []*core.Task) *AvailabilityResult {
 	res := &AvailabilityResult{
 		Workloads:  cfg.Hadoop + cfg.Spark + cfg.Services + cfg.SingleNode + cfg.BestEffort,
 		Services:   cfg.Services,
@@ -167,7 +170,7 @@ func availabilityResult(cfg AvailabilityConfig, s *Scenario, inj *chaos.Injector
 	// QoS met: mean over latency-critical services of their post-warm-up
 	// QoS-met tick fraction.
 	sum, n := 0.0, 0
-	for _, t := range s.RT.Tasks() {
+	for _, t := range tasks {
 		if t.W.Tier() != cluster.Guaranteed {
 			continue
 		}

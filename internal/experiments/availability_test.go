@@ -15,13 +15,13 @@ func runAvailability(t testing.TB, trace bool) (*AvailabilityResult, []byte) {
 	t.Helper()
 	cfg := DefaultAvailabilityConfig()
 	cfg.Trace = trace
-	s, inj, err := availabilityScenario(cfg)
+	s, inj, tasks, err := availabilityScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.RT.Run(cfg.HorizonSecs)
 	s.RT.Stop()
-	res := availabilityResult(cfg, s, inj)
+	res := availabilityResult(cfg, s, inj, tasks)
 	var jsonl []byte
 	if trace {
 		var buf bytes.Buffer

@@ -27,7 +27,7 @@ func tinyTracedScenario(t *testing.T) *obs.Tracer {
 		Hadoop: 1, Spark: 1, Storm: 0, Services: 2, SingleNode: 4, BestEffort: 6,
 		HorizonSecs: 3000, Seed: 7,
 	}
-	s, err := runMix(cfg, true, false)
+	s, _, err := runMix(cfg, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

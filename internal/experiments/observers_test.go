@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"quasar/internal/core"
 	"quasar/internal/loadgen"
 	"quasar/internal/perfmodel"
 	"quasar/internal/workload"
@@ -25,23 +26,25 @@ type mixConfig struct {
 }
 
 // runMix builds the scenario with the tracer and SLO engine as asked,
-// submits the mix 5 simulated seconds apart, and runs the horizon.
-func runMix(cfg mixConfig, traced, slo bool) (*Scenario, error) {
+// submits the mix 5 simulated seconds apart, and runs the horizon. It
+// returns the submitted tasks in submission order.
+func runMix(cfg mixConfig, traced, slo bool) (*Scenario, []*core.Task, error) {
 	s, err := NewScenario(ScenarioConfig{
 		Cluster: Local40, Manager: KindQuasar, Seed: cfg.Seed,
 		MaxNodes: 4, SeedLib: 3, Trace: traced, SLO: slo,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	at := 0.0
+	var tasks []*core.Task
 	submit := func(spec workload.Spec) {
 		w := s.U.New(spec)
 		var load loadgen.Pattern
 		if w.Type.Class() == perfmodel.LatencyCritical {
 			load = loadgen.Fluctuating{Min: 0.4 * w.Target.QPS, Max: 0.9 * w.Target.QPS, Period: 6000}
 		}
-		s.RT.Submit(w, at, load)
+		tasks = append(tasks, s.RT.Submit(w, at, load))
 		at += 5
 	}
 	for i := 0; i < cfg.Hadoop; i++ {
@@ -68,18 +71,18 @@ func runMix(cfg mixConfig, traced, slo bool) (*Scenario, error) {
 	}
 	s.RT.Run(cfg.HorizonSecs)
 	s.RT.Stop()
-	return s, nil
+	return s, tasks, nil
 }
 
 // fingerprint hashes what a finished run decided and delivered: per task its
 // ID, status, progress, start and finish times and normalized performance
 // (floats by bit pattern), then the cluster's used-cores series, the runtime
 // RNG's next draw and the Quasar manager's snapshot.
-func fingerprint(t *testing.T, s *Scenario) string {
+func fingerprint(t *testing.T, s *Scenario, tasks []*core.Task) string {
 	t.Helper()
 	var buf []byte
 	putFloat := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
-	for _, task := range s.RT.Tasks() {
+	for _, task := range tasks {
 		buf = append(buf, task.W.ID...)
 		buf = append(buf, 0, byte(task.Status))
 		putFloat(task.Progress)
@@ -119,7 +122,7 @@ func TestObserversDoNotPerturb(t *testing.T) {
 	var want string
 	for _, traced := range []bool{false, true} {
 		for _, slo := range []bool{false, true} {
-			s, err := runMix(mix, traced, slo)
+			s, tasks, err := runMix(mix, traced, slo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +132,7 @@ func TestObserversDoNotPerturb(t *testing.T) {
 			if slo && s.SLO.Tracked() == 0 {
 				t.Fatal("monitored run tracked no workloads")
 			}
-			got := fingerprint(t, s)
+			got := fingerprint(t, s, tasks)
 			if want == "" {
 				want = got
 			} else if got != want {
@@ -151,10 +154,10 @@ func TestObserversDoNotPerturb(t *testing.T) {
 		if detector {
 			s.RT.EnableFailureDetector(avail.Detector)
 		}
-		submitAvailabilityMix(s, avail)
+		tasks := submitAvailabilityMix(s, avail)
 		s.RT.Run(avail.HorizonSecs)
 		s.RT.Stop()
-		return fingerprint(t, s)
+		return fingerprint(t, s, tasks)
 	}
 	off, on := healthy(false), healthy(true)
 	if off != on {

@@ -170,16 +170,18 @@ func steadyServiceLoad(s *Scenario, w *workload.Instance) loadgen.Pattern {
 
 // submitSLODetectMix submits the mix: one-node services under conservative
 // steady load, batch and single-node texture with generous slack, and
-// best-effort filler (unmonitored by construction).
-func submitSLODetectMix(s *Scenario, cfg SLODetectConfig) {
+// best-effort filler (unmonitored by construction). It returns the tasks by
+// workload ID, for the scoring to read after the run.
+func submitSLODetectMix(s *Scenario, cfg SLODetectConfig) map[string]*core.Task {
 	at := 0.0
+	tasks := make(map[string]*core.Task)
 	submit := func(spec workload.Spec) {
 		w := s.U.New(spec)
 		var load loadgen.Pattern
 		if w.Type.Class() == perfmodel.LatencyCritical {
 			load = steadyServiceLoad(s, w)
 		}
-		s.RT.Submit(w, at, load)
+		tasks[w.ID] = s.RT.Submit(w, at, load)
 		at += 5
 	}
 	svcTypes := []workload.Type{workload.Webserver, workload.Memcached, workload.Cassandra}
@@ -200,6 +202,7 @@ func submitSLODetectMix(s *Scenario, cfg SLODetectConfig) {
 	for i := 0; i < cfg.BestEffort; i++ {
 		submit(workload.Spec{Type: workload.SingleNode, Family: -1, BestEffort: true})
 	}
+	return tasks
 }
 
 // pickVictim chooses the crash target: the up, unscripted server hosting the
@@ -308,7 +311,7 @@ func SLODetect(cfg SLODetectConfig) (*SLODetectResult, error) {
 	}
 	rt := s.RT
 	rt.EnableFailureDetector(cfg.Detector)
-	submitSLODetectMix(s, cfg)
+	tasks := submitSLODetectMix(s, cfg)
 
 	// Script the storm. Each closure captures ground truth (the resident
 	// set) and applies the crash in the same simulation event, so the
@@ -382,7 +385,7 @@ func SLODetect(cfg SLODetectConfig) (*SLODetectResult, error) {
 
 	rt.Run(cfg.HorizonSecs)
 	rt.Stop()
-	return scoreSLODetect(cfg, s, outages), nil
+	return scoreSLODetect(cfg, s, tasks, outages), nil
 }
 
 // attributes reports whether a page on workload wl fired at ft lies inside
@@ -434,16 +437,14 @@ func maxBadRunSecs(rt *core.Runtime, t *core.Task, from, to float64) float64 {
 	return best
 }
 
-func scoreSLODetect(cfg SLODetectConfig, s *Scenario, outages []*CrashOutage) *SLODetectResult {
+func scoreSLODetect(cfg SLODetectConfig, s *Scenario, tasks map[string]*core.Task, outages []*CrashOutage) *SLODetectResult {
 	res := &SLODetectResult{
 		Workloads:   cfg.Services + cfg.SingleNode + cfg.Batch + cfg.BestEffort,
 		Services:    cfg.Services,
 		HorizonSecs: cfg.HorizonSecs,
 	}
 	for _, ep := range s.SLO.Episodes() {
-		t := s.RT.Task(ep.Workload)
-		if ep.FireAt < cfg.ScoreFromSecs ||
-			t == nil || t.W.Type.Class() != perfmodel.LatencyCritical {
+		if ep.FireAt < cfg.ScoreFromSecs || tasks[ep.Workload].W.Type.Class() != perfmodel.LatencyCritical {
 			// Outside the scripted ground truth, which is defined on the
 			// latency-critical services in steady state: ramp-up turbulence
 			// and ballast-job contention alerts are genuine but unscripted.
@@ -478,11 +479,7 @@ func scoreSLODetect(cfg SLODetectConfig, s *Scenario, outages []*CrashOutage) *S
 	pageSum, hbSum, both := 0.0, 0.0, 0
 	for _, ev := range outages {
 		for _, id := range ev.ImpactedLC {
-			t := s.RT.Task(id)
-			if t == nil {
-				continue
-			}
-			if run := maxBadRunSecs(s.RT, t, ev.At, ev.RestartAt+cfg.GraceSecs); run > ev.SustainedSecs {
+			if run := maxBadRunSecs(s.RT, tasks[id], ev.At, ev.RestartAt+cfg.GraceSecs); run > ev.SustainedSecs {
 				ev.SustainedSecs = run
 			}
 		}

@@ -233,11 +233,16 @@ type workloadInfo struct {
 	SubmitAt   float64 `json:"submit_at"`
 }
 
-// infoOf renders t's listing row; the caller holds the engine lock.
-func infoOf(t *core.Task) workloadInfo {
+// infoOf renders a workload's listing row from its record and, while it is
+// live, its task; the caller holds the engine lock.
+func infoOf(rec core.Record, t *core.Task) workloadInfo {
+	nodes := 0
+	if t != nil {
+		nodes = t.NumNodes()
+	}
 	return workloadInfo{
-		ID: t.W.ID, Type: t.W.Type.String(), Status: t.Status.String(),
-		BestEffort: t.W.BestEffort, Nodes: t.NumNodes(), SubmitAt: t.SubmitAt,
+		ID: rec.ID, Type: rec.Type.String(), Status: rec.Status.String(),
+		BestEffort: rec.BestEffort, Nodes: nodes, SubmitAt: rec.SubmitAt,
 	}
 }
 
@@ -246,20 +251,21 @@ type workloadList struct {
 	Tasks []workloadInfo `json:"tasks"`
 }
 
-// listWorkloads snapshots up to limit tasks (all of them when limit is 0)
-// under the engine lock.
+// listWorkloads snapshots the first limit workloads in submission order
+// (all of them when limit is 0), live and completed alike, under the engine
+// lock.
 func (s *Server) listWorkloads(limit int) workloadList {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	tasks := s.w.RT.Tasks()
-	out := workloadList{Total: len(tasks)}
-	n := len(tasks)
+	total := s.w.RT.Submitted()
+	out := workloadList{Total: total}
+	n := total
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	out.Tasks = make([]workloadInfo, 0, n)
-	for _, t := range tasks[:n] {
-		out.Tasks = append(out.Tasks, infoOf(t))
+	for pos := 0; pos < n; pos++ {
+		out.Tasks = append(out.Tasks, infoOf(s.w.RT.RecordAt(pos)))
 	}
 	return out
 }
@@ -297,20 +303,21 @@ type workloadDetail struct {
 	IPS            float64 `json:"ips,omitempty"`
 }
 
-// getWorkload snapshots one task under the engine lock.
+// getWorkload snapshots one workload, live or completed, under the engine
+// lock.
 func (s *Server) getWorkload(id string) (workloadDetail, bool) {
 	s.engineMu.Lock()
 	defer s.engineMu.Unlock()
-	t := s.w.RT.Task(id)
-	if t == nil {
+	rec, t, ok := s.w.RT.Lookup(id)
+	if !ok {
 		return workloadDetail{}, false
 	}
-	d := workloadDetail{workloadInfo: infoOf(t), Class: t.W.Type.Class().String()}
-	if t.W.Tier().Targeted() {
-		d.CompletionSecs = t.W.Target.CompletionSecs
-		d.QPS = t.W.Target.QPS
-		d.LatencyUS = t.W.Target.LatencyUS
-		d.IPS = t.W.Target.IPS
+	d := workloadDetail{workloadInfo: infoOf(rec, t), Class: rec.Type.Class().String()}
+	if rec.Tier().Targeted() {
+		d.CompletionSecs = rec.Target.CompletionSecs
+		d.QPS = rec.Target.QPS
+		d.LatencyUS = rec.Target.LatencyUS
+		d.IPS = rec.Target.IPS
 	}
 	return d, true
 }
@@ -574,7 +581,7 @@ func (s *Server) status() statusz {
 		AppliedSeq:   s.w.appliedSeq,
 		Pending:      s.w.RT.Eng.Pending(),
 		Fired:        s.w.RT.Eng.Fired(),
-		Tasks:        len(s.w.RT.Tasks()),
+		Tasks:        s.w.RT.Submitted(),
 		QueueLen:     s.w.Q.QueueLen(),
 		TraceEvents:  s.w.Tracer.Len(),
 	}

@@ -217,12 +217,12 @@ func (w *world) apply(e *Entry) error {
 		w.RT.Submit(inst, w.RT.Eng.Now(), load)
 		w.applied(e, "")
 	case KindTarget:
-		t := w.RT.Task(e.Workload)
-		if t == nil {
+		rec, _, ok := w.RT.Lookup(e.Workload)
+		if !ok {
 			w.applied(e, "unknown workload")
 			return nil
 		}
-		target := t.W.Target
+		target := rec.Target
 		if e.Target.CompletionSecs > 0 {
 			target.CompletionSecs = e.Target.CompletionSecs
 		}

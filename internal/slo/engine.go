@@ -37,7 +37,7 @@ type wstate struct {
 	goal   float64
 	budget float64
 
-	ring []uint8 // last len(ring) SLI bits; zero (good) before history exists
+	ring []uint8 // last len(ring) SLI bits; zero (good) before history exists; nil once done
 	head int     // next write position
 
 	rules []ruleState
@@ -238,7 +238,9 @@ func (e *Engine) evalOne(ws *wstate, t *core.Task, now float64) {
 			}
 			e.resolve(r, now)
 		}
-		ws.done = true
+		// The windows never slide again: drop the ring, keep the totals
+		// and rule states that Budgets, ActiveAlerts and Report read.
+		ws.done, ws.ring = true, nil
 		return
 	}
 

@@ -173,14 +173,17 @@ type Instance struct {
 	Genome *perfmodel.Genome
 }
 
-// Tier places the workload in the cluster's yield order: best-effort work
-// has no target, latency-critical work with one is guaranteed, and targeted
-// batch work is burstable.
-func (w *Instance) Tier() cluster.Tier {
+// Tier places the workload in the cluster's yield order (see TierOf).
+func (w *Instance) Tier() cluster.Tier { return TierOf(w.Type, w.BestEffort) }
+
+// TierOf is the yield tier of a workload of type t: best-effort work has no
+// target, latency-critical work with one is guaranteed, and targeted batch
+// work is burstable.
+func TierOf(t Type, bestEffort bool) cluster.Tier {
 	switch {
-	case w.BestEffort:
+	case bestEffort:
 		return cluster.BestEffort
-	case w.Type.Class() == perfmodel.LatencyCritical:
+	case t.Class() == perfmodel.LatencyCritical:
 		return cluster.Guaranteed
 	default:
 		return cluster.Burstable
