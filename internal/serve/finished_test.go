@@ -21,9 +21,8 @@ import (
 // listing (total and submission order, a live service between the two
 // finished workloads), the apply outcome and trace lines of target updates
 // and evictions sent to them, and the tasks_total gauge on /metrics. The
-// expected transcript was recorded before the runtime retired completed
-// tasks into compact records, so it holds the record to the full task's
-// answers.
+// golden transcript is what a runtime that kept every completed task whole
+// answered, so it holds the retired records to those answers.
 func TestFinishedWorkloadParity(t *testing.T) {
 	trace := obs.NewBufferSink()
 	w, err := buildWorld(Config{Servers: 4, Seed: 11}, trace)
@@ -51,7 +50,6 @@ func TestFinishedWorkloadParity(t *testing.T) {
 			t.Fatalf("%s is %v at t=600, want %v", tasks[i].W.ID, got, want)
 		}
 	}
-	tasks = nil
 
 	var out strings.Builder
 	get := func(path string, h func(http.ResponseWriter, *http.Request), id string) {
